@@ -381,45 +381,32 @@ impl ReceiverProc {
         let wm = *self.lane_wm.iter().min().expect("lanes > 0");
         let plan = Rc::clone(&self.plan);
         let window = plan.window();
-        let mut ready_keys = Vec::new();
-        self.state.for_each_key(|key, _| {
-            let wid = (key >> 64) as u64;
-            if window.ready(wid, wm) {
-                ready_keys.push(key);
-            }
-        });
+        let (merge_ns, rf) = (self.cost.merge_entry_ns * self.rf, self.rf);
         let mut cpu = 0.0;
-        for key in ready_keys {
-            let wid = (key >> 64) as u64;
-            let gkey = key as u64;
-            let data = if self.state.descriptor().is_appended() {
-                let mut elems = Vec::new();
-                self.state.for_each_element(key, |e| elems.push(e.to_vec()));
-                TriggeredData::Elements(elems)
-            } else {
-                TriggeredData::Fixed(self.state.get(key).expect("listed").to_vec())
-            };
-            self.state.remove(key);
-            cpu += self.cost.merge_entry_ns * self.rf;
-            match (&*plan, data) {
-                (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(v)) => {
-                    sh.sink.push(SinkResult::Agg {
-                        window_id: wid,
-                        key: gkey,
-                        value: agg.render(&v),
-                    });
+        self.state.drain_ready(
+            |wid| window.ready(wid, wm),
+            |tv| {
+                cpu += merge_ns;
+                match (&*plan, tv.data) {
+                    (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(v)) => {
+                        sh.sink.push(SinkResult::Agg {
+                            window_id: tv.window_id,
+                            key: tv.key,
+                            value: agg.render(&v),
+                        });
+                    }
+                    (QueryPlan::Join { .. }, TriggeredData::Elements(elems)) => {
+                        cpu += 2.0 * rf * elems.len() as f64;
+                        sh.sink.push(SinkResult::Join {
+                            window_id: tv.window_id,
+                            key: tv.key,
+                            pairs: slash_core::join::pair_count(&elems, &window),
+                        });
+                    }
+                    _ => unreachable!("plan/state mismatch"),
                 }
-                (QueryPlan::Join { .. }, TriggeredData::Elements(elems)) => {
-                    cpu += 2.0 * self.rf * elems.len() as f64;
-                    sh.sink.push(SinkResult::Join {
-                        window_id: wid,
-                        key: gkey,
-                        pairs: slash_core::join::pair_count(&elems, &window),
-                    });
-                }
-                _ => unreachable!("plan/state mismatch"),
-            }
-        }
+            },
+        );
         cpu
     }
 }

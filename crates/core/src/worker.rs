@@ -397,6 +397,13 @@ impl SlashWorker {
     }
 
     /// Trigger-task duty: fire every window the vector clock has released.
+    ///
+    /// The common call — nothing ready, e.g. every step of the end-of-stream
+    /// poll loop — is one `ready` test per live window and allocates
+    /// nothing. When windows fire, results stream from the state into the
+    /// sink one value at a time, so nothing of a fired window is held
+    /// twice; only sliding windows, which stitch sibling slices, buffer
+    /// the sweep.
     fn run_triggers(&mut self, sh: &mut NodeShared) -> f64 {
         let plan = Rc::clone(&self.plan);
         let window = plan.window();
@@ -407,70 +414,70 @@ impl SlashWorker {
             Some(f) => sh.ssb.vclock().min().min(f.floor()),
             None => sh.ssb.vclock().min(),
         };
-        let mut drained: Vec<TriggeredValue> = Vec::new();
-        sh.ssb
-            .drain_triggered(|wid| window.ready(wid, wm), |tv| drained.push(tv));
-        if drained.is_empty() {
-            return 0.0;
-        }
-        let mut cpu = 0.0;
-        let slices = window.slices_per_window();
+        let ready = |wid| window.ready(wid, wm);
+        let merge_ns = self.cost.merge_entry_ns;
         let NodeShared {
             ssb, sink, metrics, ..
         } = sh;
+        // Hand one triggered value to the sink; returns its CPU cost.
+        let mut finish = |tv: TriggeredValue| match (&*plan, tv.data) {
+            (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(value)) => {
+                sink.push(SinkResult::Agg {
+                    window_id: tv.window_id,
+                    key: tv.key,
+                    value: agg.render(&value),
+                });
+                metrics.instr(instr::MERGE);
+                merge_ns
+            }
+            (QueryPlan::Join { .. }, TriggeredData::Elements(elems)) => {
+                metrics.instr(instr::MERGE * elems.len() as u64);
+                sink.push(SinkResult::Join {
+                    window_id: tv.window_id,
+                    key: tv.key,
+                    pairs: crate::join::pair_count(&elems, &window),
+                });
+                2.0 * elems.len() as f64 // probe per element
+            }
+            (plan, data) => unreachable!("plan/state mismatch: {plan:?} vs {data:?}"),
+        };
+        let mut cpu = 0.0;
+        let slices = window.slices_per_window();
+        if slices == 1 {
+            ssb.drain_triggered(ready, |tv| cpu += finish(tv));
+            return cpu;
+        }
         // Sliding windows: a window is its first slice merged with the
         // k-1 following ones. Later slices may retire in the *same*
         // sweep (and are then gone from the state), so look them up in
         // the drained batch first and fall back to peeking live state.
-        let drained_values: std::collections::BTreeMap<(u64, u64), Vec<u8>> = if slices > 1 {
-            drained
-                .iter()
-                .filter_map(|tv| match &tv.data {
-                    TriggeredData::Fixed(v) => {
-                        Some(((tv.window_id, tv.key), v.clone()))
+        let mut drained: Vec<TriggeredValue> = Vec::new();
+        ssb.drain_triggered(ready, |tv| drained.push(tv));
+        let drained_values: std::collections::BTreeMap<(u64, u64), Vec<u8>> = drained
+            .iter()
+            .filter_map(|tv| match &tv.data {
+                TriggeredData::Fixed(v) => Some(((tv.window_id, tv.key), v.clone())),
+                TriggeredData::Elements(_) => None,
+            })
+            .collect();
+        for mut tv in drained {
+            if let (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(value)) =
+                (&*plan, &mut tv.data)
+            {
+                let desc = agg.descriptor();
+                for s in 1..slices {
+                    let sibling = (tv.window_id + s, tv.key);
+                    if let Some(other) = drained_values
+                        .get(&sibling)
+                        .map(|v| v.as_slice())
+                        .or_else(|| ssb.local_get(pack_key(sibling.0, sibling.1)))
+                    {
+                        (desc.merge)(value, other);
+                        cpu += merge_ns;
                     }
-                    TriggeredData::Elements(_) => None,
-                })
-                .collect()
-        } else {
-            std::collections::BTreeMap::new()
-        };
-        for tv in drained {
-            match (&*plan, tv.data) {
-                (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(mut value)) => {
-                    if slices > 1 {
-                        let desc = agg.descriptor();
-                        for s in 1..slices {
-                            let sibling = (tv.window_id + s, tv.key);
-                            if let Some(other) = drained_values
-                                .get(&sibling)
-                                .map(|v| v.as_slice())
-                                .or_else(|| ssb.local_get(pack_key(sibling.0, sibling.1)))
-                            {
-                                (desc.merge)(&mut value, other);
-                                cpu += self.cost.merge_entry_ns;
-                            }
-                        }
-                    }
-                    sink.push(SinkResult::Agg {
-                        window_id: tv.window_id,
-                        key: tv.key,
-                        value: agg.render(&value),
-                    });
-                    cpu += self.cost.merge_entry_ns;
-                    metrics.instr(instr::MERGE);
                 }
-                (QueryPlan::Join { .. }, TriggeredData::Elements(elems)) => {
-                    cpu += 2.0 * elems.len() as f64; // probe per element
-                    metrics.instr(instr::MERGE * elems.len() as u64);
-                    sink.push(SinkResult::Join {
-                        window_id: tv.window_id,
-                        key: tv.key,
-                        pairs: crate::join::pair_count(&elems, &window),
-                    });
-                }
-                (plan, data) => unreachable!("plan/state mismatch: {plan:?} vs {data:?}"),
             }
+            cpu += finish(tv);
         }
         cpu
     }

@@ -12,6 +12,10 @@
 //! invalidated on helpers; triggered and garbage-collected on leaders),
 //! which realizes the paper's "adaptively resizing circular buffer":
 //! capacity grows on demand and shrinks back when epochs or windows retire.
+//! A sealed segment's *memory* goes the moment its last entry dies, even
+//! behind a live segment — windows retire in window order, not log order,
+//! so a leader's log has dead stretches in its middle; its *slot* in the
+//! address space goes when it reaches the head ([`Lss::reclaim`]).
 
 use std::collections::VecDeque;
 
@@ -94,7 +98,10 @@ impl Lss {
         self.live_entries
     }
 
-    /// Bytes of segment memory currently held.
+    /// Bytes of address space the log spans, head to tail — the working-set
+    /// figure the cost model's cache model reads. Segment memory actually
+    /// held can be lower: fully dead sealed segments behind the head have
+    /// already released theirs (see [`Self::note_dead`]).
     pub fn resident_bytes(&self) -> usize {
         self.segments.len() * self.seg_size
     }
@@ -201,14 +208,22 @@ impl Lss {
         }
     }
 
-    /// Mark the entry at `addr` dead. Dead entries free their segment once
-    /// every entry in it is dead.
+    /// Mark the entry at `addr` dead. A sealed segment releases its memory
+    /// as soon as every entry in it is dead.
     pub fn note_dead(&mut self, addr: u64) {
         let (si, _) = self.seg_of(addr);
         let seg = &mut self.segments[si];
         assert!(seg.live > 0, "double free at {addr}");
         seg.live -= 1;
         self.live_entries -= 1;
+        if seg.live == 0 && seg.sealed {
+            // Nothing reads a fully dead sealed segment again: hand its
+            // memory back now, wherever it sits. The slot (and its share
+            // of the address space) stays until `reclaim` pops it from
+            // the head, so address arithmetic is unaffected.
+            seg.data = Box::default();
+            seg.used = 0;
+        }
     }
 
     /// Mark *all* entries currently in the log dead (helper fragments after
@@ -340,6 +355,35 @@ mod tests {
         // Tail segment is unsealed, so only the sealed middle one frees.
         assert_eq!(l.reclaim(), 1);
         assert_eq!(l.live_entries(), 0);
+    }
+
+    #[test]
+    fn dead_segment_behind_a_live_one_releases_its_memory_at_once() {
+        let held = |l: &Lss| l.segments.iter().map(|s| s.data.len()).sum::<usize>();
+        let mut l = small();
+        let addrs: Vec<u64> = (0..9u64)
+            .map(|i| l.append(i as u128, NO_PREV, EntryKind::Fixed, &i.to_le_bytes()))
+            .collect();
+        assert_eq!(held(&l), 3 * 128);
+        // The middle segment dies while the head is still live.
+        for &a in &addrs[3..6] {
+            l.note_dead(a);
+        }
+        assert_eq!(l.reclaim(), 0, "the head is live: no slot is popped");
+        assert_eq!(held(&l), 2 * 128, "but the dead segment's memory is gone");
+        assert_eq!(l.resident_bytes(), 3 * 128, "the address span is unchanged");
+        // Addresses on both sides still resolve, and scans skip the hole.
+        assert_eq!(l.key_at(addrs[0]), 0);
+        assert_eq!(l.key_at(addrs[8]), 8);
+        let mut seen = Vec::new();
+        l.for_each_in(0, l.tail(), |_, h, _| seen.push(h.key));
+        assert_eq!(seen, vec![0, 1, 2, 6, 7, 8]);
+        // Once the head dies too, both slots go.
+        for &a in &addrs[0..3] {
+            l.note_dead(a);
+        }
+        assert_eq!(l.reclaim(), 2);
+        assert_eq!(l.head(), 256);
     }
 
     #[test]

@@ -4,13 +4,60 @@
 //! leads (its *primary* partition, where deltas from helpers are merged and
 //! windows trigger) and a *fragment* of every remote partition (where its
 //! own eager updates accumulate between epochs).
+//!
+//! A drainable partition also keeps a **window directory**: the group keys
+//! that entered the index, listed under their window id in first-insertion
+//! order. The window trigger ([`Partition::drain_ready`]) tests `ready`
+//! once per live *window* and touches only the keys of the windows that
+//! fire, so a sweep with nothing ready costs O(#windows) and a firing
+//! costs O(keys fired) — never O(live keys). Two invariants hold between
+//! any two calls:
+//!
+//! * every live key is listed under its window id (lists never miss one);
+//! * lists may hold *stale* entries — a key removed by [`Partition::remove`]
+//!   stays listed, and a key removed and re-inserted is listed twice.
+//!   Drain resolves both through the index: an entry whose key is no
+//!   longer live is skipped, so every live key is emitted exactly once.
+
+use std::collections::BTreeMap;
 
 use crate::combiner::WriteCombiner;
 use crate::descriptor::{StateDescriptor, ValueKind};
 use crate::entry::{EntryHeader, EntryKind, NO_PREV};
-use crate::hash::{hash_key, StateKey};
+use crate::hash::{hash_key, pack_key, unpack_key, StateKey};
 use crate::index::HashIndex;
 use crate::log::Lss;
+
+/// A `(window, key)` state value surfaced by a window trigger.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TriggeredValue {
+    /// Window identifier (high half of the state key).
+    pub window_id: u64,
+    /// Group key (low half of the state key).
+    pub key: u64,
+    /// The merged state.
+    pub data: TriggeredData,
+}
+
+/// Payload of a triggered value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TriggeredData {
+    /// Fixed-size CRDT state (aggregations).
+    Fixed(Vec<u8>),
+    /// Holistic element list, newest first (joins).
+    Elements(Vec<Vec<u8>>),
+}
+
+/// One window's directory list: group keys in first-insertion order, held
+/// in chunks of at most [`LIST_CHUNK_KEYS`]. A full chunk is never
+/// reallocated, so listing a key never copies or re-faults a large list,
+/// whatever the window's size — a single `Vec` of a 200 k-key window would
+/// be moved (and its pages touched anew) at every doubling, on the insert
+/// path, which measurably slows cold-key ingest.
+type KeyList = Vec<Vec<u64>>;
+
+/// Keys per full chunk of a [`KeyList`] (64 KiB of group keys).
+const LIST_CHUNK_KEYS: usize = 8192;
 
 /// Operation counters (feed the micro-architecture proxies of §8.3).
 #[derive(Debug, Default, Clone, Copy)]
@@ -25,6 +72,10 @@ pub struct PartitionStats {
     pub merged_entries: u64,
     /// Epochs closed on this fragment.
     pub epochs: u64,
+    /// Directory entries examined by window drains: the list lengths of
+    /// the windows that fired, stale entries included. A sweep in which
+    /// no window is ready adds nothing.
+    pub drain_visited: u64,
 }
 
 /// One partition's local storage on one node.
@@ -38,21 +89,29 @@ pub struct Partition {
     /// Epoch counter, versioning the fragment's content (§7.2.2 step ①).
     epoch: u64,
     desc: StateDescriptor,
+    /// The window directory (see the module docs): group keys in
+    /// first-insertion order under their window id. `None` on helper
+    /// fragments, which ship their content at epoch close and never drain.
+    directory: Option<BTreeMap<u64, KeyList>>,
     /// Operation counters.
     pub stats: PartitionStats,
 }
 
 impl Partition {
-    /// Create an empty partition fragment.
+    /// Create an empty, drainable partition (a leader's primary, a
+    /// baseline's operator state, a restored snapshot).
     pub fn new(id: usize, desc: StateDescriptor) -> Self {
+        Self::with_segment_size(id, desc, crate::log::DEFAULT_SEGMENT_SIZE)
+    }
+
+    /// Create an empty helper fragment: same storage, no window directory.
+    /// Helpers accumulate updates for a remote leader and hand everything
+    /// over at [`Self::close_epoch`]; [`Self::drain_ready`] finds nothing
+    /// on them.
+    pub fn helper(id: usize, desc: StateDescriptor) -> Self {
         Partition {
-            id,
-            index: HashIndex::new(),
-            log: Lss::new(),
-            epoch_begin: 0,
-            epoch: 0,
-            desc,
-            stats: PartitionStats::default(),
+            directory: None,
+            ..Self::new(id, desc)
         }
     }
 
@@ -65,6 +124,7 @@ impl Partition {
             epoch_begin: 0,
             epoch: 0,
             desc,
+            directory: Some(BTreeMap::new()),
             stats: PartitionStats::default(),
         }
     }
@@ -119,10 +179,39 @@ impl Partition {
         }
     }
 
+    /// Record in the window directory that `key` just entered the index.
+    /// Called at the one event that makes a key live — never on updates of
+    /// a live key — so a list grows by one entry per insertion.
+    #[inline]
+    fn list(&mut self, key: StateKey) {
+        if let Some(dir) = self.directory.as_mut() {
+            let (wid, gk) = unpack_key(key);
+            let chunks = dir.entry(wid).or_default();
+            match chunks.last_mut() {
+                Some(chunk) if chunk.len() < LIST_CHUNK_KEYS => chunk.push(gk),
+                // A window's first chunk grows from nothing, so a small
+                // window stays small; a window that filled one chunk gets
+                // the next ones at full size, with no growth copies.
+                _ => {
+                    let cap = if chunks.is_empty() { 0 } else { LIST_CHUNK_KEYS };
+                    let mut chunk = Vec::with_capacity(cap);
+                    chunk.push(gk);
+                    chunks.push(chunk);
+                }
+            }
+        }
+    }
+
     /// Append one element to holistic state (hash-join build, §5.2).
     pub fn append(&mut self, key: StateKey, elem: &[u8]) {
         debug_assert!(self.desc.is_appended(), "append on fixed state");
-        let prev = self.find(key).unwrap_or(NO_PREV);
+        let prev = match self.find(key) {
+            Some(head) => head,
+            None => {
+                self.list(key);
+                NO_PREV
+            }
+        };
         let addr = self.log.append(key, prev, EntryKind::Appended, elem);
         let log = &self.log;
         self.index.upsert(
@@ -139,6 +228,7 @@ impl Partition {
     }
 
     fn insert_fresh_hashed(&mut self, key: StateKey, hash: u64, kind: EntryKind, value: &[u8]) {
+        self.list(key);
         let addr = self.log.append(key, NO_PREV, kind, value);
         let log = &self.log;
         self.index.upsert(
@@ -236,6 +326,11 @@ impl Partition {
         self.index.find_batch(&hashes, &mut heads, |j, addr| {
             log.key_at(addr) == distinct[j].0
         });
+        for (d, &(key, _)) in distinct.iter().enumerate() {
+            if heads[d].is_none() {
+                self.list(key);
+            }
+        }
         // Append in record order, chaining through the memoized heads.
         for (i, &key) in keys.iter().enumerate() {
             let d = which[i] as usize;
@@ -317,6 +412,9 @@ impl Partition {
         // (older regions were invalidated by previous epochs), so the whole
         // index goes; all log entries die and sealed segments are freed.
         self.index.clear();
+        if let Some(dir) = self.directory.as_mut() {
+            dir.clear();
+        }
         self.log.kill_all();
         self.log.reclaim();
         self.epoch_begin = self.log.tail();
@@ -347,27 +445,92 @@ impl Partition {
         self.log.tail() - self.epoch_begin
     }
 
-    /// Remove a key and mark its entries dead (window GC after trigger).
-    pub fn remove(&mut self, key: StateKey) -> bool {
+    /// Unlink `key` from the index and mark its entries dead, showing each
+    /// entry's value (newest first) to `visit` on the way out. One index
+    /// probe; `false` if the key was not live.
+    fn unlink(&mut self, key: StateKey, mut visit: impl FnMut(&[u8])) -> bool {
         let log = &self.log;
-        let removed = self
+        let Some(mut addr) = self
             .index
-            .remove(hash_key(key), |a| log.key_at(a) == key);
-        match removed {
-            Some(mut addr) => {
-                loop {
-                    let h = self.log.header(addr);
-                    self.log.note_dead(addr);
-                    if h.prev == NO_PREV || h.prev < self.epoch_begin {
-                        break;
-                    }
-                    addr = h.prev;
-                }
-                self.log.reclaim();
-                true
+            .remove(hash_key(key), |a| log.key_at(a) == key)
+        else {
+            return false;
+        };
+        loop {
+            let h = self.log.header(addr);
+            visit(self.log.value(addr));
+            self.log.note_dead(addr);
+            if h.prev == NO_PREV || h.prev < self.epoch_begin {
+                break;
             }
-            None => false,
+            addr = h.prev;
         }
+        self.log.reclaim();
+        true
+    }
+
+    /// Remove a key and mark its entries dead. The key's directory entry
+    /// goes stale and is skipped by the next drain of its window.
+    pub fn remove(&mut self, key: StateKey) -> bool {
+        self.unlink(key, |_| {})
+    }
+
+    /// Remove a key and hand back its content — the fused `get` + `remove`
+    /// of the window trigger: one index probe instead of two.
+    pub(crate) fn take(&mut self, key: StateKey) -> Option<TriggeredData> {
+        if self.desc.is_appended() {
+            let mut elems = Vec::new();
+            self.unlink(key, |e| elems.push(e.to_vec()))
+                .then_some(TriggeredData::Elements(elems))
+        } else {
+            let mut value = Vec::new();
+            self.unlink(key, |v| value.extend_from_slice(v))
+                .then_some(TriggeredData::Fixed(value))
+        }
+    }
+
+    /// Detach the directory lists of every window `ready` accepts, in
+    /// ascending window order. `ready` is asked once per live window id
+    /// and need not be monotone. The lists are in first-insertion order
+    /// and may hold stale or repeated keys: resolve each entry with
+    /// [`Self::take`], which yields a live key exactly once.
+    pub(crate) fn take_ready_windows(
+        &mut self,
+        ready: impl Fn(u64) -> bool,
+    ) -> Vec<(u64, KeyList)> {
+        let Some(dir) = self.directory.as_mut() else {
+            return Vec::new();
+        };
+        let windows: Vec<(u64, KeyList)> = dir.extract_if(.., |&wid, _| ready(wid)).collect();
+        for chunk in windows.iter().flat_map(|(_, keys)| keys) {
+            self.stats.drain_visited += chunk.len() as u64;
+        }
+        windows
+    }
+
+    /// The window trigger: remove every live `(window, key)` whose window
+    /// satisfies `ready` and hand it to `emit`, window by window, keys in
+    /// first-insertion order. Returns how many keys fired. Work is bounded
+    /// by what is ready — see the module docs.
+    pub fn drain_ready(
+        &mut self,
+        ready: impl Fn(u64) -> bool,
+        mut emit: impl FnMut(TriggeredValue),
+    ) -> usize {
+        let mut fired = 0;
+        for (window_id, keys) in self.take_ready_windows(ready) {
+            for key in keys.into_iter().flatten() {
+                if let Some(data) = self.take(pack_key(window_id, key)) {
+                    fired += 1;
+                    emit(TriggeredValue {
+                        window_id,
+                        key,
+                        data,
+                    });
+                }
+            }
+        }
+        fired
     }
 }
 
@@ -579,6 +742,144 @@ mod tests {
         batched.close_epoch(|h, v| da.push((h.key, v.to_vec())));
         serial.close_epoch(|h, v| db.push((h.key, v.to_vec())));
         assert_eq!(da, db);
+    }
+
+    /// Drain everything `ready` accepts into a sorted `(window, key,
+    /// counter)` list plus the returned count.
+    fn drain_counters(
+        p: &mut Partition,
+        ready: impl Fn(u64) -> bool,
+    ) -> (Vec<(u64, u64, u64)>, usize) {
+        let mut out = Vec::new();
+        let fired = p.drain_ready(ready, |tv| match tv.data {
+            TriggeredData::Fixed(v) => out.push((tv.window_id, tv.key, CounterCrdt::get(&v))),
+            TriggeredData::Elements(_) => panic!("counter state is fixed"),
+        });
+        out.sort_unstable();
+        (out, fired)
+    }
+
+    #[test]
+    fn take_is_get_plus_remove_in_one_probe() {
+        let mut p = counter_part();
+        p.rmw(5, |v| CounterCrdt::add(v, 3));
+        assert_eq!(p.take(5), Some(TriggeredData::Fixed(3u64.to_le_bytes().to_vec())));
+        assert_eq!(p.take(5), None);
+        assert_eq!(p.get(5), None);
+        assert_eq!(p.key_count(), 0);
+
+        let mut h = Partition::with_segment_size(0, appended_descriptor(), 256);
+        h.append(9, b"one");
+        h.append(9, b"two");
+        assert_eq!(
+            h.take(9),
+            Some(TriggeredData::Elements(vec![b"two".to_vec(), b"one".to_vec()]))
+        );
+        assert_eq!(h.take(9), None);
+        assert_eq!(h.element_count(9), 0);
+    }
+
+    #[test]
+    fn drain_ready_fires_only_accepted_windows_and_need_not_be_monotone() {
+        let mut p = counter_part();
+        for wid in 1..=3u64 {
+            for gk in 0..4u64 {
+                p.rmw(pack_key(wid, gk), |v| CounterCrdt::add(v, wid * 10 + gk));
+            }
+        }
+        let (fired, n) = drain_counters(&mut p, |w| w == 2);
+        assert_eq!(n, 4);
+        assert_eq!(fired, (0..4).map(|gk| (2, gk, 20 + gk)).collect::<Vec<_>>());
+        // Windows 1 and 3 are untouched and still readable.
+        assert_eq!(p.key_count(), 8);
+        assert_eq!(p.get(pack_key(1, 0)).map(CounterCrdt::get), Some(10));
+        // Exactly-once: window 2 is gone; the rest fires on demand.
+        assert_eq!(drain_counters(&mut p, |w| w == 2).1, 0);
+        assert_eq!(drain_counters(&mut p, |_| true).1, 8);
+        assert_eq!(p.key_count(), 0);
+    }
+
+    /// Satellite (robustness): a direct `remove` leaves the directory
+    /// consistent. Stale entries are skipped at drain; a key removed and
+    /// re-inserted — listed twice — is emitted exactly once.
+    #[test]
+    fn removed_keys_go_stale_and_reinserted_keys_drain_exactly_once() {
+        let mut p = counter_part();
+        p.rmw(pack_key(1, 5), |v| CounterCrdt::add(v, 100));
+        p.rmw(pack_key(1, 6), |v| CounterCrdt::add(v, 200));
+        p.rmw(pack_key(1, 7), |v| CounterCrdt::add(v, 300));
+        assert!(p.remove(pack_key(1, 5)));
+        assert!(p.remove(pack_key(1, 6)));
+        // Key 5 comes back with fresh state; key 6 stays gone.
+        p.rmw(pack_key(1, 5), |v| CounterCrdt::add(v, 1));
+        let (fired, n) = drain_counters(&mut p, |_| true);
+        assert_eq!(fired, vec![(1, 5, 1), (1, 7, 300)]);
+        assert_eq!(n, 2, "the count is live keys, not list entries");
+        assert_eq!(p.stats.drain_visited, 4, "5, 6, 7 and 5 again were examined");
+        assert_eq!(p.key_count(), 0);
+        assert_eq!(drain_counters(&mut p, |_| true), (vec![], 0));
+
+        // Holistic state: the re-inserted key carries only its new chain.
+        let mut h = Partition::with_segment_size(0, appended_descriptor(), 256);
+        h.append(pack_key(1, 9), b"old");
+        assert!(h.remove(pack_key(1, 9)));
+        h.append(pack_key(1, 9), b"new");
+        let mut got = Vec::new();
+        assert_eq!(h.drain_ready(|_| true, |tv| got.push(tv)), 1);
+        assert_eq!(
+            got,
+            vec![TriggeredValue {
+                window_id: 1,
+                key: 9,
+                data: TriggeredData::Elements(vec![b"new".to_vec()]),
+            }]
+        );
+    }
+
+    /// Satellite (the complexity claim as a count, not a timing): a sweep
+    /// with nothing ready examines no key, and a firing examines exactly
+    /// the fired window's keys — independent of how many keys are live.
+    #[test]
+    fn drain_examines_ready_keys_not_live_keys() {
+        const WINDOWS: u64 = 10;
+        const PER_WINDOW: u64 = 10_000;
+        let mut p = Partition::new(0, CounterCrdt::descriptor());
+        for gk in 0..PER_WINDOW {
+            for wid in 0..WINDOWS {
+                p.rmw(pack_key(wid, gk), |v| CounterCrdt::add(v, 1));
+            }
+        }
+        assert_eq!(p.key_count() as u64, WINDOWS * PER_WINDOW);
+        for _ in 0..3 {
+            assert_eq!(p.drain_ready(|_| false, |_| {}), 0);
+        }
+        assert_eq!(p.stats.drain_visited, 0, "nothing ready: no key examined");
+        assert_eq!(p.drain_ready(|w| w == 4, |_| {}) as u64, PER_WINDOW);
+        assert_eq!(p.stats.drain_visited, PER_WINDOW, "one window's keys, no more");
+        assert_eq!(p.key_count() as u64, (WINDOWS - 1) * PER_WINDOW);
+    }
+
+    #[test]
+    fn close_epoch_clears_the_directory_with_the_index() {
+        let mut p = counter_part();
+        p.rmw(pack_key(1, 1), |v| CounterCrdt::add(v, 1));
+        p.close_epoch(|_, _| {});
+        assert_eq!(p.drain_ready(|_| true, |_| {}), 0);
+        assert_eq!(p.stats.drain_visited, 0, "shipped keys are not listed");
+        p.rmw(pack_key(1, 1), |v| CounterCrdt::add(v, 7));
+        assert_eq!(drain_counters(&mut p, |_| true), (vec![(1, 1, 7)], 1));
+    }
+
+    #[test]
+    fn helper_fragments_keep_no_directory_and_never_drain() {
+        let mut h = Partition::helper(0, CounterCrdt::descriptor());
+        h.rmw(pack_key(1, 1), |v| CounterCrdt::add(v, 4));
+        assert_eq!(h.drain_ready(|_| true, |_| {}), 0);
+        assert_eq!(h.get(pack_key(1, 1)).map(CounterCrdt::get), Some(4));
+        // Everything a helper holds leaves through the epoch delta.
+        let mut shipped = Vec::new();
+        h.close_epoch(|hd, v| shipped.push((hd.key, CounterCrdt::get(v))));
+        assert_eq!(shipped, vec![(pack_key(1, 1), 4)]);
     }
 
     #[test]
