@@ -41,7 +41,6 @@ use slash_core::{
 };
 use slash_desim::SimTime;
 use slash_exec::{results_fingerprint, JobSpec, Scheduler, SimBackend, ThreadBackend};
-use slash_obs::Obs;
 use slash_state::backend::{SsbConfig, SsbNode};
 use slash_workloads::{cm, nb11, nb7, nb8, ysb, ysb_hot, ysb_zipf_keyed, GenConfig, Workload};
 
@@ -241,8 +240,9 @@ impl ZipfRow {
 }
 
 /// Run one theta of the sweep: the same keyed-ingress input through the
-/// plain engine and through `run_split` with online detection + record
-/// forwarding, cross-checking results and final state bit-for-bit.
+/// plain engine and with the split director installed (online detection
+/// plus record forwarding), cross-checking results and final state
+/// bit-for-bit.
 fn bench_zipf(theta: f64, per_node_records: u64) -> ZipfRow {
     let w = ysb_zipf_keyed(&GenConfig::new(ZIPF_NODES, per_node_records), theta);
     let total_bytes: usize = w.partitions.iter().map(|p| p.len()).sum();
@@ -280,8 +280,10 @@ fn bench_zipf(theta: f64, per_node_records: u64) -> ZipfRow {
         forward: true,
         ..SplitRunConfig::default()
     };
-    let (on, srep) =
-        SlashCluster::run_split(w.plan.clone(), w.partitions.clone(), cfg, &scfg, Obs::disabled());
+    let out = SlashCluster::builder(w.plan.clone(), w.partitions.clone(), cfg)
+        .split(&scfg)
+        .run();
+    let (on, srep) = (out.run, out.split);
     let digests_match = on.records == off.records
         && on.emitted == off.emitted
         && results_digest(&on.results) == results_digest(&off.results)

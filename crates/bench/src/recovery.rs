@@ -20,7 +20,6 @@
 use slash_chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash_core::{RecoveryAction, RecoveryReport, RunConfig, RunReport, SlashCluster};
 use slash_desim::SimTime;
-use slash_obs::Obs;
 use slash_perfmodel::Table;
 use slash_workloads::{ysb, GenConfig};
 
@@ -103,7 +102,10 @@ fn chaos_run(
         },
         pre_split: Vec::new(),
     };
-    SlashCluster::run_chaos(w.plan, w.partitions, cfg, &chaos, Obs::disabled())
+    let out = SlashCluster::builder(w.plan, w.partitions, cfg)
+        .chaos(&chaos)
+        .run();
+    (out.run, out.recovery)
 }
 
 fn describe(rec: &RecoveryReport) -> String {

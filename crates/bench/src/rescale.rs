@@ -35,7 +35,6 @@ use slash_core::{
     SlashCluster, StaticDirector,
 };
 use slash_desim::SimTime;
-use slash_obs::Obs;
 use slash_perfmodel::Table;
 use slash_scale::{ControllerConfig, Decision, ScaleController};
 use slash_workloads::{ysb, GenConfig};
@@ -105,15 +104,11 @@ fn elastic_run(
     let (mut cfg, gen) = run_config(records);
     cfg.pacing = pacing;
     let w = ysb(&gen);
-    SlashCluster::run_elastic(
-        w.plan,
-        w.partitions,
-        cfg,
-        &chaos(),
-        &ElasticConfig::packed(PARTITIONS, PACKED_HOSTS),
-        director,
-        Obs::disabled(),
-    )
+    let out = SlashCluster::builder(w.plan, w.partitions, cfg)
+        .chaos(&chaos())
+        .elastic(&ElasticConfig::packed(PARTITIONS, PACKED_HOSTS), director)
+        .run();
+    (out.run, out.recovery, out.rescale)
 }
 
 /// Run the experiment: probe-calibrate, then static and controller-driven

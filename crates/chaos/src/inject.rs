@@ -14,8 +14,8 @@ const FAULT_TID: u32 = 900;
 /// Every event becomes one or two `Sim::schedule_at` closures driving the
 /// `slash-rdma` fault hooks, plus `Cat::Fault` trace events marking the
 /// outage window. The injector deliberately knows nothing about processes
-/// or recovery: the engine embedding it (see `SlashCluster::run_chaos`)
-/// reacts to the faults through the same observable surface real protocol
+/// or recovery: the engine embedding it (see `ClusterBuilder::chaos` in
+/// `slash-core`) reacts to the faults through the same observable surface real protocol
 /// code has — flushed completions, error-state QPs, stalled epoch tokens.
 pub struct Injector;
 

@@ -18,8 +18,8 @@
 //! simulator (via the `slash-rdma` fault hooks) and emits `Cat::Fault`
 //! trace events so a Perfetto trace shows each outage window. Process-level
 //! consequences (stopping a crashed node's workers, running recovery) are
-//! the embedding engine's job — see `SlashCluster::run_chaos` in
-//! `slash-core`.
+//! the embedding engine's job — see the fault-tolerance director behind
+//! `ClusterBuilder::chaos` in `slash-core`.
 
 pub mod inject;
 pub mod plan;
@@ -64,9 +64,10 @@ pub struct ChaosConfig {
     /// Recovery tunables.
     pub ft: FtConfig,
     /// Group keys to hot-split before the first record (state-plane
-    /// splitting only — chaos runs never forward records). The race
-    /// families use this to prove split/fold commutes with crash
-    /// promotion and planned handoff.
+    /// splitting only — chaos runs never forward records); the engine
+    /// hands them to its split director. The race families use this to
+    /// prove split/fold commutes with crash promotion and planned
+    /// handoff.
     pub pre_split: Vec<u64>,
 }
 

@@ -1,5 +1,6 @@
-//! The virtual cluster driver: wires fabric, SSB, workers; runs a query
-//! end to end; reports throughput and counters.
+//! Run configuration and report, the per-node boot and worker spawn, and
+//! the director-less [`SlashCluster::run`] shorthand. The bootstrap and
+//! the drive loop themselves live in [`crate::driver`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -8,7 +9,7 @@ use slash_desim::{Sim, SimTime};
 use slash_net::ChannelConfig;
 use slash_obs::Obs;
 use slash_rdma::{Fabric, FabricConfig};
-use slash_state::backend::{build_cluster_obs, SsbConfig};
+use slash_state::backend::{SsbConfig, SsbNode};
 
 use crate::cost::CostModel;
 use crate::metrics::EngineMetrics;
@@ -72,10 +73,19 @@ impl RunConfig {
             max_virtual_time: SimTime::from_secs(3600),
         }
     }
+
+    /// The SSB-layer slice of this configuration.
+    pub fn ssb_config(&self) -> SsbConfig {
+        SsbConfig {
+            nodes: self.nodes,
+            epoch_bytes: self.epoch_bytes,
+            channel: self.channel,
+        }
+    }
 }
 
 /// Outcome of one end-to-end run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunReport {
     /// Source records processed across the cluster.
     pub records: u64,
@@ -109,6 +119,35 @@ impl RunReport {
         }
         self.records as f64 / self.processing_time.as_secs_f64()
     }
+
+    /// Fold one node's final shared state into the report.
+    pub fn absorb_node(&mut self, sh: &NodeShared) {
+        self.records += sh.records;
+        self.processing_time = self.processing_time.max(sh.last_ingest);
+        self.emitted += sh.sink.emitted;
+        self.total_pairs += sh.sink.total_pairs;
+        self.results.extend(sh.sink.results.iter().cloned());
+        self.metrics.absorb(&sh.metrics);
+        self.per_node.push(sh.metrics.clone());
+        self.state_digests.push(sh.ssb.state_digest());
+        self.metrics.set_records(self.records);
+    }
+
+    /// Append `other`'s nodes after this report's: counts add, times take
+    /// the maximum (the threaded backend's nodes each run their own clock).
+    pub fn merge(&mut self, other: RunReport) {
+        self.records += other.records;
+        self.processing_time = self.processing_time.max(other.processing_time);
+        self.completion_time = self.completion_time.max(other.completion_time);
+        self.emitted += other.emitted;
+        self.total_pairs += other.total_pairs;
+        self.results.extend(other.results);
+        self.metrics.absorb(&other.metrics);
+        self.per_node.extend(other.per_node);
+        self.state_digests.extend(other.state_digests);
+        self.net_tx_bytes += other.net_tx_bytes;
+        self.metrics.set_records(self.records);
+    }
 }
 
 /// The Slash virtual cluster.
@@ -125,93 +164,57 @@ impl SlashCluster {
     /// through every node: workers emit batch spans and record-latency
     /// samples, delta channels trace verbs and epoch phases, and the final
     /// per-node counters are published into the metrics registry.
+    ///
+    /// This is the director-less shorthand for
+    /// [`SlashCluster::builder`]`(..).obs(obs).run().run`.
     pub fn run_with_obs(
         plan: QueryPlan,
         partitions: Vec<Rc<Vec<u8>>>,
         cfg: RunConfig,
         obs: Obs,
     ) -> RunReport {
-        assert_eq!(
-            partitions.len(),
-            cfg.nodes * cfg.workers_per_node,
-            "need one partition per worker"
-        );
-        let mut sim = Sim::new();
-        let fabric = Fabric::new(cfg.fabric);
-        let node_ids = fabric.add_nodes(cfg.nodes);
-        let ssb_cfg = SsbConfig {
-            nodes: cfg.nodes,
-            epoch_bytes: cfg.epoch_bytes,
-            channel: cfg.channel,
-        };
-        let ssb_nodes =
-            build_cluster_obs(&fabric, &node_ids, plan.descriptor(), ssb_cfg, obs.clone());
-
-        let plan = Rc::new(plan);
-        let schema = plan.input().schema;
-        let mut shareds = Vec::with_capacity(cfg.nodes);
-        for (node, ssb) in ssb_nodes.into_iter().enumerate() {
-            let shared = Rc::new(RefCell::new(NodeShared::new(
-                ssb,
-                cfg.workers_per_node,
-                cfg.cost.mem_bandwidth,
-                cfg.collect_results,
-            )));
-            {
-                let mut sh = shared.borrow_mut();
-                sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-                if obs.is_enabled() {
-                    sh.instrument(obs.clone(), node);
-                }
-            }
-            spawn_node_workers(&mut sim, node, &shared, &partitions, schema, &plan, &cfg, None);
-            shareds.push(shared);
-        }
-
-        // Drive until every node declares completion.
-        loop {
-            if shareds.iter().all(|s| s.borrow().finished) {
-                break;
-            }
-            assert!(
-                sim.now() <= cfg.max_virtual_time,
-                "query did not complete within the virtual-time budget \
-                 (possible protocol livelock)"
-            );
-            assert!(
-                sim.pending_events() > 0,
-                "simulation quiesced before the query completed (deadlock)"
-            );
-            let horizon = sim.now() + SimTime::from_millis(10);
-            sim.run_until(horizon);
-        }
-        let completion_time = sim.now();
-        assemble_report(&shareds, &fabric, &obs, completion_time)
+        Self::builder(plan, partitions, cfg).obs(obs).run().run
     }
 }
 
-/// Spawn (or respawn) every worker of `node` against its partitions. Used
-/// by the fault-free driver, the chaos driver, promotion, and the
-/// threaded executor (`slash-exec`): a promoted node resurrects *all* of
-/// its worker partitions through this one path, with `resume_pos` seeking
-/// each worker's source to its checkpointed byte position (fresh starts
-/// pass `None`). The threaded backend calls it once per node against that
+/// Boot one node's shared state around its SSB instance: counters on the
+/// run's clock, instrumented when `obs` is enabled. The one per-node boot
+/// — the cluster bootstrap, promotion, and the threaded executor
+/// (`slash-exec`) all build their nodes here.
+pub fn boot_node(ssb: SsbNode, node: usize, cfg: &RunConfig, obs: &Obs) -> NodeShared {
+    let mut sh = NodeShared::new(
+        ssb,
+        cfg.workers_per_node,
+        cfg.cost.mem_bandwidth,
+        cfg.collect_results,
+    );
+    sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
+    if obs.is_enabled() {
+        sh.instrument(obs.clone(), node);
+    }
+    sh
+}
+
+/// Spawn (or respawn) every worker of `node` against `parts`, the node's
+/// *own* partitions (one per worker). A promoted node resurrects all of
+/// its workers through this one path, with `resume_pos` seeking each
+/// worker's source to its checkpointed byte position (fresh starts pass
+/// `None`). The threaded backend calls it once per node against that
 /// node's private `Sim`, so the exact same worker code runs under both
 /// schedulers.
-#[allow(clippy::too_many_arguments)]
 pub fn spawn_node_workers(
     sim: &mut Sim,
     node: usize,
     shared: &Rc<RefCell<NodeShared>>,
-    partitions: &[Rc<Vec<u8>>],
-    schema: crate::record::RecordSchema,
+    parts: &[Rc<Vec<u8>>],
     plan: &Rc<QueryPlan>,
     cfg: &RunConfig,
     resume_pos: Option<&[usize]>,
 ) {
-    for w in 0..cfg.workers_per_node {
-        let part = Rc::clone(&partitions[node * cfg.workers_per_node + w]);
-        let mut source = MemorySource::new(part, schema, cfg.batch_records);
+    assert_eq!(parts.len(), cfg.workers_per_node, "one partition per worker");
+    let schema = plan.input().schema;
+    for (w, part) in parts.iter().enumerate() {
+        let mut source = MemorySource::new(Rc::clone(part), schema, cfg.batch_records);
         if let Some(curve) = cfg.pacing {
             source.set_pacing(curve);
         }
@@ -231,8 +234,25 @@ pub fn spawn_node_workers(
     }
 }
 
-/// Assemble a [`RunReport`] from the per-node shared state (used by both
-/// the fault-free driver and the chaos driver in [`crate::recovery`]).
+/// Publish one node's final counters into the metrics registry (no-op
+/// when `obs` is disabled). Shared by the simulator's report and the
+/// threaded executor's per-node reports.
+pub fn publish_node_counters(obs: &Obs, node: usize, sh: &NodeShared) {
+    if !obs.is_enabled() {
+        return;
+    }
+    let label = format!("node{node}");
+    obs.counter_add("records", &label, sh.records);
+    obs.counter_add("instructions", &label, sh.metrics.instructions);
+    obs.counter_add("mem_bytes", &label, sh.metrics.mem_bytes);
+    obs.counter_add("combiner_folds", &label, sh.metrics.combiner_folds);
+    obs.counter_add("combiner_flushes", &label, sh.metrics.combiner_flushes);
+    obs.counter_add("state_updates", &label, sh.metrics.state_updates);
+    obs.gauge_set("ipc", &label, sh.metrics.ipc());
+    sh.ssb.publish_obs();
+}
+
+/// Assemble a [`RunReport`] from the per-node shared state.
 pub(crate) fn assemble_report(
     shareds: &[Rc<RefCell<NodeShared>>],
     fabric: &Fabric,
@@ -240,79 +260,35 @@ pub(crate) fn assemble_report(
     completion_time: SimTime,
 ) -> RunReport {
     let mut report = RunReport {
-        records: 0,
-        processing_time: SimTime::ZERO,
         completion_time,
-        emitted: 0,
-        total_pairs: 0,
-        results: Vec::new(),
-        metrics: EngineMetrics::default(),
-        per_node: Vec::new(),
-        state_digests: Vec::new(),
         net_tx_bytes: fabric.total_tx_bytes(),
+        ..RunReport::default()
     };
     for (node, shared) in shareds.iter().enumerate() {
         let sh = shared.borrow();
-        report.records += sh.records;
-        report.processing_time = report.processing_time.max(sh.last_ingest);
-        report.emitted += sh.sink.emitted;
-        report.total_pairs += sh.sink.total_pairs;
-        report.results.extend(sh.sink.results.iter().cloned());
-        report.metrics.absorb(&sh.metrics);
-        report.per_node.push(sh.metrics.clone());
-        report.state_digests.push(sh.ssb.state_digest());
-        if obs.is_enabled() {
-            let label = format!("node{node}");
-            obs.counter_add("records", &label, sh.records);
-            obs.counter_add("instructions", &label, sh.metrics.instructions);
-            obs.counter_add("mem_bytes", &label, sh.metrics.mem_bytes);
-            obs.counter_add("combiner_folds", &label, sh.metrics.combiner_folds);
-            obs.counter_add("combiner_flushes", &label, sh.metrics.combiner_flushes);
-            obs.counter_add("state_updates", &label, sh.metrics.state_updates);
-            obs.gauge_set("ipc", &label, sh.metrics.ipc());
-            sh.ssb.publish_obs();
-        }
+        report.absorb_node(&sh);
+        publish_node_counters(obs, node, &sh);
     }
     if obs.is_enabled() {
         obs.counter_add("net_tx_bytes", "fabric", report.net_tx_bytes);
     }
-    report.metrics.set_records(report.records);
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggSpec;
     use crate::query::StreamDef;
     use crate::record::RecordSchema;
+    use crate::testutil::{count_plan, gen};
     use crate::window::WindowAssigner;
-
-    /// Generate `n` records of (ts, key): ts increments by `dt`, keys
-    /// round-robin over `keys`.
-    fn gen(n: u64, dt: u64, keys: u64, start_ts: u64) -> Rc<Vec<u8>> {
-        let mut buf = Vec::with_capacity((n * 16) as usize);
-        for i in 0..n {
-            buf.extend_from_slice(&(start_ts + i * dt).to_le_bytes());
-            buf.extend_from_slice(&(i % keys).to_le_bytes());
-        }
-        Rc::new(buf)
-    }
-
-    fn count_plan(window: u64) -> QueryPlan {
-        QueryPlan::Aggregate {
-            input: StreamDef::new(RecordSchema::plain(16)),
-            window: WindowAssigner::Tumbling { size: window },
-            agg: AggSpec::Count,
-        }
-    }
 
     #[test]
     fn single_node_single_worker_counts_correctly() {
         let mut cfg = RunConfig::new(1, 1);
         cfg.collect_results = true;
         cfg.epoch_bytes = 4096;
-        let report = SlashCluster::run(count_plan(100), vec![gen(1000, 1, 4, 0)], cfg);
+        let report = SlashCluster::run(count_plan(100), vec![gen(1000, 1, 4)], cfg);
         assert_eq!(report.records, 1000);
         // 1000 records, ts 0..999, windows of 100 → 10 windows × 4 keys.
         assert_eq!(report.emitted, 40);
@@ -337,7 +313,7 @@ mod tests {
         cfg.epoch_bytes = 2048;
         // Same key space across all partitions: state is genuinely shared.
         let partitions: Vec<Rc<Vec<u8>>> = (0..n_nodes * workers)
-            .map(|_| gen(500, 2, 8, 0))
+            .map(|_| gen(500, 2, 8))
             .collect();
         let report = SlashCluster::run(count_plan(200), partitions, cfg);
         assert_eq!(report.records, 6 * 500);
@@ -364,7 +340,7 @@ mod tests {
         let mut cfg = RunConfig::new(2, 1);
         cfg.collect_results = true;
         cfg.epoch_bytes = 1024;
-        let partitions = vec![gen(400, 5, 4, 0), gen(400, 5, 4, 0)];
+        let partitions = vec![gen(400, 5, 4), gen(400, 5, 4)];
         let report = SlashCluster::run(count_plan(500), partitions, cfg);
         // Each (window, key) appears exactly once.
         let mut seen = std::collections::HashSet::new();
@@ -415,7 +391,7 @@ mod tests {
             let mut cfg = RunConfig::new(2, 2);
             cfg.epoch_bytes = 4096;
             let partitions: Vec<Rc<Vec<u8>>> =
-                (0..4).map(|_| gen(300, 3, 16, 0)).collect();
+                (0..4).map(|_| gen(300, 3, 16)).collect();
             let r = SlashCluster::run(count_plan(100), partitions, cfg);
             (r.records, r.emitted, r.completion_time, r.net_tx_bytes)
         };

@@ -1,5 +1,5 @@
-//! Elastic rescaling: live partition migration (planned handoff) and the
-//! load-reactive driver loop.
+//! Elastic rescaling: live partition migration (planned handoff) as a
+//! director on the cluster driver ([`crate::ClusterBuilder::elastic`]).
 //!
 //! The recovery machinery of [`crate::recovery`] resurrects a partition's
 //! leadership on a new host *after a crash*. This module generalizes that
@@ -32,50 +32,34 @@
 //! ```
 //!
 //! Crash faults may land at any instant (chaos plans are honoured); the
-//! §15 machinery runs unchanged alongside, and the two interact only
-//! through the `host[]` map and the per-partition "who owns this node's
-//! repair" exclusivity (a partition is owned by at most one machine).
+//! fault-tolerance director's §15 machinery runs unchanged alongside, and
+//! the two interact only through the cluster's `host[]` map and the
+//! per-partition "who owns this node's repair" exclusivity (a partition
+//! is owned by at most one machine).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use slash_chaos::ChaosConfig;
-use slash_chaos::Injector;
-use slash_desim::{Link, Sim, SimTime};
-use slash_net::RECONNECT_HANDSHAKE_MSGS;
-use slash_obs::{Cat, Obs};
-use slash_rdma::{Fabric, NodeId};
-use slash_state::backend::{build_cluster_obs, SsbConfig};
+use slash_desim::{Link, SimTime};
+use slash_obs::Cat;
 
-use crate::cluster::{assemble_report, spawn_node_workers, RunConfig, RunReport, SlashCluster};
-use crate::query::QueryPlan;
+use crate::driver::{Cluster, Director, Outcome};
 use crate::recovery::{
-    commit_promotion, ft_tick, on_epoch_closed, promo_begin, promo_tick, push_event,
-    reset_errored_channels, results_digest, Checkpoint, CkptSlot, CkptStore, FtState, PromoPhase,
-    Promotion, RecoveryAction, RecoveryReport,
+    commit_promotion, on_epoch_closed, reconnect_time, Checkpoint, FtState, PromoPhase, Promotion,
 };
-use crate::sink::SinkResult;
-use crate::worker::NodeShared;
 
 /// Trace tid for driver-side rescale events (promotions use
 /// `recovery::RECOVERY_TID` = 901 on the same victim pid).
 const RESCALE_TID: u32 = 902;
 
-/// Elastic-run topology and handoff tuning.
+/// Elastic-run topology.
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
     /// Initial host of each logical partition (`len == cfg.nodes`); hosts
     /// index the same range, so `[0,1,2,3,0,1,2,3]` packs 8 partitions
     /// onto 4 of 8 provisioned hosts, parking the rest.
     pub initial_hosts: Vec<usize>,
-    /// Pre-ship a warm checkpoint copy before halting the source, so the
-    /// cutover pays only the delta since the last boundary. Disabling it
-    /// transfers the whole checkpoint inside the stall window.
-    pub warmup: bool,
-    /// Floor for the cutover tail transfer (control messages + the final
-    /// epoch's chunks never ship for free).
-    pub min_tail_bytes: u64,
 }
 
 impl ElasticConfig {
@@ -86,8 +70,6 @@ impl ElasticConfig {
         assert!(hosts >= 1 && hosts <= partitions);
         ElasticConfig {
             initial_hosts: (0..partitions).map(|p| p % hosts).collect(),
-            warmup: true,
-            min_tail_bytes: 256,
         }
     }
 }
@@ -235,640 +217,312 @@ impl RescaleReport {
 }
 
 /// Pre-commit phases of a planned handoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HandoffPhase {
     /// Warm checkpoint copy streams to the target; source still serves.
     Warmup,
-    /// Source halted, cutover checkpoint captured, tail transfer on the
-    /// wire.
-    Cutover,
+    /// Source halted, cutover checkpoint (carried here) captured, tail
+    /// transfer on the wire.
+    Cutover(Rc<Checkpoint>),
     /// Replacement channels handshake to ready.
-    Reconnect,
+    Reconnect(Rc<Checkpoint>),
 }
 
 /// A handoff in flight for one partition (keyed by partition in the
-/// driver's map).
+/// director's map).
 struct Handoff {
-    from_host: usize,
-    to_host: usize,
-    planned_at: SimTime,
+    /// The report row being built: hosts, plan/halt/commit instants
+    /// (`halted_at` stays `ZERO` until the source is halted), abort flag.
+    ev: MigrationEvent,
     phase: HandoffPhase,
     phase_done_at: SimTime,
     /// Bytes of the warm copy already on the target when the halt lands.
     warm_bytes: u64,
-    halted_at: SimTime,
-    /// The cutover checkpoint (captured at halt).
-    ckpt: Option<Rc<Checkpoint>>,
-    aborted: bool,
 }
 
-fn transfer_time(cfg: &RunConfig, bytes: u64) -> SimTime {
-    let nic = &cfg.fabric.nic;
-    nic.latency + SimTime::from_nanos(bytes.saturating_mul(1_000_000_000) / nic.bandwidth.max(1))
+/// Floor for the cutover tail transfer: control messages and the final
+/// epoch's chunks never ship for free.
+const MIN_TAIL_BYTES: u64 = 256;
+
+/// The planned-handoff director: consults a [`ScaleDirector`] every slice
+/// and walks accepted migrations through the handoff state machine. The
+/// fault-tolerance director must be installed ahead of it — handoffs ship
+/// and commit its checkpoints — and the two interact only through the
+/// cluster's host map and its per-partition ownership flags.
+pub(crate) struct RescaleDirector<'a> {
+    director: &'a mut dyn ScaleDirector,
+    handoffs: BTreeMap<usize, Handoff>,
+    total_records: u64,
+    report: RescaleReport,
 }
 
-fn hosts_in_use(host: &[usize]) -> usize {
-    let mut seen = vec![false; host.len()];
-    let mut n = 0;
-    for &h in host {
-        if !seen[h] {
-            seen[h] = true;
-            n += 1;
+impl<'a> RescaleDirector<'a> {
+    pub(crate) fn new(director: &'a mut dyn ScaleDirector) -> Self {
+        RescaleDirector {
+            director,
+            handoffs: BTreeMap::new(),
+            total_records: 0,
+            report: RescaleReport::default(),
         }
     }
-    n
 }
 
-fn set_owner_gauges(obs: &Obs, p: usize, owner: usize, phase: u64) {
-    if obs.is_enabled() {
-        let label = format!("part={p}");
-        obs.gauge_set("partition_owner", &label, owner as f64);
-        obs.gauge_set("migration_phase", &label, phase as f64);
-    }
-}
-
-impl SlashCluster {
-    /// Run `plan` elastically: partitions start packed per
-    /// [`ElasticConfig::initial_hosts`], a [`ScaleDirector`] migrates
-    /// them between provisioned hosts mid-run via planned handoffs, and
-    /// the full §15 crash-recovery machinery runs alongside (an optional
-    /// [`ChaosConfig`] fault plan is honoured; crashes mid-handoff abort
-    /// or fall back per the §18 interaction matrix).
-    ///
-    /// Returns the run report, the recovery report (crash repairs), and
-    /// the rescale report (migrations with per-cutover stalls).
-    #[allow(clippy::too_many_lines)]
-    pub fn run_elastic(
-        plan: QueryPlan,
-        partitions: Vec<Rc<Vec<u8>>>,
-        cfg: RunConfig,
-        chaos: &ChaosConfig,
-        ecfg: &ElasticConfig,
-        director: &mut dyn ScaleDirector,
-        obs: Obs,
-    ) -> (RunReport, RecoveryReport, RescaleReport) {
-        let n = cfg.nodes;
-        assert_eq!(
-            partitions.len(),
-            n * cfg.workers_per_node,
-            "need one partition per worker"
-        );
-        assert_eq!(ecfg.initial_hosts.len(), n, "one initial host per partition");
-        assert!(
-            ecfg.initial_hosts.iter().all(|&h| h < n),
-            "hosts index the provisioned ports (0..nodes)"
-        );
-        let mut sim = Sim::new();
-        let fabric = Fabric::new(cfg.fabric);
-        // One provisioned port per potential host; parked hosts idle until
-        // a migration lands on them.
-        let node_ids = fabric.add_nodes(n);
-        let mut host: Vec<usize> = ecfg.initial_hosts.clone();
-        let mapped: Vec<NodeId> = host.iter().map(|&h| node_ids[h]).collect();
-        let ssb_cfg = SsbConfig {
-            nodes: n,
-            epoch_bytes: cfg.epoch_bytes,
-            channel: cfg.channel,
-        };
-        let desc = plan.descriptor();
-        let ssb_nodes = build_cluster_obs(&fabric, &mapped, desc, ssb_cfg, obs.clone());
-
+impl Director for RescaleDirector<'_> {
+    fn install(&mut self, c: &mut Cluster) {
+        let n = c.cfg.nodes;
         // One memory-bandwidth link per *host*: co-located partitions
         // contend for it, migrations re-home a partition onto its target
         // host's link.
-        let host_links: Vec<Rc<RefCell<Link>>> = (0..n)
-            .map(|_| Rc::new(RefCell::new(Link::new(cfg.cost.mem_bandwidth))))
-            .collect();
-
-        let store: Rc<RefCell<CkptStore>> =
-            Rc::new(RefCell::new((0..n).map(|_| CkptSlot::default()).collect()));
-        let plan = Rc::new(plan);
-        let schema = plan.input().schema;
-        let total_records: u64 = partitions
-            .iter()
-            .map(|p| (p.len() / schema.size) as u64)
-            .sum();
-
-        let shareds: Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>> =
-            Rc::new(RefCell::new(Vec::with_capacity(n)));
-        for (node, ssb) in ssb_nodes.into_iter().enumerate() {
-            let shared = Rc::new(RefCell::new(NodeShared::new(
-                ssb,
-                cfg.workers_per_node,
-                cfg.cost.mem_bandwidth,
-                cfg.collect_results,
-            )));
-            {
-                let mut sh = shared.borrow_mut();
-                sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-                if obs.is_enabled() {
-                    sh.instrument(obs.clone(), node);
-                }
-                sh.mem = Rc::clone(&host_links[host[node]]);
-                sh.ssb.set_retention(true);
-                for h in 0..n {
-                    if h != node {
-                        sh.ssb.set_durable_epochs(h, 0);
-                    }
-                }
-                sh.ft = Some(FtState {
-                    store: Rc::clone(&store),
-                    node,
-                    max_chunk: chaos.ft.ckpt_max_chunk,
-                });
-                if !chaos.pre_split.is_empty() {
-                    sh.ssb.split_enable();
-                    for &gk in &chaos.pre_split {
-                        sh.ssb.split_activate(gk);
-                    }
-                }
-                on_epoch_closed(&mut sh);
-            }
-            spawn_node_workers(
-                &mut sim, node, &shared, &partitions, schema, &plan, &cfg, None,
-            );
-            shareds.borrow_mut().push(shared);
-            set_owner_gauges(&obs, node, host[node], 0);
+        let link = || Rc::new(RefCell::new(Link::new(c.cfg.cost.mem_bandwidth)));
+        c.host_mem = Some((0..n).map(|_| link()).collect());
+        for p in 0..n {
+            c.rehome(p);
         }
-        store.borrow_mut().iter_mut().for_each(CkptSlot::seed_from_latest);
+        let record_size = c.plan.input().schema.size;
+        self.total_records = c.partitions.iter().map(|p| (p.len() / record_size) as u64).sum();
+        self.report.peak_hosts = c.live.borrow().hosts_in_use();
+    }
 
-        // Fabric-side faults (QP errors, link state) come from the armed
-        // plan; engine-side crash flags come from the dead-port sweep
-        // below — `host[]` changes dynamically, so victims are resolved
-        // at sweep time, not at arm time.
-        Injector::arm(&mut sim, &fabric, &node_ids, &obs, &chaos.plan);
+    fn outstanding(&self, _c: &Cluster) -> bool {
+        !self.handoffs.is_empty()
+    }
 
-        let mut last_token = vec![0u64; n];
-        let mut last_change = vec![SimTime::ZERO; n];
-        let mut promos: BTreeMap<usize, Promotion> = BTreeMap::new();
-        let mut handoffs: BTreeMap<usize, Handoff> = BTreeMap::new();
-        let mut rec = RecoveryReport::default();
-        let mut rescale = RescaleReport {
-            peak_hosts: hosts_in_use(&host),
-            ..RescaleReport::default()
-        };
+    fn tick(&mut self, c: &mut Cluster, now: SimTime) {
+        self.handoff_tick(c, now);
+        let in_use = c.live.borrow().hosts_in_use();
+        self.report.peak_hosts = self.report.peak_hosts.max(in_use);
+        self.consult(c, now);
+    }
 
-        let slice =
-            SimTime::from_nanos((chaos.ft.detect_timeout.as_nanos() / 4).max(100_000));
-        loop {
-            if shareds.borrow().iter().all(|s| s.borrow().finished) {
-                break;
-            }
-            assert!(
-                sim.now() <= cfg.max_virtual_time,
-                "query did not complete within the virtual-time budget \
-                 (possible protocol livelock)"
-            );
-            let recovery_outstanding = !promos.is_empty()
-                || !handoffs.is_empty()
-                || (0..n).any(|l| !fabric.node_alive(node_ids[host[l]]));
-            assert!(
-                sim.pending_events() > 0 || recovery_outstanding,
-                "simulation quiesced before the query completed (deadlock)"
-            );
-            let horizon = sim.now() + slice;
-            sim.run_until(horizon);
-            let now = sim.now();
-
-            // Dead-port sweep: a dead port kills every partition it hosts,
-            // whether it was the initial home, a promotion target, or a
-            // handoff destination.
-            {
-                let sh_vec = shareds.borrow();
-                for l in 0..n {
-                    if !fabric.node_alive(node_ids[host[l]]) {
-                        sh_vec[l].borrow_mut().crashed = true;
-                    }
-                }
-            }
-            // Finished nodes' SSBs are a node service: keep pumping them.
-            {
-                let sh_vec = shareds.borrow();
-                for l in 0..n {
-                    if fabric.node_alive(node_ids[host[l]]) {
-                        let mut sh = sh_vec[l].borrow_mut();
-                        if sh.finished {
-                            let _ = sh.ssb.pump(&mut sim);
-                        }
-                    }
-                }
-            }
-
-            ft_tick(
-                now, n, &fabric, &node_ids, &host, &store, &shareds, &cfg, chaos, &obs,
-                &mut rec,
-            );
-
-            for d in promo_tick(
-                now, &mut promos, &mut sim, &fabric, &node_ids, &mut host, &shareds, &store,
-                &partitions, &plan, schema, &cfg, chaos, &obs, &mut rec,
-            ) {
-                last_change[d] = sim.now();
-                // The resurrected partition shares its new host's memory
-                // link (commit gave it a private one).
-                shareds.borrow()[d].borrow_mut().mem = Rc::clone(&host_links[host[d]]);
-                set_owner_gauges(&obs, d, host[d], 0);
-            }
-
-            handoff_tick(
-                now, &mut handoffs, &mut sim, &fabric, &node_ids, &mut host, &shareds,
-                &store, &partitions, &plan, schema, &cfg, chaos, ecfg, &obs, &host_links,
-                &mut last_change, &mut rescale,
-            );
-            rescale.peak_hosts = rescale.peak_hosts.max(hosts_in_use(&host));
-
-            // Consult the director and start validated handoffs.
-            {
-                let telemetry = {
-                    let sh_vec = shareds.borrow();
-                    let processed: u64 = sh_vec.iter().map(|s| s.borrow().records).sum();
-                    let released = match cfg.pacing {
-                        Some(curve) => (curve.released_records(now)
-                            .saturating_mul(partitions.len() as u64))
-                        .min(total_records),
-                        None => processed,
-                    };
-                    let mut updates = vec![0u64; n];
-                    for sh in sh_vec.iter() {
-                        for (p, &u) in sh.borrow().ssb.partition_updates().iter().enumerate() {
-                            updates[p] += u;
-                        }
-                    }
-                    ClusterTelemetry {
-                        now,
-                        released_records: released,
-                        processed_records: processed,
-                        total_records,
-                        host_of: host.clone(),
-                        hosts_in_use: hosts_in_use(&host),
-                        partition_updates: updates,
-                        migrations_in_flight: handoffs.len(),
-                    }
-                };
-                for cmd in director.tick(&telemetry) {
-                    let valid = cmd.partition < n
-                        && cmd.to_host < n
-                        && cmd.to_host != host[cmd.partition]
-                        && !handoffs.contains_key(&cmd.partition)
-                        && !promos.contains_key(&cmd.partition)
-                        && fabric.node_alive(node_ids[cmd.to_host])
-                        && fabric.node_alive(node_ids[host[cmd.partition]])
-                        && {
-                            let sh_vec = shareds.borrow();
-                            let sh = sh_vec[cmd.partition].borrow();
-                            !sh.finished && !sh.crashed && !sh.halted
-                        };
-                    if !valid {
-                        continue;
-                    }
-                    let p = cmd.partition;
-                    let warm = if ecfg.warmup {
-                        store.borrow()[p]
-                            .latest_ckpt()
-                            .map_or(0, |c| c.payload_bytes())
-                    } else {
-                        0
-                    };
-                    let warm_done = now + if warm > 0 {
-                        transfer_time(&cfg, warm)
-                    } else {
-                        SimTime::ZERO
-                    };
-                    obs.instant(
-                        Cat::Fault,
-                        "handoff-begin",
-                        p as u32,
-                        RESCALE_TID,
-                        now,
-                        &[
-                            ("from", host[p] as u64),
-                            ("to", cmd.to_host as u64),
-                            ("warm_bytes", warm),
-                        ],
-                    );
-                    set_owner_gauges(&obs, p, host[p], 1);
-                    handoffs.insert(
-                        p,
-                        Handoff {
-                            from_host: host[p],
-                            to_host: cmd.to_host,
-                            planned_at: now,
-                            phase: HandoffPhase::Warmup,
-                            phase_done_at: warm_done,
-                            warm_bytes: warm,
-                            halted_at: SimTime::ZERO,
-                            ckpt: None,
-                            aborted: false,
-                        },
-                    );
-                }
-            }
-
-            if n < 2 {
-                continue;
-            }
-            // Stall detection — §15 unchanged, except partitions owned by
-            // a handoff machine are its responsibility, not the detector's.
-            for i in 0..n {
-                if promos.contains_key(&i) || handoffs.contains_key(&i) {
-                    continue;
-                }
-                let token = {
-                    let sh_vec = shareds.borrow();
-                    (0..n)
-                        .filter(|&j| j != i)
-                        .map(|j| sh_vec[j].borrow().ssb.vclock().get(i))
-                        .max()
-                        .unwrap_or(0)
-                };
-                if token != last_token[i] {
-                    last_token[i] = token;
-                    last_change[i] = now;
-                    continue;
-                }
-                if now - last_change[i] < chaos.ft.detect_timeout {
-                    continue;
-                }
-                last_change[i] = now;
-                let fab_i = node_ids[host[i]];
-                if !fabric.node_alive(fab_i) {
-                    if let Some(p) =
-                        promo_begin(i, now, now, 0, n, &fabric, &node_ids, &store, &cfg)
-                    {
-                        obs.instant(
-                            Cat::Fault,
-                            "promotion-begin",
-                            i as u32,
-                            crate::recovery::RECOVERY_TID,
-                            now,
-                            &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed())],
-                        );
-                        promos.insert(i, p);
-                    }
-                } else if fabric.link_up(fab_i) {
-                    let fixed =
-                        reset_errored_channels(i, n, &shareds, &fabric, &node_ids, &host);
-                    if fixed > 0 {
-                        push_event(
-                            &mut rec,
-                            chaos,
-                            i,
-                            now,
-                            sim.now(),
-                            RecoveryAction::ChannelsReset { channels: fixed },
-                            &obs,
-                        );
-                    }
-                }
-            }
-        }
-        let completion_time = sim.now();
-        rescale.final_hosts = hosts_in_use(&host);
-
-        let shareds_v = shareds.borrow();
-        let mut report = assemble_report(&shareds_v, &fabric, &obs, completion_time);
-        if cfg.collect_results {
-            let mut dedup: BTreeMap<(u64, u64), SinkResult> = BTreeMap::new();
-            for r in report.results.drain(..) {
-                let k = match r {
-                    SinkResult::Agg { window_id, key, .. }
-                    | SinkResult::Join { window_id, key, .. } => (window_id, key),
-                };
-                dedup.entry(k).or_insert(r);
-            }
-            report.results = dedup.into_values().collect();
-            report.emitted = report.results.len() as u64;
-            report.total_pairs = report
-                .results
-                .iter()
-                .map(|r| match r {
-                    SinkResult::Join { pairs, .. } => *pairs,
-                    SinkResult::Agg { .. } => 0,
-                })
-                .sum();
-        }
-        rec.results_digest = results_digest(&report.results);
-        rec.state_digests = shareds_v
-            .iter()
-            .map(|s| s.borrow().ssb.state_digest())
-            .collect();
-        (report, rec, rescale)
+    fn report(&mut self, c: &Cluster, out: &mut Outcome) {
+        self.report.final_hosts = c.live.borrow().hosts_in_use();
+        out.rescale = std::mem::take(&mut self.report);
     }
 }
 
-/// Advance every in-flight handoff one driver tick: honour crash
-/// interactions (source dead → drop the plan, §15 promotion takes over;
-/// target dead → abort free pre-halt, fall back to the source host
-/// post-halt), and walk Warmup → halt+capture → Cutover → Reconnect →
-/// commit. The commit reuses the crash-promotion install path verbatim.
-#[allow(clippy::too_many_arguments)]
-fn handoff_tick(
-    now: SimTime,
-    handoffs: &mut BTreeMap<usize, Handoff>,
-    sim: &mut Sim,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &mut [usize],
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    store: &Rc<RefCell<CkptStore>>,
-    partitions: &[Rc<Vec<u8>>],
-    plan: &Rc<QueryPlan>,
-    schema: crate::record::RecordSchema,
-    cfg: &RunConfig,
-    chaos: &ChaosConfig,
-    ecfg: &ElasticConfig,
-    obs: &Obs,
-    host_links: &[Rc<RefCell<Link>>],
-    last_change: &mut [SimTime],
-    rescale: &mut RescaleReport,
-) {
-    let parts: Vec<usize> = handoffs.keys().copied().collect();
-    for p in parts {
-        let Some(h) = handoffs.get_mut(&p) else { continue };
-        // Source leader died mid-handoff: the plan is void. Pre-halt the
-        // partition is simply crashed; post-halt it is halted *and* its
-        // port is dead — either way the dead-port sweep has flagged it
-        // and the §15 detect → promote cycle takes over (buddy promotion
-        // from durable copies). Drop the machine so the detector may own
-        // the partition again.
-        if !fabric.node_alive(node_ids[host[p]]) {
-            obs.instant(
-                Cat::Fault,
-                "handoff-abort",
-                p as u32,
-                RESCALE_TID,
-                now,
-                &[("reason_source_dead", 1), ("to", h.to_host as u64)],
-            );
-            rescale.migrations.push(MigrationEvent {
-                partition: p,
-                from_host: h.from_host,
-                to_host: h.from_host,
-                planned_at: h.planned_at,
-                halted_at: if h.halted_at == SimTime::ZERO { now } else { h.halted_at },
-                committed_at: now,
-                aborted: true,
-            });
-            set_owner_gauges(obs, p, host[p], 0);
-            handoffs.remove(&p);
-            continue;
-        }
-        // Target died: before the halt nothing moved — abort free, the
-        // source keeps leadership and keeps serving. After the halt the
-        // partition must be re-installed *somewhere*; fall back to the
-        // source host (a local re-commit: the checkpoint is already
-        // there, only the reconnect handshake remains).
-        if !fabric.node_alive(node_ids[h.to_host]) {
-            match h.phase {
-                HandoffPhase::Warmup => {
-                    obs.instant(
-                        Cat::Fault,
-                        "handoff-abort",
-                        p as u32,
-                        RESCALE_TID,
-                        now,
-                        &[("reason_target_dead", 1), ("to", h.to_host as u64)],
-                    );
-                    rescale.migrations.push(MigrationEvent {
-                        partition: p,
-                        from_host: h.from_host,
-                        to_host: h.from_host,
-                        planned_at: h.planned_at,
-                        halted_at: now,
-                        committed_at: now,
-                        aborted: true,
-                    });
-                    set_owner_gauges(obs, p, host[p], 0);
-                    handoffs.remove(&p);
-                    continue;
-                }
-                HandoffPhase::Cutover | HandoffPhase::Reconnect => {
-                    if !h.aborted {
-                        h.aborted = true;
-                        h.to_host = host[p];
-                        // The tail transfer (if still running) is void;
-                        // the checkpoint already lives on the source.
-                        h.phase_done_at = now;
-                        obs.instant(
-                            Cat::Fault,
-                            "handoff-fallback",
-                            p as u32,
-                            RESCALE_TID,
-                            now,
-                            &[("to", h.to_host as u64)],
-                        );
-                    }
+impl RescaleDirector<'_> {
+    /// Sample telemetry, consult the director, and start every migration
+    /// it orders that is valid right now.
+    fn consult(&mut self, c: &mut Cluster, now: SimTime) {
+        let n = c.cfg.nodes;
+        let telemetry = {
+            let live = c.live.borrow();
+            let processed: u64 = live.nodes.iter().map(|s| s.borrow().records).sum();
+            let released = match c.cfg.pacing {
+                Some(curve) => curve
+                    .released_records(now)
+                    .saturating_mul(c.partitions.len() as u64)
+                    .min(self.total_records),
+                None => processed,
+            };
+            let mut updates = vec![0u64; n];
+            for sh in &live.nodes {
+                for (p, &u) in sh.borrow().ssb.partition_updates().iter().enumerate() {
+                    updates[p] += u;
                 }
             }
+            ClusterTelemetry {
+                now,
+                released_records: released,
+                processed_records: processed,
+                total_records: self.total_records,
+                host_of: live.host.clone(),
+                hosts_in_use: live.hosts_in_use(),
+                partition_updates: updates,
+                migrations_in_flight: self.handoffs.len(),
+            }
+        };
+        for cmd in self.director.tick(&telemetry) {
+            let p = cmd.partition;
+            if p >= n || cmd.to_host >= n || cmd.to_host == c.host(p) || c.owned[p] {
+                continue;
+            }
+            if !c.fabric.node_alive(c.ports[cmd.to_host]) || !c.port_alive(p) {
+                continue;
+            }
+            let node = c.node(p);
+            let sh = node.borrow();
+            if sh.finished || sh.crashed || sh.halted {
+                continue;
+            }
+            // Pre-ship a warm checkpoint copy before halting the source,
+            // so the cutover pays only the delta since the last boundary.
+            let warm = sh
+                .ft
+                .as_ref()
+                .and_then(FtState::latest_ckpt)
+                .map_or(0, |ck| ck.payload_bytes());
+            let warm_time = if warm > 0 { c.transfer_time(warm) } else { SimTime::ZERO };
+            let from_host = c.host(p);
+            c.fault_event(
+                RESCALE_TID,
+                "handoff-begin",
+                p,
+                &[("from", from_host as u64), ("to", cmd.to_host as u64), ("warm_bytes", warm)],
+            );
+            c.publish_owner(p, 1);
+            c.owned[p] = true;
+            self.handoffs.insert(
+                p,
+                Handoff {
+                    ev: MigrationEvent {
+                        partition: p,
+                        from_host,
+                        to_host: cmd.to_host,
+                        planned_at: now,
+                        halted_at: SimTime::ZERO,
+                        committed_at: SimTime::ZERO,
+                        aborted: false,
+                    },
+                    phase: HandoffPhase::Warmup,
+                    phase_done_at: now + warm_time,
+                    warm_bytes: warm,
+                },
+            );
         }
-        if now < h.phase_done_at {
-            continue;
-        }
-        match h.phase {
-            HandoffPhase::Warmup => {
-                // Cutover: halt the source leader, close the final epoch
-                // driver-side and capture the exactly-current checkpoint.
-                // Workers die at their next step having applied whole
-                // batches only, so the boundary is exact.
-                let ckpt = {
-                    let sh_vec = shareds.borrow();
-                    let mut sh = sh_vec[p].borrow_mut();
+    }
+
+    /// Advance every in-flight handoff one driver tick: honour crash
+    /// interactions (source dead → drop the plan, §15 promotion takes
+    /// over; target dead → abort free pre-halt, fall back to the source
+    /// host post-halt), and walk Warmup → halt+capture → Cutover →
+    /// Reconnect → commit. The commit reuses the crash-promotion install
+    /// path verbatim.
+    fn handoff_tick(&mut self, c: &mut Cluster, now: SimTime) {
+        let parts: Vec<usize> = self.handoffs.keys().copied().collect();
+        for p in parts {
+            let Some(h) = self.handoffs.get_mut(&p) else { continue };
+            // Source leader died mid-handoff: the plan is void. Pre-halt
+            // the partition is simply crashed; post-halt it is halted
+            // *and* its port is dead — either way it is flagged crashed
+            // and the §15 detect → promote cycle takes over (buddy
+            // promotion from durable copies). Target died before the
+            // halt: nothing moved — abort free, the source keeps
+            // leadership and keeps serving. Either way drop the machine
+            // so the detector may own the partition again.
+            let source_dead = !c.port_alive(p);
+            let target_dead = !c.fabric.node_alive(c.ports[h.ev.to_host]);
+            if source_dead || (target_dead && matches!(h.phase, HandoffPhase::Warmup)) {
+                let reason = if source_dead { "reason_source_dead" } else { "reason_target_dead" };
+                c.fault_event(
+                    RESCALE_TID,
+                    "handoff-abort",
+                    p,
+                    &[(reason, 1), ("to", h.ev.to_host as u64)],
+                );
+                // Nothing moved: the plan ends where it started.
+                h.ev.to_host = h.ev.from_host;
+                h.ev.aborted = true;
+                if h.ev.halted_at == SimTime::ZERO {
+                    h.ev.halted_at = now;
+                }
+                h.ev.committed_at = now;
+                self.report.migrations.push(h.ev.clone());
+                c.publish_owner(p, 0);
+                c.owned[p] = false;
+                self.handoffs.remove(&p);
+                continue;
+            }
+            // Target died after the halt: the partition must be
+            // re-installed *somewhere*; fall back to the source host (a
+            // local re-commit: the checkpoint is already there, only the
+            // reconnect handshake remains).
+            if target_dead && !h.ev.aborted {
+                h.ev.aborted = true;
+                h.ev.to_host = c.host(p);
+                // The tail transfer (if still running) is void; the
+                // checkpoint already lives on the source.
+                h.phase_done_at = now;
+                let fallback = [("to", h.ev.to_host as u64)];
+                c.fault_event(RESCALE_TID, "handoff-fallback", p, &fallback);
+            }
+            if now < h.phase_done_at {
+                continue;
+            }
+            match &h.phase {
+                HandoffPhase::Warmup => {
+                    // Cutover: halt the source leader, close the final
+                    // epoch driver-side and capture the exactly-current
+                    // checkpoint. Workers die at their next step having
+                    // applied whole batches only, so the boundary is exact.
+                    let node = c.node(p);
+                    let mut sh = node.borrow_mut();
                     sh.halted = true;
-                    match sh.ssb.close_epoch(sim) {
+                    match sh.ssb.close_epoch(&mut c.sim) {
                         Ok(_) => on_epoch_closed(&mut sh),
                         Err(e) => sh
                             .obs
                             .record_failure("handoff cutover epoch", &format!("{e:?}")),
                     }
-                    drop(sh);
-                    store.borrow()[p]
-                        .latest_ckpt()
-                        .expect("cutover checkpoint just captured") // lint:ok(no-panic) — on_epoch_closed above captured it
-                };
-                h.halted_at = now;
-                let tail = ckpt
-                    .payload_bytes()
-                    .saturating_sub(h.warm_bytes)
-                    .max(ecfg.min_tail_bytes);
-                h.ckpt = Some(Rc::clone(&ckpt));
-                h.phase = HandoffPhase::Cutover;
-                h.phase_done_at = now + transfer_time(cfg, tail);
-                obs.instant(
-                    Cat::Fault,
-                    "handoff-cutover",
-                    p as u32,
-                    RESCALE_TID,
-                    now,
-                    &[("epochs", ckpt.epochs_closed()), ("tail_bytes", tail)],
-                );
-                set_owner_gauges(obs, p, host[p], 2);
-            }
-            HandoffPhase::Cutover => {
-                h.phase = HandoffPhase::Reconnect;
-                h.phase_done_at = now
-                    + SimTime::from_nanos(
-                        RECONNECT_HANDSHAKE_MSGS * 2 * fabric.ack_latency().as_nanos(),
-                    );
-                set_owner_gauges(obs, p, host[p], 3);
-            }
-            HandoffPhase::Reconnect => {
-                let Some(h) = handoffs.remove(&p) else { continue };
-                let ckpt = h.ckpt.clone().expect("cutover checkpoint set"); // lint:ok(no-panic) — set at Warmup→Cutover
-                // Commit through the crash-promotion install path: same
-                // atomic channel re-establishment, retained replay, and
-                // worker respawn — promotion without the crash.
-                let promo = Promotion {
-                    node: p,
-                    detected_at: h.planned_at,
-                    phase: PromoPhase::Reconnect,
-                    phase_done_at: now,
-                    host: h.to_host,
-                    host_port: node_ids[h.to_host],
-                    copy_port: None,
-                    ckpt: Rc::clone(&ckpt),
-                    restarts: 0,
-                };
-                commit_promotion(
-                    &promo, sim, fabric, node_ids, host, shareds, store, partitions, plan,
-                    schema, cfg, chaos, obs,
-                );
-                // §15.3 retention fix: once the new owner's own durable
-                // checkpoint covers the cutover boundary, the eternal
-                // epoch-0 seed copy is released and retained histories
-                // may finally be pruned past 0.
-                store.borrow_mut()[p].mark_handoff(ckpt.epochs_closed());
-                shareds.borrow()[p].borrow_mut().mem =
-                    Rc::clone(&host_links[host[p]]);
-                last_change[p] = sim.now();
-                let committed_at = sim.now();
-                let stall = committed_at - h.halted_at;
-                if obs.is_enabled() {
-                    obs.span(
-                        Cat::Fault,
-                        "handoff",
-                        p as u32,
+                    // Never absent: the director's install seeded one.
+                    let Some(ckpt) = sh.ft.as_ref().and_then(FtState::latest_ckpt) else {
+                        continue;
+                    };
+                    h.ev.halted_at = now;
+                    let tail = ckpt
+                        .payload_bytes()
+                        .saturating_sub(h.warm_bytes)
+                        .max(MIN_TAIL_BYTES);
+                    h.phase_done_at = now + c.transfer_time(tail);
+                    c.fault_event(
                         RESCALE_TID,
-                        h.planned_at,
-                        committed_at.max(h.planned_at + SimTime::from_nanos(1)),
-                        &[
-                            ("from", h.from_host as u64),
-                            ("to", h.to_host as u64),
-                            ("stall_ns", stall.as_nanos()),
-                        ],
+                        "handoff-cutover",
+                        p,
+                        &[("epochs", ckpt.epochs_closed()), ("tail_bytes", tail)],
                     );
-                    obs.hist_record("migration_stall_ns", "cluster", stall.as_nanos());
-                    obs.counter_add("migrations", "cluster", 1);
+                    h.phase = HandoffPhase::Cutover(ckpt);
+                    c.publish_owner(p, 2);
                 }
-                set_owner_gauges(obs, p, h.to_host, 0);
-                rescale.migrations.push(MigrationEvent {
-                    partition: p,
-                    from_host: h.from_host,
-                    to_host: h.to_host,
-                    planned_at: h.planned_at,
-                    halted_at: h.halted_at,
-                    committed_at,
-                    aborted: h.aborted,
-                });
+                HandoffPhase::Cutover(ckpt) => {
+                    h.phase_done_at = now + reconnect_time(&c.fabric);
+                    h.phase = HandoffPhase::Reconnect(Rc::clone(ckpt));
+                    c.publish_owner(p, 3);
+                }
+                HandoffPhase::Reconnect(ckpt) => {
+                    // Commit through the crash-promotion install path:
+                    // same atomic channel re-establishment, retained
+                    // replay, and worker respawn — promotion without the
+                    // crash.
+                    let promo = Promotion {
+                        node: p,
+                        detected_at: h.ev.planned_at,
+                        phase: PromoPhase::Reconnect,
+                        phase_done_at: now,
+                        host: h.ev.to_host,
+                        host_port: c.ports[h.ev.to_host],
+                        copy_port: None,
+                        ckpt: Rc::clone(ckpt),
+                        restarts: 0,
+                    };
+                    commit_promotion(c, &promo);
+                    // §15.3 retention fix: once the new owner's own
+                    // durable checkpoint covers the cutover boundary, the
+                    // eternal epoch-0 seed copy is released and retained
+                    // histories may finally be pruned past 0.
+                    if let Some(ft) = &c.node(p).borrow().ft {
+                        ft.store.borrow_mut()[p].mark_handoff(promo.ckpt.epochs_closed());
+                    }
+                    h.ev.committed_at = c.sim.now();
+                    let stall = h.ev.stall().as_nanos();
+                    if c.obs.is_enabled() {
+                        c.obs.span(
+                            Cat::Fault,
+                            "handoff",
+                            p as u32,
+                            RESCALE_TID,
+                            h.ev.planned_at,
+                            h.ev.committed_at.max(h.ev.planned_at + SimTime::from_nanos(1)),
+                            &[
+                                ("from", h.ev.from_host as u64),
+                                ("to", h.ev.to_host as u64),
+                                ("stall_ns", stall),
+                            ],
+                        );
+                        c.obs.hist_record("migration_stall_ns", "cluster", stall);
+                        c.obs.counter_add("migrations", "cluster", 1);
+                    }
+                    self.report.migrations.push(h.ev.clone());
+                    self.handoffs.remove(&p);
+                }
             }
         }
     }
@@ -877,54 +531,30 @@ fn handoff_tick(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggSpec;
-    use crate::query::StreamDef;
-    use crate::record::RecordSchema;
-    use crate::window::WindowAssigner;
-    use slash_chaos::{FaultPlan, FtConfig};
-
-    fn gen(n: u64, dt: u64, keys: u64) -> Rc<Vec<u8>> {
-        let mut buf = Vec::with_capacity((n * 16) as usize);
-        for i in 0..n {
-            buf.extend_from_slice(&(i * dt).to_le_bytes());
-            buf.extend_from_slice(&(i % keys).to_le_bytes());
-        }
-        Rc::new(buf)
-    }
-
-    fn count_plan(window: u64) -> QueryPlan {
-        QueryPlan::Aggregate {
-            input: StreamDef::new(RecordSchema::plain(16)),
-            window: WindowAssigner::Tumbling { size: window },
-            agg: AggSpec::Count,
-        }
-    }
-
-    fn cfg(nodes: usize) -> RunConfig {
-        let mut cfg = RunConfig::new(nodes, 1);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 16 * 1024;
-        cfg
-    }
-
-    fn chaos(plan: FaultPlan) -> ChaosConfig {
-        ChaosConfig {
-            plan,
-            ft: FtConfig {
-                detect_timeout: SimTime::from_micros(300),
-                ckpt_max_chunk: 16 * 1024,
-                ckpt_copies: 2,
-            },
-            pre_split: Vec::new(),
-        }
-    }
+    use crate::recovery::RecoveryReport;
+    use crate::testutil::{cfg, chaos, count_plan, gen};
+    use crate::{RunConfig, RunReport, SlashCluster};
+    use slash_chaos::FaultPlan;
 
     fn parts_n(nodes: usize, recs: u64) -> Vec<Rc<Vec<u8>>> {
         (0..nodes).map(|_| gen(recs, 1, 32)).collect()
     }
 
-    fn parts(nodes: usize) -> Vec<Rc<Vec<u8>>> {
-        parts_n(nodes, 60_000)
+    /// Four-per-`hosts` packed run of `recs` records per partition under
+    /// `run_cfg`, migrating per `script`.
+    fn run_elastic(
+        run_cfg: RunConfig,
+        hosts: usize,
+        recs: u64,
+        script: Vec<(SimTime, MigrationCmd)>,
+    ) -> (RunReport, RecoveryReport, RescaleReport) {
+        let nodes = run_cfg.nodes;
+        let mut director = ScriptedDirector::new(script);
+        let out = SlashCluster::builder(count_plan(4_000), parts_n(nodes, recs), run_cfg)
+            .chaos(&chaos(FaultPlan::new()))
+            .elastic(&ElasticConfig::packed(nodes, hosts), &mut director)
+            .run();
+        (out.run, out.recovery, out.rescale)
     }
 
     fn run_scripted_n(
@@ -932,37 +562,28 @@ mod tests {
         hosts: usize,
         recs: u64,
         script: Vec<(SimTime, MigrationCmd)>,
-        faults: FaultPlan,
     ) -> (RunReport, RecoveryReport, RescaleReport) {
-        let mut director = ScriptedDirector::new(script);
-        SlashCluster::run_elastic(
-            count_plan(4_000),
-            parts_n(nodes, recs),
-            cfg(nodes),
-            &chaos(faults),
-            &ElasticConfig::packed(nodes, hosts),
-            &mut director,
-            Obs::disabled(),
-        )
+        run_elastic(cfg(nodes), hosts, recs, script)
     }
 
     fn run_scripted(
         nodes: usize,
         hosts: usize,
         script: Vec<(SimTime, MigrationCmd)>,
-        faults: FaultPlan,
     ) -> (RunReport, RecoveryReport, RescaleReport) {
-        run_scripted_n(nodes, hosts, 60_000, script, faults)
+        run_scripted_n(nodes, hosts, 60_000, script)
+    }
+
+    fn flat_baseline_cfg(run_cfg: RunConfig, recs: u64) -> (RunReport, RecoveryReport) {
+        let nodes = run_cfg.nodes;
+        let out = SlashCluster::builder(count_plan(4_000), parts_n(nodes, recs), run_cfg)
+            .chaos(&chaos(FaultPlan::new()))
+            .run();
+        (out.run, out.recovery)
     }
 
     fn flat_baseline_n(nodes: usize, recs: u64) -> (RunReport, RecoveryReport) {
-        SlashCluster::run_chaos(
-            count_plan(4_000),
-            parts_n(nodes, recs),
-            cfg(nodes),
-            &chaos(FaultPlan::new()),
-            Obs::disabled(),
-        )
+        flat_baseline_cfg(cfg(nodes), recs)
     }
 
     fn flat_baseline(nodes: usize) -> (RunReport, RecoveryReport) {
@@ -975,7 +596,7 @@ mod tests {
         // produce exactly the results of the flat four-host chaos run —
         // placement is invisible to query semantics.
         let (base, base_rec) = flat_baseline(4);
-        let (packed, rec, rescale) = run_scripted(4, 2, vec![], FaultPlan::new());
+        let (packed, rec, rescale) = run_scripted(4, 2, vec![]);
         assert_eq!(packed.records, base.records);
         assert_eq!(rec.results_digest, base_rec.results_digest);
         assert_eq!(rec.state_digests, base_rec.state_digests);
@@ -1003,7 +624,7 @@ mod tests {
             ),
         ];
         let (base, base_rec) = flat_baseline_n(4, 150_000);
-        let (run, rec, rescale) = run_scripted_n(4, 2, 150_000, script, FaultPlan::new());
+        let (run, rec, rescale) = run_scripted_n(4, 2, 150_000, script);
         assert_eq!(run.records, base.records, "every record exactly once");
         assert_eq!(rec.results_digest, base_rec.results_digest);
         assert_eq!(rec.state_digests, base_rec.state_digests);
@@ -1038,7 +659,7 @@ mod tests {
             ),
         ];
         let (base, base_rec) = flat_baseline(4);
-        let (run, rec, rescale) = run_scripted(4, 2, script, FaultPlan::new());
+        let (run, rec, rescale) = run_scripted(4, 2, script);
         assert!(rescale.migrations.is_empty(), "{:?}", rescale.migrations);
         assert_eq!(run.records, base.records);
         assert_eq!(rec.results_digest, base_rec.results_digest);
@@ -1057,7 +678,7 @@ mod tests {
                     MigrationCmd { partition: 3, to_host: 3 },
                 ),
             ];
-            let (r, rec, rescale) = run_scripted(4, 2, script, FaultPlan::new());
+            let (r, rec, rescale) = run_scripted(4, 2, script);
             (
                 r.records,
                 r.completion_time,
@@ -1078,30 +699,14 @@ mod tests {
             (SimTime::ZERO, 40_000_000),
             (SimTime::from_millis(1), 120_000_000),
         ]);
-        let mut ecfg = cfg(4);
-        ecfg.pacing = Some(curve);
-        let mut base_cfg = cfg(4);
-        base_cfg.pacing = Some(curve);
-        let (base, base_rec) = SlashCluster::run_chaos(
-            count_plan(4_000),
-            parts(4),
-            base_cfg,
-            &chaos(FaultPlan::new()),
-            Obs::disabled(),
-        );
-        let mut director = ScriptedDirector::new(vec![(
+        let mut paced = cfg(4);
+        paced.pacing = Some(curve);
+        let (base, base_rec) = flat_baseline_cfg(paced, 60_000);
+        let script = vec![(
             SimTime::from_micros(500),
             MigrationCmd { partition: 2, to_host: 2 },
-        )]);
-        let (run, rec, rescale) = SlashCluster::run_elastic(
-            count_plan(4_000),
-            parts(4),
-            ecfg,
-            &chaos(FaultPlan::new()),
-            &ElasticConfig::packed(4, 2),
-            &mut director,
-            Obs::disabled(),
-        );
+        )];
+        let (run, rec, rescale) = run_elastic(paced, 2, 60_000, script);
         assert_eq!(run.records, base.records);
         assert_eq!(rec.results_digest, base_rec.results_digest);
         assert_eq!(rescale.migrations.iter().filter(|m| !m.aborted).count(), 1);

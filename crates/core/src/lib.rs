@@ -20,6 +20,7 @@
 pub mod agg;
 pub mod cluster;
 pub mod cost;
+pub mod driver;
 pub mod elastic;
 pub mod hotpath;
 pub mod join;
@@ -30,12 +31,17 @@ pub mod recovery;
 pub mod sink;
 pub mod source;
 pub mod split;
+#[cfg(test)]
+mod testutil;
 pub mod window;
 pub mod worker;
 
 pub use agg::AggSpec;
-pub use cluster::{spawn_node_workers, RunConfig, RunReport, SlashCluster};
+pub use cluster::{
+    boot_node, publish_node_counters, spawn_node_workers, RunConfig, RunReport, SlashCluster,
+};
 pub use cost::{CacheModel, CostModel, TESTBED_CLOCK_GHZ};
+pub use driver::{ClusterBuilder, Outcome};
 pub use elastic::{
     ClusterTelemetry, ElasticConfig, MigrationCmd, MigrationEvent, RescaleReport, ScaleDirector,
     ScriptedDirector, StaticDirector,
@@ -44,8 +50,8 @@ pub use hotpath::{BatchOutcome, HotPath};
 pub use metrics::{CostCategory, EngineMetrics};
 pub use query::{JoinSide, QueryPlan, StreamDef};
 pub use record::RecordSchema;
-pub use recovery::{results_digest, RecoveryAction, RecoveryEvent, RecoveryReport};
-pub use sink::{Sink, SinkResult};
+pub use recovery::{RecoveryAction, RecoveryEvent, RecoveryReport};
+pub use sink::{results_digest, Sink, SinkResult};
 pub use source::MemorySource;
 pub use split::{
     ForwardFabric, HeatPolicy, HeatSplitDirector, SplitDirector, SplitReport, SplitRunConfig,

@@ -1,10 +1,11 @@
 //! Fault-tolerant execution: checkpointing, failure detection, and
 //! epoch-aligned recovery.
 //!
-//! The fault-free engine ([`SlashCluster::run`]) assumes a perfect
-//! fabric. [`SlashCluster::run_chaos`] drops that assumption: it arms a
-//! deterministic [`slash_chaos::FaultPlan`] against the simulated fabric and layers a
-//! recovery protocol on top of the epoch coherence machinery:
+//! The fault-free engine ([`crate::SlashCluster::run`]) assumes a perfect
+//! fabric. The fault-tolerance director
+//! ([`crate::ClusterBuilder::chaos`]) drops that assumption: it arms a
+//! deterministic [`slash_chaos::FaultPlan`] against the simulated fabric
+//! and layers a recovery protocol on top of the epoch coherence machinery:
 //!
 //! * **Checkpoints.** At every epoch close a node captures its primary
 //!   partition snapshot, vector clock, per-channel commit horizons, the
@@ -59,18 +60,17 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use slash_chaos::{ChaosConfig, FaultKind};
-use slash_chaos::Injector;
-use slash_desim::{Sim, SimTime};
+use slash_chaos::{ChaosConfig, FaultKind, Injector};
+use slash_desim::SimTime;
 use slash_net::{create_channel, RECONNECT_HANDSHAKE_MSGS};
 use slash_obs::{Cat, Obs};
 use slash_rdma::{Fabric, NodeId};
-use slash_state::backend::{build_cluster_obs, SsbConfig, SsbNode};
+use slash_state::backend::SsbNode;
 use slash_state::{chunks_digest, DeltaReceiver, DeltaSender, RetainedEpoch};
 
-use crate::cluster::{assemble_report, spawn_node_workers, RunConfig, RunReport, SlashCluster};
-use crate::query::QueryPlan;
-use crate::sink::{Sink, SinkResult};
+use crate::cluster::{boot_node, spawn_node_workers};
+use crate::driver::{Cluster, Director, Outcome};
+use crate::sink::{results_digest, Sink, SinkResult};
 use crate::worker::NodeShared;
 
 /// Everything a node needs to be resurrected at an epoch boundary.
@@ -190,11 +190,6 @@ impl CkptSlot {
             .unwrap_or(0)
     }
 
-    /// The newest captured boundary (not necessarily durable yet).
-    pub(crate) fn latest_ckpt(&self) -> Option<Rc<Checkpoint>> {
-        self.latest.clone()
-    }
-
     /// Record a planned-handoff cutover at `boundary`: the next real
     /// durable copy covering it retires the epoch-0 seed copy.
     pub(crate) fn mark_handoff(&mut self, boundary: u64) {
@@ -312,12 +307,20 @@ pub(crate) struct Promotion {
     pub(crate) restarts: u32,
 }
 
-/// Fault-tolerance hooks handed to each node's shared state; present
-/// only in [`SlashCluster::run_chaos`] runs.
+/// Fault-tolerance hook handed to each node's shared state by the
+/// [`FtDirector`]; a replacement node inherits its predecessor's.
+#[derive(Clone)]
 pub(crate) struct FtState {
     pub(crate) store: Rc<RefCell<CkptStore>>,
     pub(crate) node: usize,
     pub(crate) max_chunk: usize,
+}
+
+impl FtState {
+    /// This node's newest captured boundary (not necessarily durable yet).
+    pub(crate) fn latest_ckpt(&self) -> Option<Rc<Checkpoint>> {
+        self.store.borrow()[self.node].latest.clone()
+    }
 }
 
 /// Called by workers right after a successful epoch close: capture a
@@ -391,7 +394,7 @@ impl RecoveryEvent {
     }
 }
 
-/// Recovery-side outcome of a chaos run, alongside the [`RunReport`].
+/// Recovery-side outcome of a chaos run, alongside the [`RunReport`](crate::RunReport).
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Detected faults and their repairs, in detection order.
@@ -411,306 +414,117 @@ impl RecoveryReport {
     }
 }
 
-fn splitmix_fold(h: &mut u64, v: u64) {
-    let mut z = h.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(v);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    *h = z ^ (z >> 31);
-}
-
-/// Order-independent digest of a result set: two runs emitting the same
-/// `(window, key, value)` multiset digest equal regardless of emission
-/// order or node placement.
-pub fn results_digest(results: &[SinkResult]) -> u64 {
-    let mut keyed: Vec<(u64, u64, u64)> = results
-        .iter()
-        .map(|r| match *r {
-            SinkResult::Agg {
-                window_id,
-                key,
-                value,
-            } => (window_id, key, value.to_bits()),
-            SinkResult::Join {
-                window_id,
-                key,
-                pairs,
-            } => (window_id, key, pairs),
-        })
-        .collect();
-    keyed.sort_unstable();
-    let mut h: u64 = 0xD16E_57ED_FA17_0000;
-    for (w, k, v) in keyed {
-        splitmix_fold(&mut h, w);
-        splitmix_fold(&mut h, k);
-        splitmix_fold(&mut h, v);
-    }
-    h
-}
-
 /// Trace pid used for driver-side recovery events (fault injection uses
 /// `slash_chaos::inject::FAULT_TID` on the victim's pid; repairs land on
 /// the victim's pid too, under this tid).
 pub(crate) const RECOVERY_TID: u32 = 901;
 
-impl SlashCluster {
-    /// Run `plan` under a deterministic fault plan with fault tolerance
-    /// enabled: epoch-boundary checkpoints shipped to a buddy node,
-    /// durability-gated delta commits, stall detection, and epoch-aligned
-    /// recovery (leader promotion or channel reset + replay).
-    ///
-    /// Returns the usual [`RunReport`] plus a [`RecoveryReport`]. With an
-    /// empty plan this is the fault-tolerant no-fault baseline: same
-    /// checkpoint and gating overheads, no faults — the reference for
-    /// exactness comparisons. When `cfg.collect_results` is set, results
-    /// are deduplicated by `(window, key)` in deterministic order.
-    pub fn run_chaos(
-        plan: QueryPlan,
-        partitions: Vec<Rc<Vec<u8>>>,
-        cfg: RunConfig,
-        chaos: &ChaosConfig,
-        obs: Obs,
-    ) -> (RunReport, RecoveryReport) {
-        let n = cfg.nodes;
-        assert_eq!(
-            partitions.len(),
-            n * cfg.workers_per_node,
-            "need one partition per worker"
-        );
-        let mut sim = Sim::new();
-        let fabric = Fabric::new(cfg.fabric);
-        let node_ids = fabric.add_nodes(n);
-        let ssb_cfg = SsbConfig {
-            nodes: n,
-            epoch_bytes: cfg.epoch_bytes,
-            channel: cfg.channel,
-        };
-        let desc = plan.descriptor();
-        let ssb_nodes = build_cluster_obs(&fabric, &node_ids, desc, ssb_cfg, obs.clone());
+/// The fault-tolerance director: owns the checkpoint store, arms the
+/// fault plan, and each slice sweeps dead ports, pumps finished nodes,
+/// advances checkpoint shipping and in-flight promotions, and runs the
+/// stall detector. With an empty plan it is the fault-tolerant no-fault
+/// baseline — the reference for exactness comparisons.
+pub(crate) struct FtDirector<'a> {
+    chaos: &'a ChaosConfig,
+    store: Rc<RefCell<CkptStore>>,
+    /// Per node, the progress token last seen by the stall detector.
+    last_token: Vec<u64>,
+    promos: BTreeMap<usize, Promotion>,
+    rec: RecoveryReport,
+}
 
-        let store: Rc<RefCell<CkptStore>> =
-            Rc::new(RefCell::new((0..n).map(|_| CkptSlot::default()).collect()));
-        let plan = Rc::new(plan);
-        let schema = plan.input().schema;
-
-        // Shareds sit behind one more cell so crash closures and the
-        // detector see promotions (the slot is *replaced* on promotion).
-        let shareds: Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>> =
-            Rc::new(RefCell::new(Vec::with_capacity(n)));
-        for (node, ssb) in ssb_nodes.into_iter().enumerate() {
-            let shared = Rc::new(RefCell::new(NodeShared::new(
-                ssb,
-                cfg.workers_per_node,
-                cfg.cost.mem_bandwidth,
-                cfg.collect_results,
-            )));
-            {
-                let mut sh = shared.borrow_mut();
-                sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-                if obs.is_enabled() {
-                    sh.instrument(obs.clone(), node);
-                }
-                sh.ssb.set_retention(true);
-                // Gate commits on durability: nothing from helper `h`
-                // merges until `h`'s checkpoint covering it has landed on
-                // the buddy.
-                for h in 0..n {
-                    if h != node {
-                        sh.ssb.set_durable_epochs(h, 0);
-                    }
-                }
-                sh.ft = Some(FtState {
-                    store: Rc::clone(&store),
-                    node,
-                    max_chunk: chaos.ft.ckpt_max_chunk,
-                });
-                if !chaos.pre_split.is_empty() {
-                    sh.ssb.split_enable();
-                    for &gk in &chaos.pre_split {
-                        sh.ssb.split_activate(gk);
-                    }
-                }
-                // Seed checkpoint: an empty epoch-0 boundary, durable by
-                // fiat, so even a crash before the first real checkpoint
-                // recovers (to a from-scratch reprocess).
-                on_epoch_closed(&mut sh);
-            }
-            spawn_node_workers(
-                &mut sim, node, &shared, &partitions, schema, &plan, &cfg, None,
-            );
-            shareds.borrow_mut().push(shared);
+impl<'a> FtDirector<'a> {
+    pub(crate) fn new(chaos: &'a ChaosConfig, n: usize) -> Self {
+        FtDirector {
+            chaos,
+            store: Rc::new(RefCell::new((0..n).map(|_| CkptSlot::default()).collect())),
+            last_token: vec![0; n],
+            promos: BTreeMap::new(),
+            rec: RecoveryReport::default(),
         }
-        store.borrow_mut().iter_mut().for_each(CkptSlot::seed_from_latest);
+    }
+}
+
+impl Director for FtDirector<'_> {
+    fn install(&mut self, c: &mut Cluster) {
+        let n = c.cfg.nodes;
+        for (node, shared) in c.live.borrow().nodes.iter().enumerate() {
+            let mut sh = shared.borrow_mut();
+            sh.ssb.set_retention(true);
+            // Gate commits on durability: nothing from helper `h` merges
+            // until `h`'s checkpoint covering it has landed on a buddy.
+            for h in (0..n).filter(|&h| h != node) {
+                sh.ssb.set_durable_epochs(h, 0);
+            }
+            sh.ft = Some(FtState {
+                store: Rc::clone(&self.store),
+                node,
+                max_chunk: self.chaos.ft.ckpt_max_chunk,
+            });
+            // Seed checkpoint: an empty epoch-0 boundary, durable by
+            // fiat, so even a crash before the first real checkpoint
+            // recovers (to a from-scratch reprocess).
+            on_epoch_closed(&mut sh);
+        }
+        self.store.borrow_mut().iter_mut().for_each(CkptSlot::seed_from_latest);
 
         // Arm the fault plan against the fabric, and mirror node crashes
-        // into the engine: the victim's workers observe the flag at their
-        // next step and die with the node.
-        Injector::arm(&mut sim, &fabric, &node_ids, &obs, &chaos.plan);
-        for ev in chaos.plan.events() {
+        // into the engine: every partition the dying port hosts *at the
+        // fault instant* is flagged, and its workers die at their next
+        // step (the crash-victim rule, `crate::driver`).
+        Injector::arm(&mut c.sim, &c.fabric, &c.ports, &c.obs, &self.chaos.plan);
+        for ev in self.chaos.plan.events() {
             if let FaultKind::NodeCrash { node } = ev.kind {
                 if node < n {
-                    let sh_vec = Rc::clone(&shareds);
-                    sim.schedule_at(ev.at, move |_| {
-                        sh_vec.borrow()[node].borrow_mut().crashed = true;
-                    });
+                    let live = Rc::clone(&c.live);
+                    c.sim.schedule_at(ev.at, move |_| live.borrow().kill_port(node));
                 }
             }
         }
+    }
 
-        // host[i] = logical node whose fabric port hosts partition i's
-        // current leader (identity until a promotion relocates one).
-        let mut host: Vec<usize> = (0..n).collect();
-        let mut last_token = vec![0u64; n];
-        let mut last_change = vec![SimTime::ZERO; n];
-        let mut promos: BTreeMap<usize, Promotion> = BTreeMap::new();
-        let mut rec = RecoveryReport::default();
+    /// A quarter detection timeout, so stalls are noticed promptly
+    /// without rescanning the cluster too often.
+    fn slice(&self) -> Option<SimTime> {
+        let quarter = self.chaos.ft.detect_timeout.as_nanos() / 4;
+        Some(SimTime::from_nanos(quarter.max(100_000)))
+    }
 
-        // Drive in slices of a quarter detection timeout so stalls are
-        // noticed promptly without rescanning the cluster too often.
-        let slice =
-            SimTime::from_nanos((chaos.ft.detect_timeout.as_nanos() / 4).max(100_000));
-        loop {
-            if shareds.borrow().iter().all(|s| s.borrow().finished) {
-                break;
-            }
-            assert!(
-                sim.now() <= cfg.max_virtual_time,
-                "query did not complete within the virtual-time budget \
-                 (possible protocol livelock)"
-            );
-            // An empty event queue is not a deadlock while recovery work
-            // is outstanding driver-side: `run_until` still advances
-            // virtual time, which is all an in-flight promotion (or a
-            // dead partition awaiting detection) needs to make progress —
-            // e.g. every surviving worker already finished and the cluster
-            // is only waiting out a restore transfer.
-            let recovery_outstanding = !promos.is_empty()
-                || (0..n).any(|l| !fabric.node_alive(node_ids[host[l]]));
-            assert!(
-                sim.pending_events() > 0 || recovery_outstanding,
-                "simulation quiesced before the query completed (deadlock)"
-            );
-            let horizon = sim.now() + slice;
-            sim.run_until(horizon);
-            let now = sim.now();
+    fn outstanding(&self, c: &Cluster) -> bool {
+        !self.promos.is_empty() || (0..c.cfg.nodes).any(|l| !c.port_alive(l))
+    }
 
-            // A dead port kills every partition it currently hosts —
-            // including partitions promoted onto it by an earlier recovery
-            // (cascading failure). Direct victims are flagged at the fault
-            // instant by the armed plan; this sweep catches re-homed ones.
-            {
-                let sh_vec = shareds.borrow();
-                for l in 0..n {
-                    if !fabric.node_alive(node_ids[host[l]]) {
-                        sh_vec[l].borrow_mut().crashed = true;
-                    }
+    fn tick(&mut self, c: &mut Cluster, now: SimTime) {
+        {
+            let live = c.live.borrow();
+            for (l, shared) in live.nodes.iter().enumerate() {
+                let mut sh = shared.borrow_mut();
+                if !c.fabric.node_alive(c.ports[live.host[l]]) {
+                    // Dead-port sweep: ports that died by any route other
+                    // than an armed `NodeCrash` (those flag their victims
+                    // at the fault instant).
+                    sh.crashed = true;
+                } else if sh.finished {
+                    // A finished node's port keeps serving state traffic:
+                    // a promotion can commit after a survivor's workers
+                    // completed, and the replay epochs requeued on it
+                    // still have to reach the restored partition. The SSB
+                    // is a node service, not a query task — the driver
+                    // pumps it once the workers are gone.
+                    let _ = sh.ssb.pump(&mut c.sim);
                 }
-            }
-
-            // A finished node's port keeps serving state traffic: a
-            // promotion can commit after a survivor's workers already
-            // completed, and the replay epochs requeued on that survivor
-            // still have to reach the restored partition. The SSB is a
-            // node service, not a query task — the driver pumps it once
-            // the workers are gone.
-            {
-                let sh_vec = shareds.borrow();
-                for l in 0..n {
-                    if fabric.node_alive(node_ids[host[l]]) {
-                        let mut sh = sh_vec[l].borrow_mut();
-                        if sh.finished {
-                            let _ = sh.ssb.pump(&mut sim);
-                        }
-                    }
-                }
-            }
-
-            ft_tick(
-                now, n, &fabric, &node_ids, &host, &store, &shareds, &cfg, chaos, &obs,
-                &mut rec,
-            );
-
-            for d in promo_tick(
-                now, &mut promos, &mut sim, &fabric, &node_ids, &mut host, &shareds, &store,
-                &partitions, &plan, schema, &cfg, chaos, &obs, &mut rec,
-            ) {
-                // Fresh off a commit the restored node's token is still
-                // stale; re-arm its stall timer so it gets a full timeout
-                // to publish progress before being re-diagnosed.
-                last_change[d] = sim.now();
-            }
-
-            if n < 2 {
-                continue; // nothing to detect against
-            }
-            // Stall detection: per node, the most advanced view any peer
-            // holds of its progress. Crashes and outages freeze it.
-            for i in 0..n {
-                if promos.contains_key(&i) {
-                    continue; // the promotion machine owns this node
-                }
-                let token = {
-                    let sh_vec = shareds.borrow();
-                    (0..n)
-                        .filter(|&j| j != i)
-                        .map(|j| sh_vec[j].borrow().ssb.vclock().get(i))
-                        .max()
-                        .unwrap_or(0)
-                };
-                if token != last_token[i] {
-                    last_token[i] = token;
-                    last_change[i] = now;
-                    continue;
-                }
-                if now - last_change[i] < chaos.ft.detect_timeout {
-                    continue;
-                }
-                last_change[i] = now; // re-arm the timer either way
-                let fab_i = node_ids[host[i]];
-                if !fabric.node_alive(fab_i) {
-                    // Dead port: start the promotion state machine. It
-                    // advances (and may restart) on subsequent ticks and
-                    // commits atomically once Reconnect completes. `None`
-                    // means every peer is dead — retry after another
-                    // timeout; the livelock guard bounds a hopeless wait.
-                    if let Some(p) = promo_begin(
-                        i, now, now, 0, n, &fabric, &node_ids, &store, &cfg,
-                    ) {
-                        obs.instant(
-                            Cat::Fault,
-                            "promotion-begin",
-                            i as u32,
-                            RECOVERY_TID,
-                            now,
-                            &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed)],
-                        );
-                        promos.insert(i, p);
-                    }
-                } else if fabric.link_up(fab_i) {
-                    // Alive with a live link: if the outage errored any
-                    // channel endpoints, re-establish and replay; if the
-                    // node is merely slow (degraded link, lagging
-                    // completions), there is nothing to repair.
-                    let fixed = reset_errored_channels(i, n, &shareds, &fabric, &node_ids, &host);
-                    if fixed > 0 {
-                        push_event(
-                            &mut rec,
-                            chaos,
-                            i,
-                            now,
-                            sim.now(),
-                            RecoveryAction::ChannelsReset { channels: fixed },
-                            &obs,
-                        );
-                    }
-                }
-                // else: link still down — wait for it to come back.
             }
         }
-        let completion_time = sim.now();
+        self.ckpt_tick(c, now);
+        self.promo_tick(c, now);
+        if c.cfg.nodes >= 2 {
+            self.detect(c, now);
+        }
+    }
 
-        let shareds_v = shareds.borrow();
-        let mut report = assemble_report(&shareds_v, &fabric, &obs, completion_time);
-        if cfg.collect_results {
+    fn report(&mut self, c: &Cluster, out: &mut Outcome) {
+        let report = &mut out.run;
+        if c.cfg.collect_results {
             // Deduplicate by (window, key) in deterministic order: a
             // window triggered right around a checkpoint boundary may be
             // re-fired by the resurrected leader.
@@ -722,132 +536,106 @@ impl SlashCluster {
                 };
                 dedup.entry(k).or_insert(r);
             }
-            report.results = dedup.into_values().collect();
-            report.emitted = report.results.len() as u64;
-            report.total_pairs = report
-                .results
-                .iter()
-                .map(|r| match r {
-                    SinkResult::Join { pairs, .. } => *pairs,
-                    SinkResult::Agg { .. } => 0,
-                })
-                .sum();
+            let mut sink = Sink::collecting();
+            dedup.into_values().for_each(|r| sink.push(r));
+            report.results = sink.results;
+            report.emitted = sink.emitted;
+            report.total_pairs = sink.total_pairs;
         }
+        let mut rec = std::mem::take(&mut self.rec);
         rec.results_digest = results_digest(&report.results);
-        rec.state_digests = shareds_v
-            .iter()
-            .map(|s| s.borrow().ssb.state_digest())
-            .collect();
-        (report, rec)
+        rec.state_digests = report.state_digests.clone();
+        out.recovery = rec;
     }
 }
 
-/// Record a repair, both in the report and as a Perfetto span covering
-/// the detected→repaired window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn push_event(
-    rec: &mut RecoveryReport,
-    chaos: &ChaosConfig,
-    node: usize,
-    detected_at: SimTime,
-    recovered_at: SimTime,
-    action: RecoveryAction,
-    obs: &Obs,
-) {
-    let (injected_at, fault) = chaos
-        .plan
-        .events()
-        .iter()
-        .filter(|e| e.kind.node() == node && e.at <= detected_at)
-        .map(|e| (e.at, e.kind.name()))
-        .next_back()
-        .unwrap_or((SimTime::ZERO, "stall"));
-    obs.span(
-        Cat::Fault,
-        "recovery",
-        node as u32,
-        RECOVERY_TID,
-        detected_at,
-        recovered_at.max(detected_at + SimTime::from_nanos(1)),
-        &[("injected_ns", injected_at.as_nanos())],
-    );
-    rec.events.push(RecoveryEvent {
-        fault,
-        node,
-        injected_at,
-        detected_at,
-        recovered_at,
-        action,
-    });
-}
+impl FtDirector<'_> {
+    /// Record a repair, both in the report and as a Perfetto span covering
+    /// the detected→repaired window.
+    fn push_event(
+        &mut self,
+        obs: &Obs,
+        node: usize,
+        detected_at: SimTime,
+        recovered_at: SimTime,
+        action: RecoveryAction,
+    ) {
+        let (injected_at, fault) = self
+            .chaos
+            .plan
+            .events()
+            .iter()
+            .filter(|e| e.kind.node() == node && e.at <= detected_at)
+            .map(|e| (e.at, e.kind.name()))
+            .next_back()
+            .unwrap_or((SimTime::ZERO, "stall"));
+        obs.span(
+            Cat::Fault,
+            "recovery",
+            node as u32,
+            RECOVERY_TID,
+            detected_at,
+            recovered_at.max(detected_at + SimTime::from_nanos(1)),
+            &[("injected_ns", injected_at.as_nanos())],
+        );
+        self.rec.events.push(RecoveryEvent {
+            fault,
+            node,
+            injected_at,
+            detected_at,
+            recovered_at,
+            action,
+        });
+    }
 
-/// Checkpoint lifecycle: GC copies whose holder port died, complete
-/// in-flight transfers (durability-gate and prune propagation), and ship
-/// the newest boundary toward its next copy holder. Buddy re-selection is
-/// implicit: whenever the current copy set lost a holder or lags the
-/// newest boundary, a fresh buddy is picked (preferring ports without a
-/// current copy) and the checkpoint is re-shipped.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ft_tick(
-    now: SimTime,
-    n: usize,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &[usize],
-    store: &Rc<RefCell<CkptStore>>,
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    cfg: &RunConfig,
-    chaos: &ChaosConfig,
-    obs: &Obs,
-    rec: &mut RecoveryReport,
-) {
-    let sh_vec = shareds.borrow();
-    let mut st = store.borrow_mut();
-    for i in 0..n {
-        let fab_i = node_ids[host[i]];
-        st[i].gc(fabric);
-        // Complete an in-flight transfer whose arrival time has passed.
-        if let Some(fl) = st[i]
-            .in_flight
-            .take_if(|fl| now >= fl.arrival)
-        {
-            let landed = fabric.node_alive(fab_i) && fabric.path_up(fab_i, fl.buddy_port);
-            if landed {
-                st[i].insert_copy(
-                    DurableCopy {
-                        holder_port: Some(fl.buddy_port),
-                        ckpt: Rc::clone(&fl.ckpt),
-                    },
-                    chaos.ft.ckpt_copies.max(1),
-                );
-                rec.checkpoints_durable += 1;
-                obs.instant(
-                    Cat::Fault,
-                    "checkpoint-durable",
-                    i as u32,
-                    RECOVERY_TID,
-                    now,
-                    &[
-                        ("epochs", fl.ckpt.epochs_closed),
-                        ("holder", fl.buddy_port.0 as u64),
-                    ],
-                );
-                if st[i].maybe_release_seed() {
-                    // Post-handoff retention fix (§15.3): the new owner's
-                    // checkpoint is durable, the from-scratch floor goes.
-                    obs.instant(
-                        Cat::Fault,
-                        "seed-released",
-                        i as u32,
-                        RECOVERY_TID,
-                        now,
-                        &[("epochs", fl.ckpt.epochs_closed)],
+    /// Checkpoint lifecycle: GC copies whose holder port died, complete
+    /// in-flight transfers (durability-gate and prune propagation), and
+    /// ship the newest boundary toward its next copy holder. Buddy
+    /// re-selection is implicit: whenever the current copy set lost a
+    /// holder or lags the newest boundary, a fresh buddy is picked
+    /// (preferring ports without a current copy) and the checkpoint is
+    /// re-shipped.
+    fn ckpt_tick(&mut self, c: &Cluster, now: SimTime) {
+        let n = c.cfg.nodes;
+        let copies = self.chaos.ft.ckpt_copies.max(1);
+        let live = c.live.borrow();
+        let port = |j: usize| c.ports[live.host[j]];
+        let mut st = self.store.borrow_mut();
+        for i in 0..n {
+            let fab_i = port(i);
+            st[i].gc(&c.fabric);
+            // Complete an in-flight transfer whose arrival time has passed.
+            // One interrupted by a fault is simply dropped; the re-ship
+            // below retries once the path heals.
+            if let Some(fl) = st[i].in_flight.take_if(|fl| now >= fl.arrival) {
+                if c.fabric.node_alive(fab_i) && c.fabric.path_up(fab_i, fl.buddy_port) {
+                    st[i].insert_copy(
+                        DurableCopy {
+                            holder_port: Some(fl.buddy_port),
+                            ckpt: Rc::clone(&fl.ckpt),
+                        },
+                        copies,
                     );
-                }
-                let horizon = st[i].durable_horizon();
-                for l in 0..n {
-                    if l != i {
-                        let mut sl = sh_vec[l].borrow_mut();
+                    self.rec.checkpoints_durable += 1;
+                    c.fault_event(
+                        RECOVERY_TID,
+                        "checkpoint-durable",
+                        i,
+                        &[("epochs", fl.ckpt.epochs_closed), ("holder", fl.buddy_port.0 as u64)],
+                    );
+                    if st[i].maybe_release_seed() {
+                        // Post-handoff retention fix (§15.3): the new owner's
+                        // checkpoint is durable, the from-scratch floor goes.
+                        c.fault_event(
+                            RECOVERY_TID,
+                            "seed-released",
+                            i,
+                            &[("epochs", fl.ckpt.epochs_closed)],
+                        );
+                    }
+                    let horizon = st[i].durable_horizon();
+                    for l in (0..n).filter(|&l| l != i) {
+                        let mut sl = live.nodes[l].borrow_mut();
                         // Leaders may now commit i's epochs below the
                         // durable horizon...
                         sl.ssb.set_durable_epochs(i, horizon);
@@ -857,81 +645,187 @@ pub(crate) fn ft_tick(
                     }
                 }
             }
-            // A transfer interrupted by a fault is simply dropped; the
-            // re-ship below retries once the path heals.
-        }
-        // Ship the newest boundary until `ckpt_copies` distinct holders
-        // carry it.
-        if st[i].in_flight.is_none() {
-            if let Some(latest) = st[i].latest.clone() {
-                let current_ports: Vec<NodeId> = st[i]
-                    .copies
-                    .iter()
-                    .filter(|c| c.ckpt.epochs_closed >= latest.epochs_closed)
-                    .filter_map(|c| c.holder_port)
-                    .collect();
-                let wants_copy = latest.epochs_closed > 0
-                    && current_ports.len() < chaos.ft.ckpt_copies.max(1);
-                if wants_copy && fabric.node_alive(fab_i) && fabric.link_up(fab_i) {
-                    let buddy = select_ship_buddy(
-                        i,
-                        n,
-                        |j| fabric.node_alive(node_ids[host[j]]),
-                        |j| current_ports.contains(&node_ids[host[j]]),
-                    );
-                    if let Some(b) = buddy {
-                        let nic = &cfg.fabric.nic;
-                        let bytes = latest.payload_bytes();
-                        let xfer = nic.latency
-                            + SimTime::from_nanos(
-                                bytes.saturating_mul(1_000_000_000) / nic.bandwidth.max(1),
-                            );
-                        st[i].in_flight = Some(InFlight {
-                            arrival: now + xfer,
-                            buddy_port: node_ids[host[b]],
-                            ckpt: latest,
-                        });
-                    }
+            // Ship the newest boundary until `ckpt_copies` distinct holders
+            // carry it.
+            if st[i].in_flight.is_some() {
+                continue;
+            }
+            let Some(latest) = st[i].latest.clone() else {
+                continue;
+            };
+            let current_ports: Vec<NodeId> = st[i]
+                .copies
+                .iter()
+                .filter(|dc| dc.ckpt.epochs_closed >= latest.epochs_closed)
+                .filter_map(|dc| dc.holder_port)
+                .collect();
+            let wants_copy = latest.epochs_closed > 0 && current_ports.len() < copies;
+            if wants_copy && c.fabric.node_alive(fab_i) && c.fabric.link_up(fab_i) {
+                let buddy = select_ship_buddy(
+                    i,
+                    n,
+                    |j| c.fabric.node_alive(port(j)),
+                    |j| current_ports.contains(&port(j)),
+                );
+                if let Some(b) = buddy {
+                    st[i].in_flight = Some(InFlight {
+                        arrival: now + c.transfer_time(latest.payload_bytes()),
+                        buddy_port: port(b),
+                        ckpt: latest,
+                    });
                 }
             }
         }
     }
+
+    /// Advance every in-flight promotion one driver tick: restart machines
+    /// whose chosen host (or, during `Restore`, copy holder) died —
+    /// recovery re-entrancy — move `Restore` to `Reconnect` when the copy
+    /// has fully streamed, and atomically commit machines whose handshakes
+    /// completed.
+    fn promo_tick(&mut self, c: &mut Cluster, now: SimTime) {
+        let nodes: Vec<usize> = self.promos.keys().copied().collect();
+        for d in nodes {
+            let Some(p) = self.promos.get_mut(&d) else { continue };
+            // Interruption check: the chosen host died, or the copy being
+            // streamed lost its holder mid-restore. Pre-commit phases
+            // touched nothing but this record, so restart it against a
+            // re-selected host and copy. (Once Restore completes the
+            // chunks live on the host; only the host's death matters
+            // during Reconnect.)
+            let host_dead = !c.fabric.node_alive(p.host_port);
+            let copy_dead = p.phase == PromoPhase::Restore
+                && p.copy_port.is_some_and(|port| !c.fabric.node_alive(port));
+            if host_dead || copy_dead {
+                let restarts = p.restarts + 1;
+                if let Some(fresh) = promo_begin(c, &self.store, d, now, p.detected_at, restarts) {
+                    c.fault_event(
+                        RECOVERY_TID,
+                        "promotion-restart",
+                        d,
+                        &[("restarts", restarts as u64), ("host", fresh.host as u64)],
+                    );
+                    *p = fresh;
+                }
+                // No candidate right now: leave the stale record in place;
+                // its dead host keeps this arm retrying every tick.
+                continue;
+            }
+            if now < p.phase_done_at {
+                continue;
+            }
+            match p.phase {
+                PromoPhase::Restore => {
+                    // Integrity gate: the streamed copy must match the
+                    // digest recorded at capture before it may become
+                    // primary state.
+                    debug_assert_eq!(
+                        chunks_digest(&p.ckpt.snapshot),
+                        p.ckpt.digest,
+                        "durable copy failed its checksum"
+                    );
+                    p.phase = PromoPhase::Reconnect;
+                    p.phase_done_at = now + reconnect_time(&c.fabric);
+                }
+                PromoPhase::Reconnect => {
+                    let Some(p) = self.promos.remove(&d) else { continue };
+                    commit_promotion(c, &p);
+                    let action = RecoveryAction::Promoted {
+                        host: p.host,
+                        restarts: p.restarts,
+                    };
+                    self.push_event(&c.obs, d, p.detected_at, c.sim.now(), action);
+                }
+            }
+        }
+    }
+
+    /// Stall detection: per node, the most advanced view any peer holds
+    /// of its progress. Crashes and outages freeze it; a token frozen
+    /// past `detect_timeout` is diagnosed. Partitions owned by a
+    /// promotion or handoff machine are that machine's responsibility.
+    fn detect(&mut self, c: &mut Cluster, now: SimTime) {
+        let n = c.cfg.nodes;
+        for i in 0..n {
+            if c.owned[i] {
+                continue; // the owning machine answers for this partition
+            }
+            let token = {
+                let live = c.live.borrow();
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| live.nodes[j].borrow().ssb.vclock().get(i))
+                    .max()
+                    .unwrap_or(0)
+            };
+            if token != self.last_token[i] {
+                self.last_token[i] = token;
+                c.progress_at[i] = now;
+                continue;
+            }
+            if now - c.progress_at[i] < self.chaos.ft.detect_timeout {
+                continue;
+            }
+            c.progress_at[i] = now; // re-arm the timer either way
+            let fab_i = c.ports[c.host(i)];
+            if !c.fabric.node_alive(fab_i) {
+                // Dead port: start the promotion state machine. It
+                // advances (and may restart) on subsequent ticks and
+                // commits atomically once Reconnect completes. `None`
+                // means every peer is dead — retry after another timeout;
+                // the livelock guard bounds a hopeless wait.
+                if let Some(p) = promo_begin(c, &self.store, i, now, now, 0) {
+                    c.fault_event(
+                        RECOVERY_TID,
+                        "promotion-begin",
+                        i,
+                        &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed)],
+                    );
+                    c.owned[i] = true;
+                    self.promos.insert(i, p);
+                }
+            } else if c.fabric.link_up(fab_i) {
+                // Alive with a live link: if the outage errored any
+                // channel endpoints, re-establish and replay; if the node
+                // is merely slow (degraded link, lagging completions),
+                // there is nothing to repair.
+                let fixed = reset_errored_channels(c, i);
+                if fixed > 0 {
+                    let action = RecoveryAction::ChannelsReset { channels: fixed };
+                    self.push_event(&c.obs, i, now, c.sim.now(), action);
+                }
+            }
+            // else: link still down — wait for it to come back.
+        }
+    }
+}
+
+/// Handshake time for replacement channels to reach ready-to-send.
+pub(crate) fn reconnect_time(fabric: &Fabric) -> SimTime {
+    SimTime::from_nanos(RECONNECT_HANDSHAKE_MSGS * 2 * fabric.ack_latency().as_nanos())
 }
 
 /// Re-establish every errored channel touching node `i` (both
 /// directions), then replay the epochs the receiving side never
 /// committed. Returns how many directed channels needed a reset.
-pub(crate) fn reset_errored_channels(
-    i: usize,
-    n: usize,
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &[usize],
-) -> usize {
-    let sh_vec = shareds.borrow();
+fn reset_errored_channels(c: &Cluster, i: usize) -> usize {
+    let live = c.live.borrow();
     let mut fixed = 0;
-    for s in 0..n {
-        if s == i || !fabric.node_alive(node_ids[host[s]]) {
+    for s in 0..c.cfg.nodes {
+        if s == i || !c.fabric.node_alive(c.ports[live.host[s]]) {
             continue;
         }
-        let mut si = sh_vec[i].borrow_mut();
-        let mut ss = sh_vec[s].borrow_mut();
-        // i → s: i ships deltas of partition s.
-        if si.ssb.sender_error(s) || ss.ssb.receiver_error(i) {
-            si.ssb.reset_channel_to(s);
-            ss.ssb.reset_channel_from(i); // drops uncommitted stages
-            let resume = ss.ssb.receiver_next_epoch(i);
-            si.ssb.requeue_to(s, resume);
-            fixed += 1;
-        }
-        // s → i: s ships deltas of partition i.
-        if ss.ssb.sender_error(i) || si.ssb.receiver_error(s) {
-            ss.ssb.reset_channel_to(i);
-            si.ssb.reset_channel_from(s);
-            let resume = si.ssb.receiver_next_epoch(s);
-            ss.ssb.requeue_to(i, resume);
-            fixed += 1;
+        // Both directions: `a` ships deltas of partition `b`.
+        for (a, b) in [(i, s), (s, i)] {
+            let mut tx = live.nodes[a].borrow_mut();
+            let mut rx = live.nodes[b].borrow_mut();
+            if tx.ssb.sender_error(b) || rx.ssb.receiver_error(a) {
+                tx.ssb.reset_channel_to(b);
+                rx.ssb.reset_channel_from(a); // drops uncommitted stages
+                let resume = rx.ssb.receiver_next_epoch(a);
+                tx.ssb.requeue_to(b, resume);
+                fixed += 1;
+            }
         }
     }
     fixed
@@ -942,39 +836,27 @@ pub(crate) fn reset_errored_channels(
 /// `Restore`. Returns `None` when every peer is dead (unrecoverable; the
 /// caller retries until the livelock guard bounds the wait). The seed
 /// copy guarantees a copy always exists, so only host selection can fail.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn promo_begin(
+fn promo_begin(
+    c: &Cluster,
+    store: &RefCell<CkptStore>,
     d: usize,
     now: SimTime,
     detected_at: SimTime,
     restarts: u32,
-    n: usize,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    store: &Rc<RefCell<CkptStore>>,
-    cfg: &RunConfig,
 ) -> Option<Promotion> {
     // Candidates are judged by their *own* port: committing sets
-    // `host[d] = h`, so partition `d` will live on `node_ids[h]` — a
-    // logical node whose port died (and was itself re-homed elsewhere)
-    // must never be picked, even though its partition is healthy.
-    let h = select_promotion_host(d, n, |j| fabric.node_alive(node_ids[j]))?;
-    let host_port = node_ids[h];
+    // `host[d] = h`, so partition `d` will live on `ports[h]` — a logical
+    // node whose port died (and was itself re-homed elsewhere) must never
+    // be picked, even though its partition is healthy.
+    let h = select_promotion_host(d, c.cfg.nodes, |j| c.fabric.node_alive(c.ports[j]))?;
     let mut st = store.borrow_mut();
-    st[d].gc(fabric);
+    st[d].gc(&c.fabric);
     let copy = st[d].newest_copy()?.clone();
-    let nic = &cfg.fabric.nic;
     let restore_time = match copy.holder_port {
         // Stream the copy's chunks from its holder to the host.
-        Some(_) => {
-            nic.latency
-                + SimTime::from_nanos(
-                    copy.ckpt.payload_bytes().saturating_mul(1_000_000_000)
-                        / nic.bandwidth.max(1),
-                )
-        }
+        Some(_) => c.transfer_time(copy.ckpt.payload_bytes()),
         // Seed copy: the source is re-read locally, control latency only.
-        None => nic.latency,
+        None => c.cfg.fabric.nic.latency,
     };
     Some(Promotion {
         node: d,
@@ -982,154 +864,44 @@ pub(crate) fn promo_begin(
         phase: PromoPhase::Restore,
         phase_done_at: now + restore_time,
         host: h,
-        host_port,
+        host_port: c.ports[h],
         copy_port: copy.holder_port,
         ckpt: copy.ckpt,
         restarts,
     })
 }
 
-/// Advance every in-flight promotion one driver tick: restart machines
-/// whose chosen host (or, during `Restore`, copy holder) died — recovery
-/// re-entrancy — move `Restore` to `Reconnect` when the copy has fully
-/// streamed, and atomically commit machines whose handshakes completed.
-/// Returns the nodes committed this tick so the driver can re-arm their
-/// stall timers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn promo_tick(
-    now: SimTime,
-    promos: &mut BTreeMap<usize, Promotion>,
-    sim: &mut Sim,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &mut [usize],
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    store: &Rc<RefCell<CkptStore>>,
-    partitions: &[Rc<Vec<u8>>],
-    plan: &Rc<QueryPlan>,
-    schema: crate::record::RecordSchema,
-    cfg: &RunConfig,
-    chaos: &ChaosConfig,
-    obs: &Obs,
-    rec: &mut RecoveryReport,
-) -> Vec<usize> {
-    let mut committed = Vec::new();
-    let nodes: Vec<usize> = promos.keys().copied().collect();
-    for d in nodes {
-        let Some(p) = promos.get_mut(&d) else { continue };
-        // Interruption check: the chosen host died, or the copy being
-        // streamed lost its holder mid-restore. Pre-commit phases touched
-        // nothing but this record, so restart it against a re-selected
-        // host and copy. (Once Restore completes the chunks live on the
-        // host; only the host's death matters during Reconnect.)
-        let host_dead = !fabric.node_alive(p.host_port);
-        let copy_dead = p.phase == PromoPhase::Restore
-            && p.copy_port.is_some_and(|port| !fabric.node_alive(port));
-        if host_dead || copy_dead {
-            let restarts = p.restarts + 1;
-            if let Some(fresh) = promo_begin(
-                d, now, p.detected_at, restarts, cfg.nodes, fabric, node_ids, store, cfg,
-            ) {
-                obs.instant(
-                    Cat::Fault,
-                    "promotion-restart",
-                    d as u32,
-                    RECOVERY_TID,
-                    now,
-                    &[("restarts", restarts as u64), ("host", fresh.host as u64)],
-                );
-                *p = fresh;
-            }
-            // No candidate right now: leave the stale record in place;
-            // its dead host keeps this arm retrying every tick.
-            continue;
-        }
-        if now < p.phase_done_at {
-            continue;
-        }
-        match p.phase {
-            PromoPhase::Restore => {
-                // Integrity gate: the streamed copy must match the digest
-                // recorded at capture before it may become primary state.
-                debug_assert_eq!(
-                    chunks_digest(&p.ckpt.snapshot),
-                    p.ckpt.digest,
-                    "durable copy failed its checksum"
-                );
-                p.phase = PromoPhase::Reconnect;
-                p.phase_done_at = now
-                    + SimTime::from_nanos(
-                        RECONNECT_HANDSHAKE_MSGS * 2 * fabric.ack_latency().as_nanos(),
-                    );
-            }
-            PromoPhase::Reconnect => {
-                let Some(p) = promos.remove(&d) else { continue };
-                commit_promotion(
-                    &p, sim, fabric, node_ids, host, shareds, store, partitions, plan,
-                    schema, cfg, chaos, obs,
-                );
-                push_event(
-                    rec,
-                    chaos,
-                    d,
-                    p.detected_at,
-                    sim.now(),
-                    RecoveryAction::Promoted {
-                        host: p.host,
-                        restarts: p.restarts,
-                    },
-                    obs,
-                );
-                committed.push(d);
-            }
-        }
-    }
-    committed
-}
-
-/// Atomically commit a completed promotion: install the restored SSB of
-/// logical node `d` on the new host port, re-establish every channel with
-/// commit-horizon handshakes, and respawn *all* of the node's workers at
-/// their checkpointed source positions. Everything before this point ran
-/// against the promotion record only; from the cluster's view the
-/// replacement node appears at one virtual instant.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_promotion(
-    p: &Promotion,
-    sim: &mut Sim,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &mut [usize],
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    store: &Rc<RefCell<CkptStore>>,
-    partitions: &[Rc<Vec<u8>>],
-    plan: &Rc<QueryPlan>,
-    schema: crate::record::RecordSchema,
-    cfg: &RunConfig,
-    chaos: &ChaosConfig,
-    obs: &Obs,
-) {
-    let n = cfg.nodes;
+/// Atomically commit a completed promotion (crash repair or planned
+/// handoff): install the restored SSB of logical node `d` on the new host
+/// port, re-establish every channel with commit-horizon handshakes, and
+/// respawn *all* of the node's workers at their checkpointed source
+/// positions. Everything before this point ran against the promotion
+/// record only; from the cluster's view the replacement node appears at
+/// one virtual instant.
+pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
+    let n = c.cfg.nodes;
     let d = p.node;
     let ckpt = &p.ckpt;
+    // The replacement inherits its predecessor's checkpoint hook.
+    let Some(ft) = c.node(d).borrow().ft.clone() else {
+        c.obs
+            .record_failure("promotion commit", "node has no checkpoint hook");
+        return;
+    };
     {
-        let mut st = store.borrow_mut();
+        let mut st = ft.store.borrow_mut();
         // Whatever was newer than the restored boundary died with the
         // node; in-flight transfers from it are void and stale copies
         // whose holders died are gone.
-        st[d].gc(fabric);
+        st[d].gc(&c.fabric);
         st[d].latest = Some(Rc::clone(ckpt));
         st[d].in_flight = None;
     }
-    host[d] = p.host;
     let host_fab = p.host_port;
+    let mut live = c.live.borrow_mut();
+    live.host[d] = p.host;
 
-    let ssb_cfg = SsbConfig {
-        nodes: n,
-        epoch_bytes: cfg.epoch_bytes,
-        channel: cfg.channel,
-    };
-    let mut ssb = SsbNode::detached(d, plan.descriptor(), ssb_cfg);
+    let mut ssb = SsbNode::detached(d, c.plan.descriptor(), c.cfg.ssb_config());
     ssb.restore_primary(&ckpt.snapshot);
     ssb.restore_vclock(&ckpt.vclock);
     ssb.resume_fragments_at(ckpt.epochs_closed);
@@ -1138,8 +910,8 @@ pub(crate) fn commit_promotion(
     // survivor's. (Exactness never depends on the copy — the leader-side
     // fold merges whatever sub-key entries exist — but the replacement
     // must keep *diverting* hot-key updates like its predecessor did.)
-    if let Some(ledger) = shareds
-        .borrow()
+    if let Some(ledger) = live
+        .nodes
         .iter()
         .enumerate()
         .filter(|&(s, _)| s != d)
@@ -1151,178 +923,106 @@ pub(crate) fn commit_promotion(
     // Re-establish channels with every peer, handshaking commit horizons
     // so replay is exact and nothing is merged twice.
     {
-        let sh_vec = shareds.borrow();
-        let st = store.borrow();
-        for s in 0..n {
-            if s == d {
-                continue;
-            }
-            let s_fab = node_ids[host[s]];
-            if fabric.node_alive(s_fab) {
-                let mut sv = sh_vec[s].borrow_mut();
+        let st = ft.store.borrow();
+        for s in (0..n).filter(|&s| s != d) {
+            let s_fab = c.ports[live.host[s]];
+            // The survivor's side of both channels. `None` is a concurrent
+            // crash: `s` is down too, its own promotion still pending. The
+            // replacement's endpoints toward its dead port are installed
+            // anyway: the sender keeps *retaining* every epoch closed from
+            // here on (sends error out and are dropped by the fabric), so
+            // `s`'s eventual promotion finds a complete replay history in
+            // `retained_for(s)`; the seeded receiver records the commit
+            // horizon `s`'s promotion must resume our replay from. Both
+            // directions are replaced with live channels when `s` commits.
+            let mut survivor =
+                c.fabric.node_alive(s_fab).then(|| live.nodes[s].borrow_mut());
 
-                // d → s: the replacement re-ships the retained epochs the
-                // survivor's receiver has not committed.
-                let (tx, rx) = create_channel(fabric, host_fab, s_fab, cfg.channel);
-                let mut sender = DeltaSender::new(tx);
-                sender.restore_retained(ckpt.retained[s].clone());
+            // d → s: the replacement re-ships the retained epochs the
+            // survivor's receiver has not committed.
+            let (tx, rx) = create_channel(&c.fabric, host_fab, s_fab, c.cfg.channel);
+            let mut sender = DeltaSender::new(tx);
+            sender.restore_retained(ckpt.retained[s].clone());
+            if let Some(sv) = survivor.as_mut() {
                 let resume = sv.ssb.receiver_next_epoch(d);
                 sender.requeue_from(resume);
-                ssb.replace_sender(s, sender);
                 sv.ssb.replace_receiver(d, DeltaReceiver::new(rx, d));
                 sv.ssb.seed_receiver(d, resume);
                 sv.ssb.set_durable_epochs(d, ckpt.epochs_closed);
+            }
+            ssb.replace_sender(s, sender);
 
-                // s → d: the survivor re-ships from the checkpoint's
-                // commit horizon; its retained list still covers that
-                // suffix because pruning floors at the oldest surviving
-                // copy of d.
-                let (tx2, rx2) = create_channel(fabric, s_fab, host_fab, cfg.channel);
+            // s → d: the survivor re-ships from the checkpoint's commit
+            // horizon; its retained list still covers that suffix because
+            // pruning floors at the oldest surviving copy of d.
+            let (tx2, rx2) = create_channel(&c.fabric, s_fab, host_fab, c.cfg.channel);
+            if let Some(sv) = survivor.as_mut() {
                 let mut sender2 = DeltaSender::new(tx2);
-                sender2.restore_retained(
-                    sv.ssb
-                        .retained_for(d)
-                        .map(<[_]>::to_vec)
-                        .unwrap_or_default(),
-                );
+                let retained = sv.ssb.retained_for(d).map(<[_]>::to_vec);
+                sender2.restore_retained(retained.unwrap_or_default());
                 sender2.requeue_from(ckpt.receiver_next[s]);
                 sv.ssb.replace_sender(d, sender2);
-                ssb.replace_receiver(s, DeltaReceiver::new(rx2, s));
-                ssb.seed_receiver(s, ckpt.receiver_next[s]);
-                ssb.set_durable_epochs(s, st[s].durable_horizon());
-
-                if obs.is_enabled() {
-                    sv.ssb.instrument(obs.clone());
+                if c.obs.is_enabled() {
+                    sv.ssb.instrument(c.obs.clone());
                 }
-            } else {
-                // Concurrent crash: `s` is down too, its own promotion
-                // still pending. Install endpoints toward its dead port
-                // anyway: the sender keeps *retaining* every epoch closed
-                // from here on (sends error out and are dropped by the
-                // fabric), so `s`'s eventual promotion finds a complete
-                // replay history in `retained_for(s)`; the seeded
-                // receiver records the commit horizon `s`'s promotion
-                // must resume our replay from. Both directions are
-                // replaced with live channels when `s` commits.
-                let (tx, _rx) = create_channel(fabric, host_fab, s_fab, cfg.channel);
-                let mut sender = DeltaSender::new(tx);
-                sender.restore_retained(ckpt.retained[s].clone());
-                ssb.replace_sender(s, sender);
-                let (_tx2, rx2) = create_channel(fabric, s_fab, host_fab, cfg.channel);
-                ssb.replace_receiver(s, DeltaReceiver::new(rx2, s));
-                ssb.seed_receiver(s, ckpt.receiver_next[s]);
-                ssb.set_durable_epochs(s, st[s].durable_horizon());
             }
+            ssb.replace_receiver(s, DeltaReceiver::new(rx2, s));
+            ssb.seed_receiver(s, ckpt.receiver_next[s]);
+            ssb.set_durable_epochs(s, st[s].durable_horizon());
         }
     }
     ssb.set_retention(true);
 
     // Fresh shared state seeded from the checkpoint; the crashed slot's
     // workers are already dead (crashed flag), replace it.
-    let mut shared = NodeShared::new(
-        ssb,
-        cfg.workers_per_node,
-        cfg.cost.mem_bandwidth,
-        cfg.collect_results,
-    );
-    shared.metrics.set_clock_ghz(cfg.cost.clock_ghz);
+    let mut shared = boot_node(ssb, d, &c.cfg, &c.obs);
     shared.sink = ckpt.sink.clone();
     shared.records = ckpt.records;
     shared.worker_wm = ckpt.worker_wm.clone();
     shared.worker_pos = ckpt.worker_pos.clone();
-    shared.ft = Some(FtState {
-        store: Rc::clone(store),
-        node: d,
-        max_chunk: chaos.ft.ckpt_max_chunk,
-    });
-    if obs.is_enabled() {
-        shared.instrument(obs.clone(), d);
-    }
+    shared.ft = Some(ft);
     let shared = Rc::new(RefCell::new(shared));
-    shareds.borrow_mut()[d] = Rc::clone(&shared);
+    live.nodes[d] = Rc::clone(&shared);
+    drop(live);
+    c.rehome(d);
+    c.owned[d] = false;
+    // Fresh off a commit the restored node's token is still stale; re-arm
+    // its stall timer so it gets a full timeout to publish progress
+    // before being re-diagnosed.
+    c.progress_at[d] = c.sim.now();
 
     // Respawn every worker of the node at its checkpointed source
     // position: everything past it was lost with the open fragments and
     // is reprocessed; everything before it is in the snapshot or in
     // replayable epochs.
-    spawn_node_workers(
-        sim,
-        d,
-        &shared,
-        partitions,
-        schema,
-        plan,
-        cfg,
-        Some(&ckpt.worker_pos),
-    );
-    obs.instant(
-        Cat::Fault,
-        "promoted",
-        d as u32,
+    let w = c.cfg.workers_per_node;
+    let parts = &c.partitions[d * w..(d + 1) * w];
+    spawn_node_workers(&mut c.sim, d, &shared, parts, &c.plan, &c.cfg, Some(&ckpt.worker_pos));
+    c.fault_event(
         RECOVERY_TID,
-        sim.now(),
-        &[
-            ("host", p.host as u64),
-            ("epochs", ckpt.epochs_closed),
-            ("restarts", p.restarts as u64),
-        ],
+        "promoted",
+        d,
+        &[("host", p.host as u64), ("epochs", ckpt.epochs_closed), ("restarts", p.restarts as u64)],
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggSpec;
-    use crate::query::StreamDef;
-    use crate::record::RecordSchema;
-    use crate::window::WindowAssigner;
-    use slash_chaos::{ChaosConfig, FaultPlan, FtConfig};
+    use crate::testutil::{cfg, chaos, count_plan, gen};
+    use crate::{RunReport, SlashCluster};
+    use slash_chaos::FaultPlan;
 
-    fn gen(n: u64, dt: u64, keys: u64) -> Rc<Vec<u8>> {
-        let mut buf = Vec::with_capacity((n * 16) as usize);
-        for i in 0..n {
-            buf.extend_from_slice(&(i * dt).to_le_bytes());
-            buf.extend_from_slice(&(i % keys).to_le_bytes());
-        }
-        Rc::new(buf)
-    }
-
-    fn count_plan(window: u64) -> QueryPlan {
-        QueryPlan::Aggregate {
-            input: StreamDef::new(RecordSchema::plain(16)),
-            window: WindowAssigner::Tumbling { size: window },
-            agg: AggSpec::Count,
-        }
-    }
-
-    fn cfg(nodes: usize) -> RunConfig {
-        let mut cfg = RunConfig::new(nodes, 1);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 16 * 1024;
-        cfg
-    }
-
-    fn chaos(plan: FaultPlan) -> ChaosConfig {
-        ChaosConfig {
-            plan,
-            ft: FtConfig {
-                detect_timeout: SimTime::from_micros(300),
-                ckpt_max_chunk: 16 * 1024,
-                ckpt_copies: 2,
-            },
-            pre_split: Vec::new(),
-        }
+    fn run_with(chaos: &ChaosConfig, nodes: usize) -> (RunReport, RecoveryReport) {
+        let parts: Vec<Rc<Vec<u8>>> = (0..nodes).map(|_| gen(60_000, 1, 32)).collect();
+        let out = SlashCluster::builder(count_plan(4_000), parts, cfg(nodes))
+            .chaos(chaos)
+            .run();
+        (out.run, out.recovery)
     }
 
     fn run(faults: FaultPlan, nodes: usize) -> (RunReport, RecoveryReport) {
-        let parts: Vec<Rc<Vec<u8>>> = (0..nodes).map(|_| gen(60_000, 1, 32)).collect();
-        SlashCluster::run_chaos(
-            count_plan(4_000),
-            parts,
-            cfg(nodes),
-            &chaos(faults),
-            Obs::disabled(),
-        )
+        run_with(&chaos(faults), nodes)
     }
 
     #[test]
@@ -1370,11 +1070,9 @@ mod tests {
         let nodes = 3;
         let faults = FaultPlan::new().crash(SimTime::from_micros(200), 1);
         let (base, base_rec) = run(faults.clone(), nodes);
-        let parts: Vec<Rc<Vec<u8>>> = (0..nodes).map(|_| gen(60_000, 1, 32)).collect();
         let mut c = chaos(faults);
         c.pre_split = vec![5, 17];
-        let (split, rec) =
-            SlashCluster::run_chaos(count_plan(4_000), parts, cfg(nodes), &c, Obs::disabled());
+        let (split, rec) = run_with(&c, nodes);
         assert!(
             rec.events
                 .iter()

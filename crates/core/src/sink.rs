@@ -65,9 +65,77 @@ impl Sink {
     }
 }
 
+/// Order-independent digest of a result multiset — the single
+/// implementation every exactness check compares (`slash-exec` re-exports
+/// it as `results_fingerprint`). Runs emit results in different orders
+/// (per-node sinks drain on independent clocks, promotions re-home
+/// leaders), so rows are sorted first; each row is tagged with its kind,
+/// and `f64` values compare by bit pattern, which is exact because every
+/// run computes them with the same operations in the same per-key order.
+pub fn results_digest(results: &[SinkResult]) -> u64 {
+    let mut rows: Vec<(u64, u64, u64, u64)> = results
+        .iter()
+        .map(|r| match *r {
+            SinkResult::Agg {
+                window_id,
+                key,
+                value,
+            } => (0u64, window_id, key, value.to_bits()),
+            SinkResult::Join {
+                window_id,
+                key,
+                pairs,
+            } => (1u64, window_id, key, pairs),
+        })
+        .collect();
+    rows.sort_unstable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (tag, w, k, v) in rows {
+        for part in [tag, w, k, v] {
+            h ^= part;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn digest_is_order_independent_but_value_and_kind_sensitive() {
+        let a = SinkResult::Agg {
+            window_id: 1,
+            key: 2,
+            value: 3.0,
+        };
+        let b = SinkResult::Join {
+            window_id: 1,
+            key: 2,
+            pairs: 9,
+        };
+        assert_eq!(
+            results_digest(&[a.clone(), b.clone()]),
+            results_digest(&[b.clone(), a.clone()])
+        );
+        let c = SinkResult::Agg {
+            window_id: 1,
+            key: 2,
+            value: 4.0,
+        };
+        assert_ne!(
+            results_digest(&[a, b.clone()]),
+            results_digest(&[c, b.clone()])
+        );
+        // Same (window, key, bits) under a different kind must differ.
+        let as_agg = SinkResult::Agg {
+            window_id: 1,
+            key: 2,
+            value: f64::from_bits(9),
+        };
+        assert_ne!(results_digest(&[as_agg]), results_digest(&[b]));
+    }
 
     #[test]
     fn counting_sink_does_not_retain() {

@@ -1,5 +1,5 @@
-//! Online hot-key splitting: detection, record forwarding, and the run
-//! driver (DESIGN.md §20).
+//! Online hot-key splitting: detection, record forwarding, and the
+//! director that installs them on the cluster driver (DESIGN.md §20).
 //!
 //! A zipfian-hot key defeats both of Slash's load balancers: with keyed
 //! ingress every record for the key lands on one node, and even with
@@ -58,15 +58,10 @@ use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use slash_desim::{ProcId, Process, Sim, SimTime, Step};
-use slash_obs::{HeatEntry, HeatSketch, Obs, HEAT_CAPACITY};
-use slash_rdma::Fabric;
-use slash_state::backend::{build_cluster_obs, SsbConfig};
+use slash_obs::{HeatEntry, HeatSketch, HEAT_CAPACITY};
 use slash_state::SUB_KEY_TAG;
 
-use crate::cluster::{assemble_report, spawn_node_workers, RunConfig, RunReport};
-use crate::query::QueryPlan;
-use crate::worker::NodeShared;
-use crate::SlashCluster;
+use crate::driver::{Cluster, Director, Live, Outcome};
 
 /// What the split director sees each tick: the cluster-merged heat
 /// sketch, cumulative over the run so far.
@@ -198,7 +193,7 @@ struct FwdInner {
 
 /// The record-forwarding plane: per-destination inboxes plus the
 /// watermark floor (see the module docs for the custody chain). One
-/// instance is shared by every node of a [`SlashCluster::run_split`] run.
+/// instance is shared by every node of a forwarding run.
 #[derive(Debug)]
 pub struct ForwardFabric {
     inner: RefCell<FwdInner>,
@@ -328,7 +323,7 @@ impl ForwardFabric {
     }
 }
 
-/// Configuration for a [`SlashCluster::run_split`] run.
+/// Configuration for [`ClusterBuilder::split`](crate::ClusterBuilder::split).
 #[derive(Debug, Clone)]
 pub struct SplitRunConfig {
     /// Keys split before the first record (deterministic scenarios and
@@ -354,7 +349,7 @@ impl Default for SplitRunConfig {
     }
 }
 
-/// What a split run did beyond the base [`RunReport`].
+/// What a split run did beyond the base [`RunReport`](crate::RunReport).
 #[derive(Debug, Clone, Default)]
 pub struct SplitReport {
     /// Keys split online, with activation (virtual) times; pre-splits are
@@ -370,7 +365,9 @@ pub struct SplitReport {
 /// activates splits on every ledger copy in one step, and confirms
 /// forwarded-epoch merges to advance the watermark floor.
 struct SplitDriver {
-    shareds: Vec<Rc<RefCell<NodeShared>>>,
+    /// The live placement, not a snapshot of its cells: a promotion or
+    /// handoff replaces a node's cell mid-run.
+    live: Rc<RefCell<Live>>,
     fwd: Option<Rc<ForwardFabric>>,
     director: Box<dyn SplitDirector>,
     sample_every: SimTime,
@@ -383,7 +380,9 @@ struct SplitDriver {
 
 impl Process for SplitDriver {
     fn step(&mut self, sim: &mut Sim, _me: ProcId) -> Step {
-        if self.shareds.iter().all(|s| s.borrow().finished) {
+        let live = self.live.borrow();
+        let shareds = &live.nodes;
+        if shareds.iter().all(|s| s.borrow().finished) {
             return Step::Done;
         }
         if !self.primed {
@@ -393,9 +392,8 @@ impl Process for SplitDriver {
         // Floor confirmation: an epoch of node i advertised at wm is
         // merged everywhere once every peer's slot for i reaches wm.
         if let Some(fwd) = &self.fwd {
-            for node in 0..self.shareds.len() {
-                let min_peer_slot = self
-                    .shareds
+            for node in 0..shareds.len() {
+                let min_peer_slot = shareds
                     .iter()
                     .enumerate()
                     .filter(|(j, _)| *j != node)
@@ -409,7 +407,7 @@ impl Process for SplitDriver {
         // cumulative; re-merging into a held accumulator would double
         // count).
         let mut merged = HeatSketch::new(HEAT_CAPACITY);
-        for s in &self.shareds {
+        for s in shareds {
             if let Some(h) = s.borrow().ssb.heat_snapshot() {
                 merged.merge(h);
             }
@@ -426,13 +424,13 @@ impl Process for SplitDriver {
             // Ledger copies are deterministic: activation either succeeds
             // on every node or (gate/salt rejection) on none. Probe the
             // first copy so a rejected key leaves all copies untouched.
-            let Some(first) = self.shareds.first() else {
+            let Some(first) = shareds.first() else {
                 break;
             };
             if !first.borrow_mut().ssb.split_activate(gk) {
                 continue;
             }
-            for s in self.shareds.iter().skip(1) {
+            for s in shareds.iter().skip(1) {
                 let ok = s.borrow_mut().ssb.split_activate(gk);
                 debug_assert!(ok, "ledger copies must agree on activation");
             }
@@ -446,125 +444,85 @@ impl Process for SplitDriver {
     }
 }
 
-impl SlashCluster {
-    /// Run `plan` with hot-key splitting: every node carries a split
-    /// ledger and a heat sketch, a `SplitDriver` activates splits
-    /// (pre-configured and/or detected online), and — when
-    /// `scfg.forward` is set — split-key records are round-robined
-    /// across nodes through a [`ForwardFabric`].
-    ///
-    /// Results and final state are bit-exact against the unsplit
-    /// [`SlashCluster::run`] of the same inputs (the headline invariant;
-    /// the hotpath-bench `--zipf` sweep cross-checks it on every config).
-    ///
-    /// Restrictions: tumbling windows only (the sliding-window sibling
-    /// merge peeks canonical keys in live state, which a split would
-    /// bypass), and forwarding additionally requires one worker per node
-    /// (the floor custody chain tracks per-node epochs).
-    pub fn run_split(
-        plan: QueryPlan,
-        partitions: Vec<Rc<Vec<u8>>>,
-        cfg: RunConfig,
-        scfg: &SplitRunConfig,
-        obs: Obs,
-    ) -> (RunReport, SplitReport) {
+/// The hot-key-splitting director: at install it enables the ledger on
+/// every node, activates the pre-splits, wires the [`ForwardFabric`] when
+/// forwarding is on, and — when there is anything to sample (an online
+/// policy or forwarded epochs to confirm) — spawns the `SplitDriver`
+/// process. It needs no per-slice tick: the sampler's `sample_every`
+/// instants are simulation events of their own.
+///
+/// Results and final state are bit-exact against the unsplit
+/// [`SlashCluster::run`](crate::SlashCluster::run) of the same inputs
+/// (the headline invariant; the hotpath-bench `--zipf` sweep cross-checks
+/// it on every config).
+///
+/// Restrictions: tumbling windows only (the sliding-window sibling merge
+/// peeks canonical keys in live state, which a split would bypass), and
+/// forwarding additionally requires one worker per node (the floor
+/// custody chain tracks per-node epochs).
+pub(crate) struct HotSplitDirector {
+    scfg: SplitRunConfig,
+    fwd: Option<Rc<ForwardFabric>>,
+    report: Rc<RefCell<SplitReport>>,
+}
+
+impl HotSplitDirector {
+    pub(crate) fn new(scfg: SplitRunConfig) -> Self {
+        HotSplitDirector {
+            scfg,
+            fwd: None,
+            report: Rc::default(),
+        }
+    }
+}
+
+impl Director for HotSplitDirector {
+    fn install(&mut self, c: &mut Cluster) {
         assert_eq!(
-            partitions.len(),
-            cfg.nodes * cfg.workers_per_node,
-            "need one partition per worker"
-        );
-        assert_eq!(
-            plan.window().slices_per_window(),
+            c.plan.window().slices_per_window(),
             1,
             "hot-key splitting requires tumbling windows"
         );
-        if scfg.forward {
+        if self.scfg.forward {
             assert_eq!(
-                cfg.workers_per_node, 1,
+                c.cfg.workers_per_node, 1,
                 "record forwarding requires one worker per node"
             );
+            self.fwd = Some(Rc::new(ForwardFabric::new(c.cfg.nodes)));
         }
-        let mut sim = Sim::new();
-        let fabric = Fabric::new(cfg.fabric);
-        let node_ids = fabric.add_nodes(cfg.nodes);
-        let ssb_cfg = SsbConfig {
-            nodes: cfg.nodes,
-            epoch_bytes: cfg.epoch_bytes,
-            channel: cfg.channel,
-        };
-        let ssb_nodes =
-            build_cluster_obs(&fabric, &node_ids, plan.descriptor(), ssb_cfg, obs.clone());
-
-        let fwd = scfg
-            .forward
-            .then(|| Rc::new(ForwardFabric::new(cfg.nodes)));
-        let report = Rc::new(RefCell::new(SplitReport::default()));
-        let plan = Rc::new(plan);
-        let schema = plan.input().schema;
-        let mut shareds = Vec::with_capacity(cfg.nodes);
-        for (node, ssb) in ssb_nodes.into_iter().enumerate() {
-            let shared = Rc::new(RefCell::new(NodeShared::new(
-                ssb,
-                cfg.workers_per_node,
-                cfg.cost.mem_bandwidth,
-                cfg.collect_results,
-            )));
-            {
-                let mut sh = shared.borrow_mut();
-                sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-                if obs.is_enabled() {
-                    sh.instrument(obs.clone(), node);
+        for (node, shared) in c.live.borrow().nodes.iter().enumerate() {
+            let mut sh = shared.borrow_mut();
+            sh.ssb.split_enable();
+            for &gk in &self.scfg.pre_split {
+                if sh.ssb.split_activate(gk) && node == 0 {
+                    self.report.borrow_mut().splits.push((gk, SimTime::ZERO));
                 }
-                sh.ssb.split_enable();
-                for &gk in &scfg.pre_split {
-                    if sh.ssb.split_activate(gk) && node == 0 {
-                        report.borrow_mut().splits.push((gk, SimTime::ZERO));
-                    }
-                }
-                sh.fwd = fwd.clone();
             }
-            spawn_node_workers(&mut sim, node, &shared, &partitions, schema, &plan, &cfg, None);
-            shareds.push(shared);
+            sh.fwd = self.fwd.clone();
         }
-
-        let director: Box<dyn SplitDirector> = match scfg.auto {
+        if self.scfg.auto.is_none() && self.fwd.is_none() {
+            return; // pre-splits only: nothing to sample or confirm
+        }
+        let director: Box<dyn SplitDirector> = match self.scfg.auto {
             Some(policy) => Box::new(HeatSplitDirector::new(policy)),
             None => Box::new(StaticSplitDirector),
         };
-        sim.spawn(SplitDriver {
-            shareds: shareds.clone(),
-            fwd: fwd.clone(),
+        c.sim.spawn(SplitDriver {
+            live: Rc::clone(&c.live),
+            fwd: self.fwd.clone(),
             director,
-            sample_every: scfg.sample_every.max(SimTime::from_nanos(1)),
-            report: Rc::clone(&report),
+            sample_every: self.scfg.sample_every.max(SimTime::from_nanos(1)),
+            report: Rc::clone(&self.report),
             primed: false,
         });
+    }
 
-        loop {
-            if shareds.iter().all(|s| s.borrow().finished) {
-                break;
-            }
-            assert!(
-                sim.now() <= cfg.max_virtual_time,
-                "query did not complete within the virtual-time budget \
-                 (possible protocol livelock)"
-            );
-            assert!(
-                sim.pending_events() > 0,
-                "simulation quiesced before the query completed (deadlock)"
-            );
-            let horizon = sim.now() + SimTime::from_millis(10);
-            sim.run_until(horizon);
+    fn report(&mut self, _c: &Cluster, out: &mut Outcome) {
+        let mut report = self.report.borrow().clone();
+        if let Some(f) = &self.fwd {
+            (report.forwarded_records, report.forwarded_bytes) = f.forwarded();
         }
-        let completion_time = sim.now();
-        let run = assemble_report(&shareds, &fabric, &obs, completion_time);
-        let mut split_report = report.borrow().clone();
-        if let Some(f) = &fwd {
-            let (recs, bytes) = f.forwarded();
-            split_report.forwarded_records = recs;
-            split_report.forwarded_bytes = bytes;
-        }
-        (run, split_report)
+        out.split = report;
     }
 }
 
@@ -671,11 +629,9 @@ mod tests {
         assert!(d.tick(&hot).is_empty(), "no re-requests");
     }
 
-    use crate::agg::AggSpec;
-    use crate::query::StreamDef;
-    use crate::record::RecordSchema;
-    use crate::recovery::results_digest;
-    use crate::window::WindowAssigner;
+    use crate::sink::results_digest;
+    use crate::testutil::count_plan;
+    use crate::{RunConfig, RunReport, SlashCluster};
 
     /// `n` 16-byte records of (ts, key): ts += dt, keys zipf-ish skewed —
     /// every other record hits `hot_key`, the rest round-robin `keys`.
@@ -689,19 +645,21 @@ mod tests {
         Rc::new(buf)
     }
 
-    fn count_plan(window: u64) -> QueryPlan {
-        QueryPlan::Aggregate {
-            input: StreamDef::new(RecordSchema::plain(16)),
-            window: WindowAssigner::Tumbling { size: window },
-            agg: AggSpec::Count,
-        }
-    }
-
     fn exactness_config(nodes: usize) -> RunConfig {
         let mut cfg = RunConfig::new(nodes, 1);
         cfg.collect_results = true;
         cfg.epoch_bytes = 2048;
         cfg
+    }
+
+    fn run_split(
+        plan: crate::QueryPlan,
+        parts: Vec<Rc<Vec<u8>>>,
+        cfg: RunConfig,
+        scfg: &SplitRunConfig,
+    ) -> (RunReport, SplitReport) {
+        let out = SlashCluster::builder(plan, parts, cfg).split(scfg).run();
+        (out.run, out.split)
     }
 
     /// The headline invariant, state-plane only: pre-splitting a hot key
@@ -720,8 +678,7 @@ mod tests {
             auto: None,
             ..SplitRunConfig::default()
         };
-        let (split, rep) =
-            SlashCluster::run_split(count_plan(300), parts, cfg, &scfg, Obs::disabled());
+        let (split, rep) = run_split(count_plan(300), parts, cfg, &scfg);
         assert_eq!(rep.splits.len(), 2, "both pre-splits must activate");
         assert_eq!(rep.forwarded_records, 0, "forwarding was off");
         assert_eq!(split.records, plain.records);
@@ -755,8 +712,7 @@ mod tests {
             forward: true,
             ..SplitRunConfig::default()
         };
-        let (split, rep) =
-            SlashCluster::run_split(count_plan(400), parts, cfg, &scfg, Obs::disabled());
+        let (split, rep) = run_split(count_plan(400), parts, cfg, &scfg);
         assert!(
             rep.forwarded_records > 0,
             "a pre-split hot key must actually forward records"
@@ -789,8 +745,7 @@ mod tests {
             sample_every: SimTime::from_micros(2),
             ..SplitRunConfig::default()
         };
-        let (split, rep) =
-            SlashCluster::run_split(count_plan(600), parts, cfg, &scfg, Obs::disabled());
+        let (split, rep) = run_split(count_plan(600), parts, cfg, &scfg);
         assert!(
             rep.splits.iter().any(|&(k, at)| k == 7 && at > SimTime::ZERO),
             "director must detect key 7 online; got {:?}",

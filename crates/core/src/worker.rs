@@ -66,7 +66,8 @@ pub struct NodeShared {
     /// Shared memory-bandwidth link. Behind an `Rc` so co-located
     /// partitions (elastic runs packing several logical nodes onto one
     /// physical host) genuinely contend for one host's bandwidth — and
-    /// migrating a partition to its own host genuinely frees it.
+    /// migrating a partition to its own host genuinely frees it. Private
+    /// to the node unless the rescale director installed per-host links.
     pub mem: Rc<RefCell<Link>>,
     /// Per-worker high-water event times (node watermark = min).
     pub worker_wm: Vec<u64>,
@@ -76,17 +77,20 @@ pub struct NodeShared {
     pub worker_pos: Vec<usize>,
     /// Set by the trigger worker once the distributed query is complete.
     pub finished: bool,
-    /// Set by the chaos driver when this node's process is killed; every
-    /// worker observes it at its next step and terminates.
+    /// Set when the port hosting this node dies — at the fault instant by
+    /// the fault-tolerance director's armed plan, or by its dead-port
+    /// sweep; every worker observes it at its next step and terminates.
+    /// Never set on runs without that director.
     pub crashed: bool,
-    /// Set by the elastic driver at a planned-handoff cutover: workers
+    /// Set by the rescale director at a planned-handoff cutover: workers
     /// stop cleanly at their next step (no batch is half-applied, state
     /// mutations happen synchronously inside a step), so the checkpoint
-    /// the driver captures right after setting this flag is exact.
+    /// the director captures right after setting this flag is exact.
     pub halted: bool,
-    /// Fault-tolerance hooks (checkpoint store); `None` outside
-    /// [`crate::SlashCluster::run_chaos`] runs so the fault-free fast
-    /// path stays untouched.
+    /// Fault-tolerance hook (checkpoint store), installed by the
+    /// fault-tolerance director ([`crate::ClusterBuilder::chaos`]) and
+    /// inherited by a replacement node; `None` otherwise, so the
+    /// fault-free fast path stays untouched.
     pub(crate) ft: Option<crate::recovery::FtState>,
     /// Virtual time when this node consumed its last source record.
     pub last_ingest: SimTime,
@@ -96,9 +100,10 @@ pub struct NodeShared {
     pub obs: Obs,
     /// Metric label for this node (e.g. `node3`).
     pub obs_label: String,
-    /// Record-forwarding plane for hot-key splitting; `None` outside
-    /// [`crate::SlashCluster::run_split`] runs with forwarding enabled,
-    /// so the ordinary ingest path stays untouched.
+    /// Record-forwarding plane for hot-key splitting, wired by the split
+    /// director ([`crate::ClusterBuilder::split`]) when
+    /// `SplitRunConfig::forward` is set; `None` otherwise, so the ordinary
+    /// ingest path stays untouched.
     pub fwd: Option<Rc<crate::split::ForwardFabric>>,
 }
 

@@ -37,7 +37,7 @@ pub mod threaded;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use slash_core::{QueryPlan, RunConfig, RunReport, SinkResult, SlashCluster};
+use slash_core::{QueryPlan, RunConfig, RunReport, SlashCluster};
 use slash_obs::Obs;
 
 pub use threaded::ThreadBackend;
@@ -109,37 +109,9 @@ impl Scheduler for SimBackend {
     }
 }
 
-/// Order-independent digest of a result multiset. Backends emit results
-/// in different orders (per-node sinks drain on independent clocks), so
-/// cross-backend comparison sorts first; `f64` values compare by bit
-/// pattern, which is exact because both backends compute them with the
-/// same operations in the same per-key order.
-pub fn results_fingerprint(results: &[SinkResult]) -> u64 {
-    let mut rows: Vec<(u64, u64, u64, u64)> = results
-        .iter()
-        .map(|r| match r {
-            SinkResult::Agg {
-                window_id,
-                key,
-                value,
-            } => (0u64, *window_id, *key, value.to_bits()),
-            SinkResult::Join {
-                window_id,
-                key,
-                pairs,
-            } => (1u64, *window_id, *key, *pairs),
-        })
-        .collect();
-    rows.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (tag, w, k, v) in rows {
-        for part in [tag, w, k, v] {
-            h ^= part;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
+/// Order-independent digest of a result multiset, for cross-backend
+/// comparison: the single implementation lives in `slash-core`.
+pub use slash_core::results_digest as results_fingerprint;
 
 #[cfg(test)]
 mod tests {
@@ -185,33 +157,6 @@ mod tests {
         assert_eq!(
             results_fingerprint(&via_trait.results),
             results_fingerprint(&direct.results)
-        );
-    }
-
-    #[test]
-    fn fingerprint_is_order_independent_but_value_sensitive() {
-        let a = SinkResult::Agg {
-            window_id: 1,
-            key: 2,
-            value: 3.0,
-        };
-        let b = SinkResult::Join {
-            window_id: 1,
-            key: 2,
-            pairs: 9,
-        };
-        assert_eq!(
-            results_fingerprint(&[a.clone(), b.clone()]),
-            results_fingerprint(&[b.clone(), a.clone()])
-        );
-        let c = SinkResult::Agg {
-            window_id: 1,
-            key: 2,
-            value: 4.0,
-        };
-        assert_ne!(
-            results_fingerprint(&[a, b.clone()]),
-            results_fingerprint(&[c, b])
         );
     }
 }

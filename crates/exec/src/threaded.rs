@@ -30,13 +30,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use slash_core::{
-    spawn_node_workers, EngineMetrics, NodeShared, RunReport, SinkResult,
-};
+use slash_core::{boot_node, publish_node_counters, spawn_node_workers, RunReport};
 use slash_desim::{Sim, SimTime};
 use slash_net::spsc::{spsc_channel, SpscReceiver, SpscSender};
 use slash_obs::{MetricsRegistry, Obs};
-use slash_state::backend::{SsbConfig, SsbNode};
+use slash_state::backend::SsbNode;
 use slash_state::{DeltaReceiver, DeltaSender};
 
 use crate::{JobSpec, Scheduler};
@@ -64,20 +62,18 @@ const OBS_RING: usize = 4096;
 /// once.
 const HORIZON: SimTime = SimTime::from_micros(100);
 
-/// What one node thread sends back when its node completes. Everything
-/// here is plain data (`Send`); the `Rc`-laden engine structures never
-/// leave their thread.
+/// Hang watchdog: a node thread panics (tearing the run down loudly) if
+/// its node has made no progress toward completion for this long in real
+/// time. Generous — the protocol owes liveness, the watchdog only converts
+/// a deadlock into a diagnosable failure instead of a silent hang.
+const WATCHDOG: Duration = Duration::from_secs(300);
+
+/// What one node thread sends back when its node completes: the node's
+/// own single-node [`RunReport`] and its private metric registry.
+/// Everything here is plain data (`Send`); the `Rc`-laden engine
+/// structures never leave their thread.
 struct NodeReport {
-    node: usize,
-    records: u64,
-    last_ingest: SimTime,
-    completion: SimTime,
-    emitted: u64,
-    total_pairs: u64,
-    results: Vec<SinkResult>,
-    metrics: EngineMetrics,
-    state_digest: u64,
-    tx_bytes: u64,
+    report: RunReport,
     registry: Option<MetricsRegistry>,
 }
 
@@ -86,28 +82,13 @@ struct NodeReport {
 /// OS scheduler — with one runnable thread per core and no blocking,
 /// threads settle on distinct cores; the workspace builds with no
 /// affinity syscall dependency).
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadBackend {
-    /// Hang watchdog: a node thread panics (tearing the run down
-    /// loudly) if its node has made no progress toward completion for
-    /// this long in real time. Generous by default — the protocol owes
-    /// liveness, the watchdog only converts a deadlock into a
-    /// diagnosable failure instead of a silent hang.
-    pub watchdog: Duration,
-}
-
-impl Default for ThreadBackend {
-    fn default() -> Self {
-        ThreadBackend {
-            watchdog: Duration::from_secs(300),
-        }
-    }
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ThreadBackend;
 
 impl ThreadBackend {
-    /// A backend with the default watchdog.
+    /// The thread-per-core backend.
     pub fn new() -> Self {
-        Self::default()
+        ThreadBackend
     }
 }
 
@@ -121,7 +102,6 @@ impl Scheduler for ThreadBackend {
         );
         let n = cfg.nodes;
         let obs_on = obs.is_enabled();
-        let watchdog = self.watchdog;
 
         // Wire the full mesh of directed SPSC links up front:
         // `senders[i][j]` carries node i's deltas toward leader j.
@@ -162,31 +142,36 @@ impl Scheduler for ThreadBackend {
                 std::thread::Builder::new()
                     .name(format!("slash-node{node}"))
                     .spawn(move || {
-                        drive_node(
-                            node, cfg, factory, own_parts, tx_row, rx_row, obs_on, watchdog,
-                        )
+                        drive_node(node, cfg, factory, own_parts, tx_row, rx_row, obs_on)
                     })
                     .unwrap_or_else(|e| panic!("spawning node thread {node}: {e}")),
             );
         }
 
-        let mut reports: Vec<NodeReport> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(node, h)| {
-                h.join()
-                    .unwrap_or_else(|_| panic!("node thread {node} panicked"))
-            })
-            .collect();
-        reports.sort_by_key(|r| r.node);
-        assemble(reports, &obs)
+        // Fold per-node reports, in node order, into the same `RunReport`
+        // shape the simulator produces. Virtual times are per-node maxima
+        // (each node has its own clock); byte counts come from the SPSC
+        // links instead of the fabric.
+        let mut report = RunReport::default();
+        for (node, h) in handles.into_iter().enumerate() {
+            let r = h
+                .join()
+                .unwrap_or_else(|_| panic!("node thread {node} panicked"));
+            report.merge(r.report);
+            if let Some(reg) = &r.registry {
+                obs.absorb_registry(reg);
+            }
+        }
+        if obs.is_enabled() {
+            obs.counter_add("net_tx_bytes", "fabric", report.net_tx_bytes);
+        }
+        report
     }
 }
 
 /// Body of one node thread: build the node's private engine stack, drive
 /// its simulator until the completion protocol fires, ship back a
 /// [`NodeReport`].
-#[allow(clippy::too_many_arguments)]
 fn drive_node(
     node: usize,
     cfg: slash_core::RunConfig,
@@ -195,16 +180,9 @@ fn drive_node(
     tx_row: Vec<Option<SpscSender>>,
     rx_row: Vec<(usize, SpscReceiver)>,
     obs_on: bool,
-    watchdog: Duration,
 ) -> NodeReport {
     let plan = Rc::new((factory)());
-    let schema = plan.input().schema;
-    let ssb_cfg = SsbConfig {
-        nodes: cfg.nodes,
-        epoch_bytes: cfg.epoch_bytes,
-        channel: cfg.channel,
-    };
-    let mut ssb = SsbNode::detached(node, plan.descriptor(), ssb_cfg);
+    let mut ssb = SsbNode::detached(node, plan.descriptor(), cfg.ssb_config());
     for (leader, tx) in tx_row.into_iter().enumerate() {
         if let Some(tx) = tx {
             ssb.replace_sender(leader, DeltaSender::over_spsc(tx));
@@ -219,29 +197,10 @@ fn drive_node(
     } else {
         Obs::disabled()
     };
-    let shared = Rc::new(RefCell::new(NodeShared::new(
-        ssb,
-        cfg.workers_per_node,
-        cfg.cost.mem_bandwidth,
-        cfg.collect_results,
-    )));
-    {
-        let mut sh = shared.borrow_mut();
-        sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-        if obs.is_enabled() {
-            sh.instrument(obs.clone(), node);
-        }
-    }
-
-    // `spawn_node_workers` indexes partitions node-major across the whole
-    // cluster; pad the prefix so this node's slots land where it looks.
-    let mut padded: Vec<Rc<Vec<u8>>> = (0..node * cfg.workers_per_node)
-        .map(|_| Rc::new(Vec::new()))
-        .collect();
-    padded.extend(own_parts.into_iter().map(Rc::new));
-
+    let shared = Rc::new(RefCell::new(boot_node(ssb, node, &cfg, &obs)));
+    let own_parts: Vec<Rc<Vec<u8>>> = own_parts.into_iter().map(Rc::new).collect();
     let mut sim = Sim::new();
-    spawn_node_workers(&mut sim, node, &shared, &padded, schema, &plan, &cfg, None);
+    spawn_node_workers(&mut sim, node, &shared, &own_parts, &plan, &cfg, None);
 
     // Drive until the trigger worker observes cluster-wide completion.
     // No virtual-time budget here: a node waiting on a peer *thread*
@@ -265,8 +224,8 @@ fn drive_node(
             "node {node} quiesced before completing (worker wiring bug)"
         );
         assert!(
-            last_progress.elapsed() < watchdog,
-            "node {node} made no progress for {watchdog:?} — \
+            last_progress.elapsed() < WATCHDOG,
+            "node {node} made no progress for {WATCHDOG:?} — \
              completion protocol deadlock or a stuck peer thread"
         );
         let horizon = sim.now() + HORIZON;
@@ -276,69 +235,16 @@ fn drive_node(
         // core lets peers flush the epochs this node is waiting for.
         std::thread::yield_now();
     }
-    let completion = sim.now();
-
     let sh = shared.borrow();
-    if obs.is_enabled() {
-        let label = format!("node{node}");
-        obs.counter_add("records", &label, sh.records);
-        obs.counter_add("instructions", &label, sh.metrics.instructions);
-        obs.counter_add("mem_bytes", &label, sh.metrics.mem_bytes);
-        obs.counter_add("combiner_folds", &label, sh.metrics.combiner_folds);
-        obs.counter_add("combiner_flushes", &label, sh.metrics.combiner_flushes);
-        obs.counter_add("state_updates", &label, sh.metrics.state_updates);
-        obs.gauge_set("ipc", &label, sh.metrics.ipc());
-        sh.ssb.publish_obs();
-    }
+    publish_node_counters(&obs, node, &sh);
+    let mut report = RunReport {
+        completion_time: sim.now(),
+        net_tx_bytes: sh.ssb.tx_payload_bytes(),
+        ..RunReport::default()
+    };
+    report.absorb_node(&sh);
     NodeReport {
-        node,
-        records: sh.records,
-        last_ingest: sh.last_ingest,
-        completion,
-        emitted: sh.sink.emitted,
-        total_pairs: sh.sink.total_pairs,
-        results: sh.sink.results.clone(),
-        metrics: sh.metrics.clone(),
-        state_digest: sh.ssb.state_digest(),
-        tx_bytes: sh.ssb.tx_payload_bytes(),
+        report,
         registry: obs.registry_snapshot(),
     }
-}
-
-/// Fold per-node reports into the same [`RunReport`] shape the simulator
-/// produces. Virtual times are per-node maxima (each node has its own
-/// clock); byte counts come from the SPSC links instead of the fabric.
-fn assemble(reports: Vec<NodeReport>, obs: &Obs) -> RunReport {
-    let mut report = RunReport {
-        records: 0,
-        processing_time: SimTime::ZERO,
-        completion_time: SimTime::ZERO,
-        emitted: 0,
-        total_pairs: 0,
-        results: Vec::new(),
-        metrics: EngineMetrics::default(),
-        per_node: Vec::new(),
-        state_digests: Vec::new(),
-        net_tx_bytes: 0,
-    };
-    for r in reports {
-        report.records += r.records;
-        report.processing_time = report.processing_time.max(r.last_ingest);
-        report.completion_time = report.completion_time.max(r.completion);
-        report.emitted += r.emitted;
-        report.total_pairs += r.total_pairs;
-        report.results.extend(r.results);
-        report.metrics.absorb(&r.metrics);
-        report.per_node.push(r.metrics);
-        report.state_digests.push(r.state_digest);
-        report.net_tx_bytes += r.tx_bytes;
-        if let Some(reg) = &r.registry {
-            obs.absorb_registry(reg);
-        }
-    }
-    if obs.is_enabled() {
-        obs.counter_add("net_tx_bytes", "fabric", report.net_tx_bytes);
-    }
-    report.metrics.set_records(report.records);
-    report
 }

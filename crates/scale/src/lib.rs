@@ -113,7 +113,7 @@ pub enum Decision {
 
 /// The utilization-hysteresis controller. Create with
 /// [`ScaleController::new`], hand to
-/// [`slash_core::SlashCluster::run_elastic`] as the director.
+/// [`slash_core::ClusterBuilder::elastic`] as the director.
 #[derive(Debug)]
 pub struct ScaleController {
     cfg: ControllerConfig,

@@ -10,11 +10,10 @@ use slash_chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash_core::source::RateCurve;
 use slash_core::window::WindowAssigner;
 use slash_core::{
-    AggSpec, ElasticConfig, QueryPlan, RecordSchema, RunConfig, SlashCluster, StaticDirector,
-    StreamDef,
+    AggSpec, ElasticConfig, QueryPlan, RecordSchema, RecoveryReport, RescaleReport, RunConfig,
+    RunReport, ScaleDirector, SlashCluster, StaticDirector, StreamDef,
 };
 use slash_desim::SimTime;
-use slash_obs::Obs;
 use slash_scale::{ControllerConfig, Decision, ScaleController};
 
 fn gen(n: u64, keys: u64) -> Rc<Vec<u8>> {
@@ -57,21 +56,26 @@ fn parts(nodes: usize) -> Vec<Rc<Vec<u8>>> {
     (0..nodes).map(|_| gen(150_000, 32)).collect()
 }
 
+const NODES: usize = 4;
+const PACKED: usize = 2;
+
+/// One packed elastic run of the shared input under `director`.
+fn run_elastic(
+    cfg: RunConfig,
+    director: &mut dyn ScaleDirector,
+) -> (RunReport, RecoveryReport, RescaleReport) {
+    let out = SlashCluster::builder(count_plan(), parts(NODES), cfg)
+        .chaos(&chaos())
+        .elastic(&ElasticConfig::packed(NODES, PACKED), director)
+        .run();
+    (out.run, out.recovery, out.rescale)
+}
+
 #[test]
 fn controller_scales_out_under_diurnal_load_exactly() {
-    const NODES: usize = 4;
-    const PACKED: usize = 2;
 
     // Probe: unpaced packed run calibrates the per-host service rate.
-    let (probe, _, _) = SlashCluster::run_elastic(
-        count_plan(),
-        parts(NODES),
-        cfg(NODES),
-        &chaos(),
-        &ElasticConfig::packed(NODES, PACKED),
-        &mut StaticDirector,
-        Obs::disabled(),
-    );
+    let (probe, _, _) = run_elastic(cfg(NODES), &mut StaticDirector);
     let cluster_rps =
         probe.records as f64 * 1.0e9 / probe.completion_time.as_nanos() as f64;
     let host_rps = cluster_rps / PACKED as f64;
@@ -88,30 +92,14 @@ fn controller_scales_out_under_diurnal_load_exactly() {
 
     // Static reference: same curve, no controller — the exactness and
     // completion-time baseline.
-    let (base, base_rec, base_rescale) = SlashCluster::run_elastic(
-        count_plan(),
-        parts(NODES),
-        paced_cfg,
-        &chaos(),
-        &ElasticConfig::packed(NODES, PACKED),
-        &mut StaticDirector,
-        Obs::disabled(),
-    );
+    let (base, base_rec, base_rescale) = run_elastic(paced_cfg, &mut StaticDirector);
     assert!(base_rescale.migrations.is_empty());
 
     let mut ctl_cfg = ControllerConfig::new(PACKED, NODES, host_rps);
     ctl_cfg.cooldown = SimTime::from_micros(200);
     ctl_cfg.backlog_high = 20_000;
     let mut controller = ScaleController::new(ctl_cfg);
-    let (run, rec, rescale) = SlashCluster::run_elastic(
-        count_plan(),
-        parts(NODES),
-        paced_cfg,
-        &chaos(),
-        &ElasticConfig::packed(NODES, PACKED),
-        &mut controller,
-        Obs::disabled(),
-    );
+    let (run, rec, rescale) = run_elastic(paced_cfg, &mut controller);
 
     // The surge must have forced a spread onto parked hosts...
     assert!(

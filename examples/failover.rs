@@ -45,7 +45,11 @@ fn run(plan: &FaultPlan, obs: Obs) -> (RunReport, RecoveryReport) {
         },
         pre_split: Vec::new(),
     };
-    SlashCluster::run_chaos(w.plan, w.partitions, cfg, &chaos, obs)
+    let out = SlashCluster::builder(w.plan, w.partitions, cfg)
+        .chaos(&chaos)
+        .obs(obs)
+        .run();
+    (out.run, out.recovery)
 }
 
 fn main() {

@@ -57,15 +57,12 @@ fn run(
         },
         pre_split: Vec::new(),
     };
-    SlashCluster::run_elastic(
-        w.plan,
-        w.partitions,
-        cfg,
-        &chaos,
-        &ElasticConfig::packed(PARTITIONS, PACKED_HOSTS),
-        director,
-        obs,
-    )
+    let out = SlashCluster::builder(w.plan, w.partitions, cfg)
+        .chaos(&chaos)
+        .elastic(&ElasticConfig::packed(PARTITIONS, PACKED_HOSTS), director)
+        .obs(obs)
+        .run();
+    (out.run, out.recovery, out.rescale)
 }
 
 fn main() {

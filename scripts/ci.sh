@@ -5,29 +5,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/16] build (release, all targets)"
+echo "==> [1/15] build (release, all targets)"
 cargo build --release --workspace
 
-echo "==> [2/16] tests (unit + integration + fixtures + mutations)"
+echo "==> [2/15] tests (unit + integration + fixtures + mutations)"
 cargo test --workspace -q
 
-echo "==> [3/16] clippy (all targets, warnings are errors)"
+echo "==> [3/15] clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> [4/16] rustdoc (workspace docs, broken intra-doc links are errors)"
+echo "==> [4/15] rustdoc (workspace docs, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --quiet
 
-echo "==> [5/16] slash-lint (custom static analysis, burn-down allowlist)"
+echo "==> [5/15] slash-lint (custom static analysis, burn-down allowlist)"
 cargo run --release -p slash-verify --bin slash-lint
 
-echo "==> [6/16] slash-race (schedule exploration smoke: 128 tie-breaks)"
+echo "==> [6/15] slash-race (schedule exploration smoke: 128 tie-breaks)"
 # Sweeps all ten families, including the hot-split-recovery and
 # hot-split-handoff families (salted sub-key traffic interleaved with a
 # crash or planned cutover; convergence checks the canonical-plus-
 # sub-keys fold against the unsalted oracle).
 cargo run --release -p slash-verify --bin slash-race -- --seeds 128
 
-echo "==> [7/16] flight recorder (planted bug must be caught and dumped)"
+echo "==> [7/15] flight recorder (planted bug must be caught and dumped)"
 # Each planted-bug dump must carry the registry snapshot (counters,
 # gauges, histograms at failure time), not just the event ring.
 flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation ignore-credit-window)"
@@ -36,7 +36,7 @@ flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation
 grep -q "registry snapshot" <<<"$flight_out"
 echo "flight recorder: both planted bugs caught, dumps include registry snapshots"
 
-echo "==> [8/16] traced example (deterministic trace, validated JSON)"
+echo "==> [8/15] traced example (deterministic trace, validated JSON)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 SLASH_TRACE_OUT="$trace_dir/a.json" cargo run --release --example ysb_pipeline >/dev/null
@@ -45,17 +45,17 @@ cmp "$trace_dir/a.json" "$trace_dir/b.json"
 echo "trace: two same-seed runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/a.json"
 
-echo "==> [9/16] chaos suite (every fault type recovers to the no-fault state)"
+echo "==> [9/15] chaos suite (every fault type recovers to the no-fault state)"
 cargo run --release --bin chaos-suite
 
-echo "==> [10/16] recovery golden trace (failover example, byte-identical + validated)"
+echo "==> [10/15] recovery golden trace (failover example, byte-identical + validated)"
 SLASH_TRACE_OUT="$trace_dir/f_a.json" cargo run --release --example failover >/dev/null
 SLASH_TRACE_OUT="$trace_dir/f_b.json" cargo run --release --example failover >/dev/null
 cmp "$trace_dir/f_a.json" "$trace_dir/f_b.json"
 echo "recovery trace: two same-seed chaos runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/f_a.json"
 
-echo "==> [11/16] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
+echo "==> [11/15] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
 # Writes BENCH_hotpath.json and exits non-zero if the combiner-on hot
 # loop is below 1.3x the per-record path on ysb_hot, or if any
 # workload's on/off state digests diverge. --zipf adds the skew sweep:
@@ -64,15 +64,7 @@ echo "==> [11/16] hot-path perf smoke (wall-clock combiner gate + zipf split swe
 # swept config must be bit-exact (results + state digests) vs unsplit.
 cargo run --release -p slash-bench --bin hotpath-bench -- --quick --zipf --out BENCH_hotpath.json
 
-echo "==> [12/16] cascading-fault matrix (compound faults converge exactly, golden traces)"
-# Release-mode run of the compound-fault tests: concurrent crashes,
-# buddy-dead re-selection, crash-during-recovery re-entrancy, wpn=2
-# promotion, and the same-seed byte-identical cascade trace. (Stage 9's
-# chaos-suite run covers the same matrix as a binary gate; this stage adds
-# the trace-level golden assertions.)
-cargo test --release --test chaos -q
-
-echo "==> [13/16] exhaustive model checker (bounded DFS over same-instant schedules)"
+echo "==> [12/15] exhaustive model checker (bounded DFS over same-instant schedules)"
 # Enumerates every distinct same-instant schedule of the 2-node
 # FIFO/credit scenario (literal, dedup-free pass must drain the frontier
 # with zero pruning) plus the single-crash recovery, single-handoff
@@ -93,7 +85,7 @@ cargo run --release -p slash-verify --bin slash-race -- \
     --exhaustive --minimize --mutation reorder-delivered >/dev/null
 echo "exhaustive: both planted mutants caught and minimized"
 
-echo "==> [14/16] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"
+echo "==> [13/15] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"
 # Deterministic latency bench: fixed-seed ysb/nb7 under the simulator,
 # per-stage histograms (source, channel_transit, ssb_apply, window_close,
 # epoch_merge, result_emit) plus end-to-end. The gate fails on any
@@ -116,7 +108,7 @@ grep -q "flight-recorder dump" <<<"$plant_out"
 grep -q "registry snapshot" <<<"$plant_out"
 echo "latency: planted 10x ssb_apply regression caught with flight dump"
 
-echo "==> [15/16] elastic rescale gate (diurnal bench, golden trace, handoff races)"
+echo "==> [14/15] elastic rescale gate (diurnal bench, golden trace, handoff races)"
 # The diurnal 4->8->4 scale-out-and-back bench: zero lost records, results
 # and state digests bit-exact vs a static run of the same curve, zero
 # aborted migrations, full spread at peak, full pack-in at the end, and
@@ -134,13 +126,12 @@ cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/r_a.j
 # and handoff-vs-crash interleavings vs all six invariants.
 cargo run --release -p slash-verify --bin slash-race -- --scenario handoff --seeds 128
 
-echo "==> [16/16] thread-per-core backend (sim-vs-threaded digest smoke + clippy)"
+echo "==> [15/15] thread-per-core backend (sim-vs-threaded digest smoke)"
 # The threaded runtime makes no schedule-determinism promises, but final
 # state must be bit-identical to the deterministic simulator for the same
 # seed and workload. Release-mode run of the equivalence suite (2 seeds x
 # 2 workloads plus threaded self-consistency and the concurrent-obs merge
-# stress), then clippy over the executor crate on its own.
+# stress).
 cargo test --release -p slash-exec -q
-cargo clippy -p slash-exec --all-targets -- -D warnings
 
 echo "ci: all gates green"

@@ -23,7 +23,6 @@ use std::process::ExitCode;
 use slash::chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash::core::{RecoveryAction, RecoveryReport, RunConfig, RunReport, SlashCluster};
 use slash::desim::SimTime;
-use slash::obs::Obs;
 use slash::workloads::{ysb, GenConfig};
 
 const NODES: usize = 3;
@@ -50,7 +49,10 @@ fn run_with(
         },
         pre_split: Vec::new(),
     };
-    SlashCluster::run_chaos(w.plan, w.partitions, cfg, &chaos, Obs::disabled())
+    let out = SlashCluster::builder(w.plan, w.partitions, cfg)
+        .chaos(&chaos)
+        .run();
+    (out.run, out.recovery)
 }
 
 fn run(plan: &FaultPlan) -> (RunReport, RecoveryReport) {

@@ -45,13 +45,11 @@ fn chaos_run_cfg(
     obs: Obs,
 ) -> (RunReport, RecoveryReport) {
     let w = ysb(&GenConfig::new(nodes * workers_per_node, 20_000));
-    SlashCluster::run_chaos(
-        w.plan,
-        w.partitions,
-        run_config_n(nodes, workers_per_node),
-        chaos,
-        obs,
-    )
+    let out = SlashCluster::builder(w.plan, w.partitions, run_config_n(nodes, workers_per_node))
+        .chaos(chaos)
+        .obs(obs)
+        .run();
+    (out.run, out.recovery)
 }
 
 fn chaos_run(plan: &FaultPlan, obs: Obs) -> (RunReport, RecoveryReport) {
@@ -308,15 +306,11 @@ fn elastic_run(
 ) -> (RunReport, RecoveryReport, RescaleReport) {
     let w = ysb(&GenConfig::new(nodes, 60_000));
     let mut director = ScriptedDirector::new(script);
-    SlashCluster::run_elastic(
-        w.plan,
-        w.partitions,
-        run_config_n(nodes, 1),
-        &chaos_config(plan),
-        &ElasticConfig::packed(nodes, hosts),
-        &mut director,
-        Obs::disabled(),
-    )
+    let out = SlashCluster::builder(w.plan, w.partitions, run_config_n(nodes, 1))
+        .chaos(&chaos_config(plan))
+        .elastic(&ElasticConfig::packed(nodes, hosts), &mut director)
+        .run();
+    (out.run, out.recovery, out.rescale)
 }
 
 /// The migration target dies mid-handoff. The plan must abort (or fall

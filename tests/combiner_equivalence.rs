@@ -13,7 +13,6 @@
 use slash::chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash::core::{RunConfig, RunReport, SinkResult, SlashCluster};
 use slash::desim::SimTime;
-use slash::obs::Obs;
 use slash::workloads::{cm, nb11, nb7, nb8, ysb, ysb_hot, GenConfig, Workload};
 
 const NODES: usize = 2;
@@ -140,7 +139,10 @@ fn chaos_crash_recovery_is_combiner_invariant() {
             },
             pre_split: Vec::new(),
         };
-        SlashCluster::run_chaos(w.plan, w.partitions, cfg, &chaos_cfg, Obs::disabled())
+        let out = SlashCluster::builder(w.plan, w.partitions, cfg)
+            .chaos(&chaos_cfg)
+            .run();
+        (out.run, out.recovery)
     };
     let (report_on, rec_on) = chaos(true);
     let (report_off, rec_off) = chaos(false);
