@@ -62,11 +62,11 @@ use std::rc::Rc;
 
 use slash_chaos::{ChaosConfig, FaultKind, Injector};
 use slash_desim::SimTime;
-use slash_net::{create_channel, RECONNECT_HANDSHAKE_MSGS};
+use slash_net::RECONNECT_HANDSHAKE_MSGS;
 use slash_obs::{Cat, Obs};
 use slash_rdma::{Fabric, NodeId};
 use slash_state::backend::SsbNode;
-use slash_state::{chunks_digest, DeltaReceiver, DeltaSender, RetainedEpoch};
+use slash_state::{chunks_digest, rejoin, relink, Rejoin, SsbCheckpoint};
 
 use crate::cluster::{boot_node, spawn_node_workers};
 use crate::driver::{Cluster, Director, Outcome};
@@ -76,17 +76,9 @@ use crate::worker::NodeShared;
 /// Everything a node needs to be resurrected at an epoch boundary.
 #[derive(Debug, Clone)]
 pub(crate) struct Checkpoint {
-    /// Epochs this node had closed (fragment epoch high-water mark).
-    epochs_closed: u64,
-    /// Primary partition snapshot (delta-format chunks).
-    snapshot: Vec<Vec<u8>>,
-    /// Vector clock at the epoch boundary.
-    vclock: Vec<u64>,
-    /// Per-helper commit horizon: epochs `< receiver_next[h]` from helper
-    /// `h` are merged into [`Self::snapshot`].
-    receiver_next: Vec<u64>,
-    /// Per-leader retained epochs, replayable verbatim.
-    retained: Vec<Vec<RetainedEpoch>>,
+    /// The state backend's half: snapshot, vector clock, commit horizons
+    /// and retained epochs, all from the same boundary.
+    ssb: SsbCheckpoint,
     /// Per-worker source byte positions at the boundary.
     worker_pos: Vec<usize>,
     /// Per-worker watermarks.
@@ -95,27 +87,16 @@ pub(crate) struct Checkpoint {
     records: u64,
     /// Sink contents (already-emitted results survive the crash).
     sink: Sink,
-    /// Content digest of [`Self::snapshot`] at capture time; recovery
-    /// verifies the copy it restores against it (checksum stand-in).
-    digest: u64,
 }
 
 impl Checkpoint {
     /// Epoch boundary this checkpoint captures (fragment high-water mark).
     pub(crate) fn epochs_closed(&self) -> u64 {
-        self.epochs_closed
+        self.ssb.epochs_closed
     }
 
     pub(crate) fn payload_bytes(&self) -> u64 {
-        let snap: usize = self.snapshot.iter().map(Vec::len).sum();
-        let retained: usize = self
-            .retained
-            .iter()
-            .flatten()
-            .flat_map(|r| r.chunks.iter())
-            .map(Vec::len)
-            .sum();
-        (snap + retained) as u64 + 256
+        self.ssb.payload_bytes() + 256
     }
 }
 
@@ -174,7 +155,7 @@ impl CkptSlot {
     /// Epoch horizon peers may treat as durable: the newest copy's
     /// boundary.
     fn durable_horizon(&self) -> u64 {
-        self.newest_copy().map_or(0, |c| c.ckpt.epochs_closed)
+        self.newest_copy().map_or(0, |c| c.ckpt.epochs_closed())
     }
 
     /// Highest epoch helper `l` may prune its retained deltas below: the
@@ -185,7 +166,7 @@ impl CkptSlot {
     fn prune_floor(&self, l: usize) -> u64 {
         self.copies
             .iter()
-            .map(|c| c.ckpt.receiver_next.get(l).copied().unwrap_or(0))
+            .map(|c| c.ckpt.ssb.receiver_next.get(l).copied().unwrap_or(0))
             .min()
             .unwrap_or(0)
     }
@@ -209,7 +190,7 @@ impl CkptSlot {
         let covered = self
             .copies
             .iter()
-            .any(|c| c.holder_port.is_some() && c.ckpt.epochs_closed >= boundary);
+            .any(|c| c.holder_port.is_some() && c.ckpt.epochs_closed() >= boundary);
         if !covered {
             return false;
         }
@@ -327,27 +308,14 @@ impl FtState {
 /// checkpoint of this node at the fresh epoch boundary.
 pub(crate) fn on_epoch_closed(sh: &mut NodeShared) {
     let Some(ft) = sh.ft.as_ref() else { return };
-    let n = ft.store.borrow().len();
-    let node = ft.node;
-    let ssb = &sh.ssb;
-    let snapshot = ssb.snapshot_primary(ft.max_chunk);
     let ckpt = Checkpoint {
-        epochs_closed: ssb.epochs_closed(),
-        digest: chunks_digest(&snapshot),
-        snapshot,
-        vclock: ssb.vclock().snapshot(),
-        receiver_next: (0..n)
-            .map(|h| if h == node { 0 } else { ssb.receiver_next_epoch(h) })
-            .collect(),
-        retained: (0..n)
-            .map(|l| ssb.retained_for(l).map(<[_]>::to_vec).unwrap_or_default())
-            .collect(),
+        ssb: sh.ssb.checkpoint(ft.max_chunk),
         worker_pos: sh.worker_pos.clone(),
         worker_wm: sh.worker_wm.clone(),
         records: sh.records,
         sink: sh.sink.clone(),
     };
-    ft.store.borrow_mut()[node].latest = Some(Rc::new(ckpt));
+    ft.store.borrow_mut()[ft.node].latest = Some(Rc::new(ckpt));
 }
 
 /// What the driver did to bring a stalled node back.
@@ -621,7 +589,7 @@ impl FtDirector<'_> {
                         RECOVERY_TID,
                         "checkpoint-durable",
                         i,
-                        &[("epochs", fl.ckpt.epochs_closed), ("holder", fl.buddy_port.0 as u64)],
+                        &[("epochs", fl.ckpt.epochs_closed()), ("holder", fl.buddy_port.0 as u64)],
                     );
                     if st[i].maybe_release_seed() {
                         // Post-handoff retention fix (§15.3): the new owner's
@@ -630,7 +598,7 @@ impl FtDirector<'_> {
                             RECOVERY_TID,
                             "seed-released",
                             i,
-                            &[("epochs", fl.ckpt.epochs_closed)],
+                            &[("epochs", fl.ckpt.epochs_closed())],
                         );
                     }
                     let horizon = st[i].durable_horizon();
@@ -656,10 +624,10 @@ impl FtDirector<'_> {
             let current_ports: Vec<NodeId> = st[i]
                 .copies
                 .iter()
-                .filter(|dc| dc.ckpt.epochs_closed >= latest.epochs_closed)
+                .filter(|dc| dc.ckpt.epochs_closed() >= latest.epochs_closed())
                 .filter_map(|dc| dc.holder_port)
                 .collect();
-            let wants_copy = latest.epochs_closed > 0 && current_ports.len() < copies;
+            let wants_copy = latest.epochs_closed() > 0 && current_ports.len() < copies;
             if wants_copy && c.fabric.node_alive(fab_i) && c.fabric.link_up(fab_i) {
                 let buddy = select_ship_buddy(
                     i,
@@ -720,8 +688,8 @@ impl FtDirector<'_> {
                     // digest recorded at capture before it may become
                     // primary state.
                     debug_assert_eq!(
-                        chunks_digest(&p.ckpt.snapshot),
-                        p.ckpt.digest,
+                        chunks_digest(&p.ckpt.ssb.snapshot),
+                        p.ckpt.ssb.digest,
                         "durable copy failed its checksum"
                     );
                     p.phase = PromoPhase::Reconnect;
@@ -779,7 +747,7 @@ impl FtDirector<'_> {
                         RECOVERY_TID,
                         "promotion-begin",
                         i,
-                        &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed)],
+                        &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed())],
                     );
                     c.owned[i] = true;
                     self.promos.insert(i, p);
@@ -815,18 +783,9 @@ fn reset_errored_channels(c: &Cluster, i: usize) -> usize {
         if s == i || !c.fabric.node_alive(c.ports[live.host[s]]) {
             continue;
         }
-        // Both directions: `a` ships deltas of partition `b`.
-        for (a, b) in [(i, s), (s, i)] {
-            let mut tx = live.nodes[a].borrow_mut();
-            let mut rx = live.nodes[b].borrow_mut();
-            if tx.ssb.sender_error(b) || rx.ssb.receiver_error(a) {
-                tx.ssb.reset_channel_to(b);
-                rx.ssb.reset_channel_from(a); // drops uncommitted stages
-                let resume = rx.ssb.receiver_next_epoch(a);
-                tx.ssb.requeue_to(b, resume);
-                fixed += 1;
-            }
-        }
+        let (mut a, mut b) = (live.nodes[i].borrow_mut(), live.nodes[s].borrow_mut());
+        fixed += relink(&mut a.ssb, &mut b.ssb) as usize;
+        fixed += relink(&mut b.ssb, &mut a.ssb) as usize;
     }
     fixed
 }
@@ -897,81 +856,45 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
         st[d].latest = Some(Rc::clone(ckpt));
         st[d].in_flight = None;
     }
-    let host_fab = p.host_port;
     let mut live = c.live.borrow_mut();
     live.host[d] = p.host;
 
-    let mut ssb = SsbNode::detached(d, c.plan.descriptor(), c.cfg.ssb_config());
-    ssb.restore_primary(&ckpt.snapshot);
-    ssb.restore_vclock(&ckpt.vclock);
-    ssb.resume_fragments_at(ckpt.epochs_closed);
     // The split ledger is deterministic replicated control state: every
     // node holds an identical copy, so the replacement adopts any
     // survivor's. (Exactness never depends on the copy — the leader-side
     // fold merges whatever sub-key entries exist — but the replacement
     // must keep *diverting* hot-key updates like its predecessor did.)
-    if let Some(ledger) = live
+    let ledger = live
         .nodes
         .iter()
         .enumerate()
         .filter(|&(s, _)| s != d)
-        .find_map(|(_, sh)| sh.borrow().ssb.split_ledger().cloned())
-    {
-        ssb.set_split_ledger(ledger);
-    }
+        .find_map(|(_, sh)| sh.borrow().ssb.split_ledger().cloned());
+    let mut ssb =
+        SsbNode::restored(d, c.plan.descriptor(), c.cfg.ssb_config(), &ckpt.ssb, ledger);
 
     // Re-establish channels with every peer, handshaking commit horizons
-    // so replay is exact and nothing is merged twice.
+    // so replay is exact and nothing is merged twice. A peer whose port is
+    // dead (a concurrent crash, its own promotion pending) is rejoined
+    // one-sidedly; its commit replaces both directions with live channels.
     {
         let st = ft.store.borrow();
         for s in (0..n).filter(|&s| s != d) {
-            let s_fab = c.ports[live.host[s]];
-            // The survivor's side of both channels. `None` is a concurrent
-            // crash: `s` is down too, its own promotion still pending. The
-            // replacement's endpoints toward its dead port are installed
-            // anyway: the sender keeps *retaining* every epoch closed from
-            // here on (sends error out and are dropped by the fabric), so
-            // `s`'s eventual promotion finds a complete replay history in
-            // `retained_for(s)`; the seeded receiver records the commit
-            // horizon `s`'s promotion must resume our replay from. Both
-            // directions are replaced with live channels when `s` commits.
+            let peer_port = c.ports[live.host[s]];
             let mut survivor =
-                c.fabric.node_alive(s_fab).then(|| live.nodes[s].borrow_mut());
-
-            // d → s: the replacement re-ships the retained epochs the
-            // survivor's receiver has not committed.
-            let (tx, rx) = create_channel(&c.fabric, host_fab, s_fab, c.cfg.channel);
-            let mut sender = DeltaSender::new(tx);
-            sender.restore_retained(ckpt.retained[s].clone());
-            if let Some(sv) = survivor.as_mut() {
-                let resume = sv.ssb.receiver_next_epoch(d);
-                sender.requeue_from(resume);
-                sv.ssb.replace_receiver(d, DeltaReceiver::new(rx, d));
-                sv.ssb.seed_receiver(d, resume);
-                sv.ssb.set_durable_epochs(d, ckpt.epochs_closed);
-            }
-            ssb.replace_sender(s, sender);
-
-            // s → d: the survivor re-ships from the checkpoint's commit
-            // horizon; its retained list still covers that suffix because
-            // pruning floors at the oldest surviving copy of d.
-            let (tx2, rx2) = create_channel(&c.fabric, s_fab, host_fab, c.cfg.channel);
-            if let Some(sv) = survivor.as_mut() {
-                let mut sender2 = DeltaSender::new(tx2);
-                let retained = sv.ssb.retained_for(d).map(<[_]>::to_vec);
-                sender2.restore_retained(retained.unwrap_or_default());
-                sender2.requeue_from(ckpt.receiver_next[s]);
-                sv.ssb.replace_sender(d, sender2);
-                if c.obs.is_enabled() {
-                    sv.ssb.instrument(c.obs.clone());
-                }
-            }
-            ssb.replace_receiver(s, DeltaReceiver::new(rx2, s));
-            ssb.seed_receiver(s, ckpt.receiver_next[s]);
-            ssb.set_durable_epochs(s, st[s].durable_horizon());
+                c.fabric.node_alive(peer_port).then(|| live.nodes[s].borrow_mut());
+            let at = Rejoin {
+                fabric: &c.fabric,
+                port: p.host_port,
+                peer: s,
+                peer_port,
+                durable: ckpt.epochs_closed(),
+                peer_durable: st[s].durable_horizon(),
+                obs: &c.obs,
+            };
+            rejoin(&mut ssb, survivor.as_mut().map(|sv| &mut sv.ssb), &ckpt.ssb, &at);
         }
     }
-    ssb.set_retention(true);
 
     // Fresh shared state seeded from the checkpoint; the crashed slot's
     // workers are already dead (crashed flag), replace it.
@@ -1002,7 +925,7 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
         RECOVERY_TID,
         "promoted",
         d,
-        &[("host", p.host as u64), ("epochs", ckpt.epochs_closed), ("restarts", p.restarts as u64)],
+        &[("host", p.host as u64), ("epochs", ckpt.epochs_closed()), ("restarts", p.restarts as u64)],
     );
 }
 
@@ -1194,16 +1117,18 @@ mod tests {
 
     fn ckpt_at(epochs: u64) -> Rc<Checkpoint> {
         Rc::new(Checkpoint {
-            epochs_closed: epochs,
-            snapshot: vec![],
-            vclock: vec![],
-            receiver_next: vec![],
-            retained: vec![],
+            ssb: SsbCheckpoint {
+                epochs_closed: epochs,
+                snapshot: vec![],
+                digest: 0,
+                vclock: vec![],
+                receiver_next: vec![],
+                retained: vec![],
+            },
             worker_pos: vec![],
             worker_wm: vec![],
             records: 0,
             sink: Sink::counting(),
-            digest: 0,
         })
     }
 
@@ -1256,7 +1181,7 @@ mod tests {
         slot.latest = Some(seed);
         slot.seed_from_latest();
         let mut real = ckpt_at(6);
-        Rc::get_mut(&mut real).unwrap().receiver_next = vec![4, 9];
+        Rc::get_mut(&mut real).unwrap().ssb.receiver_next = vec![4, 9];
         slot.insert_copy(
             DurableCopy { holder_port: Some(NodeId(3)), ckpt: real },
             2,

@@ -34,7 +34,7 @@ use slash_core::{boot_node, publish_node_counters, spawn_node_workers, RunReport
 use slash_desim::{Sim, SimTime};
 use slash_net::spsc::{spsc_channel, SpscReceiver, SpscSender};
 use slash_obs::{MetricsRegistry, Obs};
-use slash_state::backend::SsbNode;
+use slash_state::backend::{full_mesh, SsbNode};
 use slash_state::{DeltaReceiver, DeltaSender};
 
 use crate::{JobSpec, Scheduler};
@@ -103,23 +103,9 @@ impl Scheduler for ThreadBackend {
         let n = cfg.nodes;
         let obs_on = obs.is_enabled();
 
-        // Wire the full mesh of directed SPSC links up front:
-        // `senders[i][j]` carries node i's deltas toward leader j.
-        let mut senders: Vec<Vec<Option<SpscSender>>> = (0..n)
-            .map(|_| (0..n).map(|_| None).collect())
-            .collect();
-        let mut receivers: Vec<Vec<(usize, SpscReceiver)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for (i, row) in senders.iter_mut().enumerate() {
-            for (j, slot) in row.iter_mut().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let (tx, rx) = spsc_channel(cfg.channel);
-                *slot = Some(tx);
-                receivers[j].push((i, rx));
-            }
-        }
+        // Wire the full mesh of directed SPSC links up front; each node
+        // thread takes its own ends (outbound by leader, inbound by helper).
+        let mesh = full_mesh(n, |_, _| spsc_channel(cfg.channel));
 
         // Split the node-major partition list into per-node chunks that
         // move into their threads.
@@ -132,10 +118,8 @@ impl Scheduler for ThreadBackend {
         }
 
         let mut handles = Vec::with_capacity(n);
-        for (node, (own_parts, (tx_row, rx_row))) in per_node_parts
-            .into_iter()
-            .zip(senders.into_iter().zip(receivers))
-            .enumerate()
+        for (node, (own_parts, (tx_row, rx_row))) in
+            per_node_parts.into_iter().zip(mesh).enumerate()
         {
             let factory = spec.plan.clone();
             handles.push(
@@ -178,19 +162,22 @@ fn drive_node(
     factory: crate::PlanFactory,
     own_parts: Vec<Vec<u8>>,
     tx_row: Vec<Option<SpscSender>>,
-    rx_row: Vec<(usize, SpscReceiver)>,
+    rx_row: Vec<Option<SpscReceiver>>,
     obs_on: bool,
 ) -> NodeReport {
     let plan = Rc::new((factory)());
-    let mut ssb = SsbNode::detached(node, plan.descriptor(), cfg.ssb_config());
-    for (leader, tx) in tx_row.into_iter().enumerate() {
-        if let Some(tx) = tx {
-            ssb.replace_sender(leader, DeltaSender::over_spsc(tx));
-        }
-    }
-    for (helper, rx) in rx_row {
-        ssb.replace_receiver(helper, DeltaReceiver::over_spsc(rx, helper));
-    }
+    let senders = tx_row.into_iter().map(|tx| tx.map(DeltaSender::over_spsc));
+    let receivers = rx_row
+        .into_iter()
+        .enumerate()
+        .map(|(helper, rx)| rx.map(|rx| DeltaReceiver::over_spsc(rx, helper)));
+    let ssb = SsbNode::with_endpoints(
+        node,
+        plan.descriptor(),
+        cfg.ssb_config(),
+        senders.collect(),
+        receivers.collect(),
+    );
 
     let obs = if obs_on {
         Obs::enabled(OBS_RING)

@@ -16,6 +16,8 @@ pub use crate::partition::{TriggeredData, TriggeredValue};
 use crate::split::{SplitLedger, SUB_KEY_TAG};
 use crate::vclock::VectorClock;
 
+pub mod recovery;
+
 /// SSB-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SsbConfig {
@@ -42,15 +44,18 @@ impl SsbConfig {
 /// One executor's view of the distributed state backend.
 ///
 /// Holds the primary partition it leads, a fragment of every remote
-/// partition, the delta channels, and the vector clock. Not `Send`: each
-/// node lives inside the deterministic simulation.
+/// partition, the delta channels, and the vector clock. Not `Send` (its
+/// trace handles are `Rc`-based): a node is built and driven on one
+/// thread — the simulator's, or its own node thread under the threaded
+/// backend, which moves only the raw SPSC link ends across threads.
 pub struct SsbNode {
     node: usize,
     cfg: SsbConfig,
     fragments: Vec<Partition>,
     /// Outbound delta shipping, indexed by partition; `None` at `node`.
     senders: Vec<Option<DeltaSender>>,
-    receivers: Vec<DeltaReceiver>,
+    /// Inbound delta merging, indexed by helper; `None` at `node`.
+    receivers: Vec<Option<DeltaReceiver>>,
     vclock: VectorClock,
     bytes_since_epoch: u64,
     local_watermark: u64,
@@ -93,13 +98,8 @@ impl SsbNode {
         &mut self.vclock
     }
 
-    /// This executor's current low watermark.
-    pub fn local_watermark(&self) -> u64 {
-        self.local_watermark
-    }
-
     /// Which partition a key routes to.
-    pub fn partition_of(&self, key: StateKey) -> usize {
+    fn partition_of(&self, key: StateKey) -> usize {
         partition_of(key, self.cfg.nodes)
     }
 
@@ -303,8 +303,8 @@ impl SsbNode {
     ///
     /// Channels whose QP sits in the error state (fault window, awaiting
     /// recovery) are skipped rather than surfaced: the recovery
-    /// orchestrator detects them via [`SsbNode::sender_error`] /
-    /// [`SsbNode::receiver_error`] and the stalled epoch token.
+    /// orchestrator sees the stalled epoch token and repairs them with
+    /// [`recovery::relink`].
     pub fn pump(&mut self, sim: &mut Sim) -> Result<(u64, u64), StateError> {
         let mut sent = 0;
         for s in self.senders.iter_mut().flatten() {
@@ -315,10 +315,9 @@ impl SsbNode {
             }
         }
         let mut merged = 0;
-        let primary_idx = self.node;
-        for i in 0..self.receivers.len() {
-            match self.receivers[i].pump(sim, &mut self.fragments[primary_idx], &mut self.vclock)
-            {
+        let primary = &mut self.fragments[self.node];
+        for r in self.receivers.iter_mut().flatten() {
+            match r.pump(sim, primary, &mut self.vclock) {
                 Ok(n) => merged += n,
                 Err(StateError::Rdma(slash_rdma::RdmaError::QpError)) => {}
                 Err(e) => return Err(e),
@@ -354,9 +353,7 @@ impl SsbNode {
         if self.split.is_none() {
             self.split = Some(SplitLedger::new(self.cfg.nodes));
         }
-        if self.heat.is_none() {
-            self.heat = Some(HeatSketch::new(HEAT_CAPACITY));
-        }
+        self.heat.get_or_insert_with(|| HeatSketch::new(HEAT_CAPACITY));
     }
 
     /// Activate splitting for group key `gk` on this node's ledger copy.
@@ -390,15 +387,11 @@ impl SsbNode {
             .map_or_else(Vec::new, |l| l.pairs_for(self.node))
     }
 
-    /// This node's ledger copy (promotion clones it into a replacement).
+    /// This node's ledger copy ([`SsbNode::restored`] installs a clone in
+    /// a replacement, which must fold and label split keys exactly like
+    /// its predecessor).
     pub fn split_ledger(&self) -> Option<&SplitLedger> {
         self.split.as_ref()
-    }
-
-    /// Install a ledger copy wholesale — promotion/handoff: a replacement
-    /// node must fold and label split keys exactly like its predecessor.
-    pub fn set_split_ledger(&mut self, ledger: SplitLedger) {
-        self.split = Some(ledger);
     }
 
     /// The live heat sketch, if telemetry is on (instrumented node or
@@ -490,8 +483,8 @@ impl SsbNode {
     }
 
     /// Serialize this node's primary partition at the current epoch
-    /// boundary (fault-tolerance extension; see [`crate::snapshot`]).
-    pub fn snapshot_primary(&self, max_chunk: usize) -> Vec<Vec<u8>> {
+    /// boundary (see [`crate::snapshot`]).
+    fn snapshot_primary(&self, max_chunk: usize) -> Vec<Vec<u8>> {
         crate::snapshot::snapshot_chunks(
             &self.fragments[self.node],
             self.local_watermark,
@@ -499,9 +492,9 @@ impl SsbNode {
         )
     }
 
-    /// Replace this node's primary partition with a restored snapshot
-    /// (crash recovery). The snapshot's watermark becomes the local one.
-    pub fn restore_primary(&mut self, chunks: &[Vec<u8>]) {
+    /// Replace this node's primary partition with a restored snapshot.
+    /// The snapshot's watermark becomes the local one.
+    fn restore_primary(&mut self, chunks: &[Vec<u8>]) {
         let desc = *self.fragments[self.node].descriptor();
         let (part, wm) = crate::snapshot::restore(self.node, desc, chunks);
         self.fragments[self.node] = part;
@@ -510,21 +503,33 @@ impl SsbNode {
     }
 
     // ------------------------------------------------------------------
-    // Fault-tolerance surface (used by the recovery orchestrator in
-    // `slash-core` and by the `slash-verify` recovery scenarios).
+    // Construction and the fault-tolerance knobs a driver turns while a
+    // node runs. Checkpoint, restore, rejoin and relink — everything that
+    // rebuilds or rewires a node — live in [`recovery`].
     // ------------------------------------------------------------------
 
-    /// Build a node with fragments and vector clock but **no channels** —
-    /// the replacement instance a promotion creates for a crashed
-    /// executor's logical id. Channels are wired afterwards with
-    /// [`SsbNode::replace_sender`] / [`SsbNode::replace_receiver`].
-    pub fn detached(node: usize, desc: StateDescriptor, cfg: SsbConfig) -> SsbNode {
+    /// Build a node around its delta endpoints: `senders[l]` ships this
+    /// node's fragment of partition `l` to its leader, `receivers[h]`
+    /// merges helper `h`'s deltas into the primary; both rows are indexed
+    /// by peer and `None` at `node`. The transport behind an endpoint (the
+    /// simulated RDMA channel or an in-process SPSC link) is the
+    /// endpoint's business. The one constructor: [`build_cluster`], the
+    /// threaded executor and [`SsbNode::restored`] all build nodes here.
+    pub fn with_endpoints(
+        node: usize,
+        desc: StateDescriptor,
+        cfg: SsbConfig,
+        senders: Vec<Option<DeltaSender>>,
+        receivers: Vec<Option<DeltaReceiver>>,
+    ) -> SsbNode {
+        assert_eq!(senders.len(), cfg.nodes, "one sender slot per partition");
+        assert_eq!(receivers.len(), cfg.nodes, "one receiver slot per helper");
         SsbNode {
             node,
             cfg,
             fragments: fragments_for(node, cfg.nodes, desc),
-            senders: (0..cfg.nodes).map(|_| None).collect(),
-            receivers: Vec::new(),
+            senders,
+            receivers,
             vclock: VectorClock::new(cfg.nodes),
             bytes_since_epoch: 0,
             local_watermark: 0,
@@ -534,6 +539,13 @@ impl SsbNode {
             epoch_updates: 0,
             split: None,
         }
+    }
+
+    /// A node with fragments and vector clock but **no channels**: a
+    /// single-node backend, or the blank a [`SsbNode::restored`]
+    /// replacement starts from before [`recovery::rejoin`] wires it.
+    pub fn detached(node: usize, desc: StateDescriptor, cfg: SsbConfig) -> SsbNode {
+        SsbNode::with_endpoints(node, desc, cfg, none_row(cfg.nodes), none_row(cfg.nodes))
     }
 
     /// Epochs this node has closed so far (all remote fragments advance in
@@ -556,11 +568,6 @@ impl SsbNode {
         }
     }
 
-    /// Retained epochs queued toward `leader`, if a sender exists.
-    pub fn retained_for(&self, leader: usize) -> Option<&[crate::coherence::RetainedEpoch]> {
-        self.senders[leader].as_ref().map(|s| s.retained())
-    }
-
     /// Prune retained epochs toward `leader` below `epoch` (covered by the
     /// leader's durable checkpoint).
     pub fn prune_retained(&mut self, leader: usize, epoch: u64) {
@@ -569,100 +576,10 @@ impl SsbNode {
         }
     }
 
-    /// Re-queue retained epochs `≥ from_epoch` toward `leader` (channel
-    /// re-establishment). Returns epochs queued.
-    pub fn requeue_to(&mut self, leader: usize, from_epoch: u64) -> usize {
-        self.senders[leader]
-            .as_mut()
-            .map_or(0, |s| s.requeue_from(from_epoch))
-    }
-
-    /// Whether the outbound channel toward `leader` is in the error state.
-    pub fn sender_error(&self, leader: usize) -> bool {
-        self.senders[leader].as_ref().is_some_and(|s| s.is_error())
-    }
-
-    /// Whether the inbound channel from `helper` is in the error state.
-    pub fn receiver_error(&self, helper: usize) -> bool {
-        self.receivers
-            .iter()
-            .any(|r| r.helper() == helper && r.is_error())
-    }
-
-    /// Reset the outbound channel endpoint toward `leader` after a fault.
-    pub fn reset_channel_to(&mut self, leader: usize) {
-        if let Some(s) = self.senders[leader].as_mut() {
-            s.reset_channel();
-        }
-    }
-
-    /// Reset the inbound channel endpoint from `helper` after a fault,
-    /// discarding uncommitted epochs (the helper replays them).
-    pub fn reset_channel_from(&mut self, helper: usize) {
-        if let Some(r) = self.receivers.iter_mut().find(|r| r.helper() == helper) {
-            r.reset_channel();
-        }
-    }
-
-    /// Committed-epoch horizon of the inbound channel from `helper`.
-    pub fn receiver_next_epoch(&self, helper: usize) -> u64 {
-        self.receivers
-            .iter()
-            .find(|r| r.helper() == helper)
-            .map_or(0, |r| r.next_epoch())
-    }
-
-    /// Seed the committed-epoch horizon for the inbound channel from
-    /// `helper` (recovery: the restored primary already contains these).
-    pub fn seed_receiver(&mut self, helper: usize, next_epoch: u64) {
-        if let Some(r) = self.receivers.iter_mut().find(|r| r.helper() == helper) {
-            r.seed_next_epoch(next_epoch);
-        }
-    }
-
     /// Advance the durability gate for epochs from `helper`.
     pub fn set_durable_epochs(&mut self, helper: usize, durable_epochs: u64) {
-        if let Some(r) = self.receivers.iter_mut().find(|r| r.helper() == helper) {
+        if let Some(r) = self.receivers[helper].as_mut() {
             r.set_durable_epochs(durable_epochs);
-        }
-    }
-
-    /// Discard uncommitted (staged or gated) epochs from `helper`.
-    pub fn abort_uncommitted_from(&mut self, helper: usize) {
-        if let Some(r) = self.receivers.iter_mut().find(|r| r.helper() == helper) {
-            r.abort_uncommitted();
-        }
-    }
-
-    /// Install (or replace) the outbound delta sender toward `leader` —
-    /// channel re-establishment toward a promoted replacement node.
-    pub fn replace_sender(&mut self, leader: usize, sender: DeltaSender) {
-        self.senders[leader] = Some(sender);
-    }
-
-    /// Install (or replace) the inbound delta receiver from `helper`.
-    pub fn replace_receiver(&mut self, helper: usize, receiver: DeltaReceiver) {
-        if let Some(slot) = self.receivers.iter_mut().find(|r| r.helper() == helper) {
-            *slot = receiver;
-        } else {
-            self.receivers.push(receiver);
-        }
-    }
-
-    /// Overwrite the vector clock from a checkpoint snapshot.
-    pub fn restore_vclock(&mut self, entries: &[u64]) {
-        for (i, &wm) in entries.iter().enumerate() {
-            self.vclock.fault_force_set(i, wm);
-        }
-    }
-
-    /// Fast-forward every remote fragment's epoch counter (promotion: the
-    /// replacement must not reuse epoch ids its predecessor shipped).
-    pub fn resume_fragments_at(&mut self, epoch: u64) {
-        for (p, f) in self.fragments.iter_mut().enumerate() {
-            if p != self.node {
-                f.resume_at_epoch(epoch);
-            }
         }
     }
 
@@ -710,7 +627,8 @@ impl SsbNode {
     }
 
     /// Aggregate operation counters across fragments.
-    pub fn stats(&self) -> crate::partition::PartitionStats {
+    #[cfg(test)]
+    fn stats(&self) -> crate::partition::PartitionStats {
         let mut total = crate::partition::PartitionStats::default();
         for f in &self.fragments {
             total.rmw_hits += f.stats.rmw_hits;
@@ -724,7 +642,8 @@ impl SsbNode {
     }
 
     /// Live keys in this node's primary partition.
-    pub fn primary_key_count(&self) -> usize {
+    #[cfg(test)]
+    fn primary_key_count(&self) -> usize {
         self.fragments[self.node].key_count()
     }
 
@@ -735,7 +654,9 @@ impl SsbNode {
 
     /// Attach a trace handle to this node and every delta endpoint it
     /// owns: channel verb instants, epoch phase spans, and merge-latency
-    /// histograms all flow into `obs`.
+    /// histograms all flow into `obs`. Turns the heat sketch on; a sketch
+    /// already running (an earlier call, [`Self::split_enable`]) keeps its
+    /// counts, so telemetry reads the same traced and untraced.
     pub fn instrument(&mut self, obs: Obs) {
         let node = self.node as u32;
         for (leader, sender) in self.senders.iter_mut().enumerate() {
@@ -743,11 +664,11 @@ impl SsbNode {
                 s.instrument(obs.clone(), node, leader as u32);
             }
         }
-        for r in self.receivers.iter_mut() {
+        for r in self.receivers.iter_mut().flatten() {
             r.instrument(obs.clone(), node);
         }
         self.obs = obs;
-        self.heat = Some(HeatSketch::new(HEAT_CAPACITY));
+        self.heat.get_or_insert_with(|| HeatSketch::new(HEAT_CAPACITY));
     }
 
     /// Emit the SSB-apply stage span for a worker batch: the worker owns
@@ -784,7 +705,7 @@ impl SsbNode {
                 );
             }
         }
-        for r in &self.receivers {
+        for r in self.receivers.iter().flatten() {
             let label = format!("chan={}->{}", r.helper(), self.node);
             r.channel_stats().publish(&self.obs, &label);
         }
@@ -820,6 +741,33 @@ fn fragments_for(node: usize, nodes: usize, desc: StateDescriptor) -> Vec<Partit
         .collect()
 }
 
+/// A row of `n` unwired endpoint slots.
+fn none_row<T>(n: usize) -> Vec<Option<T>> {
+    (0..n).map(|_| None).collect()
+}
+
+/// One node's ends of a mesh: outbound ends indexed by leader, inbound
+/// ends indexed by helper, `None` on the diagonal — the rows
+/// [`SsbNode::with_endpoints`] takes.
+pub type MeshRow<S, R> = (Vec<Option<S>>, Vec<Option<R>>);
+
+/// Wire a full directed mesh over `n` nodes: `link(helper, leader)` makes
+/// the two ends of one link, helper-major. Returns each node's row.
+pub fn full_mesh<S, R>(
+    n: usize,
+    mut link: impl FnMut(usize, usize) -> (S, R),
+) -> Vec<MeshRow<S, R>> {
+    let mut rows: Vec<_> = (0..n).map(|_| (none_row(n), none_row(n))).collect();
+    for helper in 0..n {
+        for leader in (0..n).filter(|&l| l != helper) {
+            let (tx, rx) = link(helper, leader);
+            rows[helper].0[leader] = Some(tx);
+            rows[leader].1[helper] = Some(rx);
+        }
+    }
+    rows
+}
+
 /// Build the SSB for a cluster: one [`SsbNode`] per executor and the
 /// `n × (n-1)` delta channels between them (the paper's `n²` channel setup
 /// minus the self-loops, which need no wire).
@@ -841,42 +789,21 @@ pub fn build_cluster_obs(
     cfg: SsbConfig,
     obs: Obs,
 ) -> Vec<SsbNode> {
-    let n = nodes.len();
-    assert_eq!(n, cfg.nodes, "config must match the node list");
-    let mut ssb: Vec<SsbNode> = (0..n)
-        .map(|i| SsbNode {
-            node: i,
-            cfg,
-            fragments: fragments_for(i, n, desc),
-            senders: (0..n).map(|_| None).collect(),
-            receivers: Vec::new(),
-            vclock: VectorClock::new(n),
-            bytes_since_epoch: 0,
-            local_watermark: 0,
-            obs: Obs::disabled(),
-            heat: None,
-            part_updates: vec![0; n],
-            epoch_updates: 0,
-            split: None,
-        })
-        .collect();
-
-    for helper in 0..n {
-        for leader in 0..n {
-            if helper == leader {
-                continue;
+    assert_eq!(nodes.len(), cfg.nodes, "config must match the node list");
+    let mesh = full_mesh(cfg.nodes, |helper, leader| {
+        let (tx, rx) = create_channel(fabric, nodes[helper], nodes[leader], cfg.channel);
+        (DeltaSender::new(tx), DeltaReceiver::new(rx, helper))
+    });
+    mesh.into_iter()
+        .enumerate()
+        .map(|(i, (senders, receivers))| {
+            let mut node = SsbNode::with_endpoints(i, desc, cfg, senders, receivers);
+            if obs.is_enabled() {
+                node.instrument(obs.clone());
             }
-            let (tx, rx) = create_channel(fabric, nodes[helper], nodes[leader], cfg.channel);
-            ssb[helper].senders[leader] = Some(DeltaSender::new(tx));
-            ssb[leader].receivers.push(DeltaReceiver::new(rx, helper));
-        }
-    }
-    if obs.is_enabled() {
-        for node in ssb.iter_mut() {
-            node.instrument(obs.clone());
-        }
-    }
-    ssb
+            node
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1519,7 +1446,7 @@ mod tests {
                 },
             },
         );
-        replacement.set_split_ledger(ledger.clone());
+        replacement.split = Some(ledger.clone());
         // Seed sub-key entries directly (as a delta replay would) plus a
         // canonical entry, and check the fold lands under the canonical.
         for r in 0..2usize {

@@ -209,7 +209,7 @@ impl DeltaSender {
     /// Install a retained-epoch list recovered from a checkpoint (the
     /// promoted replacement of a crashed helper starts from here). Enables
     /// retention as a side effect.
-    pub fn restore_retained(&mut self, retained: Vec<RetainedEpoch>) {
+    pub(crate) fn restore_retained(&mut self, retained: Vec<RetainedEpoch>) {
         self.retain = true;
         self.retained = retained;
     }
@@ -225,7 +225,7 @@ impl DeltaSender {
     /// retained epoch with id ≥ `from_epoch` (channel re-establishment:
     /// resend exactly what the receiver has not committed). Returns the
     /// number of epochs queued.
-    pub fn requeue_from(&mut self, from_epoch: u64) -> usize {
+    pub(crate) fn requeue_from(&mut self, from_epoch: u64) -> usize {
         self.outbox.clear();
         let mut n = 0;
         for r in &self.retained {
@@ -251,7 +251,7 @@ impl DeltaSender {
     /// receiver must reset too). The outbox is kept: pumping resumes once
     /// both ends are re-established. SPSC links have no reset protocol —
     /// fault injection belongs to the simulated backend.
-    pub fn reset_channel(&mut self) {
+    pub(crate) fn reset_channel(&mut self) {
         if let SenderPort::Rdma(chan) = &mut self.port {
             chan.reset();
         }
@@ -419,7 +419,7 @@ impl DeltaReceiver {
     /// Seed the committed-epoch horizon (recovery: a restored primary
     /// already contains the helper's epochs `< next_epoch`, so replays of
     /// them must be discarded, not re-merged).
-    pub fn seed_next_epoch(&mut self, next_epoch: u64) {
+    pub(crate) fn seed_next_epoch(&mut self, next_epoch: u64) {
         self.next_epoch = next_epoch;
     }
 
@@ -442,7 +442,7 @@ impl DeltaReceiver {
     /// staged entries and all gated pending epochs. Called when the
     /// channel is torn down — the helper (or its replacement) will replay
     /// these epochs verbatim.
-    pub fn abort_uncommitted(&mut self) {
+    pub(crate) fn abort_uncommitted(&mut self) {
         self.staged.clear();
         self.pending.clear();
     }
@@ -459,7 +459,7 @@ impl DeltaReceiver {
 
     /// Reset the underlying channel endpoint after a fault and discard
     /// uncommitted epochs (the peer sender must reset and requeue).
-    pub fn reset_channel(&mut self) {
+    pub(crate) fn reset_channel(&mut self) {
         if let ReceiverPort::Rdma(chan) = &mut self.port {
             chan.reset();
         }

@@ -43,6 +43,7 @@ pub mod snapshot;
 pub mod split;
 pub mod vclock;
 
+pub use backend::recovery::{rejoin, relink, Rejoin, SsbCheckpoint};
 pub use backend::{SsbConfig, SsbNode, TriggeredValue};
 pub use coherence::{DeltaReceiver, DeltaSender, RetainedEpoch, StateError};
 pub use combiner::WriteCombiner;

@@ -1,9 +1,8 @@
 //! `slash-race` — sweep the protocol scenarios across tie-break schedules.
 //!
 //! ```text
-//! slash-race [--seeds N] [--mutation NAME] [--scenario handoff]
-//!            [--exhaustive] [--max-states N] [--max-schedules N]
-//!            [--minimize] [--out PATH]
+//! slash-race [--seeds N] [--mutation NAME] [--exhaustive]
+//!            [--max-states N] [--max-schedules N] [--minimize] [--out PATH]
 //! ```
 //!
 //! **Random sweep (default):** runs the channel, multi-port fabric,
@@ -21,9 +20,7 @@
 //! permutations; default 128), printing how many distinct schedules
 //! were explored and any invariant violations. On a violation the flight
 //! recorder's dump — the last trace events with the schedule fingerprint
-//! and vector-clock context — is printed alongside. `--scenario handoff`
-//! restricts the sweep to the two handoff families (CI's rescale stage
-//! uses this for a focused re-run).
+//! and vector-clock context — is printed alongside.
 //!
 //! **Exhaustive mode (`--exhaustive`):** replaces sampling with the
 //! bounded DFS model checker ([`slash_verify::explorer`]). The small
@@ -55,7 +52,7 @@ use std::process::ExitCode;
 
 use slash_verify::explorer::{Budget, ExhaustiveReport};
 use slash_verify::race::{explore, Exploration};
-use slash_verify::scenarios::{ChannelScenario, CoherenceScenario, Mutation, RecoveryScenario};
+use slash_verify::scenarios::{ChannelScenario, Mutation, RecoveryScenario, Scenario};
 
 /// Minimum distinct schedules per scenario for a full-size sweep.
 const MIN_DISTINCT: usize = 100;
@@ -103,32 +100,38 @@ fn parse_mutation(name: &str) -> Option<Mutation> {
     }
 }
 
+/// The scenario that owns mutation `m`, with the bug planted: the
+/// full-size configuration for the random sweep, the `small` one (where the
+/// family has one) for the exhaustive explorer.
+fn mutated(m: Mutation, small: bool) -> (&'static str, Box<dyn Scenario>) {
+    let mutation = Some(m);
+    match m {
+        Mutation::SkipCreditReturn | Mutation::IgnoreCreditWindow | Mutation::ReorderDelivered => {
+            let (name, base) = match small {
+                true => ("channel-small (mutated)", ChannelScenario::small()),
+                false => ("channel-protocol (mutated)", ChannelScenario::default()),
+            };
+            (name, Box::new(ChannelScenario { mutation, ..base }))
+        }
+        Mutation::SkipReplay => {
+            let (name, base) = match small {
+                true => ("recovery-small (mutated)", RecoveryScenario::small()),
+                false => ("crash-recovery (mutated)", RecoveryScenario::default()),
+            };
+            (name, Box::new(RecoveryScenario { mutation, ..base }))
+        }
+        Mutation::RegressVclock | Mutation::DropUpdate => {
+            let base = RecoveryScenario::coherence();
+            ("epoch-coherence (mutated)", Box::new(RecoveryScenario { mutation, ..base }))
+        }
+    }
+}
+
 /// Run one injected bug under a small sweep and require both a violation
 /// and a flight-recorder dump.
 fn run_mutation(m: Mutation, seeds: u64) -> ExitCode {
-    let channel_owned = matches!(
-        m,
-        Mutation::SkipCreditReturn | Mutation::IgnoreCreditWindow | Mutation::ReorderDelivered
-    );
-    let e = if channel_owned {
-        let s = ChannelScenario {
-            mutation: Some(m),
-            ..ChannelScenario::default()
-        };
-        explore("channel-protocol (mutated)", seeds, |p| s.run(p))
-    } else if m == Mutation::SkipReplay {
-        let s = RecoveryScenario {
-            mutation: Some(m),
-            ..RecoveryScenario::default()
-        };
-        explore("crash-recovery (mutated)", seeds, |p| s.run(p))
-    } else {
-        let s = CoherenceScenario {
-            mutation: Some(m),
-            ..CoherenceScenario::default()
-        };
-        explore("epoch-coherence (mutated)", seeds, |p| s.run(p))
-    };
+    let (name, s) = mutated(m, false);
+    let e = explore(name, seeds, |p| s.run(p));
     print!("{}", e.render_human());
     if !e.clean() && !e.dumps.is_empty() {
         println!("slash-race: mutation {m:?} detected, flight recorder dumped — PASS");
@@ -148,29 +151,8 @@ fn run_mutation(m: Mutation, seeds: u64) -> ExitCode {
 /// minimizing) a repro schedule strictly shorter than the first exposing
 /// one.
 fn run_mutation_exhaustive(m: Mutation, budget: Budget, minimize: bool) -> ExitCode {
-    let channel_owned = matches!(
-        m,
-        Mutation::SkipCreditReturn | Mutation::IgnoreCreditWindow | Mutation::ReorderDelivered
-    );
-    let rep = if channel_owned {
-        let s = ChannelScenario {
-            mutation: Some(m),
-            ..ChannelScenario::small()
-        };
-        s.exhaustive("channel-small (mutated)", budget, minimize)
-    } else if m == Mutation::SkipReplay {
-        let s = RecoveryScenario {
-            mutation: Some(m),
-            ..RecoveryScenario::small()
-        };
-        s.exhaustive("recovery-small (mutated)", budget, minimize)
-    } else {
-        let s = CoherenceScenario {
-            mutation: Some(m),
-            ..CoherenceScenario::default()
-        };
-        s.exhaustive("epoch-coherence (mutated)", budget, minimize)
-    };
+    let (name, s) = mutated(m, true);
+    let rep = s.exhaustive(name, budget, minimize);
     print!("{}", rep.render_human());
     let minimization_holds = !minimize
         || rep
@@ -296,56 +278,33 @@ fn run_exhaustive(budget: Budget, minimize: bool, seeds: u64, out: Option<&str>)
         fallback,
     });
 
-    // Single-crash recovery: the literal space is ~2^34, but state-digest
-    // dedup collapses converged tick interleavings and the frontier
-    // drains completely.
-    let rec = RecoveryScenario::small();
-    let rep = rec.exhaustive("recovery-small", budget, minimize);
-    print!("{}", rep.render_human());
-    let gate_ok = rep.clean()
-        && rep.coverage.complete()
-        && rep.coverage.schedules_enumerated >= RECOVERY_SMALL_FLOOR;
-    let fallback = fallback_if_truncated(&rep, seeds, |p| rec.run(p));
-    scenarios.push(ScenarioCoverage {
-        report: rep,
-        gate_ok,
-        fallback,
-    });
-
-    // Single planned handoff (the elastic cutover): structurally the
-    // crash scenario with an empty replay range, so the same dedup
-    // reduction applies and the reconnect-dedup invariant becomes
-    // checked-on-all-schedules.
-    let resc = RecoveryScenario::rescale_small();
-    let rep = resc.exhaustive("rescale-small", budget, minimize);
-    print!("{}", rep.render_human());
-    let gate_ok = rep.clean()
-        && rep.coverage.complete()
-        && rep.coverage.schedules_enumerated >= HANDOFF_SMALL_FLOOR;
-    let fallback = fallback_if_truncated(&rep, seeds, |p| resc.run(p));
-    scenarios.push(ScenarioCoverage {
-        report: rep,
-        gate_ok,
-        fallback,
-    });
-
-    // Single crash with one hot-split key: the crash promotion must
-    // commute with split/fold on every schedule the checker drains —
-    // salted sub-key entries checkpoint, replay, and merge like any
-    // other state, and the restored node adopts split custody from the
-    // survivor.
-    let hot = RecoveryScenario::hot_split_small();
-    let rep = hot.exhaustive("hot-split-small", budget, minimize);
-    print!("{}", rep.render_human());
-    let gate_ok = rep.clean()
-        && rep.coverage.complete()
-        && rep.coverage.schedules_enumerated >= HOT_SPLIT_SMALL_FLOOR;
-    let fallback = fallback_if_truncated(&rep, seeds, |p| hot.run(p));
-    scenarios.push(ScenarioCoverage {
-        report: rep,
-        gate_ok,
-        fallback,
-    });
+    // The dedup-reduced SSB scenarios; each must drain completely.
+    // * recovery-small — single crash: the literal space is ~2^34, but
+    //   state-digest dedup collapses converged tick interleavings.
+    // * rescale-small — single planned handoff (the elastic cutover):
+    //   structurally the crash scenario with an empty replay range, so
+    //   the reconnect-dedup invariant becomes checked-on-all-schedules.
+    // * hot-split-small — single crash with one hot-split key: crash
+    //   promotion must commute with split/fold on every schedule; salted
+    //   sub-key entries checkpoint, replay and merge like any other
+    //   state, and the restored node adopts split custody from the
+    //   survivor.
+    for (name, s, floor) in [
+        ("recovery-small", RecoveryScenario::small(), RECOVERY_SMALL_FLOOR),
+        ("rescale-small", RecoveryScenario::rescale_small(), HANDOFF_SMALL_FLOOR),
+        ("hot-split-small", RecoveryScenario::hot_split_small(), HOT_SPLIT_SMALL_FLOOR),
+    ] {
+        let rep = s.exhaustive(name, budget, minimize);
+        print!("{}", rep.render_human());
+        let gate_ok =
+            rep.clean() && rep.coverage.complete() && rep.coverage.schedules_enumerated >= floor;
+        let fallback = fallback_if_truncated(&rep, seeds, |p| s.run(p));
+        scenarios.push(ScenarioCoverage {
+            report: rep,
+            gate_ok,
+            fallback,
+        });
+    }
 
     // A truncated frontier is only acceptable when reported AND the
     // random fallback sweep over the same scenario stays clean.
@@ -403,7 +362,6 @@ fn fallback_if_truncated(
 fn main() -> ExitCode {
     let mut seeds: u64 = 128;
     let mut mutation: Option<Mutation> = None;
-    let mut handoff_only = false;
     let mut exhaustive = false;
     let mut minimize = false;
     let mut budget = Budget::default();
@@ -426,13 +384,6 @@ fn main() -> ExitCode {
                          ignore-credit-window, reorder-delivered, regress-vclock, \
                          drop-update, skip-replay"
                     );
-                    return ExitCode::from(2);
-                }
-            },
-            "--scenario" => match args.next().as_deref() {
-                Some("handoff") => handoff_only = true,
-                _ => {
-                    eprintln!("slash-race: --scenario requires `handoff`");
                     return ExitCode::from(2);
                 }
             },
@@ -461,9 +412,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: slash-race [--seeds N] [--mutation NAME] [--scenario handoff] \
-                     [--exhaustive] [--max-states N] [--max-schedules N] [--minimize] \
-                     [--out PATH]"
+                    "usage: slash-race [--seeds N] [--mutation NAME] [--exhaustive] \
+                     [--max-states N] [--max-schedules N] [--minimize] [--out PATH]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -487,59 +437,24 @@ fn main() -> ExitCode {
         return run_mutation(m, seeds.min(8));
     }
 
-    let handoff = explore("planned-handoff", seeds, |p| {
-        RecoveryScenario::planned_handoff().run(p)
-    });
-    print!("{}", handoff.render_human());
-    let hvc = explore("handoff-vs-crash", seeds, |p| {
-        RecoveryScenario::handoff_vs_crash().run(p)
-    });
-    print!("{}", hvc.render_human());
-    if handoff_only {
-        return if gate(&handoff, seeds) && gate(&hvc, seeds) {
-            println!("slash-race: PASS");
-            ExitCode::SUCCESS
-        } else {
-            println!("slash-race: FAIL");
-            ExitCode::FAILURE
-        };
+    let families: [(&str, Box<dyn Scenario>); 10] = [
+        ("planned-handoff", Box::new(RecoveryScenario::planned_handoff())),
+        ("handoff-vs-crash", Box::new(RecoveryScenario::handoff_vs_crash())),
+        ("channel-protocol", Box::new(ChannelScenario::default())),
+        ("multiport-fabric", Box::new(ChannelScenario::multi_port())),
+        ("epoch-coherence", Box::new(RecoveryScenario::coherence())),
+        ("crash-recovery", Box::new(RecoveryScenario::default())),
+        ("concurrent-crash", Box::new(RecoveryScenario::concurrent_crash())),
+        ("reentrant-recovery", Box::new(RecoveryScenario::reentrant())),
+        ("hot-split-recovery", Box::new(RecoveryScenario::hot_split())),
+        ("hot-split-handoff", Box::new(RecoveryScenario::hot_split_handoff())),
+    ];
+    let mut ok = true;
+    for (name, s) in &families {
+        let e = explore(name, seeds, |p| s.run(p));
+        print!("{}", e.render_human());
+        ok &= gate(&e, seeds);
     }
-
-    let chan = explore("channel-protocol", seeds, |p| ChannelScenario::default().run(p));
-    print!("{}", chan.render_human());
-    let multi = explore("multiport-fabric", seeds, |p| ChannelScenario::multi_port().run(p));
-    print!("{}", multi.render_human());
-    let coh = explore("epoch-coherence", seeds, |p| CoherenceScenario::default().run(p));
-    print!("{}", coh.render_human());
-    let rec = explore("crash-recovery", seeds, |p| RecoveryScenario::default().run(p));
-    print!("{}", rec.render_human());
-    let conc = explore("concurrent-crash", seeds, |p| {
-        RecoveryScenario::concurrent_crash().run(p)
-    });
-    print!("{}", conc.render_human());
-    let reent = explore("reentrant-recovery", seeds, |p| {
-        RecoveryScenario::reentrant().run(p)
-    });
-    print!("{}", reent.render_human());
-    let hot = explore("hot-split-recovery", seeds, |p| {
-        RecoveryScenario::hot_split().run(p)
-    });
-    print!("{}", hot.render_human());
-    let hoth = explore("hot-split-handoff", seeds, |p| {
-        RecoveryScenario::hot_split_handoff().run(p)
-    });
-    print!("{}", hoth.render_human());
-
-    let ok = gate(&handoff, seeds)
-        && gate(&hvc, seeds)
-        && gate(&chan, seeds)
-        && gate(&multi, seeds)
-        && gate(&coh, seeds)
-        && gate(&rec, seeds)
-        && gate(&conc, seeds)
-        && gate(&reent, seeds)
-        && gate(&hot, seeds)
-        && gate(&hoth, seeds);
     if ok {
         println!("slash-race: PASS");
         ExitCode::SUCCESS

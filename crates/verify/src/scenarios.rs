@@ -19,12 +19,15 @@
 //! genuinely tie at the receiver, and the tie-break policy decides which
 //! delivery lands first — the multi-rail races a bonded NIC would expose.
 //!
-//! The **recovery family** ([`RecoveryScenario`]) crashes a node in the
-//! middle of epoch traffic, restores it from an epoch-aligned checkpoint
-//! (snapshot + vector clock + receiver horizons + retained epochs), replays
-//! its deterministic op stream, and asserts
-//! [`Invariant::RecoveryConvergence`]: the cluster ends in exactly the
-//! no-fault state, with no epoch applied twice.
+//! The **SSB family** ([`RecoveryScenario`]) is one world: an epoch-
+//! coherence workload that, given a crash or handoff schedule, crashes a
+//! node in the middle of epoch traffic, rebuilds it through the recovery
+//! surface `slash-state` ships ([`SsbNode::checkpoint`],
+//! [`SsbNode::restored`], [`rejoin`]), replays its deterministic op
+//! stream, and asserts [`Invariant::RecoveryConvergence`]: the cluster
+//! ends in exactly the no-fault state, with no epoch applied twice. What
+//! the scenario owns is the orchestration — when to capture, whom to
+//! crash, what to replay — not the rewire.
 //!
 //! [`Mutation`]s inject protocol bugs (via `#[doc(hidden)]` fault hooks in
 //! `slash-net`/`slash-state`, or scenario-level tampering) so tests can
@@ -40,7 +43,7 @@ use slash_obs::Obs;
 use slash_rdma::{Fabric, FabricConfig, NicConfig, NodeId};
 use slash_state::backend::{build_cluster_obs, SsbConfig, SsbNode};
 use slash_state::hash::{pack_key, partition_of};
-use slash_state::{CounterCrdt, DeltaReceiver, DeltaSender, RetainedEpoch};
+use slash_state::{rejoin, CounterCrdt, Rejoin, SsbCheckpoint};
 
 use crate::race::{Invariant, Outcome};
 
@@ -62,9 +65,10 @@ pub enum Mutation {
     /// One update is counted in the sequential oracle but never applied
     /// to the backend → epoch convergence must fire.
     DropUpdate,
-    /// The restored node skips requeueing retained epochs from one helper
-    /// after its crash, losing the replay range → recovery convergence
-    /// must fire.
+    /// The checkpoint a crashed node is restored from overstates, for one
+    /// helper, how much of that helper's history it holds (a commit
+    /// horizon moved past the helper's retained range), so the rejoin
+    /// replays nothing from it → recovery convergence must fire.
     SkipReplay,
 }
 
@@ -394,16 +398,23 @@ fn schedule_chan_actor(
     });
 }
 
-impl ChannelScenario {
+/// A replayable protocol scenario. The one required method builds the
+/// world on a given simulator, runs it to quiescence and checks the
+/// invariants; sweeping tie-break policies, replaying an explicit choice
+/// schedule and exhaustive enumeration all follow from it.
+pub trait Scenario {
+    /// Build the world on `sim`, run it to quiescence, check invariants.
+    fn run_sim(&self, sim: Sim) -> (Outcome, Sim);
+
     /// Run the scenario under one tie-break policy.
-    pub fn run(&self, policy: TieBreak) -> Outcome {
+    fn run(&self, policy: TieBreak) -> Outcome {
         self.run_sim(Sim::with_tie_break(policy)).0
     }
 
     /// Run the scenario in explore mode under an explicit same-instant
     /// choice schedule (see [`Sim::with_schedule`]), returning the outcome
     /// plus the recorded branch-point trace the explorer branches on.
-    pub fn run_schedule(&self, choices: &[u32]) -> (Outcome, Vec<ChoicePoint>) {
+    fn run_schedule(&self, choices: &[u32]) -> (Outcome, Vec<ChoicePoint>) {
         let (out, mut sim) = self.run_sim(Sim::with_schedule(choices));
         let trace = sim.take_choice_trace();
         (out, trace)
@@ -411,7 +422,7 @@ impl ChannelScenario {
 
     /// Exhaustively enumerate this scenario's same-instant schedules (see
     /// [`crate::explorer::explore_exhaustive`]).
-    pub fn exhaustive(
+    fn exhaustive(
         &self,
         name: &'static str,
         budget: crate::explorer::Budget,
@@ -422,7 +433,9 @@ impl ChannelScenario {
             crate::explorer::ScheduleRun { outcome, trace }
         })
     }
+}
 
+impl Scenario for ChannelScenario {
     fn run_sim(&self, mut sim: Sim) -> (Outcome, Sim) {
         let nchan = self.channels.max(1);
         let fabric = Fabric::new(FabricConfig {
@@ -515,307 +528,41 @@ impl ChannelScenario {
 }
 
 // ---------------------------------------------------------------------------
-// Coherence scenario
+// SSB scenario: epoch coherence, with or without crashes and handoffs
 // ---------------------------------------------------------------------------
 
 const C_TICK_NS: u64 = 5_000;
-const OP_TICKS: u64 = 12;
+const OP_TICKS: u64 = 16;
 const SETTLE_TICKS: u64 = 10;
 const KEYS: u64 = 16;
 const OPS_PER_TICK: usize = 4;
 const EPOCH_EVERY: u64 = 4;
 const FINAL_WM: u64 = 10_000;
-
-/// Configuration of the epoch-coherence scenario: an `n`-node SSB cluster
-/// where every node updates random keys, periodically closes epochs, and
-/// pumps delta shipping — with all per-node actors tying on every tick.
-#[derive(Debug, Clone)]
-pub struct CoherenceScenario {
-    /// Cluster size.
-    pub nodes: usize,
-    /// Optional injected bug.
-    pub mutation: Option<Mutation>,
-}
-
-impl Default for CoherenceScenario {
-    fn default() -> Self {
-        CoherenceScenario {
-            nodes: 3,
-            mutation: None,
-        }
-    }
-}
-
-struct CohWorld {
-    ssb: Vec<SsbNode>,
-    oracle: HashMap<u64, u64>,
-    rngs: Vec<DetRng>,
-    prev_vc: Vec<Vec<u64>>,
-    mutation: Option<Mutation>,
-    dropped: bool,
-    regressed: bool,
-    final_closed: Vec<bool>,
-    violations: Vec<(Invariant, String)>,
-    flagged: HashSet<(&'static str, usize)>,
-    obs: Obs,
-    cur_fp: u64,
-}
-
-impl CohWorld {
-    /// Record a violation once per (invariant, node) pair, capturing a
-    /// flight-recorder dump with the schedule fingerprint and the failing
-    /// node's vector clock.
-    fn flag(&mut self, inv: Invariant, node: usize, detail: String) {
-        if self.flagged.insert((inv.name(), node)) {
-            let vc = self.ssb[node].vclock().snapshot();
-            self.obs.record_failure(
-                &format!("[{}] node {node}: {detail}", inv.name()),
-                &format!("schedule fingerprint={:#018x} vclock[{node}]={vc:?}", self.cur_fp),
-            );
-            self.violations.push((inv, format!("node {node}: {detail}")));
-        }
-    }
-
-    fn check_vclock(&mut self, i: usize) {
-        let n = self.ssb.len();
-        for j in 0..n {
-            let cur = self.ssb[i].vclock().get(j);
-            let prev = self.prev_vc[i][j];
-            if cur < prev {
-                self.flag(
-                    Invariant::VclockMonotonic,
-                    i,
-                    format!("vclock slot {j} regressed from {prev} to {cur}"),
-                );
-            }
-            self.prev_vc[i][j] = cur;
-        }
-    }
-
-    fn node_tick(&mut self, sim: &mut Sim, i: usize, tick: u64) -> bool {
-        self.cur_fp = sim.schedule_fingerprint();
-        if tick < OP_TICKS {
-            for _ in 0..OPS_PER_TICK {
-                let k = self.rngs[i].next_below(KEYS);
-                let v = 1 + self.rngs[i].next_below(5);
-                *self.oracle.entry(k).or_insert(0) += v;
-                if self.mutation == Some(Mutation::DropUpdate) && i == 1 && !self.dropped {
-                    // Counted in the oracle, never applied to the backend.
-                    self.dropped = true;
-                } else {
-                    self.ssb[i].rmw(pack_key(1, k), |buf| CounterCrdt::add(buf, v));
-                }
-            }
-            if (tick + 1).is_multiple_of(EPOCH_EVERY) {
-                self.ssb[i].note_progress((tick + 1) * 100);
-                if let Err(e) = self.ssb[i].close_epoch(sim) {
-                    self.flag(Invariant::EpochConvergence, i, format!("close_epoch failed: {e:?}"));
-                }
-            }
-        } else if !self.final_closed[i] {
-            self.ssb[i].note_progress(FINAL_WM);
-            if let Err(e) = self.ssb[i].close_epoch(sim) {
-                self.flag(Invariant::EpochConvergence, i, format!("close_epoch failed: {e:?}"));
-            }
-            self.final_closed[i] = true;
-        }
-        if self.mutation == Some(Mutation::RegressVclock) && i == 0 && tick == 6 && !self.regressed
-        {
-            self.regressed = true;
-            self.ssb[0].fault_vclock_mut().fault_force_set(0, 1);
-        }
-        if let Err(e) = self.ssb[i].pump(sim) {
-            self.flag(Invariant::EpochConvergence, i, format!("pump failed: {e:?}"));
-        }
-        self.check_vclock(i);
-        tick >= OP_TICKS + SETTLE_TICKS
-    }
-
-    fn convergence(&mut self) {
-        let n = self.ssb.len();
-        let oracle: Vec<(u64, u64)> = self.oracle.iter().map(|(&k, &v)| (k, v)).collect();
-        for (k, total) in oracle {
-            let key = pack_key(1, k);
-            let leader = partition_of(key, n);
-            let got = self.ssb[leader].local_get(key).map(CounterCrdt::get);
-            if got != Some(total) {
-                self.flag(
-                    Invariant::EpochConvergence,
-                    leader,
-                    format!("key {k}: leader holds {got:?}, sequential oracle says {total}"),
-                );
-            }
-        }
-        for i in 0..n {
-            for j in 0..n {
-                let got = self.ssb[i].vclock().get(j);
-                if got != FINAL_WM {
-                    self.flag(
-                        Invariant::EpochConvergence,
-                        i,
-                        format!("vclock slot {j} = {got} ≠ final watermark {FINAL_WM}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-fn schedule_coh_actor(sim: &mut Sim, world: Rc<RefCell<CohWorld>>, node: usize, at: SimTime, tick: u64) {
-    sim.schedule_at_labeled(at, EventLabel::node(node as u32), move |sim| {
-        let done = world.borrow_mut().node_tick(sim, node, tick);
-        if !done {
-            let next = sim.now() + SimTime::from_nanos(C_TICK_NS);
-            schedule_coh_actor(sim, world, node, next, tick + 1);
-        }
-    });
-}
-
-impl CohWorld {
-    /// Order-insensitive digest of the cluster's protocol-visible state:
-    /// every node's backend digest and vector clock, plus a commutative
-    /// fold of the oracle (its `HashMap` iteration order must not leak
-    /// into the digest).
-    fn digest(&self) -> u64 {
-        let mut h = 0xC0DE_5EED_0B5E_55EDu64;
-        for (i, node) in self.ssb.iter().enumerate() {
-            h = fold_digest(h, node.state_digest());
-            for v in node.vclock().snapshot() {
-                h = fold_digest(h, v);
-            }
-            h = fold_digest(h, i as u64);
-        }
-        let mut acc = 0u64;
-        for (&k, &v) in &self.oracle {
-            acc ^= fold_digest(fold_digest(0x0AC1_E0AC_1E0A_C1E0, k), v);
-        }
-        h = fold_digest(h, acc);
-        fold_digest(h, self.violations.len() as u64)
-    }
-}
-
-impl CoherenceScenario {
-    /// Run the scenario under one tie-break policy.
-    pub fn run(&self, policy: TieBreak) -> Outcome {
-        self.run_sim(Sim::with_tie_break(policy)).0
-    }
-
-    /// Run in explore mode under an explicit choice schedule; see
-    /// [`ChannelScenario::run_schedule`].
-    pub fn run_schedule(&self, choices: &[u32]) -> (Outcome, Vec<ChoicePoint>) {
-        let (out, mut sim) = self.run_sim(Sim::with_schedule(choices));
-        let trace = sim.take_choice_trace();
-        (out, trace)
-    }
-
-    /// Exhaustively enumerate this scenario's same-instant schedules (see
-    /// [`crate::explorer::explore_exhaustive`]).
-    pub fn exhaustive(
-        &self,
-        name: &'static str,
-        budget: crate::explorer::Budget,
-        minimize: bool,
-    ) -> crate::explorer::ExhaustiveReport {
-        crate::explorer::explore_exhaustive(name, budget, minimize, |c| {
-            let (outcome, trace) = self.run_schedule(c);
-            crate::explorer::ScheduleRun { outcome, trace }
-        })
-    }
-
-    fn run_sim(&self, mut sim: Sim) -> (Outcome, Sim) {
-        let n = self.nodes;
-        let fabric = Fabric::new(FabricConfig::default());
-        let nodes = fabric.add_nodes(n);
-        let cfg = SsbConfig {
-            nodes: n,
-            epoch_bytes: u64::MAX, // epochs closed explicitly by the actors
-            channel: ChannelConfig {
-                credits: 8,
-                buffer_size: 4096,
-                credit_batch: 1,
-            },
-        };
-        // Instrumented cluster: delta-channel verbs and epoch phase spans
-        // stream into the flight recorder's ring.
-        let obs = Obs::enabled(4096);
-        let ssb = build_cluster_obs(&fabric, &nodes, CounterCrdt::descriptor(), cfg, obs.clone());
-        let world = Rc::new(RefCell::new(CohWorld {
-            ssb,
-            oracle: HashMap::new(),
-            // Fixed per-node op seeds: the workload is identical across
-            // policies; only the interleaving varies.
-            rngs: (0..n).map(|i| DetRng::new(0xC0DE ^ (i as u64) << 8)).collect(),
-            prev_vc: vec![vec![0; n]; n],
-            mutation: self.mutation,
-            dropped: false,
-            regressed: false,
-            final_closed: vec![false; n],
-            violations: Vec::new(),
-            flagged: HashSet::new(),
-            obs: obs.clone(),
-            cur_fp: 0,
-        }));
-        let digest_world = Rc::clone(&world);
-        sim.set_state_digest(move || digest_world.borrow().digest());
-        let t0 = SimTime::from_nanos(C_TICK_NS);
-        for i in 0..n {
-            schedule_coh_actor(&mut sim, Rc::clone(&world), i, t0, 0);
-        }
-        sim.run();
-        // Settle: pump everything until fully quiescent (same pattern the
-        // backend's own tests use, bounded).
-        for _ in 0..10_000 {
-            let mut progress = 0u64;
-            {
-                let mut w = world.borrow_mut();
-                for i in 0..n {
-                    if let Ok((s, m)) = w.ssb[i].pump(&mut sim) {
-                        progress += s + m;
-                    }
-                }
-            }
-            sim.run();
-            let flushed = world.borrow().ssb.iter().all(|nd| nd.flushed());
-            if progress == 0 && flushed {
-                break;
-            }
-        }
-        let mut w = world.borrow_mut();
-        w.cur_fp = sim.schedule_fingerprint();
-        w.convergence();
-        let outcome = Outcome {
-            fingerprint: sim.schedule_fingerprint(),
-            violations: std::mem::take(&mut w.violations),
-            dumps: obs.take_failures().iter().map(|d| d.render()).collect(),
-        };
-        drop(w);
-        (outcome, sim)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recovery scenario
-// ---------------------------------------------------------------------------
-
-const R_OP_TICKS: u64 = 16;
-const R_CRASH_TICK: u64 = 9;
+const CRASH_TICK: u64 = 9;
 const VICTIM: usize = 1;
 
-/// Configuration of the snapshot/restore-during-epoch-traffic scenario:
-/// an SSB cluster runs the coherence workload with epoch retention on;
-/// every node named in the crash schedule checkpoints at each of its
-/// epoch closes (primary snapshot, vector clock, per-helper receiver
-/// horizons, retained epochs, op-stream RNG). At its scheduled tick a
-/// victim crashes and is rebuilt in place from its last checkpoint —
-/// channels torn down and re-established, retained epochs requeued from
-/// the survivors' committed horizons, the victim's deterministic op
-/// stream replayed — all while the survivors keep closing and shipping
-/// epochs. At quiescence [`Invariant::RecoveryConvergence`] requires the
-/// merged state to equal the sequential oracle exactly: nothing lost, no
-/// epoch applied twice.
+/// Configuration of the SSB scenario: an `n`-node cluster where every
+/// node updates random keys, periodically closes epochs and pumps delta
+/// shipping — all per-node actors tying on every tick — with epoch
+/// retention on.
+///
+/// With an empty crash and handoff schedule
+/// ([`RecoveryScenario::coherence`]) that is the whole scenario, and at
+/// quiescence [`Invariant::EpochConvergence`] requires the merged state to
+/// equal the sequential oracle.
+///
+/// With a schedule, every node named in it checkpoints at each of its
+/// epoch closes ([`SsbNode::checkpoint`] plus its op-stream RNG). At its
+/// scheduled tick a victim crashes and is rebuilt in place from its last
+/// checkpoint through the shipped recovery surface —
+/// [`SsbNode::restored`], then one [`rejoin`] per survivor — and its
+/// deterministic op stream is replayed, all while the survivors keep
+/// closing and shipping epochs. At quiescence
+/// [`Invariant::RecoveryConvergence`] requires the merged state to equal
+/// the sequential oracle exactly: nothing lost, no epoch applied twice.
 ///
 /// The schedule makes this a *family*: the default is the single crash of
-/// node `VICTIM` at `R_CRASH_TICK`; [`RecoveryScenario::concurrent_crash`]
+/// node `VICTIM` at `CRASH_TICK`; [`RecoveryScenario::concurrent_crash`]
 /// crashes two nodes on the same tick (the tie-break policy orders the
 /// overlapping restores); [`RecoveryScenario::reentrant`] crashes the same
 /// node twice, so the second restore starts from a checkpoint captured by
@@ -860,7 +607,7 @@ impl Default for RecoveryScenario {
     fn default() -> Self {
         RecoveryScenario {
             nodes: 3,
-            crashes: vec![(R_CRASH_TICK, VICTIM)],
+            crashes: vec![(CRASH_TICK, VICTIM)],
             handoffs: vec![],
             pre_split: vec![],
             mutation: None,
@@ -869,6 +616,15 @@ impl Default for RecoveryScenario {
 }
 
 impl RecoveryScenario {
+    /// The epoch-coherence family: three nodes, nobody crashes, nobody
+    /// migrates. Reports [`Invariant::EpochConvergence`].
+    pub fn coherence() -> Self {
+        RecoveryScenario {
+            crashes: vec![],
+            ..RecoveryScenario::default()
+        }
+    }
+
     /// The concurrent-crash family: nodes 1 and 2 of a 4-node cluster
     /// crash on the same tick. Whichever restore the tie-break policy
     /// runs first reads the other victim's pre-crash endpoints and has
@@ -879,42 +635,37 @@ impl RecoveryScenario {
     pub fn concurrent_crash() -> Self {
         RecoveryScenario {
             nodes: 4,
-            crashes: vec![(R_CRASH_TICK, 1), (R_CRASH_TICK, 2)],
+            crashes: vec![(CRASH_TICK, 1), (CRASH_TICK, 2)],
             ..RecoveryScenario::default()
         }
     }
 
     /// The re-entrant recovery family: node `VICTIM` crashes at
-    /// `R_CRASH_TICK` and again four ticks later — after its restored
+    /// `CRASH_TICK` and again four ticks later — after its restored
     /// incarnation has replayed its op stream, shipped fresh epochs, and
     /// captured a new checkpoint of its own. The second restore composes
     /// with the first: two generations of requeued deltas land at the
     /// survivors, and epoch-id dedup must keep the merge exactly-once.
     pub fn reentrant() -> Self {
         RecoveryScenario {
-            crashes: vec![(R_CRASH_TICK, VICTIM), (R_CRASH_TICK + 4, VICTIM)],
+            crashes: vec![(CRASH_TICK, VICTIM), (CRASH_TICK + 4, VICTIM)],
             ..RecoveryScenario::default()
         }
     }
 
     /// The minimal recovery family for exhaustive exploration: two nodes,
-    /// one crash. Its schedule space is still combinatorially deep (two
-    /// actors tie on every tick for dozens of ticks), so the explorer is
-    /// expected to hit its budget here and *report* frontier truncation —
-    /// the budget-semantics counterpart to [`ChannelScenario::small`],
-    /// which it fully enumerates.
+    /// one crash. Its literal schedule space is combinatorially deep (two
+    /// actors tie on every tick for dozens of ticks); state-digest dedup
+    /// collapses the converged interleavings and the explorer drains it.
     pub fn small() -> Self {
         RecoveryScenario {
             nodes: 2,
-            crashes: vec![(R_CRASH_TICK, VICTIM)],
-            handoffs: vec![],
-            pre_split: vec![],
-            mutation: None,
+            ..RecoveryScenario::default()
         }
     }
 
     /// The planned-handoff family: node `VICTIM` of a 3-node cluster
-    /// migrates at `R_CRASH_TICK` — cutover close, checkpoint at that
+    /// migrates at `CRASH_TICK` — cutover close, checkpoint at that
     /// instant, rebuild with empty replay — while the other two nodes
     /// keep closing and shipping epochs. Exactly-once across the
     /// reconnect must hold under every interleaving of the cutover with
@@ -922,7 +673,7 @@ impl RecoveryScenario {
     pub fn planned_handoff() -> Self {
         RecoveryScenario {
             crashes: vec![],
-            handoffs: vec![(R_CRASH_TICK, VICTIM)],
+            handoffs: vec![(CRASH_TICK, VICTIM)],
             ..RecoveryScenario::default()
         }
     }
@@ -936,8 +687,8 @@ impl RecoveryScenario {
     pub fn handoff_vs_crash() -> Self {
         RecoveryScenario {
             nodes: 4,
-            crashes: vec![(R_CRASH_TICK, 2)],
-            handoffs: vec![(R_CRASH_TICK, 1)],
+            crashes: vec![(CRASH_TICK, 2)],
+            handoffs: vec![(CRASH_TICK, 1)],
             ..RecoveryScenario::default()
         }
     }
@@ -950,10 +701,7 @@ impl RecoveryScenario {
     pub fn rescale_small() -> Self {
         RecoveryScenario {
             nodes: 2,
-            crashes: vec![],
-            handoffs: vec![(R_CRASH_TICK, VICTIM)],
-            pre_split: vec![],
-            mutation: None,
+            ..RecoveryScenario::planned_handoff()
         }
     }
 
@@ -977,10 +725,8 @@ impl RecoveryScenario {
     /// keep the fold exact with zero replayed ops.
     pub fn hot_split_handoff() -> Self {
         RecoveryScenario {
-            crashes: vec![],
-            handoffs: vec![(R_CRASH_TICK, VICTIM)],
             pre_split: vec![1, 3],
-            ..RecoveryScenario::default()
+            ..RecoveryScenario::planned_handoff()
         }
     }
 
@@ -990,33 +736,23 @@ impl RecoveryScenario {
     /// fold commutes with crash promotion on *every* schedule it drains.
     pub fn hot_split_small() -> Self {
         RecoveryScenario {
-            nodes: 2,
-            crashes: vec![(R_CRASH_TICK, VICTIM)],
-            handoffs: vec![],
             pre_split: vec![1],
-            mutation: None,
+            ..RecoveryScenario::small()
         }
     }
 }
 
-/// The victim's epoch-aligned checkpoint, captured at every epoch close
+/// A victim's epoch-aligned checkpoint, captured at every epoch close
 /// before the crash — exactly the state a durable buddy copy would hold.
 struct RecCkpt {
-    snapshot: Vec<Vec<u8>>,
-    vclock: Vec<u64>,
-    /// Committed-epoch horizon of the victim's receiver from each helper.
-    receiver_next: Vec<u64>,
-    /// The victim's own retained epochs toward each leader (its sender
-    /// memory, lost in the crash unless checkpointed).
-    retained: Vec<Vec<RetainedEpoch>>,
-    epochs_closed: u64,
+    ssb: SsbCheckpoint,
     /// Clone of the victim's op-stream RNG: replaying from here
     /// regenerates the exact same updates and epoch contents.
     rng: DetRng,
     resume_tick: u64,
 }
 
-struct RecWorld {
+struct SsbWorld {
     ssb: Vec<SsbNode>,
     fabric: Fabric,
     fab: Vec<NodeId>,
@@ -1024,7 +760,11 @@ struct RecWorld {
     oracle: HashMap<u64, u64>,
     rngs: Vec<DetRng>,
     prev_vc: Vec<Vec<u64>>,
+    /// The injected bug, taken when it fires (each fires once).
     mutation: Option<Mutation>,
+    /// What a lost or doubled update violates: epoch convergence without
+    /// a crash schedule, recovery convergence with one.
+    convergence: Invariant,
     /// Latest checkpoint per node (only victims capture).
     ckpts: Vec<Option<RecCkpt>>,
     /// Crash events not yet executed.
@@ -1036,7 +776,6 @@ struct RecWorld {
     /// Crash-and-restore cycles completed.
     recovered: usize,
     crashes_total: usize,
-    skip_used: bool,
     final_closed: Vec<bool>,
     violations: Vec<(Invariant, String)>,
     flagged: HashSet<(&'static str, usize)>,
@@ -1044,7 +783,10 @@ struct RecWorld {
     cur_fp: u64,
 }
 
-impl RecWorld {
+impl SsbWorld {
+    /// Record a violation once per (invariant, node) pair, capturing a
+    /// flight-recorder dump with the schedule fingerprint and the failing
+    /// node's vector clock.
     fn flag(&mut self, inv: Invariant, node: usize, detail: String) {
         if self.flagged.insert((inv.name(), node)) {
             let vc = self.ssb[node].vclock().snapshot();
@@ -1072,6 +814,15 @@ impl RecWorld {
         }
     }
 
+    /// Whether the injected bug is `m`; if so it is spent.
+    fn fire(&mut self, m: Mutation) -> bool {
+        let hit = self.mutation == Some(m);
+        if hit {
+            self.mutation = None;
+        }
+        hit
+    }
+
     /// One tick of workload for node `i`. Replayed ops skip the oracle:
     /// they were counted in their first life, and the RNG clone makes the
     /// replayed stream identical.
@@ -1081,6 +832,9 @@ impl RecWorld {
             let v = 1 + self.rngs[i].next_below(5);
             if count_oracle {
                 *self.oracle.entry(k).or_insert(0) += v;
+                if i == 1 && self.fire(Mutation::DropUpdate) {
+                    continue; // counted in the oracle, never applied
+                }
             }
             // A split key's update lands under this replica's salted
             // sub-key (the hot-path routing); the oracle keeps counting
@@ -1093,51 +847,36 @@ impl RecWorld {
         }
     }
 
-    fn close_if_due(&mut self, sim: &mut Sim, i: usize, tick: u64) -> bool {
-        if (tick + 1).is_multiple_of(EPOCH_EVERY) {
-            self.ssb[i].note_progress((tick + 1) * 100);
-            if let Err(e) = self.ssb[i].close_epoch(sim) {
-                self.flag(
-                    Invariant::RecoveryConvergence,
-                    i,
-                    format!("close_epoch failed: {e:?}"),
-                );
-            }
-            return true;
+    fn close_epoch(&mut self, sim: &mut Sim, i: usize, watermark: u64) {
+        self.ssb[i].note_progress(watermark);
+        if let Err(e) = self.ssb[i].close_epoch(sim) {
+            self.flag(self.convergence, i, format!("close_epoch failed: {e:?}"));
         }
-        false
+    }
+
+    fn close_if_due(&mut self, sim: &mut Sim, i: usize, tick: u64) -> bool {
+        let due = (tick + 1).is_multiple_of(EPOCH_EVERY);
+        if due {
+            self.close_epoch(sim, i, (tick + 1) * 100);
+        }
+        due
     }
 
     /// Checkpoint a victim at an epoch close — the epoch-aligned
-    /// consistency point: primary snapshot, vector clock, receiver
-    /// horizons and retained sender memory all from the same instant.
-    /// Victims keep capturing after a recovery, so a second crash of the
-    /// same node restores from its restored incarnation's checkpoint.
+    /// consistency point. Victims keep capturing after a recovery, so a
+    /// second crash of the same node restores from its restored
+    /// incarnation's checkpoint.
     fn capture(&mut self, victim: usize, tick: u64) {
-        let n = self.ssb.len();
-        let v = &self.ssb[victim];
         self.ckpts[victim] = Some(RecCkpt {
-            snapshot: v.snapshot_primary(4096),
-            vclock: v.vclock().snapshot(),
-            receiver_next: (0..n)
-                .map(|h| if h == victim { 0 } else { v.receiver_next_epoch(h) })
-                .collect(),
-            retained: (0..n)
-                .map(|l| {
-                    v.retained_for(l).map(<[_]>::to_vec).unwrap_or_default()
-                })
-                .collect(),
-            epochs_closed: v.epochs_closed(),
+            ssb: self.ssb[victim].checkpoint(4096),
             rng: self.rngs[victim].clone(),
             resume_tick: tick + 1,
         });
     }
 
     /// Crash a victim and rebuild it from its last checkpoint while the
-    /// survivors' epoch traffic is still in flight: fresh detached node,
-    /// snapshot + vclock restore, channel teardown/re-establishment with
-    /// retained-epoch requeue from each side's committed horizon, then a
-    /// deterministic replay of the op stream lost since the checkpoint.
+    /// survivors' epoch traffic is still in flight: restore, rejoin every
+    /// survivor, then replay the op stream lost since the checkpoint.
     ///
     /// Under a concurrent-crash schedule the "survivor" loop may visit
     /// the *other* victim in whatever incarnation it currently holds —
@@ -1147,71 +886,40 @@ impl RecWorld {
     /// horizons, and retention means every epoch id at or past those
     /// horizons is still requeue-able.
     fn crash_restore(&mut self, sim: &mut Sim, victim: usize, crash_tick: u64) {
-        let Some(ckpt) = self.ckpts[victim].take() else {
-            self.flag(
-                Invariant::RecoveryConvergence,
-                victim,
-                "no checkpoint captured before crash".into(),
-            );
+        let Some(mut ckpt) = self.ckpts[victim].take() else {
+            let detail = "no checkpoint captured before crash".into();
+            self.flag(self.convergence, victim, detail);
             return;
         };
         let n = self.ssb.len();
-        let mut repl = SsbNode::detached(victim, CounterCrdt::descriptor(), self.cfg);
-        repl.restore_primary(&ckpt.snapshot);
-        repl.restore_vclock(&ckpt.vclock);
-        // The replacement must not reuse epoch ids its predecessor
-        // shipped with different content; replayed closes regenerate the
-        // same ids with the same content, which the survivors dedup.
-        repl.resume_fragments_at(ckpt.epochs_closed);
-        // Split custody survives the replacement the same way it does in
-        // production promotion: adopt a survivor's ledger copy
-        // (deterministic replicated control state, identical everywhere).
-        if let Some(ledger) = (0..n)
-            .filter(|&s| s != victim)
-            .find_map(|s| self.ssb[s].split_ledger().cloned())
-        {
-            repl.set_split_ledger(ledger);
-        }
-        for s in 0..n {
-            if s == victim {
-                continue;
+        let survivors = (0..n).filter(|&s| s != victim);
+        let ledger = survivors.clone().find_map(|s| self.ssb[s].split_ledger().cloned());
+        let mut repl =
+            SsbNode::restored(victim, CounterCrdt::descriptor(), self.cfg, &ckpt.ssb, ledger);
+        for s in survivors {
+            if self.fire(Mutation::SkipReplay) {
+                // Planted bug, as tampered input: the checkpoint claims
+                // to hold everything `s` ever shipped, so nothing replays.
+                ckpt.ssb.receiver_next[s] = self.ssb[s].epochs_closed();
             }
-            // victim → survivor: new channel, sender memory from the
-            // checkpoint, resend from the survivor's committed horizon.
-            let (tx, rx) = create_channel(&self.fabric, self.fab[victim], self.fab[s], self.cfg.channel);
-            let mut sender = DeltaSender::new(tx);
-            sender.restore_retained(ckpt.retained[s].clone());
-            let resume = self.ssb[s].receiver_next_epoch(victim);
-            sender.requeue_from(resume);
-            repl.replace_sender(s, sender);
-            self.ssb[s].replace_receiver(victim, DeltaReceiver::new(rx, victim));
-            self.ssb[s].seed_receiver(victim, resume);
-            // survivor → victim: the helper is alive, so its live retained
-            // list replays everything the restored primary is missing.
-            let (tx2, rx2) = create_channel(&self.fabric, self.fab[s], self.fab[victim], self.cfg.channel);
-            let mut sender2 = DeltaSender::new(tx2);
-            sender2.restore_retained(
-                self.ssb[s].retained_for(victim).map(<[_]>::to_vec).unwrap_or_default(),
-            );
-            if self.mutation == Some(Mutation::SkipReplay) && !self.skip_used {
-                // Injected bug: the replay range from this helper is lost.
-                self.skip_used = true;
-            } else {
-                sender2.requeue_from(ckpt.receiver_next[s]);
-            }
-            self.ssb[s].replace_sender(victim, sender2);
-            repl.replace_receiver(s, DeltaReceiver::new(rx2, s));
-            repl.seed_receiver(s, ckpt.receiver_next[s]);
-            self.ssb[s].instrument(self.obs.clone());
+            let at = Rejoin {
+                fabric: &self.fabric,
+                port: self.fab[victim],
+                peer: s,
+                peer_port: self.fab[s],
+                durable: u64::MAX,
+                peer_durable: u64::MAX,
+                obs: &self.obs,
+            };
+            rejoin(&mut repl, Some(&mut self.ssb[s]), &ckpt.ssb, &at);
         }
-        repl.set_retention(true);
         repl.instrument(self.obs.clone());
         self.ssb[victim] = repl;
         // Monotonicity restarts with the new incarnation: the restored
         // vector clock legitimately sits behind the crashed one's.
         self.prev_vc[victim] = vec![0; n];
         // Deterministic replay of the lost op stream.
-        self.rngs[victim] = ckpt.rng.clone();
+        self.rngs[victim] = ckpt.rng;
         for t in ckpt.resume_tick..crash_tick {
             self.do_ops(victim, false);
             self.close_if_due(sim, victim, t);
@@ -1227,14 +935,7 @@ impl RecWorld {
     /// and the "crash". Promotion without a crash, literally: the crash
     /// path minus staleness.
     fn handoff(&mut self, sim: &mut Sim, i: usize, tick: u64) {
-        self.ssb[i].note_progress(tick * 100 + 50);
-        if let Err(e) = self.ssb[i].close_epoch(sim) {
-            self.flag(
-                Invariant::RecoveryConvergence,
-                i,
-                format!("cutover close_epoch failed: {e:?}"),
-            );
-        }
+        self.close_epoch(sim, i, tick * 100 + 50);
         self.capture(i, tick);
         self.crash_restore(sim, i, tick);
     }
@@ -1253,28 +954,24 @@ impl RecWorld {
             self.pending_handoffs.remove(pos);
             self.handoff(sim, i, tick);
         }
-        if tick < R_OP_TICKS {
+        if tick < OP_TICKS {
             self.do_ops(i, true);
             let closed = self.close_if_due(sim, i, tick);
             if closed && self.victims.contains(&i) {
                 self.capture(i, tick);
             }
         } else if !self.final_closed[i] {
-            self.ssb[i].note_progress(FINAL_WM);
-            if let Err(e) = self.ssb[i].close_epoch(sim) {
-                self.flag(
-                    Invariant::RecoveryConvergence,
-                    i,
-                    format!("final close_epoch failed: {e:?}"),
-                );
-            }
+            self.close_epoch(sim, i, FINAL_WM);
             self.final_closed[i] = true;
         }
+        if i == 0 && tick == 6 && self.fire(Mutation::RegressVclock) {
+            self.ssb[0].fault_vclock_mut().fault_force_set(0, 1);
+        }
         if let Err(e) = self.ssb[i].pump(sim) {
-            self.flag(Invariant::RecoveryConvergence, i, format!("pump failed: {e:?}"));
+            self.flag(self.convergence, i, format!("pump failed: {e:?}"));
         }
         self.check_vclock(i);
-        tick >= R_OP_TICKS + SETTLE_TICKS
+        tick >= OP_TICKS + SETTLE_TICKS
     }
 
     /// Leader-side read of a group key's total: the canonical entry
@@ -1304,11 +1001,11 @@ impl RecWorld {
         }
     }
 
-    fn convergence(&mut self) {
+    fn check_convergence(&mut self) {
         if self.recovered != self.crashes_total {
             let (got, want) = (self.recovered, self.crashes_total);
             self.flag(
-                Invariant::RecoveryConvergence,
+                self.convergence,
                 VICTIM,
                 format!("only {got} of {want} scheduled crash/restores executed"),
             );
@@ -1316,16 +1013,15 @@ impl RecWorld {
         let n = self.ssb.len();
         let oracle: Vec<(u64, u64)> = self.oracle.iter().map(|(&k, &v)| (k, v)).collect();
         for (k, total) in oracle {
-            let key = pack_key(1, k);
-            let leader = partition_of(key, n);
+            let leader = partition_of(pack_key(1, k), n);
             let got = self.folded_get(leader, k);
             if got != Some(total) {
                 self.flag(
-                    Invariant::RecoveryConvergence,
+                    self.convergence,
                     leader,
                     format!(
-                        "key {k}: leader holds {got:?}, no-fault oracle says {total} \
-                         (lost or double-applied epoch)"
+                        "key {k}: leader holds {got:?}, sequential oracle says {total} \
+                         (lost or double-applied update)"
                     ),
                 );
             }
@@ -1335,7 +1031,7 @@ impl RecWorld {
                 let got = self.ssb[i].vclock().get(j);
                 if got != FINAL_WM {
                     self.flag(
-                        Invariant::RecoveryConvergence,
+                        self.convergence,
                         i,
                         format!("vclock slot {j} = {got} ≠ final watermark {FINAL_WM}"),
                     );
@@ -1343,22 +1039,12 @@ impl RecWorld {
             }
         }
     }
-}
 
-fn schedule_rec_actor(sim: &mut Sim, world: Rc<RefCell<RecWorld>>, node: usize, at: SimTime, tick: u64) {
-    sim.schedule_at_labeled(at, EventLabel::node(node as u32), move |sim| {
-        let done = world.borrow_mut().node_tick(sim, node, tick);
-        if !done {
-            let next = sim.now() + SimTime::from_nanos(C_TICK_NS);
-            schedule_rec_actor(sim, world, node, next, tick + 1);
-        }
-    });
-}
-
-impl RecWorld {
-    /// Order-insensitive digest of cluster state plus recovery progress
-    /// (checkpoints captured, crashes and handoffs still pending, cycles
-    /// completed).
+    /// Order-insensitive digest of the cluster's protocol-visible state —
+    /// every node's backend digest and vector clock, plus a commutative
+    /// fold of the oracle (its `HashMap` iteration order must not leak
+    /// into the digest) — and of recovery progress (checkpoints captured,
+    /// crashes and handoffs still pending, cycles completed).
     fn digest(&self) -> u64 {
         let mut h = 0xFA11_BACC_D16E_5721u64;
         for (i, node) in self.ssb.iter().enumerate() {
@@ -1381,34 +1067,17 @@ impl RecWorld {
     }
 }
 
-impl RecoveryScenario {
-    /// Run the scenario under one tie-break policy.
-    pub fn run(&self, policy: TieBreak) -> Outcome {
-        self.run_sim(Sim::with_tie_break(policy)).0
-    }
+fn schedule_ssb_actor(sim: &mut Sim, world: Rc<RefCell<SsbWorld>>, node: usize, at: SimTime, tick: u64) {
+    sim.schedule_at_labeled(at, EventLabel::node(node as u32), move |sim| {
+        let done = world.borrow_mut().node_tick(sim, node, tick);
+        if !done {
+            let next = sim.now() + SimTime::from_nanos(C_TICK_NS);
+            schedule_ssb_actor(sim, world, node, next, tick + 1);
+        }
+    });
+}
 
-    /// Run in explore mode under an explicit choice schedule; see
-    /// [`ChannelScenario::run_schedule`].
-    pub fn run_schedule(&self, choices: &[u32]) -> (Outcome, Vec<ChoicePoint>) {
-        let (out, mut sim) = self.run_sim(Sim::with_schedule(choices));
-        let trace = sim.take_choice_trace();
-        (out, trace)
-    }
-
-    /// Exhaustively enumerate this scenario's same-instant schedules (see
-    /// [`crate::explorer::explore_exhaustive`]).
-    pub fn exhaustive(
-        &self,
-        name: &'static str,
-        budget: crate::explorer::Budget,
-        minimize: bool,
-    ) -> crate::explorer::ExhaustiveReport {
-        crate::explorer::explore_exhaustive(name, budget, minimize, |c| {
-            let (outcome, trace) = self.run_schedule(c);
-            crate::explorer::ScheduleRun { outcome, trace }
-        })
-    }
-
+impl Scenario for RecoveryScenario {
     fn run_sim(&self, mut sim: Sim) -> (Outcome, Sim) {
         let n = self.nodes.max(2);
         let fabric = Fabric::new(FabricConfig::default());
@@ -1422,6 +1091,8 @@ impl RecoveryScenario {
                 credit_batch: 1,
             },
         };
+        // Instrumented cluster: delta-channel verbs and epoch phase spans
+        // stream into the flight recorder's ring.
         let obs = Obs::enabled(4096);
         let mut ssb = build_cluster_obs(&fabric, &nodes, CounterCrdt::descriptor(), cfg, obs.clone());
         // Fault-tolerant run: every sender retains closed epochs so the
@@ -1443,22 +1114,29 @@ impl RecoveryScenario {
         let mut victims: Vec<usize> = self.crashes.iter().map(|&(_, v)| v).collect();
         victims.sort_unstable();
         victims.dedup();
-        let world = Rc::new(RefCell::new(RecWorld {
+        let crashes_total = self.crashes.len() + self.handoffs.len();
+        let world = Rc::new(RefCell::new(SsbWorld {
             ssb,
             fabric: fabric.clone(),
             fab: nodes,
             cfg,
             oracle: HashMap::new(),
+            // Fixed per-node op seeds: the workload is identical across
+            // policies; only the interleaving varies.
             rngs: (0..n).map(|i| DetRng::new(0xFA11 ^ (i as u64) << 8)).collect(),
             prev_vc: vec![vec![0; n]; n],
             mutation: self.mutation,
+            convergence: if crashes_total == 0 {
+                Invariant::EpochConvergence
+            } else {
+                Invariant::RecoveryConvergence
+            },
             ckpts: (0..n).map(|_| None).collect(),
             pending: self.crashes.clone(),
             pending_handoffs: self.handoffs.clone(),
             victims,
             recovered: 0,
-            crashes_total: self.crashes.len() + self.handoffs.len(),
-            skip_used: false,
+            crashes_total,
             final_closed: vec![false; n],
             violations: Vec::new(),
             flagged: HashSet::new(),
@@ -1469,10 +1147,11 @@ impl RecoveryScenario {
         sim.set_state_digest(move || digest_world.borrow().digest());
         let t0 = SimTime::from_nanos(C_TICK_NS);
         for i in 0..n {
-            schedule_rec_actor(&mut sim, Rc::clone(&world), i, t0, 0);
+            schedule_ssb_actor(&mut sim, Rc::clone(&world), i, t0, 0);
         }
         sim.run();
-        // Settle: pump everything until fully quiescent (bounded).
+        // Settle: pump everything until fully quiescent (same pattern the
+        // backend's own tests use, bounded).
         for _ in 0..10_000 {
             let mut progress = 0u64;
             {
@@ -1491,7 +1170,7 @@ impl RecoveryScenario {
         }
         let mut w = world.borrow_mut();
         w.cur_fp = sim.schedule_fingerprint();
-        w.convergence();
+        w.check_convergence();
         let outcome = Outcome {
             fingerprint: sim.schedule_fingerprint(),
             violations: std::mem::take(&mut w.violations),
@@ -1522,7 +1201,7 @@ mod tests {
     #[test]
     fn coherence_scenario_clean_under_fifo_and_lifo() {
         for policy in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(7)] {
-            let out = CoherenceScenario::default().run(policy);
+            let out = RecoveryScenario::coherence().run(policy);
             assert!(
                 out.violations.is_empty(),
                 "unexpected violations under {policy:?}: {:?}",
@@ -1620,7 +1299,7 @@ mod tests {
         // A crash scheduled past the end of the run must not silently
         // vacuously pass: the convergence check counts executed cycles.
         let s = RecoveryScenario {
-            crashes: vec![(R_CRASH_TICK, VICTIM), (10_000, VICTIM)],
+            crashes: vec![(CRASH_TICK, VICTIM), (10_000, VICTIM)],
             ..RecoveryScenario::default()
         };
         let out = s.run(TieBreak::Fifo);

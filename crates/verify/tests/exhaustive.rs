@@ -4,7 +4,7 @@
 //! reporting on spaces that exceed the budget.
 
 use slash_verify::explorer::Budget;
-use slash_verify::scenarios::{ChannelScenario, Mutation, RecoveryScenario};
+use slash_verify::scenarios::{ChannelScenario, Mutation, RecoveryScenario, Scenario};
 
 #[test]
 fn small_channel_is_literally_fully_enumerated() {

@@ -5,7 +5,7 @@
 
 use slash_desim::TieBreak;
 use slash_verify::race::{explore, Invariant};
-use slash_verify::scenarios::{ChannelScenario, CoherenceScenario, Mutation, RecoveryScenario};
+use slash_verify::scenarios::{ChannelScenario, Mutation, RecoveryScenario, Scenario};
 
 /// Invariants flagged by the channel scenario under `m`, FIFO schedule.
 fn channel_flags(m: Mutation) -> Vec<Invariant> {
@@ -19,9 +19,9 @@ fn channel_flags(m: Mutation) -> Vec<Invariant> {
 
 /// Invariants flagged by the coherence scenario under `m`, FIFO schedule.
 fn coherence_flags(m: Mutation) -> Vec<Invariant> {
-    let out = CoherenceScenario {
+    let out = RecoveryScenario {
         mutation: Some(m),
-        ..CoherenceScenario::default()
+        ..RecoveryScenario::coherence()
     }
     .run(TieBreak::Fifo);
     out.violations.into_iter().map(|(i, _)| i).collect()
@@ -132,9 +132,9 @@ fn violations_come_with_flight_recorder_dumps() {
     assert!(out.dumps[0].contains("schedule fingerprint=0x"));
     assert!(out.dumps[0].contains("verb/"), "dump should show channel verb events");
 
-    let out = CoherenceScenario {
+    let out = RecoveryScenario {
         mutation: Some(Mutation::RegressVclock),
-        ..CoherenceScenario::default()
+        ..RecoveryScenario::coherence()
     }
     .run(TieBreak::Fifo);
     assert!(!out.violations.is_empty());
@@ -152,7 +152,7 @@ fn clean_scenarios_have_no_violations_under_a_small_sweep() {
     assert!(chan.clean(), "channel violations: {:?}", chan.violations);
     assert!(chan.distinct_schedules >= 4, "only {} distinct", chan.distinct_schedules);
 
-    let coh = explore("coherence", 8, |p| CoherenceScenario::default().run(p));
+    let coh = explore("coherence", 8, |p| RecoveryScenario::coherence().run(p));
     assert!(coh.clean(), "coherence violations: {:?}", coh.violations);
     assert!(coh.distinct_schedules >= 4, "only {} distinct", coh.distinct_schedules);
 }
@@ -169,7 +169,7 @@ fn acceptance_sweep_explores_at_least_100_distinct_schedules() {
         chan.distinct_schedules
     );
 
-    let coh = explore("coherence", 128, |p| CoherenceScenario::default().run(p));
+    let coh = explore("coherence", 128, |p| RecoveryScenario::coherence().run(p));
     assert!(coh.clean(), "coherence violations: {:?}", coh.violations);
     assert!(
         coh.distinct_schedules >= 100,

@@ -56,13 +56,15 @@ echo "recovery trace: two same-seed chaos runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/f_a.json"
 
 echo "==> [11/15] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
-# Writes BENCH_hotpath.json and exits non-zero if the combiner-on hot
-# loop is below 1.3x the per-record path on ysb_hot, or if any
-# workload's on/off state digests diverge. --zipf adds the skew sweep:
+# Exits non-zero if the combiner-on hot loop is below 1.3x the
+# per-record path on ysb_hot, or if any workload's on/off state digests
+# diverge. --zipf adds the skew sweep:
 # ysb_zipf_keyed over theta in {0, 0.5, 0.9, 1.1, 1.5} with hot-key
 # splitting on vs off — split-on must reach 1.5x at theta=1.1 and every
 # swept config must be bit-exact (results + state digests) vs unsplit.
-cargo run --release -p slash-bench --bin hotpath-bench -- --quick --zipf --out BENCH_hotpath.json
+# The rows are wall-clock: the fresh run goes to the scratch dir, the
+# checked-in BENCH_hotpath.json is refreshed by hand (EXPERIMENTS.md).
+cargo run --release -p slash-bench --bin hotpath-bench -- --quick --zipf --out "$trace_dir/hotpath.json"
 
 echo "==> [12/15] exhaustive model checker (bounded DFS over same-instant schedules)"
 # Enumerates every distinct same-instant schedule of the 2-node
@@ -108,7 +110,7 @@ grep -q "flight-recorder dump" <<<"$plant_out"
 grep -q "registry snapshot" <<<"$plant_out"
 echo "latency: planted 10x ssb_apply regression caught with flight dump"
 
-echo "==> [14/15] elastic rescale gate (diurnal bench, golden trace, handoff races)"
+echo "==> [14/15] elastic rescale gate (diurnal bench, golden trace)"
 # The diurnal 4->8->4 scale-out-and-back bench: zero lost records, results
 # and state digests bit-exact vs a static run of the same curve, zero
 # aborted migrations, full spread at peak, full pack-in at the end, and
@@ -122,9 +124,6 @@ SLASH_TRACE_OUT="$trace_dir/r_b.json" cargo run --release --example rescale >/de
 cmp "$trace_dir/r_a.json" "$trace_dir/r_b.json"
 echo "rescale trace: two same-seed elastic runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/r_a.json"
-# Focused re-run of the planned-handoff race families: cutover promotion
-# and handoff-vs-crash interleavings vs all six invariants.
-cargo run --release -p slash-verify --bin slash-race -- --scenario handoff --seeds 128
 
 echo "==> [15/15] thread-per-core backend (sim-vs-threaded digest smoke)"
 # The threaded runtime makes no schedule-determinism promises, but final
@@ -133,5 +132,9 @@ echo "==> [15/15] thread-per-core backend (sim-vs-threaded digest smoke)"
 # 2 workloads plus threaded self-consistency and the concurrent-obs merge
 # stress).
 cargo test --release -p slash-exec -q
+
+# Every artifact the gate rewrites in place is deterministic: a green run
+# leaves the tree clean, and one that moved fails here, loudly.
+git diff --exit-code -- 'BENCH_*.json' results/
 
 echo "ci: all gates green"
