@@ -65,9 +65,9 @@ pub struct ChaosConfig {
     pub ft: FtConfig,
     /// Group keys to hot-split before the first record (state-plane
     /// splitting only — chaos runs never forward records); the engine
-    /// hands them to its split director. The race families use this to
-    /// prove split/fold commutes with crash promotion and planned
-    /// handoff.
+    /// hands them to its split director. The `hot-split-*` rows of the
+    /// fault matrix use this to prove split/fold commutes with crash
+    /// promotion and planned handoff.
     pub pre_split: Vec<u64>,
 }
 

@@ -94,13 +94,31 @@ pub(crate) struct Cluster {
     /// One memory-bandwidth link per *host* when partitions may share
     /// hosts (elastic runs); `None` leaves every node its private link.
     pub(crate) host_mem: Option<Vec<Rc<RefCell<Link>>>>,
+    /// Bug planted by the verifier ([`ClusterBuilder::fault_plant`]).
+    pub(crate) plant: Option<Plant>,
+}
+
+/// A protocol bug the verifier can plant inside the shipped recovery and
+/// handoff machines, to prove its checks fire on them.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plant {
+    /// `commit_promotion` rejoins from a checkpoint that claims to hold
+    /// one more epoch of each survivor than it does, so every replay
+    /// starts one retained epoch late (`core/recovery.rs`).
+    SkipReplay,
+    /// The handoff cutover captures its checkpoint without closing the
+    /// cutover epoch, so the "boundary" lies mid-epoch and the open
+    /// fragment is lost (`core/elastic.rs`).
+    SkipCutoverClose,
 }
 
 impl Cluster {
-    /// The one bootstrap: fabric → SSB mesh → per-node boot → workers,
-    /// spawned in node order. `hosts` packs partitions onto ports
-    /// (`None` = one port each).
+    /// The one bootstrap, on the caller's simulator: fabric → SSB mesh →
+    /// per-node boot → workers, spawned in node order. `hosts` packs
+    /// partitions onto ports (`None` = one port each).
     fn boot(
+        mut sim: Sim,
         plan: QueryPlan,
         partitions: Vec<Rc<Vec<u8>>>,
         cfg: RunConfig,
@@ -110,7 +128,6 @@ impl Cluster {
         let n = cfg.nodes;
         let w = cfg.workers_per_node;
         assert_eq!(partitions.len(), n * w, "need one partition per worker");
-        let mut sim = Sim::new();
         let fabric = Fabric::new(cfg.fabric);
         let ports = fabric.add_nodes(n);
         let host: Vec<usize> = hosts.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
@@ -139,6 +156,7 @@ impl Cluster {
             owned: vec![false; n],
             progress_at: vec![SimTime::ZERO; n],
             host_mem: None,
+            plant: None,
         }
     }
 
@@ -285,6 +303,7 @@ pub struct ClusterBuilder<'a> {
     chaos: Option<&'a ChaosConfig>,
     elastic: Option<(&'a ElasticConfig, &'a mut dyn ScaleDirector)>,
     split: Option<&'a SplitRunConfig>,
+    plant: Option<Plant>,
 }
 
 impl SlashCluster {
@@ -304,6 +323,7 @@ impl SlashCluster {
             chaos: None,
             elastic: None,
             split: None,
+            plant: None,
         }
     }
 }
@@ -349,9 +369,25 @@ impl<'a> ClusterBuilder<'a> {
         self
     }
 
+    /// Plant a protocol bug in the recovery or handoff machine (mutation
+    /// testing of the verifier; never set outside it).
+    #[doc(hidden)]
+    pub fn fault_plant(mut self, plant: Plant) -> Self {
+        self.plant = Some(plant);
+        self
+    }
+
     /// Boot the cluster, install the configured directors, drive the run
     /// to completion and collect every report.
     pub fn run(self) -> Outcome {
+        self.run_on(Sim::new()).0
+    }
+
+    /// [`Self::run`] on the caller's simulator, handed back afterwards:
+    /// a tie-break policy or an explicit choice schedule
+    /// ([`Sim::with_schedule`]) then decides every same-instant order of
+    /// the run, and its fingerprint and choice trace stay readable.
+    pub fn run_on(self, sim: Sim) -> (Outcome, Sim) {
         let default_chaos = ChaosConfig::default();
         let chaos = self.chaos.or(self.elastic.is_some().then_some(&default_chaos));
         // Pre-split keys may come from either config; both go to the one
@@ -370,7 +406,8 @@ impl<'a> ClusterBuilder<'a> {
             "record forwarding is for fault-free runs only"
         );
         let hosts = self.elastic.as_ref().map(|(e, _)| &e.initial_hosts[..]);
-        let mut c = Cluster::boot(self.plan, self.partitions, self.cfg, self.obs, hosts);
+        let mut c = Cluster::boot(sim, self.plan, self.partitions, self.cfg, self.obs, hosts);
+        c.plant = self.plant;
 
         // Registration order is tick order, and install order is the
         // order director-scheduled events take at equal instants.
@@ -396,7 +433,8 @@ impl<'a> ClusterBuilder<'a> {
         for d in &mut directors {
             d.report(&c, &mut out);
         }
-        out
+        drop(directors);
+        (out, c.sim)
     }
 }
 
@@ -420,8 +458,9 @@ mod tests {
     fn rehomed_partition_is_flagged_at_the_fault_instant() {
         let at = SimTime::from_micros(100);
         let faults = chaos(FaultPlan::new().crash(at, 1));
+        let parts = parts(3, 60_000);
         let mut c =
-            Cluster::boot(count_plan(4_000), parts(3, 60_000), cfg(3), Obs::disabled(), None);
+            Cluster::boot(Sim::new(), count_plan(4_000), parts, cfg(3), Obs::disabled(), None);
         FtDirector::new(&faults, 3).install(&mut c);
         // As a committed promotion or handoff leaves it: partition 2 now
         // lives on port 1, next to partition 1.

@@ -44,7 +44,7 @@ use std::rc::Rc;
 use slash_desim::{Link, SimTime};
 use slash_obs::Cat;
 
-use crate::driver::{Cluster, Director, Outcome};
+use crate::driver::{Cluster, Director, Outcome, Plant};
 use crate::recovery::{
     commit_promotion, on_epoch_closed, reconnect_time, Checkpoint, FtState, PromoPhase, Promotion,
 };
@@ -227,6 +227,18 @@ enum HandoffPhase {
     Reconnect(Rc<Checkpoint>),
 }
 
+impl HandoffPhase {
+    /// The `migration_phase` gauge value, also the `phase` argument of
+    /// `handoff-abort` / `handoff-fallback` trace events.
+    fn ordinal(&self) -> u64 {
+        match self {
+            HandoffPhase::Warmup => 1,
+            HandoffPhase::Cutover(_) => 2,
+            HandoffPhase::Reconnect(_) => 3,
+        }
+    }
+}
+
 /// A handoff in flight for one partition (keyed by partition in the
 /// director's map).
 struct Handoff {
@@ -359,7 +371,7 @@ impl RescaleDirector<'_> {
                 p,
                 &[("from", from_host as u64), ("to", cmd.to_host as u64), ("warm_bytes", warm)],
             );
-            c.publish_owner(p, 1);
+            c.publish_owner(p, HandoffPhase::Warmup.ordinal());
             c.owned[p] = true;
             self.handoffs.insert(
                 p,
@@ -407,7 +419,7 @@ impl RescaleDirector<'_> {
                     RESCALE_TID,
                     "handoff-abort",
                     p,
-                    &[(reason, 1), ("to", h.ev.to_host as u64)],
+                    &[(reason, 1), ("to", h.ev.to_host as u64), ("phase", h.phase.ordinal())],
                 );
                 // Nothing moved: the plan ends where it started.
                 h.ev.to_host = h.ev.from_host;
@@ -432,7 +444,7 @@ impl RescaleDirector<'_> {
                 // The tail transfer (if still running) is void; the
                 // checkpoint already lives on the source.
                 h.phase_done_at = now;
-                let fallback = [("to", h.ev.to_host as u64)];
+                let fallback = [("to", h.ev.to_host as u64), ("phase", h.phase.ordinal())];
                 c.fault_event(RESCALE_TID, "handoff-fallback", p, &fallback);
             }
             if now < h.phase_done_at {
@@ -447,8 +459,12 @@ impl RescaleDirector<'_> {
                     let node = c.node(p);
                     let mut sh = node.borrow_mut();
                     sh.halted = true;
-                    match sh.ssb.close_epoch(&mut c.sim) {
-                        Ok(_) => on_epoch_closed(&mut sh),
+                    let closed = match c.plant {
+                        Some(Plant::SkipCutoverClose) => Ok(()),
+                        _ => sh.ssb.close_epoch(&mut c.sim).map(drop),
+                    };
+                    match closed {
+                        Ok(()) => on_epoch_closed(&mut sh),
                         Err(e) => sh
                             .obs
                             .record_failure("handoff cutover epoch", &format!("{e:?}")),
@@ -470,12 +486,12 @@ impl RescaleDirector<'_> {
                         &[("epochs", ckpt.epochs_closed()), ("tail_bytes", tail)],
                     );
                     h.phase = HandoffPhase::Cutover(ckpt);
-                    c.publish_owner(p, 2);
+                    c.publish_owner(p, h.phase.ordinal());
                 }
                 HandoffPhase::Cutover(ckpt) => {
                     h.phase_done_at = now + reconnect_time(&c.fabric);
                     h.phase = HandoffPhase::Reconnect(Rc::clone(ckpt));
-                    c.publish_owner(p, 3);
+                    c.publish_owner(p, h.phase.ordinal());
                 }
                 HandoffPhase::Reconnect(ckpt) => {
                     // Commit through the crash-promotion install path:

@@ -41,6 +41,8 @@ pub use cluster::{
     boot_node, publish_node_counters, spawn_node_workers, RunConfig, RunReport, SlashCluster,
 };
 pub use cost::{CacheModel, CostModel, TESTBED_CLOCK_GHZ};
+#[doc(hidden)]
+pub use driver::Plant;
 pub use driver::{ClusterBuilder, Outcome};
 pub use elastic::{
     ClusterTelemetry, ElasticConfig, MigrationCmd, MigrationEvent, RescaleReport, ScaleDirector,

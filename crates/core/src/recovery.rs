@@ -50,11 +50,11 @@
 //!   toward still-dead peers so their own later promotions find a complete
 //!   replay history.
 //!
-//! Exactness is validated by comparing window results and state digests
-//! against a same-seed fault-free run (`tests/chaos.rs`,
-//! `examples/failover.rs`, and `repro -- recovery`); the full protocol
-//! specification, including the fault × phase outcome matrix, is
-//! `DESIGN.md` §15.
+//! Exactness is validated against the sequential fold of the input on
+//! one fault matrix (`slash-verify`'s catalogue: `tests/chaos.rs`,
+//! `slash-race`, `repro -- recovery`) and narrated by
+//! `examples/failover.rs`; the full protocol specification, including the
+//! fault × phase outcome matrix, is `DESIGN.md` §15.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -69,7 +69,7 @@ use slash_state::backend::SsbNode;
 use slash_state::{chunks_digest, rejoin, relink, Rejoin, SsbCheckpoint};
 
 use crate::cluster::{boot_node, spawn_node_workers};
-use crate::driver::{Cluster, Director, Outcome};
+use crate::driver::{Cluster, Director, Outcome, Plant};
 use crate::sink::{results_digest, Sink, SinkResult};
 use crate::worker::NodeShared;
 
@@ -269,6 +269,8 @@ pub(crate) fn select_ship_buddy(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PromoPhase {
     /// Checkpoint chunks stream from the copy holder to the new host.
+    /// (Discriminants are the `phase` argument of `promotion-restart`
+    /// trace events.)
     Restore,
     /// Replacement channels to every survivor handshake to ready-to-send.
     Reconnect,
@@ -666,12 +668,13 @@ impl FtDirector<'_> {
                 && p.copy_port.is_some_and(|port| !c.fabric.node_alive(port));
             if host_dead || copy_dead {
                 let restarts = p.restarts + 1;
+                let phase = p.phase as u64;
                 if let Some(fresh) = promo_begin(c, &self.store, d, now, p.detected_at, restarts) {
                     c.fault_event(
                         RECOVERY_TID,
                         "promotion-restart",
                         d,
-                        &[("restarts", restarts as u64), ("host", fresh.host as u64)],
+                        &[("restarts", restarts as u64), ("host", fresh.host as u64), ("phase", phase)],
                     );
                     *p = fresh;
                 }
@@ -879,10 +882,14 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
     // one-sidedly; its commit replaces both directions with live channels.
     {
         let st = ft.store.borrow();
+        let mut tampered = (c.plant == Some(Plant::SkipReplay)).then(|| ckpt.ssb.clone());
         for s in (0..n).filter(|&s| s != d) {
             let peer_port = c.ports[live.host[s]];
             let mut survivor =
                 c.fabric.node_alive(peer_port).then(|| live.nodes[s].borrow_mut());
+            if let (Some(t), Some(sv)) = (tampered.as_mut(), survivor.as_ref()) {
+                t.receiver_next[s] = (t.receiver_next[s] + 1).min(sv.ssb.epochs_closed());
+            }
             let at = Rejoin {
                 fabric: &c.fabric,
                 port: p.host_port,
@@ -892,7 +899,8 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
                 peer_durable: st[s].durable_horizon(),
                 obs: &c.obs,
             };
-            rejoin(&mut ssb, survivor.as_mut().map(|sv| &mut sv.ssb), &ckpt.ssb, &at);
+            let from = tampered.as_ref().unwrap_or(&ckpt.ssb);
+            rejoin(&mut ssb, survivor.as_mut().map(|sv| &mut sv.ssb), from, &at);
         }
     }
 

@@ -327,7 +327,7 @@ impl ForwardFabric {
 #[derive(Debug, Clone)]
 pub struct SplitRunConfig {
     /// Keys split before the first record (deterministic scenarios and
-    /// the race families use this; online detection uses `auto`).
+    /// the fault matrix use this; online detection uses `auto`).
     pub pre_split: Vec<u64>,
     /// Online detection policy; `None` runs only the pre-splits.
     pub auto: Option<HeatPolicy>,

@@ -62,6 +62,8 @@ struct ExploreState {
     schedule: Vec<u32>,
     cursor: usize,
     trace: Vec<ChoicePoint>,
+    /// Distinct virtual instants at which events fired, ascending.
+    instants: Vec<SimTime>,
     digest: Option<Box<dyn Fn() -> u64>>,
 }
 
@@ -119,6 +121,7 @@ impl Sim {
             schedule: choices.to_vec(),
             cursor: 0,
             trace: Vec::new(),
+            instants: Vec::new(),
             digest: None,
         });
         sim
@@ -148,6 +151,17 @@ impl Sim {
         self.explore
             .as_mut()
             .map(|ex| std::mem::take(&mut ex.trace))
+            .unwrap_or_default()
+    }
+
+    /// Take the distinct virtual instants at which an explored run fired
+    /// events, in ascending order (empty outside explore mode). These are
+    /// the only instants at which an externally injected event — a fault —
+    /// can change its order relative to the run's own events.
+    pub fn take_event_instants(&mut self) -> Vec<SimTime> {
+        self.explore
+            .as_mut()
+            .map(|ex| std::mem::take(&mut ex.instants))
             .unwrap_or_default()
     }
 
@@ -378,10 +392,13 @@ impl Sim {
         if ties.is_empty() {
             return None;
         }
+        let ex = self.explore.as_mut().expect("explore mode");
+        if ex.instants.last() != Some(&ties[0].at) {
+            ex.instants.push(ties[0].at);
+        }
         if ties.len() == 1 {
             return ties.pop();
         }
-        let ex = self.explore.as_mut().expect("explore mode");
         let idx = if ex.cursor < ex.schedule.len() {
             (ex.schedule[ex.cursor] as usize).min(ties.len() - 1)
         } else {
@@ -701,6 +718,7 @@ mod tests {
         // the first branch, 1 at the second.
         assert_eq!(trace.iter().map(|c| c.digest).collect::<Vec<_>>(), vec![0, 1]);
         assert!(sim.exploring());
+        assert_eq!(sim.take_event_instants(), vec![SimTime::from_nanos(5)]);
         let mut plain = Sim::new();
         plain.set_state_digest(|| 42); // no-op outside explore mode
         assert!(plain.take_choice_trace().is_empty());

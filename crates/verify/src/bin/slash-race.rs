@@ -1,60 +1,55 @@
-//! `slash-race` — sweep the protocol scenarios across tie-break schedules.
+//! `slash-race` — sweep the protocol scenarios and the fault matrix across
+//! tie-break schedules and fault instants.
 //!
 //! ```text
 //! slash-race [--seeds N] [--mutation NAME] [--exhaustive]
 //!            [--max-states N] [--max-schedules N] [--minimize] [--out PATH]
 //! ```
 //!
-//! **Random sweep (default):** runs the channel, multi-port fabric,
-//! coherence, and crash-recovery scenarios — including the compound
-//! `concurrent-crash` (two victims on the same tick) and
-//! `reentrant-recovery` (the same victim crashes again after its first
-//! restore) families, plus the elastic-rescaling `planned-handoff`
-//! (cutover promotion without a crash) and `handoff-vs-crash` (a live
-//! migration racing a concurrent crash recovery on the same tick)
-//! families, plus the hot-key-splitting `hot-split-recovery` and
-//! `hot-split-handoff` families (keys split into per-replica salted
-//! sub-keys while a crash or cutover interleaves; convergence checks the
-//! canonical-plus-sub-keys fold) — under `N` tie-break policies (FIFO,
-//! LIFO, and seeded
-//! permutations; default 128), printing how many distinct schedules
-//! were explored and any invariant violations. On a violation the flight
-//! recorder's dump — the last trace events with the schedule fingerprint
-//! and vector-clock context — is printed alongside.
+//! **Random sweep (default):** runs the three protocol scenarios (channel,
+//! multi-port fabric, epoch coherence) under `N` tie-break policies (FIFO,
+//! LIFO, seeded permutations; default 128), and every case of the fault
+//! matrix ([`slash_verify::catalogue`]) on the shipped cluster driver for
+//! `N` runs — run *i* at the *i*-th of `N` strided fault instants under
+//! the *i*-th policy. A protocol family must yield ≥ 100 distinct
+//! schedules; a driver case ≥ 100 distinct (instant, schedule) pairs, every
+//! run exact against the sequential oracle, every required repair seen.
+//! On a violation the flight recorder's dump is printed alongside.
 //!
-//! **Exhaustive mode (`--exhaustive`):** replaces sampling with the
-//! bounded DFS model checker ([`slash_verify::explorer`]). The small
-//! 2-node FIFO/credit scenario is enumerated *literally* (every distinct
-//! same-instant schedule run, dedup off) and must drain its frontier with
-//! `schedules == distinct fingerprints`; the single-crash recovery
-//! scenario, the 2-node single-handoff `rescale-small` scenario, and the
-//! 2-node single-crash-with-one-split-key `hot-split-small` scenario are
-//! explored with state-digest dedup and must also drain completely.
-//! Coverage floors are hard gates: enumerating fewer
-//! schedules than a known-good run is a regression. A scenario that
-//! exceeds its budget must *report* the truncated frontier, and the
-//! random sweep then runs as a fallback over the unexplored space. The
-//! coverage accounting is written as JSON with `--out` (CI publishes
-//! `results/race_coverage.json`).
+//! **Exhaustive mode (`--exhaustive`):** the bounded DFS model checker
+//! ([`slash_verify::explorer`]). The 2-node FIFO/credit scenario is
+//! enumerated *literally* (every distinct same-instant schedule run, dedup
+//! off) and once more under state-digest dedup. The 2-node `*-small`
+//! driver cases are enumerated literally at **every** event instant of
+//! their fault-free run; full-size driver cases take three schedules at
+//! each of 48 strided instants. Coverage floors are hard gates: fewer
+//! instants or schedules than a known-good run is a regression. A protocol
+//! scenario that exceeds its budget must *report* the truncated frontier
+//! and falls back to the random sweep. The accounting is written as JSON
+//! with `--out` (CI publishes `results/race_coverage.json`).
 //!
-//! `--mutation NAME` injects a known protocol bug (one of
-//! `skip-credit-return`, `ignore-credit-window`, `reorder-delivered`,
-//! `regress-vclock`, `drop-update`, `skip-replay`) into the owning
-//! scenario and *expects* the checks to fire: under the random sweep a
-//! violation plus a flight-recorder dump; under `--exhaustive` (with
+//! `--mutation NAME` plants a known bug (`skip-credit-return`,
+//! `ignore-credit-window`, `reorder-delivered`, `regress-vclock`,
+//! `drop-update` in the protocol scenarios; `skip-replay` in
+//! `core/recovery.rs` and `skip-cutover-close` in `core/elastic.rs`, run
+//! on the driver) and *expects* the checks to fire: under the random sweep
+//! a violation plus a flight-recorder dump; under `--exhaustive` (with
 //! `--minimize`) additionally a minimized reproducing choice schedule
-//! strictly shorter than the first exposing one.
+//! strictly shorter than the first exposing one — for the driver plants at
+//! the earliest exposing instant.
 //!
 //! Exit codes: 0 all gates hold (or, under `--mutation`, the injected bug
 //! was caught), 1 otherwise, 2 usage error.
 
 use std::process::ExitCode;
 
+use slash_verify::catalogue::{case, catalogue, Case, Tally};
 use slash_verify::explorer::{Budget, ExhaustiveReport};
 use slash_verify::race::{explore, Exploration};
-use slash_verify::scenarios::{ChannelScenario, Mutation, RecoveryScenario, Scenario};
+use slash_verify::scenarios::{ChannelScenario, CoherenceScenario, Mutation, Scenario};
 
-/// Minimum distinct schedules per scenario for a full-size sweep.
+/// Minimum distinct schedules — for a driver case, distinct (instant,
+/// schedule) pairs — per full-size sweep.
 const MIN_DISTINCT: usize = 100;
 
 /// Coverage floor for the literal enumeration of the 2-node FIFO/credit
@@ -62,48 +57,34 @@ const MIN_DISTINCT: usize = 100;
 /// (3 binary branch points); enumerating fewer is a regression.
 const CHAN_SMALL_FLOOR: usize = 8;
 
-/// Coverage floor for the dedup-reduced single-crash recovery scenario
-/// (35 schedules today; slack for benign drift, still far above the
-/// 1-schedule degenerate case).
-const RECOVERY_SMALL_FLOOR: usize = 24;
+/// Coverage floors of the literally enumerated driver cases, as
+/// `(instants, schedules)`: about nine tenths of today's counts (see
+/// `results/race_coverage.json`), so a shrunk input, a lost tie point or a
+/// clipped window fails loudly while benign drift does not.
+const LITERAL_FLOORS: [(&str, usize, usize); 3] = [
+    ("recovery-small", 156, 3_400),
+    ("rescale-small", 153, 4_700),
+    ("hot-split-small", 162, 3_500),
+];
 
-/// Coverage floor for the dedup-reduced 2-node single-handoff rescale
-/// scenario (35 schedules today; same slack policy as
-/// [`RECOVERY_SMALL_FLOOR`]).
-const HANDOFF_SMALL_FLOOR: usize = 24;
+/// Schedules a strided (non-literal) driver case takes per instant under
+/// `--exhaustive`.
+const STRIDED_SCHEDULES: usize = 3;
 
-/// Coverage floor for the dedup-reduced 2-node single-crash scenario
-/// with one hot-split key (same slack policy as
-/// [`RECOVERY_SMALL_FLOOR`]: well below today's count, far above the
-/// 1-schedule degenerate case).
-const HOT_SPLIT_SMALL_FLOOR: usize = 24;
-
-fn gate(e: &Exploration, seeds: u64) -> bool {
-    let needed = if seeds as usize > MIN_DISTINCT + 2 {
+fn needed(seeds: u64) -> usize {
+    if seeds as usize > MIN_DISTINCT + 2 {
         MIN_DISTINCT
     } else {
         // Small sweeps (e.g. smoke runs) still must mostly diverge.
         (seeds as usize / 2).max(1)
-    };
-    e.clean() && e.distinct_schedules >= needed
-}
-
-fn parse_mutation(name: &str) -> Option<Mutation> {
-    match name {
-        "skip-credit-return" => Some(Mutation::SkipCreditReturn),
-        "ignore-credit-window" => Some(Mutation::IgnoreCreditWindow),
-        "reorder-delivered" => Some(Mutation::ReorderDelivered),
-        "regress-vclock" => Some(Mutation::RegressVclock),
-        "drop-update" => Some(Mutation::DropUpdate),
-        "skip-replay" => Some(Mutation::SkipReplay),
-        _ => None,
     }
 }
 
-/// The scenario that owns mutation `m`, with the bug planted: the
-/// full-size configuration for the random sweep, the `small` one (where the
-/// family has one) for the exhaustive explorer.
-fn mutated(m: Mutation, small: bool) -> (&'static str, Box<dyn Scenario>) {
+/// The protocol scenario that owns mutation `m`, with the bug planted: the
+/// full-size configuration for the random sweep, the `small` one (where
+/// the family has one) for the exhaustive explorer. `None`: the bug lives
+/// in the shipped driver.
+fn mutated(m: Mutation, small: bool) -> Option<(&'static str, Box<dyn Scenario>)> {
     let mutation = Some(m);
     match m {
         Mutation::SkipCreditReturn | Mutation::IgnoreCreditWindow | Mutation::ReorderDelivered => {
@@ -111,27 +92,38 @@ fn mutated(m: Mutation, small: bool) -> (&'static str, Box<dyn Scenario>) {
                 true => ("channel-small (mutated)", ChannelScenario::small()),
                 false => ("channel-protocol (mutated)", ChannelScenario::default()),
             };
-            (name, Box::new(ChannelScenario { mutation, ..base }))
-        }
-        Mutation::SkipReplay => {
-            let (name, base) = match small {
-                true => ("recovery-small (mutated)", RecoveryScenario::small()),
-                false => ("crash-recovery (mutated)", RecoveryScenario::default()),
-            };
-            (name, Box::new(RecoveryScenario { mutation, ..base }))
+            Some((name, Box::new(ChannelScenario { mutation, ..base })))
         }
         Mutation::RegressVclock | Mutation::DropUpdate => {
-            let base = RecoveryScenario::coherence();
-            ("epoch-coherence (mutated)", Box::new(RecoveryScenario { mutation, ..base }))
+            let base = CoherenceScenario::default();
+            Some(("epoch-coherence (mutated)", Box::new(CoherenceScenario { mutation, ..base })))
         }
+        Mutation::SkipReplay | Mutation::SkipCutoverClose => None,
     }
+}
+
+/// The catalogue case a driver plant (any mutation [`mutated`] does not
+/// own) runs on.
+fn planted_case(m: Mutation, small: bool) -> Case {
+    let name = match (m, small) {
+        (Mutation::SkipCutoverClose, false) => "planned-handoff",
+        (Mutation::SkipCutoverClose, true) => "rescale-small",
+        (_, false) => "node-crash",
+        (_, true) => "recovery-small",
+    };
+    case(name).expect("catalogue row")
 }
 
 /// Run one injected bug under a small sweep and require both a violation
 /// and a flight-recorder dump.
 fn run_mutation(m: Mutation, seeds: u64) -> ExitCode {
-    let (name, s) = mutated(m, false);
-    let e = explore(name, seeds, |p| s.run(p));
+    let e = match mutated(m, false) {
+        Some((name, s)) => explore(name, seeds, |p| s.run(p)),
+        None => {
+            let c = planted_case(m, false);
+            c.sweep(&c.probe(), seeds, m.plant()).0
+        }
+    };
     print!("{}", e.render_human());
     if !e.clean() && !e.dumps.is_empty() {
         println!("slash-race: mutation {m:?} detected, flight recorder dumped — PASS");
@@ -147,13 +139,24 @@ fn run_mutation(m: Mutation, seeds: u64) -> ExitCode {
 }
 
 /// Run one injected bug under the exhaustive explorer on the small
-/// configuration its scenario owns; require detection and (when
-/// minimizing) a repro schedule strictly shorter than the first exposing
-/// one.
+/// configuration its owner has; require detection and (when minimizing) a
+/// repro schedule strictly shorter than the first exposing one.
 fn run_mutation_exhaustive(m: Mutation, budget: Budget, minimize: bool) -> ExitCode {
-    let (name, s) = mutated(m, true);
-    let rep = s.exhaustive(name, budget, minimize);
+    let rep = match mutated(m, true) {
+        Some((name, s)) => s.exhaustive(name, budget, minimize),
+        None => {
+            let c = planted_case(m, true);
+            let (rep, tally) = c.exhaustive(&c.probe(), literal(budget), minimize, m.plant());
+            if let Some(at) = tally.exposed_at {
+                println!("{}: earliest exposing instant {} ns", c.name, at.as_nanos());
+            }
+            rep
+        }
+    };
     print!("{}", rep.render_human());
+    for dump in rep.counterexamples.iter().flat_map(|c| c.dumps.iter()).take(2) {
+        println!("{}", dump.trim_end());
+    }
     let minimization_holds = !minimize
         || rep
             .counterexamples
@@ -172,26 +175,23 @@ fn run_mutation_exhaustive(m: Mutation, budget: Budget, minimize: bool) -> ExitC
     }
 }
 
-/// One scenario's contribution to the coverage report.
+/// Literal enumeration: every distinct schedule is run, none pruned.
+fn literal(budget: Budget) -> Budget {
+    Budget {
+        state_dedup: false,
+        ..budget
+    }
+}
+
+/// One row of the coverage report.
 struct ScenarioCoverage {
     report: ExhaustiveReport,
-    /// Scenario-specific gate verdict (coverage floor, literal/complete
-    /// requirement), not counting the truncation-fallback gate.
+    /// Fault-instant accounting (driver cases only).
+    tally: Option<Tally>,
+    /// The row's whole gate verdict.
     gate_ok: bool,
     /// Random-sweep fallback result when the frontier truncated.
     fallback: Option<Exploration>,
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn coverage_json(scenarios: &[ScenarioCoverage], pass: bool) -> String {
@@ -206,7 +206,7 @@ fn coverage_json(scenarios: &[ScenarioCoverage], pass: bool) -> String {
              \"frontier_truncated\": {},\n      \"complete\": {},\n      \
              \"literal_full_enumeration\": {},\n      \"counterexamples\": {},\n      \
              \"gate_ok\": {}",
-            json_escape(sc.report.scenario),
+            sc.report.scenario,
             c.schedules_enumerated,
             c.distinct_fingerprints,
             c.states_expanded,
@@ -220,6 +220,16 @@ fn coverage_json(scenarios: &[ScenarioCoverage], pass: bool) -> String {
             sc.report.counterexamples.len(),
             sc.gate_ok,
         ));
+        if let Some(t) = &sc.tally {
+            // Driver rows: schedules are (instant, schedule) pairs.
+            out.push_str(&format!(
+                ",\n      \"instants\": {},\n      \"instants_requiring_repair\": {},\n      \
+                 \"distinct_runs\": {}",
+                t.instants.len(),
+                t.required.len(),
+                t.runs.len()
+            ));
+        }
         if let Some(fb) = &sc.fallback {
             out.push_str(&format!(
                 ",\n      \"fallback_sweep\": {{\n        \"schedules_run\": {},\n        \
@@ -239,86 +249,78 @@ fn coverage_json(scenarios: &[ScenarioCoverage], pass: bool) -> String {
     out
 }
 
-/// The exhaustive verification pass: literal enumeration of the 2-node
-/// FIFO/credit scenario, dedup-reduced enumeration of the single-crash
-/// recovery scenario, coverage-floor gates, and the random-sweep fallback
-/// on any truncated frontier.
+/// The exhaustive verification pass: the channel scenario (literal and
+/// dedup-reduced), then the fault matrix on the shipped driver — literal
+/// at every instant for the `*-small` cases, strided for the rest — with
+/// coverage floors and the random-sweep fallback on a truncated protocol
+/// frontier.
 fn run_exhaustive(budget: Budget, minimize: bool, seeds: u64, out: Option<&str>) -> ExitCode {
     let mut scenarios = Vec::new();
 
-    // 2-node FIFO/credit: literal full enumeration, dedup off. The gate
-    // is the strongest claim the explorer can make: every distinct
-    // same-instant schedule was run, none pruned, frontier drained.
+    // 2-node FIFO/credit: literal full enumeration, dedup off, then the
+    // same scenario with state-digest dedup on — the reduction must not
+    // change the verdict, only save runs. A truncated frontier is only
+    // acceptable when reported AND the random fallback sweep stays clean.
     let chan = ChannelScenario::small();
-    let literal_budget = Budget {
-        state_dedup: false,
-        ..budget
-    };
-    let rep = chan.exhaustive("channel-small-literal", literal_budget, minimize);
-    print!("{}", rep.render_human());
-    let gate_ok = rep.clean()
-        && rep.coverage.literal_full_enumeration()
-        && rep.coverage.schedules_enumerated >= CHAN_SMALL_FLOOR;
-    let fallback = fallback_if_truncated(&rep, seeds, |p| chan.run(p));
-    scenarios.push(ScenarioCoverage {
-        report: rep,
-        gate_ok,
-        fallback,
-    });
-
-    // Same scenario with state-digest dedup on: the reduction must not
-    // change the verdict, only save runs.
-    let rep = chan.exhaustive("channel-small-dedup", budget, minimize);
-    print!("{}", rep.render_human());
-    let gate_ok = rep.clean() && rep.coverage.complete();
-    let fallback = fallback_if_truncated(&rep, seeds, |p| chan.run(p));
-    scenarios.push(ScenarioCoverage {
-        report: rep,
-        gate_ok,
-        fallback,
-    });
-
-    // The dedup-reduced SSB scenarios; each must drain completely.
-    // * recovery-small — single crash: the literal space is ~2^34, but
-    //   state-digest dedup collapses converged tick interleavings.
-    // * rescale-small — single planned handoff (the elastic cutover):
-    //   structurally the crash scenario with an empty replay range, so
-    //   the reconnect-dedup invariant becomes checked-on-all-schedules.
-    // * hot-split-small — single crash with one hot-split key: crash
-    //   promotion must commute with split/fold on every schedule; salted
-    //   sub-key entries checkpoint, replay and merge like any other
-    //   state, and the restored node adopts split custody from the
-    //   survivor.
-    for (name, s, floor) in [
-        ("recovery-small", RecoveryScenario::small(), RECOVERY_SMALL_FLOOR),
-        ("rescale-small", RecoveryScenario::rescale_small(), HANDOFF_SMALL_FLOOR),
-        ("hot-split-small", RecoveryScenario::hot_split_small(), HOT_SPLIT_SMALL_FLOOR),
+    for (name, budget, is_literal) in [
+        ("channel-small-literal", literal(budget), true),
+        ("channel-small-dedup", budget, false),
     ] {
-        let rep = s.exhaustive(name, budget, minimize);
-        print!("{}", rep.render_human());
-        let gate_ok =
-            rep.clean() && rep.coverage.complete() && rep.coverage.schedules_enumerated >= floor;
-        let fallback = fallback_if_truncated(&rep, seeds, |p| s.run(p));
+        let report = chan.exhaustive(name, budget, minimize);
+        print!("{}", report.render_human());
+        let c = &report.coverage;
+        let drained = match is_literal {
+            true => c.literal_full_enumeration() && c.schedules_enumerated >= CHAN_SMALL_FLOOR,
+            false => c.complete(),
+        };
+        let fallback = c.frontier_truncated.then(|| {
+            println!("slash-race: {name} truncated at budget — falling back to the random sweep");
+            let fb = explore(name, seeds, |p| chan.run(p));
+            print!("{}", fb.render_human());
+            fb
+        });
+        let gate_ok = report.clean() && drained && fallback.as_ref().is_none_or(Exploration::clean);
         scenarios.push(ScenarioCoverage {
-            report: rep,
+            report,
+            tally: None,
             gate_ok,
             fallback,
         });
     }
 
-    // A truncated frontier is only acceptable when reported AND the
-    // random fallback sweep over the same scenario stays clean.
-    let pass = scenarios.iter().all(|sc| {
-        sc.gate_ok
-            && match (&sc.fallback, sc.report.coverage.frontier_truncated) {
-                (Some(fb), true) => fb.clean(),
-                (None, false) => true,
-                // Fallback without truncation or vice versa cannot happen
-                // by construction; treat defensively as failure.
-                _ => false,
+    // The fault matrix. A literal case runs every tie schedule at every
+    // event instant of its fault-free run and must drain each frontier
+    // with nothing pruned; a strided one is gated on distinct (instant,
+    // schedule) pairs, like the random sweep.
+    for c in catalogue() {
+        let budget = match c.literal {
+            true => literal(budget),
+            false => Budget {
+                max_schedules: STRIDED_SCHEDULES,
+                ..budget
+            },
+        };
+        let (report, tally) = c.exhaustive(&c.probe(), budget, minimize, None);
+        print!("{}", report.render_human());
+        let cov = &report.coverage;
+        let covered = match LITERAL_FLOORS.iter().find(|f| f.0 == c.name) {
+            Some(&(_, instants, schedules)) => {
+                cov.literal_full_enumeration()
+                    && tally.instants.len() >= instants
+                    && cov.schedules_enumerated >= schedules
             }
-    });
+            None => !c.literal && cov.distinct_fingerprints >= MIN_DISTINCT,
+        };
+        println!("  {tally}");
+        scenarios.push(ScenarioCoverage {
+            gate_ok: report.clean() && covered,
+            report,
+            tally: Some(tally),
+            fallback: None,
+        });
+    }
 
+    let pass = scenarios.iter().all(|sc| sc.gate_ok);
     let json = coverage_json(&scenarios, pass);
     match out {
         Some(path) => {
@@ -337,26 +339,46 @@ fn run_exhaustive(budget: Budget, minimize: bool, seeds: u64, out: Option<&str>)
         println!("slash-race: exhaustive PASS");
         ExitCode::SUCCESS
     } else {
+        for sc in scenarios.iter().filter(|sc| !sc.gate_ok) {
+            println!("slash-race: gate failed: {}", sc.report.scenario);
+        }
         println!("slash-race: exhaustive FAIL");
         ExitCode::FAILURE
     }
 }
 
-fn fallback_if_truncated(
-    rep: &ExhaustiveReport,
-    seeds: u64,
-    run: impl FnMut(slash_desim::TieBreak) -> slash_verify::race::Outcome,
-) -> Option<Exploration> {
-    if !rep.coverage.frontier_truncated {
-        return None;
+/// The random sweep: the protocol families under `seeds` tie-break
+/// policies, then every catalogue case on the shipped driver.
+fn run_sweep(seeds: u64) -> ExitCode {
+    let families: [(&str, Box<dyn Scenario>); 3] = [
+        ("channel-protocol", Box::new(ChannelScenario::default())),
+        ("multiport-fabric", Box::new(ChannelScenario::multi_port())),
+        ("epoch-coherence", Box::new(CoherenceScenario::default())),
+    ];
+    let mut ok = true;
+    for (name, s) in &families {
+        let e = explore(name, seeds, |p| s.run(p));
+        print!("{}", e.render_human());
+        ok &= e.clean() && e.distinct_schedules >= needed(seeds);
     }
-    println!(
-        "slash-race: {} truncated at budget — falling back to the random sweep",
-        rep.scenario
-    );
-    let fb = explore(rep.scenario, seeds, run);
-    print!("{}", fb.render_human());
-    Some(fb)
+    for c in catalogue() {
+        let (e, tally) = c.sweep(&c.probe(), seeds, None);
+        print!("{}", e.render_human());
+        println!("  {tally}");
+        ok &= e.clean() && e.distinct_schedules >= needed(seeds);
+    }
+    if ok {
+        println!("slash-race: PASS");
+        ExitCode::SUCCESS
+    } else {
+        println!("slash-race: FAIL");
+        ExitCode::FAILURE
+    }
+}
+
+fn usage(msg: &str) -> ExitCode {
+    eprintln!("slash-race: {msg}");
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
@@ -369,46 +391,30 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seeds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seeds = n,
-                None => {
-                    eprintln!("slash-race: --seeds requires a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--mutation" => match args.next().as_deref().and_then(parse_mutation) {
-                Some(m) => mutation = Some(m),
-                None => {
-                    eprintln!(
-                        "slash-race: --mutation requires one of skip-credit-return, \
-                         ignore-credit-window, reorder-delivered, regress-vclock, \
-                         drop-update, skip-replay"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
             "--exhaustive" => exhaustive = true,
             "--minimize" => minimize = true,
-            "--max-states" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => budget.max_states = n,
-                None => {
-                    eprintln!("slash-race: --max-states requires a number");
-                    return ExitCode::from(2);
+            "--seeds" | "--max-states" | "--max-schedules" => {
+                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
+                    return usage(&format!("{a} requires a number"));
+                };
+                match a.as_str() {
+                    "--seeds" => seeds = n as u64,
+                    "--max-states" => budget.max_states = n,
+                    _ => budget.max_schedules = n,
                 }
-            },
-            "--max-schedules" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => budget.max_schedules = n,
-                None => {
-                    eprintln!("slash-race: --max-schedules requires a number");
-                    return ExitCode::from(2);
-                }
-            },
+            }
+            "--mutation" => {
+                let name = args.next();
+                let Some(&(_, m)) = Mutation::ALL.iter().find(|(n, _)| Some(*n) == name.as_deref())
+                else {
+                    let names: Vec<&str> = Mutation::ALL.iter().map(|(n, _)| *n).collect();
+                    return usage(&format!("--mutation requires one of {}", names.join(", ")));
+                };
+                mutation = Some(m);
+            }
             "--out" => match args.next() {
                 Some(p) => out = Some(p),
-                None => {
-                    eprintln!("slash-race: --out requires a path");
-                    return ExitCode::from(2);
-                }
+                None => return usage("--out requires a path"),
             },
             "--help" | "-h" => {
                 println!(
@@ -417,49 +423,16 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("slash-race: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
+            other => return usage(&format!("unknown argument `{other}`")),
         }
     }
 
-    if exhaustive {
-        return match mutation {
-            Some(m) => run_mutation_exhaustive(m, budget, minimize),
-            None => run_exhaustive(budget, minimize, seeds, out.as_deref()),
-        };
-    }
-
-    if let Some(m) = mutation {
+    match (exhaustive, mutation) {
+        (true, Some(m)) => run_mutation_exhaustive(m, budget, minimize),
+        (true, None) => run_exhaustive(budget, minimize, seeds, out.as_deref()),
         // A mutated sweep only needs a handful of schedules to prove the
         // checks fire; cap so `--mutation` stays fast by default.
-        return run_mutation(m, seeds.min(8));
-    }
-
-    let families: [(&str, Box<dyn Scenario>); 10] = [
-        ("planned-handoff", Box::new(RecoveryScenario::planned_handoff())),
-        ("handoff-vs-crash", Box::new(RecoveryScenario::handoff_vs_crash())),
-        ("channel-protocol", Box::new(ChannelScenario::default())),
-        ("multiport-fabric", Box::new(ChannelScenario::multi_port())),
-        ("epoch-coherence", Box::new(RecoveryScenario::coherence())),
-        ("crash-recovery", Box::new(RecoveryScenario::default())),
-        ("concurrent-crash", Box::new(RecoveryScenario::concurrent_crash())),
-        ("reentrant-recovery", Box::new(RecoveryScenario::reentrant())),
-        ("hot-split-recovery", Box::new(RecoveryScenario::hot_split())),
-        ("hot-split-handoff", Box::new(RecoveryScenario::hot_split_handoff())),
-    ];
-    let mut ok = true;
-    for (name, s) in &families {
-        let e = explore(name, seeds, |p| s.run(p));
-        print!("{}", e.render_human());
-        ok &= gate(&e, seeds);
-    }
-    if ok {
-        println!("slash-race: PASS");
-        ExitCode::SUCCESS
-    } else {
-        println!("slash-race: FAIL");
-        ExitCode::FAILURE
+        (false, Some(m)) => run_mutation(m, seeds.min(8)),
+        (false, None) => run_sweep(seeds),
     }
 }

@@ -100,6 +100,20 @@ pub struct Coverage {
 }
 
 impl Coverage {
+    /// Add another exploration's accounting to this one. The explorations
+    /// must cover disjoint spaces (the same case at different fault
+    /// instants), so their distinct-fingerprint counts add up too.
+    pub fn absorb(&mut self, other: &Coverage) {
+        self.schedules_enumerated += other.schedules_enumerated;
+        self.distinct_fingerprints += other.distinct_fingerprints;
+        self.states_expanded += other.states_expanded;
+        self.pruned_sleep += other.pruned_sleep;
+        self.pruned_dedup += other.pruned_dedup;
+        self.max_depth_seen = self.max_depth_seen.max(other.max_depth_seen);
+        self.minimization_runs += other.minimization_runs;
+        self.frontier_truncated |= other.frontier_truncated;
+    }
+
     /// Whether every schedule in the space was either enumerated or pruned
     /// by a sound reduction.
     pub fn complete(&self) -> bool {

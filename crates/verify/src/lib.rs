@@ -2,7 +2,7 @@
 #![deny(missing_docs)]
 //! # slash-verify — verification tooling for the Slash reproduction
 //!
-//! Two halves, one goal: catch protocol bugs that ordinary unit tests and
+//! Three parts, one goal: catch protocol bugs that ordinary unit tests and
 //! `clippy` structurally cannot.
 //!
 //! 1. **`slash-lint`** ([`lint`]): a self-contained static-analysis pass
@@ -15,27 +15,36 @@
 //!    library code. Grandfathered violations live in a checked-in
 //!    allowlist whose budgets can only shrink (burn-down).
 //!
-//! 2. **The interleaving race checker** ([`race`] + [`scenarios`]): a
+//! 2. **Exactness, stated once** ([`oracle`] + [`catalogue`]): the
+//!    sequential fold of a query's input is the specification, and the
+//!    fault matrix — every named crash, flap, handoff and hot-split case
+//!    as a data row — is run against it on the cluster driver that ships
+//!    (`SlashCluster::builder(..).run_on(sim)`), by `cargo test`,
+//!    `slash-race` and the recovery bench alike.
+//!
+//! 3. **The race checker** ([`race`] + [`scenarios`] + [`explorer`]): a
 //!    bounded schedule explorer layered on `slash-desim`'s pluggable
 //!    [`slash_desim::TieBreak`] policy. The simulation's default FIFO
 //!    tie-break picks *one* legal order among same-timestamp events; the
-//!    checker replays channel, multi-port fabric, coherence, and
-//!    crash-recovery scenarios under many seeded permutations of exactly
-//!    those ties (a DPOR-lite exploration) and asserts the protocol
-//!    invariants under every explored schedule: FIFO delivery, credit
-//!    conservation, no slot overwritten before consumption, vector-clock
-//!    monotonicity, epoch convergence, and recovery convergence (a
-//!    crashed node restored from an epoch-aligned checkpoint ends in
-//!    exactly the no-fault state). On top of the random sweep sits the
-//!    bounded **exhaustive model checker** ([`explorer`]): a DFS over the
-//!    explicit per-branch-point choice vectors of `slash-desim`'s explore
-//!    mode, with sleep-set reduction, state-digest deduplication, budget
+//!    checker replays the channel, multi-port fabric and epoch-coherence
+//!    protocol scenarios under many seeded permutations of exactly those
+//!    ties, and the fault matrix under many fault instants × tie
+//!    schedules, asserting the invariants under every one: FIFO delivery,
+//!    credit conservation, no slot overwritten before consumption,
+//!    vector-clock monotonicity, epoch convergence, and recovery
+//!    convergence (a faulted run equals the sequential fold and every
+//!    fault got its repair). On top of the random sweep sits the bounded
+//!    **exhaustive model checker**: a DFS over the explicit
+//!    per-branch-point choice vectors of `slash-desim`'s explore mode,
+//!    with sleep-set reduction, state-digest deduplication, budget
 //!    accounting, and greedy counterexample minimization
 //!    (`slash-race --exhaustive`).
 //!
-//! Both run in CI via `scripts/ci.sh` (`slash-lint`, `slash-race`).
+//! All of it runs in CI via `scripts/ci.sh` (`slash-lint`, `slash-race`).
 
+pub mod catalogue;
 pub mod explorer;
 pub mod lint;
+pub mod oracle;
 pub mod race;
 pub mod scenarios;

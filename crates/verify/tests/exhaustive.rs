@@ -1,10 +1,20 @@
 //! Integration tests for the bounded exhaustive model checker: literal
-//! full enumeration of the 2-node FIFO/credit scenario, planted-mutant
+//! full enumeration of the 2-node FIFO/credit scenario and of a 2-node
+//! crash on the shipped driver at every fault instant, planted-mutant
 //! detection with minimized counterexamples, and honest truncation
 //! reporting on spaces that exceed the budget.
 
+use slash_verify::catalogue::{case, Case, Size};
 use slash_verify::explorer::Budget;
-use slash_verify::scenarios::{ChannelScenario, Mutation, RecoveryScenario, Scenario};
+use slash_verify::race::Invariant;
+use slash_verify::scenarios::{ChannelScenario, CoherenceScenario, Mutation, Scenario};
+
+const LITERAL: Budget = Budget {
+    max_states: 4096,
+    max_schedules: 4096,
+    max_depth: 256,
+    state_dedup: false,
+};
 
 #[test]
 fn small_channel_is_literally_fully_enumerated() {
@@ -58,50 +68,32 @@ fn small_channel_dedup_prunes_converged_states_soundly() {
 }
 
 #[test]
-fn exhaustive_catches_skipped_credit_ack_and_minimizes() {
-    let s = ChannelScenario {
-        mutation: Some(Mutation::SkipCreditReturn),
-        ..ChannelScenario::small()
-    };
-    let rep = s.exhaustive("channel-small (skip-credit-return)", Budget::default(), true);
-    assert!(!rep.clean(), "planted mutant must be caught");
-    for ce in &rep.counterexamples {
-        assert!(
-            ce.minimized.len() < ce.first_schedule.len(),
-            "minimized repro {:?} must be shorter than the first exposing \
-             schedule ({} choices)",
-            ce.minimized,
-            ce.first_schedule.len()
-        );
-        // The minimized schedule must actually reproduce the violation.
-        let (out, _) = s.run_schedule(&ce.minimized);
-        assert!(
-            out.violations.iter().any(|(i, _)| *i == ce.invariant),
-            "minimized schedule {:?} does not reproduce {}",
-            ce.minimized,
-            ce.invariant.name()
-        );
-        assert!(!ce.dumps.is_empty(), "flight recorder must dump on the repro");
-    }
-}
-
-#[test]
-fn exhaustive_catches_same_qp_reorder_and_minimizes() {
-    let s = ChannelScenario {
-        mutation: Some(Mutation::ReorderDelivered),
-        ..ChannelScenario::small()
-    };
-    let rep = s.exhaustive("channel-small (reorder-delivered)", Budget::default(), true);
-    assert!(!rep.clean(), "planted same-QP reorder must be caught");
-    for ce in &rep.counterexamples {
-        assert!(
-            ce.minimized.len() < ce.first_schedule.len(),
-            "minimized repro {:?} vs first {} choices",
-            ce.minimized,
-            ce.first_schedule.len()
-        );
-        let (out, _) = s.run_schedule(&ce.minimized);
-        assert!(out.violations.iter().any(|(i, _)| *i == ce.invariant));
+fn exhaustive_catches_channel_mutants_and_minimizes() {
+    for m in [Mutation::SkipCreditReturn, Mutation::ReorderDelivered] {
+        let s = ChannelScenario {
+            mutation: Some(m),
+            ..ChannelScenario::small()
+        };
+        let rep = s.exhaustive("channel-small (mutated)", Budget::default(), true);
+        assert!(!rep.clean(), "planted {m:?} must be caught");
+        for ce in &rep.counterexamples {
+            assert!(
+                ce.minimized.len() < ce.first_schedule.len(),
+                "{m:?}: minimized repro {:?} must be shorter than the first \
+                 exposing schedule ({} choices)",
+                ce.minimized,
+                ce.first_schedule.len()
+            );
+            // The minimized schedule must actually reproduce the violation.
+            let (out, _) = s.run_schedule(&ce.minimized);
+            assert!(
+                out.violations.iter().any(|(i, _)| *i == ce.invariant),
+                "{m:?}: minimized schedule {:?} does not reproduce {}",
+                ce.minimized,
+                ce.invariant.name()
+            );
+            assert!(!ce.dumps.is_empty(), "flight recorder must dump on the repro");
+        }
     }
 }
 
@@ -131,36 +123,73 @@ fn exhaustive_finds_everything_the_random_sweep_finds() {
 }
 
 #[test]
-fn recovery_small_completes_via_state_dedup() {
-    // The literal schedule space of the 2-node crash-recovery scenario is
-    // ~2^34 (34 binary branch points), far past any budget — but the
-    // state-digest dedup recognizes that the tick interleavings converge,
-    // and the explorer drains the reduced frontier completely.
-    let rep = RecoveryScenario::small().exhaustive("recovery-small", Budget::default(), false);
+fn coherence_completes_via_state_dedup_and_truncates_honestly_without() {
+    // Three actors tie on every one of 26 ticks: the literal space is far
+    // past any budget, but the state-digest dedup recognizes that the tick
+    // interleavings converge and the explorer drains the reduced frontier.
+    let s = CoherenceScenario { nodes: 2, mutation: None };
+    let rep = s.exhaustive("coherence-small", Budget::default(), false);
     assert!(rep.clean(), "{}", rep.render_human());
     assert!(rep.coverage.complete(), "{}", rep.render_human());
     assert!(rep.coverage.pruned_dedup > 0);
+    // Dedup off, tight budget: the truncated frontier must be reported
+    // rather than completeness claimed.
+    let tight = Budget { max_states: 64, max_schedules: 64, ..LITERAL };
+    let rep = s.exhaustive("coherence-small-literal", tight, false);
+    assert!(rep.clean(), "{}", rep.render_human());
+    assert!(rep.coverage.frontier_truncated, "{}", rep.render_human());
+    assert!(!rep.coverage.complete());
 }
 
 #[test]
-fn recovery_small_truncates_honestly_without_dedup() {
-    // Same scenario, dedup off, tight budget: the explorer must report
-    // the truncated frontier rather than claim completeness.
-    let rep = RecoveryScenario::small().exhaustive(
-        "recovery-small-literal",
-        Budget {
-            max_states: 64,
-            max_schedules: 64,
-            state_dedup: false,
-            ..Budget::default()
-        },
-        false,
-    );
+fn a_small_crash_on_the_shipped_driver_is_literally_enumerated_at_every_instant() {
+    // `recovery-small` at a fifth of its input (CI enumerates the full row
+    // in release): every tie schedule at every event instant of the
+    // fault-free run is run — none pruned, none twice, frontier drained.
+    let row = case("recovery-small").expect("catalogue row");
+    let c = Case { size: Size { records: 80, ..row.size }, ..row };
+    let probe = c.probe();
+    let (rep, tally) = c.exhaustive(&probe, LITERAL, false, None);
     assert!(rep.clean(), "{}", rep.render_human());
+    assert!(rep.coverage.literal_full_enumeration(), "{}", rep.render_human());
+    assert_eq!(tally.instants.len(), probe.instants.len(), "every instant visited");
     assert!(
-        rep.coverage.frontier_truncated,
-        "expected budget truncation, got: {}",
+        rep.coverage.schedules_enumerated >= 4 * tally.instants.len(),
+        "the crash ties with the event it lands on, both orders run: {}",
         rep.render_human()
     );
-    assert!(!rep.coverage.complete());
+    assert!(tally.required.len() * 2 > tally.instants.len());
+}
+
+#[test]
+fn bugs_planted_in_the_shipped_machines_fall_to_the_explorer_minimized() {
+    for (name, m) in [
+        ("recovery-small", Mutation::SkipReplay),
+        ("rescale-small", Mutation::SkipCutoverClose),
+    ] {
+        let c = case(name).expect("catalogue row");
+        let probe = c.probe();
+        let (rep, tally) = c.exhaustive(&probe, LITERAL, true, m.plant());
+        assert!(!rep.clean(), "{m:?} on {name} must be caught");
+        // The earliest exposing instant: every earlier one was enumerated
+        // clean, and the all-FIFO run at this one already fails.
+        let at = tally.exposed_at.expect("an exposing instant");
+        let first_bad = probe
+            .instants
+            .iter()
+            .find(|&&t| !c.replay(&probe, t, &[], m.plant()).violations.is_empty());
+        assert_eq!(Some(&at), first_bad, "{name}: not the earliest exposing instant");
+        for ce in &rep.counterexamples {
+            assert_eq!(ce.invariant, Invariant::RecoveryConvergence);
+            assert!(
+                ce.minimized.len() < ce.first_schedule.len(),
+                "minimized repro {:?} vs first {} choices",
+                ce.minimized,
+                ce.first_schedule.len()
+            );
+            let replay = c.replay(&probe, at, &ce.minimized, m.plant());
+            assert!(replay.violations.iter().any(|(i, _)| *i == ce.invariant));
+            assert!(ce.dumps.iter().any(|d| d.contains("registry snapshot")), "{:?}", ce.dumps);
+        }
+    }
 }

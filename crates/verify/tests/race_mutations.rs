@@ -4,87 +4,67 @@
 //! tests are the checker's own test suite.
 
 use slash_desim::TieBreak;
-use slash_verify::race::{explore, Invariant};
-use slash_verify::scenarios::{ChannelScenario, Mutation, RecoveryScenario, Scenario};
+use slash_verify::catalogue::case;
+use slash_verify::race::{explore, Exploration, Invariant};
+use slash_verify::scenarios::{ChannelScenario, CoherenceScenario, Mutation, Scenario};
 
-/// Invariants flagged by the channel scenario under `m`, FIFO schedule.
-fn channel_flags(m: Mutation) -> Vec<Invariant> {
-    let out = ChannelScenario {
-        mutation: Some(m),
-        ..ChannelScenario::default()
+/// A small sweep of catalogue row `name` on the shipped driver with `m`
+/// planted inside it.
+fn driver_sweep(name: &str, m: Mutation) -> Exploration {
+    let c = case(name).expect("catalogue row");
+    c.sweep(&c.probe(), 8, m.plant()).0
+}
+
+/// Each protocol mutation trips exactly the invariant that guards against
+/// it, under the plain FIFO schedule.
+#[test]
+fn each_protocol_mutation_breaks_its_invariant() {
+    for (m, expected) in [
+        (Mutation::SkipCreditReturn, Invariant::CreditConservation),
+        (Mutation::IgnoreCreditWindow, Invariant::NoOverwrite),
+        (Mutation::ReorderDelivered, Invariant::Fifo),
+        (Mutation::RegressVclock, Invariant::VclockMonotonic),
+        (Mutation::DropUpdate, Invariant::EpochConvergence),
+    ] {
+        let mutation = Some(m);
+        let out = match m {
+            Mutation::RegressVclock | Mutation::DropUpdate => {
+                CoherenceScenario { mutation, ..CoherenceScenario::default() }.run(TieBreak::Fifo)
+            }
+            _ => ChannelScenario { mutation, ..ChannelScenario::default() }.run(TieBreak::Fifo),
+        };
+        assert!(
+            out.violations.iter().any(|(i, _)| *i == expected),
+            "{m:?}: expected {} violation, got {:?}",
+            expected.name(),
+            out.violations
+        );
     }
-    .run(TieBreak::Fifo);
-    out.violations.into_iter().map(|(i, _)| i).collect()
 }
 
-/// Invariants flagged by the coherence scenario under `m`, FIFO schedule.
-fn coherence_flags(m: Mutation) -> Vec<Invariant> {
-    let out = RecoveryScenario {
-        mutation: Some(m),
-        ..RecoveryScenario::coherence()
+/// The two bugs planted inside the shipped state machines — a promotion
+/// commit that replays one epoch too few (`core/recovery.rs`) and a handoff
+/// cutover captured mid-epoch (`core/elastic.rs`) — lose updates silently;
+/// only the comparison against the sequential fold sees them.
+#[test]
+fn bugs_planted_in_the_shipped_machines_break_recovery_convergence() {
+    for (name, m) in [
+        ("node-crash", Mutation::SkipReplay),
+        ("planned-handoff", Mutation::SkipReplay),
+        ("planned-handoff", Mutation::SkipCutoverClose),
+    ] {
+        let e = driver_sweep(name, m);
+        assert!(
+            e.violations.iter().any(|v| v.invariant == Invariant::RecoveryConvergence
+                && v.detail.contains("differ from the sequential fold")),
+            "{m:?} on {name} not detected: {:?}",
+            e.violations
+        );
+        assert!(!e.dumps.is_empty(), "violation must dump the flight recorder");
+        assert!(e.dumps[0].contains("registry snapshot"), "{}", e.dumps[0]);
     }
-    .run(TieBreak::Fifo);
-    out.violations.into_iter().map(|(i, _)| i).collect()
-}
-
-#[test]
-fn skipping_credit_return_breaks_credit_conservation() {
-    let flags = channel_flags(Mutation::SkipCreditReturn);
-    assert!(
-        flags.contains(&Invariant::CreditConservation),
-        "expected credit-conservation violation, got {flags:?}"
-    );
-}
-
-#[test]
-fn ignoring_the_credit_window_breaks_no_overwrite() {
-    let flags = channel_flags(Mutation::IgnoreCreditWindow);
-    assert!(
-        flags.contains(&Invariant::NoOverwrite),
-        "expected no-slot-overwrite violation, got {flags:?}"
-    );
-}
-
-#[test]
-fn reordering_delivery_breaks_fifo() {
-    let flags = channel_flags(Mutation::ReorderDelivered);
-    assert!(
-        flags.contains(&Invariant::Fifo),
-        "expected fifo-delivery violation, got {flags:?}"
-    );
-}
-
-#[test]
-fn regressing_a_vclock_breaks_monotonicity() {
-    let flags = coherence_flags(Mutation::RegressVclock);
-    assert!(
-        flags.contains(&Invariant::VclockMonotonic),
-        "expected vclock-monotonic violation, got {flags:?}"
-    );
-}
-
-#[test]
-fn dropping_an_update_breaks_epoch_convergence() {
-    let flags = coherence_flags(Mutation::DropUpdate);
-    assert!(
-        flags.contains(&Invariant::EpochConvergence),
-        "expected epoch-convergence violation, got {flags:?}"
-    );
-}
-
-#[test]
-fn skipping_the_post_crash_replay_breaks_recovery_convergence() {
-    let out = RecoveryScenario {
-        mutation: Some(Mutation::SkipReplay),
-        ..RecoveryScenario::default()
-    }
-    .run(TieBreak::Fifo);
-    let flags: Vec<Invariant> = out.violations.iter().map(|(i, _)| *i).collect();
-    assert!(
-        flags.contains(&Invariant::RecoveryConvergence),
-        "expected recovery-convergence violation, got {flags:?}"
-    );
-    assert!(!out.dumps.is_empty(), "violation must dump the flight recorder");
+    // The cutover plant is inert where nothing is handed off.
+    assert!(driver_sweep("node-crash", Mutation::SkipCutoverClose).clean());
 }
 
 #[test]
@@ -132,9 +112,9 @@ fn violations_come_with_flight_recorder_dumps() {
     assert!(out.dumps[0].contains("schedule fingerprint=0x"));
     assert!(out.dumps[0].contains("verb/"), "dump should show channel verb events");
 
-    let out = RecoveryScenario {
+    let out = CoherenceScenario {
         mutation: Some(Mutation::RegressVclock),
-        ..RecoveryScenario::coherence()
+        ..CoherenceScenario::default()
     }
     .run(TieBreak::Fifo);
     assert!(!out.violations.is_empty());
@@ -148,32 +128,35 @@ fn violations_come_with_flight_recorder_dumps() {
 
 #[test]
 fn clean_scenarios_have_no_violations_under_a_small_sweep() {
-    let chan = explore("channel", 8, |p| ChannelScenario::default().run(p));
-    assert!(chan.clean(), "channel violations: {:?}", chan.violations);
-    assert!(chan.distinct_schedules >= 4, "only {} distinct", chan.distinct_schedules);
-
-    let coh = explore("coherence", 8, |p| RecoveryScenario::coherence().run(p));
-    assert!(coh.clean(), "coherence violations: {:?}", coh.violations);
-    assert!(coh.distinct_schedules >= 4, "only {} distinct", coh.distinct_schedules);
+    let scenarios: [(&str, Box<dyn Scenario>); 3] = [
+        ("channel", Box::new(ChannelScenario::default())),
+        ("multi-port", Box::new(ChannelScenario::multi_port())),
+        ("coherence", Box::new(CoherenceScenario::default())),
+    ];
+    for (name, s) in &scenarios {
+        let e = explore(name, 8, |p| s.run(p));
+        assert!(e.clean(), "{name} violations: {:?}", e.violations);
+        assert!(e.distinct_schedules >= 4, "{name}: only {} distinct", e.distinct_schedules);
+    }
 }
 
 #[test]
 fn acceptance_sweep_explores_at_least_100_distinct_schedules() {
-    // The ISSUE acceptance gate, run in-tree: 128 policies must yield at
-    // least 100 distinct schedules per scenario with all invariants green.
+    // The acceptance gate, run in-tree: 128 policies must yield at least
+    // 100 distinct schedules per protocol scenario, and 128 runs of a
+    // driver case at least 100 distinct (instant, schedule) pairs, with
+    // all invariants green.
     let chan = explore("channel", 128, |p| ChannelScenario::default().run(p));
-    assert!(chan.clean(), "channel violations: {:?}", chan.violations);
-    assert!(
-        chan.distinct_schedules >= 100,
-        "channel: only {} distinct schedules",
-        chan.distinct_schedules
-    );
-
-    let coh = explore("coherence", 128, |p| RecoveryScenario::coherence().run(p));
-    assert!(coh.clean(), "coherence violations: {:?}", coh.violations);
-    assert!(
-        coh.distinct_schedules >= 100,
-        "coherence: only {} distinct schedules",
-        coh.distinct_schedules
-    );
+    let coh = explore("coherence", 128, |p| CoherenceScenario::default().run(p));
+    let crash = case("recovery-small").expect("catalogue row");
+    let crash = crash.sweep(&crash.probe(), 128, None).0;
+    for e in [chan, coh, crash] {
+        assert!(e.clean(), "{}: {:?}", e.scenario, e.violations);
+        assert!(
+            e.distinct_schedules >= 100,
+            "{}: only {} distinct",
+            e.scenario,
+            e.distinct_schedules
+        );
+    }
 }

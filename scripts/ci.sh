@@ -5,38 +5,57 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/15] build (release, all targets)"
+echo "==> [1/12] build (release, all targets)"
 cargo build --release --workspace
 
-echo "==> [2/15] tests (unit + integration + fixtures + mutations)"
+echo "==> [2/12] tests (unit + integration + fixtures + mutations)"
 cargo test --workspace -q
 
-echo "==> [3/15] clippy (all targets, warnings are errors)"
+echo "==> [3/12] clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> [4/15] rustdoc (workspace docs, broken intra-doc links are errors)"
+echo "==> [4/12] rustdoc (workspace docs, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --quiet
 
-echo "==> [5/15] slash-lint (custom static analysis, burn-down allowlist)"
+echo "==> [5/12] slash-lint (custom static analysis, burn-down allowlist)"
 cargo run --release -p slash-verify --bin slash-lint
 
-echo "==> [6/15] slash-race (schedule exploration smoke: 128 tie-breaks)"
-# Sweeps all ten families, including the hot-split-recovery and
-# hot-split-handoff families (salted sub-key traffic interleaved with a
-# crash or planned cutover; convergence checks the canonical-plus-
-# sub-keys fold against the unsalted oracle).
+echo "==> [6/12] slash-race (protocol families + the fault matrix on the shipped driver)"
+# One stage, one binary. (a) Random sweep: the channel, multi-port and
+# epoch-coherence families under 128 tie-break policies, and every row of
+# the fault matrix (slash_verify::catalogue: crashes, flaps, handoffs, hot
+# splits, compound faults) for 128 runs each — fault instant strided over
+# the case's own fault-free event instants, one policy per run; >= 100
+# distinct schedules / (instant, schedule) pairs per row, every run exact
+# against the sequential oracle, every required repair seen.
 cargo run --release -p slash-verify --bin slash-race -- --seeds 128
+# (b) Exhaustive: every distinct same-instant schedule of the 2-node
+# FIFO/credit scenario (literal, dedup-free, frontier drained), every tie
+# schedule at every event instant of the three 2-node `*-small` driver
+# cases (literal too), three schedules at each of 48 strided instants of
+# the full-size rows. The binary encodes the coverage floors and fails on
+# any regression or on silent frontier truncation.
+cargo run --release -p slash-verify --bin slash-race -- \
+    --exhaustive --minimize --out results/race_coverage.json
+echo "race coverage report: results/race_coverage.json"
+# (c) Planted bugs. Under the random sweep each must be caught and
+# flight-recorded, registry snapshot (counters, gauges, histograms at
+# failure time) included; under the explorer each must fall with a
+# minimized reproducing schedule — the two planted inside the shipped
+# recovery and handoff machines at their earliest exposing instant.
+for m in ignore-credit-window regress-vclock skip-replay skip-cutover-close; do
+    flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation "$m")"
+    grep -q "registry snapshot" <<<"$flight_out"
+done
+for m in skip-credit-return reorder-delivered skip-replay skip-cutover-close; do
+    flight_out="$(cargo run --release -p slash-verify --bin slash-race -- \
+        --exhaustive --minimize --mutation "$m")"
+    grep -q "minimized repro" <<<"$flight_out"
+    grep -q "registry snapshot" <<<"$flight_out"
+done
+echo "planted bugs: all caught, dumped with registry snapshots, minimized"
 
-echo "==> [7/15] flight recorder (planted bug must be caught and dumped)"
-# Each planted-bug dump must carry the registry snapshot (counters,
-# gauges, histograms at failure time), not just the event ring.
-flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation ignore-credit-window)"
-grep -q "registry snapshot" <<<"$flight_out"
-flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation regress-vclock)"
-grep -q "registry snapshot" <<<"$flight_out"
-echo "flight recorder: both planted bugs caught, dumps include registry snapshots"
-
-echo "==> [8/15] traced example (deterministic trace, validated JSON)"
+echo "==> [7/12] traced example (deterministic trace, validated JSON)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 SLASH_TRACE_OUT="$trace_dir/a.json" cargo run --release --example ysb_pipeline >/dev/null
@@ -45,17 +64,14 @@ cmp "$trace_dir/a.json" "$trace_dir/b.json"
 echo "trace: two same-seed runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/a.json"
 
-echo "==> [9/15] chaos suite (every fault type recovers to the no-fault state)"
-cargo run --release --bin chaos-suite
-
-echo "==> [10/15] recovery golden trace (failover example, byte-identical + validated)"
+echo "==> [8/12] recovery golden trace (failover example, byte-identical + validated)"
 SLASH_TRACE_OUT="$trace_dir/f_a.json" cargo run --release --example failover >/dev/null
 SLASH_TRACE_OUT="$trace_dir/f_b.json" cargo run --release --example failover >/dev/null
 cmp "$trace_dir/f_a.json" "$trace_dir/f_b.json"
 echo "recovery trace: two same-seed chaos runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/f_a.json"
 
-echo "==> [11/15] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
+echo "==> [9/12] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
 # Exits non-zero if the combiner-on hot loop is below 1.3x the
 # per-record path on ysb_hot, or if any workload's on/off state digests
 # diverge. --zipf adds the skew sweep:
@@ -66,28 +82,7 @@ echo "==> [11/15] hot-path perf smoke (wall-clock combiner gate + zipf split swe
 # checked-in BENCH_hotpath.json is refreshed by hand (EXPERIMENTS.md).
 cargo run --release -p slash-bench --bin hotpath-bench -- --quick --zipf --out "$trace_dir/hotpath.json"
 
-echo "==> [12/15] exhaustive model checker (bounded DFS over same-instant schedules)"
-# Enumerates every distinct same-instant schedule of the 2-node
-# FIFO/credit scenario (literal, dedup-free pass must drain the frontier
-# with zero pruning) plus the single-crash recovery, single-handoff
-# rescale-small, and single-crash-with-split-key hot-split-small
-# scenarios (complete under state-digest dedup). The binary encodes the
-# coverage floors and fails on any regression or on silent frontier
-# truncation; a truncated scenario must fall back to the random sweep and
-# still come back clean.
-mkdir -p results
-cargo run --release -p slash-verify --bin slash-race -- \
-    --exhaustive --minimize --out results/race_coverage.json
-echo "race coverage report: results/race_coverage.json"
-# Planted mutants must fall to the exhaustive explorer with a minimized
-# reproducing schedule, not just to the random sweep.
-cargo run --release -p slash-verify --bin slash-race -- \
-    --exhaustive --minimize --mutation skip-credit-return >/dev/null
-cargo run --release -p slash-verify --bin slash-race -- \
-    --exhaustive --minimize --mutation reorder-delivered >/dev/null
-echo "exhaustive: both planted mutants caught and minimized"
-
-echo "==> [13/15] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"
+echo "==> [10/12] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"
 # Deterministic latency bench: fixed-seed ysb/nb7 under the simulator,
 # per-stage histograms (source, channel_transit, ssb_apply, window_close,
 # epoch_merge, result_emit) plus end-to-end. The gate fails on any
@@ -110,7 +105,7 @@ grep -q "flight-recorder dump" <<<"$plant_out"
 grep -q "registry snapshot" <<<"$plant_out"
 echo "latency: planted 10x ssb_apply regression caught with flight dump"
 
-echo "==> [14/15] elastic rescale gate (diurnal bench, golden trace)"
+echo "==> [11/12] elastic rescale gate (diurnal bench, golden trace)"
 # The diurnal 4->8->4 scale-out-and-back bench: zero lost records, results
 # and state digests bit-exact vs a static run of the same curve, zero
 # aborted migrations, full spread at peak, full pack-in at the end, and
@@ -125,7 +120,7 @@ cmp "$trace_dir/r_a.json" "$trace_dir/r_b.json"
 echo "rescale trace: two same-seed elastic runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/r_a.json"
 
-echo "==> [15/15] thread-per-core backend (sim-vs-threaded digest smoke)"
+echo "==> [12/12] thread-per-core backend (sim-vs-threaded digest smoke)"
 # The threaded runtime makes no schedule-determinism promises, but final
 # state must be bit-identical to the deterministic simulator for the same
 # seed and workload. Release-mode run of the equivalence suite (2 seeds x

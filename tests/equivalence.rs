@@ -2,85 +2,25 @@
 //! produce the same output a sequential computation would — end to end,
 //! for every engine and every workload family.
 //!
-//! The oracle is a plain sequential fold over the same generated
-//! partitions; engines must match it exactly (aggregations) or in pair
-//! counts (joins).
-
-use std::collections::HashMap;
+//! The oracle is `slash_verify::oracle`: a plain sequential fold over the
+//! same generated partitions; engines must match it exactly (aggregations)
+//! or in pair counts (joins).
 
 use slash::baselines::partitioned::{run_partitioned, PartitionedConfig, Transport};
-use slash::core::{QueryPlan, RunConfig, SinkResult, SlashCluster};
-use slash::workloads::{cm, nb7, nb8, ysb, GenConfig, Workload};
+use slash::core::{RunConfig, SinkResult, SlashCluster};
+use slash::workloads::{cm, nb11, nb7, nb8, ysb, GenConfig, Workload};
+use slash_verify::oracle::{check, oracle, Groups};
 
-/// Sequential oracle: fold every record of every partition.
-fn oracle(w: &Workload) -> HashMap<(u64, u64), f64> {
-    let mut out: HashMap<(u64, u64), Vec<u8>> = HashMap::new();
-    let (input, window, agg) = match &w.plan {
-        QueryPlan::Aggregate { input, window, agg } => (input, *window, *agg),
-        _ => panic!("oracle only handles aggregations"),
-    };
-    let schema = input.schema;
-    let desc = agg.descriptor();
-    for part in &w.partitions {
-        schema.for_each(part, |rec| {
-            if !input.keep(rec) {
-                return;
-            }
-            let wid = window.assign(schema.ts(rec));
-            let key = schema.key(rec);
-            let value = out.entry((wid, key)).or_insert_with(|| {
-                let mut v = vec![0u8; desc.fixed_size()];
-                (desc.init)(&mut v);
-                v
-            });
-            agg.update(&schema, rec, value);
-        });
-    }
-    out.into_iter()
-        .map(|(k, v)| (k, agg.render(&v)))
-        .collect()
+fn assert_equal(expected: &Groups, got: &[SinkResult], sut: &str) {
+    check(expected, got).unwrap_or_else(|e| panic!("{sut}: {e}"));
 }
 
-fn results_map(results: &[SinkResult]) -> HashMap<(u64, u64), f64> {
-    let mut out = HashMap::new();
-    for r in results {
-        if let SinkResult::Agg {
-            window_id,
-            key,
-            value,
-        } = r
-        {
-            let prev = out.insert((*window_id, *key), *value);
-            assert!(prev.is_none(), "duplicate trigger for {window_id}/{key}");
-        }
-    }
-    out
-}
-
-fn assert_equal(expected: &HashMap<(u64, u64), f64>, got: &HashMap<(u64, u64), f64>, sut: &str) {
-    assert_eq!(
-        expected.len(),
-        got.len(),
-        "{sut}: {} expected groups, {} emitted",
-        expected.len(),
-        got.len()
-    );
-    for (k, want) in expected {
-        let have = got.get(k).unwrap_or_else(|| panic!("{sut}: missing {k:?}"));
-        assert!(
-            (want - have).abs() < 1e-9 * want.abs().max(1.0),
-            "{sut}: {k:?} expected {want}, got {have}"
-        );
-    }
-}
-
-fn slash_results(w: Workload, nodes: usize, workers: usize) -> HashMap<(u64, u64), f64> {
+fn slash_results(w: Workload, nodes: usize, workers: usize) -> Vec<SinkResult> {
     assert_eq!(w.partitions.len(), nodes * workers);
     let mut cfg = RunConfig::new(nodes, workers);
     cfg.collect_results = true;
     cfg.epoch_bytes = 64 * 1024; // frequent epochs stress the protocol
-    let report = SlashCluster::run(w.plan, w.partitions, cfg);
-    results_map(&report.results)
+    SlashCluster::run(w.plan, w.partitions, cfg).results
 }
 
 fn partitioned_results(
@@ -89,19 +29,18 @@ fn partitioned_results(
     workers: usize,
     transport: Transport,
     rf: f64,
-) -> HashMap<(u64, u64), f64> {
+) -> Vec<SinkResult> {
     let mut cfg = PartitionedConfig::new(nodes, workers, transport);
     cfg.runtime_factor = rf;
     cfg.collect_results = true;
-    let report = run_partitioned(w.plan, w.partitions, cfg);
-    results_map(&report.results)
+    run_partitioned(w.plan, w.partitions, cfg).results
 }
 
 #[test]
 fn ysb_all_engines_match_the_sequential_oracle() {
     // Same partitions for everyone: 4 source streams.
     let w = ysb(&GenConfig::new(4, 5_000));
-    let expected = oracle(&w);
+    let expected = oracle(&w.plan, &w.partitions);
     assert!(!expected.is_empty());
 
     let slash = slash_results(ysb(&GenConfig::new(4, 5_000)), 2, 2);
@@ -130,7 +69,7 @@ fn ysb_all_engines_match_the_sequential_oracle() {
 #[test]
 fn nb7_max_aggregation_matches_oracle_under_pareto_skew() {
     let w = nb7(&GenConfig::new(4, 4_000));
-    let expected = oracle(&w);
+    let expected = oracle(&w.plan, &w.partitions);
     let slash = slash_results(nb7(&GenConfig::new(4, 4_000)), 2, 2);
     assert_equal(&expected, &slash, "slash");
     let uppar = partitioned_results(
@@ -146,113 +85,40 @@ fn nb7_max_aggregation_matches_oracle_under_pareto_skew() {
 #[test]
 fn cm_mean_aggregation_matches_oracle() {
     let w = cm(&GenConfig::new(6, 3_000));
-    let expected = oracle(&w);
+    let expected = oracle(&w.plan, &w.partitions);
     let slash = slash_results(cm(&GenConfig::new(6, 3_000)), 3, 2);
     assert_equal(&expected, &slash, "slash");
 }
 
-/// Join pair counts per (window, key) must agree between engines and with
-/// a sequential oracle.
-#[test]
-fn nb8_join_pairs_match_between_engines_and_oracle() {
-    let gen = || nb8(&GenConfig::new(4, 2_500));
-    let w = gen();
-    let (input, window, side_off) = match &w.plan {
-        QueryPlan::Join {
-            input,
-            window,
-            side_off,
-            ..
-        } => (input.clone(), *window, *side_off),
-        _ => unreachable!(),
-    };
-    let schema = input.schema;
-    let mut left: HashMap<(u64, u64), u64> = HashMap::new();
-    let mut right: HashMap<(u64, u64), u64> = HashMap::new();
-    for part in &w.partitions {
-        schema.for_each(part, |rec| {
-            let k = (window.assign(schema.ts(rec)), schema.key(rec));
-            if schema.field_u64(rec, side_off) == 0 {
-                *left.entry(k).or_default() += 1;
-            } else {
-                *right.entry(k).or_default() += 1;
-            }
-        });
-    }
-    let expected: HashMap<(u64, u64), u64> = left
-        .iter()
-        .filter_map(|(k, l)| right.get(k).map(|r| (*k, l * r)))
-        .filter(|(_, p)| *p > 0)
-        .collect();
-    let expected_total: u64 = expected.values().sum();
+/// Join pair counts per (window, key) must agree with the sequential
+/// oracle on both engines.
+fn join_pairs_match_the_oracle(name: &str, gen: fn(&GenConfig) -> Workload, records: u64) {
+    let w = gen(&GenConfig::new(4, records));
+    let expected = oracle(&w.plan, &w.partitions);
+    assert!(!expected.is_empty(), "{name}: the join must produce matches");
+    let expected_total = expected.values().sum::<f64>() as u64;
 
     let mut cfg = RunConfig::new(2, 2);
     cfg.collect_results = true;
     let slash = SlashCluster::run(w.plan, w.partitions, cfg);
-    assert_eq!(slash.total_pairs, expected_total, "slash pair total");
+    assert_eq!(slash.total_pairs, expected_total, "{name}: slash pair total");
+    assert_equal(&expected, &slash.results, &format!("{name}/slash"));
 
-    let w = gen();
+    let w = gen(&GenConfig::new(4, records));
     let mut cfg = PartitionedConfig::new(2, 4, Transport::Rdma);
     cfg.collect_results = true;
     let uppar = run_partitioned(w.plan, w.partitions, cfg);
-    assert_eq!(uppar.total_pairs, expected_total, "uppar pair total");
-
-    // Per-group equality for Slash.
-    for r in &slash.results {
-        if let SinkResult::Join {
-            window_id,
-            key,
-            pairs,
-        } = r
-        {
-            if *pairs == 0 {
-                continue;
-            }
-            assert_eq!(
-                expected.get(&(*window_id, *key)),
-                Some(pairs),
-                "group ({window_id},{key})"
-            );
-        }
-    }
+    assert_eq!(uppar.total_pairs, expected_total, "{name}: uppar pair total");
+    assert_equal(&expected, &uppar.results, &format!("{name}/uppar"));
 }
 
-/// NB11's session join must produce identical session-split pair counts
-/// on Slash and UpPar (cross-engine P2 for sessions).
 #[test]
-fn nb11_session_join_matches_between_engines() {
-    use slash::workloads::nb11;
-    let gen = || nb11(&GenConfig::new(4, 2_000));
+fn nb8_join_pairs_match_between_engines_and_oracle() {
+    join_pairs_match_the_oracle("nb8", nb8, 2_500);
+}
 
-    let w = gen();
-    let mut cfg = RunConfig::new(2, 2);
-    cfg.collect_results = true;
-    let slash = SlashCluster::run(w.plan, w.partitions, cfg);
-
-    let w = gen();
-    let mut cfg = PartitionedConfig::new(2, 4, Transport::Rdma);
-    cfg.collect_results = true;
-    let uppar = run_partitioned(w.plan, w.partitions, cfg);
-
-    assert!(slash.total_pairs > 0, "sessions must produce matches");
-    assert_eq!(
-        slash.total_pairs, uppar.total_pairs,
-        "session pair totals must agree across engines"
-    );
-
-    // Per-group comparison.
-    let collect = |results: &[SinkResult]| -> HashMap<(u64, u64), u64> {
-        results
-            .iter()
-            .filter_map(|r| match r {
-                SinkResult::Join {
-                    window_id,
-                    key,
-                    pairs,
-                } if *pairs > 0 => Some(((*window_id, *key), *pairs)),
-                _ => None,
-            })
-            .collect()
-    };
-    assert_eq!(collect(&slash.results), collect(&uppar.results));
+/// NB11's session join: pair counts split at the inactivity gap.
+#[test]
+fn nb11_session_join_matches_between_engines_and_oracle() {
+    join_pairs_match_the_oracle("nb11", nb11, 2_000);
 }
