@@ -328,10 +328,7 @@ impl SsbNode {
 
     /// Whether all shipped deltas left this node (no sender backlog).
     pub fn flushed(&self) -> bool {
-        self.senders
-            .iter()
-            .flatten()
-            .all(|s| s.backlog() == 0)
+        self.senders.iter().flatten().all(|s| s.backlog() == 0)
     }
 
     /// Whether any fragment holds updates in the open epoch.
@@ -353,7 +350,8 @@ impl SsbNode {
         if self.split.is_none() {
             self.split = Some(SplitLedger::new(self.cfg.nodes));
         }
-        self.heat.get_or_insert_with(|| HeatSketch::new(HEAT_CAPACITY));
+        self.heat
+            .get_or_insert_with(|| HeatSketch::new(HEAT_CAPACITY));
     }
 
     /// Activate splitting for group key `gk` on this node's ledger copy.
@@ -376,7 +374,9 @@ impl SsbNode {
 
     /// Active split canonical keys (ascending); empty when disabled.
     pub fn split_keys(&self) -> Vec<u64> {
-        self.split.as_ref().map_or_else(Vec::new, |l| l.split_keys())
+        self.split
+            .as_ref()
+            .map_or_else(Vec::new, |l| l.split_keys())
     }
 
     /// `(canonical, sub)` salt pairs for *this* node's replica — the map
@@ -668,15 +668,18 @@ impl SsbNode {
             r.instrument(obs.clone(), node);
         }
         self.obs = obs;
-        self.heat.get_or_insert_with(|| HeatSketch::new(HEAT_CAPACITY));
+        self.heat
+            .get_or_insert_with(|| HeatSketch::new(HEAT_CAPACITY));
     }
 
     /// Emit the SSB-apply stage span for a worker batch: the worker owns
     /// the interval boundaries (its busy-window segmentation), the backend
     /// owns the emission — the apply stage belongs to the state layer.
     pub fn record_apply_span(&self, tid: u32, start: SimTime, end: SimTime, records: u64) {
-        self.obs.span_open(Stage::SsbApply, self.node as u32, tid, start);
-        self.obs.span_close(Stage::SsbApply, self.node as u32, tid, end, records);
+        self.obs
+            .span_open(Stage::SsbApply, self.node as u32, tid, start);
+        self.obs
+            .span_close(Stage::SsbApply, self.node as u32, tid, end, records);
     }
 
     /// Total payload bytes this node's delta senders pushed onto their
@@ -698,11 +701,8 @@ impl SsbNode {
             if let Some(s) = sender {
                 let label = format!("chan={}->{}", self.node, leader);
                 s.channel_stats().publish(&self.obs, &label);
-                self.obs.gauge_set(
-                    "queue_depth_peak",
-                    &label,
-                    s.peak_backlog() as f64,
-                );
+                self.obs
+                    .gauge_set("queue_depth_peak", &label, s.peak_backlog() as f64);
             }
         }
         for r in self.receivers.iter().flatten() {
@@ -712,11 +712,8 @@ impl SsbNode {
         let node_label = format!("node{}", self.node);
         for (p, &n) in self.part_updates.iter().enumerate() {
             if n > 0 {
-                self.obs.counter_add(
-                    "partition_updates",
-                    &format!("{node_label} part={p}"),
-                    n,
-                );
+                self.obs
+                    .counter_add("partition_updates", &format!("{node_label} part={p}"), n);
             }
         }
         if let Some(h) = self.heat.as_ref() {
@@ -878,9 +875,7 @@ mod tests {
         for g in 0..20u64 {
             let key = pack_key(1, g);
             let leader = partition_of(key, 3);
-            let v = ssb[leader].fragments[leader]
-                .get(key)
-                .map(CounterCrdt::get);
+            let v = ssb[leader].fragments[leader].get(key).map(CounterCrdt::get);
             assert_eq!(v, Some(3 * (1 + g)), "key {g} on leader {leader}");
             // And on no other node's primary.
             for (other, node) in ssb.iter().enumerate() {
@@ -940,7 +935,10 @@ mod tests {
                     credit_batch: 1,
                 },
             };
-            (sim, build_cluster(&fabric, &nodes, appended_descriptor(), cfg))
+            (
+                sim,
+                build_cluster(&fabric, &nodes, appended_descriptor(), cfg),
+            )
         };
         let stride = 3usize;
         let keys: Vec<StateKey> = (0..40u64).map(|i| pack_key(1, i % 7)).collect();
@@ -1069,7 +1067,9 @@ mod tests {
         let key2 = pack_key(2, 7);
         let leader2 = partition_of(key2, 2);
         assert_eq!(
-            ssb[leader2].fragments[leader2].get(key2).map(CounterCrdt::get),
+            ssb[leader2].fragments[leader2]
+                .get(key2)
+                .map(CounterCrdt::get),
             Some(18)
         );
     }
@@ -1085,12 +1085,24 @@ mod tests {
             node.rmw(pack_key(slice, 7), |v| CounterCrdt::add(v, slice));
         }
         let mut fired = Vec::new();
-        assert_eq!(node.drain_triggered(|w| w <= 1, |tv| fired.push(tv.window_id)), 1);
+        assert_eq!(
+            node.drain_triggered(|w| w <= 1, |tv| fired.push(tv.window_id)),
+            1
+        );
         assert_eq!(fired, vec![1]);
         assert_eq!(node.local_get(pack_key(1, 7)), None);
-        assert_eq!(node.local_get(pack_key(2, 7)).map(CounterCrdt::get), Some(2));
-        assert_eq!(node.local_get(pack_key(3, 7)).map(CounterCrdt::get), Some(3));
-        assert_eq!(node.drain_triggered(|w| w <= 3, |tv| fired.push(tv.window_id)), 2);
+        assert_eq!(
+            node.local_get(pack_key(2, 7)).map(CounterCrdt::get),
+            Some(2)
+        );
+        assert_eq!(
+            node.local_get(pack_key(3, 7)).map(CounterCrdt::get),
+            Some(3)
+        );
+        assert_eq!(
+            node.drain_triggered(|w| w <= 3, |tv| fired.push(tv.window_id)),
+            2
+        );
         assert_eq!(fired, vec![1, 2, 3]);
         assert_eq!(node.stats().drain_visited, 3);
     }
@@ -1177,9 +1189,8 @@ mod tests {
         const WINDOWS: u64 = 5;
         const GROUPS: u64 = 24;
         let n = ssb.len();
-        let any_key = |rng: &mut slash_desim::DetRng| {
-            (1 + rng.next_below(WINDOWS), rng.next_below(GROUPS))
-        };
+        let any_key =
+            |rng: &mut slash_desim::DetRng| (1 + rng.next_below(WINDOWS), rng.next_below(GROUPS));
         // The hot path salts updates of split keys per replica; model it.
         let salted = |node: &SsbNode, gk: u64| {
             node.split_ledger()
@@ -1216,7 +1227,8 @@ mod tests {
                             pack_key(wid, gk)
                         })
                         .collect();
-                    let elems: Vec<u8> = (0..keys.len() * 3).map(|_| rng.next_u64() as u8).collect();
+                    let elems: Vec<u8> =
+                        (0..keys.len() * 3).map(|_| rng.next_u64() as u8).collect();
                     ssb[i].append_batch(&keys, &elems, 3);
                 }
                 (10..=11, _) => {

@@ -518,9 +518,7 @@ impl DeltaReceiver {
                     );
                 } else {
                     debug_assert!(
-                        self.pending
-                            .back()
-                            .is_none_or(|p| header.epoch > p.epoch),
+                        self.pending.back().is_none_or(|p| header.epoch > p.epoch),
                         "epochs arrive in order on a FIFO channel"
                     );
                     self.pending.push_back(PendingEpoch {
@@ -902,7 +900,10 @@ mod tests {
         }
         sim.run();
         rx.pump(&mut sim, &mut primary, &mut vclock).unwrap();
-        assert_eq!(primary.get(1).map(CounterCrdt::get), Some(1 + 2 + 3 + 4 + 5));
+        assert_eq!(
+            primary.get(1).map(CounterCrdt::get),
+            Some(1 + 2 + 3 + 4 + 5)
+        );
         assert_eq!(vclock.get(1), 50);
     }
 }

@@ -224,7 +224,12 @@ mod tests {
         let keys: Vec<StateKey> = (0..c.len()).map(|i| c.entry(i).0).collect();
         assert_eq!(
             keys,
-            vec![pack_key(0, 7), pack_key(0, 3), pack_key(0, 9), pack_key(0, 1)]
+            vec![
+                pack_key(0, 7),
+                pack_key(0, 3),
+                pack_key(0, 9),
+                pack_key(0, 1)
+            ]
         );
     }
 

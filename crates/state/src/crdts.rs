@@ -38,7 +38,9 @@ impl CounterCrdt {
     /// Read the counter (the identity, 0, on a short buffer).
     #[inline]
     pub fn get(value: &[u8]) -> u64 {
-        value.first_chunk::<8>().map_or(0, |c| u64::from_le_bytes(*c))
+        value
+            .first_chunk::<8>()
+            .map_or(0, |c| u64::from_le_bytes(*c))
     }
 
     fn init(value: &mut [u8]) {
@@ -80,7 +82,9 @@ impl SumF64Crdt {
     /// Read the sum (the identity, 0.0, on a short buffer).
     #[inline]
     pub fn get(value: &[u8]) -> f64 {
-        value.first_chunk::<8>().map_or(0.0, |c| f64::from_le_bytes(*c))
+        value
+            .first_chunk::<8>()
+            .map_or(0.0, |c| f64::from_le_bytes(*c))
     }
 
     fn init(value: &mut [u8]) {
@@ -125,7 +129,9 @@ impl MaxCrdt {
     /// Read the maximum (the identity, 0, on a short buffer).
     #[inline]
     pub fn get(value: &[u8]) -> u64 {
-        value.first_chunk::<8>().map_or(0, |c| u64::from_le_bytes(*c))
+        value
+            .first_chunk::<8>()
+            .map_or(0, |c| u64::from_le_bytes(*c))
     }
 
     fn init(value: &mut [u8]) {
@@ -225,7 +231,8 @@ impl MeanCrdt {
         };
         (
             f64::from_le_bytes(*sum),
-            rest.first_chunk::<8>().map_or(0, |c| u64::from_le_bytes(*c)),
+            rest.first_chunk::<8>()
+                .map_or(0, |c| u64::from_le_bytes(*c)),
         )
     }
 

@@ -140,7 +140,10 @@ impl std::fmt::Display for DeltaDecodeError {
             }
             DeltaDecodeError::BadKind(k) => write!(f, "delta entry has unknown kind byte {k}"),
             DeltaDecodeError::TrailingBytes { at, len } => {
-                write!(f, "delta chunk has trailing bytes: entries end at {at}, payload is {len}")
+                write!(
+                    f,
+                    "delta chunk has trailing bytes: entries end at {at}, payload is {len}"
+                )
             }
         }
     }

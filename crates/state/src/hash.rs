@@ -66,7 +66,10 @@ mod tests {
     fn pack_unpack_roundtrip() {
         let k = pack_key(0xABCD_EF01, 42);
         assert_eq!(unpack_key(k), (0xABCD_EF01, 42));
-        assert_eq!(unpack_key(pack_key(u64::MAX, u64::MAX)), (u64::MAX, u64::MAX));
+        assert_eq!(
+            unpack_key(pack_key(u64::MAX, u64::MAX)),
+            (u64::MAX, u64::MAX)
+        );
     }
 
     #[test]

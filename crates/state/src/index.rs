@@ -504,7 +504,10 @@ mod tests {
             let a = log.put(k);
             idx.upsert(hash_u64(k), a, log.verify(k), log.rehash());
         }
-        assert!(!idx.overflow.is_empty(), "test must exercise overflow buckets");
+        assert!(
+            !idx.overflow.is_empty(),
+            "test must exercise overflow buckets"
+        );
 
         // Probe a mix of present and absent keys, unsorted.
         let probe_keys: Vec<u64> = (0..128).rev().collect();
@@ -529,7 +532,9 @@ mod tests {
         let forced: Vec<u64> = hashes.iter().map(|h| h | (1 << 63)).collect();
         let mut out_forced = Vec::new();
         let keys = log.keys.clone();
-        idx.find_batch(&forced, &mut out_forced, |i, addr| keys[&addr] == probe_keys[i]);
+        idx.find_batch(&forced, &mut out_forced, |i, addr| {
+            keys[&addr] == probe_keys[i]
+        });
         assert_eq!(out, out_forced);
     }
 }

@@ -47,9 +47,9 @@ pub use backend::recovery::{rejoin, relink, Rejoin, SsbCheckpoint};
 pub use backend::{SsbConfig, SsbNode, TriggeredValue};
 pub use coherence::{DeltaReceiver, DeltaSender, RetainedEpoch, StateError};
 pub use combiner::WriteCombiner;
-pub use delta::DeltaDecodeError;
 pub use crdts::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt, SumF64Crdt};
 pub use crdts_hll::HllCrdt;
+pub use delta::DeltaDecodeError;
 pub use descriptor::{StateDescriptor, ValueKind};
 pub use hash::{pack_key, unpack_key, StateKey};
 pub use partition::Partition;

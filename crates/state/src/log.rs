@@ -19,9 +19,9 @@
 
 use std::collections::VecDeque;
 
-use crate::entry::{stored_size, EntryHeader, EntryKind, HEADER_SIZE};
 #[cfg(test)]
 use crate::entry::NO_PREV;
+use crate::entry::{stored_size, EntryHeader, EntryKind, HEADER_SIZE};
 use crate::hash::StateKey;
 
 /// Default segment size: 256 KiB — large enough that NEXMark's ~300-byte
@@ -118,13 +118,7 @@ impl Lss {
     }
 
     /// Append an entry; returns its logical address.
-    pub fn append(
-        &mut self,
-        key: StateKey,
-        prev: u64,
-        kind: EntryKind,
-        value: &[u8],
-    ) -> u64 {
+    pub fn append(&mut self, key: StateKey, prev: u64, kind: EntryKind, value: &[u8]) -> u64 {
         let need = stored_size(value.len());
         assert!(
             need <= self.seg_size,

@@ -151,7 +151,8 @@ impl Partition {
 
     fn find(&self, key: StateKey) -> Option<u64> {
         let log = &self.log;
-        self.index.find(hash_key(key), |addr| log.key_at(addr) == key)
+        self.index
+            .find(hash_key(key), |addr| log.key_at(addr) == key)
     }
 
     /// Read-modify-write of fixed-size state: the hot path of every
@@ -193,7 +194,11 @@ impl Partition {
                 // window stays small; a window that filled one chunk gets
                 // the next ones at full size, with no growth copies.
                 _ => {
-                    let cap = if chunks.is_empty() { 0 } else { LIST_CHUNK_KEYS };
+                    let cap = if chunks.is_empty() {
+                        0
+                    } else {
+                        LIST_CHUNK_KEYS
+                    };
                     let mut chunk = Vec::with_capacity(cap);
                     chunk.push(gk);
                     chunks.push(chunk);
@@ -335,9 +340,12 @@ impl Partition {
         for (i, &key) in keys.iter().enumerate() {
             let d = which[i] as usize;
             let prev = heads[d].unwrap_or(NO_PREV);
-            let addr = self
-                .log
-                .append(key, prev, EntryKind::Appended, &elems[i * stride..(i + 1) * stride]);
+            let addr = self.log.append(
+                key,
+                prev,
+                EntryKind::Appended,
+                &elems[i * stride..(i + 1) * stride],
+            );
             heads[d] = Some(addr);
             self.stats.appends += 1;
         }
@@ -450,10 +458,7 @@ impl Partition {
     /// probe; `false` if the key was not live.
     fn unlink(&mut self, key: StateKey, mut visit: impl FnMut(&[u8])) -> bool {
         let log = &self.log;
-        let Some(mut addr) = self
-            .index
-            .remove(hash_key(key), |a| log.key_at(a) == key)
-        else {
+        let Some(mut addr) = self.index.remove(hash_key(key), |a| log.key_at(a) == key) else {
             return false;
         };
         loop {
@@ -629,7 +634,10 @@ mod tests {
         p.append(8, b"other");
         let mut got = Vec::new();
         p.for_each_element(9, |e| got.push(e.to_vec()));
-        assert_eq!(got, vec![b"three".to_vec(), b"two".to_vec(), b"one".to_vec()]);
+        assert_eq!(
+            got,
+            vec![b"three".to_vec(), b"two".to_vec(), b"one".to_vec()]
+        );
         assert_eq!(p.element_count(9), 3);
         assert_eq!(p.element_count(8), 1);
         assert_eq!(p.element_count(7), 0);
@@ -763,7 +771,10 @@ mod tests {
     fn take_is_get_plus_remove_in_one_probe() {
         let mut p = counter_part();
         p.rmw(5, |v| CounterCrdt::add(v, 3));
-        assert_eq!(p.take(5), Some(TriggeredData::Fixed(3u64.to_le_bytes().to_vec())));
+        assert_eq!(
+            p.take(5),
+            Some(TriggeredData::Fixed(3u64.to_le_bytes().to_vec()))
+        );
         assert_eq!(p.take(5), None);
         assert_eq!(p.get(5), None);
         assert_eq!(p.key_count(), 0);
@@ -773,7 +784,10 @@ mod tests {
         h.append(9, b"two");
         assert_eq!(
             h.take(9),
-            Some(TriggeredData::Elements(vec![b"two".to_vec(), b"one".to_vec()]))
+            Some(TriggeredData::Elements(vec![
+                b"two".to_vec(),
+                b"one".to_vec()
+            ]))
         );
         assert_eq!(h.take(9), None);
         assert_eq!(h.element_count(9), 0);
@@ -815,7 +829,10 @@ mod tests {
         let (fired, n) = drain_counters(&mut p, |_| true);
         assert_eq!(fired, vec![(1, 5, 1), (1, 7, 300)]);
         assert_eq!(n, 2, "the count is live keys, not list entries");
-        assert_eq!(p.stats.drain_visited, 4, "5, 6, 7 and 5 again were examined");
+        assert_eq!(
+            p.stats.drain_visited, 4,
+            "5, 6, 7 and 5 again were examined"
+        );
         assert_eq!(p.key_count(), 0);
         assert_eq!(drain_counters(&mut p, |_| true), (vec![], 0));
 
@@ -855,7 +872,10 @@ mod tests {
         }
         assert_eq!(p.stats.drain_visited, 0, "nothing ready: no key examined");
         assert_eq!(p.drain_ready(|w| w == 4, |_| {}) as u64, PER_WINDOW);
-        assert_eq!(p.stats.drain_visited, PER_WINDOW, "one window's keys, no more");
+        assert_eq!(
+            p.stats.drain_visited, PER_WINDOW,
+            "one window's keys, no more"
+        );
         assert_eq!(p.key_count() as u64, (WINDOWS - 1) * PER_WINDOW);
     }
 

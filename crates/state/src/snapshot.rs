@@ -67,11 +67,7 @@ pub fn chunks_digest(chunks: &[Vec<u8>]) -> u64 {
 
 /// Rebuild a partition from snapshot chunks. Returns the partition and
 /// the snapshot's watermark.
-pub fn restore(
-    id: usize,
-    desc: StateDescriptor,
-    chunks: &[Vec<u8>],
-) -> (Partition, u64) {
+pub fn restore(id: usize, desc: StateDescriptor, chunks: &[Vec<u8>]) -> (Partition, u64) {
     let mut part = Partition::new(id, desc);
     let mut watermark = 0;
     for chunk in chunks {
@@ -184,10 +180,7 @@ mod tests {
         let chunks = snapshot_chunks(&part, 100, 1024);
         let (mut restored, _) = restore(0, desc, &chunks);
         restored.merge_fixed(pack_key(1, 1), &32u64.to_le_bytes());
-        assert_eq!(
-            restored.get(pack_key(1, 1)).map(CounterCrdt::get),
-            Some(42)
-        );
+        assert_eq!(restored.get(pack_key(1, 1)).map(CounterCrdt::get), Some(42));
     }
 
     #[test]

@@ -131,8 +131,8 @@ impl SplitLedger {
         for replica in 0..self.nodes {
             let mut found = None;
             for salt in 0..SALT_SEARCH_BUDGET * self.nodes as u64 {
-                let cand = SUB_KEY_TAG
-                    | (mix_u64(mix_u64(replica as u64 + 1, gk), salt) & !SUB_KEY_TAG);
+                let cand =
+                    SUB_KEY_TAG | (mix_u64(mix_u64(replica as u64 + 1, gk), salt) & !SUB_KEY_TAG);
                 if partition_of(pack_key(0, cand), self.nodes) == leader
                     && !self.subs.contains_key(&cand)
                     && !derived.contains(&cand)

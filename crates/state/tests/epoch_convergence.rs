@@ -69,7 +69,11 @@ fn distributed_equals_sequential() {
         let cfg = SsbConfig {
             nodes: n,
             epoch_bytes: u64::MAX,
-            channel: ChannelConfig { credits: 4, buffer_size: 512, credit_batch: 1 },
+            channel: ChannelConfig {
+                credits: 4,
+                buffer_size: 512,
+                credit_batch: 1,
+            },
         };
         let mut ssb = build_cluster(&fabric, &nodes, CounterCrdt::descriptor(), cfg);
         let mut expected: HashMap<u64, u64> = HashMap::new();
@@ -99,11 +103,7 @@ fn distributed_equals_sequential() {
             let key = pack_key(1, *g);
             let leader = partition_of(key, n);
             let got = ssb[leader].local_get(key).map(CounterCrdt::get);
-            assert_eq!(
-                got,
-                Some(*want),
-                "key {g} on leader {leader}, seed {seed}"
-            );
+            assert_eq!(got, Some(*want), "key {g} on leader {leader}, seed {seed}");
         }
     }
 }
