@@ -101,12 +101,9 @@ fn bench_index_growth(h: &mut Harness) {
             // Addresses stand in for log positions; keys are implicit
             // in the verify closure (always-miss: all distinct).
             for a in 0..100_000u64 {
-                idx.upsert(
-                    slash_state::hash::hash_u64(a),
-                    a,
-                    |_| false,
-                    slash_state::hash::hash_u64,
-                );
+                let hash = slash_state::hash::hash_u64(a);
+                let probe = idx.probe(hash, |_| false);
+                idx.put(hash, probe, a, slash_state::hash::hash_u64);
             }
             idx
         },

@@ -514,9 +514,14 @@ impl Process for SlashWorker {
                 // Faulted channels are already filtered inside the SSB;
                 // anything surfacing here is a decode bug. Flight-record
                 // it and keep the worker alive so the run stays
-                // inspectable instead of tearing down the simulation.
-                sh.obs
-                    .record_failure("delta channel failure", &format!("{e:?}"));
+                // inspectable instead of tearing down the simulation. A
+                // rejected chunk was recorded by the receiver that caught
+                // it and is reported again by every later pump: one dump,
+                // not one per step.
+                if !matches!(e, slash_state::StateError::Decode(_)) {
+                    sh.obs
+                        .record_failure("delta channel failure", &format!("{e:?}"));
+                }
                 (0, 0)
             }
         };

@@ -41,6 +41,17 @@ impl SsbConfig {
     }
 }
 
+/// What one batch routes to one partition — buffers the node keeps from
+/// batch to batch, so routing allocates nothing in steady state.
+#[derive(Default)]
+struct Routed {
+    /// [`SsbNode::rmw_batch`]: combiner entry indices, insertion order.
+    sel: Vec<u32>,
+    /// [`SsbNode::append_batch`]: keys and their elements, record order.
+    keys: Vec<StateKey>,
+    elems: Vec<u8>,
+}
+
 /// One executor's view of the distributed state backend.
 ///
 /// Holds the primary partition it leads, a fragment of every remote
@@ -75,6 +86,8 @@ pub struct SsbNode {
     /// Every node carries an identical copy, kept in sync by the split
     /// driver activating keys on all nodes in one simulation step.
     split: Option<SplitLedger>,
+    /// Batch routing scratch, one per partition.
+    routed: Vec<Routed>,
 }
 
 impl SsbNode {
@@ -153,24 +166,16 @@ impl SsbNode {
         if n == 0 {
             return 0;
         }
-        if self.cfg.nodes == 1 {
-            // Single-node fast path: everything routes to the one fragment.
-            let sel: Vec<u32> = (0..n as u32).collect();
-            self.fragments[0].merge_batch(comb, &sel);
-        } else {
-            // Group combiner entries by destination partition, preserving
-            // insertion order within each group (stable bucket scan).
-            let mut sel: Vec<u32> = Vec::with_capacity(n);
-            for p in 0..self.cfg.nodes {
-                sel.clear();
-                for i in 0..n {
-                    if self.partition_of(comb.entry(i).0) == p {
-                        sel.push(i as u32);
-                    }
-                }
-                if !sel.is_empty() {
-                    self.fragments[p].merge_batch(comb, &sel);
-                }
+        // Group combiner entries by destination partition in one pass,
+        // insertion order kept within each group.
+        for i in 0..n {
+            let p = self.partition_of(comb.entry(i).0);
+            self.routed[p].sel.push(i as u32);
+        }
+        for (fragment, to) in self.fragments.iter_mut().zip(&mut self.routed) {
+            if !to.sel.is_empty() {
+                fragment.merge_batch(comb, &to.sel);
+                to.sel.clear();
             }
         }
         let per_entry = self.fragments[0].descriptor().fixed_size() as u64 + 32;
@@ -192,11 +197,10 @@ impl SsbNode {
 
     /// Append a batch of holistic elements (the batched counterpart of
     /// [`Self::append`]): elements stay in record order per fragment, with
-    /// one index probe and one upsert per distinct key
-    /// ([`Partition::append_batch`]). `keys[i]`'s element is
-    /// `elems[i*stride..(i+1)*stride]`. Returns the number of distinct
-    /// keys the batch touched (keys route to exactly one partition, so
-    /// per-fragment counts sum to the global count).
+    /// one index walk per distinct key ([`Partition::append_batch`]).
+    /// `keys[i]`'s element is `elems[i*stride..(i+1)*stride]`. Returns the
+    /// number of distinct keys the batch touched (keys route to exactly one
+    /// partition, so per-fragment counts sum to the global count).
     pub fn append_batch(&mut self, keys: &[StateKey], elems: &[u8], stride: usize) -> u64 {
         if keys.is_empty() {
             return 0;
@@ -205,20 +209,20 @@ impl SsbNode {
         if self.cfg.nodes == 1 {
             distinct += self.fragments[0].append_batch(keys, elems, stride);
         } else {
-            // Split by destination, keeping record order within each.
-            let mut part_keys: Vec<StateKey> = Vec::with_capacity(keys.len());
-            let mut part_elems: Vec<u8> = Vec::with_capacity(elems.len());
-            for p in 0..self.cfg.nodes {
-                part_keys.clear();
-                part_elems.clear();
-                for (i, &key) in keys.iter().enumerate() {
-                    if self.partition_of(key) == p {
-                        part_keys.push(key);
-                        part_elems.extend_from_slice(&elems[i * stride..(i + 1) * stride]);
-                    }
-                }
-                if !part_keys.is_empty() {
-                    distinct += self.fragments[p].append_batch(&part_keys, &part_elems, stride);
+            // Split by destination in one pass, record order kept within
+            // each.
+            for (i, &key) in keys.iter().enumerate() {
+                let p = self.partition_of(key);
+                let to = &mut self.routed[p];
+                to.keys.push(key);
+                to.elems
+                    .extend_from_slice(&elems[i * stride..(i + 1) * stride]);
+            }
+            for (fragment, to) in self.fragments.iter_mut().zip(&mut self.routed) {
+                if !to.keys.is_empty() {
+                    distinct += fragment.append_batch(&to.keys, &to.elems, stride);
+                    to.keys.clear();
+                    to.elems.clear();
                 }
             }
         }
@@ -538,6 +542,7 @@ impl SsbNode {
             part_updates: vec![0; cfg.nodes],
             epoch_updates: 0,
             split: None,
+            routed: (0..cfg.nodes).map(|_| Routed::default()).collect(),
         }
     }
 

@@ -15,6 +15,7 @@ use slash_rdma::RdmaError;
 
 use crate::delta::{try_parse_chunk, ChunkBuilder, DeltaDecodeError};
 use crate::entry::EntryKind;
+use crate::hash::StateKey;
 use crate::partition::Partition;
 use crate::vclock::VectorClock;
 
@@ -291,13 +292,30 @@ impl DeltaSender {
     }
 }
 
+/// Received entries awaiting commit, flat: the values back to back in one
+/// byte arena and one `(key, kind, len)` row per entry, so staging an entry
+/// allocates nothing and un-staging a chunk is two truncates.
+#[derive(Default)]
+struct Staged {
+    rows: Vec<(StateKey, EntryKind, u32)>,
+    bytes: Vec<u8>,
+}
+
+impl Staged {
+    /// Drop every entry past the first `rows`, whose values end at `bytes`.
+    fn truncate(&mut self, (rows, bytes): (usize, usize)) {
+        self.rows.truncate(rows);
+        self.bytes.truncate(bytes);
+    }
+}
+
 /// A fully-received epoch staged until its source's checkpoint makes it
 /// durable (commit gating, see [`DeltaReceiver::set_durable_epochs`]).
 struct PendingEpoch {
     epoch: u64,
     watermark: u64,
     sent_us: u64,
-    entries: Vec<(u128, EntryKind, Vec<u8>)>,
+    entries: Staged,
 }
 
 /// Receiver-side transport, mirroring [`SenderPort`].
@@ -338,7 +356,10 @@ pub struct DeltaReceiver {
     /// Which executor the deltas come from (vector-clock slot).
     helper: usize,
     /// Entries of the in-progress (not yet `fin`) epoch.
-    staged: Vec<(u128, EntryKind, Vec<u8>)>,
+    staged: Staged,
+    /// The malformed chunk that poisoned this receiver, if one arrived:
+    /// nothing commits after it and every [`Self::pump`] reports it.
+    rejected: Option<DeltaDecodeError>,
     /// Fully received epochs awaiting the durability gate, oldest first.
     pending: std::collections::VecDeque<PendingEpoch>,
     /// Next epoch id expected to commit (epochs `< next_epoch` are
@@ -370,7 +391,8 @@ impl DeltaReceiver {
         DeltaReceiver {
             port,
             helper,
-            staged: Vec::new(),
+            staged: Staged::default(),
+            rejected: None,
             pending: std::collections::VecDeque::new(),
             next_epoch: 0,
             durable_epochs: u64::MAX,
@@ -443,7 +465,7 @@ impl DeltaReceiver {
     /// channel is torn down — the helper (or its replacement) will replay
     /// these epochs verbatim.
     pub(crate) fn abort_uncommitted(&mut self) {
-        self.staged.clear();
+        self.staged.truncate((0, 0));
         self.pending.clear();
     }
 
@@ -471,25 +493,39 @@ impl DeltaReceiver {
     /// durability gate allows: merge into `primary` and advance `vclock`.
     /// Returns entries merged this call.
     ///
-    /// A malformed chunk (strict wire validation) captures a
-    /// flight-recorder dump with vector-clock context and surfaces
-    /// [`StateError::Decode`] instead of panicking.
+    /// A malformed chunk (strict wire validation) is rejected whole and
+    /// for good: the entries it staged before the error are rolled back, a
+    /// flight-recorder dump with vector-clock context is captured, and this
+    /// and every later call return [`StateError::Decode`] without
+    /// committing anything more, epochs still waiting in this receiver
+    /// included — the epoch it belonged to can no longer be told complete
+    /// from torn, so neither it nor its successors merge and the helper's
+    /// vector-clock slot stays where it was. An error, never a partial
+    /// epoch in the primary.
     pub fn pump(
         &mut self,
         sim: &mut Sim,
         primary: &mut Partition,
         vclock: &mut VectorClock,
     ) -> Result<u64, StateError> {
+        if let Some(e) = &self.rejected {
+            return Err(e.clone().into());
+        }
         loop {
             let polled = self.port.poll_payload(sim)?;
             let Some(payload) = polled else { break };
             let staged = &mut self.staged;
+            let before = (staged.rows.len(), staged.bytes.len());
             let parsed = try_parse_chunk(&payload, |key, kind, value| {
-                staged.push((key, kind, value.to_vec()));
+                // A value fits one channel buffer, far below 4 GiB.
+                staged.rows.push((key, kind, value.len() as u32));
+                staged.bytes.extend_from_slice(value);
             });
             let header = match parsed {
                 Ok(h) => h,
                 Err(e) => {
+                    self.staged.truncate(before);
+                    self.rejected = Some(e.clone());
                     self.obs.record_failure(
                         &format!("delta chunk decode failed: {e}"),
                         &format!(
@@ -504,10 +540,10 @@ impl DeltaReceiver {
             };
             debug_assert_eq!(header.partition as usize, primary.id);
             if header.fin {
-                let entries = std::mem::take(&mut self.staged);
                 if header.epoch < self.next_epoch {
                     // Replay of an epoch already merged into the primary:
                     // discard whole (epoch-granularity idempotence).
+                    self.staged.truncate((0, 0));
                     self.obs.instant(
                         Cat::Epoch,
                         "epoch-dup-discard",
@@ -525,7 +561,7 @@ impl DeltaReceiver {
                         epoch: header.epoch,
                         watermark: header.watermark,
                         sent_us: header.sent_us,
-                        entries,
+                        entries: std::mem::take(&mut self.staged),
                     });
                 }
             }
@@ -548,15 +584,24 @@ impl DeltaReceiver {
             .front()
             .is_some_and(|p| p.epoch < self.durable_epochs)
         {
-            let Some(ep) = self.pending.pop_front() else {
+            let Some(mut ep) = self.pending.pop_front() else {
                 break;
             };
-            for (key, kind, value) in &ep.entries {
+            let mut rest = &ep.entries.bytes[..];
+            for &(key, kind, len) in &ep.entries.rows {
+                let (value, tail) = rest.split_at(len as usize);
                 match kind {
-                    EntryKind::Fixed => primary.merge_fixed(*key, value),
-                    EntryKind::Appended => primary.append(*key, value),
+                    EntryKind::Fixed => primary.merge_fixed(key, value),
+                    EntryKind::Appended => primary.append(key, value),
                 }
-                merged += 1;
+                rest = tail;
+            }
+            merged += ep.entries.rows.len() as u64;
+            // Hand the buffers back for the next epoch unless one is
+            // already being staged.
+            if self.staged.rows.capacity() == 0 {
+                ep.entries.truncate((0, 0));
+                self.staged = ep.entries;
             }
             // Epoch "merge" completes here; the vclock update below is
             // the "install" phase the rest of the node observes.
@@ -595,6 +640,7 @@ impl DeltaReceiver {
 mod tests {
     use super::*;
     use crate::crdts::CounterCrdt;
+    use crate::delta::{entry_wire_size, DELTA_HEADER_SIZE};
     use slash_desim::Sim;
     use slash_net::{create_channel, ChannelConfig};
     use slash_rdma::{Fabric, FabricConfig};
@@ -810,6 +856,61 @@ mod tests {
             assert_eq!(primary.get(k).map(CounterCrdt::get), Some(1), "key {k}");
         }
         assert_eq!(vclock.get(1), 10);
+    }
+
+    /// A malformed chunk in the middle of an epoch: its own leading entries,
+    /// the chunks before it and everything after it stay out of the
+    /// primary, the error repeats, and the clock slot does not move.
+    #[test]
+    fn a_rejected_chunk_poisons_its_epoch_and_every_later_one() {
+        let cfg = ChannelConfig {
+            credits: 8,
+            buffer_size: 128, // two 32-byte entries per chunk
+            credit_batch: 1,
+        };
+        let (mut sim, mut tx, mut rx) = pair(cfg);
+        let desc = CounterCrdt::descriptor();
+        let mut fragment = Partition::new(0, desc);
+        let mut primary = Partition::new(0, desc);
+        let mut vclock = VectorClock::new(2);
+
+        // Epoch 0 is clean and commits.
+        fragment.rmw(100, |v| CounterCrdt::add(v, 1));
+        tx.enqueue_epoch(&mut fragment, 10, sim.now());
+        tx.pump(&mut sim).unwrap();
+        sim.run();
+        assert_eq!(rx.pump(&mut sim, &mut primary, &mut vclock), Ok(1));
+        // Epoch 1 spans three chunks; the *second* entry of its second
+        // chunk gets an unknown kind byte, so one entry of that chunk
+        // decodes before the error. Epoch 2 is clean again.
+        for k in 0..6u128 {
+            fragment.rmw(k, |v| CounterCrdt::add(v, 1));
+        }
+        tx.enqueue_epoch(&mut fragment, 20, sim.now());
+        assert_eq!(tx.backlog(), 3);
+        tx.outbox[1][DELTA_HEADER_SIZE + entry_wire_size(8) + 20] = 9;
+        fragment.rmw(200, |v| CounterCrdt::add(v, 1));
+        tx.enqueue_epoch(&mut fragment, 30, sim.now());
+
+        let mut errors = Vec::new();
+        for _ in 0..8 {
+            tx.pump(&mut sim).unwrap();
+            sim.run();
+            errors.extend(rx.pump(&mut sim, &mut primary, &mut vclock).err());
+            sim.run();
+        }
+        let bad = StateError::Decode(DeltaDecodeError::BadKind(9));
+        assert_eq!(errors.len(), 8, "every pump from the bad chunk on fails");
+        assert!(errors.iter().all(|e| *e == bad));
+        assert_eq!(
+            rx.staged.rows.len(),
+            2,
+            "chunk 1 staged, chunk 2 rolled back"
+        );
+        assert_eq!(rx.staged.bytes.len(), 16);
+        assert_eq!(primary.key_count(), 1, "only epoch 0 ever merged");
+        assert_eq!(primary.get(100).map(CounterCrdt::get), Some(1));
+        assert_eq!((rx.next_epoch(), vclock.get(1)), (1, 10));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! format as the channel footer) at which the helper closed the epoch; the
 //! leader uses it to measure epoch-merge latency end to end.
 
-use crate::entry::EntryKind;
+use crate::entry::{le_bytes, EntryKind};
 use crate::hash::StateKey;
 
 /// Chunk header size.
@@ -40,19 +40,6 @@ pub struct DeltaHeader {
     /// Virtual epoch-close time in microseconds (40-bit stamp; 0 when the
     /// producer has no clock, e.g. snapshot chunks).
     pub sent_us: u64,
-}
-
-/// Copy `N` little-endian bytes starting at `at`, zero-filling past the end
-/// of `bytes` so decoding is total (chunk framing is enforced by the channel
-/// layer; short reads only happen on corrupt input).
-fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
-    let mut out = [0u8; N];
-    for (i, dst) in out.iter_mut().enumerate() {
-        if let Some(b) = bytes.get(at + i) {
-            *dst = *b;
-        }
-    }
-    out
 }
 
 impl DeltaHeader {

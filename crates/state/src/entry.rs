@@ -48,15 +48,20 @@ impl EntryKind {
     }
 }
 
-/// Copy `N` little-endian bytes starting at `at`, zero-filling past the
-/// end of `bytes`. The log always hands `decode` a full header (the
-/// allocator reserves [`HEADER_SIZE`] up front), so the zero-fill path is
-/// corruption-only; it keeps decoding total without a panic site.
-fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+/// Copy `N` little-endian bytes starting at `at` — the crate's one field
+/// reader, shared by the log and the delta wire format. A full field is one
+/// slice copy; past the end of `bytes` it zero-fills, which only corrupt
+/// input reaches (the log reserves a whole [`HEADER_SIZE`], chunk framing is
+/// validated first) and which keeps decoding total without a panic site.
+#[inline]
+pub(crate) fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
     let mut out = [0u8; N];
-    for (i, dst) in out.iter_mut().enumerate() {
-        if let Some(b) = bytes.get(at + i) {
-            *dst = *b;
+    match bytes.get(at..at + N) {
+        Some(field) => out.copy_from_slice(field),
+        None => {
+            for (dst, b) in out.iter_mut().zip(bytes.iter().skip(at)) {
+                *dst = *b;
+            }
         }
     }
     out
@@ -95,12 +100,30 @@ impl EntryHeader {
             "corrupt log: unknown entry kind {kind_byte}"
         );
         EntryHeader {
-            key: StateKey::from_le_bytes(le_bytes(bytes, 0)),
-            prev: u64::from_le_bytes(le_bytes(bytes, 16)),
-            len: u32::from_le_bytes(le_bytes(bytes, 24)),
+            key: key_at(bytes, 0),
+            prev: prev_at(bytes, 0),
+            len: len_at(bytes, 0) as u32,
             kind: EntryKind::try_from_u8(kind_byte).unwrap_or(EntryKind::Fixed),
         }
     }
+}
+
+/// The key of the header at `bytes[at..]`: one 16-byte load, not a decode.
+#[inline]
+pub(crate) fn key_at(bytes: &[u8], at: usize) -> StateKey {
+    StateKey::from_le_bytes(le_bytes(bytes, at))
+}
+
+/// The `prev` field of the header at `bytes[at..]`.
+#[inline]
+pub(crate) fn prev_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(le_bytes(bytes, at + 16))
+}
+
+/// The `len` field of the header at `bytes[at..]`.
+#[inline]
+pub(crate) fn len_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(le_bytes(bytes, at + 24)) as usize
 }
 
 /// Total stored size (header + value padded to 8 bytes).

@@ -11,6 +11,12 @@
 //! cache-line-sized buckets. The index grows by doubling; rehashing reads
 //! keys back from the log through a caller-provided closure, exactly like
 //! FASTER's index growth.
+//!
+//! Every operation walks a key's bucket chain **once**. The walk returns a
+//! [`Probe`] — the slot holding the key, or the first free slot it passed —
+//! and [`HashIndex::put`] installs an address through that handle, so a
+//! caller that just proved a key absent (or present) never pays a second,
+//! verified walk to insert (or move) it.
 
 /// Slots per bucket (cache-line sized: 7 entries + overflow link).
 const BUCKET_SLOTS: usize = 7;
@@ -55,14 +61,46 @@ fn tag_of(hash: u64) -> u16 {
     ((hash >> 48) as u16) | 0x8000
 }
 
+/// A slot position: `bucket` indexes the overflow array when `spill`, the
+/// root array otherwise. `slot == BUCKET_SLOTS` names no slot but the end
+/// of a full chain's last bucket — where a new overflow bucket hangs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Pos {
+    bucket: u32,
+    slot: u8,
+    spill: bool,
+}
+
+/// What one walk of a key's bucket chain found: the key's slot and the
+/// address in it, or — the key being absent — the first free slot the walk
+/// passed. Hand it to [`HashIndex::put`] to install an address without
+/// walking again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Probe {
+    addr: Option<u64>,
+    pos: Pos,
+    /// [`HashIndex::moves`] at walk time; a mismatch means slots moved or
+    /// freed since and `pos` must be found again.
+    moves: u32,
+}
+
+impl Probe {
+    /// The address the index holds for the key, `None` if it is absent.
+    #[inline]
+    pub fn addr(&self) -> Option<u64> {
+        self.addr
+    }
+}
+
 /// Hash index from key hashes to log addresses.
 pub struct HashIndex {
     buckets: Vec<Bucket>,
     overflow: Vec<Bucket>,
-    /// Free list of overflow bucket slots (indices into `overflow`).
-    free_overflow: Vec<u32>,
     mask: u64,
     count: usize,
+    /// Bumped whenever a slot is freed or the table is rebuilt — the events
+    /// that invalidate an outstanding [`Probe`]'s position.
+    moves: u32,
 }
 
 impl HashIndex {
@@ -73,9 +111,9 @@ impl HashIndex {
         HashIndex {
             buckets: vec![Bucket::empty(); buckets],
             overflow: Vec::new(),
-            free_overflow: Vec::new(),
             mask: buckets as u64 - 1,
             count: 0,
+            moves: 0,
         }
     }
 
@@ -94,190 +132,165 @@ impl HashIndex {
         self.count == 0
     }
 
-    /// Find the address for `hash` where `verify(addr)` confirms the key.
-    pub fn find(&self, hash: u64, mut verify: impl FnMut(u64) -> bool) -> Option<u64> {
-        let tag = tag_of(hash);
-        let mut bucket = &self.buckets[(hash & self.mask) as usize];
+    #[inline]
+    fn root(&self, hash: u64) -> Pos {
+        Pos {
+            bucket: (hash & self.mask) as u32,
+            slot: 0,
+            spill: false,
+        }
+    }
+
+    #[inline]
+    fn bucket(&self, at: Pos) -> &Bucket {
+        if at.spill {
+            &self.overflow[at.bucket as usize]
+        } else {
+            &self.buckets[at.bucket as usize]
+        }
+    }
+
+    #[inline]
+    fn bucket_mut(&mut self, at: Pos) -> &mut Bucket {
+        if at.spill {
+            &mut self.overflow[at.bucket as usize]
+        } else {
+            &mut self.buckets[at.bucket as usize]
+        }
+    }
+
+    /// The one chain walk: scan `from`'s bucket and the chain after it for a
+    /// slot tagged `tag` whose address `is_key` accepts. Returns that slot,
+    /// or the first free slot passed, or the end of the chain's last bucket
+    /// when it is full.
+    #[inline]
+    fn walk(&self, tag: u16, from: Pos, mut is_key: impl FnMut(u64) -> bool) -> Probe {
+        let mut at = from;
+        let mut free: Option<Pos> = None;
         loop {
-            for &slot in &bucket.slots {
-                if slot != 0 && slot_tag(slot) == tag && verify(slot_addr(slot)) {
-                    return Some(slot_addr(slot));
+            let bucket = self.bucket(at);
+            for (si, &slot) in bucket.slots.iter().enumerate() {
+                let here = Pos {
+                    slot: si as u8,
+                    ..at
+                };
+                if slot == 0 {
+                    free = free.or(Some(here));
+                } else if slot_tag(slot) == tag && is_key(slot_addr(slot)) {
+                    return Probe {
+                        addr: Some(slot_addr(slot)),
+                        pos: here,
+                        moves: self.moves,
+                    };
                 }
             }
             if bucket.overflow == NO_OVERFLOW {
-                return None;
+                let end = Pos {
+                    slot: BUCKET_SLOTS as u8,
+                    ..at
+                };
+                return Probe {
+                    addr: None,
+                    pos: free.unwrap_or(end),
+                    moves: self.moves,
+                };
             }
-            bucket = &self.overflow[bucket.overflow as usize];
+            at = Pos {
+                bucket: bucket.overflow,
+                slot: 0,
+                spill: true,
+            };
         }
+    }
+
+    /// Walk `hash`'s chain once: where the key verified by `verify` sits,
+    /// or where it would go.
+    #[inline]
+    pub fn probe(&self, hash: u64, verify: impl FnMut(u64) -> bool) -> Probe {
+        self.walk(tag_of(hash), self.root(hash), verify)
     }
 
     /// Resolve a batch of pre-hashed probes in one pass. Probes are walked
     /// in ascending root-bucket order so a batch touches the bucket array
     /// near-sequentially instead of hopping per record; `out[i]` receives
-    /// the address found for `hashes[i]` (or `None`). One slice-based
+    /// the [`Probe`] for `hashes[i]`. One slice-based
     /// `verify(probe_index, addr)` closure serves the whole batch, instead
-    /// of one capture-by-clone closure per record.
-    pub fn find_batch(
+    /// of one capture-by-clone closure per record. `order` is the caller's
+    /// scratch for the walk order, so a steady-state batch allocates
+    /// nothing.
+    pub fn probe_batch(
         &self,
         hashes: &[u64],
-        out: &mut Vec<Option<u64>>,
+        order: &mut Vec<u32>,
+        out: &mut Vec<Probe>,
         mut verify: impl FnMut(usize, u64) -> bool,
     ) {
-        out.clear();
-        out.resize(hashes.len(), None);
-        let mut order: Vec<u32> = (0..hashes.len() as u32).collect();
+        order.clear();
+        order.extend(0..hashes.len() as u32);
         order.sort_unstable_by_key(|&i| hashes[i as usize] & self.mask);
-        for i in order {
+        out.clear();
+        out.resize(hashes.len(), Probe::default());
+        for &i in order.iter() {
             let i = i as usize;
-            out[i] = self.find(hashes[i], |addr| verify(i, addr));
+            out[i] = self.probe(hashes[i], |addr| verify(i, addr));
         }
     }
 
-    /// Insert or update: if a slot for this key exists (same tag and
-    /// `verify` accepts its current address), overwrite it with `addr` and
-    /// return the previous address; otherwise insert a new slot.
+    /// Install `addr` for the key `probe` located: overwrite the key's slot
+    /// if it was found, else take the first free slot of its chain (or
+    /// chain a fresh overflow bucket).
     ///
-    /// `rehash(addr) -> hash` is used if the insertion triggers growth.
-    pub fn upsert(
-        &mut self,
-        hash: u64,
-        addr: u64,
-        mut verify: impl FnMut(u64) -> bool,
-        rehash: impl Fn(u64) -> u64,
-    ) -> Option<u64> {
-        // Grow ahead of the insert so the non-generic worker never needs to
-        // recurse (recursive generic instantiation would not terminate).
+    /// `probe` must come from a walk of `hash`'s chain for a key no `put`
+    /// has inserted since. It may predate other keys' `put`s and removals:
+    /// once a slot has moved the handle is re-located — a present key by
+    /// its old address, an absent one by the first free slot — without
+    /// going back to the log. An install into a full table doubles it
+    /// first, hit or miss; `rehash(addr) -> hash` serves that growth.
+    pub fn put(&mut self, hash: u64, probe: Probe, addr: u64, rehash: impl Fn(u64) -> u64) {
+        debug_assert!(addr <= MAX_ADDR, "log address exceeds 48 bits");
         if self.count + 1 > self.buckets.len() * BUCKET_SLOTS {
             self.grow(&rehash);
         }
-        self.upsert_no_grow(hash, addr, &mut verify)
-    }
-
-    fn upsert_no_grow(
-        &mut self,
-        hash: u64,
-        addr: u64,
-        verify: &mut dyn FnMut(u64) -> bool,
-    ) -> Option<u64> {
-        debug_assert!(addr <= MAX_ADDR, "log address exceeds 48 bits");
         let tag = tag_of(hash);
-        let root = (hash & self.mask) as usize;
-
-        // Pass 1: look for the existing key, remembering the first free slot.
-        let mut free: Option<(usize, usize, bool)> = None; // (bucket idx, slot, is_overflow)
-        {
-            let mut bi = root;
-            let mut in_overflow = false;
-            loop {
-                let bucket = if in_overflow {
-                    &self.overflow[bi]
-                } else {
-                    &self.buckets[bi]
-                };
-                for (si, &slot) in bucket.slots.iter().enumerate() {
-                    if slot == 0 {
-                        if free.is_none() {
-                            free = Some((bi, si, in_overflow));
-                        }
-                    } else if slot_tag(slot) == tag && verify(slot_addr(slot)) {
-                        let old = slot_addr(slot);
-                        let b = if in_overflow {
-                            &mut self.overflow[bi]
-                        } else {
-                            &mut self.buckets[bi]
-                        };
-                        b.slots[si] = pack(tag, addr);
-                        return Some(old);
-                    }
-                }
-                if bucket.overflow == NO_OVERFLOW {
-                    break;
-                }
-                bi = bucket.overflow as usize;
-                in_overflow = true;
-            }
+        let fresh = probe.moves == self.moves;
+        let from = if fresh { probe.pos } else { self.root(hash) };
+        let pos = match probe.addr {
+            Some(_) if fresh => from,
+            Some(old) => self.walk(tag, from, |a| a == old).pos,
+            // Other keys may have filled the free slot since; the chain up
+            // to it was full then and still is, so the scan resumes at its
+            // bucket.
+            None => self.walk(tag, from, |_| false).pos,
+        };
+        self.install(pos, pack(tag, addr));
+        if probe.addr.is_none() {
+            self.count += 1;
         }
-
-        // Pass 2: insert.
-        match free {
-            Some((bi, si, true)) => self.overflow[bi].slots[si] = pack(tag, addr),
-            Some((bi, si, false)) => self.buckets[bi].slots[si] = pack(tag, addr),
-            None => {
-                // Chain a fresh overflow bucket onto the tail.
-                let new_idx = self.alloc_overflow();
-                self.overflow[new_idx as usize].slots[0] = pack(tag, addr);
-                // Find the tail of the chain again (it had no free slot).
-                let mut bi = root;
-                let mut in_overflow = false;
-                loop {
-                    let ovf = if in_overflow {
-                        self.overflow[bi].overflow
-                    } else {
-                        self.buckets[bi].overflow
-                    };
-                    if ovf == NO_OVERFLOW {
-                        if in_overflow {
-                            self.overflow[bi].overflow = new_idx;
-                        } else {
-                            self.buckets[bi].overflow = new_idx;
-                        }
-                        break;
-                    }
-                    bi = ovf as usize;
-                    in_overflow = true;
-                }
-            }
-        }
-        self.count += 1;
-        None
     }
 
-    fn alloc_overflow(&mut self) -> u32 {
-        if let Some(i) = self.free_overflow.pop() {
-            self.overflow[i as usize] = Bucket::empty();
-            i
-        } else {
-            self.overflow.push(Bucket::empty());
-            (self.overflow.len() - 1) as u32
+    /// Write `slot` at `pos`, chaining a fresh overflow bucket first when
+    /// `pos` is the end of a full chain.
+    fn install(&mut self, pos: Pos, slot: u64) {
+        if (pos.slot as usize) < BUCKET_SLOTS {
+            self.bucket_mut(pos).slots[pos.slot as usize] = slot;
+            return;
         }
+        let mut spill = Bucket::empty();
+        spill.slots[0] = slot;
+        self.bucket_mut(pos).overflow = self.overflow.len() as u32;
+        self.overflow.push(spill);
     }
 
     /// Remove the entry for `hash` where `verify` confirms the key; returns
     /// its address.
-    pub fn remove(&mut self, hash: u64, mut verify: impl FnMut(u64) -> bool) -> Option<u64> {
-        let tag = tag_of(hash);
-        let mut bi = (hash & self.mask) as usize;
-        let mut in_overflow = false;
-        loop {
-            let bucket = if in_overflow {
-                &self.overflow[bi]
-            } else {
-                &self.buckets[bi]
-            };
-            let mut hit = None;
-            for (si, &slot) in bucket.slots.iter().enumerate() {
-                if slot != 0 && slot_tag(slot) == tag && verify(slot_addr(slot)) {
-                    hit = Some((si, slot_addr(slot)));
-                    break;
-                }
-            }
-            if let Some((si, addr)) = hit {
-                let b = if in_overflow {
-                    &mut self.overflow[bi]
-                } else {
-                    &mut self.buckets[bi]
-                };
-                b.slots[si] = 0;
-                self.count -= 1;
-                return Some(addr);
-            }
-            let ovf = bucket.overflow;
-            if ovf == NO_OVERFLOW {
-                return None;
-            }
-            bi = ovf as usize;
-            in_overflow = true;
+    pub fn remove(&mut self, hash: u64, verify: impl FnMut(u64) -> bool) -> Option<u64> {
+        let found = self.probe(hash, verify);
+        if found.addr.is_some() {
+            self.bucket_mut(found.pos).slots[found.pos.slot as usize] = 0;
+            self.count -= 1;
+            self.moves = self.moves.wrapping_add(1);
         }
+        found.addr
     }
 
     /// Visit the address of every entry.
@@ -291,31 +304,14 @@ impl HashIndex {
         }
     }
 
-    /// Keep only entries whose address satisfies `keep`; returns how many
-    /// were removed. (Epoch invalidation removes everything below the new
-    /// read-only boundary.)
-    pub fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) -> usize {
-        let mut removed = 0;
-        for bucket in self.buckets.iter_mut().chain(self.overflow.iter_mut()) {
-            for slot in &mut bucket.slots {
-                if *slot != 0 && !keep(slot_addr(*slot)) {
-                    *slot = 0;
-                    removed += 1;
-                }
-            }
-        }
-        self.count -= removed;
-        removed
-    }
-
     /// Remove every entry.
     pub fn clear(&mut self) {
         for b in &mut self.buckets {
             *b = Bucket::empty();
         }
         self.overflow.clear();
-        self.free_overflow.clear();
         self.count = 0;
+        self.moves = self.moves.wrapping_add(1);
     }
 
     fn grow(&mut self, rehash: &dyn Fn(u64) -> u64) {
@@ -324,14 +320,15 @@ impl HashIndex {
         let new_buckets = self.buckets.len() * 2;
         self.buckets = vec![Bucket::empty(); new_buckets];
         self.overflow.clear();
-        self.free_overflow.clear();
         self.mask = new_buckets as u64 - 1;
-        self.count = 0;
+        self.moves = self.moves.wrapping_add(1);
         for addr in addrs {
             let h = rehash(addr);
             // During rebuild every live entry has a distinct key, so
             // verification can reject everything: nothing is an update.
-            self.upsert_no_grow(h, addr, &mut |_| false);
+            let tag = tag_of(h);
+            let free = self.walk(tag, self.root(h), |_| false).pos;
+            self.install(free, pack(tag, addr));
         }
     }
 }
@@ -381,6 +378,26 @@ mod tests {
         }
     }
 
+    /// Probe, then install through the handle — the composition every
+    /// partition path uses.
+    fn upsert(
+        idx: &mut HashIndex,
+        hash: u64,
+        addr: u64,
+        verify: impl FnMut(u64) -> bool,
+        rehash: impl Fn(u64) -> u64,
+    ) -> Option<u64> {
+        let probe = idx.probe(hash, verify);
+        idx.put(hash, probe, addr, rehash);
+        probe.addr()
+    }
+
+    /// Every slot of the table, in `for_each` order, holes included.
+    fn layout(idx: &HashIndex) -> Vec<u64> {
+        let all = idx.buckets.iter().chain(idx.overflow.iter());
+        all.flat_map(|b| b.slots).collect()
+    }
+
     #[test]
     fn insert_find_remove() {
         let mut log = FakeLog::new();
@@ -389,20 +406,32 @@ mod tests {
         let a2 = log.put(202);
 
         assert_eq!(
-            idx.upsert(hash_u64(101), a1, log.verify(101), |_| unreachable!()),
+            upsert(
+                &mut idx,
+                hash_u64(101),
+                a1,
+                log.verify(101),
+                |_| unreachable!()
+            ),
             None
         );
         assert_eq!(
-            idx.upsert(hash_u64(202), a2, log.verify(202), |_| unreachable!()),
+            upsert(
+                &mut idx,
+                hash_u64(202),
+                a2,
+                log.verify(202),
+                |_| unreachable!()
+            ),
             None
         );
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.find(hash_u64(101), log.verify(101)), Some(a1));
-        assert_eq!(idx.find(hash_u64(202), log.verify(202)), Some(a2));
-        assert_eq!(idx.find(hash_u64(303), log.verify(303)), None);
+        assert_eq!(idx.probe(hash_u64(101), log.verify(101)).addr(), Some(a1));
+        assert_eq!(idx.probe(hash_u64(202), log.verify(202)).addr(), Some(a2));
+        assert_eq!(idx.probe(hash_u64(303), log.verify(303)).addr(), None);
 
         assert_eq!(idx.remove(hash_u64(101), log.verify(101)), Some(a1));
-        assert_eq!(idx.find(hash_u64(101), log.verify(101)), None);
+        assert_eq!(idx.probe(hash_u64(101), log.verify(101)).addr(), None);
         assert_eq!(idx.len(), 1);
     }
 
@@ -412,10 +441,16 @@ mod tests {
         let mut idx = HashIndex::new();
         let a1 = log.put(7);
         let a2 = log.put(7); // same key relocated (copy-on-update)
-        assert_eq!(idx.upsert(hash_u64(7), a1, log.verify(7), |_| 0), None);
-        assert_eq!(idx.upsert(hash_u64(7), a2, log.verify(7), |_| 0), Some(a1));
+        assert_eq!(
+            upsert(&mut idx, hash_u64(7), a1, log.verify(7), |_| 0),
+            None
+        );
+        assert_eq!(
+            upsert(&mut idx, hash_u64(7), a2, log.verify(7), |_| 0),
+            Some(a1)
+        );
         assert_eq!(idx.len(), 1, "update must not duplicate");
-        assert_eq!(idx.find(hash_u64(7), log.verify(7)), Some(a2));
+        assert_eq!(idx.probe(hash_u64(7), log.verify(7)).addr(), Some(a2));
     }
 
     #[test]
@@ -427,36 +462,16 @@ mod tests {
         for k in 0..n {
             let a = log.put(k);
             addr_of.insert(k, a);
-            idx.upsert(hash_u64(k), a, log.verify(k), log.rehash());
+            upsert(&mut idx, hash_u64(k), a, log.verify(k), log.rehash());
         }
         assert_eq!(idx.len(), n as usize);
         for k in 0..n {
             assert_eq!(
-                idx.find(hash_u64(k), log.verify(k)),
+                idx.probe(hash_u64(k), log.verify(k)).addr(),
                 Some(addr_of[&k]),
                 "key {k} lost"
             );
         }
-    }
-
-    #[test]
-    fn retain_drops_invalidated_addresses() {
-        let mut log = FakeLog::new();
-        let mut idx = HashIndex::new();
-        for k in 0..100u64 {
-            let a = log.put(k);
-            idx.upsert(hash_u64(k), a, log.verify(k), |_| 0);
-        }
-        // Addresses are 0,8,..; invalidate everything below 400.
-        let removed = idx.retain(|addr| addr >= 400);
-        assert_eq!(removed, 50);
-        assert_eq!(idx.len(), 50);
-        let mut seen = 0;
-        idx.for_each(|addr| {
-            assert!(addr >= 400);
-            seen += 1;
-        });
-        assert_eq!(seen, 50);
     }
 
     #[test]
@@ -465,11 +480,11 @@ mod tests {
         let mut idx = HashIndex::with_capacity(4);
         for k in 0..500u64 {
             let a = log.put(k);
-            idx.upsert(hash_u64(k), a, log.verify(k), log.rehash());
+            upsert(&mut idx, hash_u64(k), a, log.verify(k), log.rehash());
         }
         idx.clear();
         assert!(idx.is_empty());
-        assert_eq!(idx.find(hash_u64(3), log.verify(3)), None);
+        assert_eq!(idx.probe(hash_u64(3), log.verify(3)).addr(), None);
     }
 
     #[test]
@@ -482,11 +497,11 @@ mod tests {
         let keys: Vec<u64> = (0..64).collect();
         for &k in &keys {
             let a = log.put(k);
-            idx.upsert(hash_u64(k), a, log.verify(k), log.rehash());
+            upsert(&mut idx, hash_u64(k), a, log.verify(k), log.rehash());
         }
         // Every key resolves to an address holding exactly that key.
         for &k in &keys {
-            let addr = idx.find(hash_u64(k), log.verify(k)).unwrap();
+            let addr = idx.probe(hash_u64(k), log.verify(k)).addr().unwrap();
             assert_eq!(log.keys[&addr], k);
         }
     }
@@ -502,7 +517,7 @@ mod tests {
         let present: Vec<u64> = (0..96).collect();
         for &k in &present {
             let a = log.put(k);
-            idx.upsert(hash_u64(k), a, log.verify(k), log.rehash());
+            upsert(&mut idx, hash_u64(k), a, log.verify(k), log.rehash());
         }
         assert!(
             !idx.overflow.is_empty(),
@@ -512,18 +527,20 @@ mod tests {
         // Probe a mix of present and absent keys, unsorted.
         let probe_keys: Vec<u64> = (0..128).rev().collect();
         let hashes: Vec<u64> = probe_keys.iter().map(|&k| hash_u64(k)).collect();
-        let mut out = Vec::new();
+        let (mut order, mut out) = (Vec::new(), Vec::new());
         let keys = log.keys.clone();
-        idx.find_batch(&hashes, &mut out, |i, addr| keys[&addr] == probe_keys[i]);
+        idx.probe_batch(&hashes, &mut order, &mut out, |i, addr| {
+            keys[&addr] == probe_keys[i]
+        });
 
         assert_eq!(out.len(), probe_keys.len());
         for (i, &k) in probe_keys.iter().enumerate() {
             assert_eq!(
                 out[i],
-                idx.find(hash_u64(k), log.verify(k)),
+                idx.probe(hash_u64(k), log.verify(k)),
                 "batched probe for key {k} diverged from the single probe"
             );
-            assert_eq!(out[i].is_some(), k < 96);
+            assert_eq!(out[i].addr().is_some(), k < 96);
         }
 
         // The memoized-hash contract: probing with the combiner's
@@ -532,9 +549,50 @@ mod tests {
         let forced: Vec<u64> = hashes.iter().map(|h| h | (1 << 63)).collect();
         let mut out_forced = Vec::new();
         let keys = log.keys.clone();
-        idx.find_batch(&forced, &mut out_forced, |i, addr| {
+        idx.probe_batch(&forced, &mut order, &mut out_forced, |i, addr| {
             keys[&addr] == probe_keys[i]
         });
         assert_eq!(out, out_forced);
+    }
+
+    /// Handles taken in one batch and installed one by one — past each
+    /// other's inserts, table growth and a removal — leave the table slot
+    /// for slot where per-key probe + put leaves it: a stale handle is
+    /// re-located, never trusted.
+    #[test]
+    fn stale_handles_install_where_a_fresh_walk_would() {
+        for (capacity, removal) in [(2usize, false), (2, true), (4096, false)] {
+            let mut log = FakeLog::new();
+            let mut batched = HashIndex::with_capacity(capacity);
+            let mut serial = HashIndex::with_capacity(capacity);
+            // A resident population; key 3 may leave again below.
+            for k in 0..40u64 {
+                let a = log.put(k);
+                upsert(&mut batched, hash_u64(k), a, log.verify(k), log.rehash());
+                upsert(&mut serial, hash_u64(k), a, log.verify(k), log.rehash());
+            }
+            // The batch: moves of resident keys interleaved with new keys.
+            let batch: Vec<u64> = (20..120).collect();
+            let hashes: Vec<u64> = batch.iter().map(|&k| hash_u64(k)).collect();
+            let (mut order, mut probes) = (Vec::new(), Vec::new());
+            let keys = log.keys.clone();
+            batched.probe_batch(&hashes, &mut order, &mut probes, |i, addr| {
+                keys[&addr] == batch[i]
+            });
+            if removal {
+                assert_eq!(batched.remove(hash_u64(3), log.verify(3)), Some(24));
+                assert_eq!(serial.remove(hash_u64(3), log.verify(3)), Some(24));
+            }
+            let buckets_before = batched.buckets.len();
+            for (i, &k) in batch.iter().enumerate() {
+                let a = log.put(k);
+                batched.put(hashes[i], probes[i], a, log.rehash());
+                let old = upsert(&mut serial, hashes[i], a, log.verify(k), log.rehash());
+                assert_eq!(probes[i].addr(), old, "key {k}");
+            }
+            assert_eq!(batched.buckets.len() > buckets_before, capacity == 2);
+            assert_eq!(batched.len(), 120 - usize::from(removal));
+            assert_eq!(layout(&batched), layout(&serial));
+        }
     }
 }

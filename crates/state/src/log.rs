@@ -5,8 +5,9 @@
 //! in-place updates; entries below it are read-only (they have been, or are
 //! being, shipped to a leader). Storage is a chain of fixed-size segments
 //! with a monotone logical address space; each segment owns `seg_size`
-//! of address space even when padding seals it early, which keeps
-//! address→segment arithmetic trivial.
+//! of address space even when padding seals it early, and `seg_size` is a
+//! power of two, so address→segment arithmetic is one shift and one mask —
+//! every state access resolves an address, none may pay a division.
 //!
 //! Segments are reclaimed when every entry in them is dead (shipped and
 //! invalidated on helpers; triggered and garbage-collected on leaders),
@@ -21,7 +22,7 @@ use std::collections::VecDeque;
 
 #[cfg(test)]
 use crate::entry::NO_PREV;
-use crate::entry::{stored_size, EntryHeader, EntryKind, HEADER_SIZE};
+use crate::entry::{key_at, len_at, prev_at, stored_size, EntryHeader, EntryKind, HEADER_SIZE};
 use crate::hash::StateKey;
 
 /// Default segment size: 256 KiB — large enough that NEXMark's ~300-byte
@@ -53,6 +54,8 @@ impl Segment {
 pub struct Lss {
     segments: VecDeque<Segment>,
     seg_size: usize,
+    /// `log2(seg_size)`.
+    seg_shift: u32,
     /// Logical address of `segments[0]`'s first byte.
     first_start: u64,
     /// Logical tail: where the next entry will be written.
@@ -70,12 +73,18 @@ impl Lss {
     }
 
     /// Create an empty log with a custom segment size (tests use small
-    /// segments to exercise sealing and reclamation).
+    /// segments to exercise sealing and reclamation). The size must be a
+    /// power of two: addresses resolve by shift and mask.
     pub fn with_segment_size(seg_size: usize) -> Self {
         assert!(seg_size >= HEADER_SIZE + 8, "segment too small");
+        assert!(
+            seg_size.is_power_of_two(),
+            "segment size {seg_size} is not a power of two"
+        );
         Lss {
             segments: VecDeque::new(),
             seg_size,
+            seg_shift: seg_size.trailing_zeros(),
             first_start: 0,
             tail: 0,
             live_entries: 0,
@@ -111,44 +120,69 @@ impl Lss {
         self.appended_bytes
     }
 
+    #[inline]
     fn seg_of(&self, addr: u64) -> (usize, usize) {
         debug_assert!(addr >= self.first_start, "address below head");
         let rel = (addr - self.first_start) as usize;
-        (rel / self.seg_size, rel % self.seg_size)
+        (rel >> self.seg_shift, rel & (self.seg_size - 1))
+    }
+
+    /// The bytes of the segment holding `addr`, and `addr`'s offset in them.
+    #[inline]
+    fn locate(&self, addr: u64) -> (&[u8], usize) {
+        let (si, off) = self.seg_of(addr);
+        (&self.segments[si].data, off)
     }
 
     /// Append an entry; returns its logical address.
     pub fn append(&mut self, key: StateKey, prev: u64, kind: EntryKind, value: &[u8]) -> u64 {
-        let need = stored_size(value.len());
+        self.append_with(key, prev, kind, value.len(), |dst| {
+            dst.copy_from_slice(value)
+        })
+    }
+
+    /// Append an entry whose `len`-byte value `fill` writes in place — it
+    /// sees the zeroed bytes of a never-used stretch of segment — and
+    /// return the entry's logical address. The one append body:
+    /// [`Self::append`] copies a slice through it, a fresh key's first
+    /// RMW initialises and updates its value through it.
+    pub fn append_with(
+        &mut self,
+        key: StateKey,
+        prev: u64,
+        kind: EntryKind,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> u64 {
+        let need = stored_size(len);
         assert!(
             need <= self.seg_size,
             "entry of {need} bytes exceeds segment size {}",
             self.seg_size
         );
-        // Seal the current segment if the entry does not fit.
-        let tail_off = ((self.tail - self.first_start) as usize) % self.seg_size;
-        let in_last =
-            !self.segments.is_empty() && self.seg_of(self.tail).0 == self.segments.len() - 1;
-        if !in_last || self.seg_size - tail_off < need {
+        // Open a new segment if the tail left the last one (an entry ended
+        // exactly on its boundary) or the entry does not fit what is left.
+        let (mut si, mut off) = self.seg_of(self.tail);
+        if si + 1 != self.segments.len() || self.seg_size - off < need {
             if let Some(last) = self.segments.back_mut() {
                 last.sealed = true;
             }
             // Jump the tail to the next segment boundary.
-            let next_boundary = self.first_start + (self.segments.len() * self.seg_size) as u64;
-            self.tail = next_boundary;
+            (si, off) = (self.segments.len(), 0);
+            self.tail = self.first_start + ((si as u64) << self.seg_shift);
             self.segments.push_back(Segment::new(self.seg_size));
         }
         let addr = self.tail;
-        let (si, off) = self.seg_of(addr);
         let seg = &mut self.segments[si];
+        let (header, value) = seg.data[off..off + need].split_at_mut(HEADER_SIZE);
         EntryHeader {
             key,
             prev,
-            len: value.len() as u32,
+            len: len as u32,
             kind,
         }
-        .encode(&mut seg.data[off..off + HEADER_SIZE]);
-        seg.data[off + HEADER_SIZE..off + HEADER_SIZE + value.len()].copy_from_slice(value);
+        .encode(header);
+        fill(&mut value[..len]);
         seg.used = off + need;
         seg.live += 1;
         self.live_entries += 1;
@@ -157,30 +191,37 @@ impl Lss {
         addr
     }
 
-    /// Decode the header of the entry at `addr`.
-    pub fn header(&self, addr: u64) -> EntryHeader {
-        let (si, off) = self.seg_of(addr);
-        EntryHeader::decode(&self.segments[si].data[off..off + HEADER_SIZE])
-    }
-
-    /// The key stored at `addr` (index verification path).
+    /// The key stored at `addr` (index verification path): one 16-byte
+    /// load, not a header decode.
+    #[inline]
     pub fn key_at(&self, addr: u64) -> StateKey {
-        self.header(addr).key
+        let (data, off) = self.locate(addr);
+        key_at(data, off)
     }
 
     /// Immutable view of the value at `addr`.
+    #[inline]
     pub fn value(&self, addr: u64) -> &[u8] {
-        let (si, off) = self.seg_of(addr);
-        let h = EntryHeader::decode(&self.segments[si].data[off..off + HEADER_SIZE]);
-        &self.segments[si].data[off + HEADER_SIZE..off + HEADER_SIZE + h.len as usize]
+        self.link(addr).1
+    }
+
+    /// The entry at `addr` as a chain link: its `prev` address and value.
+    #[inline]
+    pub fn link(&self, addr: u64) -> (u64, &[u8]) {
+        let (data, off) = self.locate(addr);
+        let value = off + HEADER_SIZE;
+        (prev_at(data, off), &data[value..value + len_at(data, off)])
     }
 
     /// Mutable view of the value at `addr` (in-place RMW; callers must only
     /// do this inside the mutable region — the partition enforces it).
+    #[inline]
     pub fn value_mut(&mut self, addr: u64) -> &mut [u8] {
         let (si, off) = self.seg_of(addr);
-        let h = EntryHeader::decode(&self.segments[si].data[off..off + HEADER_SIZE]);
-        &mut self.segments[si].data[off + HEADER_SIZE..off + HEADER_SIZE + h.len as usize]
+        let data = &mut self.segments[si].data;
+        let value = off + HEADER_SIZE;
+        let len = len_at(data, off);
+        &mut data[value..value + len]
     }
 
     /// Visit every entry with address in `[from, to)` in log order.
@@ -192,7 +233,7 @@ impl Lss {
             let seg = &self.segments[si];
             if off >= seg.used {
                 // Padding at segment end: skip to the next boundary.
-                addr = self.first_start + ((si as u64 + 1) * self.seg_size as u64);
+                addr = self.first_start + ((si as u64 + 1) << self.seg_shift);
                 continue;
             }
             let h = EntryHeader::decode(&seg.data[off..off + HEADER_SIZE]);
@@ -267,7 +308,9 @@ mod tests {
         let a1 = l.append(9, a0, EntryKind::Appended, b"hello");
         assert_eq!(l.value(a0), &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(l.value(a1), b"hello");
-        let h1 = l.header(a1);
+        let mut h1 = None;
+        l.for_each_in(a1, l.tail(), |_, h, _| h1 = Some(*h));
+        let h1 = h1.unwrap();
         assert_eq!(h1.key, 9);
         assert_eq!(h1.prev, a0);
         assert_eq!(h1.kind, EntryKind::Appended);
@@ -402,6 +445,25 @@ mod tests {
         l.append(1, NO_PREV, EntryKind::Fixed, &[0u8; 8]);
         l.append(2, NO_PREV, EntryKind::Fixed, &[0u8; 16]);
         assert_eq!(l.appended_bytes(), 40 + 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn segment_sizes_are_powers_of_two() {
+        Lss::with_segment_size(384);
+    }
+
+    #[test]
+    fn append_with_fills_the_value_in_place() {
+        let mut l = small();
+        let a = l.append_with(5, NO_PREV, EntryKind::Fixed, 8, |v| {
+            assert_eq!(v, [0u8; 8], "a never-used stretch of segment is zero");
+            v.copy_from_slice(&9u64.to_le_bytes());
+        });
+        let b = l.append(6, a, EntryKind::Appended, b"abc");
+        assert_eq!(l.value(a), &9u64.to_le_bytes());
+        assert_eq!(l.link(b), (a, &b"abc"[..]));
+        assert_eq!((l.key_at(a), l.key_at(b)), (5, 6));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::combiner::WriteCombiner;
 use crate::descriptor::{StateDescriptor, ValueKind};
 use crate::entry::{EntryHeader, EntryKind, NO_PREV};
 use crate::hash::{hash_key, pack_key, unpack_key, StateKey};
-use crate::index::HashIndex;
+use crate::index::{HashIndex, Probe};
 use crate::log::Lss;
 
 /// A `(window, key)` state value surfaced by a window trigger.
@@ -58,6 +58,25 @@ type KeyList = Vec<Vec<u64>>;
 
 /// Keys per full chunk of a [`KeyList`] (64 KiB of group keys).
 const LIST_CHUNK_KEYS: usize = 8192;
+
+/// Buffers the batch paths ([`Partition::merge_batch`],
+/// [`Partition::append_batch`]) reuse from call to call, so a steady-state
+/// batch allocates nothing.
+#[derive(Default)]
+struct BatchScratch {
+    hashes: Vec<u64>,
+    order: Vec<u32>,
+    probes: Vec<Probe>,
+    /// `append_batch`'s dedup table over `distinct`.
+    table: Vec<u32>,
+    /// Distinct keys of the batch, first occurrence first (`hashes` runs
+    /// parallel).
+    distinct: Vec<StateKey>,
+    /// Per record: its key's position in `distinct`.
+    which: Vec<u32>,
+    /// Per distinct key: the newest entry of its chain so far.
+    heads: Vec<u64>,
+}
 
 /// Operation counters (feed the micro-architecture proxies of §8.3).
 #[derive(Debug, Default, Clone, Copy)]
@@ -93,6 +112,7 @@ pub struct Partition {
     /// first-insertion order under their window id. `None` on helper
     /// fragments, which ship their content at epoch close and never drain.
     directory: Option<BTreeMap<u64, KeyList>>,
+    scratch: BatchScratch,
     /// Operation counters.
     pub stats: PartitionStats,
 }
@@ -125,6 +145,7 @@ impl Partition {
             epoch: 0,
             desc,
             directory: Some(BTreeMap::new()),
+            scratch: BatchScratch::default(),
             stats: PartitionStats::default(),
         }
     }
@@ -149,21 +170,59 @@ impl Partition {
         self.log.resident_bytes()
     }
 
+    /// One walk of `key`'s bucket chain: its newest entry, or where the
+    /// index would put it.
+    #[inline]
+    fn probe(&self, key: StateKey, hash: u64) -> Probe {
+        let log = &self.log;
+        self.index.probe(hash, |addr| log.key_at(addr) == key)
+    }
+
+    #[inline]
     fn find(&self, key: StateKey) -> Option<u64> {
+        self.probe(key, hash_key(key)).addr()
+    }
+
+    /// Point the index at `addr` through the handle that located the key.
+    #[inline]
+    fn install(&mut self, hash: u64, probe: Probe, addr: u64) {
         let log = &self.log;
         self.index
-            .find(hash_key(key), |addr| log.key_at(addr) == key)
+            .put(hash, probe, addr, |a| hash_key(log.key_at(a)));
+    }
+
+    /// Make fixed-state `key` live — `probe` just proved it absent: list
+    /// it, append its entry with the value written in place by `fill`, and
+    /// install it in the slot the probe found.
+    #[inline]
+    fn insert_fresh(
+        &mut self,
+        key: StateKey,
+        hash: u64,
+        probe: Probe,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        self.list(key);
+        let addr = self
+            .log
+            .append_with(key, NO_PREV, EntryKind::Fixed, len, fill);
+        self.install(hash, probe, addr);
     }
 
     /// Read-modify-write of fixed-size state: the hot path of every
     /// non-holistic windowed aggregation. `update` sees the current value
-    /// (CRDT zero for fresh keys) and mutates it in place.
+    /// (CRDT zero for fresh keys) and mutates it in place — in the log
+    /// either way: a fresh key's value is initialised and updated where it
+    /// will live, not in a buffer copied there.
     pub fn rmw(&mut self, key: StateKey, update: impl FnOnce(&mut [u8])) {
         debug_assert!(
             matches!(self.desc.kind, ValueKind::Fixed { .. }),
             "rmw on appended state"
         );
-        if let Some(addr) = self.find(key) {
+        let hash = hash_key(key);
+        let probe = self.probe(key, hash);
+        if let Some(addr) = probe.addr() {
             debug_assert!(
                 addr >= self.epoch_begin,
                 "index points into the invalidated region"
@@ -171,11 +230,11 @@ impl Partition {
             update(self.log.value_mut(addr));
             self.stats.rmw_hits += 1;
         } else {
-            let size = self.desc.fixed_size();
-            let mut buf = vec![0u8; size];
-            (self.desc.init)(&mut buf);
-            update(&mut buf);
-            self.insert_fresh(key, EntryKind::Fixed, &buf);
+            let (size, init) = (self.desc.fixed_size(), self.desc.init);
+            self.insert_fresh(key, hash, probe, size, |value| {
+                init(value);
+                update(value);
+            });
             self.stats.rmw_inserts += 1;
         }
     }
@@ -210,66 +269,43 @@ impl Partition {
     /// Append one element to holistic state (hash-join build, §5.2).
     pub fn append(&mut self, key: StateKey, elem: &[u8]) {
         debug_assert!(self.desc.is_appended(), "append on fixed state");
-        let prev = match self.find(key) {
-            Some(head) => head,
-            None => {
-                self.list(key);
-                NO_PREV
-            }
-        };
+        let hash = hash_key(key);
+        let probe = self.probe(key, hash);
+        if probe.addr().is_none() {
+            self.list(key);
+        }
+        let prev = probe.addr().unwrap_or(NO_PREV);
         let addr = self.log.append(key, prev, EntryKind::Appended, elem);
-        let log = &self.log;
-        self.index.upsert(
-            hash_key(key),
-            addr,
-            |a| log.key_at(a) == key,
-            |a| hash_key(log.key_at(a)),
-        );
+        self.install(hash, probe, addr);
         self.stats.appends += 1;
-    }
-
-    fn insert_fresh(&mut self, key: StateKey, kind: EntryKind, value: &[u8]) {
-        self.insert_fresh_hashed(key, hash_key(key), kind, value);
-    }
-
-    fn insert_fresh_hashed(&mut self, key: StateKey, hash: u64, kind: EntryKind, value: &[u8]) {
-        self.list(key);
-        let addr = self.log.append(key, NO_PREV, kind, value);
-        let log = &self.log;
-        self.index.upsert(
-            hash,
-            addr,
-            |a| log.key_at(a) == key,
-            |a| hash_key(log.key_at(a)),
-        );
     }
 
     /// Merge a batch of *distinct-key* partial values — the entries of a
     /// [`WriteCombiner`] selected by `sel` — into fixed-size state in one
     /// pass: a single batched index probe resolves every key, hits merge in
     /// place with the descriptor's CRDT merge, and misses insert the
-    /// partial directly (merge with the zero value is the identity). The
-    /// combiner's memoized hashes are reused for both probe and insert, so
-    /// `hash_key` runs once per distinct key per batch, not once per
-    /// record.
+    /// partial directly (merge with the zero value is the identity) in the
+    /// slot their probe found. The combiner's memoized hashes are reused
+    /// for both probe and insert, so `hash_key` runs once per distinct key
+    /// per batch, not once per record.
     pub fn merge_batch(&mut self, comb: &WriteCombiner, sel: &[u32]) {
         debug_assert!(
             matches!(self.desc.kind, ValueKind::Fixed { .. }),
             "merge_batch on appended state"
         );
-        let mut hashes: Vec<u64> = Vec::with_capacity(sel.len());
-        for &i in sel {
-            hashes.push(comb.entry(i as usize).1);
-        }
-        let mut found: Vec<Option<u64>> = Vec::new();
+        let mut s = std::mem::take(&mut self.scratch);
+        s.hashes.clear();
+        s.hashes
+            .extend(sel.iter().map(|&i| comb.entry(i as usize).1));
         let log = &self.log;
-        self.index.find_batch(&hashes, &mut found, |j, addr| {
-            log.key_at(addr) == comb.entry(sel[j] as usize).0
-        });
+        self.index
+            .probe_batch(&s.hashes, &mut s.order, &mut s.probes, |j, addr| {
+                log.key_at(addr) == comb.entry(sel[j] as usize).0
+            });
         let merge = self.desc.merge;
-        for (j, &i) in sel.iter().enumerate() {
+        for (&i, &probe) in sel.iter().zip(&s.probes) {
             let (key, hash, partial) = comb.entry(i as usize);
-            match found[j] {
+            match probe.addr() {
                 Some(addr) => {
                     debug_assert!(
                         addr >= self.epoch_begin,
@@ -279,90 +315,88 @@ impl Partition {
                     self.stats.rmw_hits += 1;
                 }
                 None => {
-                    self.insert_fresh_hashed(key, hash, EntryKind::Fixed, partial);
+                    let fill = |value: &mut [u8]| value.copy_from_slice(partial);
+                    self.insert_fresh(key, hash, probe, partial.len(), fill);
                     self.stats.rmw_inserts += 1;
                 }
             }
         }
+        self.scratch = s;
     }
 
     /// Append a batch of holistic elements in record order with one index
-    /// probe and one upsert per *distinct* key. `keys[i]`'s element is
+    /// walk per *distinct* key. `keys[i]`'s element is
     /// `elems[i*stride..(i+1)*stride]`. Produces byte-identical log
     /// content, chain structure, and index population order to per-record
     /// [`Self::append`]: heads are memoized per batch, entries append in
     /// arrival order, and distinct keys enter the index in first-occurrence
-    /// order. Returns the number of distinct keys the batch touched.
+    /// order, each through the handle its probe returned. Returns the
+    /// number of distinct keys the batch touched.
     pub fn append_batch(&mut self, keys: &[StateKey], elems: &[u8], stride: usize) -> u64 {
         debug_assert!(self.desc.is_appended(), "append_batch on fixed state");
         debug_assert_eq!(keys.len() * stride, elems.len());
+        let mut s = std::mem::take(&mut self.scratch);
         // Distinct keys in first-occurrence order, with memoized hashes.
-        // Deduped through a throwaway open-addressing table over the
-        // index's own `hash_key` — the hash is needed for the probe below
-        // anyway, and a `std` `HashMap` would rehash every key with
-        // SipHash per batch.
+        // Deduped through a scratch open-addressing table over the index's
+        // own `hash_key` — the hash is needed for the probe below anyway,
+        // and a `std` `HashMap` would rehash every key with SipHash per
+        // batch.
         let cap = (keys.len() * 2).next_power_of_two().max(8);
         let mask = cap - 1;
-        let mut table: Vec<u32> = vec![u32::MAX; cap];
-        let mut distinct: Vec<(StateKey, u64)> = Vec::new();
-        let mut which: Vec<u32> = Vec::with_capacity(keys.len());
+        s.table.clear();
+        s.table.resize(cap, u32::MAX);
+        s.distinct.clear();
+        s.hashes.clear();
+        s.which.clear();
         for &key in keys {
             let h = hash_key(key);
             let mut pos = (h as usize) & mask;
             let d = loop {
-                let slot = table[pos];
+                let slot = s.table[pos];
                 if slot == u32::MAX {
-                    let d = distinct.len() as u32;
-                    distinct.push((key, h));
-                    table[pos] = d;
+                    let d = s.distinct.len() as u32;
+                    s.distinct.push(key);
+                    s.hashes.push(h);
+                    s.table[pos] = d;
                     break d;
                 }
-                if distinct[slot as usize].0 == key {
+                if s.distinct[slot as usize] == key {
                     break slot;
                 }
                 pos = (pos + 1) & mask;
             };
-            which.push(d);
+            s.which.push(d);
         }
         // One batched probe resolves every distinct key's current head.
-        let hashes: Vec<u64> = distinct.iter().map(|&(_, h)| h).collect();
-        let mut heads: Vec<Option<u64>> = Vec::new();
-        let log = &self.log;
-        self.index.find_batch(&hashes, &mut heads, |j, addr| {
-            log.key_at(addr) == distinct[j].0
-        });
-        for (d, &(key, _)) in distinct.iter().enumerate() {
-            if heads[d].is_none() {
+        let (log, distinct) = (&self.log, &s.distinct);
+        self.index
+            .probe_batch(&s.hashes, &mut s.order, &mut s.probes, |j, addr| {
+                log.key_at(addr) == distinct[j]
+            });
+        s.heads.clear();
+        for (&key, probe) in s.distinct.iter().zip(&s.probes) {
+            if probe.addr().is_none() {
                 self.list(key);
             }
+            s.heads.push(probe.addr().unwrap_or(NO_PREV));
         }
         // Append in record order, chaining through the memoized heads.
-        for (i, &key) in keys.iter().enumerate() {
-            let d = which[i] as usize;
-            let prev = heads[d].unwrap_or(NO_PREV);
-            let addr = self.log.append(
-                key,
-                prev,
-                EntryKind::Appended,
+        for (i, (&key, &d)) in keys.iter().zip(&s.which).enumerate() {
+            let (head, elem) = (
+                &mut s.heads[d as usize],
                 &elems[i * stride..(i + 1) * stride],
             );
-            heads[d] = Some(addr);
-            self.stats.appends += 1;
+            *head = self.log.append(key, *head, EntryKind::Appended, elem);
         }
-        // One upsert per distinct key, in first-occurrence order — the
+        self.stats.appends += keys.len() as u64;
+        // One install per distinct key, in first-occurrence order — the
         // same index insertion sequence the per-record path produces.
-        for (d, &(key, hash)) in distinct.iter().enumerate() {
-            if let Some(addr) = heads[d] {
-                let log = &self.log;
-                self.index.upsert(
-                    hash,
-                    addr,
-                    |a| log.key_at(a) == key,
-                    |a| hash_key(log.key_at(a)),
-                );
-            }
+        for ((&hash, &probe), &head) in s.hashes.iter().zip(&s.probes).zip(&s.heads) {
+            self.install(hash, probe, head);
         }
-        distinct.len() as u64
+        let touched = s.distinct.len() as u64;
+        self.scratch = s;
+        touched
     }
 
     /// Merge a value into fixed-size state with the descriptor's CRDT
@@ -385,12 +419,12 @@ impl Partition {
             None => return,
         };
         loop {
-            let h = self.log.header(addr);
-            f(self.log.value(addr));
-            if h.prev == NO_PREV || h.prev < self.epoch_begin {
+            let (prev, value) = self.log.link(addr);
+            f(value);
+            if prev == NO_PREV || prev < self.epoch_begin {
                 break;
             }
-            addr = h.prev;
+            addr = prev;
         }
     }
 
@@ -462,13 +496,13 @@ impl Partition {
             return false;
         };
         loop {
-            let h = self.log.header(addr);
-            visit(self.log.value(addr));
+            let (prev, value) = self.log.link(addr);
+            visit(value);
             self.log.note_dead(addr);
-            if h.prev == NO_PREV || h.prev < self.epoch_begin {
+            if prev == NO_PREV || prev < self.epoch_begin {
                 break;
             }
-            addr = h.prev;
+            addr = prev;
         }
         self.log.reclaim();
         true
@@ -900,6 +934,191 @@ mod tests {
         let mut shipped = Vec::new();
         h.close_epoch(|hd, v| shipped.push((hd.key, CounterCrdt::get(v))));
         assert_eq!(shipped, vec![(pack_key(1, 1), 4)]);
+    }
+
+    /// What the model below expects a key to hold.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Held {
+        Count(u64),
+        /// Oldest first.
+        Elems(Vec<Vec<u8>>),
+    }
+
+    /// A `BTreeMap` oracle with the window directory's listing rule: a key
+    /// is listed under its window each time it *becomes* live; a drain
+    /// emits, window by window in listing order, every listed key that is
+    /// live, once.
+    #[derive(Default)]
+    struct Oracle {
+        live: BTreeMap<StateKey, Held>,
+        listed: BTreeMap<u64, Vec<u64>>,
+    }
+
+    impl Oracle {
+        fn held(&mut self, key: StateKey, zero: Held) -> &mut Held {
+            self.live.entry(key).or_insert_with(|| {
+                let (wid, gk) = unpack_key(key);
+                self.listed.entry(wid).or_default().push(gk);
+                zero
+            })
+        }
+        fn add(&mut self, key: StateKey, n: u64) {
+            match self.held(key, Held::Count(0)) {
+                Held::Count(c) => *c += n,
+                Held::Elems(_) => unreachable!("fixed model"),
+            }
+        }
+        fn push(&mut self, key: StateKey, elem: &[u8]) {
+            match self.held(key, Held::Elems(Vec::new())) {
+                Held::Elems(es) => es.push(elem.to_vec()),
+                Held::Count(_) => unreachable!("appended model"),
+            }
+        }
+        fn triggered(held: Held) -> TriggeredData {
+            match held {
+                Held::Count(c) => TriggeredData::Fixed(c.to_le_bytes().to_vec()),
+                Held::Elems(mut es) => {
+                    es.reverse();
+                    TriggeredData::Elements(es)
+                }
+            }
+        }
+        fn drain(&mut self, ready: impl Fn(u64) -> bool) -> Vec<TriggeredValue> {
+            let mut out = Vec::new();
+            for (&window_id, keys) in self.listed.iter().filter(|(&w, _)| ready(w)) {
+                for &key in keys {
+                    if let Some(held) = self.live.remove(&pack_key(window_id, key)) {
+                        out.push(TriggeredValue {
+                            window_id,
+                            key,
+                            data: Self::triggered(held),
+                        });
+                    }
+                }
+            }
+            self.listed.retain(|&w, _| !ready(w));
+            out
+        }
+    }
+
+    /// Compare every key of the domain — live or not — with the oracle.
+    fn assert_matches(p: &Partition, oracle: &Oracle, domain: &[StateKey], at: &str) {
+        assert_eq!(p.key_count(), oracle.live.len(), "{at}: key_count");
+        for &key in domain {
+            let mut chain = Vec::new();
+            match oracle.live.get(&key) {
+                Some(Held::Count(c)) => assert_eq!(p.get(key).map(CounterCrdt::get), Some(*c)),
+                Some(Held::Elems(es)) => {
+                    p.for_each_element(key, |e| chain.push(e.to_vec()));
+                    chain.reverse();
+                    assert_eq!(&chain, es, "{at}: chain of {key:#x}, oldest first");
+                }
+                None => {
+                    assert_eq!(p.get(key), None, "{at}: {key:#x} is gone");
+                    assert_eq!(p.element_count(key), 0);
+                }
+            }
+        }
+    }
+
+    /// Satellite (the new addressing and insert paths under a model): one
+    /// seeded operation stream per state kind and segment size — small
+    /// segments, so entries keep landing on segment ends, padding and
+    /// sealing — through every per-entry operation, against the oracle.
+    #[test]
+    fn seeded_operations_match_a_btreemap_oracle() {
+        use slash_desim::DetRng;
+        let domain: Vec<StateKey> = (1..=3u64)
+            .flat_map(|w| (0..70u64).map(move |g| pack_key(w, g)))
+            .collect();
+        let cases = [128, 256, 512].into_iter();
+        for (seg, appended) in cases.flat_map(|seg| [(seg, false), (seg, true)]) {
+            let desc = if appended {
+                appended_descriptor()
+            } else {
+                CounterCrdt::descriptor()
+            };
+            let mut rng = DetRng::new(0x19 + seg as u64 + u64::from(appended));
+            let mut p = Partition::with_segment_size(0, desc, seg);
+            let mut oracle = Oracle::default();
+            let mut comb = WriteCombiner::new(desc, 64);
+            let pick = |rng: &mut DetRng| domain[rng.next_below(domain.len() as u64) as usize];
+            for step in 0..4_000u32 {
+                let at = format!("seg {seg} appended {appended} step {step}");
+                let key = pick(&mut rng);
+                let n = 1 + rng.next_below(9);
+                match (rng.next_below(100), appended) {
+                    (0..=39, false) => {
+                        p.rmw(key, |v| CounterCrdt::add(v, n));
+                        oracle.add(key, n);
+                    }
+                    (40..=54, false) => {
+                        p.merge_fixed(key, &n.to_le_bytes());
+                        oracle.add(key, n);
+                    }
+                    (55..=69, false) => {
+                        for _ in 0..12 {
+                            let key = pick(&mut rng);
+                            assert!(comb.fold(key, |v| CounterCrdt::add(v, n)));
+                            oracle.add(key, n);
+                        }
+                        let sel: Vec<u32> = (0..comb.len() as u32).collect();
+                        p.merge_batch(&comb, &sel);
+                        comb.clear();
+                    }
+                    (0..=44, true) => {
+                        // 1..=24 bytes: stored sizes 40, 48 and 56.
+                        let elem = vec![step as u8; 1 + rng.next_below(24) as usize];
+                        p.append(key, &elem);
+                        oracle.push(key, &elem);
+                    }
+                    (45..=69, true) => {
+                        let keys: Vec<StateKey> = (0..10).map(|_| pick(&mut rng)).collect();
+                        let elems: Vec<u8> =
+                            (0..keys.len() * 5).map(|b| b as u8 ^ n as u8).collect();
+                        assert!(p.append_batch(&keys, &elems, 5) <= 10);
+                        for (key, elem) in keys.iter().zip(elems.chunks(5)) {
+                            oracle.push(*key, elem);
+                        }
+                    }
+                    (70..=79, _) => {
+                        let want = oracle.live.remove(&key).map(Oracle::triggered);
+                        assert_eq!(p.take(key), want, "{at}: take");
+                    }
+                    (80..=89, _) => {
+                        assert_eq!(p.remove(key), oracle.live.remove(&key).is_some(), "{at}");
+                    }
+                    (90..=97, _) => {
+                        let w = 1 + rng.next_below(3);
+                        let mut got = Vec::new();
+                        let fired = p.drain_ready(|x| x == w, |tv| got.push(tv));
+                        assert_eq!(got, oracle.drain(|x| x == w), "{at}: drain of {w}");
+                        assert_eq!(fired, got.len());
+                    }
+                    _ => {
+                        // The delta holds, in log order, every entry written
+                        // this epoch; a live key's newest entries are its
+                        // state.
+                        let mut shipped: BTreeMap<StateKey, Vec<Vec<u8>>> = BTreeMap::new();
+                        p.close_epoch(|h, v| shipped.entry(h.key).or_default().push(v.to_vec()));
+                        for (key, held) in std::mem::take(&mut oracle.live) {
+                            let want = match held {
+                                Held::Count(c) => vec![c.to_le_bytes().to_vec()],
+                                Held::Elems(es) => es,
+                            };
+                            let got = &shipped[&key];
+                            assert_eq!(got[got.len() - want.len()..], want[..], "{at}: delta");
+                        }
+                        oracle.listed.clear();
+                        assert!(!p.is_dirty());
+                    }
+                }
+                if step % 16 == 0 {
+                    assert_matches(&p, &oracle, &domain, &at);
+                }
+            }
+            assert!(p.stats.epochs > 10 && p.stats.drain_visited > 0);
+        }
     }
 
     #[test]
