@@ -211,7 +211,11 @@ pub fn spawn_node_workers(
     cfg: &RunConfig,
     resume_pos: Option<&[usize]>,
 ) {
-    assert_eq!(parts.len(), cfg.workers_per_node, "one partition per worker");
+    assert_eq!(
+        parts.len(),
+        cfg.workers_per_node,
+        "one partition per worker"
+    );
     let schema = plan.input().schema;
     for (w, part) in parts.iter().enumerate() {
         let mut source = MemorySource::new(Rc::clone(part), schema, cfg.batch_records);
@@ -312,9 +316,7 @@ mod tests {
         cfg.collect_results = true;
         cfg.epoch_bytes = 2048;
         // Same key space across all partitions: state is genuinely shared.
-        let partitions: Vec<Rc<Vec<u8>>> = (0..n_nodes * workers)
-            .map(|_| gen(500, 2, 8))
-            .collect();
+        let partitions: Vec<Rc<Vec<u8>>> = (0..n_nodes * workers).map(|_| gen(500, 2, 8)).collect();
         let report = SlashCluster::run(count_plan(200), partitions, cfg);
         assert_eq!(report.records, 6 * 500);
         // ts span 0..1000 step 2 → windows 0..4 (5 windows) × 8 keys.
@@ -375,11 +377,7 @@ mod tests {
         };
         let mut cfg = RunConfig::new(2, 1);
         cfg.collect_results = true;
-        let report = SlashCluster::run(
-            plan,
-            vec![Rc::new(mk(10, 0)), Rc::new(mk(10, 1))],
-            cfg,
-        );
+        let report = SlashCluster::run(plan, vec![Rc::new(mk(10, 0)), Rc::new(mk(10, 1))], cfg);
         // One window; per key: 5 lefts × 5 rights = 25 pairs, 2 keys.
         assert_eq!(report.total_pairs, 50);
         assert_eq!(report.emitted, 2);
@@ -390,8 +388,7 @@ mod tests {
         let run = || {
             let mut cfg = RunConfig::new(2, 2);
             cfg.epoch_bytes = 4096;
-            let partitions: Vec<Rc<Vec<u8>>> =
-                (0..4).map(|_| gen(300, 3, 16)).collect();
+            let partitions: Vec<Rc<Vec<u8>>> = (0..4).map(|_| gen(300, 3, 16)).collect();
             let r = SlashCluster::run(count_plan(100), partitions, cfg);
             (r.records, r.emitted, r.completion_time, r.net_tx_bytes)
         };

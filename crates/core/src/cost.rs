@@ -95,7 +95,8 @@ impl CacheModel {
         let m1 = frac(self.l1_bytes);
         let m2 = frac(self.l2_bytes);
         let m3 = frac(self.llc_bytes);
-        let penalty_ns = m1 * self.l2_ns + m2 * (self.llc_ns - self.l2_ns).max(0.0)
+        let penalty_ns = m1 * self.l2_ns
+            + m2 * (self.llc_ns - self.l2_ns).max(0.0)
             + m3 * (self.dram_ns - self.llc_ns).max(0.0);
         AccessCost {
             penalty_ns,
@@ -287,8 +288,11 @@ mod tests {
         assert!((15.0..30.0).contains(&hot), "slash hot path {hot}ns");
         // UpPar's sender path (pipeline + partition + copy of a 78-byte
         // record) must land near Table 1's 274 cycles ≈ 114ns.
-        let uppar = m.record_pipeline_ns + m.partition_ns + 78.0 * m.copy_per_byte_ns
-            + m.queue_op_ns;
-        assert!((80.0..150.0).contains(&uppar), "uppar sender path {uppar}ns");
+        let uppar =
+            m.record_pipeline_ns + m.partition_ns + 78.0 * m.copy_per_byte_ns + m.queue_op_ns;
+        assert!(
+            (80.0..150.0).contains(&uppar),
+            "uppar sender path {uppar}ns"
+        );
     }
 }

@@ -132,10 +132,18 @@ impl Cluster {
         let ports = fabric.add_nodes(n);
         let host: Vec<usize> = hosts.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
         assert_eq!(host.len(), n, "one initial host per partition");
-        assert!(host.iter().all(|&h| h < n), "hosts index the provisioned ports (0..nodes)");
+        assert!(
+            host.iter().all(|&h| h < n),
+            "hosts index the provisioned ports (0..nodes)"
+        );
         let mapped: Vec<NodeId> = host.iter().map(|&h| ports[h]).collect();
-        let ssb_nodes =
-            build_cluster_obs(&fabric, &mapped, plan.descriptor(), cfg.ssb_config(), obs.clone());
+        let ssb_nodes = build_cluster_obs(
+            &fabric,
+            &mapped,
+            plan.descriptor(),
+            cfg.ssb_config(),
+            obs.clone(),
+        );
         let plan = Rc::new(plan);
         let mut nodes = Vec::with_capacity(n);
         for (node, ssb) in ssb_nodes.into_iter().enumerate() {
@@ -187,7 +195,8 @@ impl Cluster {
     pub(crate) fn publish_owner(&self, p: usize, phase: u64) {
         if self.obs.is_enabled() {
             let label = format!("part={p}");
-            self.obs.gauge_set("partition_owner", &label, self.host(p) as f64);
+            self.obs
+                .gauge_set("partition_owner", &label, self.host(p) as f64);
             self.obs.gauge_set("migration_phase", &label, phase as f64);
         }
     }
@@ -389,7 +398,9 @@ impl<'a> ClusterBuilder<'a> {
     /// the run, and its fingerprint and choice trace stay readable.
     pub fn run_on(self, sim: Sim) -> (Outcome, Sim) {
         let default_chaos = ChaosConfig::default();
-        let chaos = self.chaos.or(self.elastic.is_some().then_some(&default_chaos));
+        let chaos = self
+            .chaos
+            .or(self.elastic.is_some().then_some(&default_chaos));
         // Pre-split keys may come from either config; both go to the one
         // split director.
         let chaos_pre = chaos.map_or(&[][..], |c| &c.pre_split[..]);
@@ -459,8 +470,14 @@ mod tests {
         let at = SimTime::from_micros(100);
         let faults = chaos(FaultPlan::new().crash(at, 1));
         let parts = parts(3, 60_000);
-        let mut c =
-            Cluster::boot(Sim::new(), count_plan(4_000), parts, cfg(3), Obs::disabled(), None);
+        let mut c = Cluster::boot(
+            Sim::new(),
+            count_plan(4_000),
+            parts,
+            cfg(3),
+            Obs::disabled(),
+            None,
+        );
         FtDirector::new(&faults, 3).install(&mut c);
         // As a committed promotion or handoff leaves it: partition 2 now
         // lives on port 1, next to partition 1.

@@ -290,7 +290,11 @@ impl Director for RescaleDirector<'_> {
             c.rehome(p);
         }
         let record_size = c.plan.input().schema.size;
-        self.total_records = c.partitions.iter().map(|p| (p.len() / record_size) as u64).sum();
+        self.total_records = c
+            .partitions
+            .iter()
+            .map(|p| (p.len() / record_size) as u64)
+            .sum();
         self.report.peak_hosts = c.live.borrow().hosts_in_use();
     }
 
@@ -363,13 +367,21 @@ impl RescaleDirector<'_> {
                 .as_ref()
                 .and_then(FtState::latest_ckpt)
                 .map_or(0, |ck| ck.payload_bytes());
-            let warm_time = if warm > 0 { c.transfer_time(warm) } else { SimTime::ZERO };
+            let warm_time = if warm > 0 {
+                c.transfer_time(warm)
+            } else {
+                SimTime::ZERO
+            };
             let from_host = c.host(p);
             c.fault_event(
                 RESCALE_TID,
                 "handoff-begin",
                 p,
-                &[("from", from_host as u64), ("to", cmd.to_host as u64), ("warm_bytes", warm)],
+                &[
+                    ("from", from_host as u64),
+                    ("to", cmd.to_host as u64),
+                    ("warm_bytes", warm),
+                ],
             );
             c.publish_owner(p, HandoffPhase::Warmup.ordinal());
             c.owned[p] = true;
@@ -402,7 +414,9 @@ impl RescaleDirector<'_> {
     fn handoff_tick(&mut self, c: &mut Cluster, now: SimTime) {
         let parts: Vec<usize> = self.handoffs.keys().copied().collect();
         for p in parts {
-            let Some(h) = self.handoffs.get_mut(&p) else { continue };
+            let Some(h) = self.handoffs.get_mut(&p) else {
+                continue;
+            };
             // Source leader died mid-handoff: the plan is void. Pre-halt
             // the partition is simply crashed; post-halt it is halted
             // *and* its port is dead — either way it is flagged crashed
@@ -414,12 +428,20 @@ impl RescaleDirector<'_> {
             let source_dead = !c.port_alive(p);
             let target_dead = !c.fabric.node_alive(c.ports[h.ev.to_host]);
             if source_dead || (target_dead && matches!(h.phase, HandoffPhase::Warmup)) {
-                let reason = if source_dead { "reason_source_dead" } else { "reason_target_dead" };
+                let reason = if source_dead {
+                    "reason_source_dead"
+                } else {
+                    "reason_target_dead"
+                };
                 c.fault_event(
                     RESCALE_TID,
                     "handoff-abort",
                     p,
-                    &[(reason, 1), ("to", h.ev.to_host as u64), ("phase", h.phase.ordinal())],
+                    &[
+                        (reason, 1),
+                        ("to", h.ev.to_host as u64),
+                        ("phase", h.phase.ordinal()),
+                    ],
                 );
                 // Nothing moved: the plan ends where it started.
                 h.ev.to_host = h.ev.from_host;
@@ -526,7 +548,8 @@ impl RescaleDirector<'_> {
                             p as u32,
                             RESCALE_TID,
                             h.ev.planned_at,
-                            h.ev.committed_at.max(h.ev.planned_at + SimTime::from_nanos(1)),
+                            h.ev.committed_at
+                                .max(h.ev.planned_at + SimTime::from_nanos(1)),
                             &[
                                 ("from", h.ev.from_host as u64),
                                 ("to", h.ev.to_host as u64),
@@ -628,15 +651,24 @@ mod tests {
         let script = vec![
             (
                 SimTime::from_micros(400),
-                MigrationCmd { partition: 2, to_host: 2 },
+                MigrationCmd {
+                    partition: 2,
+                    to_host: 2,
+                },
             ),
             (
                 SimTime::from_micros(500),
-                MigrationCmd { partition: 3, to_host: 3 },
+                MigrationCmd {
+                    partition: 3,
+                    to_host: 3,
+                },
             ),
             (
                 SimTime::from_micros(1_500),
-                MigrationCmd { partition: 3, to_host: 1 },
+                MigrationCmd {
+                    partition: 3,
+                    to_host: 1,
+                },
             ),
         ];
         let (base, base_rec) = flat_baseline_n(4, 150_000);
@@ -644,8 +676,7 @@ mod tests {
         assert_eq!(run.records, base.records, "every record exactly once");
         assert_eq!(rec.results_digest, base_rec.results_digest);
         assert_eq!(rec.state_digests, base_rec.state_digests);
-        let committed: Vec<_> =
-            rescale.migrations.iter().filter(|m| !m.aborted).collect();
+        let committed: Vec<_> = rescale.migrations.iter().filter(|m| !m.aborted).collect();
         assert_eq!(committed.len(), 3, "{:?}", rescale.migrations);
         assert_eq!(rescale.peak_hosts, 4);
         assert_eq!(rescale.final_hosts, 3);
@@ -662,16 +693,25 @@ mod tests {
         let script = vec![
             (
                 SimTime::from_micros(400),
-                MigrationCmd { partition: 9, to_host: 1 },
+                MigrationCmd {
+                    partition: 9,
+                    to_host: 1,
+                },
             ),
             (
                 SimTime::from_micros(400),
-                MigrationCmd { partition: 1, to_host: 9 },
+                MigrationCmd {
+                    partition: 1,
+                    to_host: 9,
+                },
             ),
             (
                 SimTime::from_micros(400),
                 // partition 1 already lives on host 1 in packed(4, 2).
-                MigrationCmd { partition: 1, to_host: 1 },
+                MigrationCmd {
+                    partition: 1,
+                    to_host: 1,
+                },
             ),
         ];
         let (base, base_rec) = flat_baseline(4);
@@ -687,11 +727,17 @@ mod tests {
             let script = vec![
                 (
                     SimTime::from_micros(400),
-                    MigrationCmd { partition: 2, to_host: 2 },
+                    MigrationCmd {
+                        partition: 2,
+                        to_host: 2,
+                    },
                 ),
                 (
                     SimTime::from_micros(600),
-                    MigrationCmd { partition: 3, to_host: 3 },
+                    MigrationCmd {
+                        partition: 3,
+                        to_host: 3,
+                    },
                 ),
             ];
             let (r, rec, rescale) = run_scripted(4, 2, script);
@@ -720,7 +766,10 @@ mod tests {
         let (base, base_rec) = flat_baseline_cfg(paced, 60_000);
         let script = vec![(
             SimTime::from_micros(500),
-            MigrationCmd { partition: 2, to_host: 2 },
+            MigrationCmd {
+                partition: 2,
+                to_host: 2,
+            },
         )];
         let (run, rec, rescale) = run_elastic(paced, 2, 60_000, script);
         assert_eq!(run.records, base.records);
@@ -728,4 +777,3 @@ mod tests {
         assert_eq!(rescale.migrations.iter().filter(|m| !m.aborted).count(), 1);
     }
 }
-

@@ -322,7 +322,10 @@ impl HotPath {
                         let side = schema.field_u64(rec, *side_off);
                         elem[0] = side as u8;
                         elem[1..stride].copy_from_slice(&rec[..take]);
-                        ssb.append(pack_key(memo.assign(schema.ts(rec)), schema.key(rec)), &elem);
+                        ssb.append(
+                            pack_key(memo.assign(schema.ts(rec)), schema.key(rec)),
+                            &elem,
+                        );
                         out.survivors += 1;
                         out.value_bytes += stride as u64;
                     }

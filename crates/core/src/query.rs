@@ -138,8 +138,7 @@ mod tests {
     fn filter_defaults_to_keep_all() {
         let s = StreamDef::new(RecordSchema::plain(16));
         assert!(s.keep(&[0u8; 16]));
-        let f = StreamDef::new(RecordSchema::plain(16))
-            .with_filter(|sch, r| sch.key(r) % 2 == 0);
+        let f = StreamDef::new(RecordSchema::plain(16)).with_filter(|sch, r| sch.key(r) % 2 == 0);
         let mut rec = [0u8; 16];
         rec[8..16].copy_from_slice(&3u64.to_le_bytes());
         assert!(!f.keep(&rec));

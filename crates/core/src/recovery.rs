@@ -436,7 +436,10 @@ impl Director for FtDirector<'_> {
             // recovers (to a from-scratch reprocess).
             on_epoch_closed(&mut sh);
         }
-        self.store.borrow_mut().iter_mut().for_each(CkptSlot::seed_from_latest);
+        self.store
+            .borrow_mut()
+            .iter_mut()
+            .for_each(CkptSlot::seed_from_latest);
 
         // Arm the fault plan against the fabric, and mirror node crashes
         // into the engine: every partition the dying port hosts *at the
@@ -447,7 +450,8 @@ impl Director for FtDirector<'_> {
             if let FaultKind::NodeCrash { node } = ev.kind {
                 if node < n {
                     let live = Rc::clone(&c.live);
-                    c.sim.schedule_at(ev.at, move |_| live.borrow().kill_port(node));
+                    c.sim
+                        .schedule_at(ev.at, move |_| live.borrow().kill_port(node));
                 }
             }
         }
@@ -591,7 +595,10 @@ impl FtDirector<'_> {
                         RECOVERY_TID,
                         "checkpoint-durable",
                         i,
-                        &[("epochs", fl.ckpt.epochs_closed()), ("holder", fl.buddy_port.0 as u64)],
+                        &[
+                            ("epochs", fl.ckpt.epochs_closed()),
+                            ("holder", fl.buddy_port.0 as u64),
+                        ],
                     );
                     if st[i].maybe_release_seed() {
                         // Post-handoff retention fix (§15.3): the new owner's
@@ -656,7 +663,9 @@ impl FtDirector<'_> {
     fn promo_tick(&mut self, c: &mut Cluster, now: SimTime) {
         let nodes: Vec<usize> = self.promos.keys().copied().collect();
         for d in nodes {
-            let Some(p) = self.promos.get_mut(&d) else { continue };
+            let Some(p) = self.promos.get_mut(&d) else {
+                continue;
+            };
             // Interruption check: the chosen host died, or the copy being
             // streamed lost its holder mid-restore. Pre-commit phases
             // touched nothing but this record, so restart it against a
@@ -674,7 +683,11 @@ impl FtDirector<'_> {
                         RECOVERY_TID,
                         "promotion-restart",
                         d,
-                        &[("restarts", restarts as u64), ("host", fresh.host as u64), ("phase", phase)],
+                        &[
+                            ("restarts", restarts as u64),
+                            ("host", fresh.host as u64),
+                            ("phase", phase),
+                        ],
                     );
                     *p = fresh;
                 }
@@ -699,7 +712,9 @@ impl FtDirector<'_> {
                     p.phase_done_at = now + reconnect_time(&c.fabric);
                 }
                 PromoPhase::Reconnect => {
-                    let Some(p) = self.promos.remove(&d) else { continue };
+                    let Some(p) = self.promos.remove(&d) else {
+                        continue;
+                    };
                     commit_promotion(c, &p);
                     let action = RecoveryAction::Promoted {
                         host: p.host,
@@ -873,8 +888,13 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
         .enumerate()
         .filter(|&(s, _)| s != d)
         .find_map(|(_, sh)| sh.borrow().ssb.split_ledger().cloned());
-    let mut ssb =
-        SsbNode::restored(d, c.plan.descriptor(), c.cfg.ssb_config(), &ckpt.ssb, ledger);
+    let mut ssb = SsbNode::restored(
+        d,
+        c.plan.descriptor(),
+        c.cfg.ssb_config(),
+        &ckpt.ssb,
+        ledger,
+    );
 
     // Re-establish channels with every peer, handshaking commit horizons
     // so replay is exact and nothing is merged twice. A peer whose port is
@@ -885,8 +905,10 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
         let mut tampered = (c.plant == Some(Plant::SkipReplay)).then(|| ckpt.ssb.clone());
         for s in (0..n).filter(|&s| s != d) {
             let peer_port = c.ports[live.host[s]];
-            let mut survivor =
-                c.fabric.node_alive(peer_port).then(|| live.nodes[s].borrow_mut());
+            let mut survivor = c
+                .fabric
+                .node_alive(peer_port)
+                .then(|| live.nodes[s].borrow_mut());
             if let (Some(t), Some(sv)) = (tampered.as_mut(), survivor.as_ref()) {
                 t.receiver_next[s] = (t.receiver_next[s] + 1).min(sv.ssb.epochs_closed());
             }
@@ -928,12 +950,24 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
     // replayable epochs.
     let w = c.cfg.workers_per_node;
     let parts = &c.partitions[d * w..(d + 1) * w];
-    spawn_node_workers(&mut c.sim, d, &shared, parts, &c.plan, &c.cfg, Some(&ckpt.worker_pos));
+    spawn_node_workers(
+        &mut c.sim,
+        d,
+        &shared,
+        parts,
+        &c.plan,
+        &c.cfg,
+        Some(&ckpt.worker_pos),
+    );
     c.fault_event(
         RECOVERY_TID,
         "promoted",
         d,
-        &[("host", p.host as u64), ("epochs", ckpt.epochs_closed()), ("restarts", p.restarts as u64)],
+        &[
+            ("host", p.host as u64),
+            ("epochs", ckpt.epochs_closed()),
+            ("restarts", p.restarts as u64),
+        ],
     );
 }
 
@@ -1155,7 +1189,10 @@ mod tests {
         // No handoff recorded: real copies land, the seed stays (a plain
         // chaos run keeps scratch recovery available forever).
         slot.insert_copy(
-            DurableCopy { holder_port: Some(NodeId(7)), ckpt: ckpt_at(3) },
+            DurableCopy {
+                holder_port: Some(NodeId(7)),
+                ckpt: ckpt_at(3),
+            },
             2,
         );
         assert!(!slot.maybe_release_seed());
@@ -1170,7 +1207,10 @@ mod tests {
         // A real copy at the boundary lands: the seed is released and
         // only real copies remain.
         slot.insert_copy(
-            DurableCopy { holder_port: Some(NodeId(8)), ckpt: ckpt_at(5) },
+            DurableCopy {
+                holder_port: Some(NodeId(8)),
+                ckpt: ckpt_at(5),
+            },
             2,
         );
         assert!(slot.maybe_release_seed());
@@ -1191,7 +1231,10 @@ mod tests {
         let mut real = ckpt_at(6);
         Rc::get_mut(&mut real).unwrap().ssb.receiver_next = vec![4, 9];
         slot.insert_copy(
-            DurableCopy { holder_port: Some(NodeId(3)), ckpt: real },
+            DurableCopy {
+                holder_port: Some(NodeId(3)),
+                ckpt: real,
+            },
             2,
         );
         assert_eq!(slot.prune_floor(0), 0, "seed pins the floor");

@@ -292,10 +292,7 @@ mod tests {
     #[test]
     fn rate_curve_releases_and_inverts_consistently() {
         // 1000 rec/s for the first millisecond, then 4000 rec/s.
-        let c = RateCurve::new(&[
-            (SimTime::ZERO, 1000),
-            (SimTime::from_millis(1), 4000),
-        ]);
+        let c = RateCurve::new(&[(SimTime::ZERO, 1000), (SimTime::from_millis(1), 4000)]);
         assert_eq!(c.released_records(SimTime::ZERO), 0);
         assert_eq!(c.released_records(SimTime::from_millis(1)), 1);
         // 1ms into the fast segment: 1 + 4 records.

@@ -238,7 +238,11 @@ impl ForwardFabric {
 
     /// Whether `node`'s inbox is empty.
     pub fn inbox_empty(&self, node: usize) -> bool {
-        self.inner.borrow().queues.get(node).is_none_or(VecDeque::is_empty)
+        self.inner
+            .borrow()
+            .queues
+            .get(node)
+            .is_none_or(VecDeque::is_empty)
     }
 
     /// Custody handoff queued → unshipped: `node` applied a forwarded
@@ -747,7 +751,9 @@ mod tests {
         };
         let (split, rep) = run_split(count_plan(600), parts, cfg, &scfg);
         assert!(
-            rep.splits.iter().any(|&(k, at)| k == 7 && at > SimTime::ZERO),
+            rep.splits
+                .iter()
+                .any(|&(k, at)| k == 7 && at > SimTime::ZERO),
             "director must detect key 7 online; got {:?}",
             rep.splits
         );

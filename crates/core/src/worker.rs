@@ -529,7 +529,8 @@ impl Process for SlashWorker {
             seg_merge =
                 sent as f64 * self.cost.post_wr_ns + merged as f64 * self.cost.merge_entry_ns;
             cpu += seg_merge;
-            sh.metrics.instr(instr::MERGE * merged + instr::QUEUE_OP * sent);
+            sh.metrics
+                .instr(instr::MERGE * merged + instr::QUEUE_OP * sent);
             sh.metrics.charge(
                 CostCategory::MemoryBound,
                 merged as f64 * self.cost.merge_entry_ns,
@@ -703,9 +704,7 @@ impl Process for SlashWorker {
                 sh.metrics
                     .charge(CostCategory::CoreBound, self.cost.poll_empty_ns * 4.0);
                 sh.metrics.instr(instr::POLL * 4);
-                let wait = at
-                    .max(sim.now() + SimTime::from_nanos(500))
-                    - sim.now();
+                let wait = at.max(sim.now() + SimTime::from_nanos(500)) - sim.now();
                 return Step::Yield(wait);
             }
         }
