@@ -16,8 +16,11 @@
 //!
 //! Workloads: the five evaluation queries (ysb, cm, nb7, nb8, nb11) plus
 //! `ysb_hot`, the classic ~100-campaign YSB domain where pre-aggregation
-//! shines. The CI floor: combiner-on is not slower than off (≥ 0.95×,
-//! noise headroom) on `ysb_hot`, `nb7` and `ysb`.
+//! shines. The CI gate reads counts, which repeat exactly, not the wall
+//! clock: `ysb_hot` and `nb7` keep the combiner on with a hit ratio of at
+//! least 0.9, reuse-free `ysb` turns it off within one table's worth of
+//! folds, and on/off state digests are equal on every row. The rates are
+//! reported beside them, ungated.
 //! Rows whose state is not combinable (cm's float mean; the joins use the
 //! batched-append path instead) are reported honestly at ~1×.
 //!
@@ -71,6 +74,30 @@ fn stats(samples: &[f64]) -> Stats {
     }
 }
 
+/// Slots of the write-combiner table every pass runs with.
+const COMBINER_SLOTS: usize = 1024;
+
+/// What the write combiner did over one pass — counts, so every pass of
+/// one input reads the same.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct CombinerCounts {
+    /// Survivors folded into the table.
+    folds: u64,
+    /// Keys that entered it (each one partial merged at a flush).
+    keys: u64,
+    /// Whether a reuse verdict turned it off before the input ended.
+    turned_off: bool,
+}
+
+impl CombinerCounts {
+    fn hit_ratio(&self) -> f64 {
+        match self.folds {
+            0 => 0.0,
+            folds => 1.0 - self.keys as f64 / folds as f64,
+        }
+    }
+}
+
 /// Per-workload measurement of the combiner experiment.
 struct Row {
     name: &'static str,
@@ -78,6 +105,7 @@ struct Row {
     records: u64,
     on: Stats,
     off: Stats,
+    counts: CombinerCounts,
     digests_match: bool,
 }
 
@@ -91,17 +119,32 @@ impl Row {
     }
 }
 
-/// One timed pass over `data`; returns (records/sec, state digest).
-fn run_once(plan: &Rc<QueryPlan>, data: &[u8], combine: bool, batch_bytes: usize) -> (f64, u64) {
-    let mut hp = HotPath::new(Rc::clone(plan), combine, 1024);
+/// One timed pass over `data`; returns (records/sec, state digest, what
+/// the combiner did).
+fn run_once(
+    plan: &Rc<QueryPlan>,
+    data: &[u8],
+    combine: bool,
+    batch_bytes: usize,
+) -> (f64, u64, CombinerCounts) {
+    let mut hp = HotPath::new(Rc::clone(plan), combine, COMBINER_SLOTS);
     let mut ssb = SsbNode::detached(0, plan.descriptor(), SsbConfig::new(1));
     let start = Instant::now();
     let mut records = 0u64;
+    let mut counts = CombinerCounts::default();
     for chunk in data.chunks(batch_bytes) {
-        records += hp.process(&mut ssb, chunk).records;
+        let out = hp.process(&mut ssb, chunk);
+        records += out.records;
+        if hp.combined() {
+            counts.folds += out.survivors;
+            counts.keys += out.flushed;
+        }
     }
     let secs = start.elapsed().as_secs_f64().max(1e-12);
-    (records as f64 / secs, ssb.state_digest())
+    if let Some((folds, keys)) = hp.combiner_off() {
+        counts = CombinerCounts { folds, keys, turned_off: true };
+    }
+    (records as f64 / secs, ssb.state_digest(), counts)
 }
 
 fn bench_workload(w: &Workload, batch_records: usize, iters: usize) -> Row {
@@ -118,21 +161,24 @@ fn bench_workload(w: &Workload, batch_records: usize, iters: usize) -> Row {
     let mut on_samples = Vec::with_capacity(iters);
     let mut off_samples = Vec::with_capacity(iters);
     let (mut digest_on, mut digest_off) = (0u64, 0u64);
+    let mut counts = CombinerCounts::default();
     for _ in 0..iters {
-        let (rps, d) = run_once(&plan, data, true, batch_bytes);
+        let (rps, d, c) = run_once(&plan, data, true, batch_bytes);
         on_samples.push(rps);
         digest_on = d;
-        let (rps, d) = run_once(&plan, data, false, batch_bytes);
+        counts = c;
+        let (rps, d, _) = run_once(&plan, data, false, batch_bytes);
         off_samples.push(rps);
         digest_off = d;
     }
-    let combined_active = HotPath::new(Rc::clone(&plan), true, 1024).combined();
+    let combined_active = HotPath::new(Rc::clone(&plan), true, COMBINER_SLOTS).combined();
     Row {
         name: w.name,
         combined_active,
         records: w.records,
         on: stats(&on_samples),
         off: stats(&off_samples),
+        counts,
         digests_match: digest_on == digest_off,
     }
 }
@@ -182,7 +228,9 @@ fn write_json(path: &str, rows: &[Row], zipf: &[ZipfRow], batch_records: usize, 
              \"records_per_sec_on\": {:.0}, \"records_per_sec_off\": {:.0}, \
              \"on_min\": {:.0}, \"on_max\": {:.0}, \"on_stddev\": {:.0}, \
              \"off_min\": {:.0}, \"off_max\": {:.0}, \"off_stddev\": {:.0}, \
-             \"speedup\": {:.3}, \"digests_match\": {}}}{}\n",
+             \"speedup\": {:.3}, \"combiner_folds\": {}, \"combiner_keys\": {}, \
+             \"combiner_hit_ratio\": {:.4}, \"combiner_turned_off\": {}, \
+             \"digests_match\": {}}}{}\n",
             json_escape(r.name),
             r.combined_active,
             r.records,
@@ -195,6 +243,10 @@ fn write_json(path: &str, rows: &[Row], zipf: &[ZipfRow], batch_records: usize, 
             r.off.max,
             r.off.stddev,
             r.speedup(),
+            r.counts.folds,
+            r.counts.keys,
+            r.counts.hit_ratio(),
+            r.counts.turned_off,
             r.digests_match,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -613,19 +665,26 @@ fn main() {
         records, batch_records, iters, quick
     );
     println!(
-        "{:<8} {:>9} {:>14} {:>14} {:>8}  digests",
-        "query", "combiner", "on recs/s", "off recs/s", "speedup"
+        "{:<8} {:>9} {:>14} {:>14} {:>8} {:>9} {:>8} {:>6}  digests",
+        "query", "combiner", "on recs/s", "off recs/s", "speedup", "folds", "keys", "hit"
     );
     let mut rows = Vec::new();
     for w in &workloads {
         let row = bench_workload(w, batch_records, iters);
         println!(
-            "{:<8} {:>9} {:>14.0} {:>14.0} {:>7.2}x  {}",
+            "{:<8} {:>9} {:>14.0} {:>14.0} {:>7.2}x {:>9} {:>8} {:>6.3}  {}",
             row.name,
-            if row.combined_active { "on" } else { "n/a" },
+            match (row.combined_active, row.counts.turned_off) {
+                (false, _) => "n/a",
+                (true, false) => "on",
+                (true, true) => "on>off",
+            },
             row.on.best,
             row.off.best,
             row.speedup(),
+            row.counts.folds,
+            row.counts.keys,
+            row.counts.hit_ratio(),
             if row.digests_match { "match" } else { "MISMATCH" }
         );
         rows.push(row);
@@ -666,22 +725,22 @@ fn main() {
             failed = true;
         }
     }
-    // Combining must never be slower than the per-record path it replaces:
-    // on the rows where it folds (ysb_hot, nb7), and on reuse-free ysb,
-    // where the cold-stream bypass has to engage in time (this harness once
-    // shipped that row at 0.93x). 0.95 is wall-clock noise headroom. Not a
-    // speed-up floor: on/off shrinks whenever the per-record RMW it divides
-    // by gets cheaper, with no change to the combined path.
-    let floor = 0.95;
-    for name in ["ysb_hot", "nb7", "ysb"] {
-        if let Some(r) = rows.iter().find(|r| r.name == name) {
-            if r.speedup() < floor {
-                eprintln!(
-                    "FAIL: {name} combiner-on is slower than off ({:.2}x, floor {floor}x)",
-                    r.speedup()
-                );
-                failed = true;
-            }
+    // The combiner is on where it pays and off where it cannot, read from
+    // counts that repeat exactly — the wall-clock ratio beside them is
+    // reported, never gated (it moved with the machine's minute). Where
+    // keys recur (ysb_hot, nb7) the table stays on and absorbs at least
+    // nine updates in ten; on reuse-free ysb the cold-stream probe turns it
+    // off within one table's worth of folds.
+    for r in rows.iter().filter(|r| ["ysb_hot", "nb7"].contains(&r.name)) {
+        if r.counts.turned_off || r.counts.hit_ratio() < 0.9 {
+            eprintln!("FAIL: {} must keep combining at hit ratio >= 0.9: {:?}", r.name, r.counts);
+            failed = true;
+        }
+    }
+    if let Some(r) = rows.iter().find(|r| r.name == "ysb") {
+        if !r.counts.turned_off || r.counts.folds > COMBINER_SLOTS as u64 {
+            eprintln!("FAIL: ysb must turn the combiner off within one table: {:?}", r.counts);
+            failed = true;
         }
     }
     if failed {

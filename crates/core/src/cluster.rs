@@ -251,6 +251,7 @@ pub fn publish_node_counters(obs: &Obs, node: usize, sh: &NodeShared) {
     obs.counter_add("mem_bytes", &label, sh.metrics.mem_bytes);
     obs.counter_add("combiner_folds", &label, sh.metrics.combiner_folds);
     obs.counter_add("combiner_flushes", &label, sh.metrics.combiner_flushes);
+    obs.counter_add("combiner_off", &label, sh.metrics.combiner_off);
     obs.counter_add("state_updates", &label, sh.metrics.state_updates);
     obs.gauge_set("ipc", &label, sh.metrics.ipc());
     sh.ssb.publish_obs();

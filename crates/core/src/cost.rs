@@ -139,8 +139,15 @@ pub struct CostModel {
     pub append_base_ns: f64,
     /// One write-combiner fold: probe + in-place CRDT update of an
     /// L1-resident table. No cache penalty applies — the table is sized
-    /// to stay within L1d, which is the whole point of combining.
-    /// Reconciled: `state.combiner_fold_ns` reads 4.6–6 ns (1.15–1.5x).
+    /// to stay within L1d, which is the whole point of combining. Charged
+    /// per survivor while the combiner is on; the index walk a key's
+    /// partial costs at the flush is charged apart from it — one
+    /// [`Self::rmw_base_ns`] + cache penalty when the key *enters* the
+    /// table, so once per key per epoch, not per batch.
+    /// Reconciled against its probe: `state.combiner_fold_ns` reads
+    /// 4–6 ns (1.0–1.5x). The probe folds `i % 100`, an order the branch
+    /// predictor learns; in a workload's own key order a fold measures
+    /// 9–10 ns, so the model is the cheap side here (ROADMAP item 4a).
     pub combine_hit_ns: f64,
     /// Merging one delta entry on a leader. Testbed (anchored, like the
     /// RMW, to Table 1's 53 cycles/record): `state.epoch_merge_entry_ns`

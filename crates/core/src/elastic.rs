@@ -332,7 +332,7 @@ impl RescaleDirector<'_> {
             };
             let mut updates = vec![0u64; n];
             for sh in &live.nodes {
-                for (p, &u) in sh.borrow().ssb.partition_updates().iter().enumerate() {
+                for (p, &u) in sh.borrow_mut().ssb.partition_updates().iter().enumerate() {
                     updates[p] += u;
                 }
             }

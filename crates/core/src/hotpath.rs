@@ -5,25 +5,24 @@
 //! raw by the wall-clock harness (`hotpath-bench`). Two data-path
 //! optimizations live here:
 //!
-//! * **Write-combining pre-aggregation** — an L1-resident
-//!   [`WriteCombiner`] folds a batch's updates into per-key partials and
-//!   flushes once per batch via [`SsbNode::rmw_batch`], collapsing N
-//!   index probes into one per *distinct* key per batch. Enabled only for
-//!   states whose CRDT merge is exactly associative
-//!   ([`slash_state::StateDescriptor::combinable`]); float-summing
-//!   aggregations keep the per-record path so results stay bit-identical.
+//! * **Write-combining pre-aggregation** — every survivor folds into the
+//!   worker's L1-resident table in the node's SSB ([`SsbNode::fold`]),
+//!   which merges the per-key partials into the index when the table is
+//!   full and when the epoch closes: N index probes collapse into one per
+//!   *distinct* key per epoch. Enabled only for states whose CRDT merge is
+//!   exactly associative ([`slash_state::StateDescriptor::combinable`]);
+//!   float-summing aggregations keep the per-record path so results stay
+//!   bit-identical.
 //! * **Batched appends** — join retention batches a whole input chunk's
 //!   elements into one [`SsbNode::append_batch`] call, memoizing hashes
 //!   and chain heads per distinct key.
 //!
-//! Both optimizations are **adaptive**: when a streak of batches shows
-//! (almost) no key reuse — wide uniform key domains, where dedup is pure
-//! overhead — the hot path reverts to the per-record loop for the rest of
-//! the run. To keep the worst case cheap, the *first* combined batch also
-//! probes reuse in-flight (`PROBE_SURVIVORS`) and can bail mid-batch,
-//! so a reuse-free stream never pays combiner overhead beyond a small
-//! prefix. Every decision depends only on the data, so runs stay
-//! deterministic, and both paths produce bit-identical state either way.
+//! The combiner is **adaptive**: the SSB judges key reuse where it shows
+//! — once after the first 1,024 folds, then at table flushes — and a
+//! reuse-free stream (wide uniform key domains, where dedup is pure
+//! overhead) goes back to the per-record loop for the rest of the run,
+//! mid-batch if need be. The decision depends only on the data, so runs
+//! stay deterministic, and both paths produce bit-identical state.
 //!
 //! The hot path does *no* metrics or cost accounting — it returns a
 //! [`BatchOutcome`] and the worker converts that into vectorized charges
@@ -32,7 +31,7 @@
 use std::rc::Rc;
 
 use slash_state::backend::SsbNode;
-use slash_state::{pack_key, StateKey, WriteCombiner};
+use slash_state::{pack_key, StateKey};
 
 use crate::query::QueryPlan;
 use crate::window::WindowMemo;
@@ -44,9 +43,9 @@ pub struct BatchOutcome {
     pub records: u64,
     /// Records that survived the filter and touched state.
     pub survivors: u64,
-    /// Distinct-key partials flushed from the combiner into the SSB
-    /// (zero when the combiner is off; then survivors hit the SSB
-    /// directly).
+    /// Keys that entered the worker's combiner table this batch — each is
+    /// one partial the SSB merges at a flush, charged when it enters (zero
+    /// when the combiner is off; then survivors hit the SSB directly).
     pub flushed: u64,
     /// State value bytes written (join element payloads).
     pub value_bytes: u64,
@@ -69,52 +68,34 @@ impl BatchOutcome {
     }
 }
 
-/// Batches with too little key reuse before the hot path concludes
-/// batching cannot pay and reverts to the per-record loop for the rest of
-/// the run. Purely data-driven, so runs stay deterministic.
-const COLD_BATCH_LIMIT: u32 = 1;
-/// "Too little reuse": distinct keys ≥ 1/2 of survivors. Wall-clock
-/// breakeven sits near 50% reuse — below it, the dedup pass costs more
-/// than the saved index probes.
-const COLD_NUM: u64 = 1;
-const COLD_DEN: u64 = 2;
-/// Batches smaller than this don't update the cold counter (too noisy).
-const MIN_ADAPT_SURVIVORS: u64 = 64;
-/// In the *first* combined batch, measure key reuse after this many
-/// survivors and bail out mid-batch if the stream looks reuse-free. The
-/// end-of-batch `note_reuse` check alone engages one full batch too late:
-/// with 16 Ki-record batches a uniform-key stream pays combiner overhead
-/// for thousands of folds before the first verdict, which showed up as a
-/// ~7% regression on `ysb`. The probe caps that exposure at
-/// [`PROBE_SURVIVORS`] folds for the whole run (≲2% of even a single
-/// batch's survivors on the benched configurations).
-const PROBE_SURVIVORS: u64 = 1024;
-/// Probe verdict: bail when distinct keys so far ≥ 3/4 of survivors.
-/// Stricter than the end-of-batch 1/2 on purpose — at 1024 survivors the
-/// sample is small, and skewed streams (nb7's Pareto, ysb_hot's 100-key
-/// domain) must not be misjudged from an unlucky prefix; both sit far
-/// below 3/4 while uniform `ysb` saturates at ~100% distinct.
-const PROBE_NUM: u64 = 3;
-const PROBE_DEN: u64 = 4;
+/// Where this worker's write combiner stands.
+#[derive(Debug, Clone, Copy)]
+enum Combine {
+    /// Not a combinable aggregation, or combining disabled.
+    Never,
+    /// Combinable; the table (this many slots) is attached to the node's
+    /// SSB on the first batch — the SSB owns it, and `new` has no SSB.
+    Pending(usize),
+    /// Folding into this table of the node's SSB.
+    On(usize),
+    /// A reuse verdict turned the table off, after this many survivors of
+    /// which this many entered it as distinct keys.
+    Off(u64, u64),
+}
 
 /// Reusable per-worker record-processing state.
 pub struct HotPath {
     plan: Rc<QueryPlan>,
-    /// `Some` iff this plan is a combinable aggregation and combining is
-    /// enabled.
-    combiner: Option<WriteCombiner>,
+    combine: Combine,
     /// Batch the join append path (always safe — byte-identical log).
+    /// One chunk of 64 or more elements with at least half as many
+    /// distinct keys shows the per-key memoization has nothing to reuse,
+    /// and sends the rest of the run down the per-record loop.
     batch_join: bool,
     /// Scratch: record-order keys for `append_batch`.
     join_keys: Vec<StateKey>,
     /// Scratch: packed join elements, `1 + take` bytes each.
     join_elems: Vec<u8>,
-    /// Consecutive batches with (almost) no key reuse; at
-    /// [`COLD_BATCH_LIMIT`] the batched path turns itself off.
-    cold_batches: u32,
-    /// Whether the one-shot in-batch reuse probe has run (first combined
-    /// batch only; see [`PROBE_SURVIVORS`]).
-    probed: bool,
     /// Division-free window assignment (timestamps are monotone per flow).
     memo: WindowMemo,
     /// Split-ledger version this worker's salt map was built from; `0`
@@ -144,57 +125,66 @@ impl HotPath {
     /// the combiner additionally requires the aggregation's CRDT to be
     /// exactly associative under regrouping.
     pub fn new(plan: Rc<QueryPlan>, combine: bool, combiner_slots: usize) -> Self {
-        let combiner = match &*plan {
+        let combinable = match &*plan {
             QueryPlan::Aggregate { agg, .. } if combine => {
                 let desc = agg.descriptor();
-                if desc.combinable && !desc.is_appended() {
-                    Some(WriteCombiner::new(desc, combiner_slots))
-                } else {
-                    None
-                }
+                desc.combinable && !desc.is_appended()
             }
-            _ => None,
+            _ => false,
         };
         let batch_join = combine && matches!(&*plan, QueryPlan::Join { .. });
         let memo = WindowMemo::new(plan.window());
         HotPath {
             plan,
-            combiner,
+            combine: match combinable {
+                true => Combine::Pending(combiner_slots),
+                false => Combine::Never,
+            },
             batch_join,
             join_keys: Vec::new(),
             join_elems: Vec::new(),
-            cold_batches: 0,
-            probed: false,
             memo,
             split_version: 0,
             split_map: Vec::new(),
         }
     }
 
-    /// Track key reuse: `unique` distinct keys out of `survivors` state
-    /// touches this batch. A streak of reuse-free batches disables the
-    /// batched path — on wide uniform key domains the dedup work is pure
-    /// overhead, and these workloads' distributions are stationary.
-    fn note_reuse(&mut self, survivors: u64, unique: u64) {
-        if survivors < MIN_ADAPT_SURVIVORS {
-            return;
-        }
-        if unique * COLD_DEN >= survivors * COLD_NUM {
-            self.cold_batches += 1;
-        } else {
-            self.cold_batches = 0;
+    /// Whether the write combiner is active for this plan.
+    pub fn combined(&self) -> bool {
+        matches!(self.combine, Combine::Pending(_) | Combine::On(_))
+    }
+
+    /// `(survivors, distinct keys)` the combiner had taken when a reuse
+    /// verdict turned it off; `None` while it is on or never was.
+    pub fn combiner_off(&self) -> Option<(u64, u64)> {
+        match self.combine {
+            Combine::Off(survivors, distinct) => Some((survivors, distinct)),
+            _ => None,
         }
     }
 
-    /// Whether the write combiner is active for this plan.
-    pub fn combined(&self) -> bool {
-        self.combiner.is_some()
+    /// The SSB table to fold into, attached on first use; `None` when the
+    /// combiner is off — noticing here a verdict the SSB reached since the
+    /// last look (another worker's epoch close judges this table too).
+    fn table(&mut self, ssb: &mut SsbNode) -> Option<usize> {
+        if let Combine::Pending(slots) = self.combine {
+            self.combine = Combine::On(ssb.attach_combiner(slots));
+        }
+        match self.combine {
+            Combine::On(id) if ssb.combiner(id).is_cold() => {
+                let table = ssb.combiner(id);
+                self.combine = Combine::Off(table.folds(), table.inserts());
+                None
+            }
+            Combine::On(id) => Some(id),
+            _ => None,
+        }
     }
 
     /// Process one batch of raw records against `ssb`.
     pub fn process(&mut self, ssb: &mut SsbNode, batch: &[u8]) -> BatchOutcome {
         let mut out = BatchOutcome::default();
-        match &*self.plan {
+        match &*Rc::clone(&self.plan) {
             QueryPlan::Aggregate {
                 input,
                 window: _,
@@ -208,78 +198,45 @@ impl HotPath {
                     self.split_version = ssb.split_version();
                     self.split_map = ssb.split_pairs();
                 }
-                let memo = &mut self.memo;
                 out.note_batch(&schema, batch);
-                if self.cold_batches >= COLD_BATCH_LIMIT {
-                    self.combiner = None;
-                }
-                if let Some(comb) = self.combiner.as_mut() {
-                    // Byte offset to resume from if the in-batch probe
-                    // bails to the per-record loop mid-batch.
-                    let mut bail_at: Option<usize> = None;
+                // Bytes of the batch the combiner took; the per-record loop
+                // below takes the rest — all of it when the combiner is off.
+                let mut folded = 0;
+                if let Some(id) = self.table(ssb) {
+                    let entered = ssb.combiner(id).inserts();
+                    folded = batch.len();
                     for (i, rec) in batch.chunks_exact(schema.size).enumerate() {
                         if !input.keep(rec) {
                             continue;
                         }
                         let key = pack_key(
-                            memo.assign(schema.ts(rec)),
+                            self.memo.assign(schema.ts(rec)),
                             salt(&self.split_map, schema.key(rec)),
                         );
-                        if !comb.fold(key, |v| agg.update(&schema, rec, v)) {
-                            // Table at its fill limit: drain it and retry —
-                            // the retry always lands (table now empty).
-                            out.flushed += ssb.rmw_batch(comb);
-                            comb.fold(key, |v| agg.update(&schema, rec, v));
-                        }
                         out.survivors += 1;
-                        if !self.probed && out.survivors == PROBE_SURVIVORS {
-                            // One-shot reuse probe: distinct keys seen so
-                            // far are the already-flushed partials plus the
-                            // table's current occupancy.
-                            self.probed = true;
-                            let distinct = out.flushed + comb.len() as u64;
-                            if distinct * PROBE_DEN >= out.survivors * PROBE_NUM {
-                                out.flushed += ssb.rmw_batch(comb);
-                                bail_at = Some((i + 1) * schema.size);
-                                break;
-                            }
+                        if !ssb.fold(id, key, |v| agg.update(&schema, rec, v)) {
+                            // Reuse-free stream: the SSB drained the table;
+                            // finish this batch (and the rest of the run)
+                            // per record. State stays bit-identical.
+                            folded = (i + 1) * schema.size;
+                            break;
                         }
                     }
-                    if bail_at.is_none() {
-                        out.flushed += ssb.rmw_batch(comb);
+                    out.flushed = ssb.combiner(id).inserts() - entered;
+                    // Take note of a verdict reached in this batch, so
+                    // `combined()` is already false for the worker's charges.
+                    self.table(ssb);
+                }
+                for rec in batch[folded..].chunks_exact(schema.size) {
+                    if !input.keep(rec) {
+                        continue;
                     }
-                    if let Some(off) = bail_at {
-                        // Reuse-free stream: finish this batch (and the
-                        // rest of the run) on the per-record path. State
-                        // stays bit-identical — the flush above already
-                        // applied every folded partial.
-                        self.combiner = None;
-                        for rec in batch[off..].chunks_exact(schema.size) {
-                            if !input.keep(rec) {
-                                continue;
-                            }
-                            let key = pack_key(
-                                memo.assign(schema.ts(rec)),
-                                salt(&self.split_map, schema.key(rec)),
-                            );
-                            ssb.rmw(key, |v| agg.update(&schema, rec, v));
-                            out.survivors += 1;
-                        }
-                    } else {
-                        self.note_reuse(out.survivors, out.flushed);
-                    }
-                } else {
-                    for rec in batch.chunks_exact(schema.size) {
-                        if !input.keep(rec) {
-                            continue;
-                        }
-                        let key = pack_key(
-                            memo.assign(schema.ts(rec)),
-                            salt(&self.split_map, schema.key(rec)),
-                        );
-                        ssb.rmw(key, |v| agg.update(&schema, rec, v));
-                        out.survivors += 1;
-                    }
+                    let key = pack_key(
+                        self.memo.assign(schema.ts(rec)),
+                        salt(&self.split_map, schema.key(rec)),
+                    );
+                    ssb.rmw(key, |v| agg.update(&schema, rec, v));
+                    out.survivors += 1;
                 }
             }
             QueryPlan::Join {
@@ -293,9 +250,6 @@ impl HotPath {
                 let stride = 1 + take;
                 let memo = &mut self.memo;
                 out.note_batch(&schema, batch);
-                if self.cold_batches >= COLD_BATCH_LIMIT {
-                    self.batch_join = false;
-                }
                 if self.batch_join {
                     self.join_keys.clear();
                     self.join_elems.clear();
@@ -312,7 +266,7 @@ impl HotPath {
                     let unique = ssb.append_batch(&self.join_keys, &self.join_elems, stride);
                     out.survivors = self.join_keys.len() as u64;
                     out.value_bytes = self.join_elems.len() as u64;
-                    self.note_reuse(out.survivors, unique);
+                    self.batch_join = out.survivors < 64 || unique * 2 < out.survivors;
                 } else {
                     let mut elem = vec![0u8; stride];
                     for rec in batch.chunks_exact(schema.size) {
@@ -343,6 +297,7 @@ mod tests {
     use crate::record::RecordSchema;
     use crate::window::WindowAssigner;
     use crate::AggSpec;
+    use slash_desim::Sim;
     use slash_state::backend::{SsbConfig, SsbNode};
 
     const SCHEMA: RecordSchema = RecordSchema::plain(32);
@@ -389,20 +344,31 @@ mod tests {
         let mut ssb_on = detached(&AggSpec::Count);
         let mut ssb_off = detached(&AggSpec::Count);
 
-        let mut sum = (0u64, 0u64);
+        let mut entered = Vec::new();
         for chunk in data.chunks(SCHEMA.size * 128) {
             let a = on.process(&mut ssb_on, chunk);
             let b = off.process(&mut ssb_off, chunk);
             assert_eq!(a.records, b.records);
             assert_eq!(a.survivors, b.survivors);
             assert_eq!(a.last_ts, b.last_ts);
-            sum.0 += a.flushed;
-            sum.1 += b.flushed;
+            assert_eq!(b.flushed, 0, "the per-record path has no table");
+            entered.push(a.flushed);
         }
-        // Combiner flushed at most one partial per distinct key per batch;
-        // the per-record path never flushes.
-        assert!(sum.0 > 0 && sum.0 < 1000);
-        assert_eq!(sum.1, 0);
+        // The table outlives the batch: each of the 13 keys enters it once,
+        // in the first batch, and is charged there; seven more batches fold
+        // into the same partials.
+        assert_eq!(entered, [13, 0, 0, 0, 0, 0, 0, 0]);
+        // Nothing reached the index yet, and every reader sees it anyway.
+        assert!(ssb_on.dirty() && !ssb_off.dirty());
+        assert_eq!(ssb_on.state_digest(), ssb_off.state_digest());
+        let key = pack_key(0, 7);
+        assert_eq!(
+            ssb_on.local_get(key).map(<[u8]>::to_vec),
+            ssb_off.local_get(key).map(<[u8]>::to_vec)
+        );
+        // The epoch close is the flush.
+        ssb_on.close_epoch(&mut Sim::new()).unwrap();
+        assert!(!ssb_on.dirty());
         assert_eq!(ssb_on.state_digest(), ssb_off.state_digest());
     }
 
@@ -413,23 +379,35 @@ mod tests {
         let data = records(2048, u64::MAX / 7);
         let mut hp = HotPath::new(Rc::clone(&plan), true, 4096);
         let mut ssb_a = detached(&AggSpec::Count);
-        assert!(hp.combined());
-        for chunk in data.chunks(SCHEMA.size * 256) {
-            hp.process(&mut ssb_a, chunk);
-        }
-        assert!(!hp.combined(), "cold batches must disable the combiner");
-        // Bit-identical to the never-combined run regardless.
+        // The probe counts survivors, not batches: 256-record chunks reach
+        // its 1,024 in the fourth, whatever the batch size.
+        let still_on: Vec<bool> = data
+            .chunks(SCHEMA.size * 256)
+            .map(|chunk| {
+                hp.process(&mut ssb_a, chunk);
+                hp.combined()
+            })
+            .collect();
+        assert_eq!(
+            still_on,
+            [true, true, true, false, false, false, false, false]
+        );
+        assert_eq!(hp.combiner_off(), Some((1024, 1024)));
+        // The exit drained the table; the rest went per record. Bit-identical
+        // to the never-combined run.
+        assert!(!ssb_a.dirty());
         let mut off = HotPath::new(plan, false, 4096);
         let mut ssb_b = detached(&AggSpec::Count);
         off.process(&mut ssb_b, &data);
+        assert_eq!(off.combiner_off(), None, "never on is not turned off");
         assert_eq!(ssb_a.state_digest(), ssb_b.state_digest());
     }
 
     #[test]
     fn in_batch_probe_bails_mid_batch_on_reuse_free_streams() {
         let plan = agg_plan(AggSpec::Count);
-        // One big batch, all keys distinct: the old end-of-batch check
-        // would fold every record; the probe must stop at 1024 survivors.
+        // One big batch, all keys distinct: an end-of-batch check would
+        // fold every record; the probe must stop at 1024 survivors.
         let data = records(4096, u64::MAX / 7);
         let mut hp = HotPath::new(Rc::clone(&plan), true, 4096);
         let mut ssb_a = detached(&AggSpec::Count);
@@ -460,9 +438,40 @@ mod tests {
         assert!(hp.combined(), "skewed streams must keep the combiner");
     }
 
+    /// A stream the probe lets through (600 keys: 59 % distinct at 1,024
+    /// folds) is judged again where its reuse shows — at the flush. An
+    /// epoch of 2,000 folds flushes 600 keys, over the 1/4 break-even: off.
+    /// The same keys over 4,000 folds are under it: on.
+    #[test]
+    fn a_flush_with_too_many_keys_per_fold_turns_the_table_off() {
+        let plan = agg_plan(AggSpec::Count);
+        for (folds, stays_on) in [(2000, false), (4000, true)] {
+            let data = records(folds + 128, 600);
+            let (epoch, next) = data.split_at(folds * SCHEMA.size);
+            let mut hp = HotPath::new(Rc::clone(&plan), true, 1024);
+            let mut ssb = detached(&AggSpec::Count);
+            for chunk in epoch.chunks(SCHEMA.size * 500) {
+                hp.process(&mut ssb, chunk);
+            }
+            assert!(hp.combined(), "{folds}: no verdict before a flush");
+            ssb.close_epoch(&mut Sim::new()).unwrap();
+            // The worker learns of the verdict at its next batch.
+            let out = hp.process(&mut ssb, next);
+            assert_eq!(hp.combined(), stays_on, "{folds} folds over 600 keys");
+            assert_eq!(out.survivors, 128);
+            let off = hp.combiner_off();
+            assert_eq!(off, (!stays_on).then_some((folds as u64, 600)));
+            let mut per_record = HotPath::new(Rc::clone(&plan), false, 1024);
+            let mut ssb_b = detached(&AggSpec::Count);
+            per_record.process(&mut ssb_b, &data);
+            assert_eq!(ssb.state_digest(), ssb_b.state_digest());
+        }
+    }
+
     #[test]
     fn combiner_flush_retry_survives_tiny_tables() {
-        // Eight slots at a 3/4 fill limit force mid-batch flushes.
+        // Eight slots at a 3/4 fill limit hold six keys: 101 keys force a
+        // flush every few records, mid-batch, and each re-entry is charged.
         let plan = agg_plan(AggSpec::Count);
         let data = records(500, 101);
         let mut tiny = HotPath::new(Rc::clone(&plan), true, 8);
@@ -472,6 +481,82 @@ mod tests {
         let a = tiny.process(&mut ssb_a, &data);
         let b = off.process(&mut ssb_b, &data);
         assert_eq!(a.survivors, b.survivors);
+        assert!(a.flushed > 101 && a.flushed <= 500, "{}", a.flushed);
+        assert!(tiny.combined(), "500 folds are under the verdict's sample");
         assert_eq!(ssb_a.state_digest(), ssb_b.state_digest());
+        ssb_a.close_epoch(&mut Sim::new()).unwrap();
+        assert_eq!(ssb_a.state_digest(), ssb_b.state_digest());
+    }
+
+    /// The tables belong to the node and live as long as the epoch: two
+    /// workers fold three batches each into node 0, whichever worker
+    /// closes the epoch ships *both* tables' partials, and the leaders end
+    /// up with the sequential count of every key.
+    #[test]
+    fn an_epoch_closed_by_one_worker_ships_the_other_workers_partials() {
+        use slash_desim::DetRng;
+        use slash_rdma::{Fabric, FabricConfig};
+        use slash_state::backend::build_cluster;
+        use slash_state::hash::partition_of;
+        use slash_state::CounterCrdt;
+        use std::collections::BTreeMap;
+
+        const KEYS: u64 = 40;
+        let plan = agg_plan(AggSpec::Count);
+        let mut sim = Sim::new();
+        let fabric = Fabric::new(FabricConfig::default());
+        let ports = fabric.add_nodes(2);
+        let cfg = SsbConfig {
+            epoch_bytes: u64::MAX, // closed by hand, below
+            ..SsbConfig::new(2)
+        };
+        let mut ssb = build_cluster(&fabric, &ports, AggSpec::Count.descriptor(), cfg);
+
+        // Seeded input, one partition per worker, all in window 0.
+        let mut rng = DetRng::new(0x21_C0DE);
+        let mut want: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut partition = |n: usize| {
+            let mut data = vec![0u8; n * SCHEMA.size];
+            for (i, rec) in data.chunks_exact_mut(SCHEMA.size).enumerate() {
+                let key = rng.next_below(KEYS);
+                *want.entry(key).or_default() += 1;
+                rec[SCHEMA.ts_off..SCHEMA.ts_off + 8].copy_from_slice(&(i as u64).to_le_bytes());
+                rec[SCHEMA.key_off..SCHEMA.key_off + 8].copy_from_slice(&key.to_le_bytes());
+            }
+            data
+        };
+        let inputs = [partition(300), partition(300)];
+        let mut workers = [
+            HotPath::new(Rc::clone(&plan), true, 1024),
+            HotPath::new(Rc::clone(&plan), true, 1024),
+        ];
+        let mut entered = [0u64; 2];
+        for batch in 0..3 {
+            for (w, hp) in workers.iter_mut().enumerate() {
+                let bytes = &inputs[w][batch * 100 * SCHEMA.size..(batch + 1) * 100 * SCHEMA.size];
+                entered[w] += hp.process(&mut ssb[0], bytes).flushed;
+            }
+        }
+        // Six batches, no flush: nothing left node 0, nothing is lost.
+        assert!(entered.iter().all(|&n| n == KEYS), "{entered:?}");
+        assert!(ssb[0].dirty() && ssb[0].flushed());
+        // Worker 0's turn comes first in a step; its close drains worker
+        // 1's table too.
+        ssb[0].note_progress(1_000);
+        ssb[0].close_epoch(&mut sim).unwrap();
+        assert!(!ssb[0].dirty());
+        for _ in 0..1_000 {
+            for node in ssb.iter_mut() {
+                node.pump(&mut sim).unwrap();
+            }
+            sim.run();
+        }
+        assert_eq!(ssb[1].vclock().get(0), 1_000, "node 1 merged the epoch");
+        for (&key, &count) in &want {
+            let state_key = pack_key(0, key);
+            let leader = partition_of(state_key, 2);
+            let got = ssb[leader].local_get(state_key).map(CounterCrdt::get);
+            assert_eq!(got, Some(count), "key {key} on leader {leader}");
+        }
     }
 }

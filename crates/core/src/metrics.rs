@@ -66,6 +66,9 @@ pub struct EngineMetrics {
     pub combiner_folds: u64,
     /// Distinct-key partials flushed from write combiners into the SSB.
     pub combiner_flushes: u64,
+    /// Workers whose write combiner turned itself off on a reuse verdict
+    /// (each also leaves a `combiner_off` trace instant).
+    pub combiner_off: u64,
     /// SSB state updates applied (RMW/append survivors) — the per-key heat
     /// sketch and per-partition telemetry normalize against this.
     pub state_updates: u64,
@@ -86,6 +89,7 @@ impl Default for EngineMetrics {
             net_bytes: 0,
             combiner_folds: 0,
             combiner_flushes: 0,
+            combiner_off: 0,
             state_updates: 0,
             clock_ghz: TESTBED_CLOCK_GHZ,
         }
@@ -167,6 +171,12 @@ impl EngineMetrics {
         self.combiner_flushes += flushes;
     }
 
+    /// Count one worker's write combiner turning itself off.
+    #[inline]
+    pub fn note_combiner_off(&mut self) {
+        self.combiner_off += 1;
+    }
+
     /// Count `n` more SSB state updates (filter survivors applied to state).
     #[inline]
     pub fn add_state_updates(&mut self, n: u64) {
@@ -242,6 +252,7 @@ impl EngineMetrics {
         self.net_bytes += other.net_bytes;
         self.combiner_folds += other.combiner_folds;
         self.combiner_flushes += other.combiner_flushes;
+        self.combiner_off += other.combiner_off;
         self.state_updates += other.state_updates;
     }
 }

@@ -412,7 +412,7 @@ impl Process for SplitDriver {
         // count).
         let mut merged = HeatSketch::new(HEAT_CAPACITY);
         for s in shareds {
-            if let Some(h) = s.borrow().ssb.heat_snapshot() {
+            if let Some(h) = s.borrow_mut().ssb.heat_snapshot() {
                 merged.merge(h);
             }
         }

@@ -243,8 +243,9 @@ impl SlashWorker {
         let mut mem = batch.len() as u64 + out.value_bytes; // streaming + state writes
 
         let state_ops = if self.hotpath.combined() {
-            // Every survivor folds into the L1-resident combiner; only the
-            // flushed distinct-key partials walk the SSB index.
+            // Every survivor folds into the L1-resident combiner; a key
+            // entering the table is charged, here, the one index walk its
+            // partial costs when the table is flushed.
             apply_ns += cost.combine_hit_ns * out.survivors as f64
                 + (cost.rmw_base_ns + access.penalty_ns) * out.flushed as f64;
             sh.metrics
@@ -542,6 +543,7 @@ impl Process for SlashWorker {
         // (2) Compute coroutine: one input batch. A paced source may
         // withhold records (the curve has not released them yet); the
         // worker then idles until the next release instant.
+        let was_combined = self.hotpath.combined();
         let mut mem_bytes_extra = 0u64;
         let mut paced_wait: Option<SimTime> = None;
         let poll = self.source.poll_range(sim.now());
@@ -665,6 +667,21 @@ impl Process for SlashWorker {
                     self.note_fwd_close(&sh);
                 }
             }
+        }
+
+        // The write combiner turning itself off is a run-shaping event:
+        // one counter and one trace instant, so nobody has to infer it
+        // from fold counts.
+        if let (true, Some((survivors, distinct))) = (was_combined, self.hotpath.combiner_off()) {
+            sh.metrics.note_combiner_off();
+            sh.obs.instant(
+                Cat::Operator,
+                "combiner_off",
+                self.node as u32,
+                self.widx as u32,
+                sim.now(),
+                &[("survivors", survivors), ("distinct", distinct)],
+            );
         }
 
         // (3) Trigger duty.

@@ -8,7 +8,7 @@ use slash_obs::{HeatSketch, Obs, Stage, HEAT_CAPACITY};
 use slash_rdma::{Fabric, NodeId};
 
 use crate::coherence::{DeltaReceiver, DeltaSender, StateError};
-use crate::combiner::WriteCombiner;
+use crate::combiner::{WriteCombiner, VERDICT_FOLDS};
 use crate::descriptor::StateDescriptor;
 use crate::hash::{pack_key, partition_of, unpack_key, StateKey};
 use crate::partition::Partition;
@@ -88,6 +88,12 @@ pub struct SsbNode {
     split: Option<SplitLedger>,
     /// Batch routing scratch, one per partition.
     routed: Vec<Routed>,
+    /// The workers' write combiners, in registration order (worker order
+    /// under every shipped driver). They live as long as the epoch:
+    /// [`Self::fold`] fills them across batches, [`Self::flush_combiners`]
+    /// drains them when the epoch closes or anything else reads open-epoch
+    /// local state.
+    combiners: Vec<WriteCombiner>,
 }
 
 impl SsbNode {
@@ -119,7 +125,11 @@ impl SsbNode {
     /// Cumulative state updates routed to each partition since
     /// construction — the load signal elastic scale controllers consume.
     /// All zeros unless the node is instrumented (telemetry is free off).
-    pub fn partition_updates(&self) -> &[u64] {
+    /// Sampling flushes the write combiners first: per-key weights reach
+    /// the telemetry at flush time, and a director that read them up to an
+    /// epoch late would steer by stale load.
+    pub fn partition_updates(&mut self) -> &[u64] {
+        self.flush_combiners();
         &self.part_updates
     }
 
@@ -135,13 +145,19 @@ impl SsbNode {
         }
     }
 
+    /// Epoch volume one fixed-size entry adds to the open delta.
+    #[inline]
+    fn entry_bytes(&self) -> u64 {
+        self.fragments[self.node].descriptor().fixed_size() as u64 + 32
+    }
+
     /// Read-modify-write: the eager per-record update of partial state —
     /// Slash's common-case operation (§7.1.2). Routes to the key's
     /// partition fragment; no re-partitioning, no queueing.
     pub fn rmw(&mut self, key: StateKey, update: impl FnOnce(&mut [u8])) {
         let p = self.partition_of(key);
         self.fragments[p].rmw(key, update);
-        self.bytes_since_epoch += self.fragments[p].descriptor().fixed_size() as u64 + 32;
+        self.bytes_since_epoch += self.entry_bytes();
         self.note_update(key, p, 1);
     }
 
@@ -153,15 +169,97 @@ impl SsbNode {
         self.note_update(key, p, 1);
     }
 
-    /// Flush a worker's [`WriteCombiner`] — the batched counterpart of
-    /// per-record [`Self::rmw`]: every distinct `(window, key)` partial is
-    /// routed to its partition fragment and merged in one batched
-    /// index-probe pass per fragment ([`Partition::merge_batch`]). Clears
-    /// the combiner and returns how many distinct entries flushed. Epoch
-    /// byte-accounting advances per flushed entry, not per folded record:
-    /// the open delta really is that much smaller — write combining is
-    /// also coalescing the coherence traffic.
+    /// Register one worker's write combiner — `slots` wide, for this
+    /// node's fixed-size state — and return its id for [`Self::fold`].
+    /// The node owns the table from here on.
+    pub fn attach_combiner(&mut self, slots: usize) -> usize {
+        let desc = *self.fragments[self.node].descriptor();
+        self.combiners.push(WriteCombiner::new(desc, slots));
+        self.combiners.len() - 1
+    }
+
+    /// Worker table `id`, for its owner to read: whether a reuse verdict
+    /// turned it off ([`WriteCombiner::is_cold`]), how many updates it
+    /// folded and how many keys entered it ([`WriteCombiner::folds`],
+    /// [`WriteCombiner::inserts`] — each key entered is one partial merged
+    /// at a flush).
+    pub fn combiner(&self, id: usize) -> &WriteCombiner {
+        &self.combiners[id]
+    }
+
+    /// The combined counterpart of per-record [`Self::rmw`]: fold one
+    /// update into worker table `id`, where it waits — across batches —
+    /// for the flush that closes the epoch. Epoch volume advances when a
+    /// key *enters* the table, not per folded record and not at the flush:
+    /// the open delta really is one entry per key, and
+    /// [`Self::maybe_close_epoch`] has to see it on time.
+    ///
+    /// Returns whether the table is still on. `false` — the cold-stream
+    /// probe at [`VERDICT_FOLDS`] folds, or the verdict of the flush a
+    /// full table forced — means the table was drained and the caller goes
+    /// on per record; this update is applied either way.
+    #[inline]
+    pub fn fold(&mut self, id: usize, key: StateKey, update: impl Fn(&mut [u8])) -> bool {
+        let entered = self.combiners[id].inserts();
+        if !self.combiners[id].fold(key, &update) {
+            // At its fill limit: drain the table and retry — the retry
+            // always lands (table now empty).
+            if self.flush_combiner(id) {
+                self.rmw(key, update);
+                return false;
+            }
+            self.combiners[id].fold(key, &update);
+        }
+        let table = &self.combiners[id];
+        if table.inserts() != entered {
+            self.bytes_since_epoch += self.entry_bytes();
+        }
+        if table.folds() == VERDICT_FOLDS && self.combiners[id].probe_reuse() {
+            self.flush_combiner(id);
+            return false;
+        }
+        true
+    }
+
+    /// Drain worker table `id` into the fragments and judge its reuse;
+    /// returns whether the verdict turned it off.
+    #[cold]
+    fn flush_combiner(&mut self, id: usize) -> bool {
+        let mut tables = std::mem::take(&mut self.combiners);
+        self.merge_partials(&mut tables[id]);
+        let cold = tables[id].judge_flush();
+        self.combiners = tables;
+        cold
+    }
+
+    /// Drain every worker table, in registration order. Runs first thing
+    /// in [`Self::close_epoch`] and in every other reader of open-epoch
+    /// local state, so buffered partials are never missing from a delta,
+    /// a checkpoint or a telemetry sample.
+    fn flush_combiners(&mut self) {
+        for id in 0..self.combiners.len() {
+            self.flush_combiner(id);
+        }
+    }
+
+    /// Flush a caller-held [`WriteCombiner`] — the batched counterpart of
+    /// per-record [`Self::rmw`], and the merge the node's own tables go
+    /// through: every distinct `(window, key)` partial is routed to its
+    /// partition fragment and merged in one batched index-probe pass per
+    /// fragment ([`Partition::merge_batch`]). Clears the combiner and
+    /// returns how many distinct entries flushed. Epoch byte-accounting
+    /// advances per flushed entry, not per folded record: the open delta
+    /// really is that much smaller — write combining is also coalescing
+    /// the coherence traffic.
     pub fn rmw_batch(&mut self, comb: &mut WriteCombiner) -> u64 {
+        let n = self.merge_partials(comb);
+        self.bytes_since_epoch += self.entry_bytes() * n;
+        n
+    }
+
+    /// The one flush routine: merge `comb`'s partials into the fragments
+    /// and clear it. Volume accounting is the caller's.
+    fn merge_partials(&mut self, comb: &mut WriteCombiner) -> u64 {
         let n = comb.len();
         if n == 0 {
             return 0;
@@ -178,8 +276,6 @@ impl SsbNode {
                 to.sel.clear();
             }
         }
-        let per_entry = self.fragments[0].descriptor().fixed_size() as u64 + 32;
-        self.bytes_since_epoch += per_entry * n as u64;
         if self.heat.is_some() {
             // Telemetry pass before the combiner clears: the fold count of
             // each entry is the true per-key update weight the combiner
@@ -236,9 +332,11 @@ impl SsbNode {
         distinct
     }
 
-    /// Read fixed state from the local fragment (diagnostics; consistent
-    /// reads come from the leader after merging).
-    pub fn local_get(&self, key: StateKey) -> Option<&[u8]> {
+    /// Read fixed state from the local fragment, buffered partials merged
+    /// in (diagnostics; consistent reads come from the leader after
+    /// merging).
+    pub fn local_get(&mut self, key: StateKey) -> Option<&[u8]> {
+        self.flush_combiners();
         self.fragments[self.partition_of(key)].get(key)
     }
 
@@ -264,6 +362,7 @@ impl SsbNode {
     /// ("a Slash instance signals the ahead-of-time termination of an
     /// epoch upon window triggering").
     pub fn close_epoch(&mut self, sim: &mut Sim) -> Result<u64, StateError> {
+        self.flush_combiners();
         let wm = self.local_watermark;
         let now = sim.now();
         let mut delta_bytes = 0;
@@ -335,12 +434,12 @@ impl SsbNode {
         self.senders.iter().flatten().all(|s| s.backlog() == 0)
     }
 
-    /// Whether any fragment holds updates in the open epoch.
+    /// Whether the open epoch holds updates: in a remote fragment, or
+    /// still buffered in a write combiner.
     pub fn dirty(&self) -> bool {
-        self.fragments
-            .iter()
-            .enumerate()
-            .any(|(p, f)| p != self.node && f.is_dirty())
+        let shippable = |(p, f): (usize, &Partition)| p != self.node && f.is_dirty();
+        self.fragments.iter().enumerate().any(shippable)
+            || self.combiners.iter().any(|t| !t.is_empty())
     }
 
     // ------------------------------------------------------------------
@@ -367,6 +466,9 @@ impl SsbNode {
         if desc.is_appended() || !desc.combinable {
             return false;
         }
+        // Partials buffered under the canonical key leave before the salt
+        // map diverts its updates.
+        self.flush_combiners();
         self.split.as_mut().is_some_and(|l| l.split(gk))
     }
 
@@ -399,8 +501,10 @@ impl SsbNode {
     }
 
     /// The live heat sketch, if telemetry is on (instrumented node or
-    /// split-enabled node). The split driver merges these per tick.
-    pub fn heat_snapshot(&self) -> Option<&HeatSketch> {
+    /// split-enabled node). The split driver merges these per tick;
+    /// like [`Self::partition_updates`], sampling flushes the combiners.
+    pub fn heat_snapshot(&mut self) -> Option<&HeatSketch> {
+        self.flush_combiners();
         self.heat.as_ref()
     }
 
@@ -543,6 +647,7 @@ impl SsbNode {
             epoch_updates: 0,
             split: None,
             routed: (0..cfg.nodes).map(|_| Routed::default()).collect(),
+            combiners: Vec::new(),
         }
     }
 
@@ -594,8 +699,28 @@ impl SsbNode {
     /// checks of chaos runs and the golden determinism tests.
     pub fn state_digest(&self) -> u64 {
         let primary = &self.fragments[self.node];
-        let mut keys = Vec::new();
-        primary.for_each_key(|k, _| keys.push(k));
+        // Partials still buffered for the primary are part of its content:
+        // a `&self` reader cannot flush, so it merges them on the side.
+        let desc = primary.descriptor();
+        let mut buffered: BTreeMap<StateKey, Vec<u8>> = BTreeMap::new();
+        for table in &self.combiners {
+            for (key, _, partial) in (0..table.len()).map(|i| table.entry(i)) {
+                if self.partition_of(key) == self.node {
+                    let value = buffered.entry(key).or_insert_with(|| {
+                        let mut zero = vec![0u8; desc.fixed_size()];
+                        (desc.init)(&mut zero);
+                        primary.get(key).map_or(zero, <[u8]>::to_vec)
+                    });
+                    (desc.merge)(value, partial);
+                }
+            }
+        }
+        let mut keys: Vec<StateKey> = buffered.keys().copied().collect();
+        primary.for_each_key(|k, _| {
+            if !buffered.contains_key(&k) {
+                keys.push(k)
+            }
+        });
         keys.sort_unstable();
         let mut h: u64 = 0x51A5_4D16_E57A_7E00;
         let mut fold = |v: u64| {
@@ -612,7 +737,7 @@ impl SsbNode {
                 fold(u64::from_le_bytes(w));
             }
         };
-        let appended = primary.descriptor().is_appended();
+        let appended = desc.is_appended();
         for key in keys {
             fold(key as u64);
             fold((key >> 64) as u64);
@@ -624,7 +749,7 @@ impl SsbNode {
                 for e in &elems {
                     fold_bytes(&mut fold, e);
                 }
-            } else if let Some(v) = primary.get(key) {
+            } else if let Some(v) = buffered.get(&key).map(Vec::as_slice).or(primary.get(key)) {
                 fold_bytes(&mut fold, v);
             }
         }
@@ -1514,14 +1639,14 @@ mod tests {
         for (i, node) in ssb.iter_mut().enumerate() {
             drive(node, i, None);
         }
-        let merged = |ssb: &[SsbNode]| {
+        let merged = |ssb: &mut [SsbNode]| {
             let mut m = HeatSketch::new(HEAT_CAPACITY);
             for node in ssb {
                 m.merge(node.heat_snapshot().expect("split_enable turns heat on"));
             }
             m
         };
-        let pre = merged(&ssb);
+        let pre = merged(&mut ssb);
         let hot_pre = pre.top(1)[0];
         assert_eq!(hot_pre.key, HOT, "the hot key dominates before the split");
         assert_eq!(hot_pre.err, 0);
@@ -1541,7 +1666,7 @@ mod tests {
             let sub = node.split_ledger().unwrap().sub_for(HOT, i).unwrap();
             drive(node, i, Some(sub));
         }
-        let post = merged(&ssb);
+        let post = merged(&mut ssb);
         assert_eq!(post.total(), 2 * pre.total());
         let canon = post
             .top(HEAT_CAPACITY)
@@ -1622,28 +1747,127 @@ mod tests {
         }
     }
 
+    /// Per record or combined, 100 fresh keys of 40 bytes each cross a
+    /// 512-byte threshold seven times: a key is counted when it enters a
+    /// worker table, not when the table is flushed — there would be no
+    /// flush to count it at, the epoch close *is* the flush.
     #[test]
     fn byte_threshold_closes_epochs_automatically() {
-        let mut sim = Sim::new();
-        let fabric = Fabric::new(FabricConfig::default());
-        let nodes = fabric.add_nodes(2);
-        let cfg = SsbConfig {
-            nodes: 2,
-            epoch_bytes: 512,
-            channel: ChannelConfig {
-                credits: 8,
-                buffer_size: 4096,
-                credit_batch: 1,
-            },
+        for combined in [false, true] {
+            let mut sim = Sim::new();
+            let fabric = Fabric::new(FabricConfig::default());
+            let nodes = fabric.add_nodes(2);
+            let cfg = SsbConfig {
+                nodes: 2,
+                epoch_bytes: 512,
+                channel: ChannelConfig {
+                    credits: 8,
+                    buffer_size: 4096,
+                    credit_batch: 1,
+                },
+            };
+            let mut ssb = build_cluster(&fabric, &nodes, CounterCrdt::descriptor(), cfg);
+            let table = ssb[0].attach_combiner(1024);
+            let mut closed = 0;
+            for g in 0..100u64 {
+                if combined {
+                    // A second fold of a key the table holds adds nothing.
+                    assert!(ssb[0].fold(table, pack_key(1, g), |v| CounterCrdt::add(v, 1)));
+                    assert!(ssb[0].fold(table, pack_key(1, g), |v| CounterCrdt::add(v, 1)));
+                } else {
+                    ssb[0].rmw(pack_key(1, g), |v| CounterCrdt::add(v, 2));
+                }
+                if ssb[0].maybe_close_epoch(&mut sim).unwrap().is_some() {
+                    closed += 1;
+                    assert!(!ssb[0].dirty(), "the close drained the table");
+                }
+            }
+            assert_eq!(closed, 7, "combined: {combined}");
+            assert_eq!(
+                (
+                    ssb[0].combiner(table).folds(),
+                    ssb[0].combiner(table).inserts()
+                ),
+                (200 * combined as u64, 100 * combined as u64)
+            );
+        }
+    }
+
+    /// Everything that reads open-epoch local state sees the partials the
+    /// write combiners still buffer: the digest merges them on the side,
+    /// the `&mut` readers flush first.
+    #[test]
+    fn readers_of_open_epoch_state_see_buffered_partials() {
+        let build = || {
+            let (sim, mut ssb) = cluster(2);
+            for node in ssb.iter_mut() {
+                node.instrument(Obs::enabled(64));
+                node.split_enable();
+            }
+            (sim, ssb)
         };
-        let mut ssb = build_cluster(&fabric, &nodes, CounterCrdt::descriptor(), cfg);
-        let mut closed = 0;
-        for g in 0..100u64 {
-            ssb[0].rmw(pack_key(1, g), |v| CounterCrdt::add(v, 1));
-            if ssb[0].maybe_close_epoch(&mut sim).unwrap().is_some() {
-                closed += 1;
+        let (_sim, mut per_record) = build();
+        let (_sim, mut combined) = build();
+        // Two workers of node 0, 12 keys, both partitions.
+        let tables = [
+            combined[0].attach_combiner(64),
+            combined[0].attach_combiner(64),
+        ];
+        for i in 0..60u64 {
+            let key = pack_key(1, i % 12);
+            per_record[0].rmw(key, |v| CounterCrdt::add(v, i));
+            assert!(combined[0].fold(tables[(i % 2) as usize], key, |v| CounterCrdt::add(v, i)));
+        }
+        let held: Vec<usize> = combined[0]
+            .combiners
+            .iter()
+            .map(WriteCombiner::len)
+            .collect();
+        assert_eq!(held, [6, 6], "even keys in one table, odd in the other");
+        assert!(combined[0].dirty());
+        assert_eq!(
+            combined[0].stats().rmw_inserts,
+            0,
+            "nothing reached a fragment"
+        );
+        assert_eq!(combined[0].state_digest(), per_record[0].state_digest());
+        assert_eq!(
+            combined[0].stats().rmw_inserts,
+            0,
+            "the digest does not flush"
+        );
+
+        // `local_get` does; so would `checkpoint`, `partition_updates`,
+        // `heat_snapshot` and `split_activate`, each tried on a fresh fill.
+        type Reader = fn(&mut SsbNode);
+        let readers: [Reader; 5] = [
+            |n| assert!(n.local_get(pack_key(1, 3)).is_some()),
+            |n| assert_eq!(n.checkpoint(512).epochs_closed, 0),
+            |n| assert_eq!(n.partition_updates().len(), 2),
+            |n| assert!(n.heat_snapshot().is_some()),
+            |n| assert!(n.split_activate(3)),
+        ];
+        for (round, read) in readers.into_iter().enumerate() {
+            read(&mut combined[0]);
+            assert!(
+                combined[0].combiners.iter().all(WriteCombiner::is_empty),
+                "reader {round}"
+            );
+            assert_eq!(
+                combined[0].part_updates, per_record[0].part_updates,
+                "reader {round}"
+            );
+            for g in 0..12u64 {
+                let key = pack_key(1, g);
+                let want = per_record[0].local_get(key).map(CounterCrdt::get);
+                assert_eq!(
+                    combined[0].local_get(key).map(CounterCrdt::get),
+                    want,
+                    "key {g}"
+                );
+                per_record[0].rmw(key, |v| CounterCrdt::add(v, g));
+                assert!(combined[0].fold(tables[0], key, |v| CounterCrdt::add(v, g)));
             }
         }
-        assert!(closed >= 5, "only {closed} epochs closed");
     }
 }

@@ -61,7 +61,10 @@ impl SsbCheckpoint {
 impl SsbNode {
     /// Capture this node at the current epoch boundary (call right after
     /// an epoch close). Snapshot chunks are at most `max_chunk` bytes.
-    pub fn checkpoint(&self, max_chunk: usize) -> SsbCheckpoint {
+    /// Partials a write combiner still buffers are flushed first, so the
+    /// snapshot never misses an update the source position has passed.
+    pub fn checkpoint(&mut self, max_chunk: usize) -> SsbCheckpoint {
+        self.flush_combiners();
         let snapshot = self.snapshot_primary(max_chunk);
         SsbCheckpoint {
             epochs_closed: self.epochs_closed(),
@@ -302,7 +305,7 @@ mod tests {
         }
 
         /// Every leader holds exactly `rounds` rounds of every node.
-        fn assert_exact(&self, rounds: u64) {
+        fn assert_exact(&mut self, rounds: u64) {
             let n = self.ssb.len();
             let want: u64 = (0..rounds)
                 .flat_map(|r| (0..n as u64).map(move |i| r * 10 + i + 1))
@@ -423,15 +426,23 @@ mod tests {
             w.round(i, 0);
         }
         w.settle();
-        let heat = |w: &World| w.ssb[0].heat_snapshot().map(|h| h.total());
-        assert_eq!(heat(&w), Some(GROUPS));
+        let heat = |w: &mut World| w.ssb[0].heat_snapshot().map(|h| h.total());
+        assert_eq!(heat(&mut w), Some(GROUPS));
         let ckpt = w.ssb[1].checkpoint(512);
         let port = w.ports[1];
         w.replace(1, &ckpt, port, &[]);
-        assert_eq!(heat(&w), Some(GROUPS), "rejoin wiped the survivor's heat");
+        assert_eq!(
+            heat(&mut w),
+            Some(GROUPS),
+            "rejoin wiped the survivor's heat"
+        );
         let obs = w.obs.clone();
         w.ssb[0].instrument(obs);
-        assert_eq!(heat(&w), Some(GROUPS), "instrument wiped a running sketch");
+        assert_eq!(
+            heat(&mut w),
+            Some(GROUPS),
+            "instrument wiped a running sketch"
+        );
         // The new endpoints trace like the ones they replaced.
         w.round(1, 1);
         w.settle();

@@ -1,17 +1,18 @@
-//! Per-worker write-combining pre-aggregation (the batch-local half of
+//! Per-worker write-combining pre-aggregation (the worker-local half of
 //! the Slash thesis: eager partial aggregation, lazy CRDT merge).
 //!
 //! A [`WriteCombiner`] is a small open-addressing hash table, sized to
 //! stay L1-resident, keyed on the packed `(window, key)` state key. A
-//! worker folds every surviving record of a batch into it with the
-//! operator's update function, then flushes the *distinct* partials once
-//! per batch through [`crate::backend::SsbNode::rmw_batch`], which merges
-//! them into the SSB with the descriptor's CRDT merge. N per-record index
-//! probes collapse into one probe per distinct key per batch.
+//! worker folds every surviving record into its table with the operator's
+//! update function ([`crate::backend::SsbNode::fold`]); the node owns the
+//! tables and flushes the *distinct* partials through
+//! [`crate::backend::SsbNode::rmw_batch`]'s merge when a table is full and
+//! when the epoch closes — never per batch. N per-record index probes
+//! collapse into one probe per distinct key per epoch.
 //!
-//! This regroups updates as `merge(state, fold(batch))` instead of
-//! `fold(state, batch)` — semantics-preserving exactly when the CRDT's
-//! update/merge pair is associative over the regrouping (see
+//! This regroups updates as `merge(state, fold(records of the epoch))`
+//! instead of `fold(state, records)` — semantics-preserving exactly when
+//! the CRDT's update/merge pair is associative over the regrouping (see
 //! [`crate::descriptor::StateDescriptor::combinable`]; float-summing
 //! CRDTs opt out to keep combiner-on/off runs bit-identical).
 //!
@@ -33,8 +34,29 @@ const MAX_FILL_NUM: usize = 3;
 /// Denominator of the max-fill fraction.
 const MAX_FILL_DEN: usize = 4;
 
+/// Folds a reuse verdict needs: the one-shot cold-stream probe looks at
+/// the first this many, a flush is judged once this many accumulated
+/// since the last verdict. Caps what a reuse-free stream pays the table
+/// for the whole run.
+pub const VERDICT_FOLDS: u64 = 1024;
+/// The probe calls a stream reuse-free when distinct keys so far reach 3/4
+/// of folds. Lenient on purpose: it reads a prefix of an epoch-long scope,
+/// where even `ysb_hot`'s 100 keys and nb7's Pareto head still look wide,
+/// while uniform `ysb` sits at ~100% distinct.
+const PROBE_NUM: u64 = 3;
+const PROBE_DEN: u64 = 4;
+/// A judged flush turns the table off when flushed keys reach 1/4 of the
+/// folds that fed them — the break-even of the costs measured in situ, in
+/// the workloads' own key order: a fold is 9–10 ns per survivor, a flushed
+/// key 50–70 ns, the per-record hot RMW it replaces ~25 ns, so the table
+/// pays while `10 + 60·keys/folds < 25`. (The ledger's `state.*` probes
+/// read about half of each: they cycle `i % KEYS`, which the branch
+/// predictor learns.)
+const BREAK_EVEN_NUM: u64 = 1;
+const BREAK_EVEN_DEN: u64 = 4;
+
 /// A small, fixed-capacity open-addressing map from state key to a
-/// batch-local partial CRDT value. See the module docs for the protocol.
+/// worker-local partial CRDT value. See the module docs for the protocol.
 pub struct WriteCombiner {
     desc: StateDescriptor,
     size: usize,
@@ -52,6 +74,9 @@ pub struct WriteCombiner {
     counts: Vec<u32>,
     folds: u64,
     inserts: u64,
+    /// `(folds, inserts)` at the last reuse verdict.
+    judged: (u64, u64),
+    cold: bool,
 }
 
 impl WriteCombiner {
@@ -71,6 +96,8 @@ impl WriteCombiner {
             counts: vec![0; cap],
             folds: 0,
             inserts: 0,
+            judged: (0, 0),
+            cold: false,
         }
     }
 
@@ -96,7 +123,32 @@ impl WriteCombiner {
         self.inserts
     }
 
-    /// Fold one update into the batch-local partial for `key`. Returns
+    /// Whether a reuse verdict found the stream not worth combining. The
+    /// verdict is final: an owner stops folding into a cold table.
+    pub fn is_cold(&self) -> bool {
+        self.cold
+    }
+
+    /// The one-shot cold-stream probe, run when [`Self::folds`] reaches
+    /// [`VERDICT_FOLDS`]: is (almost) every fold so far a new key?
+    pub fn probe_reuse(&mut self) -> bool {
+        self.cold |= self.inserts * PROBE_DEN >= self.folds * PROBE_NUM;
+        self.cold
+    }
+
+    /// Reuse verdict at a flush, over everything folded since the last
+    /// verdict: did the keys flushed cost more than the folds saved? A
+    /// sample under [`VERDICT_FOLDS`] is left to accumulate.
+    pub fn judge_flush(&mut self) -> bool {
+        let (folds, keys) = (self.folds - self.judged.0, self.inserts - self.judged.1);
+        if folds >= VERDICT_FOLDS {
+            self.judged = (self.folds, self.inserts);
+            self.cold |= keys * BREAK_EVEN_DEN >= folds * BREAK_EVEN_NUM;
+        }
+        self.cold
+    }
+
+    /// Fold one update into the buffered partial for `key`. Returns
     /// `false` — without touching anything — when the table is at its fill
     /// limit and `key` is absent: the caller must flush and retry.
     #[inline]
@@ -146,7 +198,7 @@ impl WriteCombiner {
 
     /// Folds absorbed into the `i`-th buffered partial since it was
     /// inserted (at least 1 for a live entry): the weight of that key
-    /// within the current batch.
+    /// since the table was last flushed.
     #[inline]
     pub fn entry_folds(&self, i: usize) -> u64 {
         let slot = self.order.get(i).copied().unwrap_or_default() as usize;

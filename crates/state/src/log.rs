@@ -50,6 +50,13 @@ impl Segment {
     }
 }
 
+/// A log address resolved to its segment and the offset in it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Slot {
+    seg: usize,
+    off: usize,
+}
+
 /// Segmented log-structured storage.
 pub struct Lss {
     segments: VecDeque<Segment>,
@@ -191,12 +198,26 @@ impl Lss {
         addr
     }
 
+    /// Resolve `addr` once, for a caller that reads the key and then
+    /// writes the value of the same entry ([`Self::key_in`],
+    /// [`Self::value_mut_in`]).
+    #[inline]
+    pub fn slot(&self, addr: u64) -> Slot {
+        let (seg, off) = self.seg_of(addr);
+        Slot { seg, off }
+    }
+
     /// The key stored at `addr` (index verification path): one 16-byte
     /// load, not a header decode.
     #[inline]
     pub fn key_at(&self, addr: u64) -> StateKey {
-        let (data, off) = self.locate(addr);
-        key_at(data, off)
+        self.key_in(self.slot(addr))
+    }
+
+    /// [`Self::key_at`] of a resolved address.
+    #[inline]
+    pub fn key_in(&self, slot: Slot) -> StateKey {
+        key_at(&self.segments[slot.seg].data, slot.off)
     }
 
     /// Immutable view of the value at `addr`.
@@ -217,10 +238,15 @@ impl Lss {
     /// do this inside the mutable region — the partition enforces it).
     #[inline]
     pub fn value_mut(&mut self, addr: u64) -> &mut [u8] {
-        let (si, off) = self.seg_of(addr);
-        let data = &mut self.segments[si].data;
-        let value = off + HEADER_SIZE;
-        let len = len_at(data, off);
+        self.value_mut_in(self.slot(addr))
+    }
+
+    /// [`Self::value_mut`] of a resolved address.
+    #[inline]
+    pub fn value_mut_in(&mut self, slot: Slot) -> &mut [u8] {
+        let data = &mut self.segments[slot.seg].data;
+        let value = slot.off + HEADER_SIZE;
+        let len = len_at(data, slot.off);
         &mut data[value..value + len]
     }
 

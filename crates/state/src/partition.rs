@@ -26,7 +26,7 @@ use crate::descriptor::{StateDescriptor, ValueKind};
 use crate::entry::{EntryHeader, EntryKind, NO_PREV};
 use crate::hash::{hash_key, pack_key, unpack_key, StateKey};
 use crate::index::{HashIndex, Probe};
-use crate::log::Lss;
+use crate::log::{Lss, Slot};
 
 /// A `(window, key)` state value surfaced by a window trigger.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,13 +221,23 @@ impl Partition {
             "rmw on appended state"
         );
         let hash = hash_key(key);
-        let probe = self.probe(key, hash);
+        // The verify that matches has resolved the entry's address; the
+        // update reuses it instead of resolving `addr` a second time.
+        let (log, mut hit) = (&self.log, Slot::default());
+        let probe = self.index.probe(hash, |addr| {
+            let slot = log.slot(addr);
+            let found = log.key_in(slot) == key;
+            if found {
+                hit = slot;
+            }
+            found
+        });
         if let Some(addr) = probe.addr() {
             debug_assert!(
                 addr >= self.epoch_begin,
                 "index points into the invalidated region"
             );
-            update(self.log.value_mut(addr));
+            update(self.log.value_mut_in(hit));
             self.stats.rmw_hits += 1;
         } else {
             let (size, init) = (self.desc.fixed_size(), self.desc.init);

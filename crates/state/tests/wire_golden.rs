@@ -173,7 +173,7 @@ fn run(
                     node.drain_triggered(|w| w == 1, |_| {});
                 }
             }
-            out.extend(ssb.iter().map(|n| summarize(&n.checkpoint(300))));
+            out.extend(ssb.iter_mut().map(|n| summarize(&n.checkpoint(300))));
         }
     }
     out

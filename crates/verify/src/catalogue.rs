@@ -429,15 +429,23 @@ impl Case {
         assert!(obs.event_count() <= RING as u64, "{}: probe trace overflowed", self.name);
         let mut unfinished_until = vec![SimTime::ZERO; self.nodes];
         let mut writes = Vec::new();
+        let mut batches = Vec::new();
+        let mut closes = BTreeSet::new();
         for e in obs.events() {
             match e.name {
                 // A node finishes only after its own last batch and after
                 // installing every peer's final watermark.
                 "epoch-install" | "batch" => {
+                    let end = e.ts + SimTime::from_nanos(e.dur);
                     let busy = &mut unfinished_until[e.pid as usize];
-                    *busy = (*busy).max(e.ts + SimTime::from_nanos(e.dur));
+                    *busy = (*busy).max(end);
+                    if e.name == "batch" {
+                        batches.push((end, e.pid as usize));
+                    }
                 }
                 "write" => writes.push((e.ts, e.pid as usize, e.tid as usize)),
+                // One proposal per remote partition, all at the close.
+                "epoch-propose" => drop(closes.insert((e.ts, e.pid as usize))),
                 _ => {}
             }
         }
@@ -462,7 +470,7 @@ impl Case {
             .into_iter()
             .filter(|&t| lo.is_none_or(|lo| t > lo) && t <= hi && t < base.run.completion_time)
             .collect();
-        Probe { input, expected, span, unfinished_until, instants, writes, base }
+        Probe { input, expected, span, unfinished_until, instants, writes, batches, closes, base }
     }
 
     /// Whether the swept event at `at` must produce its repair.
@@ -734,8 +742,24 @@ pub struct Probe {
     pub instants: Vec<SimTime>,
     /// Delta-channel writes `(at, node, peer)` of the swept-free run.
     writes: Vec<(SimTime, usize, usize)>,
+    /// Batch ends `(at, node)` of the swept-free run.
+    batches: Vec<(SimTime, usize)>,
+    /// Epoch closes `(at, node)` of the swept-free run.
+    closes: BTreeSet<(SimTime, usize)>,
     /// The swept-free run itself.
     pub base: RunOutcome,
+}
+
+impl Probe {
+    /// Batches `node` had finished at `at` since its last epoch close: two
+    /// or more, and its write combiners hold partials folded in an earlier
+    /// batch — state a crash at `at` takes down with the node.
+    pub fn batches_in_open_epoch(&self, node: usize, at: SimTime) -> usize {
+        let closed = self.closes.iter().rev().find(|&&(t, n)| n == node && t <= at);
+        let since = closed.map_or(SimTime::ZERO, |&(t, _)| t);
+        let open = |&&(end, n): &&(SimTime, usize)| n == node && since < end && end <= at;
+        self.batches.iter().filter(open).count()
+    }
 }
 
 /// One judged run.

@@ -17,7 +17,7 @@ cargo test --release --offline --manifest-path crates/bench/src/bin/perf-ledger/
 
 echo "==> [3/12] clippy (all targets, warnings are errors) + rustfmt on formatted crates"
 cargo clippy --workspace --all-targets -- -D warnings
-cargo fmt -p slash-state -- --check
+cargo fmt -p slash-state -p slash-core -- --check
 
 echo "==> [4/12] rustdoc (workspace docs, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --quiet
@@ -76,18 +76,18 @@ cmp "$trace_dir/f_a.json" "$trace_dir/f_b.json"
 echo "recovery trace: two same-seed chaos runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/f_a.json"
 
-echo "==> [9/12] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
-# Exits non-zero if the combiner-on hot loop is slower than the
-# per-record path (below 0.95x, the noise allowance) on ysb_hot, nb7 or
-# ysb, or if any workload's on/off state digests diverge. Not a speed-up
-# floor: quick mode reads ~72 M rec/s on vs ~45 M off on ysb_hot, and the
-# ratio (2.2x when the per-record RMW cost 33-37 ns, ~1.6x at ~12 ns) moves
-# with the denominator. --zipf adds the skew sweep:
+echo "==> [9/12] hot-path smoke (combiner gate on counts + zipf split sweep)"
+# The combiner gate reads counts, which repeat exactly: ysb_hot and nb7
+# keep the write combiner on at a hit ratio >= 0.9, reuse-free ysb turns
+# it off within one table's worth of folds (1,024), and every workload's
+# on/off state digests are equal. The wall-clock on/off rates are printed
+# beside them and gate nothing. --zipf adds the skew sweep:
 # ysb_zipf_keyed over theta in {0, 0.5, 0.9, 1.1, 1.5} with hot-key
-# splitting on vs off — split-on must reach 1.5x at theta=1.1 and every
-# swept config must be bit-exact (results + state digests) vs unsplit.
-# The rows are wall-clock: the fresh run goes to the scratch dir, the
-# checked-in BENCH_hotpath.json is refreshed by hand (EXPERIMENTS.md).
+# splitting on vs off — split-on must reach 1.5x at theta=1.1 (virtual
+# time) and every swept config must be bit-exact (results + state
+# digests) vs unsplit. The rates are wall-clock: the fresh run goes to
+# the scratch dir, the checked-in BENCH_hotpath.json is refreshed by hand
+# (EXPERIMENTS.md).
 cargo run --release -p slash-bench --bin hotpath-bench -- --quick --zipf --out "$trace_dir/hotpath.json"
 
 echo "==> [10/12] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"

@@ -74,6 +74,24 @@ fault_matrix! {
     hot_split_small => "hot-split-small",
 }
 
+/// The write combiners hold partials from batch to batch until the epoch
+/// closes, so a crash between two batches of one epoch takes folded,
+/// unflushed updates down with the node; the replay from the checkpointed
+/// source positions has to bring every one of them back. The two-worker
+/// crash row does put its fault there — and stays exact.
+#[test]
+fn a_crash_row_kills_a_node_whose_partials_span_batches() {
+    let c = case("multi-worker-crash").expect("catalogue row");
+    let probe = c.probe();
+    let metrics = &probe.base.run.metrics;
+    assert_eq!(metrics.combiner_folds, metrics.state_updates, "the combiner stays on");
+    let (sweep, tally) = c.sweep(&probe, 8, None);
+    assert!(sweep.clean(), "{}", sweep.render_human());
+    let depth = |&at: &SimTime| probe.batches_in_open_epoch(1, at);
+    let deepest = tally.required.iter().map(depth).max();
+    assert!(deepest >= Some(2), "no crash landed mid-epoch: {:?}", tally.required);
+}
+
 /// Two traced runs of `name` with its swept fault at 200 µs must agree on
 /// every observable, down to the bytes of the exported trace.
 fn same_plan_is_byte_identical(name: &str) -> String {

@@ -3,16 +3,17 @@
 //! must produce identical window results and bit-identical final SSB
 //! state — healthy, and under fault injection.
 //!
-//! The combiner regroups per-record updates as `merge(state, fold(batch))`
-//! and only engages for exactly-associative CRDTs, so equality here is
-//! exact (`f64::to_bits`), not approximate. Emission *order* may differ —
-//! flushing distinct partials paces epochs differently than per-record
-//! writes — so results are compared as sorted multisets and state via the
-//! order-independent per-node digests.
+//! The combiner regroups per-record updates as `merge(state, fold(records
+//! of an epoch))` and only engages for exactly-associative CRDTs, so
+//! equality here is exact (`f64::to_bits`), not approximate. Emission
+//! *order* may differ — counting a key once per epoch paces epochs
+//! differently than per-record writes — so results are compared as sorted
+//! multisets and state via the order-independent per-node digests.
 
 use slash::chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash::core::{RunConfig, RunReport, SinkResult, SlashCluster};
 use slash::desim::SimTime;
+use slash::obs::Obs;
 use slash::workloads::{cm, nb11, nb7, nb8, ysb, ysb_hot, GenConfig, Workload};
 
 const NODES: usize = 2;
@@ -70,6 +71,36 @@ fn assert_on_off_equal(gen: impl Fn() -> Workload, name: &str) {
 #[test]
 fn ysb_combiner_on_off_equivalent() {
     assert_on_off_equal(|| ysb(&GenConfig::new(NODES * WORKERS, 5_000)), "ysb");
+}
+
+/// "The combiner turned itself off" is read from telemetry: on reuse-free
+/// `ysb` every worker's table trips the cold-stream probe at its 1,024th
+/// survivor — one counter bump and one trace instant each — and on
+/// `ysb_hot` none ever does.
+#[test]
+fn the_cold_stream_exit_is_a_counter_and_a_trace_instant() {
+    let traced = |w: Workload| {
+        let obs = Obs::enabled(1 << 16);
+        let builder = SlashCluster::builder(w.plan, w.partitions, run_config(true));
+        (builder.obs(obs.clone()).run().run, obs)
+    };
+    let (report, obs) = traced(ysb(&GenConfig::new(NODES * WORKERS, 5_000)));
+    assert_eq!(report.metrics.combiner_off, (NODES * WORKERS) as u64);
+    let exits: Vec<_> = obs.events().into_iter().filter(|e| e.name == "combiner_off").collect();
+    let mut lanes: Vec<(u32, u32)> = exits.iter().map(|e| (e.pid, e.tid)).collect();
+    lanes.sort_unstable();
+    assert_eq!(lanes, [(0, 0), (0, 1), (1, 0), (1, 1)], "one instant per worker");
+    for e in &exits {
+        assert_eq!(e.args[..2], [("survivors", 1024), ("distinct", 1024)]);
+    }
+    let counted = |node| obs.with_registry(|r| r.counter("combiner_off", node));
+    assert_eq!((counted("node0"), counted("node1")), (Some(2), Some(2)));
+    assert!(report.metrics.combiner_folds <= 1024 * (NODES * WORKERS) as u64);
+
+    let (report, obs) = traced(ysb_hot(&GenConfig::new(NODES * WORKERS, 20_000)));
+    assert_eq!(report.metrics.combiner_off, 0);
+    assert!(obs.events().iter().all(|e| e.name != "combiner_off"));
+    assert_eq!(report.metrics.combiner_folds, report.metrics.state_updates);
 }
 
 #[test]
