@@ -81,9 +81,10 @@ fn ysb_with(cfg: &GenConfig, dist_of: impl Fn() -> KeyDist) -> Workload {
     Workload {
         name: "ysb",
         plan: QueryPlan::Aggregate {
-            input: StreamDef::new(YSB_SCHEMA)
-                .with_filter(|s, r| s.field_u64(r, 16) == 0),
-            window: WindowAssigner::Tumbling { size: YSB_WINDOW_MS },
+            input: StreamDef::new(YSB_SCHEMA).with_filter(|s, r| s.field_u64(r, 16) == 0),
+            window: WindowAssigner::Tumbling {
+                size: YSB_WINDOW_MS,
+            },
             agg: AggSpec::Count,
         },
         partitions,
@@ -148,9 +149,10 @@ pub fn ysb_zipf_keyed(cfg: &GenConfig, theta: f64) -> Workload {
     Workload {
         name: "ysb_zipf_keyed",
         plan: QueryPlan::Aggregate {
-            input: StreamDef::new(YSB_SCHEMA)
-                .with_filter(|s, r| s.field_u64(r, 16) == 0),
-            window: WindowAssigner::Tumbling { size: YSB_WINDOW_MS },
+            input: StreamDef::new(YSB_SCHEMA).with_filter(|s, r| s.field_u64(r, 16) == 0),
+            window: WindowAssigner::Tumbling {
+                size: YSB_WINDOW_MS,
+            },
             agg: AggSpec::Count,
         },
         partitions: bufs.into_iter().map(Rc::new).collect(),
@@ -204,7 +206,9 @@ pub fn nb7(cfg: &GenConfig) -> Workload {
         name: "nb7",
         plan: QueryPlan::Aggregate {
             input: StreamDef::new(NB7_SCHEMA),
-            window: WindowAssigner::Tumbling { size: NB7_WINDOW_MS },
+            window: WindowAssigner::Tumbling {
+                size: NB7_WINDOW_MS,
+            },
             agg: AggSpec::MaxU64 { off: 16 },
         },
         partitions,
@@ -247,7 +251,9 @@ pub fn nb8(cfg: &GenConfig) -> Workload {
         plan: QueryPlan::Join {
             input: StreamDef::new(NB8_SCHEMA),
             side_off: 16,
-            window: WindowAssigner::Tumbling { size: NB8_WINDOW_MS },
+            window: WindowAssigner::Tumbling {
+                size: NB8_WINDOW_MS,
+            },
             retain_bytes: 64,
         },
         partitions,
