@@ -202,7 +202,11 @@ mod tests {
             },
             &mut scratch,
         ));
-        assert!(tx.try_send(&mut sim, &ExchangeMsg::Watermark { lane: 1, wm: 5 }, &mut scratch));
+        assert!(tx.try_send(
+            &mut sim,
+            &ExchangeMsg::Watermark { lane: 1, wm: 5 },
+            &mut scratch
+        ));
         sim.run();
         assert_eq!(
             rx.try_recv(&mut sim),
@@ -235,6 +239,9 @@ mod tests {
         assert!(tx.try_send(&mut sim, &ExchangeMsg::LaneDone { lane: 2 }, &mut scratch));
         assert!(tx.take_cpu_cost() > SimTime::ZERO, "sockets cost CPU");
         sim.run();
-        assert_eq!(rx.try_recv(&mut sim), Some(ExchangeMsg::LaneDone { lane: 2 }));
+        assert_eq!(
+            rx.try_recv(&mut sim),
+            Some(ExchangeMsg::LaneDone { lane: 2 })
+        );
     }
 }

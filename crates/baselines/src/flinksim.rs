@@ -26,7 +26,11 @@ pub fn run_flink(
     partitions: Vec<Rc<Vec<u8>>>,
     cfg: PartitionedConfig,
 ) -> CommonReport {
-    assert_eq!(cfg.transport, Transport::Socket, "Flink-sim uses IPoIB sockets");
+    assert_eq!(
+        cfg.transport,
+        Transport::Socket,
+        "Flink-sim uses IPoIB sockets"
+    );
     assert!(
         cfg.runtime_factor > 1.0,
         "Flink-sim models a managed runtime"

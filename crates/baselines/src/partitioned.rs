@@ -243,15 +243,17 @@ impl Process for SenderProc {
             let _ = last_ts;
             sh.records += n;
             mem_bytes += (b - a) as u64 + 2 * staged_bytes; // read + copy
-            // Top-down attribution per the paper's Fig. 9 discussion:
-            // partitioning is front-end-heavy with branch mispredictions.
+                                                            // Top-down attribution per the paper's Fig. 9 discussion:
+                                                            // partitioning is front-end-heavy with branch mispredictions.
             let part_ns = self.cost.partition_ns * rf * n as f64;
             sh.sender_metrics
                 .charge(CostCategory::FrontEnd, part_ns * 0.6);
             sh.sender_metrics
                 .charge(CostCategory::BadSpeculation, part_ns * 0.25);
-            sh.sender_metrics
-                .charge(CostCategory::Retiring, self.cost.record_pipeline_ns * rf * n as f64 + part_ns * 0.15);
+            sh.sender_metrics.charge(
+                CostCategory::Retiring,
+                self.cost.record_pipeline_ns * rf * n as f64 + part_ns * 0.15,
+            );
             sh.sender_metrics.charge(
                 CostCategory::MemoryBound,
                 (self.cost.copy_per_byte_ns * rf) * staged_bytes as f64,
@@ -318,11 +320,7 @@ struct ReceiverProc {
 }
 
 impl ReceiverProc {
-    fn process_records(
-        &mut self,
-        sh: &mut NodeShared,
-        records: &[u8],
-    ) -> (f64, u64) {
+    fn process_records(&mut self, sh: &mut NodeShared, records: &[u8]) -> (f64, u64) {
         let plan = Rc::clone(&self.plan);
         let schema = plan.input().schema;
         let window = plan.window();
@@ -371,8 +369,10 @@ impl ReceiverProc {
             CostCategory::MemoryBound,
             (self.cost.rmw_base_ns * self.rf + access.penalty_ns) * n as f64,
         );
-        sh.receiver_metrics
-            .charge(CostCategory::Retiring, self.cost.queue_op_ns * self.rf * n as f64);
+        sh.receiver_metrics.charge(
+            CostCategory::Retiring,
+            self.cost.queue_op_ns * self.rf * n as f64,
+        );
         let mem = records.len() as u64 + (access.mem_bytes() * n as f64) as u64;
         (cpu, mem)
     }
@@ -584,11 +584,8 @@ pub fn run_partitioned(
             let part = Rc::clone(&partitions[node * senders + s]);
             let source =
                 slash_core::MemorySource::new(part, plan.input().schema, cfg.batch_records);
-            let staging_cap = txs[0]
-                .data_capacity()
-                .min(64 * 1024)
-                / plan.record_size()
-                * plan.record_size();
+            let staging_cap =
+                txs[0].data_capacity().min(64 * 1024) / plan.record_size() * plan.record_size();
             sim.spawn(SenderProc {
                 lane,
                 shared: Rc::clone(&shareds[node]),
@@ -701,14 +698,13 @@ mod tests {
     fn uppar_counts_match_sequential_semantics() {
         let mut cfg = PartitionedConfig::new(2, 2, Transport::Rdma);
         cfg.collect_results = true;
-        let report = run_partitioned(
-            count_plan(100),
-            vec![gen(1000, 1, 8), gen(1000, 1, 8)],
-            cfg,
-        );
+        let report = run_partitioned(count_plan(100), vec![gen(1000, 1, 8), gen(1000, 1, 8)], cfg);
         assert_eq!(report.records, 2000);
         check_counts(&report, 2000);
-        assert!(report.net_tx_bytes > 2000 * 16, "records must cross the wire");
+        assert!(
+            report.net_tx_bytes > 2000 * 16,
+            "records must cross the wire"
+        );
     }
 
     #[test]
@@ -716,11 +712,7 @@ mod tests {
         let mut cfg = PartitionedConfig::new(2, 2, Transport::Socket);
         cfg.runtime_factor = 3.5;
         cfg.collect_results = true;
-        let report = run_partitioned(
-            count_plan(100),
-            vec![gen(500, 1, 8), gen(500, 1, 8)],
-            cfg,
-        );
+        let report = run_partitioned(count_plan(100), vec![gen(500, 1, 8), gen(500, 1, 8)], cfg);
         assert_eq!(report.records, 1000);
         check_counts(&report, 1000);
     }
