@@ -243,8 +243,9 @@ impl Process for SenderProc {
             let _ = last_ts;
             sh.records += n;
             mem_bytes += (b - a) as u64 + 2 * staged_bytes; // read + copy
-                                                            // Top-down attribution per the paper's Fig. 9 discussion:
-                                                            // partitioning is front-end-heavy with branch mispredictions.
+
+            // Top-down attribution per the paper's Fig. 9 discussion:
+            // partitioning is front-end-heavy with branch mispredictions.
             let part_ns = self.cost.partition_ns * rf * n as f64;
             sh.sender_metrics
                 .charge(CostCategory::FrontEnd, part_ns * 0.6);
@@ -392,7 +393,7 @@ impl ReceiverProc {
                         sh.sink.push(SinkResult::Agg {
                             window_id: tv.window_id,
                             key: tv.key,
-                            value: agg.render(&v),
+                            value: agg.render(v),
                         });
                     }
                     (QueryPlan::Join { .. }, TriggeredData::Elements(elems)) => {
@@ -400,7 +401,7 @@ impl ReceiverProc {
                         sh.sink.push(SinkResult::Join {
                             window_id: tv.window_id,
                             key: tv.key,
-                            pairs: slash_core::join::pair_count(&elems, &window),
+                            pairs: slash_core::join::pair_count(elems, &window),
                         });
                     }
                     _ => unreachable!("plan/state mismatch"),

@@ -2,27 +2,35 @@
 //!
 //! Splits record processing out of [`crate::worker::SlashWorker`] so the
 //! same loop the simulator charges virtual costs for can also be driven
-//! raw by the wall-clock harness (`hotpath-bench`). Two data-path
-//! optimizations live here:
+//! raw by the wall-clock harness (`hotpath-bench`). A batch goes through
+//! two fused stages:
 //!
-//! * **Write-combining pre-aggregation** — every survivor folds into the
-//!   worker's L1-resident table in the node's SSB ([`SsbNode::fold`]),
-//!   which merges the per-key partials into the index when the table is
-//!   full and when the epoch closes: N index probes collapse into one per
-//!   *distinct* key per epoch. Enabled only for states whose CRDT merge is
-//!   exactly associative ([`slash_state::StateDescriptor::combinable`]);
-//!   float-summing aggregations keep the per-record path so results stay
-//!   bit-identical.
-//! * **Batched appends** — join retention batches a whole input chunk's
-//!   elements into one [`SsbNode::append_batch`] call, memoizing hashes
-//!   and chain heads per distinct key.
+//! * **Filter into a selection vector.** A plan's
+//!   [`Predicate`](crate::query::Predicate) is evaluated over the whole
+//!   batch first, branch-free, into the indices of the records it keeps
+//!   ([`select`](crate::query::Predicate::select)); every loop below runs
+//!   over those survivors only, so the state loops carry no filter branch
+//!   — YSB's 1/3-selective one is unpredictable per record. A plan without
+//!   a predicate skips the pass and walks the batch itself.
+//! * **State update.** Aggregations fold every survivor into the worker's
+//!   L1-resident write-combining table in the node's SSB
+//!   ([`SsbNode::fold`]), which merges the per-key partials into the
+//!   index when the table is full and when the epoch closes: N index
+//!   probes collapse into one per *distinct* key per epoch. Enabled only
+//!   for states whose CRDT merge is exactly associative
+//!   ([`slash_state::StateDescriptor::combinable`]); float-summing
+//!   aggregations keep the per-record RMW loop so results stay
+//!   bit-identical. Joins gather a batch's survivors into one
+//!   [`SsbNode::append_batch`] call — one index walk per distinct key —
+//!   until a chunk shows nothing to reuse, then append per record.
 //!
 //! The combiner is **adaptive**: the SSB judges key reuse where it shows
 //! — once after the first 1,024 folds, then at table flushes — and a
 //! reuse-free stream (wide uniform key domains, where dedup is pure
 //! overhead) goes back to the per-record loop for the rest of the run,
-//! mid-batch if need be. The decision depends only on the data, so runs
-//! stay deterministic, and both paths produce bit-identical state.
+//! mid-batch if need be: the RMW loop takes over at the next survivor.
+//! The decision depends only on the data, so runs stay deterministic, and
+//! both paths produce bit-identical state.
 //!
 //! The hot path does *no* metrics or cost accounting — it returns a
 //! [`BatchOutcome`] and the worker converts that into vectorized charges
@@ -37,7 +45,7 @@ use crate::query::QueryPlan;
 use crate::window::WindowMemo;
 
 /// What one batch did, for vectorized cost accounting.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Records scanned (pipeline cost applies to all of them).
     pub records: u64,
@@ -92,9 +100,13 @@ pub struct HotPath {
     /// distinct keys shows the per-key memoization has nothing to reuse,
     /// and sends the rest of the run down the per-record loop.
     batch_join: bool,
+    /// Scratch: the batch's selection vector — ascending indices of the
+    /// records the plan's predicate keeps.
+    sel: Vec<u32>,
     /// Scratch: record-order keys for `append_batch`.
     join_keys: Vec<StateKey>,
-    /// Scratch: packed join elements, `1 + take` bytes each.
+    /// Scratch: packed join elements, `1 + take` bytes each — the whole
+    /// batch's for `append_batch`, one at a time for per-record appends.
     join_elems: Vec<u8>,
     /// Division-free window assignment (timestamps are monotone per flow).
     memo: WindowMemo,
@@ -141,6 +153,7 @@ impl HotPath {
                 false => Combine::Never,
             },
             batch_join,
+            sel: Vec::new(),
             join_keys: Vec::new(),
             join_elems: Vec::new(),
             memo,
@@ -183,8 +196,39 @@ impl HotPath {
 
     /// Process one batch of raw records against `ssb`.
     pub fn process(&mut self, ssb: &mut SsbNode, batch: &[u8]) -> BatchOutcome {
+        let plan = Rc::clone(&self.plan);
+        let input = plan.input();
+        let schema = input.schema;
         let mut out = BatchOutcome::default();
-        match &*Rc::clone(&self.plan) {
+        out.note_batch(&schema, batch);
+        match input.filter {
+            Some(predicate) => {
+                let mut sel = std::mem::take(&mut self.sel);
+                predicate.select(&schema, batch, &mut sel);
+                out.survivors = sel.len() as u64;
+                let kept = sel
+                    .iter()
+                    .map(|&i| &batch[i as usize * schema.size..][..schema.size]);
+                self.apply(ssb, &plan, kept, &mut out);
+                self.sel = sel;
+            }
+            None => {
+                out.survivors = out.records;
+                self.apply(ssb, &plan, batch.chunks_exact(schema.size), &mut out);
+            }
+        }
+        out
+    }
+
+    /// Apply a batch's surviving records, in order, to the plan's state.
+    fn apply<'a>(
+        &mut self,
+        ssb: &mut SsbNode,
+        plan: &QueryPlan,
+        mut recs: impl Iterator<Item = &'a [u8]>,
+        out: &mut BatchOutcome,
+    ) {
+        match plan {
             QueryPlan::Aggregate {
                 input,
                 window: _,
@@ -198,27 +242,18 @@ impl HotPath {
                     self.split_version = ssb.split_version();
                     self.split_map = ssb.split_pairs();
                 }
-                out.note_batch(&schema, batch);
-                // Bytes of the batch the combiner took; the per-record loop
-                // below takes the rest — all of it when the combiner is off.
-                let mut folded = 0;
                 if let Some(id) = self.table(ssb) {
                     let entered = ssb.combiner(id).inserts();
-                    folded = batch.len();
-                    for (i, rec) in batch.chunks_exact(schema.size).enumerate() {
-                        if !input.keep(rec) {
-                            continue;
-                        }
+                    for rec in recs.by_ref() {
                         let key = pack_key(
                             self.memo.assign(schema.ts(rec)),
                             salt(&self.split_map, schema.key(rec)),
                         );
-                        out.survivors += 1;
                         if !ssb.fold(id, key, |v| agg.update(&schema, rec, v)) {
                             // Reuse-free stream: the SSB drained the table;
-                            // finish this batch (and the rest of the run)
-                            // per record. State stays bit-identical.
-                            folded = (i + 1) * schema.size;
+                            // the loop below takes the batch from the next
+                            // survivor on (and the rest of the run) per
+                            // record. State stays bit-identical.
                             break;
                         }
                     }
@@ -227,16 +262,14 @@ impl HotPath {
                     // `combined()` is already false for the worker's charges.
                     self.table(ssb);
                 }
-                for rec in batch[folded..].chunks_exact(schema.size) {
-                    if !input.keep(rec) {
-                        continue;
-                    }
+                // Every survivor when the combiner is off, none while it
+                // is on.
+                for rec in recs {
                     let key = pack_key(
                         self.memo.assign(schema.ts(rec)),
                         salt(&self.split_map, schema.key(rec)),
                     );
                     ssb.rmw(key, |v| agg.update(&schema, rec, v));
-                    out.survivors += 1;
                 }
             }
             QueryPlan::Join {
@@ -249,14 +282,11 @@ impl HotPath {
                 let take = (*retain_bytes).min(schema.size);
                 let stride = 1 + take;
                 let memo = &mut self.memo;
-                out.note_batch(&schema, batch);
+                out.value_bytes = out.survivors * stride as u64;
+                self.join_elems.clear();
                 if self.batch_join {
                     self.join_keys.clear();
-                    self.join_elems.clear();
-                    for rec in batch.chunks_exact(schema.size) {
-                        if !input.keep(rec) {
-                            continue;
-                        }
+                    for rec in recs {
                         let side = schema.field_u64(rec, *side_off);
                         self.join_keys
                             .push(pack_key(memo.assign(schema.ts(rec)), schema.key(rec)));
@@ -264,29 +294,19 @@ impl HotPath {
                         self.join_elems.extend_from_slice(&rec[..take]);
                     }
                     let unique = ssb.append_batch(&self.join_keys, &self.join_elems, stride);
-                    out.survivors = self.join_keys.len() as u64;
-                    out.value_bytes = self.join_elems.len() as u64;
                     self.batch_join = out.survivors < 64 || unique * 2 < out.survivors;
                 } else {
-                    let mut elem = vec![0u8; stride];
-                    for rec in batch.chunks_exact(schema.size) {
-                        if !input.keep(rec) {
-                            continue;
-                        }
+                    let elem = &mut self.join_elems;
+                    elem.resize(stride, 0);
+                    for rec in recs {
                         let side = schema.field_u64(rec, *side_off);
                         elem[0] = side as u8;
-                        elem[1..stride].copy_from_slice(&rec[..take]);
-                        ssb.append(
-                            pack_key(memo.assign(schema.ts(rec)), schema.key(rec)),
-                            &elem,
-                        );
-                        out.survivors += 1;
-                        out.value_bytes += stride as u64;
+                        elem[1..].copy_from_slice(&rec[..take]);
+                        ssb.append(pack_key(memo.assign(schema.ts(rec)), schema.key(rec)), elem);
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -486,6 +506,165 @@ mod tests {
         assert_eq!(ssb_a.state_digest(), ssb_b.state_digest());
         ssb_a.close_epoch(&mut Sim::new()).unwrap();
         assert_eq!(ssb_a.state_digest(), ssb_b.state_digest());
+    }
+
+    /// The scalar reference of [`HotPath::process`]: the filter asked per
+    /// record ([`StreamDef::keep`]), every survivor applied where it stands
+    /// — folded while the SSB says the table is on, otherwise one `rmw` or
+    /// `append` each. No selection vector, no batching.
+    struct Scalar {
+        plan: Rc<QueryPlan>,
+        /// The combiner table of its SSB to fold into, if any.
+        table: Option<usize>,
+    }
+
+    impl Scalar {
+        fn process(&mut self, ssb: &mut SsbNode, batch: &[u8]) -> BatchOutcome {
+            let plan = Rc::clone(&self.plan);
+            let (input, window) = (plan.input(), plan.window());
+            let schema = input.schema;
+            let table = self.table;
+            let entered = table.map_or(0, |id| ssb.combiner(id).inserts());
+            let mut out = BatchOutcome::default();
+            for rec in batch.chunks_exact(schema.size) {
+                out.records += 1;
+                out.last_ts = schema.ts(rec);
+                if !input.keep(rec) {
+                    continue;
+                }
+                out.survivors += 1;
+                let key = pack_key(window.assign(schema.ts(rec)), schema.key(rec));
+                match &*plan {
+                    QueryPlan::Aggregate { agg, .. } => {
+                        let update = |v: &mut [u8]| agg.update(&schema, rec, v);
+                        match table {
+                            Some(id) if !ssb.combiner(id).is_cold() => {
+                                ssb.fold(id, key, update);
+                            }
+                            _ => ssb.rmw(key, update),
+                        }
+                    }
+                    QueryPlan::Join {
+                        side_off,
+                        retain_bytes,
+                        ..
+                    } => {
+                        let mut elem = vec![schema.field_u64(rec, *side_off) as u8];
+                        elem.extend_from_slice(&rec[..*retain_bytes]);
+                        ssb.append(key, &elem);
+                        out.value_bytes += elem.len() as u64;
+                    }
+                }
+            }
+            out.flushed = table.map_or(0, |id| ssb.combiner(id).inserts()) - entered;
+            out
+        }
+    }
+
+    /// Satellite (the selection vector under a model): over batch sizes
+    /// around the workers' 512, every selectivity, with and without a
+    /// predicate, and every way a batch can leave the fold loop — table
+    /// on, off, flushed mid-batch (8 slots), turned off mid-batch by the
+    /// probe at 1,024 folds of a reuse-free stream — and both join loops,
+    /// `process` reports the same [`BatchOutcome`] per batch and leaves the
+    /// same state as the scalar reference.
+    #[test]
+    fn process_matches_a_scalar_reference_that_filters_per_record() {
+        use crate::query::Predicate;
+        use slash_desim::DetRng;
+        use slash_state::descriptor::appended_descriptor;
+
+        const TOTAL: usize = 4_100;
+        const EVENT_OFF: usize = 16;
+        const SIDE_OFF: usize = 24;
+        // (what, combine, combiner slots, reuse-free keys, join)
+        let modes = [
+            ("combiner on", true, 4096, false, false),
+            ("combiner off", false, 4096, false, false),
+            ("8-slot table", true, 8, false, false),
+            ("reuse-free stream", true, 4096, true, false),
+            ("batched join", true, 0, false, true),
+            ("per-record join", false, 0, true, true),
+        ];
+        let mut rng = DetRng::new(0x5E1_EC7);
+        let mut exits = 0;
+        for (what, combine, slots, reuse_free, join) in modes {
+            for selectivity in [0, 1, 3] {
+                let mut data = vec![0u8; TOTAL * SCHEMA.size];
+                for (i, rec) in data.chunks_exact_mut(SCHEMA.size).enumerate() {
+                    let ts = i as u64 * 700 + rng.next_below(700);
+                    let key = match reuse_free {
+                        true => i as u64 * 7919 + (1 << 40),
+                        false => rng.next_below(101),
+                    };
+                    // The predicate keeps event 0: none, all, one in three.
+                    let event = match selectivity {
+                        0 => 1,
+                        1 => 0,
+                        _ => rng.next_below(3),
+                    };
+                    rec[..8].copy_from_slice(&ts.to_le_bytes());
+                    rec[8..16].copy_from_slice(&key.to_le_bytes());
+                    rec[EVENT_OFF..EVENT_OFF + 8].copy_from_slice(&event.to_le_bytes());
+                    rec[SIDE_OFF..].copy_from_slice(&rng.next_below(2).to_le_bytes());
+                }
+                for filtered in [true, false] {
+                    let input = match filtered {
+                        true => {
+                            StreamDef::new(SCHEMA).with_filter(Predicate::field_eq(EVENT_OFF, 0))
+                        }
+                        false => StreamDef::new(SCHEMA),
+                    };
+                    let window = WindowAssigner::Tumbling { size: 1_000_000 };
+                    let plan = Rc::new(match join {
+                        true => QueryPlan::Join {
+                            input,
+                            side_off: SIDE_OFF,
+                            window,
+                            retain_bytes: 16,
+                        },
+                        false => QueryPlan::Aggregate {
+                            input,
+                            window,
+                            agg: AggSpec::Count,
+                        },
+                    });
+                    let desc = match join {
+                        true => appended_descriptor(),
+                        false => AggSpec::Count.descriptor(),
+                    };
+                    for batch_records in [0, 1, 511, 512, 513] {
+                        let at = format!(
+                            "{what}, selectivity 1/{selectivity}, filtered {filtered}, \
+                             batches of {batch_records}"
+                        );
+                        let mut hp = HotPath::new(Rc::clone(&plan), combine, slots);
+                        let mut ssb_a = SsbNode::detached(0, desc, SsbConfig::new(1));
+                        let mut ssb_b = SsbNode::detached(0, desc, SsbConfig::new(1));
+                        let mut scalar = Scalar {
+                            plan: Rc::clone(&plan),
+                            table: hp.combined().then(|| ssb_b.attach_combiner(slots)),
+                        };
+                        let batches: Vec<&[u8]> = match batch_records {
+                            0 => vec![&[]],
+                            n => data.chunks(n * SCHEMA.size).collect(),
+                        };
+                        for (i, batch) in batches.into_iter().enumerate() {
+                            let got = hp.process(&mut ssb_a, batch);
+                            let want = scalar.process(&mut ssb_b, batch);
+                            assert_eq!(got, want, "{at}: outcome of batch {i}");
+                        }
+                        assert_eq!(ssb_a.state_digest(), ssb_b.state_digest(), "{at}");
+                        exits += usize::from(hp.combiner_off().is_some());
+                    }
+                }
+            }
+        }
+        // Two modes leave the fold loop for good — the reuse-free stream at
+        // the probe, the 8-slot table at the first flush judged — in every
+        // case that fed them 1,024 survivors: each batch size but the empty
+        // one, filtered at selectivity 1 and 1/3, unfiltered at all three.
+        assert_eq!(exits, 2 * 4 * 5, "reuse verdicts reached");
     }
 
     /// The tables belong to the node and live as long as the epoch: two

@@ -11,7 +11,18 @@
 //! boundaries remain merged at bucket granularity (the documented
 //! approximation).
 
+use std::cell::RefCell;
+
+use slash_state::ElementList;
+
 use crate::window::WindowAssigner;
+
+thread_local! {
+    /// [`session_pair_count`]'s decoded events, reused from key to key: a
+    /// window fires thousands of keys and each would otherwise allocate
+    /// and free a list of its own.
+    static EVENTS: RefCell<Vec<(u64, bool)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Decode `(ts, is_left)` from a stored join element, if it retains a
 /// timestamp.
@@ -23,31 +34,32 @@ fn decode(elem: &[u8]) -> Option<(u64, bool)> {
     Some((u64::from_le_bytes(ts), elem[0] == 0))
 }
 
+/// `left × right` over the whole list: one session.
+fn bucket_pair_count(elems: &ElementList) -> u64 {
+    let left = elems.iter().filter(|e| e[0] == 0).count() as u64;
+    left * (elems.len() as u64 - left)
+}
+
 /// Count left × right combinations of a triggered element list under the
 /// window's semantics. Returns the number of emitted pairs.
-pub fn pair_count(elems: &[Vec<u8>], window: &WindowAssigner) -> u64 {
+pub fn pair_count(elems: &ElementList, window: &WindowAssigner) -> u64 {
     match *window {
-        WindowAssigner::Session { gap } => session_pair_count(elems, gap),
-        _ => {
-            let left = elems.iter().filter(|e| e[0] == 0).count() as u64;
-            let right = elems.len() as u64 - left;
-            left * right
+        WindowAssigner::Session { gap } => {
+            EVENTS.with_borrow_mut(|events| session_pair_count(elems, gap, events))
         }
+        _ => bucket_pair_count(elems),
     }
 }
 
 /// Session-window pairing: split by the gap rule, pair within sessions.
-fn session_pair_count(elems: &[Vec<u8>], gap: u64) -> u64 {
-    let mut events: Vec<(u64, bool)> = Vec::with_capacity(elems.len());
-    for e in elems {
+fn session_pair_count(elems: &ElementList, gap: u64, events: &mut Vec<(u64, bool)>) -> u64 {
+    events.clear();
+    for e in elems.iter() {
         match decode(e) {
             Some(ev) => events.push(ev),
-            None => {
-                // Elements without timestamps cannot be split; fall back
-                // to one session (the conservative bucket semantics).
-                let left = elems.iter().filter(|x| x[0] == 0).count() as u64;
-                return left * (elems.len() as u64 - left);
-            }
+            // Elements without timestamps cannot be split; fall back
+            // to one session (the conservative bucket semantics).
+            None => return bucket_pair_count(elems),
         }
     }
     events.sort_unstable_by_key(|&(ts, _)| ts);
@@ -55,7 +67,7 @@ fn session_pair_count(elems: &[Vec<u8>], gap: u64) -> u64 {
     let mut left = 0u64;
     let mut right = 0u64;
     let mut last_ts: Option<u64> = None;
-    for (ts, is_left) in events {
+    for &(ts, is_left) in events.iter() {
         if let Some(prev) = last_ts {
             if ts - prev > gap {
                 total += left * right;
@@ -84,9 +96,16 @@ mod tests {
         e
     }
 
+    /// The flat list the trigger lends out, built from owned elements.
+    fn list(elems: &[Vec<u8>]) -> ElementList {
+        let mut list = ElementList::default();
+        elems.iter().for_each(|e| list.push(e));
+        list
+    }
+
     #[test]
     fn tumbling_is_cross_product() {
-        let elems = vec![elem(0, 1), elem(0, 2), elem(1, 3)];
+        let elems = list(&[elem(0, 1), elem(0, 2), elem(1, 3)]);
         let w = WindowAssigner::Tumbling { size: 100 };
         assert_eq!(pair_count(&elems, &w), 2);
     }
@@ -95,13 +114,13 @@ mod tests {
     fn sessions_split_on_gaps() {
         // Two sessions: {1,5,9} (1 left, 2 right... let's build it) and
         // {200, 205}.
-        let elems = vec![
+        let elems = list(&[
             elem(0, 1),
             elem(1, 5),
             elem(1, 9),
             elem(0, 200),
             elem(1, 205),
-        ];
+        ]);
         let w = WindowAssigner::Session { gap: 50 };
         // Session 1: 1 left × 2 right = 2; session 2: 1 × 1 = 1.
         assert_eq!(pair_count(&elems, &w), 3);
@@ -114,27 +133,28 @@ mod tests {
     fn chained_events_stay_in_one_session() {
         // Each consecutive pair within gap, total span way over gap.
         let elems: Vec<Vec<u8>> = (0..10).map(|i| elem((i % 2) as u8, i * 40)).collect();
+        let elems = list(&elems);
         let w = WindowAssigner::Session { gap: 50 };
         assert_eq!(pair_count(&elems, &w), 25);
     }
 
     #[test]
     fn unsorted_input_is_sorted_first() {
-        let elems = vec![elem(1, 205), elem(0, 1), elem(1, 5), elem(0, 200)];
+        let elems = list(&[elem(1, 205), elem(0, 1), elem(1, 5), elem(0, 200)]);
         let w = WindowAssigner::Session { gap: 50 };
         assert_eq!(pair_count(&elems, &w), 2);
     }
 
     #[test]
     fn sessions_with_one_side_only_emit_nothing() {
-        let elems = vec![elem(0, 1), elem(0, 10), elem(1, 500)];
+        let elems = list(&[elem(0, 1), elem(0, 10), elem(1, 500)]);
         let w = WindowAssigner::Session { gap: 50 };
         assert_eq!(pair_count(&elems, &w), 0);
     }
 
     #[test]
     fn timestampless_elements_fall_back_to_bucket_semantics() {
-        let elems = vec![vec![0u8], vec![1u8], vec![1u8]];
+        let elems = list(&[vec![0u8], vec![1u8], vec![1u8]]);
         let w = WindowAssigner::Session { gap: 50 };
         assert_eq!(pair_count(&elems, &w), 2);
     }
@@ -142,6 +162,6 @@ mod tests {
     #[test]
     fn empty_list() {
         let w = WindowAssigner::Session { gap: 50 };
-        assert_eq!(pair_count(&[], &w), 0);
+        assert_eq!(pair_count(&ElementList::default(), &w), 0);
     }
 }

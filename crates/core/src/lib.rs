@@ -50,7 +50,7 @@ pub use elastic::{
 };
 pub use hotpath::{BatchOutcome, HotPath};
 pub use metrics::{CostCategory, EngineMetrics};
-pub use query::{JoinSide, QueryPlan, StreamDef};
+pub use query::{JoinSide, Predicate, QueryPlan, StreamDef};
 pub use record::RecordSchema;
 pub use recovery::{RecoveryAction, RecoveryEvent, RecoveryReport};
 pub use sink::{results_digest, Sink, SinkResult};

@@ -7,8 +7,6 @@
 //! (the workload generators interleave the logical streams by timestamp,
 //! matching the paper's pre-generated in-memory datasets).
 
-use std::rc::Rc;
-
 use slash_state::descriptor::appended_descriptor;
 use slash_state::StateDescriptor;
 
@@ -25,17 +23,56 @@ pub enum JoinSide {
     Right,
 }
 
-/// A filter predicate over one physical record (true = keep).
-pub type FilterFn = Rc<dyn Fn(&RecordSchema, &[u8]) -> bool>;
+/// A declarative filter over one physical record: keep the records whose
+/// little-endian `u64` field at `off` equals `value` (YSB's event-type
+/// filter). Declarative so the hot path can evaluate a whole batch into a
+/// selection vector ([`Predicate::select`]) instead of branching per
+/// record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Predicate {
+    /// Byte offset of the compared field.
+    off: usize,
+    /// The constant the field must equal.
+    value: u64,
+}
+
+impl Predicate {
+    /// Keep records whose `u64` field at `off` equals `value`.
+    pub const fn field_eq(off: usize, value: u64) -> Self {
+        Predicate { off, value }
+    }
+
+    /// Scalar evaluation (true = keep).
+    #[inline]
+    pub fn eval(&self, schema: &RecordSchema, rec: &[u8]) -> bool {
+        schema.field_u64(rec, self.off) == self.value
+    }
+
+    /// Evaluate the predicate over every record of `batch`, leaving the
+    /// ascending indices of the records it keeps in `sel`. Branch-free:
+    /// every record writes its index at the cursor and the cursor advances
+    /// by the comparison's result, so a 1/3-selective filter costs no
+    /// mispredicted branch per record.
+    pub fn select(&self, schema: &RecordSchema, batch: &[u8], sel: &mut Vec<u32>) {
+        sel.clear();
+        sel.resize(batch.len() / schema.size, 0);
+        let mut kept = 0;
+        for (i, rec) in batch.chunks_exact(schema.size).enumerate() {
+            sel[kept] = i as u32;
+            kept += usize::from(self.eval(schema, rec));
+        }
+        sel.truncate(kept);
+    }
+}
 
 /// A stream with its stateless pipeline prefix.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct StreamDef {
     /// Physical record layout.
     pub schema: RecordSchema,
     /// Optional filter predicate (fused into the pipeline; YSB's
     /// event-type filter).
-    pub filter: Option<FilterFn>,
+    pub filter: Option<Predicate>,
 }
 
 impl StreamDef {
@@ -48,27 +85,16 @@ impl StreamDef {
     }
 
     /// Attach a filter predicate.
-    pub fn with_filter(mut self, f: impl Fn(&RecordSchema, &[u8]) -> bool + 'static) -> Self {
-        self.filter = Some(Rc::new(f));
+    pub fn with_filter(mut self, filter: Predicate) -> Self {
+        self.filter = Some(filter);
         self
     }
 
-    /// Apply the filter (true = keep).
+    /// Apply the filter to one record (true = keep) — the scalar
+    /// evaluation the oracle and the baselines call.
     #[inline]
     pub fn keep(&self, rec: &[u8]) -> bool {
-        match &self.filter {
-            Some(f) => f(&self.schema, rec),
-            None => true,
-        }
-    }
-}
-
-impl std::fmt::Debug for StreamDef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamDef")
-            .field("schema", &self.schema)
-            .field("filtered", &self.filter.is_some())
-            .finish()
+        self.filter.is_none_or(|p| p.eval(&self.schema, rec))
     }
 }
 
@@ -138,12 +164,29 @@ mod tests {
     fn filter_defaults_to_keep_all() {
         let s = StreamDef::new(RecordSchema::plain(16));
         assert!(s.keep(&[0u8; 16]));
-        let f = StreamDef::new(RecordSchema::plain(16)).with_filter(|sch, r| sch.key(r) % 2 == 0);
+        let f = StreamDef::new(RecordSchema::plain(16)).with_filter(Predicate::field_eq(8, 4));
         let mut rec = [0u8; 16];
         rec[8..16].copy_from_slice(&3u64.to_le_bytes());
         assert!(!f.keep(&rec));
         rec[8..16].copy_from_slice(&4u64.to_le_bytes());
         assert!(f.keep(&rec));
+    }
+
+    #[test]
+    fn select_lists_the_records_eval_keeps() {
+        let schema = RecordSchema::plain(24);
+        let p = Predicate::field_eq(16, 7);
+        let events = [7u64, 0, 7, 7, 1, 7];
+        let mut batch = vec![0u8; events.len() * schema.size];
+        for (rec, ev) in batch.chunks_exact_mut(schema.size).zip(events) {
+            rec[16..24].copy_from_slice(&ev.to_le_bytes());
+        }
+        // A stale, longer selection is overwritten, not appended to.
+        let mut sel = vec![9; 10];
+        p.select(&schema, &batch, &mut sel);
+        assert_eq!(sel, [0, 2, 3, 5]);
+        p.select(&schema, &[], &mut sel);
+        assert!(sel.is_empty());
     }
 
     #[test]

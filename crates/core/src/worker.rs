@@ -426,12 +426,12 @@ impl SlashWorker {
             ssb, sink, metrics, ..
         } = sh;
         // Hand one triggered value to the sink; returns its CPU cost.
-        let mut finish = |tv: TriggeredValue| match (&*plan, tv.data) {
+        let mut finish = |tv: TriggeredValue<'_>| match (&*plan, tv.data) {
             (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(value)) => {
                 sink.push(SinkResult::Agg {
                     window_id: tv.window_id,
                     key: tv.key,
-                    value: agg.render(&value),
+                    value: agg.render(value),
                 });
                 metrics.instr(instr::MERGE);
                 merge_ns
@@ -441,7 +441,7 @@ impl SlashWorker {
                 sink.push(SinkResult::Join {
                     window_id: tv.window_id,
                     key: tv.key,
-                    pairs: crate::join::pair_count(&elems, &window),
+                    pairs: crate::join::pair_count(elems, &window),
                 });
                 2.0 * elems.len() as f64 // probe per element
             }
@@ -449,41 +449,52 @@ impl SlashWorker {
         };
         let mut cpu = 0.0;
         let slices = window.slices_per_window();
-        if slices == 1 {
-            ssb.drain_triggered(ready, |tv| cpu += finish(tv));
-            return cpu;
-        }
+        let agg = match &*plan {
+            QueryPlan::Aggregate { agg, .. } if slices > 1 => agg,
+            // Tumbling and session windows fire as they are, and join
+            // state is never stitched: results stream straight to the sink.
+            _ => {
+                ssb.drain_triggered(ready, |tv| cpu += finish(tv));
+                return cpu;
+            }
+        };
         // Sliding windows: a window is its first slice merged with the
         // k-1 following ones. Later slices may retire in the *same*
-        // sweep (and are then gone from the state), so look them up in
-        // the drained batch first and fall back to peeking live state.
-        let mut drained: Vec<TriggeredValue> = Vec::new();
-        ssb.drain_triggered(ready, |tv| drained.push(tv));
-        let drained_values: std::collections::BTreeMap<(u64, u64), Vec<u8>> = drained
-            .iter()
-            .filter_map(|tv| match &tv.data {
-                TriggeredData::Fixed(v) => Some(((tv.window_id, tv.key), v.clone())),
-                TriggeredData::Elements(_) => None,
-            })
-            .collect();
-        for mut tv in drained {
-            if let (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(value)) =
-                (&*plan, &mut tv.data)
-            {
-                let desc = agg.descriptor();
-                for s in 1..slices {
-                    let sibling = (tv.window_id + s, tv.key);
-                    if let Some(other) = drained_values
-                        .get(&sibling)
-                        .map(|v| v.as_slice())
-                        .or_else(|| ssb.local_get(pack_key(sibling.0, sibling.1)))
-                    {
-                        (desc.merge)(value, other);
-                        cpu += merge_ns;
-                    }
+        // sweep (and are then gone from the state), so the sweep's values
+        // are kept — one flat copy, indexed by `(slice, key)` — and a
+        // sibling is looked up there first, in live state second.
+        let size = agg.descriptor().fixed_size();
+        let merge = agg.descriptor().merge;
+        let mut values: Vec<u8> = Vec::new();
+        let mut drained: Vec<(u64, u64)> = Vec::new();
+        ssb.drain_triggered(ready, |tv| {
+            if let TriggeredData::Fixed(v) = tv.data {
+                values.extend_from_slice(v);
+                drained.push((tv.window_id, tv.key));
+            }
+        });
+        let value_of = |i: usize| &values[i * size..(i + 1) * size];
+        let at: std::collections::BTreeMap<(u64, u64), usize> =
+            drained.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+        let mut acc = vec![0u8; size];
+        for (i, &(window_id, key)) in drained.iter().enumerate() {
+            acc.copy_from_slice(value_of(i));
+            for s in 1..slices {
+                let sibling = (window_id + s, key);
+                if let Some(other) = at
+                    .get(&sibling)
+                    .map(|&j| value_of(j))
+                    .or_else(|| ssb.local_get(pack_key(sibling.0, sibling.1)))
+                {
+                    merge(&mut acc, other);
+                    cpu += merge_ns;
                 }
             }
-            cpu += finish(tv);
+            cpu += finish(TriggeredValue {
+                window_id,
+                key,
+                data: TriggeredData::Fixed(&acc),
+            });
         }
         cpu
     }

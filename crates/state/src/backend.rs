@@ -12,7 +12,7 @@ use crate::combiner::{WriteCombiner, VERDICT_FOLDS};
 use crate::descriptor::StateDescriptor;
 use crate::hash::{pack_key, partition_of, unpack_key, StateKey};
 use crate::partition::Partition;
-pub use crate::partition::{TriggeredData, TriggeredValue};
+pub use crate::partition::{ElementList, TriggeredData, TriggeredValue};
 use crate::split::{SplitLedger, SUB_KEY_TAG};
 use crate::vclock::VectorClock;
 
@@ -531,7 +531,7 @@ impl SsbNode {
     pub fn drain_triggered(
         &mut self,
         ready: impl Fn(u64) -> bool,
-        mut emit: impl FnMut(TriggeredValue),
+        mut emit: impl FnMut(TriggeredValue<'_>),
     ) -> usize {
         let primary = &mut self.fragments[self.node];
         // Appended (holistic) state never splits — `split_activate` gates
@@ -541,6 +541,8 @@ impl SsbNode {
             _ => return primary.drain_ready(ready, emit),
         };
         let desc = *primary.descriptor();
+        // The fold of one split group, reused from group to group.
+        let mut acc = vec![0u8; desc.fixed_size()];
         let mut fired = 0;
         for (window_id, keys) in primary.take_ready_windows(ready) {
             // Canonical group key → the listed constituents of its split.
@@ -555,26 +557,27 @@ impl SsbNode {
                 };
                 if let Some(canon) = canon {
                     groups.entry(canon).or_default().push(gk);
-                } else if let Some(data) = primary.take(pack_key(window_id, gk)) {
-                    fired += 1;
+                    continue;
+                }
+                let live = primary.take(pack_key(window_id, gk), |data| {
                     emit(TriggeredValue {
                         window_id,
                         key: gk,
                         data,
-                    });
-                }
+                    })
+                });
+                fired += usize::from(live);
             }
             for (canon, members) in groups {
-                let mut acc = vec![0u8; desc.fixed_size()];
                 (desc.init)(&mut acc);
                 let mut live = 0;
                 for member in members {
-                    if let Some(TriggeredData::Fixed(value)) =
-                        primary.take(pack_key(window_id, member))
-                    {
-                        (desc.merge)(&mut acc, &value);
-                        live += 1;
-                    }
+                    let merged = primary.take(pack_key(window_id, member), |data| {
+                        if let TriggeredData::Fixed(value) = data {
+                            (desc.merge)(&mut acc, value);
+                        }
+                    });
+                    live += usize::from(merged);
                 }
                 // A group whose listed members were all stale held no state.
                 if live > 0 {
@@ -582,10 +585,11 @@ impl SsbNode {
                     emit(TriggeredValue {
                         window_id,
                         key: canon,
-                        data: TriggeredData::Fixed(acc),
+                        data: TriggeredData::Fixed(&acc),
                     });
                 }
             }
+            primary.reclaim();
         }
         fired
     }
@@ -1177,16 +1181,15 @@ mod tests {
         for node in ssb.iter_mut() {
             node.drain_triggered(
                 |wid| wid == 1,
-                |tv| fired.push((tv.window_id, tv.key, tv.data.clone())),
+                |tv| match tv.data {
+                    TriggeredData::Fixed(v) => {
+                        fired.push((tv.window_id, tv.key, CounterCrdt::get(v)))
+                    }
+                    other => panic!("unexpected {other:?}"),
+                },
             );
         }
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].0, 1);
-        assert_eq!(fired[0].1, 7);
-        match &fired[0].2 {
-            TriggeredData::Fixed(v) => assert_eq!(CounterCrdt::get(v), 10),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(fired, [(1, 7, 10)]);
         // Firing again yields nothing (exactly-once trigger).
         let mut again = 0;
         for node in ssb.iter_mut() {
@@ -1245,7 +1248,7 @@ mod tests {
     fn reference_sweep_drain(
         node: &mut SsbNode,
         ready: impl Fn(u64) -> bool,
-        mut emit: impl FnMut(TriggeredValue),
+        mut emit: impl FnMut(Row),
     ) -> usize {
         let primary = &mut node.fragments[node.node];
         let appended = primary.descriptor().is_appended();
@@ -1279,19 +1282,14 @@ mod tests {
         }
         for &key in &plain {
             let (window_id, k) = unpack_key(key);
-            let data = if appended {
-                let mut elems = Vec::new();
+            let mut elems = Vec::new();
+            if appended {
                 primary.for_each_element(key, |e| elems.push(e.to_vec()));
-                TriggeredData::Elements(elems)
             } else {
-                TriggeredData::Fixed(primary.get(key).expect("listed key is live").to_vec())
-            };
+                elems.push(primary.get(key).expect("listed key is live").to_vec());
+            }
             primary.remove(key);
-            emit(TriggeredValue {
-                window_id,
-                key: k,
-                data,
-            });
+            emit((window_id, k, elems));
         }
         let desc = *primary.descriptor();
         for (canon_key, members) in &groups {
@@ -1302,13 +1300,72 @@ mod tests {
                 (desc.merge)(&mut acc, primary.get(member).expect("listed key is live"));
                 primary.remove(member);
             }
-            emit(TriggeredValue {
-                window_id,
-                key: canon_gk,
-                data: TriggeredData::Fixed(acc),
-            });
+            emit((window_id, canon_gk, vec![acc]));
         }
         keys.len()
+    }
+
+    /// One triggered value copied out of its loan: `(window, key, elements
+    /// newest first)`, fixed state as its one value.
+    type Row = (u64, u64, Vec<Vec<u8>>);
+
+    fn row(tv: TriggeredValue<'_>) -> Row {
+        (tv.window_id, tv.key, tv.data.to_owned_elems())
+    }
+
+    /// Satellite (the loan at the log's edge): a drain whose visit kills
+    /// the last live entry of a *sealed* segment — the log hands that
+    /// segment's memory back at once — lends every value whole, row for
+    /// row what the sweep's `get` + `remove` copies out. 7,000 entries
+    /// overrun the first 256 KiB segment, as 7,000 keys (fixed) and as one
+    /// key's chain (appended).
+    #[test]
+    fn borrowed_drain_matches_the_sweep_across_a_dying_sealed_segment() {
+        const N: u64 = 7_000;
+        for desc in [
+            CounterCrdt::descriptor(),
+            crate::descriptor::appended_descriptor(),
+        ] {
+            let fill = |node: &mut SsbNode| {
+                for i in 0..N {
+                    if desc.is_appended() {
+                        node.append(pack_key(1, 9), &i.to_le_bytes());
+                    } else {
+                        node.rmw(pack_key(1, i), |v| CounterCrdt::add(v, 1 + i));
+                    }
+                }
+                // A later window keeps the log's tail alive.
+                if desc.is_appended() {
+                    node.append(pack_key(2, 9), b"later");
+                } else {
+                    node.rmw(pack_key(2, 9), |v| CounterCrdt::add(v, 1));
+                }
+                let sealed = node.fragments[0].resident_bytes();
+                assert!(
+                    sealed > crate::log::DEFAULT_SEGMENT_SIZE,
+                    "one sealed segment"
+                );
+            };
+            let mut a = SsbNode::detached(0, desc, SsbConfig::new(1));
+            let mut b = SsbNode::detached(0, desc, SsbConfig::new(1));
+            fill(&mut a);
+            fill(&mut b);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let fired = a.drain_triggered(|w| w == 1, |tv| got.push(row(tv)));
+            let swept = reference_sweep_drain(&mut b, |w| w == 1, |r| want.push(r));
+            got.sort();
+            want.sort();
+            assert_eq!(got, want);
+            assert_eq!(fired, swept);
+            assert_eq!(got.iter().map(|r| r.2.len() as u64).sum::<u64>(), N);
+            // The sealed segment died during the visit and its slot went
+            // with the window; what is left is the open tail.
+            assert_eq!(
+                a.fragments[0].resident_bytes(),
+                crate::log::DEFAULT_SEGMENT_SIZE
+            );
+            assert_eq!(a.state_digest(), b.state_digest());
+        }
     }
 
     /// One seeded burst of mixed state operations over a small key domain
@@ -1417,7 +1474,6 @@ mod tests {
     /// prefix, single-window, empty and total `ready` predicates.
     #[test]
     fn directory_drain_matches_full_index_sweep() {
-        type Row = (u64, u64, TriggeredData);
         for seed in 0..12u64 {
             let fixed = seed % 2 == 0;
             let desc = if fixed {
@@ -1443,11 +1499,8 @@ mod tests {
                 };
                 for (na, nb) in a.iter_mut().zip(b.iter_mut()) {
                     let (mut got, mut want): (Vec<Row>, Vec<Row>) = (Vec::new(), Vec::new());
-                    let fired =
-                        na.drain_triggered(&ready, |tv| got.push((tv.window_id, tv.key, tv.data)));
-                    let swept = reference_sweep_drain(nb, &ready, |tv| {
-                        want.push((tv.window_id, tv.key, tv.data))
-                    });
+                    let fired = na.drain_triggered(&ready, |tv| got.push(row(tv)));
+                    let swept = reference_sweep_drain(nb, &ready, |r| want.push(r));
                     let by_key = |x: &Row, y: &Row| (x.0, x.1).cmp(&(y.0, y.1));
                     got.sort_by(by_key);
                     want.sort_by(by_key);
@@ -1505,7 +1558,7 @@ mod tests {
                 node.drain_triggered(
                     |wid| wid == 1,
                     |tv| {
-                        let TriggeredData::Fixed(v) = &tv.data else {
+                        let TriggeredData::Fixed(v) = tv.data else {
                             panic!("counter state is fixed");
                         };
                         fired.push((tv.window_id, tv.key, CounterCrdt::get(v)));
@@ -1600,7 +1653,7 @@ mod tests {
         replacement.drain_triggered(
             |_| true,
             |tv| {
-                let TriggeredData::Fixed(v) = &tv.data else {
+                let TriggeredData::Fixed(v) = tv.data else {
                     panic!("fixed");
                 };
                 fired.push((tv.key, CounterCrdt::get(v)));

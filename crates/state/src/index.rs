@@ -317,13 +317,16 @@ impl HashIndex {
     fn grow(&mut self, rehash: &dyn Fn(u64) -> u64) {
         let mut addrs = Vec::with_capacity(self.count);
         self.for_each(|a| addrs.push(a));
+        // Read every key back from the log in one tight pass, before any
+        // reinsert: the reads are independent random loads and overlap
+        // here, where one between every two reinserts would stall each.
+        let hashes: Vec<u64> = addrs.iter().map(|&addr| rehash(addr)).collect();
         let new_buckets = self.buckets.len() * 2;
         self.buckets = vec![Bucket::empty(); new_buckets];
         self.overflow.clear();
         self.mask = new_buckets as u64 - 1;
         self.moves = self.moves.wrapping_add(1);
-        for addr in addrs {
-            let h = rehash(addr);
+        for (addr, h) in addrs.into_iter().zip(hashes) {
             // During rebuild every live entry has a distinct key, so
             // verification can reject everything: nothing is an update.
             let tag = tag_of(h);

@@ -52,7 +52,7 @@ pub use crdts_hll::HllCrdt;
 pub use delta::DeltaDecodeError;
 pub use descriptor::{StateDescriptor, ValueKind};
 pub use hash::{pack_key, unpack_key, StateKey};
-pub use partition::Partition;
+pub use partition::{ElementList, Partition};
 pub use snapshot::{chunks_digest, restore, snapshot_chunks};
 pub use split::{SplitLedger, SUB_KEY_TAG};
 pub use vclock::VectorClock;

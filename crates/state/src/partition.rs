@@ -28,24 +28,83 @@ use crate::hash::{hash_key, pack_key, unpack_key, StateKey};
 use crate::index::{HashIndex, Probe};
 use crate::log::{Lss, Slot};
 
-/// A `(window, key)` state value surfaced by a window trigger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TriggeredValue {
+/// A `(window, key)` state value surfaced by a window trigger. It borrows
+/// from the partition — the log for fixed state, the partition's reused
+/// [`ElementList`] for holistic state — and is good for the duration of
+/// the `emit` call that receives it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TriggeredValue<'a> {
     /// Window identifier (high half of the state key).
     pub window_id: u64,
     /// Group key (low half of the state key).
     pub key: u64,
     /// The merged state.
-    pub data: TriggeredData,
+    pub data: TriggeredData<'a>,
 }
 
 /// Payload of a triggered value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TriggeredData {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TriggeredData<'a> {
     /// Fixed-size CRDT state (aggregations).
-    Fixed(Vec<u8>),
+    Fixed(&'a [u8]),
     /// Holistic element list, newest first (joins).
-    Elements(Vec<Vec<u8>>),
+    Elements(&'a ElementList),
+}
+
+#[cfg(test)]
+impl TriggeredData<'_> {
+    /// The payload copied out, for tests that compare drains after the
+    /// loan ended: the elements in list order, fixed state as its one value.
+    pub(crate) fn to_owned_elems(self) -> Vec<Vec<u8>> {
+        match self {
+            TriggeredData::Fixed(v) => vec![v.to_vec()],
+            TriggeredData::Elements(list) => list.iter().map(<[u8]>::to_vec).collect(),
+        }
+    }
+}
+
+/// A list of byte-string elements in one allocation: a flat byte arena
+/// plus each element's end offset. The partition fills one per triggered
+/// holistic key and reuses it from key to key, so a drain allocates
+/// nothing per key or per element.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ElementList {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl ElementList {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the list holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Drop every element, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// Append one element.
+    pub fn push(&mut self, elem: &[u8]) {
+        self.bytes.extend_from_slice(elem);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The elements in list order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let elem = &self.bytes[start..end];
+            start = end;
+            elem
+        })
+    }
 }
 
 /// One window's directory list: group keys in first-insertion order, held
@@ -113,6 +172,8 @@ pub struct Partition {
     /// fragments, which ship their content at epoch close and never drain.
     directory: Option<BTreeMap<u64, KeyList>>,
     scratch: BatchScratch,
+    /// The element list of the holistic key being triggered ([`Self::take`]).
+    elems: ElementList,
     /// Operation counters.
     pub stats: PartitionStats,
 }
@@ -146,6 +207,7 @@ impl Partition {
             desc,
             directory: Some(BTreeMap::new()),
             scratch: BatchScratch::default(),
+            elems: ElementList::default(),
             stats: PartitionStats::default(),
         }
     }
@@ -498,8 +560,11 @@ impl Partition {
     }
 
     /// Unlink `key` from the index and mark its entries dead, showing each
-    /// entry's value (newest first) to `visit` on the way out. One index
-    /// probe; `false` if the key was not live.
+    /// entry's value (newest first) to `visit` on the way out — before the
+    /// entry dies, because the death of a sealed segment's last entry
+    /// releases the segment's memory. One index probe; `false` if the key
+    /// was not live. Freeing dead head segments' slots
+    /// ([`Self::reclaim`]) is the caller's, once per run of unlinks.
     fn unlink(&mut self, key: StateKey, mut visit: impl FnMut(&[u8])) -> bool {
         let log = &self.log;
         let Some(mut addr) = self.index.remove(hash_key(key), |a| log.key_at(a) == key) else {
@@ -514,28 +579,42 @@ impl Partition {
             }
             addr = prev;
         }
-        self.log.reclaim();
         true
+    }
+
+    /// Pop the log's fully dead head segments. Every drain calls this once
+    /// per fired window, not once per key.
+    pub(crate) fn reclaim(&mut self) {
+        self.log.reclaim();
     }
 
     /// Remove a key and mark its entries dead. The key's directory entry
     /// goes stale and is skipped by the next drain of its window.
     pub fn remove(&mut self, key: StateKey) -> bool {
-        self.unlink(key, |_| {})
+        let live = self.unlink(key, |_| {});
+        self.reclaim();
+        live
     }
 
-    /// Remove a key and hand back its content — the fused `get` + `remove`
-    /// of the window trigger: one index probe instead of two.
-    pub(crate) fn take(&mut self, key: StateKey) -> Option<TriggeredData> {
-        if self.desc.is_appended() {
-            let mut elems = Vec::new();
-            self.unlink(key, |e| elems.push(e.to_vec()))
-                .then_some(TriggeredData::Elements(elems))
-        } else {
-            let mut value = Vec::new();
-            self.unlink(key, |v| value.extend_from_slice(v))
-                .then_some(TriggeredData::Fixed(value))
+    /// Remove a key and show its content to `emit` — the fused `get` +
+    /// `remove` of the window trigger: one index probe instead of two, and
+    /// nothing allocated. Fixed state is lent straight from the log;
+    /// a holistic key's chain is gathered into the partition's reused
+    /// [`ElementList`]. `false`, and no call, if the key was not live.
+    /// Callers [`Self::reclaim`] once they are through with a window.
+    pub(crate) fn take(&mut self, key: StateKey, mut emit: impl FnMut(TriggeredData<'_>)) -> bool {
+        if !self.desc.is_appended() {
+            // A fixed key's chain is its one entry: one call.
+            return self.unlink(key, |v| emit(TriggeredData::Fixed(v)));
         }
+        let mut elems = std::mem::take(&mut self.elems);
+        elems.clear();
+        let live = self.unlink(key, |e| elems.push(e));
+        if live {
+            emit(TriggeredData::Elements(&elems));
+        }
+        self.elems = elems;
+        live
     }
 
     /// Detach the directory lists of every window `ready` accepts, in
@@ -558,26 +637,27 @@ impl Partition {
     }
 
     /// The window trigger: remove every live `(window, key)` whose window
-    /// satisfies `ready` and hand it to `emit`, window by window, keys in
+    /// satisfies `ready` and lend it to `emit`, window by window, keys in
     /// first-insertion order. Returns how many keys fired. Work is bounded
     /// by what is ready — see the module docs.
     pub fn drain_ready(
         &mut self,
         ready: impl Fn(u64) -> bool,
-        mut emit: impl FnMut(TriggeredValue),
+        mut emit: impl FnMut(TriggeredValue<'_>),
     ) -> usize {
         let mut fired = 0;
         for (window_id, keys) in self.take_ready_windows(ready) {
             for key in keys.into_iter().flatten() {
-                if let Some(data) = self.take(pack_key(window_id, key)) {
-                    fired += 1;
+                let live = self.take(pack_key(window_id, key), |data| {
                     emit(TriggeredValue {
                         window_id,
                         key,
                         data,
-                    });
-                }
+                    })
+                });
+                fired += usize::from(live);
             }
+            self.reclaim();
         }
         fired
     }
@@ -804,37 +884,89 @@ mod tests {
     ) -> (Vec<(u64, u64, u64)>, usize) {
         let mut out = Vec::new();
         let fired = p.drain_ready(ready, |tv| match tv.data {
-            TriggeredData::Fixed(v) => out.push((tv.window_id, tv.key, CounterCrdt::get(&v))),
+            TriggeredData::Fixed(v) => out.push((tv.window_id, tv.key, CounterCrdt::get(v))),
             TriggeredData::Elements(_) => panic!("counter state is fixed"),
         });
         out.sort_unstable();
         (out, fired)
     }
 
+    /// `take` with the loan copied out; `None` if the key was not live.
+    fn take_owned(p: &mut Partition, key: StateKey) -> Option<Vec<Vec<u8>>> {
+        let mut got = None;
+        let live = p.take(key, |data| got = Some(data.to_owned_elems()));
+        assert_eq!(live, got.is_some(), "emit is called iff the key was live");
+        got
+    }
+
     #[test]
     fn take_is_get_plus_remove_in_one_probe() {
         let mut p = counter_part();
         p.rmw(5, |v| CounterCrdt::add(v, 3));
-        assert_eq!(
-            p.take(5),
-            Some(TriggeredData::Fixed(3u64.to_le_bytes().to_vec()))
-        );
-        assert_eq!(p.take(5), None);
+        assert!(p.take(5, |data| {
+            assert_eq!(data, TriggeredData::Fixed(&3u64.to_le_bytes()));
+        }));
+        assert!(!p.take(5, |_| panic!("the key is gone")));
         assert_eq!(p.get(5), None);
         assert_eq!(p.key_count(), 0);
 
         let mut h = Partition::with_segment_size(0, appended_descriptor(), 256);
         h.append(9, b"one");
         h.append(9, b"two");
-        assert_eq!(
-            h.take(9),
-            Some(TriggeredData::Elements(vec![
-                b"two".to_vec(),
-                b"one".to_vec()
-            ]))
-        );
-        assert_eq!(h.take(9), None);
+        h.append(8, b"other");
+        assert!(h.take(9, |data| {
+            let TriggeredData::Elements(list) = data else {
+                panic!("appended state lends a list");
+            };
+            assert_eq!(list.len(), 2);
+            assert_eq!(list.iter().collect::<Vec<_>>(), [&b"two"[..], b"one"]);
+        }));
+        assert_eq!(take_owned(&mut h, 9), None);
         assert_eq!(h.element_count(9), 0);
+        // The list is reused from key to key, not appended to.
+        assert_eq!(take_owned(&mut h, 8), Some(vec![b"other".to_vec()]));
+    }
+
+    /// The loan outlives the entries it was read from: a key whose last
+    /// entry is also the last live entry of a *sealed* segment releases
+    /// that segment's memory while it is being visited
+    /// ([`Lss::note_dead`]), and the value handed to `emit` is whole anyway.
+    #[test]
+    fn a_key_whose_death_frees_its_segment_is_lent_whole() {
+        // 128-byte segments hold three 40-byte entries: keys 1..=3 fill the
+        // first segment, key 4 seals it.
+        let mut p = Partition::with_segment_size(0, CounterCrdt::descriptor(), 128);
+        for k in 1..=4u128 {
+            p.rmw(k, |v| CounterCrdt::add(v, 10 * k as u64));
+        }
+        assert_eq!(
+            take_owned(&mut p, 1),
+            Some(vec![10u64.to_le_bytes().to_vec()])
+        );
+        assert_eq!(
+            take_owned(&mut p, 2),
+            Some(vec![20u64.to_le_bytes().to_vec()])
+        );
+        // Key 3 is the sealed segment's last live entry.
+        assert_eq!(
+            take_owned(&mut p, 3),
+            Some(vec![30u64.to_le_bytes().to_vec()])
+        );
+        p.reclaim();
+        assert_eq!(p.resident_bytes(), 128, "the dead head segment is gone");
+        assert_eq!(p.get(4).map(CounterCrdt::get), Some(40));
+
+        // Appended: a chain of seven 40-byte entries spans three segments;
+        // visiting it newest first kills the sealed ones entry by entry.
+        let mut h = Partition::with_segment_size(0, appended_descriptor(), 128);
+        let elems: Vec<[u8; 8]> = (0..7u64).map(u64::to_le_bytes).collect();
+        for e in &elems {
+            h.append(9, e);
+        }
+        let newest_first: Vec<Vec<u8>> = elems.iter().rev().map(|e| e.to_vec()).collect();
+        assert_eq!(take_owned(&mut h, 9), Some(newest_first));
+        h.reclaim();
+        assert_eq!(h.resident_bytes(), 128, "only the open tail segment");
     }
 
     #[test]
@@ -886,15 +1018,10 @@ mod tests {
         assert!(h.remove(pack_key(1, 9)));
         h.append(pack_key(1, 9), b"new");
         let mut got = Vec::new();
-        assert_eq!(h.drain_ready(|_| true, |tv| got.push(tv)), 1);
-        assert_eq!(
-            got,
-            vec![TriggeredValue {
-                window_id: 1,
-                key: 9,
-                data: TriggeredData::Elements(vec![b"new".to_vec()]),
-            }]
-        );
+        let emit =
+            |tv: TriggeredValue<'_>| got.push((tv.window_id, tv.key, tv.data.to_owned_elems()));
+        assert_eq!(h.drain_ready(|_| true, emit), 1);
+        assert_eq!(got, vec![(1, 9, vec![b"new".to_vec()])]);
     }
 
     /// Satellite (the complexity claim as a count, not a timing): a sweep
@@ -984,25 +1111,23 @@ mod tests {
                 Held::Count(_) => unreachable!("appended model"),
             }
         }
-        fn triggered(held: Held) -> TriggeredData {
+        /// What a trigger lends for `held`, copied out
+        /// ([`TriggeredData::to_owned_elems`]).
+        fn triggered(held: Held) -> Vec<Vec<u8>> {
             match held {
-                Held::Count(c) => TriggeredData::Fixed(c.to_le_bytes().to_vec()),
+                Held::Count(c) => vec![c.to_le_bytes().to_vec()],
                 Held::Elems(mut es) => {
                     es.reverse();
-                    TriggeredData::Elements(es)
+                    es
                 }
             }
         }
-        fn drain(&mut self, ready: impl Fn(u64) -> bool) -> Vec<TriggeredValue> {
+        fn drain(&mut self, ready: impl Fn(u64) -> bool) -> Vec<(u64, u64, Vec<Vec<u8>>)> {
             let mut out = Vec::new();
             for (&window_id, keys) in self.listed.iter().filter(|(&w, _)| ready(w)) {
                 for &key in keys {
                     if let Some(held) = self.live.remove(&pack_key(window_id, key)) {
-                        out.push(TriggeredValue {
-                            window_id,
-                            key,
-                            data: Self::triggered(held),
-                        });
+                        out.push((window_id, key, Self::triggered(held)));
                     }
                 }
             }
@@ -1093,7 +1218,7 @@ mod tests {
                     }
                     (70..=79, _) => {
                         let want = oracle.live.remove(&key).map(Oracle::triggered);
-                        assert_eq!(p.take(key), want, "{at}: take");
+                        assert_eq!(take_owned(&mut p, key), want, "{at}: take");
                     }
                     (80..=89, _) => {
                         assert_eq!(p.remove(key), oracle.live.remove(&key).is_some(), "{at}");
@@ -1101,7 +1226,10 @@ mod tests {
                     (90..=97, _) => {
                         let w = 1 + rng.next_below(3);
                         let mut got = Vec::new();
-                        let fired = p.drain_ready(|x| x == w, |tv| got.push(tv));
+                        let fired = p.drain_ready(
+                            |x| x == w,
+                            |tv| got.push((tv.window_id, tv.key, tv.data.to_owned_elems())),
+                        );
                         assert_eq!(got, oracle.drain(|x| x == w), "{at}: drain of {w}");
                         assert_eq!(fired, got.len());
                     }
