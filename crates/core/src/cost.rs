@@ -151,10 +151,12 @@ pub struct CostModel {
     pub combine_hit_ns: f64,
     /// Merging one delta entry on a leader. Testbed (anchored, like the
     /// RMW, to Table 1's 53 cycles/record): `state.epoch_merge_entry_ns`
-    /// reads 57–69 ns (3.2–3.8x; 98–127 ns, 5.4–7.0x, before PR 19), but
-    /// it merges 8,192 distinct keys into a cold, growing index — mostly
-    /// the cache misses and inserts the model charges separately through
-    /// [`CacheModel`], not this base cost.
+    /// reads 41–48 ns (2.3–2.7x), but it merges 8,192 distinct keys into a
+    /// cold, growing index — mostly the cache misses and inserts the model
+    /// charges separately through [`CacheModel`], not this base cost. About
+    /// a third of the gap the probe read before the index's tag-first walk
+    /// (54–59 ns, 3.0–3.3x) was the walk's own code — a slot-by-slot
+    /// free-slot search and a second walk per insert — not misses.
     pub merge_entry_ns: f64,
     /// Hash-partitioning one record (hash + destination select + branch
     /// mispredictions — the front-end-heavy path of Table 1's sender).

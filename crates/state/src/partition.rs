@@ -124,7 +124,6 @@ const LIST_CHUNK_KEYS: usize = 8192;
 #[derive(Default)]
 struct BatchScratch {
     hashes: Vec<u64>,
-    order: Vec<u32>,
     probes: Vec<Probe>,
     /// `append_batch`'s dedup table over `distinct`.
     table: Vec<u32>,
@@ -370,10 +369,9 @@ impl Partition {
         s.hashes
             .extend(sel.iter().map(|&i| comb.entry(i as usize).1));
         let log = &self.log;
-        self.index
-            .probe_batch(&s.hashes, &mut s.order, &mut s.probes, |j, addr| {
-                log.key_at(addr) == comb.entry(sel[j] as usize).0
-            });
+        self.index.probe_batch(&s.hashes, &mut s.probes, |j, addr| {
+            log.key_at(addr) == comb.entry(sel[j] as usize).0
+        });
         let merge = self.desc.merge;
         for (&i, &probe) in sel.iter().zip(&s.probes) {
             let (key, hash, partial) = comb.entry(i as usize);
@@ -441,10 +439,9 @@ impl Partition {
         }
         // One batched probe resolves every distinct key's current head.
         let (log, distinct) = (&self.log, &s.distinct);
-        self.index
-            .probe_batch(&s.hashes, &mut s.order, &mut s.probes, |j, addr| {
-                log.key_at(addr) == distinct[j]
-            });
+        self.index.probe_batch(&s.hashes, &mut s.probes, |j, addr| {
+            log.key_at(addr) == distinct[j]
+        });
         s.heads.clear();
         for (&key, probe) in s.distinct.iter().zip(&s.probes) {
             if probe.addr().is_none() {

@@ -128,13 +128,12 @@ cmp "$trace_dir/r_a.json" "$trace_dir/r_b.json"
 echo "rescale trace: two same-seed elastic runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/r_a.json"
 
-echo "==> [12/12] thread-per-core backend (sim-vs-threaded digest smoke)"
-# The threaded runtime makes no schedule-determinism promises, but final
-# state must be bit-identical to the deterministic simulator for the same
-# seed and workload. Release-mode run of the equivalence suite (2 seeds x
-# 2 workloads plus threaded self-consistency and the concurrent-obs merge
-# stress).
-cargo test --release -p slash-exec -q
+echo "==> [12/12] optimized build: sim-vs-threaded digest smoke + the state tests"
+# Final state under the threaded runtime must be bit-identical to the
+# simulator's for the same seed and workload (2 seeds x 2 workloads, plus
+# threaded self-consistency and the concurrent-obs merge stress); and the
+# state layer's oracles and wire goldens hold in the build the ledger times.
+cargo test --release -p slash-exec -p slash-state -q
 
 # Every artifact the gate rewrites in place is deterministic: a green run
 # leaves the tree clean, and one that moved fails here, loudly.
