@@ -20,9 +20,9 @@
 //!   for states whose CRDT merge is exactly associative
 //!   ([`slash_state::StateDescriptor::combinable`]); float-summing
 //!   aggregations keep the per-record RMW loop so results stay
-//!   bit-identical. Joins gather a batch's survivors into one
-//!   [`SsbNode::append_batch`] call — one index walk per distinct key —
-//!   until a chunk shows nothing to reuse, then append per record.
+//!   bit-identical. Joins append per record ([`SsbNode::append`]): each
+//!   element lands in its key's newest run in place, which measured faster
+//!   than gathering a batch by key (EXPERIMENTS.md).
 //!
 //! The combiner is **adaptive**: the SSB judges key reuse where it shows
 //! — once after the first 1,024 folds, then at table flushes — and a
@@ -39,7 +39,7 @@
 use std::rc::Rc;
 
 use slash_state::backend::SsbNode;
-use slash_state::{pack_key, StateKey};
+use slash_state::pack_key;
 
 use crate::query::QueryPlan;
 use crate::window::WindowMemo;
@@ -95,19 +95,11 @@ enum Combine {
 pub struct HotPath {
     plan: Rc<QueryPlan>,
     combine: Combine,
-    /// Batch the join append path (always safe — byte-identical log).
-    /// One chunk of 64 or more elements with at least half as many
-    /// distinct keys shows the per-key memoization has nothing to reuse,
-    /// and sends the rest of the run down the per-record loop.
-    batch_join: bool,
     /// Scratch: the batch's selection vector — ascending indices of the
     /// records the plan's predicate keeps.
     sel: Vec<u32>,
-    /// Scratch: record-order keys for `append_batch`.
-    join_keys: Vec<StateKey>,
-    /// Scratch: packed join elements, `1 + take` bytes each — the whole
-    /// batch's for `append_batch`, one at a time for per-record appends.
-    join_elems: Vec<u8>,
+    /// Scratch: the join element being packed, `1 + take` bytes.
+    join_elem: Vec<u8>,
     /// Division-free window assignment (timestamps are monotone per flow).
     memo: WindowMemo,
     /// Split-ledger version this worker's salt map was built from; `0`
@@ -133,9 +125,9 @@ fn salt(map: &[(u64, u64)], gk: u64) -> u64 {
 }
 
 impl HotPath {
-    /// Build the hot path for a plan. `combine` gates both optimizations;
-    /// the combiner additionally requires the aggregation's CRDT to be
-    /// exactly associative under regrouping.
+    /// Build the hot path for a plan. `combine` gates the write combiner,
+    /// which additionally requires the aggregation's CRDT to be exactly
+    /// associative under regrouping.
     pub fn new(plan: Rc<QueryPlan>, combine: bool, combiner_slots: usize) -> Self {
         let combinable = match &*plan {
             QueryPlan::Aggregate { agg, .. } if combine => {
@@ -144,7 +136,6 @@ impl HotPath {
             }
             _ => false,
         };
-        let batch_join = combine && matches!(&*plan, QueryPlan::Join { .. });
         let memo = WindowMemo::new(plan.window());
         HotPath {
             plan,
@@ -152,10 +143,8 @@ impl HotPath {
                 true => Combine::Pending(combiner_slots),
                 false => Combine::Never,
             },
-            batch_join,
             sel: Vec::new(),
-            join_keys: Vec::new(),
-            join_elems: Vec::new(),
+            join_elem: Vec::new(),
             memo,
             split_version: 0,
             split_map: Vec::new(),
@@ -283,27 +272,13 @@ impl HotPath {
                 let stride = 1 + take;
                 let memo = &mut self.memo;
                 out.value_bytes = out.survivors * stride as u64;
-                self.join_elems.clear();
-                if self.batch_join {
-                    self.join_keys.clear();
-                    for rec in recs {
-                        let side = schema.field_u64(rec, *side_off);
-                        self.join_keys
-                            .push(pack_key(memo.assign(schema.ts(rec)), schema.key(rec)));
-                        self.join_elems.push(side as u8);
-                        self.join_elems.extend_from_slice(&rec[..take]);
-                    }
-                    let unique = ssb.append_batch(&self.join_keys, &self.join_elems, stride);
-                    self.batch_join = out.survivors < 64 || unique * 2 < out.survivors;
-                } else {
-                    let elem = &mut self.join_elems;
-                    elem.resize(stride, 0);
-                    for rec in recs {
-                        let side = schema.field_u64(rec, *side_off);
-                        elem[0] = side as u8;
-                        elem[1..].copy_from_slice(&rec[..take]);
-                        ssb.append(pack_key(memo.assign(schema.ts(rec)), schema.key(rec)), elem);
-                    }
+                let elem = &mut self.join_elem;
+                elem.resize(stride, 0);
+                for rec in recs {
+                    let side = schema.field_u64(rec, *side_off);
+                    elem[0] = side as u8;
+                    elem[1..].copy_from_slice(&rec[..take]);
+                    ssb.append(pack_key(memo.assign(schema.ts(rec)), schema.key(rec)), elem);
                 }
             }
         }
@@ -565,9 +540,9 @@ mod tests {
     /// around the workers' 512, every selectivity, with and without a
     /// predicate, and every way a batch can leave the fold loop — table
     /// on, off, flushed mid-batch (8 slots), turned off mid-batch by the
-    /// probe at 1,024 folds of a reuse-free stream — and both join loops,
-    /// `process` reports the same [`BatchOutcome`] per batch and leaves the
-    /// same state as the scalar reference.
+    /// probe at 1,024 folds of a reuse-free stream — and joins over reused
+    /// and reuse-free keys, `process` reports the same [`BatchOutcome`] per
+    /// batch and leaves the same state as the scalar reference.
     #[test]
     fn process_matches_a_scalar_reference_that_filters_per_record() {
         use crate::query::Predicate;
@@ -583,8 +558,8 @@ mod tests {
             ("combiner off", false, 4096, false, false),
             ("8-slot table", true, 8, false, false),
             ("reuse-free stream", true, 4096, true, false),
-            ("batched join", true, 0, false, true),
-            ("per-record join", false, 0, true, true),
+            ("join", true, 0, false, true),
+            ("join over reuse-free keys", false, 0, true, true),
         ];
         let mut rng = DetRng::new(0x5E1_EC7);
         let mut exits = 0;

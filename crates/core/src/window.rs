@@ -23,11 +23,12 @@ pub enum WindowAssigner {
         /// Slide interval.
         slide: u64,
     },
-    /// Session windows with inactivity `gap`, approximated by gap-sized
-    /// event-time buckets: records within the same bucket (and thus within
-    /// `gap` of each other) share a session. This preserves the state
-    /// access pattern (append + per-key trigger) the paper's NB11
-    /// experiment measures; the approximation is documented in DESIGN.md.
+    /// NB11's session window, as the engine runs it: a tumbling bucket
+    /// `gap` wide, retired one bucket late (`retire_end = (wid + 2)·gap`).
+    /// Any two records of one bucket are under `gap` apart, so a bucket is
+    /// never split; a session crossing a bucket edge is not merged either
+    /// (DESIGN.md §11). It keeps the state access pattern the paper's NB11
+    /// experiment measures: append, then a per-key trigger.
     Session {
         /// Inactivity gap.
         gap: u64,

@@ -41,17 +41,6 @@ impl SsbConfig {
     }
 }
 
-/// What one batch routes to one partition — buffers the node keeps from
-/// batch to batch, so routing allocates nothing in steady state.
-#[derive(Default)]
-struct Routed {
-    /// [`SsbNode::rmw_batch`]: combiner entry indices, insertion order.
-    sel: Vec<u32>,
-    /// [`SsbNode::append_batch`]: keys and their elements, record order.
-    keys: Vec<StateKey>,
-    elems: Vec<u8>,
-}
-
 /// One executor's view of the distributed state backend.
 ///
 /// Holds the primary partition it leads, a fragment of every remote
@@ -86,8 +75,10 @@ pub struct SsbNode {
     /// Every node carries an identical copy, kept in sync by the split
     /// driver activating keys on all nodes in one simulation step.
     split: Option<SplitLedger>,
-    /// Batch routing scratch, one per partition.
-    routed: Vec<Routed>,
+    /// Combiner-flush routing scratch, one per partition: entry indices in
+    /// insertion order, kept from flush to flush so routing allocates
+    /// nothing in steady state.
+    routed: Vec<Vec<u32>>,
     /// The workers' write combiners, in registration order (worker order
     /// under every shipped driver). They live as long as the epoch:
     /// [`Self::fold`] fills them across batches, [`Self::flush_combiners`]
@@ -161,7 +152,8 @@ impl SsbNode {
         self.note_update(key, p, 1);
     }
 
-    /// Append an element to holistic state.
+    /// Append an element to holistic state: into the key's newest run in
+    /// its partition fragment ([`Partition::append`]).
     pub fn append(&mut self, key: StateKey, elem: &[u8]) {
         let p = self.partition_of(key);
         self.fragments[p].append(key, elem);
@@ -268,12 +260,12 @@ impl SsbNode {
         // insertion order kept within each group.
         for i in 0..n {
             let p = self.partition_of(comb.entry(i).0);
-            self.routed[p].sel.push(i as u32);
+            self.routed[p].push(i as u32);
         }
-        for (fragment, to) in self.fragments.iter_mut().zip(&mut self.routed) {
-            if !to.sel.is_empty() {
-                fragment.merge_batch(comb, &to.sel);
-                to.sel.clear();
+        for (fragment, sel) in self.fragments.iter_mut().zip(&mut self.routed) {
+            if !sel.is_empty() {
+                fragment.merge_batch(comb, sel);
+                sel.clear();
             }
         }
         if self.heat.is_some() {
@@ -289,47 +281,6 @@ impl SsbNode {
         }
         comb.clear();
         n as u64
-    }
-
-    /// Append a batch of holistic elements (the batched counterpart of
-    /// [`Self::append`]): elements stay in record order per fragment, with
-    /// one index walk per distinct key ([`Partition::append_batch`]).
-    /// `keys[i]`'s element is `elems[i*stride..(i+1)*stride]`. Returns the
-    /// number of distinct keys the batch touched (keys route to exactly one
-    /// partition, so per-fragment counts sum to the global count).
-    pub fn append_batch(&mut self, keys: &[StateKey], elems: &[u8], stride: usize) -> u64 {
-        if keys.is_empty() {
-            return 0;
-        }
-        let mut distinct = 0u64;
-        if self.cfg.nodes == 1 {
-            distinct += self.fragments[0].append_batch(keys, elems, stride);
-        } else {
-            // Split by destination in one pass, record order kept within
-            // each.
-            for (i, &key) in keys.iter().enumerate() {
-                let p = self.partition_of(key);
-                let to = &mut self.routed[p];
-                to.keys.push(key);
-                to.elems
-                    .extend_from_slice(&elems[i * stride..(i + 1) * stride]);
-            }
-            for (fragment, to) in self.fragments.iter_mut().zip(&mut self.routed) {
-                if !to.keys.is_empty() {
-                    distinct += fragment.append_batch(&to.keys, &to.elems, stride);
-                    to.keys.clear();
-                    to.elems.clear();
-                }
-            }
-        }
-        self.bytes_since_epoch += (stride as u64 + 32) * keys.len() as u64;
-        if self.heat.is_some() {
-            for &key in keys {
-                let p = self.partition_of(key);
-                self.note_update(key, p, 1);
-            }
-        }
-        distinct
     }
 
     /// Read fixed state from the local fragment, buffered partials merged
@@ -650,7 +601,7 @@ impl SsbNode {
             part_updates: vec![0; cfg.nodes],
             epoch_updates: 0,
             split: None,
-            routed: (0..cfg.nodes).map(|_| Routed::default()).collect(),
+            routed: vec![Vec::new(); cfg.nodes],
             combiners: Vec::new(),
         }
     }
@@ -1053,53 +1004,31 @@ mod tests {
         );
     }
 
+    /// `Partition::append_batch` and per-record appends leave every key
+    /// the same element multiset and the node the same state digest.
     #[test]
-    fn append_batch_matches_per_record_appends_across_partitions() {
+    fn append_batch_and_per_record_append_leave_equal_multisets_and_digests() {
         use crate::descriptor::appended_descriptor;
-        let build = || {
-            let sim = Sim::new();
-            let fabric = Fabric::new(FabricConfig::default());
-            let nodes = fabric.add_nodes(2);
-            let cfg = SsbConfig {
-                nodes: 2,
-                epoch_bytes: u64::MAX,
-                channel: ChannelConfig {
-                    credits: 8,
-                    buffer_size: 4096,
-                    credit_batch: 1,
-                },
-            };
-            (
-                sim,
-                build_cluster(&fabric, &nodes, appended_descriptor(), cfg),
-            )
-        };
+        let node = || SsbNode::detached(0, appended_descriptor(), SsbConfig::new(1));
+        let (mut a, mut b) = (node(), node());
         let stride = 3usize;
-        let keys: Vec<StateKey> = (0..40u64).map(|i| pack_key(1, i % 7)).collect();
+        let keys: Vec<StateKey> = (0..40u64).map(|i| pack_key(1, i * i % 7)).collect();
         let elems: Vec<u8> = (0..keys.len() * stride).map(|b| b as u8).collect();
-
-        let (_sim_a, mut a) = build();
-        a[0].append_batch(&keys, &elems, stride);
-        let (_sim_b, mut b) = build();
-        for (i, &k) in keys.iter().enumerate() {
-            b[0].append(k, &elems[i * stride..(i + 1) * stride]);
+        a.fragments[0].append_batch(&keys, &elems, stride);
+        for (&k, e) in keys.iter().zip(elems.chunks(stride)) {
+            b.append(k, e);
         }
-        // Every fragment (primary and remote) must hold byte-identical
-        // chains, and the open-epoch accounting must agree.
-        for p in 0..2 {
-            for &key in &keys {
-                let mut ea = Vec::new();
-                let mut eb = Vec::new();
-                a[0].fragments[p].for_each_element(key, |e| ea.push(e.to_vec()));
-                b[0].fragments[p].for_each_element(key, |e| eb.push(e.to_vec()));
-                assert_eq!(ea, eb, "fragment {p} chain for key {key} diverged");
-            }
-            assert_eq!(
-                a[0].fragments[p].dirty_bytes(),
-                b[0].fragments[p].dirty_bytes()
-            );
+        for &key in &keys {
+            let multiset = |n: &SsbNode| {
+                let mut es = Vec::new();
+                n.fragments[0].for_each_element(key, |e| es.push(e.to_vec()));
+                es.sort();
+                es
+            };
+            assert_eq!(multiset(&a), multiset(&b), "key {key:#x}");
         }
-        assert_eq!(a[0].bytes_since_epoch, b[0].bytes_since_epoch);
+        assert_eq!(a.state_digest(), b.state_digest());
+        assert_eq!(a.fragments[0].stats.appends, 40);
     }
 
     #[test]
@@ -1316,18 +1245,18 @@ mod tests {
     /// Satellite (the loan at the log's edge): a drain whose visit kills
     /// the last live entry of a *sealed* segment — the log hands that
     /// segment's memory back at once — lends every value whole, row for
-    /// row what the sweep's `get` + `remove` copies out. 7,000 entries
-    /// overrun the first 256 KiB segment, as 7,000 keys (fixed) and as one
-    /// key's chain (appended).
+    /// row what the sweep's `get` + `remove` copies out. The entries
+    /// overrun the first 256 KiB segment: as 7,000 keys (fixed), and as one
+    /// key's 40,000 elements in 4 KiB runs (appended).
     #[test]
     fn borrowed_drain_matches_the_sweep_across_a_dying_sealed_segment() {
-        const N: u64 = 7_000;
         for desc in [
             CounterCrdt::descriptor(),
             crate::descriptor::appended_descriptor(),
         ] {
+            let n: u64 = if desc.is_appended() { 40_000 } else { 7_000 };
             let fill = |node: &mut SsbNode| {
-                for i in 0..N {
+                for i in 0..n {
                     if desc.is_appended() {
                         node.append(pack_key(1, 9), &i.to_le_bytes());
                     } else {
@@ -1357,7 +1286,7 @@ mod tests {
             want.sort();
             assert_eq!(got, want);
             assert_eq!(fired, swept);
-            assert_eq!(got.iter().map(|r| r.2.len() as u64).sum::<u64>(), N);
+            assert_eq!(got.iter().map(|r| r.2.len() as u64).sum::<u64>(), n);
             // The sealed segment died during the visit and its slot went
             // with the window; what is left is the open tail.
             assert_eq!(
@@ -1408,15 +1337,11 @@ mod tests {
                     ssb[i].rmw_batch(&mut comb);
                 }
                 (7..=9, false) => {
-                    let keys: Vec<StateKey> = (0..1 + rng.next_below(12))
-                        .map(|_| {
-                            let (wid, gk) = any_key(rng);
-                            pack_key(wid, gk)
-                        })
-                        .collect();
-                    let elems: Vec<u8> =
-                        (0..keys.len() * 3).map(|_| rng.next_u64() as u8).collect();
-                    ssb[i].append_batch(&keys, &elems, 3);
+                    // A burst of 3-byte elements: runs filling in place.
+                    for _ in 0..1 + rng.next_below(12) {
+                        let (wid, gk) = any_key(rng);
+                        ssb[i].append(pack_key(wid, gk), &rng.next_u64().to_le_bytes()[..3]);
+                    }
                 }
                 (10..=11, _) => {
                     // A leader-side merge straight into the primary, as a
@@ -1427,7 +1352,7 @@ mod tests {
                     if fixed {
                         ssb[leader].fragments[leader].merge_fixed(key, &7u64.to_le_bytes());
                     } else {
-                        ssb[leader].fragments[leader].append(key, b"merged");
+                        ssb[leader].fragments[leader].append_run(key, 3, b"merged");
                     }
                 }
                 (12..=14, _) => {
@@ -1467,7 +1392,7 @@ mod tests {
 
     /// Satellite (equivalence against the old sweep): over seeded mixes of
     /// every operation that makes or unmakes a primary key — `rmw`,
-    /// `merge_batch`, `merge_fixed`, `append`, `append_batch`, `remove`,
+    /// `merge_batch`, `merge_fixed`, `append`, `append_run`, `remove`,
     /// epoch close + leader merge, snapshot → restore, split activation —
     /// the directory drain emits the same multiset, returns the same
     /// count and leaves the same state as a full-index sweep, for

@@ -13,7 +13,7 @@ use slash_net::{ChannelReceiver, ChannelSender, MsgFlags, SpscReceiver, SpscSend
 use slash_obs::{Cat, Obs};
 use slash_rdma::RdmaError;
 
-use crate::delta::{try_parse_chunk, ChunkBuilder, DeltaDecodeError};
+use crate::delta::{try_parse_runs, ChunkBuilder, DeltaDecodeError};
 use crate::entry::EntryKind;
 use crate::hash::StateKey;
 use crate::partition::Partition;
@@ -170,7 +170,7 @@ impl DeltaSender {
             now.as_nanos() / 1_000,
             self.port.payload_capacity(),
         );
-        fragment.close_epoch(|h, v| builder.push(h.key, h.kind, v));
+        fragment.close_epoch(|h, v| builder.push_run(h.key, h.kind, h.stride, v));
         let chunks = builder.finish();
         self.obs.instant(
             Cat::Epoch,
@@ -293,11 +293,12 @@ impl DeltaSender {
 }
 
 /// Received entries awaiting commit, flat: the values back to back in one
-/// byte arena and one `(key, kind, len)` row per entry, so staging an entry
-/// allocates nothing and un-staging a chunk is two truncates.
+/// byte arena and one `(key, kind, stride, len)` row per entry — per run,
+/// for appended state — so staging an entry allocates nothing and
+/// un-staging a chunk is two truncates.
 #[derive(Default)]
 struct Staged {
-    rows: Vec<(StateKey, EntryKind, u32)>,
+    rows: Vec<(StateKey, EntryKind, u8, u32)>,
     bytes: Vec<u8>,
 }
 
@@ -516,9 +517,9 @@ impl DeltaReceiver {
             let Some(payload) = polled else { break };
             let staged = &mut self.staged;
             let before = (staged.rows.len(), staged.bytes.len());
-            let parsed = try_parse_chunk(&payload, |key, kind, value| {
+            let parsed = try_parse_runs(&payload, |key, kind, stride, value| {
                 // A value fits one channel buffer, far below 4 GiB.
-                staged.rows.push((key, kind, value.len() as u32));
+                staged.rows.push((key, kind, stride, value.len() as u32));
                 staged.bytes.extend_from_slice(value);
             });
             let header = match parsed {
@@ -588,11 +589,12 @@ impl DeltaReceiver {
                 break;
             };
             let mut rest = &ep.entries.bytes[..];
-            for &(key, kind, len) in &ep.entries.rows {
+            for &(key, kind, stride, len) in &ep.entries.rows {
                 let (value, tail) = rest.split_at(len as usize);
                 match kind {
                     EntryKind::Fixed => primary.merge_fixed(key, value),
-                    EntryKind::Appended => primary.append(key, value),
+                    // One probe and one copy into the primary's newest run.
+                    EntryKind::Appended => primary.append_run(key, stride, value),
                 }
                 rest = tail;
             }

@@ -9,8 +9,14 @@
 //! chunk := header | entry*
 //! header (32 B) := partition u32 | n_entries u32 | epoch u64 |
 //!                  watermark u64 | fin u8 | sent_us u40 | pad[2]
-//! entry := key u128 | len u32 | kind u8 | pad[3] | value[len]
+//! entry := key u128 | len u32 | kind u8 | stride u8 | pad[2] | value[len]
 //! ```
+//!
+//! An entry is one log entry's content: a fixed value (stride 0), or a run
+//! of appended elements `stride` bytes wide — `len / stride` of them — or,
+//! at stride 0, one appended element whatever its length. A closed epoch
+//! ships one entry per run; a run too long for the room left in a chunk is
+//! split at an element boundary and continues in the next one.
 //!
 //! `sent_us` is the virtual time (microseconds, 40 bits — same stamp
 //! format as the channel footer) at which the helper closed the epoch; the
@@ -77,7 +83,7 @@ impl DeltaHeader {
 }
 
 /// Append one entry to a chunk under construction.
-pub fn push_entry(out: &mut Vec<u8>, key: StateKey, kind: EntryKind, value: &[u8]) {
+fn push_entry(out: &mut Vec<u8>, key: StateKey, kind: EntryKind, stride: u8, value: &[u8]) {
     // Entries are bounded by the chunk capacity (see `ChunkBuilder::push`),
     // which is far below 4 GiB, so the conversion never saturates.
     debug_assert!(u32::try_from(value.len()).is_ok(), "entry value too large");
@@ -88,7 +94,7 @@ pub fn push_entry(out: &mut Vec<u8>, key: StateKey, kind: EntryKind, value: &[u8
         EntryKind::Fixed => 0,
         EntryKind::Appended => 1,
     });
-    out.extend_from_slice(&[0u8; 3]);
+    out.extend_from_slice(&[stride, 0, 0]);
     out.extend_from_slice(value);
 }
 
@@ -110,6 +116,14 @@ pub enum DeltaDecodeError {
     },
     /// An entry carried an unknown kind byte.
     BadKind(u8),
+    /// An entry's value is no whole number of its stride's elements, or a
+    /// fixed entry claims a stride.
+    BadRun {
+        /// Value length.
+        len: usize,
+        /// Stride byte.
+        stride: u8,
+    },
     /// Bytes remained after the declared entries.
     TrailingBytes {
         /// Offset where decoding stopped.
@@ -126,6 +140,9 @@ impl std::fmt::Display for DeltaDecodeError {
                 write!(f, "delta chunk truncated: need {need} bytes, have {have}")
             }
             DeltaDecodeError::BadKind(k) => write!(f, "delta entry has unknown kind byte {k}"),
+            DeltaDecodeError::BadRun { len, stride } => {
+                write!(f, "delta entry of {len} bytes is no run of stride {stride}")
+            }
             DeltaDecodeError::TrailingBytes { at, len } => {
                 write!(
                     f,
@@ -137,11 +154,12 @@ impl std::fmt::Display for DeltaDecodeError {
 }
 
 /// Strictly parse a chunk: validates framing before touching entry bytes,
-/// returning the header and calling `f` per entry. Entries decoded before
-/// an error is detected will already have been passed to `f`.
-pub fn try_parse_chunk(
+/// returning the header and calling `f(key, kind, stride, value)` per
+/// entry — per run, for appended state. Entries decoded before an error is
+/// detected will already have been passed to `f`.
+pub fn try_parse_runs(
     payload: &[u8],
-    mut f: impl FnMut(StateKey, EntryKind, &[u8]),
+    mut f: impl FnMut(StateKey, EntryKind, u8, &[u8]),
 ) -> Result<DeltaHeader, DeltaDecodeError> {
     if payload.len() < DELTA_HEADER_SIZE {
         return Err(DeltaDecodeError::Truncated {
@@ -154,12 +172,15 @@ pub fn try_parse_chunk(
     for _ in 0..header.n_entries {
         let key = StateKey::from_le_bytes(le_bytes(payload, off));
         let len = u32::from_le_bytes(le_bytes(payload, off + 16)) as usize;
-        let kind_byte = payload.get(off + 20).copied().unwrap_or(0);
+        let [kind_byte, stride] = le_bytes(payload, off + 20);
         let kind = match kind_byte {
             0 => EntryKind::Fixed,
             1 => EntryKind::Appended,
             other => return Err(DeltaDecodeError::BadKind(other)),
         };
+        if stride != 0 {
+            check_run(kind, len, stride)?;
+        }
         off += ENTRY_OVERHEAD;
         let value = payload
             .get(off..off + len)
@@ -167,7 +188,7 @@ pub fn try_parse_chunk(
                 need: off + len,
                 have: payload.len(),
             })?;
-        f(key, kind, value);
+        f(key, kind, stride, value);
         off += len;
     }
     if off != payload.len() {
@@ -179,14 +200,37 @@ pub fn try_parse_chunk(
     Ok(header)
 }
 
-/// Parse a chunk: returns the header and calls `f` per entry.
+/// A strided entry must be an appended run of whole elements.
+#[cold]
+fn check_run(kind: EntryKind, len: usize, stride: u8) -> Result<(), DeltaDecodeError> {
+    match kind {
+        EntryKind::Appended if len.is_multiple_of(usize::from(stride)) => Ok(()),
+        _ => Err(DeltaDecodeError::BadRun { len, stride }),
+    }
+}
+
+/// [`try_parse_runs`] with runs taken apart: `f(key, kind, value)` sees
+/// every fixed value and every appended element on its own.
+pub fn try_parse_chunk(
+    payload: &[u8],
+    mut f: impl FnMut(StateKey, EntryKind, &[u8]),
+) -> Result<DeltaHeader, DeltaDecodeError> {
+    try_parse_runs(payload, |key, kind, stride, value| match stride {
+        0 => f(key, kind, value),
+        s => value
+            .chunks_exact(usize::from(s))
+            .for_each(|e| f(key, kind, e)),
+    })
+}
+
+/// Parse a chunk: returns the header and calls `f` per entry, as
+/// [`try_parse_runs`] does.
 ///
-/// Total variant of [`try_parse_chunk`] for inputs already known to be
-/// well-formed (e.g. snapshot chunks produced locally): a corrupt chunk
-/// trips a debug assertion and yields the header with whatever entries
-/// decoded cleanly.
-pub fn parse_chunk(payload: &[u8], f: impl FnMut(StateKey, EntryKind, &[u8])) -> DeltaHeader {
-    match try_parse_chunk(payload, f) {
+/// Total variant for inputs already known to be well-formed (e.g.
+/// snapshot chunks produced locally): a corrupt chunk trips a debug
+/// assertion and yields the header with whatever entries decoded cleanly.
+pub fn parse_runs(payload: &[u8], f: impl FnMut(StateKey, EntryKind, u8, &[u8])) -> DeltaHeader {
+    match try_parse_runs(payload, f) {
         Ok(header) => header,
         Err(e) => {
             debug_assert!(false, "corrupt delta chunk: {e}");
@@ -243,19 +287,47 @@ impl ChunkBuilder {
         self.n_entries = 0;
     }
 
-    /// Add one entry, sealing the current chunk if it would overflow.
+    /// Add one entry of stride 0 — a fixed value, or one appended element.
     pub fn push(&mut self, key: StateKey, kind: EntryKind, value: &[u8]) {
-        let need = entry_wire_size(value.len());
+        self.push_run(key, kind, 0, value);
+    }
+
+    /// Add one log entry's content: at stride 0 one value, sealing the
+    /// current chunk first if it would overflow; otherwise a run of
+    /// `stride`-wide elements, which fills the current chunk's room with
+    /// as many whole elements as fit and goes on in the next chunk.
+    pub fn push_run(&mut self, key: StateKey, kind: EntryKind, stride: u8, value: &[u8]) {
+        // The widest piece that must go whole: the value, or one element.
+        let unit = match stride {
+            0 => value.len(),
+            s => usize::from(s),
+        };
         assert!(
-            DELTA_HEADER_SIZE + need <= self.max_chunk,
-            "single entry of {need} bytes exceeds chunk capacity {}",
+            DELTA_HEADER_SIZE + entry_wire_size(unit) <= self.max_chunk,
+            "single entry of {} bytes exceeds chunk capacity {}",
+            entry_wire_size(unit),
             self.max_chunk
         );
-        if self.current.len() + need > self.max_chunk {
-            self.seal(false);
+        if stride == 0 {
+            if self.current.len() + entry_wire_size(unit) > self.max_chunk {
+                self.seal(false);
+            }
+            push_entry(&mut self.current, key, kind, 0, value);
+            self.n_entries += 1;
+            return;
         }
-        push_entry(&mut self.current, key, kind, value);
-        self.n_entries += 1;
+        let mut rest = value;
+        while !rest.is_empty() {
+            let room = (self.max_chunk - self.current.len()).saturating_sub(ENTRY_OVERHEAD);
+            if room < unit {
+                self.seal(false);
+                continue;
+            }
+            let (piece, tail) = rest.split_at(rest.len().min(room - room % unit));
+            push_entry(&mut self.current, key, kind, stride, piece);
+            self.n_entries += 1;
+            rest = tail;
+        }
     }
 
     fn seal(&mut self, fin: bool) {
@@ -302,7 +374,7 @@ mod tests {
         let chunks = b.finish();
         assert_eq!(chunks.len(), 1);
         let mut got = Vec::new();
-        let h = parse_chunk(&chunks[0], |k, kind, v| got.push((k, kind, v.to_vec())));
+        let h = parse_runs(&chunks[0], |k, kind, _, v| got.push((k, kind, v.to_vec())));
         assert_eq!(h.partition, 1);
         assert_eq!(h.epoch, 5);
         assert_eq!(h.watermark, 999);
@@ -326,7 +398,7 @@ mod tests {
         let mut fins = 0;
         for (i, c) in chunks.iter().enumerate() {
             assert!(c.len() <= max, "chunk {i} too big: {}", c.len());
-            let h = parse_chunk(c, |_, _, _| total += 1);
+            let h = parse_runs(c, |_, _, _, _| total += 1);
             if h.fin {
                 fins += 1;
                 assert_eq!(i, chunks.len() - 1, "fin must be last");
@@ -340,7 +412,7 @@ mod tests {
     fn empty_epoch_still_produces_a_fin_chunk() {
         let chunks = ChunkBuilder::new(2, 9, 555, 0, 1024).finish();
         assert_eq!(chunks.len(), 1);
-        let h = parse_chunk(&chunks[0], |_, _, _| panic!("no entries"));
+        let h = parse_runs(&chunks[0], |_, _, _, _| panic!("no entries"));
         assert!(h.fin);
         assert_eq!(h.n_entries, 0);
         assert_eq!(h.watermark, 555);
@@ -382,5 +454,52 @@ mod tests {
             try_parse_chunk(&[0u8; 4], |_, _, _| {}),
             Err(DeltaDecodeError::Truncated { need: 32, have: 4 })
         ));
+
+        // A fixed entry claiming a stride.
+        let mut strided = good.clone();
+        strided[DELTA_HEADER_SIZE + 21] = 4;
+        assert_eq!(
+            try_parse_chunk(&strided, |_, _, _| {}),
+            Err(DeltaDecodeError::BadRun { len: 8, stride: 4 })
+        );
+    }
+
+    /// A run too long for the room left in a chunk is split at an element
+    /// boundary: the first piece fills the chunk, the rest opens the next,
+    /// and the elements come back whole and in order.
+    #[test]
+    fn a_run_splits_at_an_element_boundary_across_chunks() {
+        // 32 header + 24 + 8 leaves 64 bytes: room for 40 of 5-byte
+        // elements after the 24-byte entry overhead.
+        let mut b = ChunkBuilder::new(0, 1, 10, 0, 128);
+        b.push(1, EntryKind::Fixed, &[9u8; 8]);
+        let run: Vec<u8> = (0..60u8).collect();
+        b.push_run(2, EntryKind::Appended, 5, &run);
+        let chunks = b.finish();
+        assert_eq!(chunks.len(), 2);
+        let mut pieces = Vec::new();
+        for c in &chunks {
+            assert!(c.len() <= 128);
+            parse_runs(c, |k, kind, stride, v| {
+                pieces.push((k, kind, stride, v.to_vec()))
+            });
+        }
+        assert_eq!(pieces.len(), 3, "the fixed entry and the run in two pieces");
+        assert_eq!(pieces[1], (2, EntryKind::Appended, 5, run[..40].to_vec()));
+        assert_eq!(pieces[2], (2, EntryKind::Appended, 5, run[40..].to_vec()));
+        // The per-element view sees twelve 5-byte elements of key 2.
+        let mut elems = Vec::new();
+        for c in &chunks {
+            try_parse_chunk(c, |k, _, e| elems.push((k, e.to_vec()))).unwrap();
+        }
+        let want: Vec<(u128, Vec<u8>)> = run.chunks(5).map(|e| (2, e.to_vec())).collect();
+        assert_eq!(elems[1..], want[..]);
+        // A value whose length is not a whole number of elements is refused.
+        let mut torn = chunks[1].clone();
+        torn[DELTA_HEADER_SIZE + 21] = 7;
+        assert_eq!(
+            try_parse_runs(&torn, |_, _, _, _| {}),
+            Err(DeltaDecodeError::BadRun { len: 20, stride: 7 })
+        );
     }
 }

@@ -22,7 +22,9 @@ use std::collections::VecDeque;
 
 #[cfg(test)]
 use crate::entry::NO_PREV;
-use crate::entry::{key_at, len_at, prev_at, stored_size, EntryHeader, EntryKind, HEADER_SIZE};
+use crate::entry::{
+    key_at, len_at, prev_at, shape_at, stored_size, used, EntryHeader, EntryKind, HEADER_SIZE,
+};
 use crate::hash::StateKey;
 
 /// Default segment size: 256 KiB — large enough that NEXMark's ~300-byte
@@ -150,9 +152,8 @@ impl Lss {
 
     /// Append an entry whose `len`-byte value `fill` writes in place — it
     /// sees the zeroed bytes of a never-used stretch of segment — and
-    /// return the entry's logical address. The one append body:
-    /// [`Self::append`] copies a slice through it, a fresh key's first
-    /// RMW initialises and updates its value through it.
+    /// return the entry's logical address: a fresh key's first RMW
+    /// initialises and updates its value through it.
     pub fn append_with(
         &mut self,
         key: StateKey,
@@ -161,7 +162,48 @@ impl Lss {
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> u64 {
-        let need = stored_size(len);
+        let header = EntryHeader {
+            key,
+            prev,
+            len: len as u32,
+            kind,
+            stride: 0,
+            count: 0,
+        };
+        self.push(header, fill)
+    }
+
+    /// Append a run with room for `cap` elements `stride` bytes wide,
+    /// holding `elems`; later elements of the key fill the rest in place
+    /// ([`Self::fill_run`]). Returns its logical address.
+    pub fn append_run(
+        &mut self,
+        key: StateKey,
+        prev: u64,
+        stride: u8,
+        cap: usize,
+        elems: &[u8],
+    ) -> u64 {
+        let stride_bytes = usize::from(stride);
+        debug_assert!(stride > 0 && elems.len().is_multiple_of(stride_bytes));
+        debug_assert!(elems.len() <= cap * stride_bytes, "run overfilled");
+        let header = EntryHeader {
+            key,
+            prev,
+            len: (cap * stride_bytes) as u32,
+            kind: EntryKind::Appended,
+            stride,
+            count: (elems.len() / stride_bytes) as u16,
+        };
+        self.push(header, |dst| dst.copy_from_slice(elems))
+    }
+
+    /// The one append body: reserve the header and `len` bytes of value
+    /// space at the tail, write the header and let `fill` write the value
+    /// bytes in use.
+    #[inline]
+    fn push(&mut self, header: EntryHeader, fill: impl FnOnce(&mut [u8])) -> u64 {
+        let need = stored_size(header.len as usize);
         assert!(
             need <= self.seg_size,
             "entry of {need} bytes exceeds segment size {}",
@@ -181,21 +223,47 @@ impl Lss {
         }
         let addr = self.tail;
         let seg = &mut self.segments[si];
-        let (header, value) = seg.data[off..off + need].split_at_mut(HEADER_SIZE);
-        EntryHeader {
-            key,
-            prev,
-            len: len as u32,
-            kind,
-        }
-        .encode(header);
-        fill(&mut value[..len]);
+        let (head, value) = seg.data[off..off + need].split_at_mut(HEADER_SIZE);
+        header.encode(head);
+        fill(&mut value[..header.used()]);
         seg.used = off + need;
         seg.live += 1;
         self.live_entries += 1;
         self.appended_bytes += need as u64;
         self.tail += need as u64;
         addr
+    }
+
+    /// Copy as many whole elements of `elems` as the run at `slot` has
+    /// room for behind its last one, if its elements are `stride` wide;
+    /// returns the bytes taken (0 for any other entry). Callers only fill
+    /// runs inside the mutable region — the partition reaches them through
+    /// its index, which holds nothing below the epoch boundary.
+    #[inline]
+    pub fn fill_run(&mut self, slot: Slot, stride: usize, elems: &[u8]) -> usize {
+        let data = &mut self.segments[slot.seg].data;
+        let (len, run_stride, count) = shape_at(data, slot.off);
+        if stride == 0 || run_stride != stride {
+            return 0;
+        }
+        let used = count * stride;
+        let take = elems.len().min(len.saturating_sub(used));
+        let take = take - take % stride;
+        if take > 0 {
+            let at = slot.off + HEADER_SIZE + used;
+            data[at..at + take].copy_from_slice(&elems[..take]);
+            let count = (count + take / stride) as u16;
+            data[slot.off + 30..slot.off + 32].copy_from_slice(&count.to_le_bytes());
+        }
+        take
+    }
+
+    /// The element capacity of the run at `slot` (0 for an entry that is
+    /// not a run).
+    #[inline]
+    pub fn run_capacity(&self, slot: Slot) -> usize {
+        let (len, stride, _) = shape_at(&self.segments[slot.seg].data, slot.off);
+        len.checked_div(stride).unwrap_or(0)
     }
 
     /// Resolve `addr` once, for a caller that reads the key and then
@@ -223,15 +291,18 @@ impl Lss {
     /// Immutable view of the value at `addr`.
     #[inline]
     pub fn value(&self, addr: u64) -> &[u8] {
-        self.link(addr).1
+        self.link(addr).2
     }
 
-    /// The entry at `addr` as a chain link: its `prev` address and value.
+    /// The entry at `addr` as a chain link: its `prev` address, stride and
+    /// the value bytes in use — one run of a holistic key's chain.
     #[inline]
-    pub fn link(&self, addr: u64) -> (u64, &[u8]) {
+    pub fn link(&self, addr: u64) -> (u64, usize, &[u8]) {
         let (data, off) = self.locate(addr);
+        let (len, stride, count) = shape_at(data, off);
         let value = off + HEADER_SIZE;
-        (prev_at(data, off), &data[value..value + len_at(data, off)])
+        let elems = &data[value..value + used(len, stride, count)];
+        (prev_at(data, off), stride, elems)
     }
 
     /// Mutable view of the value at `addr` (in-place RMW; callers must only
@@ -241,7 +312,8 @@ impl Lss {
         self.value_mut_in(self.slot(addr))
     }
 
-    /// [`Self::value_mut`] of a resolved address.
+    /// [`Self::value_mut`] of a resolved address: the whole value of a
+    /// fixed entry.
     #[inline]
     pub fn value_mut_in(&mut self, slot: Slot) -> &mut [u8] {
         let data = &mut self.segments[slot.seg].data;
@@ -263,7 +335,7 @@ impl Lss {
                 continue;
             }
             let h = EntryHeader::decode(&seg.data[off..off + HEADER_SIZE]);
-            let val = &seg.data[off + HEADER_SIZE..off + HEADER_SIZE + h.len as usize];
+            let val = &seg.data[off + HEADER_SIZE..off + HEADER_SIZE + h.used()];
             f(addr, &h, val);
             addr += stored_size(h.len as usize) as u64;
         }
@@ -488,8 +560,42 @@ mod tests {
         });
         let b = l.append(6, a, EntryKind::Appended, b"abc");
         assert_eq!(l.value(a), &9u64.to_le_bytes());
-        assert_eq!(l.link(b), (a, &b"abc"[..]));
+        assert_eq!(l.link(b), (a, 0, &b"abc"[..]));
         assert_eq!((l.key_at(a), l.key_at(b)), (5, 6));
+    }
+
+    /// A run reserves its whole space up front, fills it in place, and
+    /// a scan steps over the unused rest to the next entry.
+    #[test]
+    fn runs_fill_in_place_and_scans_step_over_their_space() {
+        let mut l = Lss::new();
+        let run = l.append_run(3, NO_PREV, 4, 4, b"abcd");
+        let next = l.append(4, NO_PREV, EntryKind::Fixed, &[1u8; 8]);
+        assert_eq!(next - run, 48, "header plus space for four elements");
+        let slot = l.slot(run);
+        assert_eq!(l.run_capacity(slot), 4);
+        assert_eq!(
+            l.fill_run(slot, 3, b"xyz"),
+            0,
+            "another stride does not fit"
+        );
+        assert_eq!(
+            l.fill_run(slot, 4, b"efghijklmnop"),
+            12,
+            "three more fill it"
+        );
+        assert_eq!(l.fill_run(slot, 4, b"qrst"), 0, "full");
+        assert_eq!(l.link(run), (NO_PREV, 4, &b"abcdefghijklmnop"[..]));
+        let mut seen = Vec::new();
+        l.for_each_in(0, l.tail(), |addr, h, v| {
+            seen.push((addr, h.key, h.stride, v.len()))
+        });
+        assert_eq!(seen, vec![(run, 3, 4, 16), (next, 4, 0, 8)]);
+        assert_eq!(
+            l.fill_run(l.slot(next), 8, &[0; 8]),
+            0,
+            "a fixed entry is no run"
+        );
     }
 
     #[test]

@@ -18,12 +18,21 @@
 //!   stays listed, and a key removed and re-inserted is listed twice.
 //!   Drain resolves both through the index: an entry whose key is no
 //!   longer live is skipped, so every live key is emitted exactly once.
+//!
+//! Holistic (appended) state is a chain of **runs** per key, newest first
+//! from the index: log entries of fixed-stride elements back to back, each
+//! with a reserved capacity ([`crate::entry`]). An append writes into the
+//! key's newest run in place while it has room — no index install, no new
+//! header — and chains a new run when it is full, its capacity doubling
+//! from `FIRST_RUN_ELEMS` elements up to `MAX_RUN_BYTES`. A merged run
+//! fills the newest run's room with one copy and spills the rest into new
+//! runs; a trigger walks runs, not elements.
 
 use std::collections::BTreeMap;
 
 use crate::combiner::WriteCombiner;
 use crate::descriptor::{StateDescriptor, ValueKind};
-use crate::entry::{EntryHeader, EntryKind, NO_PREV};
+use crate::entry::{for_each_elem, EntryHeader, EntryKind, HEADER_SIZE, NO_PREV};
 use crate::hash::{hash_key, pack_key, unpack_key, StateKey};
 use crate::index::{HashIndex, Probe};
 use crate::log::{Lss, Slot};
@@ -47,7 +56,9 @@ pub struct TriggeredValue<'a> {
 pub enum TriggeredData<'a> {
     /// Fixed-size CRDT state (aggregations).
     Fixed(&'a [u8]),
-    /// Holistic element list, newest first (joins).
+    /// Holistic element list (joins): a multiset. Its order is the
+    /// layout's — today the key's runs newest first, each run's elements
+    /// oldest first — and not promised; consumers count or sort.
     Elements(&'a ElementList),
 }
 
@@ -64,45 +75,59 @@ impl TriggeredData<'_> {
 }
 
 /// A list of byte-string elements in one allocation: a flat byte arena
-/// plus each element's end offset. The partition fills one per triggered
-/// holistic key and reuses it from key to key, so a drain allocates
-/// nothing per key or per element.
+/// holding whole runs back to back, plus each run's end offset and element
+/// width. The partition fills one per triggered holistic key — one copy
+/// per run — and reuses it from key to key, so a drain allocates nothing
+/// per key or per element.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ElementList {
     bytes: Vec<u8>,
-    ends: Vec<usize>,
+    /// Per run: where its bytes end, and its elements' width (a run of
+    /// width 0 is one empty element).
+    runs: Vec<(usize, usize)>,
+    len: usize,
 }
 
 impl ElementList {
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.len
     }
 
     /// Whether the list holds no element.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.len == 0
     }
 
     /// Drop every element, keeping the allocations.
     pub fn clear(&mut self) {
         self.bytes.clear();
-        self.ends.clear();
+        self.runs.clear();
+        self.len = 0;
     }
 
     /// Append one element.
     pub fn push(&mut self, elem: &[u8]) {
-        self.bytes.extend_from_slice(elem);
-        self.ends.push(self.bytes.len());
+        self.push_run(0, elem);
     }
 
-    /// The elements in list order.
+    /// Append a run: `elems` split into `stride`-wide elements, or one
+    /// element at stride 0 — one copy whatever its length.
+    pub fn push_run(&mut self, stride: usize, elems: &[u8]) {
+        let width = if stride == 0 { elems.len() } else { stride };
+        self.bytes.extend_from_slice(elems);
+        self.runs.push((self.bytes.len(), width));
+        self.len += elems.len().checked_div(width).unwrap_or(1);
+    }
+
+    /// The elements, run by run.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
         let mut start = 0;
-        self.ends.iter().map(move |&end| {
-            let elem = &self.bytes[start..end];
+        self.runs.iter().flat_map(move |&(end, width)| {
+            let run = &self.bytes[start..end];
             start = end;
-            elem
+            let n = run.len().checked_div(width).unwrap_or(1);
+            (0..n).map(move |i| &run[i * width..(i + 1) * width])
         })
     }
 }
@@ -118,22 +143,23 @@ type KeyList = Vec<Vec<u64>>;
 /// Keys per full chunk of a [`KeyList`] (64 KiB of group keys).
 const LIST_CHUNK_KEYS: usize = 8192;
 
-/// Buffers the batch paths ([`Partition::merge_batch`],
-/// [`Partition::append_batch`]) reuse from call to call, so a steady-state
-/// batch allocates nothing.
+/// Elements a holistic key's first run holds. Chosen by measurement
+/// (EXPERIMENTS.md, the first-run sweep on `join_thr2`): eight elements
+/// of any stride are a whole number of 8-byte units, and a fired NB11
+/// group holds about four.
+const FIRST_RUN_ELEMS: usize = 8;
+
+/// The largest value space one run reserves: a run that fills its page
+/// chains the next one at the same size, so an idle key's slack stays
+/// under a page.
+const MAX_RUN_BYTES: usize = 4096;
+
+/// Buffers [`Partition::merge_batch`] reuses from call to call, so a
+/// steady-state batch allocates nothing.
 #[derive(Default)]
 struct BatchScratch {
     hashes: Vec<u64>,
     probes: Vec<Probe>,
-    /// `append_batch`'s dedup table over `distinct`.
-    table: Vec<u32>,
-    /// Distinct keys of the batch, first occurrence first (`hashes` runs
-    /// parallel).
-    distinct: Vec<StateKey>,
-    /// Per record: its key's position in `distinct`.
-    which: Vec<u32>,
-    /// Per distinct key: the newest entry of its chain so far.
-    heads: Vec<u64>,
 }
 
 /// Operation counters (feed the micro-architecture proxies of §8.3).
@@ -143,7 +169,7 @@ pub struct PartitionStats {
     pub rmw_hits: u64,
     /// RMWs that created a fresh key (zero-value insert).
     pub rmw_inserts: u64,
-    /// Elements appended to holistic state.
+    /// Elements appended to holistic state, merged runs' included.
     pub appends: u64,
     /// Entries merged in from helper deltas.
     pub merged_entries: u64,
@@ -166,6 +192,9 @@ pub struct Partition {
     /// Epoch counter, versioning the fragment's content (§7.2.2 step ①).
     epoch: u64,
     desc: StateDescriptor,
+    /// The most value space one run takes, in bytes (a multiple of 8):
+    /// `MAX_RUN_BYTES`, or what a small test segment holds.
+    run_limit: usize,
     /// The window directory (see the module docs): group keys in
     /// first-insertion order under their window id. `None` on helper
     /// fragments, which ship their content at epoch close and never drain.
@@ -204,6 +233,7 @@ impl Partition {
             epoch_begin: 0,
             epoch: 0,
             desc,
+            run_limit: MAX_RUN_BYTES.min((seg - HEADER_SIZE) & !7),
             directory: Some(BTreeMap::new()),
             scratch: BatchScratch::default(),
             elems: ElementList::default(),
@@ -337,18 +367,77 @@ impl Partition {
         }
     }
 
-    /// Append one element to holistic state (hash-join build, §5.2).
+    /// Append one element to holistic state (hash-join build, §5.2): into
+    /// the key's newest run while it has room, else into a new run. An
+    /// element no run can hold — empty, or wider than the stride field —
+    /// is an entry of its own.
     pub fn append(&mut self, key: StateKey, elem: &[u8]) {
+        self.append_run(key, u8::try_from(elem.len()).unwrap_or(0), elem);
+    }
+
+    /// Append `elems` — a run of `stride`-wide elements, or one element at
+    /// stride 0 — to holistic state with one index probe: as many as fit
+    /// go into the key's newest run with one copy, the rest spill into new
+    /// runs. The one append body: per-record [`Self::append`], the leader's
+    /// merge of a helper's run and snapshot restore all come here.
+    pub fn append_run(&mut self, key: StateKey, stride: u8, elems: &[u8]) {
         debug_assert!(self.desc.is_appended(), "append on fixed state");
-        let hash = hash_key(key);
-        let probe = self.probe(key, hash);
-        if probe.addr().is_none() {
-            self.list(key);
+        let stride = usize::from(stride);
+        assert!(
+            stride <= self.run_limit,
+            "a {stride}-byte element does not fit this log's runs"
+        );
+        if stride > 0 && elems.is_empty() {
+            return;
         }
-        let prev = probe.addr().unwrap_or(NO_PREV);
-        let addr = self.log.append(key, prev, EntryKind::Appended, elem);
-        self.install(hash, probe, addr);
-        self.stats.appends += 1;
+        self.stats.appends += elems.len().checked_div(stride).unwrap_or(1) as u64;
+        let hash = hash_key(key);
+        // The verify that matches has resolved the head run's address; the
+        // in-place fill reuses it.
+        let (log, mut hit) = (&self.log, Slot::default());
+        let probe = self.index.probe(hash, |addr| {
+            let slot = log.slot(addr);
+            let found = log.key_in(slot) == key;
+            if found {
+                hit = slot;
+            }
+            found
+        });
+        let mut rest = elems;
+        let (mut head, mut grown) = match probe.addr() {
+            Some(addr) => {
+                debug_assert!(
+                    addr >= self.epoch_begin,
+                    "index points into the invalidated region"
+                );
+                let took = self.log.fill_run(hit, stride, rest);
+                if stride > 0 && took == rest.len() {
+                    return; // the head run took it all: the index is unchanged
+                }
+                rest = &rest[took..];
+                (addr, self.log.run_capacity(hit))
+            }
+            None => {
+                self.list(key);
+                (NO_PREV, 0)
+            }
+        };
+        match self.run_limit.checked_div(stride) {
+            // Stride 0: one element, whatever its length.
+            None => head = self.log.append(key, head, EntryKind::Appended, rest),
+            Some(most) => {
+                while !rest.is_empty() {
+                    // Double the last run, at least the first-run size and
+                    // at least what is left, at most the run limit.
+                    let want = (2 * grown).max(FIRST_RUN_ELEMS).max(rest.len() / stride);
+                    grown = want.min(most);
+                    let (run, tail) = rest.split_at(rest.len().min(grown * stride));
+                    head = self.log.append_run(key, head, stride as u8, grown, run);
+                    rest = tail;
+                }
+            }
+        }
+        self.install(hash, probe, head);
     }
 
     /// Merge a batch of *distinct-key* partial values — the entries of a
@@ -394,78 +483,15 @@ impl Partition {
         self.scratch = s;
     }
 
-    /// Append a batch of holistic elements in record order with one index
-    /// walk per *distinct* key. `keys[i]`'s element is
-    /// `elems[i*stride..(i+1)*stride]`. Produces byte-identical log
-    /// content, chain structure, and index population order to per-record
-    /// [`Self::append`]: heads are memoized per batch, entries append in
-    /// arrival order, and distinct keys enter the index in first-occurrence
-    /// order, each through the handle its probe returned. Returns the
-    /// number of distinct keys the batch touched.
-    pub fn append_batch(&mut self, keys: &[StateKey], elems: &[u8], stride: usize) -> u64 {
-        debug_assert!(self.desc.is_appended(), "append_batch on fixed state");
+    /// Append a batch of holistic elements in record order: `keys[i]`'s
+    /// element is `elems[i*stride..(i+1)*stride]`. A loop over
+    /// [`Self::append`] — gathering a batch by key measured slower than
+    /// the in-place fill of each key's newest run (EXPERIMENTS.md).
+    pub fn append_batch(&mut self, keys: &[StateKey], elems: &[u8], stride: usize) {
         debug_assert_eq!(keys.len() * stride, elems.len());
-        let mut s = std::mem::take(&mut self.scratch);
-        // Distinct keys in first-occurrence order, with memoized hashes.
-        // Deduped through a scratch open-addressing table over the index's
-        // own `hash_key` — the hash is needed for the probe below anyway,
-        // and a `std` `HashMap` would rehash every key with SipHash per
-        // batch.
-        let cap = (keys.len() * 2).next_power_of_two().max(8);
-        let mask = cap - 1;
-        s.table.clear();
-        s.table.resize(cap, u32::MAX);
-        s.distinct.clear();
-        s.hashes.clear();
-        s.which.clear();
-        for &key in keys {
-            let h = hash_key(key);
-            let mut pos = (h as usize) & mask;
-            let d = loop {
-                let slot = s.table[pos];
-                if slot == u32::MAX {
-                    let d = s.distinct.len() as u32;
-                    s.distinct.push(key);
-                    s.hashes.push(h);
-                    s.table[pos] = d;
-                    break d;
-                }
-                if s.distinct[slot as usize] == key {
-                    break slot;
-                }
-                pos = (pos + 1) & mask;
-            };
-            s.which.push(d);
+        for (&key, elem) in keys.iter().zip(elems.chunks_exact(stride.max(1))) {
+            self.append(key, elem);
         }
-        // One batched probe resolves every distinct key's current head.
-        let (log, distinct) = (&self.log, &s.distinct);
-        self.index.probe_batch(&s.hashes, &mut s.probes, |j, addr| {
-            log.key_at(addr) == distinct[j]
-        });
-        s.heads.clear();
-        for (&key, probe) in s.distinct.iter().zip(&s.probes) {
-            if probe.addr().is_none() {
-                self.list(key);
-            }
-            s.heads.push(probe.addr().unwrap_or(NO_PREV));
-        }
-        // Append in record order, chaining through the memoized heads.
-        for (i, (&key, &d)) in keys.iter().zip(&s.which).enumerate() {
-            let (head, elem) = (
-                &mut s.heads[d as usize],
-                &elems[i * stride..(i + 1) * stride],
-            );
-            *head = self.log.append(key, *head, EntryKind::Appended, elem);
-        }
-        self.stats.appends += keys.len() as u64;
-        // One install per distinct key, in first-occurrence order — the
-        // same index insertion sequence the per-record path produces.
-        for ((&hash, &probe), &head) in s.hashes.iter().zip(&s.probes).zip(&s.heads) {
-            self.install(hash, probe, head);
-        }
-        let touched = s.distinct.len() as u64;
-        self.scratch = s;
-        touched
     }
 
     /// Merge a value into fixed-size state with the descriptor's CRDT
@@ -481,20 +507,27 @@ impl Partition {
         self.find(key).map(|addr| self.log.value(addr))
     }
 
-    /// Visit every element of a holistic key's chain (newest first).
-    pub fn for_each_element(&self, key: StateKey, mut f: impl FnMut(&[u8])) {
-        let mut addr = match self.find(key) {
-            Some(a) => a,
-            None => return,
+    /// Visit every run of a holistic key's chain, newest first, as
+    /// `(stride, elements)` — stride 0 for an entry that is one element.
+    pub fn for_each_run(&self, key: StateKey, mut f: impl FnMut(usize, &[u8])) {
+        let Some(mut addr) = self.find(key) else {
+            return;
         };
         loop {
-            let (prev, value) = self.log.link(addr);
-            f(value);
+            let (prev, stride, run) = self.log.link(addr);
+            f(stride, run);
             if prev == NO_PREV || prev < self.epoch_begin {
                 break;
             }
             addr = prev;
         }
+    }
+
+    /// Visit every element of a holistic key's chain. The order is the
+    /// layout's — runs newest first, each run's elements oldest first —
+    /// and not promised: callers treat the elements as a multiset.
+    pub fn for_each_element(&self, key: StateKey, mut f: impl FnMut(&[u8])) {
+        self.for_each_run(key, |stride, run| for_each_elem(stride, run, &mut f));
     }
 
     /// Number of elements in a holistic key's chain.
@@ -557,19 +590,20 @@ impl Partition {
     }
 
     /// Unlink `key` from the index and mark its entries dead, showing each
-    /// entry's value (newest first) to `visit` on the way out — before the
-    /// entry dies, because the death of a sealed segment's last entry
-    /// releases the segment's memory. One index probe; `false` if the key
-    /// was not live. Freeing dead head segments' slots
-    /// ([`Self::reclaim`]) is the caller's, once per run of unlinks.
-    fn unlink(&mut self, key: StateKey, mut visit: impl FnMut(&[u8])) -> bool {
+    /// entry (newest first) to `visit` as `(stride, value)` on the way out
+    /// — before the entry dies, because the death of a sealed segment's
+    /// last entry releases the segment's memory. One index probe, one
+    /// dependent load per run; `false` if the key was not live. Freeing
+    /// dead head segments' slots ([`Self::reclaim`]) is the caller's, once
+    /// per run of unlinks.
+    fn unlink(&mut self, key: StateKey, mut visit: impl FnMut(usize, &[u8])) -> bool {
         let log = &self.log;
         let Some(mut addr) = self.index.remove(hash_key(key), |a| log.key_at(a) == key) else {
             return false;
         };
         loop {
-            let (prev, value) = self.log.link(addr);
-            visit(value);
+            let (prev, stride, value) = self.log.link(addr);
+            visit(stride, value);
             self.log.note_dead(addr);
             if prev == NO_PREV || prev < self.epoch_begin {
                 break;
@@ -588,7 +622,7 @@ impl Partition {
     /// Remove a key and mark its entries dead. The key's directory entry
     /// goes stale and is skipped by the next drain of its window.
     pub fn remove(&mut self, key: StateKey) -> bool {
-        let live = self.unlink(key, |_| {});
+        let live = self.unlink(key, |_, _| {});
         self.reclaim();
         live
     }
@@ -596,17 +630,18 @@ impl Partition {
     /// Remove a key and show its content to `emit` — the fused `get` +
     /// `remove` of the window trigger: one index probe instead of two, and
     /// nothing allocated. Fixed state is lent straight from the log;
-    /// a holistic key's chain is gathered into the partition's reused
-    /// [`ElementList`]. `false`, and no call, if the key was not live.
+    /// a holistic key's runs are gathered into the partition's reused
+    /// [`ElementList`], one copy per run. `false`, and no call, if the key
+    /// was not live.
     /// Callers [`Self::reclaim`] once they are through with a window.
     pub(crate) fn take(&mut self, key: StateKey, mut emit: impl FnMut(TriggeredData<'_>)) -> bool {
         if !self.desc.is_appended() {
             // A fixed key's chain is its one entry: one call.
-            return self.unlink(key, |v| emit(TriggeredData::Fixed(v)));
+            return self.unlink(key, |_, v| emit(TriggeredData::Fixed(v)));
         }
         let mut elems = std::mem::take(&mut self.elems);
         elems.clear();
-        let live = self.unlink(key, |e| elems.push(e));
+        let live = self.unlink(key, |stride, run| elems.push_run(stride, run));
         if live {
             emit(TriggeredData::Elements(&elems));
         }
@@ -746,37 +781,128 @@ mod tests {
         );
     }
 
+    /// The elements of `key` as a sorted multiset.
+    fn multiset(p: &Partition, key: StateKey) -> Vec<Vec<u8>> {
+        let mut elems = Vec::new();
+        p.for_each_element(key, |e| elems.push(e.to_vec()));
+        elems.sort();
+        elems
+    }
+
+    /// `key`'s runs, newest first, as `(stride, element count)`.
+    fn runs(p: &Partition, key: StateKey) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        p.for_each_run(key, |stride, run| {
+            out.push((stride, run.len().checked_div(stride).unwrap_or(1)))
+        });
+        out
+    }
+
     #[test]
-    fn append_chains_and_iterates_newest_first() {
+    fn appends_of_one_width_share_a_run_and_a_new_width_starts_one() {
         let mut p = Partition::with_segment_size(0, appended_descriptor(), 512);
         p.append(9, b"one");
         p.append(9, b"two");
         p.append(9, b"three");
         p.append(8, b"other");
+        assert_eq!(
+            runs(&p, 9),
+            [(5, 1), (3, 2)],
+            "a stride change chains a run"
+        );
         let mut got = Vec::new();
         p.for_each_element(9, |e| got.push(e.to_vec()));
         assert_eq!(
             got,
-            vec![b"three".to_vec(), b"two".to_vec(), b"one".to_vec()]
+            [&b"three"[..], b"one", b"two"],
+            "the layout's order: runs newest first, each run oldest first"
         );
         assert_eq!(p.element_count(9), 3);
         assert_eq!(p.element_count(8), 1);
         assert_eq!(p.element_count(7), 0);
     }
 
+    /// A run fills to exactly the first-run size in place, the next one
+    /// doubles, and growth stops at the run limit.
     #[test]
-    fn appended_delta_ships_every_element() {
+    fn runs_fill_to_their_capacity_and_grow_to_the_cap() {
+        let mut p = Partition::new(0, appended_descriptor());
+        for i in 0..FIRST_RUN_ELEMS as u64 {
+            p.append(1, &i.to_le_bytes());
+        }
+        assert_eq!(runs(&p, 1), [(8, FIRST_RUN_ELEMS)], "full, not chained");
+        let tail = p.dirty_bytes();
+        p.append(1, &[0xFF; 8]);
+        assert_eq!(runs(&p, 1), [(8, 1), (8, FIRST_RUN_ELEMS)]);
+        assert_eq!(
+            p.dirty_bytes() - tail,
+            (HEADER_SIZE + 2 * FIRST_RUN_ELEMS * 8) as u64,
+            "the second run reserves twice the first"
+        );
+        // 8, 16, 32, 64, 128, 256 elements, then 512 (4 KiB) runs.
+        let cap = MAX_RUN_BYTES / 8;
+        let total = 8 + 16 + 32 + 64 + 128 + 256 + 2 * cap;
+        for i in FIRST_RUN_ELEMS + 1..total {
+            p.append(1, &(i as u64).to_le_bytes());
+        }
+        let sizes: Vec<usize> = runs(&p, 1).iter().rev().map(|r| r.1).collect();
+        assert_eq!(
+            sizes,
+            [8, 16, 32, 64, 128, 256, cap, cap],
+            "filled to the cap"
+        );
+        let want: Vec<Vec<u8>> = {
+            let mut w: Vec<Vec<u8>> = (0..total as u64)
+                .map(|i| i.to_le_bytes().to_vec())
+                .collect();
+            w[FIRST_RUN_ELEMS] = vec![0xFF; 8];
+            w.sort();
+            w
+        };
+        assert_eq!(multiset(&p, 1), want);
+        // Under a small segment the cap is what a segment holds.
+        let mut small = Partition::with_segment_size(0, appended_descriptor(), 128);
+        for i in 0..40u64 {
+            small.append(2, &i.to_le_bytes());
+        }
+        let sizes: Vec<usize> = runs(&small, 2).iter().rev().map(|r| r.1).collect();
+        assert_eq!(sizes, [8, 12, 12, 8], "96-byte runs in 128-byte segments");
+    }
+
+    /// A merged run larger than the head run's room fills the room with
+    /// one copy and spills the rest into one new run, doubled or larger.
+    #[test]
+    fn a_merged_run_fills_the_head_and_spills_the_rest() {
+        let mut p = Partition::new(0, appended_descriptor());
+        for i in 0..5u8 {
+            p.append(4, &[i; 4]);
+        }
+        let incoming: Vec<u8> = (10..60u8).flat_map(|i| [i; 4]).collect();
+        p.append_run(4, 4, &incoming);
+        assert_eq!(runs(&p, 4), [(4, 47), (4, 8)], "3 fill the head, 47 spill");
+        assert_eq!(p.stats.appends, 55);
+        let mut want: Vec<Vec<u8>> = (0..5u8).chain(10..60).map(|i| vec![i; 4]).collect();
+        want.sort();
+        assert_eq!(multiset(&p, 4), want);
+        // Elements no run can hold stand alone: empty, or wider than the
+        // stride field.
+        p.append(5, &[]);
+        p.append(5, &[1u8; 300]);
+        p.append(5, &[2u8; 300]);
+        assert_eq!(runs(&p, 5), [(0, 1), (0, 1), (0, 1)]);
+        assert_eq!(multiset(&p, 5), [vec![], vec![1u8; 300], vec![2u8; 300]]);
+    }
+
+    #[test]
+    fn appended_delta_ships_one_entry_per_run() {
         let mut p = Partition::with_segment_size(0, appended_descriptor(), 512);
         p.append(1, b"a");
         p.append(1, b"b");
         p.append(2, b"c");
         let mut shipped = Vec::new();
-        p.close_epoch(|h, v| shipped.push((h.key, v.to_vec())));
-        assert_eq!(shipped.len(), 3);
-        assert!(shipped.contains(&(1, b"a".to_vec())));
-        assert!(shipped.contains(&(1, b"b".to_vec())));
-        assert!(shipped.contains(&(2, b"c".to_vec())));
-        // Chains restart cleanly after invalidation.
+        p.close_epoch(|h, v| shipped.push((h.key, h.stride, v.to_vec())));
+        assert_eq!(shipped, [(1, 1, b"ab".to_vec()), (2, 1, b"c".to_vec())]);
+        // Runs restart cleanly after invalidation.
         p.append(1, b"d");
         assert_eq!(p.element_count(1), 1);
     }
@@ -842,37 +968,6 @@ mod tests {
         assert_eq!(batched.stats.rmw_inserts, serial.stats.rmw_inserts);
     }
 
-    #[test]
-    fn append_batch_matches_per_record_append() {
-        let mut batched = Partition::with_segment_size(0, appended_descriptor(), 512);
-        let mut serial = Partition::with_segment_size(0, appended_descriptor(), 512);
-        let keys: Vec<StateKey> = vec![9, 8, 9, 9, 7, 8, 9];
-        let stride = 4usize;
-        let mut elems = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            let e = [(i as u8), k as u8, 0xAB, 0xCD];
-            elems.extend_from_slice(&e);
-            serial.append(k, &e);
-        }
-        batched.append_batch(&keys, &elems, stride);
-
-        assert_eq!(batched.key_count(), serial.key_count());
-        assert_eq!(batched.stats.appends, serial.stats.appends);
-        for k in [7u128, 8, 9] {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            batched.for_each_element(k, |e| a.push(e.to_vec()));
-            serial.for_each_element(k, |e| b.push(e.to_vec()));
-            assert_eq!(a, b, "chain for key {k} diverged");
-        }
-        // Deltas ship identically too.
-        let mut da = Vec::new();
-        let mut db = Vec::new();
-        batched.close_epoch(|h, v| da.push((h.key, v.to_vec())));
-        serial.close_epoch(|h, v| db.push((h.key, v.to_vec())));
-        assert_eq!(da, db);
-    }
-
     /// Drain everything `ready` accepts into a sorted `(window, key,
     /// counter)` list plus the returned count.
     fn drain_counters(
@@ -886,6 +981,14 @@ mod tests {
         });
         out.sort_unstable();
         (out, fired)
+    }
+
+    /// A lent payload copied out, elements sorted: the comparable form of
+    /// a multiset.
+    fn sorted(data: TriggeredData<'_>) -> Vec<Vec<u8>> {
+        let mut elems = data.to_owned_elems();
+        elems.sort();
+        elems
     }
 
     /// `take` with the loan copied out; `None` if the key was not live.
@@ -910,13 +1013,16 @@ mod tests {
         let mut h = Partition::with_segment_size(0, appended_descriptor(), 256);
         h.append(9, b"one");
         h.append(9, b"two");
+        h.append(9, b"three");
         h.append(8, b"other");
         assert!(h.take(9, |data| {
             let TriggeredData::Elements(list) = data else {
                 panic!("appended state lends a list");
             };
-            assert_eq!(list.len(), 2);
-            assert_eq!(list.iter().collect::<Vec<_>>(), [&b"two"[..], b"one"]);
+            assert_eq!(list.len(), 3);
+            let mut got: Vec<&[u8]> = list.iter().collect();
+            got.sort();
+            assert_eq!(got, [&b"one"[..], b"three", b"two"]);
         }));
         assert_eq!(take_owned(&mut h, 9), None);
         assert_eq!(h.element_count(9), 0);
@@ -953,15 +1059,18 @@ mod tests {
         assert_eq!(p.resident_bytes(), 128, "the dead head segment is gone");
         assert_eq!(p.get(4).map(CounterCrdt::get), Some(40));
 
-        // Appended: a chain of seven 40-byte entries spans three segments;
-        // visiting it newest first kills the sealed ones entry by entry.
+        // Appended: 30 elements are runs of 8, 12 and 10 elements, one
+        // per segment; visiting them newest first kills the sealed ones
+        // run by run.
         let mut h = Partition::with_segment_size(0, appended_descriptor(), 128);
-        let elems: Vec<[u8; 8]> = (0..7u64).map(u64::to_le_bytes).collect();
+        let elems: Vec<Vec<u8>> = (0..30u64).map(|i| i.to_le_bytes().to_vec()).collect();
         for e in &elems {
             h.append(9, e);
         }
-        let newest_first: Vec<Vec<u8>> = elems.iter().rev().map(|e| e.to_vec()).collect();
-        assert_eq!(take_owned(&mut h, 9), Some(newest_first));
+        assert_eq!(runs(&h, 9), [(8, 10), (8, 12), (8, 8)]);
+        let mut lent = take_owned(&mut h, 9).expect("live");
+        lent.sort();
+        assert_eq!(lent, elems);
         h.reclaim();
         assert_eq!(h.resident_bytes(), 128, "only the open tail segment");
     }
@@ -1108,13 +1217,13 @@ mod tests {
                 Held::Count(_) => unreachable!("appended model"),
             }
         }
-        /// What a trigger lends for `held`, copied out
-        /// ([`TriggeredData::to_owned_elems`]).
+        /// What a trigger lends for `held`, copied out and sorted — a
+        /// holistic key's elements are a multiset ([`sorted`]).
         fn triggered(held: Held) -> Vec<Vec<u8>> {
             match held {
                 Held::Count(c) => vec![c.to_le_bytes().to_vec()],
                 Held::Elems(mut es) => {
-                    es.reverse();
+                    es.sort();
                     es
                 }
             }
@@ -1133,17 +1242,16 @@ mod tests {
         }
     }
 
-    /// Compare every key of the domain — live or not — with the oracle.
+    /// Compare every key of the domain — live or not — with the oracle:
+    /// fixed values exactly, a holistic key's elements as a multiset.
     fn assert_matches(p: &Partition, oracle: &Oracle, domain: &[StateKey], at: &str) {
         assert_eq!(p.key_count(), oracle.live.len(), "{at}: key_count");
         for &key in domain {
-            let mut chain = Vec::new();
             match oracle.live.get(&key) {
                 Some(Held::Count(c)) => assert_eq!(p.get(key).map(CounterCrdt::get), Some(*c)),
                 Some(Held::Elems(es)) => {
-                    p.for_each_element(key, |e| chain.push(e.to_vec()));
-                    chain.reverse();
-                    assert_eq!(&chain, es, "{at}: chain of {key:#x}, oldest first");
+                    let want = Oracle::triggered(Held::Elems(es.clone()));
+                    assert_eq!(multiset(p, key), want, "{at}: elements of {key:#x}");
                 }
                 None => {
                     assert_eq!(p.get(key), None, "{at}: {key:#x} is gone");
@@ -1204,18 +1312,33 @@ mod tests {
                         p.append(key, &elem);
                         oracle.push(key, &elem);
                     }
-                    (45..=69, true) => {
+                    (45..=59, true) => {
                         let keys: Vec<StateKey> = (0..10).map(|_| pick(&mut rng)).collect();
                         let elems: Vec<u8> =
                             (0..keys.len() * 5).map(|b| b as u8 ^ n as u8).collect();
-                        assert!(p.append_batch(&keys, &elems, 5) <= 10);
+                        p.append_batch(&keys, &elems, 5);
                         for (key, elem) in keys.iter().zip(elems.chunks(5)) {
                             oracle.push(*key, elem);
                         }
                     }
+                    (60..=69, true) => {
+                        // A helper's run merged in: often more than the
+                        // head run's room.
+                        let elems: Vec<u8> = (0..5 * (1 + rng.next_below(40)))
+                            .map(|b| (b as u8).wrapping_mul(n as u8))
+                            .collect();
+                        p.append_run(key, 5, &elems);
+                        for elem in elems.chunks(5) {
+                            oracle.push(key, elem);
+                        }
+                    }
                     (70..=79, _) => {
                         let want = oracle.live.remove(&key).map(Oracle::triggered);
-                        assert_eq!(take_owned(&mut p, key), want, "{at}: take");
+                        let got = take_owned(&mut p, key).map(|mut es| {
+                            es.sort();
+                            es
+                        });
+                        assert_eq!(got, want, "{at}: take");
                     }
                     (80..=89, _) => {
                         assert_eq!(p.remove(key), oracle.live.remove(&key).is_some(), "{at}");
@@ -1225,17 +1348,20 @@ mod tests {
                         let mut got = Vec::new();
                         let fired = p.drain_ready(
                             |x| x == w,
-                            |tv| got.push((tv.window_id, tv.key, tv.data.to_owned_elems())),
+                            |tv| got.push((tv.window_id, tv.key, sorted(tv.data))),
                         );
                         assert_eq!(got, oracle.drain(|x| x == w), "{at}: drain of {w}");
                         assert_eq!(fired, got.len());
                     }
                     _ => {
                         // The delta holds, in log order, every entry written
-                        // this epoch; a live key's newest entries are its
-                        // state.
+                        // this epoch, a run per entry; a live key's newest
+                        // elements are its state.
                         let mut shipped: BTreeMap<StateKey, Vec<Vec<u8>>> = BTreeMap::new();
-                        p.close_epoch(|h, v| shipped.entry(h.key).or_default().push(v.to_vec()));
+                        p.close_epoch(|h, v| {
+                            let to = shipped.entry(h.key).or_default();
+                            for_each_elem(h.stride.into(), v, |e| to.push(e.to_vec()));
+                        });
                         for (key, held) in std::mem::take(&mut oracle.live) {
                             let want = match held {
                                 Held::Count(c) => vec![c.to_le_bytes().to_vec()],
@@ -1250,6 +1376,12 @@ mod tests {
                 }
                 if step % 16 == 0 {
                     assert_matches(&p, &oracle, &domain, &at);
+                }
+                if step % 256 == 0 {
+                    // Snapshot → restore: chunks small enough to split runs.
+                    let chunks = crate::snapshot::snapshot_chunks(&p, 0, 256);
+                    let (restored, _) = crate::snapshot::restore(0, desc, &chunks);
+                    assert_matches(&restored, &oracle, &domain, &format!("{at}: restored"));
                 }
             }
             assert!(p.stats.epochs > 10 && p.stats.drain_visited > 0);

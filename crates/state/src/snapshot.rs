@@ -11,13 +11,14 @@
 //! a snapshot is simply "the delta from the empty state", so restore is
 //! the leader-side merge path — one code path, one set of invariants.
 
-use crate::delta::{parse_chunk, ChunkBuilder};
+use crate::delta::{parse_runs, ChunkBuilder};
 use crate::descriptor::StateDescriptor;
 use crate::entry::EntryKind;
 use crate::partition::Partition;
 
 /// Serialize a partition's full live content into delta-format chunks of
-/// at most `max_chunk` bytes. The partition is not modified.
+/// at most `max_chunk` bytes: one entry per fixed key, one per run of a
+/// holistic key. The partition is not modified.
 pub fn snapshot_chunks(part: &Partition, watermark: u64, max_chunk: usize) -> Vec<Vec<u8>> {
     // Snapshots carry no epoch-close time stamp (`sent_us = 0`): they are
     // produced outside the coherence protocol's clock.
@@ -25,8 +26,8 @@ pub fn snapshot_chunks(part: &Partition, watermark: u64, max_chunk: usize) -> Ve
     let appended = part.descriptor().is_appended();
     part.for_each_key(|key, _| {
         if appended {
-            part.for_each_element(key, |elem| {
-                builder.push(key, EntryKind::Appended, elem);
+            part.for_each_run(key, |stride, run| {
+                builder.push_run(key, EntryKind::Appended, stride as u8, run);
             });
         } else if let Some(value) = part.get(key) {
             builder.push(key, EntryKind::Fixed, value);
@@ -71,9 +72,9 @@ pub fn restore(id: usize, desc: StateDescriptor, chunks: &[Vec<u8>]) -> (Partiti
     let mut part = Partition::new(id, desc);
     let mut watermark = 0;
     for chunk in chunks {
-        let header = parse_chunk(chunk, |key, kind, value| match kind {
+        let header = parse_runs(chunk, |key, kind, stride, value| match kind {
             EntryKind::Fixed => part.merge_fixed(key, value),
-            EntryKind::Appended => part.append(key, value),
+            EntryKind::Appended => part.append_run(key, stride, value),
         });
         assert_eq!(header.partition as usize, id, "chunk for wrong partition");
         watermark = watermark.max(header.watermark);

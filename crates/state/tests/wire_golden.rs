@@ -2,7 +2,10 @@
 //! epoch-delta chunks, snapshot chunks and [`SsbCheckpoint`]s are compared
 //! against literals captured from the commit *before* the state layer's
 //! entry paths were rewritten (shift/mask addressing, in-place inserts,
-//! single-walk index installs, flat delta staging). Snapshot chunks list
+//! single-walk index installs, flat delta staging). The appended-state
+//! literals were captured again when holistic state became per-key element
+//! runs, which moved its log and wire bytes on purpose; the fixed-state
+//! ones never moved. Snapshot chunks list
 //! keys in index-slot order and delta chunks list entries in log order, so
 //! these literals pin index slot placement (growth instants included) and
 //! log layout (padding, sealing, reclamation), not just content.
@@ -73,13 +76,17 @@ const SMALL_DELTA: [&str; 2] = [
 fn segment_ends_and_index_doubling_fall_where_the_parents_did() {
     let mut p = Partition::with_segment_size(0, appended_descriptor(), 128);
     for len in [8, 8, 16, 8] {
-        // 40 + 40 + 48 bytes fill the first segment to the byte.
+        // A 96-byte run takes both 8-byte elements. Each stride change
+        // starts a run at the 96-byte limit of a 128-byte segment: the
+        // first does not fit the 32 bytes left and opens the next segment,
+        // and each ends exactly on its segment's boundary.
         p.append(pack_key(1, 1), &[7u8; 16][..len]);
     }
-    assert_eq!(p.dirty_bytes(), 168);
+    assert_eq!(p.dirty_bytes(), 384);
 
     // 112 keys fill the 16 buckets a partition starts with; the next
-    // install doubles the table even though its key is already there.
+    // install — key 5's second run, for its 5-byte element — doubles the
+    // table even though its key is already there.
     let mut p = Partition::new(0, appended_descriptor());
     for g in 0..112u64 {
         p.append(pack_key(1, g), &g.to_le_bytes());
@@ -87,7 +94,7 @@ fn segment_ends_and_index_doubling_fall_where_the_parents_did() {
     let full = chunks_digest(&snapshot_chunks(&p, 0, 4096));
     p.append(pack_key(1, 5), b"again");
     let doubled = chunks_digest(&snapshot_chunks(&p, 0, 4096));
-    assert_eq!((full, doubled), (3741445559001256593, 4026821885686720263));
+    assert_eq!((full, doubled), (1691343552341576731, 10701174624782910318));
 }
 
 /// A 3-node cluster with retention on, so every closed epoch's chunks stay
@@ -223,7 +230,9 @@ fn appended_state_checkpoints_are_the_parents() {
                 keys.push(draw_key(rng));
                 elems.extend_from_slice(&rng.next_u64().to_le_bytes()[..5]);
             }
-            node.append_batch(&keys, &elems, 5);
+            for (&key, elem) in keys.iter().zip(elems.chunks(5)) {
+                node.append(key, elem);
+            }
         } else {
             let len = rng.next_below(20) as usize;
             let elem = rng.next_u64().to_le_bytes().repeat(3);
@@ -234,10 +243,10 @@ fn appended_state_checkpoints_are_the_parents() {
 }
 
 const APPENDED_CHECKPOINTS: [(u64, u64, u64); 6] = [
-    (9444596510495966324, 2885570139543991541, 41526),
-    (1189587660365491817, 16689106508862084023, 39290),
-    (2637820841496565922, 1369862148402824488, 40384),
-    (14452214078087469826, 4821974648311213307, 107184),
-    (17224760729227191349, 5452581142144245663, 105569),
-    (5962382933901343970, 7968188190087700961, 104137),
+    (5028245167044322115, 8479426337734428111, 32686),
+    (11919796890292858325, 5961632608088242642, 31098),
+    (9200449906799356549, 2929348128880416743, 32504),
+    (809089672672148936, 5835434113020636864, 75808),
+    (7342646055466729301, 4417518846448206072, 75969),
+    (5367323732332679580, 899356915308039350, 74065),
 ];

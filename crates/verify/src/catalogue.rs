@@ -49,7 +49,7 @@ use slash_core::{
 };
 use slash_desim::{Sim, SimTime, TieBreak};
 use slash_obs::Obs;
-use slash_workloads::{ysb, ysb_hot, GenConfig, Workload};
+use slash_workloads::{nb11, ysb, ysb_hot, GenConfig, Workload};
 
 use crate::explorer::{explore_exhaustive, Budget, Coverage, ExhaustiveReport, ScheduleRun};
 use crate::oracle::{self, Groups};
@@ -293,6 +293,10 @@ pub fn catalogue() -> Vec<Case> {
         },
         Case { name: "hot-split-recovery", workload: ysb_hot, pre_split: &[1, 3], ..FULL },
         Case { name: "hot-split-handoff", workload: ysb_hot, pre_split: &[1, 3], ..ELASTIC },
+        // Holistic state through checkpoint, restore, rejoin and replay:
+        // the restored primary's runs and the replayed helper runs must
+        // leave every group's pair count whole.
+        Case { name: "join-crash", workload: nb11, ..FULL },
         SMALL,
         Case {
             name: "rescale-small",

@@ -7,12 +7,13 @@
 //! [`oracle`] is that fold: one pass over every record of every partition,
 //! no engine code on the path except the plan's own pure functions
 //! (filter, window assignment, aggregate update/render). Aggregations are
-//! checked by value, joins by pair count per `(window, key)`.
+//! checked by value, joins by pair count per `(window, key)`: left × right
+//! over the bucket, which every window assigner retires whole.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use slash_core::{QueryPlan, SinkResult, WindowAssigner};
+use slash_core::{QueryPlan, SinkResult};
 
 /// What a query emits: per `(window, key)`, the rendered aggregate or the
 /// join's pair count.
@@ -43,54 +44,29 @@ pub fn oracle(plan: &QueryPlan, partitions: &[Rc<Vec<u8>>]) -> Groups {
         }
         QueryPlan::Join { input, side_off, window, .. } => {
             let schema = input.schema;
-            // Per group, every event as (timestamp, is_left).
-            let mut events: HashMap<(u64, u64), Vec<(u64, bool)>> = HashMap::new();
+            // Per group, its (left, right) event counts: every assigner
+            // pairs a bucket whole.
+            let mut sides: HashMap<(u64, u64), (u64, u64)> = HashMap::new();
             for part in partitions {
                 schema.for_each(part, |rec| {
                     if !input.keep(rec) {
                         return;
                     }
-                    let ts = schema.ts(rec);
-                    let left = schema.field_u64(rec, *side_off) == 0;
-                    events
-                        .entry((window.assign(ts), schema.key(rec)))
-                        .or_default()
-                        .push((ts, left));
+                    let group = (window.assign(schema.ts(rec)), schema.key(rec));
+                    let (left, right) = sides.entry(group).or_default();
+                    match schema.field_u64(rec, *side_off) {
+                        0 => *left += 1,
+                        _ => *right += 1,
+                    }
                 });
             }
-            events
+            sides
                 .into_iter()
-                .map(|(g, evs)| (g, pairs(evs, window) as f64))
+                .map(|(g, (left, right))| (g, (left * right) as f64))
                 .filter(|&(_, p)| p > 0.0)
                 .collect()
         }
     }
-}
-
-/// Left × right combinations of one group's events: over the whole bucket
-/// for tumbling and sliding windows, per gap-separated session for session
-/// windows.
-fn pairs(mut events: Vec<(u64, bool)>, window: &WindowAssigner) -> u64 {
-    let gap = match *window {
-        WindowAssigner::Session { gap } => gap,
-        _ => u64::MAX,
-    };
-    events.sort_unstable();
-    let (mut total, mut left, mut right) = (0u64, 0u64, 0u64);
-    let mut last = None;
-    for (ts, is_left) in events {
-        if last.is_some_and(|prev| ts - prev > gap) {
-            total += left * right;
-            (left, right) = (0, 0);
-        }
-        if is_left {
-            left += 1;
-        } else {
-            right += 1;
-        }
-        last = Some(ts);
-    }
-    total + left * right
 }
 
 /// Index emitted results by `(window, key)`; joins contribute their pair
@@ -134,16 +110,6 @@ pub fn check(expected: &Groups, results: &[SinkResult]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn session_pairs_split_at_the_gap() {
-        let w = WindowAssigner::Session { gap: 10 };
-        // Two sessions: {L0, R5} and {L30, R31, R32}.
-        let evs = vec![(0, true), (5, false), (30, true), (31, false), (32, false)];
-        assert_eq!(pairs(evs.clone(), &w), 1 + 2);
-        // Bucket semantics pair everything: 2 lefts x 3 rights.
-        assert_eq!(pairs(evs, &WindowAssigner::Tumbling { size: 100 }), 6);
-    }
 
     #[test]
     fn a_group_emitted_twice_is_an_error() {

@@ -29,7 +29,7 @@ echo "==> [6/12] slash-race (protocol families + the fault matrix on the shipped
 # One stage, one binary. (a) Random sweep: the channel, multi-port and
 # epoch-coherence families under 128 tie-break policies, and every row of
 # the fault matrix (slash_verify::catalogue: crashes, flaps, handoffs, hot
-# splits, compound faults) for 128 runs each — fault instant strided over
+# splits, a join, compound faults) for 128 runs each — instant strided over
 # the case's own fault-free event instants, one policy per run; >= 100
 # distinct schedules / (instant, schedule) pairs per row, every run exact
 # against the sequential oracle, every required repair seen.
@@ -80,14 +80,11 @@ echo "==> [9/12] hot-path smoke (combiner gate on counts + zipf split sweep)"
 # The combiner gate reads counts, which repeat exactly: ysb_hot and nb7
 # keep the write combiner on at a hit ratio >= 0.9, reuse-free ysb turns
 # it off within one table's worth of folds (1,024), and every workload's
-# on/off state digests are equal. The wall-clock on/off rates are printed
-# beside them and gate nothing. --zipf adds the skew sweep:
-# ysb_zipf_keyed over theta in {0, 0.5, 0.9, 1.1, 1.5} with hot-key
-# splitting on vs off — split-on must reach 1.5x at theta=1.1 (virtual
-# time) and every swept config must be bit-exact (results + state
-# digests) vs unsplit. The rates are wall-clock: the fresh run goes to
-# the scratch dir, the checked-in BENCH_hotpath.json is refreshed by hand
-# (EXPERIMENTS.md).
+# on/off state digests are equal; wall-clock rates beside them gate
+# nothing. --zipf adds the skew sweep: ysb_zipf_keyed over theta in
+# {0, 0.5, 0.9, 1.1, 1.5}, hot-key splitting on vs off — split-on must
+# reach 1.5x at theta=1.1 (virtual time), every config bit-exact (results
+# + state digests) vs unsplit. Output goes to the scratch dir.
 cargo run --release -p slash-bench --bin hotpath-bench -- --quick --zipf --out "$trace_dir/hotpath.json"
 
 echo "==> [10/12] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"
@@ -128,12 +125,15 @@ cmp "$trace_dir/r_a.json" "$trace_dir/r_b.json"
 echo "rescale trace: two same-seed elastic runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/r_a.json"
 
-echo "==> [12/12] optimized build: sim-vs-threaded digest smoke + the state tests"
+echo "==> [12/12] optimized build: digest smoke, the state tests, joins vs the oracle"
 # Final state under the threaded runtime must be bit-identical to the
 # simulator's for the same seed and workload (2 seeds x 2 workloads, plus
-# threaded self-consistency and the concurrent-obs merge stress); and the
-# state layer's oracles and wire goldens hold in the build the ledger times.
+# threaded self-consistency and the concurrent-obs merge stress); the
+# state layer's oracles and wire goldens, and every engine's results
+# against the sequential oracle (joins on both backends), hold in the
+# build the ledger times.
 cargo test --release -p slash-exec -p slash-state -q
+cargo test --release -q --test equivalence
 
 # Every artifact the gate rewrites in place is deterministic: a green run
 # leaves the tree clean, and one that moved fails here, loudly.

@@ -69,6 +69,7 @@ fault_matrix! {
     handoff_vs_crash => "handoff-vs-crash",
     hot_split_recovery => "hot-split-recovery",
     hot_split_handoff => "hot-split-handoff",
+    join_crash => "join-crash",
     recovery_small => "recovery-small",
     rescale_small => "rescale-small",
     hot_split_small => "hot-split-small",

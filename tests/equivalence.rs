@@ -9,6 +9,7 @@
 use slash::baselines::partitioned::{run_partitioned, PartitionedConfig, Transport};
 use slash::core::{RunConfig, SinkResult, SlashCluster};
 use slash::workloads::{cm, nb11, nb7, nb8, ysb, GenConfig, Workload};
+use slash_exec::{JobSpec, Scheduler, ThreadBackend};
 use slash_verify::oracle::{check, oracle, Groups};
 
 fn assert_equal(expected: &Groups, got: &[SinkResult], sut: &str) {
@@ -91,7 +92,8 @@ fn cm_mean_aggregation_matches_oracle() {
 }
 
 /// Join pair counts per (window, key) must agree with the sequential
-/// oracle on both engines.
+/// oracle on both engines, and on both Slash backends: the simulator and
+/// the threaded runtime (OS threads, SPSC delta links).
 fn join_pairs_match_the_oracle(name: &str, gen: fn(&GenConfig) -> Workload, records: u64) {
     let w = gen(&GenConfig::new(4, records));
     let expected = oracle(&w.plan, &w.partitions);
@@ -100,9 +102,16 @@ fn join_pairs_match_the_oracle(name: &str, gen: fn(&GenConfig) -> Workload, reco
 
     let mut cfg = RunConfig::new(2, 2);
     cfg.collect_results = true;
+    let inputs: Vec<Vec<u8>> = w.partitions.iter().map(|p| p.to_vec()).collect();
     let slash = SlashCluster::run(w.plan, w.partitions, cfg);
     assert_eq!(slash.total_pairs, expected_total, "{name}: slash pair total");
     assert_equal(&expected, &slash.results, &format!("{name}/slash"));
+
+    // Every node thread builds its own copy of the plan.
+    let spec = JobSpec::new(move || gen(&GenConfig::new(1, 1)).plan, inputs, cfg);
+    let threaded = ThreadBackend::new().run(spec);
+    assert_eq!(threaded.total_pairs, expected_total, "{name}: threaded pair total");
+    assert_equal(&expected, &threaded.results, &format!("{name}/slash-threaded"));
 
     let w = gen(&GenConfig::new(4, records));
     let mut cfg = PartitionedConfig::new(2, 4, Transport::Rdma);
@@ -117,7 +126,7 @@ fn nb8_join_pairs_match_between_engines_and_oracle() {
     join_pairs_match_the_oracle("nb8", nb8, 2_500);
 }
 
-/// NB11's session join: pair counts split at the inactivity gap.
+/// NB11's session join: a tumbling bucket `gap` wide, paired whole.
 #[test]
 fn nb11_session_join_matches_between_engines_and_oracle() {
     join_pairs_match_the_oracle("nb11", nb11, 2_000);
