@@ -63,12 +63,6 @@ pub struct ChaosConfig {
     pub plan: FaultPlan,
     /// Recovery tunables.
     pub ft: FtConfig,
-    /// Group keys to hot-split before the first record (state-plane
-    /// splitting only — chaos runs never forward records); the engine
-    /// hands them to its split director. The `hot-split-*` rows of the
-    /// fault matrix use this to prove split/fold commutes with crash
-    /// promotion and planned handoff.
-    pub pre_split: Vec<u64>,
 }
 
 impl ChaosConfig {
@@ -77,7 +71,6 @@ impl ChaosConfig {
         ChaosConfig {
             plan,
             ft: FtConfig::default(),
-            pre_split: Vec::new(),
         }
     }
 }

@@ -35,10 +35,10 @@ pub struct RunConfig {
     pub epoch_bytes: u64,
     /// Records per scheduling batch.
     pub batch_records: usize,
-    /// Enable the batch-vectorized hot path: write-combining
-    /// pre-aggregation for combinable CRDTs and batched join appends.
-    /// Results are identical either way (the combiner only activates for
-    /// exactly-associative states); off reproduces the per-record path.
+    /// Write-combining pre-aggregation for combinable CRDTs. Results are
+    /// identical either way (the combiner only activates for
+    /// exactly-associative states; the exactness matrix runs both); off
+    /// reproduces the per-record path.
     pub combine: bool,
     /// Write-combiner capacity in slots (rounded up to a power of two;
     /// 1024 × 8-byte values stays comfortably L1-resident).
@@ -278,121 +278,4 @@ pub(crate) fn assemble_report(
         obs.counter_add("net_tx_bytes", "fabric", report.net_tx_bytes);
     }
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::query::StreamDef;
-    use crate::record::RecordSchema;
-    use crate::testutil::{count_plan, gen};
-    use crate::window::WindowAssigner;
-
-    #[test]
-    fn single_node_single_worker_counts_correctly() {
-        let mut cfg = RunConfig::new(1, 1);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 4096;
-        let report = SlashCluster::run(count_plan(100), vec![gen(1000, 1, 4)], cfg);
-        assert_eq!(report.records, 1000);
-        // 1000 records, ts 0..999, windows of 100 → 10 windows × 4 keys.
-        assert_eq!(report.emitted, 40);
-        let total: f64 = report
-            .results
-            .iter()
-            .map(|r| match r {
-                SinkResult::Agg { value, .. } => *value,
-                _ => 0.0,
-            })
-            .sum();
-        assert_eq!(total as u64, 1000);
-        assert!(report.throughput() > 0.0);
-    }
-
-    #[test]
-    fn multi_node_counts_match_sequential_semantics() {
-        let n_nodes = 3;
-        let workers = 2;
-        let mut cfg = RunConfig::new(n_nodes, workers);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 2048;
-        // Same key space across all partitions: state is genuinely shared.
-        let partitions: Vec<Rc<Vec<u8>>> = (0..n_nodes * workers).map(|_| gen(500, 2, 8)).collect();
-        let report = SlashCluster::run(count_plan(200), partitions, cfg);
-        assert_eq!(report.records, 6 * 500);
-        // ts span 0..1000 step 2 → windows 0..4 (5 windows) × 8 keys.
-        assert_eq!(report.emitted, 5 * 8);
-        // Every window×key count: 500 records per partition spread over
-        // 5 windows × 8 keys = 12.5 → 100 per window per... per partition:
-        // each window has 100 records, split over 8 keys round-robin.
-        // Just check the grand total.
-        let total: f64 = report
-            .results
-            .iter()
-            .map(|r| match r {
-                SinkResult::Agg { value, .. } => *value,
-                _ => 0.0,
-            })
-            .sum();
-        assert_eq!(total as u64, 6 * 500);
-        assert!(report.net_tx_bytes > 0, "state deltas must cross the wire");
-    }
-
-    #[test]
-    fn windows_never_fire_early_or_twice() {
-        let mut cfg = RunConfig::new(2, 1);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 1024;
-        let partitions = vec![gen(400, 5, 4), gen(400, 5, 4)];
-        let report = SlashCluster::run(count_plan(500), partitions, cfg);
-        // Each (window, key) appears exactly once.
-        let mut seen = std::collections::HashSet::new();
-        for r in &report.results {
-            if let SinkResult::Agg { window_id, key, .. } = r {
-                assert!(seen.insert((*window_id, *key)), "duplicate trigger");
-            }
-        }
-        assert_eq!(report.emitted as usize, seen.len());
-    }
-
-    #[test]
-    fn join_pairs_match_expectation() {
-        // Unified join records: [ts, key, side, pad] = 32 bytes.
-        let schema_size = 32;
-        let mk = |n: u64, side: u64| -> Vec<u8> {
-            let mut buf = Vec::new();
-            for i in 0..n {
-                buf.extend_from_slice(&(i * 10).to_le_bytes());
-                buf.extend_from_slice(&(i % 2).to_le_bytes()); // 2 keys
-                buf.extend_from_slice(&side.to_le_bytes());
-                buf.extend_from_slice(&0u64.to_le_bytes());
-            }
-            buf
-        };
-        // Node 0 streams lefts, node 1 streams rights; same keys and ts.
-        let plan = QueryPlan::Join {
-            input: StreamDef::new(RecordSchema::plain(schema_size)),
-            side_off: 16,
-            window: WindowAssigner::Tumbling { size: 1_000_000 },
-            retain_bytes: 16,
-        };
-        let mut cfg = RunConfig::new(2, 1);
-        cfg.collect_results = true;
-        let report = SlashCluster::run(plan, vec![Rc::new(mk(10, 0)), Rc::new(mk(10, 1))], cfg);
-        // One window; per key: 5 lefts × 5 rights = 25 pairs, 2 keys.
-        assert_eq!(report.total_pairs, 50);
-        assert_eq!(report.emitted, 2);
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let run = || {
-            let mut cfg = RunConfig::new(2, 2);
-            cfg.epoch_bytes = 4096;
-            let partitions: Vec<Rc<Vec<u8>>> = (0..4).map(|_| gen(300, 3, 16)).collect();
-            let r = SlashCluster::run(count_plan(100), partitions, cfg);
-            (r.records, r.emitted, r.completion_time, r.net_tx_bytes)
-        };
-        assert_eq!(run(), run(), "virtual-time runs must be bit-identical");
-    }
 }

@@ -368,11 +368,10 @@ impl<'a> ClusterBuilder<'a> {
     }
 
     /// Hot-key splitting: every node carries a split ledger and a heat
-    /// sketch; keys split up front ([`SplitRunConfig::pre_split`], plus
-    /// [`ChaosConfig::pre_split`]) and/or online, optionally with record
-    /// forwarding — see [`crate::split`]. Tumbling windows only;
-    /// forwarding additionally needs one worker per node and no fault
-    /// tolerance.
+    /// sketch; keys split up front ([`SplitRunConfig::pre_split`]) and/or
+    /// online, optionally with record forwarding — see [`crate::split`].
+    /// Tumbling windows only; forwarding additionally needs one worker per
+    /// node and no fault tolerance.
     pub fn split(mut self, scfg: &'a SplitRunConfig) -> Self {
         self.split = Some(scfg);
         self
@@ -401,17 +400,7 @@ impl<'a> ClusterBuilder<'a> {
         let chaos = self
             .chaos
             .or(self.elastic.is_some().then_some(&default_chaos));
-        // Pre-split keys may come from either config; both go to the one
-        // split director.
-        let chaos_pre = chaos.map_or(&[][..], |c| &c.pre_split[..]);
-        let scfg = (self.split.is_some() || !chaos_pre.is_empty()).then(|| {
-            let mut scfg = self.split.cloned().unwrap_or(SplitRunConfig {
-                auto: None,
-                ..SplitRunConfig::default()
-            });
-            scfg.pre_split.extend_from_slice(chaos_pre);
-            scfg
-        });
+        let scfg = self.split.cloned();
         assert!(
             !(chaos.is_some() && scfg.as_ref().is_some_and(|s| s.forward)),
             "record forwarding is for fault-free runs only"
@@ -452,15 +441,8 @@ impl<'a> ClusterBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::{MigrationCmd, ScriptedDirector};
-    use crate::recovery::RecoveryAction;
-    use crate::sink::results_digest;
     use crate::testutil::{cfg, chaos, count_plan, gen};
     use slash_chaos::FaultPlan;
-
-    fn parts(nodes: usize, recs: u64) -> Vec<Rc<Vec<u8>>> {
-        (0..nodes).map(|_| gen(recs, 1, 32)).collect()
-    }
 
     /// The crash-victim rule: a partition re-homed onto port `h` by an
     /// earlier promotion or handoff dies at the instant `h` dies — no
@@ -469,7 +451,7 @@ mod tests {
     fn rehomed_partition_is_flagged_at_the_fault_instant() {
         let at = SimTime::from_micros(100);
         let faults = chaos(FaultPlan::new().crash(at, 1));
-        let parts = parts(3, 60_000);
+        let parts = (0..3).map(|_| gen(60_000, 1, 32)).collect();
         let mut c = Cluster::boot(
             Sim::new(),
             count_plan(4_000),
@@ -492,55 +474,5 @@ mod tests {
         c.sim.run_until(at);
         assert!(!c.fabric.node_alive(c.ports[1]), "the port died");
         assert_eq!(crashed(&c), [false, true, true], "both tenants die with it");
-    }
-
-    /// Composition as configuration: pre-split keys, a scripted 2→4→3
-    /// migration and a mid-run node crash in one cluster with all three
-    /// directors — nothing but builder calls — stay exact against the
-    /// plain engine (records, results) and against the fault-tolerant
-    /// no-fault, unsplit, static baseline (per-node state).
-    #[test]
-    fn split_rescale_and_crash_compose_exactly() {
-        const RECS: u64 = 150_000;
-        let plain = SlashCluster::run(count_plan(4_000), parts(4, RECS), cfg(4));
-        let baseline = SlashCluster::builder(count_plan(4_000), parts(4, RECS), cfg(4))
-            .chaos(&chaos(FaultPlan::new()))
-            .run();
-
-        let move_to = |partition, to_host| MigrationCmd { partition, to_host };
-        let mut director = ScriptedDirector::new(vec![
-            (SimTime::from_micros(400), move_to(2, 2)),
-            (SimTime::from_micros(500), move_to(3, 3)),
-            (SimTime::from_micros(1_500), move_to(3, 1)),
-        ]);
-        let scfg = SplitRunConfig {
-            pre_split: vec![5, 17],
-            auto: None,
-            ..SplitRunConfig::default()
-        };
-        // Port 0 dies between the spread and the pack-in, taking
-        // partition 0 with it.
-        let faults = chaos(FaultPlan::new().crash(SimTime::from_micros(900), 0));
-        let out = SlashCluster::builder(count_plan(4_000), parts(4, RECS), cfg(4))
-            .split(&scfg)
-            .chaos(&faults)
-            .elastic(&ElasticConfig::packed(4, 2), &mut director)
-            .run();
-
-        assert_eq!(out.split.splits.len(), 2, "both pre-splits active");
-        let committed = out.rescale.migrations.iter().filter(|m| !m.aborted).count();
-        assert_eq!(committed, 3, "{:?}", out.rescale.migrations);
-        assert_eq!(out.rescale.peak_hosts, 4);
-        assert!(
-            out.recovery
-                .events
-                .iter()
-                .any(|e| e.node == 0 && matches!(e.action, RecoveryAction::Promoted { .. })),
-            "{:?}",
-            out.recovery.events
-        );
-        assert_eq!(out.run.records, plain.records, "every record exactly once");
-        assert_eq!(out.recovery.results_digest, results_digest(&plain.results));
-        assert_eq!(out.recovery.state_digests, baseline.recovery.state_digests);
     }
 }

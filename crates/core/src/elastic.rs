@@ -570,210 +570,30 @@ impl RescaleDirector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::RecoveryReport;
     use crate::testutil::{cfg, chaos, count_plan, gen};
-    use crate::{RunConfig, RunReport, SlashCluster};
+    use crate::SlashCluster;
     use slash_chaos::FaultPlan;
-
-    fn parts_n(nodes: usize, recs: u64) -> Vec<Rc<Vec<u8>>> {
-        (0..nodes).map(|_| gen(recs, 1, 32)).collect()
-    }
-
-    /// Four-per-`hosts` packed run of `recs` records per partition under
-    /// `run_cfg`, migrating per `script`.
-    fn run_elastic(
-        run_cfg: RunConfig,
-        hosts: usize,
-        recs: u64,
-        script: Vec<(SimTime, MigrationCmd)>,
-    ) -> (RunReport, RecoveryReport, RescaleReport) {
-        let nodes = run_cfg.nodes;
-        let mut director = ScriptedDirector::new(script);
-        let out = SlashCluster::builder(count_plan(4_000), parts_n(nodes, recs), run_cfg)
-            .chaos(&chaos(FaultPlan::new()))
-            .elastic(&ElasticConfig::packed(nodes, hosts), &mut director)
-            .run();
-        (out.run, out.recovery, out.rescale)
-    }
-
-    fn run_scripted_n(
-        nodes: usize,
-        hosts: usize,
-        recs: u64,
-        script: Vec<(SimTime, MigrationCmd)>,
-    ) -> (RunReport, RecoveryReport, RescaleReport) {
-        run_elastic(cfg(nodes), hosts, recs, script)
-    }
-
-    fn run_scripted(
-        nodes: usize,
-        hosts: usize,
-        script: Vec<(SimTime, MigrationCmd)>,
-    ) -> (RunReport, RecoveryReport, RescaleReport) {
-        run_scripted_n(nodes, hosts, 60_000, script)
-    }
-
-    fn flat_baseline_cfg(run_cfg: RunConfig, recs: u64) -> (RunReport, RecoveryReport) {
-        let nodes = run_cfg.nodes;
-        let out = SlashCluster::builder(count_plan(4_000), parts_n(nodes, recs), run_cfg)
-            .chaos(&chaos(FaultPlan::new()))
-            .run();
-        (out.run, out.recovery)
-    }
-
-    fn flat_baseline_n(nodes: usize, recs: u64) -> (RunReport, RecoveryReport) {
-        flat_baseline_cfg(cfg(nodes), recs)
-    }
-
-    fn flat_baseline(nodes: usize) -> (RunReport, RecoveryReport) {
-        flat_baseline_n(nodes, 60_000)
-    }
-
-    #[test]
-    fn packed_static_run_matches_flat_chaos_run() {
-        // Four partitions packed two-per-host over loopback channels must
-        // produce exactly the results of the flat four-host chaos run —
-        // placement is invisible to query semantics.
-        let (base, base_rec) = flat_baseline(4);
-        let (packed, rec, rescale) = run_scripted(4, 2, vec![]);
-        assert_eq!(packed.records, base.records);
-        assert_eq!(rec.results_digest, base_rec.results_digest);
-        assert_eq!(rec.state_digests, base_rec.state_digests);
-        assert!(rescale.migrations.is_empty());
-        assert_eq!(rescale.peak_hosts, 2);
-        assert_eq!(rescale.final_hosts, 2);
-    }
-
-    #[test]
-    fn scripted_migrations_scale_out_and_back_exactly() {
-        // Spread both co-located partitions to parked hosts mid-run, then
-        // pack one back: 2 -> 4 -> 3 hosts with exact results throughout.
-        let script = vec![
-            (
-                SimTime::from_micros(400),
-                MigrationCmd {
-                    partition: 2,
-                    to_host: 2,
-                },
-            ),
-            (
-                SimTime::from_micros(500),
-                MigrationCmd {
-                    partition: 3,
-                    to_host: 3,
-                },
-            ),
-            (
-                SimTime::from_micros(1_500),
-                MigrationCmd {
-                    partition: 3,
-                    to_host: 1,
-                },
-            ),
-        ];
-        let (base, base_rec) = flat_baseline_n(4, 150_000);
-        let (run, rec, rescale) = run_scripted_n(4, 2, 150_000, script);
-        assert_eq!(run.records, base.records, "every record exactly once");
-        assert_eq!(rec.results_digest, base_rec.results_digest);
-        assert_eq!(rec.state_digests, base_rec.state_digests);
-        let committed: Vec<_> = rescale.migrations.iter().filter(|m| !m.aborted).collect();
-        assert_eq!(committed.len(), 3, "{:?}", rescale.migrations);
-        assert_eq!(rescale.peak_hosts, 4);
-        assert_eq!(rescale.final_hosts, 3);
-        for m in &committed {
-            assert!(m.stall() > SimTime::ZERO, "cutover pays a stall: {m:?}");
-            assert!(m.halted_at >= m.planned_at);
-        }
-    }
 
     #[test]
     fn invalid_commands_are_dropped() {
         // Out-of-range hosts/partitions and a self-move must be ignored,
-        // and the run must complete untouched.
-        let script = vec![
+        // and the run must complete untouched, still packed.
+        let cmd = |partition, to_host| {
             (
                 SimTime::from_micros(400),
-                MigrationCmd {
-                    partition: 9,
-                    to_host: 1,
-                },
-            ),
-            (
-                SimTime::from_micros(400),
-                MigrationCmd {
-                    partition: 1,
-                    to_host: 9,
-                },
-            ),
-            (
-                SimTime::from_micros(400),
-                // partition 1 already lives on host 1 in packed(4, 2).
-                MigrationCmd {
-                    partition: 1,
-                    to_host: 1,
-                },
-            ),
-        ];
-        let (base, base_rec) = flat_baseline(4);
-        let (run, rec, rescale) = run_scripted(4, 2, script);
-        assert!(rescale.migrations.is_empty(), "{:?}", rescale.migrations);
-        assert_eq!(run.records, base.records);
-        assert_eq!(rec.results_digest, base_rec.results_digest);
-    }
-
-    #[test]
-    fn elastic_runs_are_deterministic() {
-        let go = || {
-            let script = vec![
-                (
-                    SimTime::from_micros(400),
-                    MigrationCmd {
-                        partition: 2,
-                        to_host: 2,
-                    },
-                ),
-                (
-                    SimTime::from_micros(600),
-                    MigrationCmd {
-                        partition: 3,
-                        to_host: 3,
-                    },
-                ),
-            ];
-            let (r, rec, rescale) = run_scripted(4, 2, script);
-            (
-                r.records,
-                r.completion_time,
-                rec.results_digest,
-                rec.state_digests.clone(),
-                rescale.migrations.len(),
-                rescale.max_stall(),
+                MigrationCmd { partition, to_host },
             )
         };
-        assert_eq!(go(), go(), "same script => identical elastic run");
-    }
-
-    #[test]
-    fn paced_elastic_run_is_exact() {
-        // Pacing + a migration at once: the handoff must not lose or
-        // duplicate paced records.
-        let curve = crate::source::RateCurve::new(&[
-            (SimTime::ZERO, 40_000_000),
-            (SimTime::from_millis(1), 120_000_000),
-        ]);
-        let mut paced = cfg(4);
-        paced.pacing = Some(curve);
-        let (base, base_rec) = flat_baseline_cfg(paced, 60_000);
-        let script = vec![(
-            SimTime::from_micros(500),
-            MigrationCmd {
-                partition: 2,
-                to_host: 2,
-            },
-        )];
-        let (run, rec, rescale) = run_elastic(paced, 2, 60_000, script);
-        assert_eq!(run.records, base.records);
-        assert_eq!(rec.results_digest, base_rec.results_digest);
-        assert_eq!(rescale.migrations.iter().filter(|m| !m.aborted).count(), 1);
+        // Partition 1 already lives on host 1 in packed(4, 2).
+        let mut director = ScriptedDirector::new(vec![cmd(9, 1), cmd(1, 9), cmd(1, 1)]);
+        let parts: Vec<Rc<Vec<u8>>> = (0..4).map(|_| gen(60_000, 1, 32)).collect();
+        let out = SlashCluster::builder(count_plan(4_000), parts, cfg(4))
+            .chaos(&chaos(FaultPlan::new()))
+            .elastic(&ElasticConfig::packed(4, 2), &mut director)
+            .run();
+        let rescale = &out.rescale;
+        assert!(rescale.migrations.is_empty(), "{:?}", rescale.migrations);
+        assert_eq!((rescale.peak_hosts, rescale.final_hosts), (2, 2));
+        assert_eq!(out.run.records, 4 * 60_000);
     }
 }

@@ -457,8 +457,8 @@ impl Process for SplitDriver {
 ///
 /// Results and final state are bit-exact against the unsplit
 /// [`SlashCluster::run`](crate::SlashCluster::run) of the same inputs
-/// (the headline invariant; the hotpath-bench `--zipf` sweep cross-checks
-/// it on every config).
+/// (the headline invariant; the exactness matrix, `tests/matrix.rs`,
+/// holds every split cell to the sequential oracle).
 ///
 /// Restrictions: tumbling windows only (the sliding-window sibling merge
 /// peeks canonical keys in live state, which a split would bypass), and
@@ -631,136 +631,5 @@ mod tests {
         };
         assert_eq!(d.tick(&hot), vec![1, 2], "cap at max_splits");
         assert!(d.tick(&hot).is_empty(), "no re-requests");
-    }
-
-    use crate::sink::results_digest;
-    use crate::testutil::count_plan;
-    use crate::{RunConfig, RunReport, SlashCluster};
-
-    /// `n` 16-byte records of (ts, key): ts += dt, keys zipf-ish skewed —
-    /// every other record hits `hot_key`, the rest round-robin `keys`.
-    fn gen_skewed(n: u64, dt: u64, keys: u64, hot_key: u64) -> Rc<Vec<u8>> {
-        let mut buf = Vec::with_capacity((n * 16) as usize);
-        for i in 0..n {
-            let k = if i % 2 == 0 { hot_key } else { i % keys };
-            buf.extend_from_slice(&(i * dt).to_le_bytes());
-            buf.extend_from_slice(&k.to_le_bytes());
-        }
-        Rc::new(buf)
-    }
-
-    fn exactness_config(nodes: usize) -> RunConfig {
-        let mut cfg = RunConfig::new(nodes, 1);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 2048;
-        cfg
-    }
-
-    fn run_split(
-        plan: crate::QueryPlan,
-        parts: Vec<Rc<Vec<u8>>>,
-        cfg: RunConfig,
-        scfg: &SplitRunConfig,
-    ) -> (RunReport, SplitReport) {
-        let out = SlashCluster::builder(plan, parts, cfg).split(scfg).run();
-        (out.run, out.split)
-    }
-
-    /// The headline invariant, state-plane only: pre-splitting a hot key
-    /// (no forwarding) leaves every `(window, key, value)` result
-    /// bit-exact against the plain run.
-    #[test]
-    fn run_split_is_exact_without_forwarding() {
-        let nodes = 3;
-        let parts: Vec<Rc<Vec<u8>>> = (0..nodes as u64)
-            .map(|p| gen_skewed(600, 3, 8, 5 + (p % 2)))
-            .collect();
-        let cfg = exactness_config(nodes);
-        let plain = SlashCluster::run(count_plan(300), parts.clone(), cfg);
-        let scfg = SplitRunConfig {
-            pre_split: vec![5, 6],
-            auto: None,
-            ..SplitRunConfig::default()
-        };
-        let (split, rep) = run_split(count_plan(300), parts, cfg, &scfg);
-        assert_eq!(rep.splits.len(), 2, "both pre-splits must activate");
-        assert_eq!(rep.forwarded_records, 0, "forwarding was off");
-        assert_eq!(split.records, plain.records);
-        assert_eq!(split.emitted, plain.emitted);
-        assert_eq!(
-            results_digest(&split.results),
-            results_digest(&plain.results),
-            "split-path results must be bit-exact vs the unsplit run"
-        );
-        for r in &split.results {
-            if let crate::sink::SinkResult::Agg { key, .. } = r {
-                assert_eq!(key & SUB_KEY_TAG, 0, "sub-key escaped the fold");
-            }
-        }
-    }
-
-    /// Exactness with the full data plane: forwarded records and the
-    /// watermark floor must not lose, duplicate, or early-release
-    /// anything.
-    #[test]
-    fn run_split_is_exact_with_forwarding() {
-        let nodes = 4;
-        let parts: Vec<Rc<Vec<u8>>> = (0..nodes as u64)
-            .map(|_| gen_skewed(800, 2, 16, 3))
-            .collect();
-        let cfg = exactness_config(nodes);
-        let plain = SlashCluster::run(count_plan(400), parts.clone(), cfg);
-        let scfg = SplitRunConfig {
-            pre_split: vec![3],
-            auto: None,
-            forward: true,
-            ..SplitRunConfig::default()
-        };
-        let (split, rep) = run_split(count_plan(400), parts, cfg, &scfg);
-        assert!(
-            rep.forwarded_records > 0,
-            "a pre-split hot key must actually forward records"
-        );
-        assert_eq!(split.records, plain.records, "sender-counted records");
-        assert_eq!(split.emitted, plain.emitted);
-        assert_eq!(
-            results_digest(&split.results),
-            results_digest(&plain.results),
-            "forwarding must stay bit-exact vs the unsplit run"
-        );
-    }
-
-    /// The online path: the heat director detects the hot key mid-run,
-    /// activates the split on every node, and the run stays exact.
-    #[test]
-    fn online_detection_splits_and_stays_exact() {
-        let nodes = 3;
-        let parts: Vec<Rc<Vec<u8>>> = (0..nodes as u64)
-            .map(|_| gen_skewed(1200, 2, 32, 7))
-            .collect();
-        let cfg = exactness_config(nodes);
-        let plain = SlashCluster::run(count_plan(600), parts.clone(), cfg);
-        let scfg = SplitRunConfig {
-            auto: Some(HeatPolicy {
-                hot_ppm: 200_000, // 20%; the hot key carries ~50%
-                min_total: 200,
-                max_splits: 4,
-            }),
-            sample_every: SimTime::from_micros(2),
-            ..SplitRunConfig::default()
-        };
-        let (split, rep) = run_split(count_plan(600), parts, cfg, &scfg);
-        assert!(
-            rep.splits
-                .iter()
-                .any(|&(k, at)| k == 7 && at > SimTime::ZERO),
-            "director must detect key 7 online; got {:?}",
-            rep.splits
-        );
-        assert_eq!(
-            results_digest(&split.results),
-            results_digest(&plain.results),
-            "online split must stay bit-exact vs the unsplit run"
-        );
     }
 }

@@ -48,6 +48,5 @@ pub(crate) fn chaos(plan: FaultPlan) -> ChaosConfig {
             ckpt_max_chunk: 16 * 1024,
             ckpt_copies: 2,
         },
-        pre_split: Vec::new(),
     }
 }

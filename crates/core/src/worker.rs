@@ -708,6 +708,9 @@ impl Process for SlashWorker {
             {
                 seg_emit += self.run_triggers(&mut sh); // final sweep
                 sh.finished = true;
+                let (node, widx) = (self.node as u32, self.widx as u32);
+                sh.obs
+                    .instant(Cat::Operator, "finished", node, widx, sim.now(), &[]);
             }
             cpu += seg_emit;
         }

@@ -54,7 +54,6 @@ fn chaos() -> ChaosConfig {
             ckpt_max_chunk: 16 * 1024,
             ckpt_copies: 2,
         },
-        pre_split: Vec::new(),
     }
 }
 

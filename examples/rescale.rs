@@ -55,7 +55,6 @@ fn run(
             ckpt_max_chunk: 16 * 1024,
             ckpt_copies: 2,
         },
-        pre_split: Vec::new(),
     };
     let out = SlashCluster::builder(w.plan, w.partitions, cfg)
         .chaos(&chaos)

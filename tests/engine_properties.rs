@@ -1,18 +1,17 @@
 //! Property-based end-to-end tests: random streams, random window sizes,
-//! random cluster shapes — the Slash engine must always match a
-//! sequential fold (property P2 at engine level), never double-fire a
-//! window, and never lose a record. Cases are drawn from seeded `DetRng`
+//! random cluster shapes — the Slash engine must always match the
+//! sequential fold of `slash_verify::oracle` (property P2 at engine level):
+//! no window fired twice, no record lost. Cases are drawn from seeded `DetRng`
 //! loops so the suite runs fully offline and failures reproduce from
 //! their seed.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use slash::core::{
-    AggSpec, QueryPlan, RecordSchema, RunConfig, SinkResult, SlashCluster, StreamDef,
-    WindowAssigner,
+    AggSpec, QueryPlan, RecordSchema, RunConfig, SlashCluster, StreamDef, WindowAssigner,
 };
 use slash::desim::DetRng;
+use slash_verify::oracle;
 
 /// A randomly generated partition: (ts, key) records with strictly
 /// monotone timestamps.
@@ -36,54 +35,39 @@ fn encode(partition: &[(u64, u64)]) -> Rc<Vec<u8>> {
     Rc::new(buf)
 }
 
+/// Count `parts` in tumbling windows of `window` on `nodes × workers`
+/// under `epoch_bytes` epochs; the results must equal the sequential fold.
+fn assert_exact(window: u64, parts: Vec<Rc<Vec<u8>>>, nodes: usize, epoch_bytes: u64, seed: u64) {
+    let plan = QueryPlan::Aggregate {
+        input: StreamDef::new(RecordSchema::plain(16)),
+        window: WindowAssigner::Tumbling { size: window },
+        agg: AggSpec::Count,
+    };
+    let mut cfg = RunConfig::new(nodes, parts.len() / nodes);
+    cfg.collect_results = true;
+    cfg.epoch_bytes = epoch_bytes;
+    let expected = oracle::oracle(&plan, &parts);
+    let report = SlashCluster::run(plan, parts, cfg);
+    let verdict = oracle::check(&expected, &report.results);
+    assert!(verdict.is_ok(), "seed {seed}: {verdict:?}");
+}
+
 #[test]
 fn random_streams_match_sequential_counts() {
     for seed in 0..24u64 {
         let mut rng = DetRng::new(0xE2E ^ seed.wrapping_mul(0x9E3779B9));
         let n_parts = 2 + rng.next_below(5) as usize;
-        let parts: Vec<Vec<(u64, u64)>> =
-            (0..n_parts).map(|_| random_partition(&mut rng, 300)).collect();
+        let parts: Vec<Vec<(u64, u64)>> = (0..n_parts)
+            .map(|_| random_partition(&mut rng, 300))
+            .collect();
         let window = 50 + rng.next_below(1950);
         let nodes = 1 + rng.next_below(3) as usize;
 
         // Shape the partition list to nodes × workers.
         let nodes = nodes.min(parts.len());
         let workers = parts.len() / nodes;
-        let parts = &parts[..nodes * workers];
-
-        // Sequential oracle.
-        let mut expected: HashMap<(u64, u64), u64> = HashMap::new();
-        for p in parts {
-            for (ts, key) in p {
-                *expected.entry((ts / window, *key)).or_default() += 1;
-            }
-        }
-
-        let plan = QueryPlan::Aggregate {
-            input: StreamDef::new(RecordSchema::plain(16)),
-            window: WindowAssigner::Tumbling { size: window },
-            agg: AggSpec::Count,
-        };
-        let mut cfg = RunConfig::new(nodes, workers);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 1024; // aggressive epochs
-        let report = SlashCluster::run(
-            plan,
-            parts.iter().map(|p| encode(p)).collect(),
-            cfg,
-        );
-
-        let mut got: HashMap<(u64, u64), u64> = HashMap::new();
-        for r in &report.results {
-            if let SinkResult::Agg { window_id, key, value } = r {
-                let prev = got.insert((*window_id, *key), *value as u64);
-                assert!(
-                    prev.is_none(),
-                    "double trigger {window_id}/{key}, seed {seed}"
-                );
-            }
-        }
-        assert_eq!(got, expected, "seed {seed}");
+        let parts = parts[..nodes * workers].iter().map(|p| encode(p)).collect();
+        assert_exact(window, parts, nodes, 1024, seed); // aggressive epochs
     }
 }
 
@@ -104,25 +88,6 @@ fn stragglers_delay_but_never_corrupt() {
         let long: Vec<(u64, u64)> = (0..short_len * long_factor)
             .map(|i| (1 + i as u64 * 3, i as u64 % 4))
             .collect();
-        let total = (short.len() + long.len()) as u64;
-
-        let plan = QueryPlan::Aggregate {
-            input: StreamDef::new(RecordSchema::plain(16)),
-            window: WindowAssigner::Tumbling { size: window },
-            agg: AggSpec::Count,
-        };
-        let mut cfg = RunConfig::new(2, 1);
-        cfg.collect_results = true;
-        cfg.epoch_bytes = 512;
-        let report = SlashCluster::run(plan, vec![encode(&short), encode(&long)], cfg);
-        let sum: f64 = report
-            .results
-            .iter()
-            .map(|r| match r {
-                SinkResult::Agg { value, .. } => *value,
-                _ => 0.0,
-            })
-            .sum();
-        assert_eq!(sum as u64, total, "seed {seed}");
+        assert_exact(window, vec![encode(&short), encode(&long)], 2, 512, seed);
     }
 }

@@ -4,10 +4,11 @@
 use std::rc::Rc;
 
 use slash::core::{
-    AggSpec, QueryPlan, RecordSchema, RunConfig, SinkResult, SlashCluster, StreamDef,
+    AggSpec, QueryPlan, RecordSchema, RunConfig, RunReport, SinkResult, SlashCluster, StreamDef,
     WindowAssigner,
 };
 use slash::workloads::{ysb, GenConfig};
+use slash_verify::oracle;
 
 fn gen(n: u64, dt: u64, keys: u64, seed: u64) -> Rc<Vec<u8>> {
     let mut buf = Vec::with_capacity((n * 16) as usize);
@@ -26,38 +27,40 @@ fn count_plan(window: u64) -> QueryPlan {
     }
 }
 
+/// Run `plan` over `parts` under `cfg`, collecting results, and hold them
+/// to the sequential fold: every `(window, key)` exactly once, each with
+/// its exact count.
+fn run_exact(
+    plan: QueryPlan,
+    parts: Vec<Rc<Vec<u8>>>,
+    mut cfg: RunConfig,
+    what: &str,
+) -> RunReport {
+    cfg.collect_results = true;
+    let expected = oracle::oracle(&plan, &parts);
+    let report = SlashCluster::run(plan, parts, cfg);
+    let verdict = oracle::check(&expected, &report.results);
+    assert!(verdict.is_ok(), "{what}: {verdict:?}");
+    report
+}
+
 /// P1: no result at timestamp t may be computed from records with
 /// timestamps greater than t. Observable consequence: every window's
 /// count is complete — if a window fired early, late-arriving records for
-/// it would be lost and totals would not add up (the backend also panics
-/// on double triggers).
+/// it would be lost and the counts would not match the sequential fold
+/// (the backend also panics on double triggers).
 #[test]
 fn p1_no_partial_windows_under_aggressive_epochs() {
     for epoch_bytes in [512u64, 4 * 1024, 1024 * 1024] {
         let mut cfg = RunConfig::new(3, 2);
-        cfg.collect_results = true;
         cfg.epoch_bytes = epoch_bytes;
         let parts: Vec<Rc<Vec<u8>>> = (0..6).map(|s| gen(2_000, 3, 16, s)).collect();
-        let report = SlashCluster::run(count_plan(500), parts, cfg);
-        let total: f64 = report
-            .results
-            .iter()
-            .map(|r| match r {
-                SinkResult::Agg { value, .. } => *value,
-                _ => 0.0,
-            })
-            .sum();
-        assert_eq!(
-            total as u64, 12_000,
-            "lost or duplicated records at epoch_bytes={epoch_bytes}"
+        run_exact(
+            count_plan(500),
+            parts,
+            cfg,
+            &format!("epoch_bytes={epoch_bytes}"),
         );
-        // Every (window,key) fires exactly once.
-        let mut seen = std::collections::HashSet::new();
-        for r in &report.results {
-            if let SinkResult::Agg { window_id, key, .. } = r {
-                assert!(seen.insert((*window_id, *key)));
-            }
-        }
     }
 }
 
@@ -67,7 +70,6 @@ fn p1_no_partial_windows_under_aggressive_epochs() {
 #[test]
 fn epoch_protocol_survives_tiny_channels() {
     let mut cfg = RunConfig::new(2, 2);
-    cfg.collect_results = true;
     cfg.epoch_bytes = 2 * 1024;
     cfg.channel = slash::net::ChannelConfig {
         credits: 2,
@@ -75,16 +77,7 @@ fn epoch_protocol_survives_tiny_channels() {
         credit_batch: 1,
     };
     let parts: Vec<Rc<Vec<u8>>> = (0..4).map(|s| gen(1_500, 2, 32, s)).collect();
-    let report = SlashCluster::run(count_plan(400), parts, cfg);
-    let total: f64 = report
-        .results
-        .iter()
-        .map(|r| match r {
-            SinkResult::Agg { value, .. } => *value,
-            _ => 0.0,
-        })
-        .sum();
-    assert_eq!(total as u64, 6_000);
+    run_exact(count_plan(400), parts, cfg, "tiny channels");
 }
 
 /// Virtual time makes runs bit-reproducible, including all counters.
@@ -161,28 +154,16 @@ fn session_windows_count_everything_once() {
         window: WindowAssigner::Session { gap: 250 },
         agg: AggSpec::Count,
     };
-    let mut cfg = RunConfig::new(2, 1);
-    cfg.collect_results = true;
     let parts = vec![gen(1_000, 4, 8, 0), gen(1_000, 4, 8, 3)];
-    let report = SlashCluster::run(plan, parts, cfg);
-    let total: f64 = report
-        .results
-        .iter()
-        .map(|r| match r {
-            SinkResult::Agg { value, .. } => *value,
-            _ => 0.0,
-        })
-        .sum();
-    assert_eq!(total as u64, 2_000);
+    run_exact(plan, parts, RunConfig::new(2, 1), "session buckets");
 }
 
 /// The run must also work with a single node and a single worker — the
 /// degenerate cluster is the scale-up engine.
 #[test]
 fn single_node_degenerates_to_scale_up() {
-    let mut cfg = RunConfig::new(1, 1);
-    cfg.collect_results = true;
-    let report = SlashCluster::run(count_plan(100), vec![gen(1_000, 1, 4, 0)], cfg);
+    let parts = vec![gen(1_000, 1, 4, 0)];
+    let report = run_exact(count_plan(100), parts, RunConfig::new(1, 1), "one node");
     assert_eq!(report.records, 1_000);
     assert_eq!(report.net_tx_bytes, 0, "no fabric traffic on one node");
 }

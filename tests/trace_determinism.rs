@@ -2,11 +2,13 @@
 //! runs on virtual time with seeded randomness only, so two identical
 //! runs must produce *byte-identical* trace JSON and `slash-top`
 //! summaries — not merely equivalent ones. Any nondeterminism smuggled in
-//! (wall clock, hash-order iteration, address-keyed IDs) fails here.
+//! (wall clock, hash-order iteration, address-keyed IDs) fails here. The
+//! telemetry itself must say what shaped a run: the write combiner turning
+//! itself off is a counter and a trace instant.
 
 use slash::core::{RunConfig, SlashCluster};
 use slash::obs::Obs;
-use slash::workloads::{ysb, GenConfig};
+use slash::workloads::{ysb, ysb_hot, GenConfig, Workload};
 
 /// One traced YSB run on a small cluster; returns every observable
 /// artifact the obs layer can emit.
@@ -77,4 +79,39 @@ fn tracing_does_not_perturb_the_engine() {
     assert_eq!(traced.emitted, dark.emitted);
     assert_eq!(traced.net_tx_bytes, dark.net_tx_bytes);
     assert_eq!(traced.completion_time, dark.completion_time);
+}
+
+/// "The combiner turned itself off" is read from telemetry: on reuse-free
+/// `ysb` every worker's table trips the cold-stream probe at its 1,024th
+/// survivor — one counter bump and one trace instant each — and on
+/// `ysb_hot` none ever does.
+#[test]
+fn the_cold_stream_exit_is_a_counter_and_a_trace_instant() {
+    const NODES: usize = 2;
+    const WORKERS: usize = 2;
+    let traced = |w: Workload| {
+        let obs = Obs::enabled(1 << 16);
+        let mut cfg = RunConfig::new(NODES, WORKERS);
+        cfg.collect_results = true;
+        cfg.epoch_bytes = 64 * 1024;
+        let builder = SlashCluster::builder(w.plan, w.partitions, cfg);
+        (builder.obs(obs.clone()).run().run, obs)
+    };
+    let (report, obs) = traced(ysb(&GenConfig::new(NODES * WORKERS, 5_000)));
+    assert_eq!(report.metrics.combiner_off, (NODES * WORKERS) as u64);
+    let exits: Vec<_> = obs.events().into_iter().filter(|e| e.name == "combiner_off").collect();
+    let mut lanes: Vec<(u32, u32)> = exits.iter().map(|e| (e.pid, e.tid)).collect();
+    lanes.sort_unstable();
+    assert_eq!(lanes, [(0, 0), (0, 1), (1, 0), (1, 1)], "one instant per worker");
+    for e in &exits {
+        assert_eq!(e.args[..2], [("survivors", 1024), ("distinct", 1024)]);
+    }
+    let counted = |node| obs.with_registry(|r| r.counter("combiner_off", node));
+    assert_eq!((counted("node0"), counted("node1")), (Some(2), Some(2)));
+    assert!(report.metrics.combiner_folds <= 1024 * (NODES * WORKERS) as u64);
+
+    let (report, obs) = traced(ysb_hot(&GenConfig::new(NODES * WORKERS, 20_000)));
+    assert_eq!(report.metrics.combiner_off, 0);
+    assert!(obs.events().iter().all(|e| e.name != "combiner_off"));
+    assert_eq!(report.metrics.combiner_folds, report.metrics.state_updates);
 }
