@@ -8,7 +8,7 @@
 //! Slash's throughput (§8.3.2 discussion). Each sweep below isolates one
 //! of those choices.
 
-use slash_perfmodel::Table;
+use crate::report::Table;
 use slash_rdma::{FabricConfig, NicConfig};
 use slash_workloads::{ysb, GenConfig};
 

@@ -24,12 +24,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use slash_chaos::ChaosConfig;
 use slash_desim::{Link, Sim, SimTime};
 use slash_obs::{Cat, Obs};
 use slash_rdma::{Fabric, NodeId};
 use slash_state::backend::build_cluster_obs;
 
+use crate::chaos::ChaosConfig;
 use crate::cluster::{
     assemble_report, boot_node, spawn_node_workers, RunConfig, RunReport, SlashCluster,
 };
@@ -441,8 +441,8 @@ impl<'a> ClusterBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::FaultPlan;
     use crate::testutil::{cfg, chaos, count_plan, gen};
-    use slash_chaos::FaultPlan;
 
     /// The crash-victim rule: a partition re-homed onto port `h` by an
     /// earlier promotion or handoff dies at the instant `h` dies — no

@@ -21,7 +21,8 @@
 //! memory-bandwidth link, so spreading them to parked hosts genuinely
 //! doubles aggregate memory bandwidth. A [`ScaleDirector`] observes
 //! cluster telemetry every driver slice and emits [`MigrationCmd`]s; the
-//! policy lives in `crates/scale`, the mechanism here.
+//! load-reactive policy is [`ScaleController`] (`elastic/controller.rs`),
+//! the mechanism is the rest of this module.
 //!
 //! The handoff state machine (full spec: `DESIGN.md` §18):
 //!
@@ -36,6 +37,10 @@
 //! the two interact only through the cluster's `host[]` map and the
 //! per-partition "who owns this node's repair" exclusivity (a partition
 //! is owned by at most one machine).
+
+mod controller;
+
+pub use controller::{ControllerConfig, Decision, ScaleController};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -570,9 +575,9 @@ impl RescaleDirector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::FaultPlan;
     use crate::testutil::{cfg, chaos, count_plan, gen};
     use crate::SlashCluster;
-    use slash_chaos::FaultPlan;
 
     #[test]
     fn invalid_commands_are_dropped() {

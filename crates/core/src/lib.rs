@@ -18,6 +18,7 @@
 //! emerge from the same causes rather than being painted on.
 
 pub mod agg;
+pub mod chaos;
 pub mod cluster;
 pub mod cost;
 pub mod driver;
@@ -45,8 +46,8 @@ pub use cost::{CacheModel, CostModel, TESTBED_CLOCK_GHZ};
 pub use driver::Plant;
 pub use driver::{ClusterBuilder, Outcome};
 pub use elastic::{
-    ClusterTelemetry, ElasticConfig, MigrationCmd, MigrationEvent, RescaleReport, ScaleDirector,
-    ScriptedDirector, StaticDirector,
+    ClusterTelemetry, ControllerConfig, Decision, ElasticConfig, MigrationCmd, MigrationEvent,
+    RescaleReport, ScaleController, ScaleDirector, ScriptedDirector, StaticDirector,
 };
 pub use hotpath::{BatchOutcome, HotPath};
 pub use metrics::{CostCategory, EngineMetrics};

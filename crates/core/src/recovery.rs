@@ -4,8 +4,9 @@
 //! The fault-free engine ([`crate::SlashCluster::run`]) assumes a perfect
 //! fabric. The fault-tolerance director
 //! ([`crate::ClusterBuilder::chaos`]) drops that assumption: it arms a
-//! deterministic [`slash_chaos::FaultPlan`] against the simulated fabric
-//! and layers a recovery protocol on top of the epoch coherence machinery:
+//! deterministic [`FaultPlan`](crate::chaos::FaultPlan) against the
+//! simulated fabric and layers a recovery protocol on top of the epoch
+//! coherence machinery:
 //!
 //! * **Checkpoints.** At every epoch close a node captures its primary
 //!   partition snapshot, vector clock, per-channel commit horizons, the
@@ -27,8 +28,9 @@
 //!   promotion; link restored after a flap → channel reset + replay;
 //!   merely degraded → wait, the run completes on its own.
 //! * **Copy placement.** Each checkpoint is shipped to up to
-//!   [`slash_chaos::FtConfig::ckpt_copies`] distinct buddy ports (placement
-//!   diversity), and a copy is usable only while its holder port answers.
+//!   [`FtConfig::ckpt_copies`](crate::chaos::FtConfig::ckpt_copies)
+//!   distinct buddy ports (placement diversity), and a copy is usable only
+//!   while its holder port answers.
 //!   Losing a holder drops the copy, which triggers buddy re-selection and
 //!   re-shipping; losing *every* real copy falls back to the epoch-0 seed
 //!   copy (reprocess from scratch), which is durable by fiat.
@@ -60,7 +62,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use slash_chaos::{ChaosConfig, FaultKind, Injector};
 use slash_desim::SimTime;
 use slash_net::RECONNECT_HANDSHAKE_MSGS;
 use slash_obs::{Cat, Obs};
@@ -68,6 +69,7 @@ use slash_rdma::{Fabric, NodeId};
 use slash_state::backend::SsbNode;
 use slash_state::{chunks_digest, rejoin, relink, Rejoin, SsbCheckpoint};
 
+use crate::chaos::{ChaosConfig, FaultKind, Injector};
 use crate::cluster::{boot_node, spawn_node_workers};
 use crate::driver::{Cluster, Director, Outcome, Plant};
 use crate::sink::{results_digest, Sink, SinkResult};
@@ -385,7 +387,7 @@ impl RecoveryReport {
 }
 
 /// Trace pid used for driver-side recovery events (fault injection uses
-/// `slash_chaos::inject::FAULT_TID` on the victim's pid; repairs land on
+/// `chaos/inject.rs`'s `FAULT_TID` on the victim's pid; repairs land on
 /// the victim's pid too, under this tid).
 pub(crate) const RECOVERY_TID: u32 = 901;
 
@@ -974,9 +976,9 @@ pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::FaultPlan;
     use crate::testutil::{cfg, chaos, count_plan, gen};
     use crate::{RunReport, SlashCluster};
-    use slash_chaos::FaultPlan;
 
     fn run(faults: FaultPlan, nodes: usize) -> (RunReport, RecoveryReport) {
         let parts: Vec<Rc<Vec<u8>>> = (0..nodes).map(|_| gen(60_000, 1, 32)).collect();

@@ -2,10 +2,10 @@
 
 use std::rc::Rc;
 
-use slash_chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash_desim::SimTime;
 
 use crate::agg::AggSpec;
+use crate::chaos::{ChaosConfig, FaultPlan, FtConfig};
 use crate::cluster::RunConfig;
 use crate::query::{QueryPlan, StreamDef};
 use crate::record::RecordSchema;

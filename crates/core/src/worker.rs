@@ -402,6 +402,36 @@ impl SlashWorker {
         }
     }
 
+    /// Account for one epoch-close attempt of `step`: a failure is
+    /// flight-recorded; a closed epoch charges its scan of the fragments'
+    /// delta regions and the chunk encode (§7.2.2 step ② — mark + read
+    /// the log) to `cpu`, `seg_close` and memory-bound time, adds its
+    /// delta bytes to `mem_bytes`, and notifies recovery and forwarding.
+    fn charge_epoch_close(
+        &self,
+        sh: &mut NodeShared,
+        closed: Result<Option<u64>, slash_state::StateError>,
+        cpu: &mut f64,
+        seg_close: &mut f64,
+        mem_bytes: &mut u64,
+    ) {
+        let delta = match closed {
+            Ok(Some(delta)) => delta,
+            Ok(None) => return,
+            Err(e) => {
+                sh.obs.record_failure("epoch close", &format!("{e:?}"));
+                return;
+            }
+        };
+        let close_ns = 800.0 + delta as f64 * 0.05;
+        *cpu += close_ns;
+        *seg_close += close_ns;
+        sh.metrics.charge(CostCategory::MemoryBound, close_ns);
+        *mem_bytes += delta;
+        crate::recovery::on_epoch_closed(sh);
+        self.note_fwd_close(sh);
+    }
+
     /// Trigger-task duty: fire every window the vector clock has released.
     ///
     /// The common call — nothing ready, e.g. every step of the end-of-stream
@@ -555,7 +585,6 @@ impl Process for SlashWorker {
         // withhold records (the curve has not released them yet); the
         // worker then idles until the next release instant.
         let was_combined = self.hotpath.combined();
-        let mut mem_bytes_extra = 0u64;
         let mut paced_wait: Option<SimTime> = None;
         let poll = self.source.poll_range(sim.now());
         if let crate::source::SourcePoll::Batch(range) = poll {
@@ -592,25 +621,7 @@ impl Process for SlashWorker {
             } else {
                 sh.ssb.maybe_close_epoch(sim)
             };
-            let closed_delta = match closed {
-                Ok(d) => d,
-                Err(e) => {
-                    sh.obs.record_failure("epoch close", &format!("{e:?}"));
-                    None
-                }
-            };
-            if let Some(delta) = closed_delta {
-                // Closing an epoch scans the fragments' delta regions and
-                // encodes chunks (§7.2.2 step ② — mark + read the log).
-                let close_ns = 800.0 + delta as f64 * 0.05;
-                cpu += close_ns;
-                seg_close += close_ns;
-                sh.metrics.charge(CostCategory::MemoryBound, close_ns);
-                mem_bytes_extra += delta;
-                crate::recovery::on_epoch_closed(&mut sh);
-                self.note_fwd_close(&sh);
-            }
-            mem_bytes += mem_bytes_extra;
+            self.charge_epoch_close(&mut sh, closed, &mut cpu, &mut seg_close, &mut mem_bytes);
         } else if let crate::source::SourcePoll::NotReady(at) = poll {
             paced_wait = Some(at);
         } else if !self.source_done {
@@ -661,22 +672,8 @@ impl Process for SlashWorker {
                 mem_bytes += m;
                 batch_records += n;
                 fwd_records = n;
-                let closed = match sh.ssb.maybe_close_epoch(sim) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        sh.obs.record_failure("epoch close", &format!("{e:?}"));
-                        None
-                    }
-                };
-                if let Some(delta) = closed {
-                    let close_ns = 800.0 + delta as f64 * 0.05;
-                    cpu += close_ns;
-                    seg_close += close_ns;
-                    sh.metrics.charge(CostCategory::MemoryBound, close_ns);
-                    mem_bytes += delta;
-                    crate::recovery::on_epoch_closed(&mut sh);
-                    self.note_fwd_close(&sh);
-                }
+                let closed = sh.ssb.maybe_close_epoch(sim);
+                self.charge_epoch_close(&mut sh, closed, &mut cpu, &mut seg_close, &mut mem_bytes);
             }
         }
 

@@ -45,8 +45,8 @@ pub struct FabricConfig {
 
 /// Injected fault state of one node (all clear in a healthy fabric).
 ///
-/// Mutated only by the fault-injection layer (`slash-chaos`) through the
-/// [`Fabric`] fault hooks; the data path consults it at post and delivery
+/// Mutated only by the fault-injection layer (`slash_core::chaos`)
+/// through the [`Fabric`] fault hooks; the data path consults it at post and delivery
 /// time so failures surface as flushed completions, never as panics.
 #[derive(Debug, Clone, Copy, Default)]
 struct FaultState {
@@ -193,7 +193,7 @@ impl Fabric {
         self.inner.borrow().cfg.nic.latency
     }
 
-    // --- Fault-injection hooks (driven by `slash-chaos`) -----------------
+    // --- Fault-injection hooks (driven by `slash_core::chaos`) ----------
 
     /// Crash `node`: its NIC stops forever and every reliable connection
     /// touching it flushes outstanding work. Irreversible — a recovered

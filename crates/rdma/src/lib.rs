@@ -27,8 +27,8 @@
 //! ## Fault injection
 //!
 //! The fabric exposes fault hooks ([`Fabric::fail_node`],
-//! [`Fabric::set_link_down`], [`Fabric::set_extra_delay`]) driven by the
-//! `slash-chaos` crate. A failed path flushes work requests instead of
+//! [`Fabric::set_link_down`], [`Fabric::set_extra_delay`]) driven by
+//! `slash_core::chaos`. A failed path flushes work requests instead of
 //! delivering them: signaled requests surface
 //! [`cq::CompletionStatus::FlushErr`] completions, the QP transitions to
 //! the error state ([`qp::Qp::is_error`]) and rejects further posts until

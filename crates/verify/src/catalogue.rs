@@ -43,7 +43,7 @@
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use slash_chaos::{ChaosConfig, FaultPlan, FtConfig};
+use slash_core::chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash_core::source::RateCurve;
 use slash_core::{
     ElasticConfig, MigrationCmd, Outcome as RunOutcome, Plant, RecoveryAction, RunConfig,

@@ -11,7 +11,7 @@
 //!
 //! | rule | scope | what it catches |
 //! |------|-------|-----------------|
-//! | `no-panic` | library code of `net`, `state`, `rdma`, `core`, `obs`, `chaos` | `.unwrap()`, `.expect(`, `panic!`, `todo!` outside `#[cfg(test)]` |
+//! | `no-panic` | library code of `net`, `state`, `rdma`, `core`, `obs` | `.unwrap()`, `.expect(`, `panic!`, `todo!` outside `#[cfg(test)]` |
 //! | `no-truncating-cast` | wire-format files (`net/src/layout.rs`, `state/src/delta.rs`) | narrowing `as u8/u16/u32/...` casts |
 //! | `crate-attrs` | every crate root | missing `#![forbid(unsafe_code)]` or `#![deny(missing_docs)]` |
 //! | `no-debug-print` | library code of protocol crates + `desim` + `obs` | `dbg!`, `println!` |
@@ -37,10 +37,10 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose library code must not panic (the protocol crates: a panic
 /// there is a protocol bug, not an application choice).
-const NO_PANIC_CRATES: &[&str] = &["net", "state", "rdma", "core", "obs", "chaos"];
+const NO_PANIC_CRATES: &[&str] = &["net", "state", "rdma", "core", "obs"];
 
 /// Crates whose library code must not debug-print.
-const NO_PRINT_CRATES: &[&str] = &["net", "state", "rdma", "core", "desim", "obs", "chaos"];
+const NO_PRINT_CRATES: &[&str] = &["net", "state", "rdma", "core", "desim", "obs"];
 
 /// Crates whose library code must mutate performance counters through the
 /// facade methods (so every bump is also visible to the metrics registry).

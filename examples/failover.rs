@@ -20,7 +20,7 @@
 //! cargo run --release --example failover
 //! ```
 
-use slash::chaos::{ChaosConfig, FaultPlan, FtConfig};
+use slash::core::chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash::core::{
     RecoveryAction, RecoveryReport, RunConfig, RunReport, SlashCluster,
 };

@@ -5,7 +5,7 @@
 //! Four logical partitions start packed two-per-host on two hosts; two
 //! provisioned hosts sit parked. A diurnal load curve surges past the
 //! packed cluster's capacity at t = 400 µs; the load-reactive
-//! [`slash::scale::ScaleController`] confirms the overload across several
+//! [`slash::core::ScaleController`] confirms the overload across several
 //! telemetry ticks, then spreads the hottest partitions onto the parked
 //! hosts through the planned-handoff path: warm checkpoint pre-ship while
 //! the source keeps serving, a bounded cutover stall for the tail, one
@@ -23,15 +23,14 @@
 //! cargo run --release --example rescale
 //! ```
 
-use slash::chaos::{ChaosConfig, FaultPlan, FtConfig};
+use slash::core::chaos::{ChaosConfig, FaultPlan, FtConfig};
 use slash::core::source::RateCurve;
 use slash::core::{
-    ElasticConfig, RecoveryReport, RescaleReport, RunConfig, RunReport, ScaleDirector,
-    SlashCluster, StaticDirector,
+    ControllerConfig, ElasticConfig, RecoveryReport, RescaleReport, RunConfig, RunReport,
+    ScaleController, ScaleDirector, SlashCluster, StaticDirector,
 };
 use slash::desim::SimTime;
 use slash::obs::Obs;
-use slash::scale::{ControllerConfig, ScaleController};
 use slash::workloads::{ysb, GenConfig};
 
 const PARTITIONS: usize = 4;

@@ -1,12 +1,12 @@
 //! Cross-validation: the closed-form performance model
-//! (`slash_perfmodel::analytic`) against the discrete-event simulation.
+//! (`slash_bench::analytic`) against the discrete-event simulation.
 //! Agreement within a tolerance means the simulator's emergent throughput
 //! really is produced by the structural bottlenecks the model names —
 //! there is no hidden fudge factor.
 
 use slash::core::{CostModel, RunConfig, SlashCluster};
-use slash::perfmodel::analytic::{predict_micro_direct, predict_slash_agg, AggWorkloadShape};
 use slash::workloads::{ro, GenConfig};
+use slash_bench::analytic::{predict_micro_direct, predict_slash_agg, AggWorkloadShape};
 use slash_bench::micro::{run_micro, MicroConfig, RouteMode};
 
 fn relative_error(predicted: f64, measured: f64) -> f64 {
