@@ -38,14 +38,10 @@ fn bench_index_probe(h: &mut Harness) {
             part.rmw(pack_key(1, k), |v| CounterCrdt::add(v, 1));
         }
         let mut k = 0u64;
-        h.bench_throughput(
-            &format!("index_probe/{n}"),
-            Throughput::Elements(1),
-            || {
-                k = (k + 7919) % n;
-                black_box(part.get(pack_key(1, k)));
-            },
-        );
+        h.bench_throughput(&format!("index_probe/{n}"), Throughput::Elements(1), || {
+            k = (k + 7919) % n;
+            black_box(part.get(pack_key(1, k)));
+        });
     }
 }
 

@@ -138,7 +138,11 @@ fn run_once(
     }
     let secs = start.elapsed().as_secs_f64().max(1e-12);
     if let Some((folds, keys)) = hp.combiner_off() {
-        counts = CombinerCounts { folds, keys, turned_off: true };
+        counts = CombinerCounts {
+            folds,
+            keys,
+            turned_off: true,
+        };
     }
     (records as f64 / secs, counts)
 }
@@ -284,12 +288,7 @@ impl ZipfRow {
 fn bench_zipf(theta: f64, per_node_records: u64) -> ZipfRow {
     let w = ysb_zipf_keyed(&GenConfig::new(ZIPF_NODES, per_node_records), theta);
     let total_bytes: usize = w.partitions.iter().map(|p| p.len()).sum();
-    let hot_node_share = w
-        .partitions
-        .iter()
-        .map(|p| p.len())
-        .max()
-        .unwrap_or(0) as f64
+    let hot_node_share = w.partitions.iter().map(|p| p.len()).max().unwrap_or(0) as f64
         / (total_bytes.max(1)) as f64;
     let mut cfg = RunConfig::new(ZIPF_NODES, 1);
     cfg.collect_results = true;
@@ -505,11 +504,7 @@ fn run_threads_mode(threads_list: &[usize], out_path: &str, quick: bool) {
         ] {
             println!(
                 "{:<8} {:>7} {:>14.0} {:>16.0} {:>10.4}",
-                name,
-                row.threads,
-                row.records_per_sec,
-                row.wall_records_per_sec,
-                row.wall_secs,
+                name, row.threads, row.records_per_sec, row.wall_records_per_sec, row.wall_secs,
             );
             rows.push(row);
         }
@@ -599,7 +594,11 @@ fn main() {
     // 400 k records keeps the dataset LLC-sized on repeat passes (less
     // sensitivity to neighbors' memory traffic); best-of-5 interleaved
     // passes filter scheduler and frequency noise.
-    let (records, iters) = if quick { (200_000u64, 3) } else { (400_000u64, 5) };
+    let (records, iters) = if quick {
+        (200_000u64, 3)
+    } else {
+        (400_000u64, 5)
+    };
     let records = records_override.unwrap_or(records);
     // NB8 records are 272 bytes — scale down so the dataset stays modest.
     let nb8_records = (records / 4).max(1);
@@ -643,7 +642,11 @@ fn main() {
         rows.push(row);
     }
 
-    let zipf_rows = if zipf { run_zipf_sweep(quick) } else { Vec::new() };
+    let zipf_rows = if zipf {
+        run_zipf_sweep(quick)
+    } else {
+        Vec::new()
+    };
 
     write_json(&out_path, &rows, &zipf_rows, batch_records, quick);
 
@@ -668,13 +671,19 @@ fn main() {
     // off within one table's worth of folds.
     for r in rows.iter().filter(|r| ["ysb_hot", "nb7"].contains(&r.name)) {
         if r.counts.turned_off || r.counts.hit_ratio() < 0.9 {
-            eprintln!("FAIL: {} must keep combining at hit ratio >= 0.9: {:?}", r.name, r.counts);
+            eprintln!(
+                "FAIL: {} must keep combining at hit ratio >= 0.9: {:?}",
+                r.name, r.counts
+            );
             failed = true;
         }
     }
     if let Some(r) = rows.iter().find(|r| r.name == "ysb") {
         if !r.counts.turned_off || r.counts.folds > COMBINER_SLOTS as u64 {
-            eprintln!("FAIL: ysb must turn the combiner off within one table: {:?}", r.counts);
+            eprintln!(
+                "FAIL: ysb must turn the combiner off within one table: {:?}",
+                r.counts
+            );
             failed = true;
         }
     }

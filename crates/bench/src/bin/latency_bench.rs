@@ -116,7 +116,12 @@ fn run_workload(w: &Workload, records: u64, plant: Option<&(String, f64)>) -> Wl
         for stage in Stage::ALL {
             if let Some(h) = reg.hist(STAGE_HIST, stage.name()) {
                 if h.count() > 0 {
-                    rows.push(Row::from_hist(w.name, stage.name(), stage.on_record_path(), h));
+                    rows.push(Row::from_hist(
+                        w.name,
+                        stage.name(),
+                        stage.on_record_path(),
+                        h,
+                    ));
                 }
             }
         }
@@ -162,9 +167,7 @@ fn apply_plant(cfg: &mut RunConfig, stage: &str, factor: f64) {
             cfg.cost.post_wr_ns *= factor;
         }
         other => {
-            eprintln!(
-                "error: --plant supports source|ssb_apply|epoch_merge, got {other}"
-            );
+            eprintln!("error: --plant supports source|ssb_apply|epoch_merge, got {other}");
             std::process::exit(2);
         }
     }
@@ -209,7 +212,10 @@ fn parse_slo(path: &str) -> Slo {
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
-            eprintln!("error: {path}:{}: expected `key = value`, got {line:?}", ln + 1);
+            eprintln!(
+                "error: {path}:{}: expected `key = value`, got {line:?}",
+                ln + 1
+            );
             std::process::exit(2);
         };
         let (key, value) = (key.trim(), value.trim());
@@ -224,11 +230,17 @@ fn parse_slo(path: &str) -> Slo {
             continue;
         }
         let Ok(ns) = value.parse::<u64>() else {
-            eprintln!("error: {path}:{}: budget must be integer ns, got {value:?}", ln + 1);
+            eprintln!(
+                "error: {path}:{}: budget must be integer ns, got {value:?}",
+                ln + 1
+            );
             std::process::exit(2);
         };
         if section.is_empty() {
-            eprintln!("error: {path}:{}: budget {key:?} outside a [workload] section", ln + 1);
+            eprintln!(
+                "error: {path}:{}: budget {key:?} outside a [workload] section",
+                ln + 1
+            );
             std::process::exit(2);
         }
         slo.budgets.push((section.clone(), key.to_string(), ns));
@@ -271,8 +283,7 @@ fn parse_baseline(path: &str) -> Vec<(String, String, [u64; 4])> {
     };
     let mut out = Vec::new();
     for line in text.lines() {
-        let (Some(wl), Some(stage)) = (json_str(line, "workload"), json_str(line, "stage"))
-        else {
+        let (Some(wl), Some(stage)) = (json_str(line, "workload"), json_str(line, "stage")) else {
             continue;
         };
         let mut q = [0u64; 4];
@@ -294,12 +305,7 @@ fn parse_baseline(path: &str) -> Vec<(String, String, [u64; 4])> {
 // Output.
 // ---------------------------------------------------------------------
 
-fn write_json(
-    path: &str,
-    runs: &[WlRun],
-    records: u64,
-    plant: Option<&(String, f64)>,
-) -> String {
+fn write_json(path: &str, runs: &[WlRun], records: u64, plant: Option<&(String, f64)>) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"latency-bench-v1\",\n");
     out.push_str(&format!("  \"records_per_partition\": {records},\n"));

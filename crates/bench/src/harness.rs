@@ -38,9 +38,7 @@ impl Harness {
     /// Build the harness from the process arguments (`cargo bench` passes
     /// `--bench` and friends; a bare argument is a name filter).
     pub fn from_args() -> Self {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'));
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Harness { filter }
     }
 
@@ -56,12 +54,7 @@ impl Harness {
 
     /// Like [`Harness::bench`] with a throughput annotation, so the report
     /// line also shows bytes/s or elements/s.
-    pub fn bench_throughput(
-        &mut self,
-        name: &str,
-        throughput: Throughput,
-        routine: impl FnMut(),
-    ) {
+    pub fn bench_throughput(&mut self, name: &str, throughput: Throughput, routine: impl FnMut()) {
         self.bench_throughput_opt(name, Some(throughput), routine);
     }
 

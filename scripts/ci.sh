@@ -17,7 +17,7 @@ cargo test --release --offline --manifest-path crates/bench/src/bin/perf-ledger/
 
 echo "==> [3/12] clippy (all targets, warnings are errors) + rustfmt on formatted crates"
 cargo clippy --workspace --all-targets -- -D warnings
-cargo fmt -p slash-state -p slash-core -p slash-workloads -p slash-baselines -- --check
+cargo fmt -p slash-state -p slash-core -p slash-workloads -p slash-baselines -p slash-bench -- --check
 
 echo "==> [4/12] rustdoc (workspace docs, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --quiet
