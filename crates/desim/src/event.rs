@@ -180,7 +180,13 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = self.policy.key(seq);
-        self.heap.push(Scheduled { at, seq, key, label, kind });
+        self.heap.push(Scheduled {
+            at,
+            seq,
+            key,
+            label,
+            kind,
+        });
     }
 
     /// Re-insert an entry previously popped by [`EventQueue::pop_ties`],
@@ -336,7 +342,10 @@ mod tests {
         wake(10, &mut q);
         wake(20, &mut q);
         let ties = q.pop_ties();
-        assert_eq!(ties.iter().map(|s| s.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(
+            ties.iter().map(|s| s.seq).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
         assert_eq!(q.len(), 1);
         // Push two back; they must still pop before the later event.
         let mut it = ties.into_iter();

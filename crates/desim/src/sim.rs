@@ -294,7 +294,8 @@ impl Sim {
         f: F,
     ) {
         debug_assert!(at >= self.now, "cannot schedule in the past");
-        self.queue.push_labeled(at, label, EventKind::Closure(Box::new(f)));
+        self.queue
+            .push_labeled(at, label, EventKind::Closure(Box::new(f)));
     }
 
     /// Schedule a closure to run after a virtual delay.
@@ -413,7 +414,10 @@ impl Sim {
             at: ties[0].at,
             enabled: ties
                 .iter()
-                .map(|s| EnabledEvent { seq: s.seq, label: s.label })
+                .map(|s| EnabledEvent {
+                    seq: s.seq,
+                    label: s.label,
+                })
                 .collect(),
             chosen: idx as u32,
             digest,
@@ -444,7 +448,6 @@ impl Sim {
         let entry = &mut self.procs[pid.index()];
         match step {
             Step::Yield(d) => {
-
                 let at = self.now + d;
                 self.queue.push(at, EventKind::Wake(pid));
             }
@@ -542,7 +545,9 @@ mod tests {
     fn park_and_wake() {
         let runs = Rc::new(RefCell::new(0));
         let mut sim = Sim::new();
-        let pid = sim.spawn_parked(Sleeper { runs: Rc::clone(&runs) });
+        let pid = sim.spawn_parked(Sleeper {
+            runs: Rc::clone(&runs),
+        });
         sim.run();
         assert_eq!(*runs.borrow(), 0, "parked process must not run");
         sim.schedule_in(SimTime::from_nanos(5), move |s| s.wake(pid));
@@ -565,7 +570,10 @@ mod tests {
         sim.schedule_in(SimTime::from_nanos(20), move |s| s.wake(pid));
         sim.run();
         assert_eq!(&*log.borrow(), &[0, 100]);
-        assert!(sim.stats().stale_wakes == 0, "busy wakes are dropped, not staled");
+        assert!(
+            sim.stats().stale_wakes == 0,
+            "busy wakes are dropped, not staled"
+        );
     }
 
     /// A process that wakes itself through a side effect during its own step,
@@ -590,7 +598,9 @@ mod tests {
     fn self_wake_during_step_is_not_lost() {
         let runs = Rc::new(RefCell::new(0));
         let mut sim = Sim::new();
-        sim.spawn(SelfWaker { runs: Rc::clone(&runs) });
+        sim.spawn(SelfWaker {
+            runs: Rc::clone(&runs),
+        });
         sim.run();
         assert_eq!(*runs.borrow(), 2);
     }
@@ -645,7 +655,10 @@ mod tests {
         assert_eq!(lifo, (0..8u64).rev().collect::<Vec<_>>());
         assert_eq!(s1, s1_again, "seeded schedules are reproducible");
         assert_eq!(fp_s1, fp_s1_again);
-        assert_ne!(fp_fifo, fp_lifo, "different schedules → different fingerprints");
+        assert_ne!(
+            fp_fifo, fp_lifo,
+            "different schedules → different fingerprints"
+        );
         assert_ne!(fp_fifo, fp_s1);
         let mut sorted = s1.clone();
         sorted.sort_unstable();
@@ -685,13 +698,20 @@ mod tests {
     fn schedule_choices_pick_tie_order_and_trace_replays() {
         // Choice k picks the (k+1)-th remaining event at each branch point.
         let (order, fp, trace) = explored_order(&[3, 2, 1]);
-        assert_eq!(order, vec![3, 2, 1, 0], "indices select from the remaining set");
+        assert_eq!(
+            order,
+            vec![3, 2, 1, 0],
+            "indices select from the remaining set"
+        );
         // Branch points: 4-way, 3-way, 2-way (final singleton unrecorded).
         assert_eq!(trace.len(), 3);
         assert_eq!(trace[0].enabled.len(), 4);
         assert_eq!(trace[1].enabled.len(), 3);
         assert_eq!(trace[2].enabled.len(), 2);
-        assert_eq!(trace.iter().map(|c| c.chosen).collect::<Vec<_>>(), vec![3, 2, 1]);
+        assert_eq!(
+            trace.iter().map(|c| c.chosen).collect::<Vec<_>>(),
+            vec![3, 2, 1]
+        );
         // Replaying the trace's own choices reproduces the run exactly.
         let chosen: Vec<u32> = trace.iter().map(|c| c.chosen).collect();
         let (order2, fp2, _) = explored_order(&chosen);
@@ -716,7 +736,10 @@ mod tests {
         let trace = sim.take_choice_trace();
         // Digest sampled *before* the chosen event fires: 0 events done at
         // the first branch, 1 at the second.
-        assert_eq!(trace.iter().map(|c| c.digest).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(
+            trace.iter().map(|c| c.digest).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
         assert!(sim.exploring());
         assert_eq!(sim.take_event_instants(), vec![SimTime::from_nanos(5)]);
         let mut plain = Sim::new();

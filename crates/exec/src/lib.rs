@@ -141,11 +141,7 @@ mod tests {
         cfg.collect_results = true;
         cfg.epoch_bytes = 4096;
         let parts: Vec<Vec<u8>> = (0..4).map(|_| gen(300, 3, 16)).collect();
-        let via_trait = SimBackend.run(JobSpec::new(
-            || count_plan(100),
-            parts.clone(),
-            cfg,
-        ));
+        let via_trait = SimBackend.run(JobSpec::new(|| count_plan(100), parts.clone(), cfg));
         let direct = SlashCluster::run(
             count_plan(100),
             parts.into_iter().map(Rc::new).collect(),

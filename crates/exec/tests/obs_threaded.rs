@@ -17,7 +17,9 @@ use slash_workloads::{ysb_hot, GenConfig};
 /// threaded recording and the single-threaded reference see the exact
 /// same multiset of values.
 fn sample(thread: u64, i: u64) -> u64 {
-    let mut z = (thread << 32).wrapping_add(i).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = (thread << 32)
+        .wrapping_add(i)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     (z ^ (z >> 31)) % 1_000_000
@@ -130,7 +132,11 @@ fn heat_bounds_hold_across_absorb_registry_merges() {
             for i in 0..PER_THREAD {
                 // Every third record is hot and salts to this replica's
                 // sub-key; the rest spread over a wide background domain.
-                let key = if i % 3 == 0 { sub } else { sample(t, i) % BACKGROUND };
+                let key = if i % 3 == 0 {
+                    sub
+                } else {
+                    sample(t, i) % BACKGROUND
+                };
                 obs.heat_observe("key_heat", "all", key, 1);
             }
             let snap = obs.registry_snapshot().expect("enabled handle");
@@ -151,7 +157,11 @@ fn heat_bounds_hold_across_absorb_registry_merges() {
     for t in 0..THREADS {
         let sub = ledger.sub_for(HOT, t as usize).expect("split active");
         for i in 0..PER_THREAD {
-            let key = if i % 3 == 0 { sub } else { sample(t, i) % BACKGROUND };
+            let key = if i % 3 == 0 {
+                sub
+            } else {
+                sample(t, i) % BACKGROUND
+            };
             *truth.entry(key).or_insert(0u64) += 1;
         }
     }
@@ -186,7 +196,10 @@ fn heat_bounds_hold_across_absorb_registry_merges() {
             // SpaceSaving lower bound clears the uniform background.
             for r in 0..THREADS as usize {
                 let sub = ledger.sub_for(HOT, r).expect("split active");
-                let e = top.iter().find(|e| e.key == sub).expect("sub-key monitored");
+                let e = top
+                    .iter()
+                    .find(|e| e.key == sub)
+                    .expect("sub-key monitored");
                 assert!(
                     e.count - e.err >= PER_THREAD / 4,
                     "replica {r} sub-key lower bound too weak: {} - {}",
@@ -219,7 +232,9 @@ fn threaded_run_publishes_merged_engine_metrics() {
     );
     let (recorded, latency_samples, tx_bytes) = obs
         .with_registry(|reg| {
-            let recorded: u64 = (0..2).map(|n| reg.counter("records", &format!("node{n}"))).sum();
+            let recorded: u64 = (0..2)
+                .map(|n| reg.counter("records", &format!("node{n}")))
+                .sum();
             let latency: u64 = (0..2)
                 .filter_map(|n| reg.hist("record_latency_ns", &format!("node{n}")))
                 .map(|h| h.count())
@@ -227,7 +242,10 @@ fn threaded_run_publishes_merged_engine_metrics() {
             (recorded, latency, reg.counter("net_tx_bytes", "fabric"))
         })
         .expect("enabled handle");
-    assert_eq!(recorded, report.records, "merged counters must match the report");
+    assert_eq!(
+        recorded, report.records,
+        "merged counters must match the report"
+    );
     assert!(latency_samples > 0, "workers must record latency samples");
     assert_eq!(tx_bytes, report.net_tx_bytes);
     assert!(report.net_tx_bytes > 0);

@@ -128,7 +128,10 @@ mod tests {
         assert!(tx
             .try_send(&mut sim, MsgFlags::DATA, b"records go here")
             .unwrap());
-        assert!(rx.try_recv(&mut sim).unwrap().is_none(), "not delivered yet");
+        assert!(
+            rx.try_recv(&mut sim).unwrap().is_none(),
+            "not delivered yet"
+        );
         sim.run();
         let (flags, data) = rx.try_recv(&mut sim).unwrap().expect("delivered");
         assert_eq!(flags, MsgFlags::DATA);
@@ -250,7 +253,8 @@ mod tests {
     #[test]
     fn latency_is_measured() {
         let (mut sim, mut tx, mut rx) = setup(ChannelConfig::default());
-        tx.try_send(&mut sim, MsgFlags::DATA, &vec![0u8; 4096]).unwrap();
+        tx.try_send(&mut sim, MsgFlags::DATA, &vec![0u8; 4096])
+            .unwrap();
         sim.run();
         rx.try_recv(&mut sim).unwrap().unwrap();
         assert_eq!(rx.stats.latency_samples(), 1);

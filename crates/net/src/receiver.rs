@@ -175,7 +175,10 @@ impl ChannelReceiver {
         debug_assert_eq!(footer.seq32, self.next_seq as u32, "FIFO violated");
         let len = footer.len as usize;
         let payload_off = foot_off - len;
-        let out = match self.ring.with(payload_off, len, |payload| f(footer.flags, payload)) {
+        let out = match self
+            .ring
+            .with(payload_off, len, |payload| f(footer.flags, payload))
+        {
             Ok(v) => v,
             Err(e) => {
                 self.obs.record_failure(

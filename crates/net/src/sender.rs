@@ -5,9 +5,7 @@ use slash_obs::{Cat, Obs};
 use slash_rdma::{LocalSlice, Mr, Qp, RdmaError, RemoteKey, RemoteSlice, WorkRequest};
 
 use crate::channel::ChannelConfig;
-use crate::layout::{
-    footer_offset, generation, payload_capacity, Footer, MsgFlags, FOOTER_SIZE,
-};
+use crate::layout::{footer_offset, generation, payload_capacity, Footer, MsgFlags, FOOTER_SIZE};
 use crate::stats::ChannelStats;
 
 /// Producer endpoint.

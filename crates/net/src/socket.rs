@@ -141,7 +141,9 @@ impl SocketSender {
         self.bytes_sent += data.len() as u64;
         // Goodput degradation: inflate the wire size.
         let wire_bytes = (data.len() as f64 / self.cfg.efficiency).ceil() as u64;
-        let deliver_at = self.fabric.plan(sim.now(), self.local, self.peer, wire_bytes);
+        let deliver_at = self
+            .fabric
+            .plan(sim.now(), self.local, self.peer, wire_bytes);
         let shared = Rc::clone(&self.shared);
         let payload = data.to_vec();
         let label = slash_desim::EventLabel::channel(self.local.0, self.peer.0);
@@ -293,11 +295,15 @@ mod tests {
         let fabric = Fabric::new(FabricConfig::default());
         let a = fabric.add_node();
         let b = fabric.add_node();
-        let (mut rtx, mut rrx) =
-            crate::channel::create_channel(&fabric, a, b, crate::ChannelConfig {
+        let (mut rtx, mut rrx) = crate::channel::create_channel(
+            &fabric,
+            a,
+            b,
+            crate::ChannelConfig {
                 buffer_size: 512 * 1024,
                 ..Default::default()
-            });
+            },
+        );
         assert!(rtx
             .try_send(&mut sim2, crate::MsgFlags::DATA, &payload)
             .unwrap());

@@ -113,7 +113,10 @@ mod tests {
             assert_eq!(r.counter("chan_buffers", "chan=0->1"), 1);
             assert_eq!(r.counter("chan_payload_bytes", "chan=0->1"), 512);
             assert_eq!(r.counter("chan_credit_stalls", "chan=0->1"), 1);
-            assert_eq!(r.hist("buffer_residence_ns", "chan=0->1").unwrap().count(), 1);
+            assert_eq!(
+                r.hist("buffer_residence_ns", "chan=0->1").unwrap().count(),
+                1
+            );
         });
     }
 }

@@ -51,7 +51,11 @@ fn fifo_and_credit_conservation() {
         let fabric = Fabric::new(FabricConfig::default());
         let a = fabric.add_node();
         let b = fabric.add_node();
-        let cfg = ChannelConfig { credits, buffer_size: buf_size, credit_batch: 1 };
+        let cfg = ChannelConfig {
+            credits,
+            buffer_size: buf_size,
+            credit_batch: 1,
+        };
         let (mut tx, mut rx) = create_channel(&fabric, a, b, cfg);
 
         let mut next_to_send = 0u64;
@@ -121,7 +125,11 @@ fn no_deadlock_under_minimal_credits() {
         let fabric = Fabric::new(FabricConfig::default());
         let a = fabric.add_node();
         let b = fabric.add_node();
-        let cfg = ChannelConfig { credits, buffer_size: 64, credit_batch: batch };
+        let cfg = ChannelConfig {
+            credits,
+            buffer_size: 64,
+            credit_batch: batch,
+        };
         let (mut tx, mut rx) = create_channel(&fabric, a, b, cfg);
 
         let mut sent = 0u64;
@@ -131,7 +139,9 @@ fn no_deadlock_under_minimal_credits() {
             spins += 1;
             assert!(spins < 100_000, "protocol deadlocked, seed {seed}");
             if sent < n_msgs
-                && tx.try_send(&mut sim, MsgFlags::DATA, &sent.to_le_bytes()).unwrap()
+                && tx
+                    .try_send(&mut sim, MsgFlags::DATA, &sent.to_le_bytes())
+                    .unwrap()
             {
                 sent += 1;
             }
@@ -165,7 +175,11 @@ fn payload_integrity() {
         let fabric = Fabric::new(FabricConfig::default());
         let a = fabric.add_node();
         let b = fabric.add_node();
-        let cfg = ChannelConfig { credits: 4, buffer_size: 256, credit_batch: 1 };
+        let cfg = ChannelConfig {
+            credits: 4,
+            buffer_size: 256,
+            credit_batch: 1,
+        };
         let (mut tx, mut rx) = create_channel(&fabric, a, b, cfg);
 
         let mut received: Vec<Vec<u8>> = Vec::new();

@@ -82,10 +82,8 @@ impl HeatSketch {
             .map(|(k, (c, _))| (*k, *c));
         if let Some((vk, vc)) = victim {
             self.slots.remove(&vk);
-            self.slots.insert(
-                key,
-                (vc.saturating_add(weight), vc.saturating_add(err)),
-            );
+            self.slots
+                .insert(key, (vc.saturating_add(weight), vc.saturating_add(err)));
         }
     }
 
@@ -158,9 +156,10 @@ mod tests {
 
         fn sample(&self, rng: &mut DetRng) -> u64 {
             let u = rng.next_u64() as f64 / u64::MAX as f64;
-            match self.cdf.binary_search_by(|c| {
-                c.partial_cmp(&u).unwrap_or(std::cmp::Ordering::Equal)
-            }) {
+            match self
+                .cdf
+                .binary_search_by(|c| c.partial_cmp(&u).unwrap_or(std::cmp::Ordering::Equal))
+            {
                 Ok(i) | Err(i) => i.min(self.cdf.len() - 1) as u64,
             }
         }
@@ -184,8 +183,11 @@ mod tests {
         }
         assert_eq!(sketch.total(), SAMPLES as u64);
         assert_eq!(sketch.len(), HEAT_CAPACITY);
-        let mut expected: Vec<(u64, u64)> =
-            brute.iter().enumerate().map(|(k, &c)| (k as u64, c)).collect();
+        let mut expected: Vec<(u64, u64)> = brute
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| (k as u64, c))
+            .collect();
         expected.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let top = sketch.top(K);
         for (i, entry) in top.iter().enumerate() {
@@ -209,8 +211,22 @@ mod tests {
         s.observe(3, 1); // evicts key 2 (min count), inherits its count
         assert_eq!(s.len(), 2);
         let top = s.top(2);
-        assert_eq!(top[0], HeatEntry { key: 1, count: 10, err: 0 });
-        assert_eq!(top[1], HeatEntry { key: 3, count: 6, err: 5 });
+        assert_eq!(
+            top[0],
+            HeatEntry {
+                key: 1,
+                count: 10,
+                err: 0
+            }
+        );
+        assert_eq!(
+            top[1],
+            HeatEntry {
+                key: 3,
+                count: 6,
+                err: 5
+            }
+        );
         assert_eq!(s.total(), 16);
     }
 

@@ -113,7 +113,10 @@ impl Obs {
         args: &[(&'static str, u64)],
     ) {
         if let Some(inner) = &self.inner {
-            inner.ring.borrow_mut().record(cat, name, pid, tid, at, 0, args);
+            inner
+                .ring
+                .borrow_mut()
+                .record(cat, name, pid, tid, at, 0, args);
         }
     }
 
@@ -227,7 +230,10 @@ impl Obs {
     /// Record `weight` observations of key `k` into a registry heat sketch.
     pub fn heat_observe(&self, name: &str, label: &str, k: u64, weight: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.borrow_mut().heat_observe(name, label, k, weight);
+            inner
+                .registry
+                .borrow_mut()
+                .heat_observe(name, label, k, weight);
         }
     }
 
@@ -373,7 +379,14 @@ mod tests {
     fn clones_share_state() {
         let obs = Obs::enabled(64);
         let clone = obs.clone();
-        clone.instant(Cat::Epoch, "epoch-propose", 1, 0, SimTime::from_micros(3), &[]);
+        clone.instant(
+            Cat::Epoch,
+            "epoch-propose",
+            1,
+            0,
+            SimTime::from_micros(3),
+            &[],
+        );
         clone.counter_add("records", "node=1", 7);
         assert_eq!(obs.event_count(), 1);
         assert_eq!(
@@ -461,6 +474,9 @@ mod tests {
             &[],
         );
         let json = obs.chrome_trace_json();
-        assert!(json.contains("\"dur\":0.001"), "zero-length span clamps to 1ns");
+        assert!(
+            json.contains("\"dur\":0.001"),
+            "zero-length span clamps to 1ns"
+        );
     }
 }

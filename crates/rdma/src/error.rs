@@ -89,7 +89,12 @@ mod tests {
             offset: 90,
             len: 20,
         };
-        assert_eq!(e.to_string(), "access [90, 110) outside region of 100 bytes");
-        assert!(RdmaError::NotConnected.to_string().contains("not connected"));
+        assert_eq!(
+            e.to_string(),
+            "access [90, 110) outside region of 100 bytes"
+        );
+        assert!(RdmaError::NotConnected
+            .to_string()
+            .contains("not connected"));
     }
 }

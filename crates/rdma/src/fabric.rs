@@ -148,7 +148,13 @@ impl Fabric {
     ) -> (Qp, Qp) {
         let a_shared = Rc::new(RefCell::new(QpShared::new(a_send_cq, a_recv_cq)));
         let b_shared = Rc::new(RefCell::new(QpShared::new(b_send_cq, b_recv_cq)));
-        let qp_a = Qp::new(self.clone(), a, b, Rc::clone(&a_shared), Rc::clone(&b_shared));
+        let qp_a = Qp::new(
+            self.clone(),
+            a,
+            b,
+            Rc::clone(&a_shared),
+            Rc::clone(&b_shared),
+        );
         let qp_b = Qp::new(self.clone(), b, a, b_shared, a_shared);
         (qp_a, qp_b)
     }
@@ -224,7 +230,9 @@ impl Fabric {
     /// Add `extra` delay to every message touching `node` (degraded link /
     /// delayed completions). Pass [`SimTime::ZERO`] to clear.
     pub fn set_extra_delay(&self, node: NodeId, extra: SimTime) {
-        self.inner.borrow_mut().nodes[node.index()].fault.extra_delay = extra;
+        self.inner.borrow_mut().nodes[node.index()]
+            .fault
+            .extra_delay = extra;
     }
 
     /// Whether a message can currently travel between `a` and `b`: both
@@ -244,12 +252,16 @@ impl Fabric {
 
     /// Mean TX utilization of a node's ports over `[0, now]`.
     pub fn tx_utilization(&self, node: NodeId, now: SimTime) -> f64 {
-        self.inner.borrow().nodes[node.index()].nic.tx_utilization(now)
+        self.inner.borrow().nodes[node.index()]
+            .nic
+            .tx_utilization(now)
     }
 
     /// Mean RX utilization of a node's ports over `[0, now]`.
     pub fn rx_utilization(&self, node: NodeId, now: SimTime) -> f64 {
-        self.inner.borrow().nodes[node.index()].nic.rx_utilization(now)
+        self.inner.borrow().nodes[node.index()]
+            .nic
+            .rx_utilization(now)
     }
 
     /// Aggregate bytes moved across the fabric (TX side).
@@ -276,16 +288,17 @@ mod tests {
         let m0 = f.register(a, 64);
         let m1 = f.register(a, 64);
         assert_ne!(m0.remote_key(), m1.remote_key());
-        assert_eq!(f.resolve(m0.remote_key()).unwrap().remote_key(), m0.remote_key());
+        assert_eq!(
+            f.resolve(m0.remote_key()).unwrap().remote_key(),
+            m0.remote_key()
+        );
     }
 
     #[test]
     fn resolving_unknown_rkey_fails() {
         let f = Fabric::new(FabricConfig::default());
         let a = f.add_node();
-        let err = f
-            .resolve(RemoteKey { node: a, rkey: 99 })
-            .unwrap_err();
+        let err = f.resolve(RemoteKey { node: a, rkey: 99 }).unwrap_err();
         assert!(matches!(err, RdmaError::InvalidRkey { rkey: 99, .. }));
     }
 

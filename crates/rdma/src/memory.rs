@@ -185,7 +185,8 @@ mod tests {
     #[test]
     fn with_mut_allows_in_place_fill() {
         let m = mr(32);
-        m.with_mut(4, 8, |s| s.copy_from_slice(b"slashspe")).unwrap();
+        m.with_mut(4, 8, |s| s.copy_from_slice(b"slashspe"))
+            .unwrap();
         m.with(4, 8, |s| assert_eq!(s, b"slashspe")).unwrap();
         assert_eq!(m.poll_byte(11), b'e');
     }

@@ -189,13 +189,7 @@ impl Qp {
     /// Flush a signaled work request: schedule its error completion after
     /// the ack latency, exactly when a healthy completion would have been
     /// visible at the earliest.
-    fn flush_signaled(
-        &self,
-        sim: &mut Sim,
-        wr_id: u64,
-        kind: CompletionKind,
-        byte_len: usize,
-    ) {
+    fn flush_signaled(&self, sim: &mut Sim, wr_id: u64, kind: CompletionKind, byte_len: usize) {
         let send_cq = self.local.borrow().send_cq.clone();
         let at = sim.now() + self.fabric.ack_latency();
         let label = EventLabel::channel(self.local_node.0, self.peer_node.0);
@@ -239,8 +233,7 @@ impl Qp {
                 local.mr.check(local.offset, local.len)?;
                 let remote_mr = self.fabric.resolve(remote.key)?;
                 remote_mr.check(remote.offset, local.len)?;
-                let payload =
-                    local.mr.with(local.offset, local.len, |s| s.to_vec())?;
+                let payload = local.mr.with(local.offset, local.len, |s| s.to_vec())?;
                 let nbytes = payload.len();
                 if !path_up {
                     self.local.borrow_mut().error = true;
@@ -261,35 +254,43 @@ impl Qp {
                 let gen = conn_generation(&self.local, &self.peer);
                 let (local_sh, peer_sh) = (Rc::clone(&self.local), Rc::clone(&self.peer));
                 let (src, dst) = (self.local_node, self.peer_node);
-                sim.schedule_at_labeled(deliver_at, EventLabel::channel(src.0, dst.0), move |sim| {
-                    if conn_generation(&local_sh, &peer_sh) != gen {
-                        return; // connection was reset mid-flight: fenced
-                    }
-                    let ok = fabric.path_up(src, dst)
-                        && remote_mr.write(remote.offset, &payload).is_ok();
-                    if !ok {
-                        local_sh.borrow_mut().error = true;
-                    }
-                    if signaled {
-                        let status = if ok {
-                            CompletionStatus::Success
-                        } else {
-                            CompletionStatus::FlushErr
-                        };
-                        sim.schedule_at_labeled(ack_at, EventLabel::channel(src.0, dst.0), move |sim| {
-                            send_cq.push(
-                                sim,
-                                Completion {
-                                    wr_id,
-                                    kind: CompletionKind::Write,
-                                    byte_len: nbytes,
-                                    imm: None,
-                                    status,
+                sim.schedule_at_labeled(
+                    deliver_at,
+                    EventLabel::channel(src.0, dst.0),
+                    move |sim| {
+                        if conn_generation(&local_sh, &peer_sh) != gen {
+                            return; // connection was reset mid-flight: fenced
+                        }
+                        let ok = fabric.path_up(src, dst)
+                            && remote_mr.write(remote.offset, &payload).is_ok();
+                        if !ok {
+                            local_sh.borrow_mut().error = true;
+                        }
+                        if signaled {
+                            let status = if ok {
+                                CompletionStatus::Success
+                            } else {
+                                CompletionStatus::FlushErr
+                            };
+                            sim.schedule_at_labeled(
+                                ack_at,
+                                EventLabel::channel(src.0, dst.0),
+                                move |sim| {
+                                    send_cq.push(
+                                        sim,
+                                        Completion {
+                                            wr_id,
+                                            kind: CompletionKind::Write,
+                                            byte_len: nbytes,
+                                            imm: None,
+                                            status,
+                                        },
+                                    );
                                 },
                             );
-                        });
-                    }
-                });
+                        }
+                    },
+                );
                 Ok(())
             }
             WorkRequest::WriteImm {
@@ -302,8 +303,7 @@ impl Qp {
                 local.mr.check(local.offset, local.len)?;
                 let remote_mr = self.fabric.resolve(remote.key)?;
                 remote_mr.check(remote.offset, local.len)?;
-                let payload =
-                    local.mr.with(local.offset, local.len, |s| s.to_vec())?;
+                let payload = local.mr.with(local.offset, local.len, |s| s.to_vec())?;
                 let nbytes = payload.len();
                 if !path_up {
                     self.local.borrow_mut().error = true;
@@ -324,57 +324,65 @@ impl Qp {
                 let gen = conn_generation(&self.local, &self.peer);
                 let (local_sh, peer_sh) = (Rc::clone(&self.local), Rc::clone(&self.peer));
                 let (src, dst) = (self.local_node, self.peer_node);
-                sim.schedule_at_labeled(deliver_at, EventLabel::channel(src.0, dst.0), move |sim| {
-                    if conn_generation(&local_sh, &peer_sh) != gen {
-                        return;
-                    }
-                    // WRITE_WITH_IMM needs a live path, a successful write,
-                    // and a posted receive on the peer to notify; anything
-                    // else flushes the request.
-                    let wrote = fabric.path_up(src, dst)
-                        && remote_mr.write(remote.offset, &payload).is_ok();
-                    let recv = if wrote {
-                        peer_sh.borrow_mut().posted_recvs.pop_front()
-                    } else {
-                        None
-                    };
-                    let ok = recv.is_some();
-                    if !ok {
-                        local_sh.borrow_mut().error = true;
-                    }
-                    if let Some(recv) = recv {
-                        let recv_cq = peer_sh.borrow().recv_cq.clone();
-                        recv_cq.push(
-                            sim,
-                            Completion {
-                                wr_id: recv.wr_id,
-                                kind: CompletionKind::RecvImm,
-                                byte_len: nbytes,
-                                imm: Some(imm),
-                                status: CompletionStatus::Success,
-                            },
-                        );
-                    }
-                    if signaled {
-                        let status = if ok {
-                            CompletionStatus::Success
+                sim.schedule_at_labeled(
+                    deliver_at,
+                    EventLabel::channel(src.0, dst.0),
+                    move |sim| {
+                        if conn_generation(&local_sh, &peer_sh) != gen {
+                            return;
+                        }
+                        // WRITE_WITH_IMM needs a live path, a successful write,
+                        // and a posted receive on the peer to notify; anything
+                        // else flushes the request.
+                        let wrote = fabric.path_up(src, dst)
+                            && remote_mr.write(remote.offset, &payload).is_ok();
+                        let recv = if wrote {
+                            peer_sh.borrow_mut().posted_recvs.pop_front()
                         } else {
-                            CompletionStatus::FlushErr
+                            None
                         };
-                        sim.schedule_at_labeled(ack_at, EventLabel::channel(src.0, dst.0), move |sim| {
-                            send_cq.push(
+                        let ok = recv.is_some();
+                        if !ok {
+                            local_sh.borrow_mut().error = true;
+                        }
+                        if let Some(recv) = recv {
+                            let recv_cq = peer_sh.borrow().recv_cq.clone();
+                            recv_cq.push(
                                 sim,
                                 Completion {
-                                    wr_id,
-                                    kind: CompletionKind::Write,
+                                    wr_id: recv.wr_id,
+                                    kind: CompletionKind::RecvImm,
                                     byte_len: nbytes,
-                                    imm: None,
-                                    status,
+                                    imm: Some(imm),
+                                    status: CompletionStatus::Success,
                                 },
                             );
-                        });
-                    }
-                });
+                        }
+                        if signaled {
+                            let status = if ok {
+                                CompletionStatus::Success
+                            } else {
+                                CompletionStatus::FlushErr
+                            };
+                            sim.schedule_at_labeled(
+                                ack_at,
+                                EventLabel::channel(src.0, dst.0),
+                                move |sim| {
+                                    send_cq.push(
+                                        sim,
+                                        Completion {
+                                            wr_id,
+                                            kind: CompletionKind::Write,
+                                            byte_len: nbytes,
+                                            imm: None,
+                                            status,
+                                        },
+                                    );
+                                },
+                            );
+                        }
+                    },
+                );
                 Ok(())
             }
             WorkRequest::Send {
@@ -383,8 +391,7 @@ impl Qp {
                 signaled,
             } => {
                 local.mr.check(local.offset, local.len)?;
-                let payload =
-                    local.mr.with(local.offset, local.len, |s| s.to_vec())?;
+                let payload = local.mr.with(local.offset, local.len, |s| s.to_vec())?;
                 if !path_up {
                     self.local.borrow_mut().error = true;
                     if signaled {
@@ -404,37 +411,47 @@ impl Qp {
                 let gen = conn_generation(&self.local, &self.peer);
                 let (local_sh, peer_sh) = (Rc::clone(&self.local), Rc::clone(&self.peer));
                 let (src, dst) = (self.local_node, self.peer_node);
-                sim.schedule_at_labeled(deliver_at, EventLabel::channel(src.0, dst.0), move |sim| {
-                    if conn_generation(&local_sh, &peer_sh) != gen {
-                        return;
-                    }
-                    if !fabric.path_up(src, dst) {
-                        local_sh.borrow_mut().error = true;
-                        if signaled {
-                            send_cq.push(
-                                sim,
-                                Completion {
+                sim.schedule_at_labeled(
+                    deliver_at,
+                    EventLabel::channel(src.0, dst.0),
+                    move |sim| {
+                        if conn_generation(&local_sh, &peer_sh) != gen {
+                            return;
+                        }
+                        if !fabric.path_up(src, dst) {
+                            local_sh.borrow_mut().error = true;
+                            if signaled {
+                                send_cq.push(
+                                    sim,
+                                    Completion {
+                                        wr_id,
+                                        kind: CompletionKind::Send,
+                                        byte_len: payload.len(),
+                                        imm: None,
+                                        status: CompletionStatus::FlushErr,
+                                    },
+                                );
+                            }
+                            return;
+                        }
+                        deliver_send(
+                            sim,
+                            &peer_sh,
+                            payload,
+                            signaled.then_some(PendingAck {
+                                cq: send_cq,
+                                completion: Completion {
                                     wr_id,
                                     kind: CompletionKind::Send,
-                                    byte_len: payload.len(),
+                                    byte_len: 0, // filled below
                                     imm: None,
-                                    status: CompletionStatus::FlushErr,
+                                    status: CompletionStatus::Success,
                                 },
-                            );
-                        }
-                        return;
-                    }
-                    deliver_send(sim, &peer_sh, payload, signaled.then_some(PendingAck {
-                        cq: send_cq,
-                        completion: Completion {
-                            wr_id,
-                            kind: CompletionKind::Send,
-                            byte_len: 0, // filled below
-                            imm: None,
-                            status: CompletionStatus::Success,
-                        },
-                    }), ack_at);
-                });
+                            }),
+                            ack_at,
+                        );
+                    },
+                );
                 Ok(())
             }
             WorkRequest::Read {
@@ -452,9 +469,9 @@ impl Qp {
                     return Ok(());
                 }
                 // Phase 1: the request header travels to the responder.
-                let req_at =
-                    self.fabric
-                        .plan(sim.now(), self.local_node, self.peer_node, 0);
+                let req_at = self
+                    .fabric
+                    .plan(sim.now(), self.local_node, self.peer_node, 0);
                 let fabric = self.fabric.clone();
                 let send_cq = self.local.borrow().send_cq.clone();
                 let gen = conn_generation(&self.local, &self.peer);
@@ -602,14 +619,7 @@ mod tests {
         let b = fabric.add_node();
         let (a_send, a_recv) = (CqHandle::new(), CqHandle::new());
         let (b_send, b_recv) = (CqHandle::new(), CqHandle::new());
-        let (qp_a, qp_b) = fabric.connect(
-            a,
-            a_send.clone(),
-            a_recv,
-            b,
-            b_send,
-            b_recv.clone(),
-        );
+        let (qp_a, qp_b) = fabric.connect(a, a_send.clone(), a_recv, b, b_send, b_recv.clone());
         Pair {
             sim,
             fabric,
@@ -934,7 +944,10 @@ mod tests {
                 WorkRequest::Write {
                     wr_id: 43,
                     local: LocalSlice::whole(&src),
-                    remote: RemoteSlice { key: dst.remote_key(), offset: 0 },
+                    remote: RemoteSlice {
+                        key: dst.remote_key(),
+                        offset: 0
+                    },
                     signaled: false,
                 },
             ),
@@ -1032,7 +1045,10 @@ mod tests {
                 WorkRequest::Write {
                     wr_id: 1,
                     local: LocalSlice::whole(&src),
-                    remote: RemoteSlice { key: dst.remote_key(), offset: 0 },
+                    remote: RemoteSlice {
+                        key: dst.remote_key(),
+                        offset: 0,
+                    },
                     signaled: true,
                 },
             )
@@ -1049,7 +1065,10 @@ mod tests {
                 WorkRequest::Write {
                     wr_id: 1,
                     local: LocalSlice::whole(&src2),
-                    remote: RemoteSlice { key: dst2.remote_key(), offset: 0 },
+                    remote: RemoteSlice {
+                        key: dst2.remote_key(),
+                        offset: 0,
+                    },
                     signaled: true,
                 },
             )

@@ -96,7 +96,10 @@ fn mutated(m: Mutation, small: bool) -> Option<(&'static str, Box<dyn Scenario>)
         }
         Mutation::RegressVclock | Mutation::DropUpdate => {
             let base = CoherenceScenario::default();
-            Some(("epoch-coherence (mutated)", Box::new(CoherenceScenario { mutation, ..base })))
+            Some((
+                "epoch-coherence (mutated)",
+                Box::new(CoherenceScenario { mutation, ..base }),
+            ))
         }
         Mutation::SkipReplay | Mutation::SkipCutoverClose => None,
     }
@@ -154,7 +157,12 @@ fn run_mutation_exhaustive(m: Mutation, budget: Budget, minimize: bool) -> ExitC
         }
     };
     print!("{}", rep.render_human());
-    for dump in rep.counterexamples.iter().flat_map(|c| c.dumps.iter()).take(2) {
+    for dump in rep
+        .counterexamples
+        .iter()
+        .flat_map(|c| c.dumps.iter())
+        .take(2)
+    {
         println!("{}", dump.trim_end());
     }
     let minimization_holds = !minimize
@@ -405,7 +413,9 @@ fn main() -> ExitCode {
             }
             "--mutation" => {
                 let name = args.next();
-                let Some(&(_, m)) = Mutation::ALL.iter().find(|(n, _)| Some(*n) == name.as_deref())
+                let Some(&(_, m)) = Mutation::ALL
+                    .iter()
+                    .find(|(n, _)| Some(*n) == name.as_deref())
                 else {
                     let names: Vec<&str> = Mutation::ALL.iter().map(|(n, _)| *n).collect();
                     return usage(&format!("--mutation requires one of {}", names.join(", ")));

@@ -45,7 +45,9 @@ fn parse_ts(bytes: &[u8], mut i: usize) -> Result<(u64, usize), Defect> {
         i += 1;
     }
     if i == start {
-        return Err(Defect(format!("byte {start}: \"ts\" value is not a number")));
+        return Err(Defect(format!(
+            "byte {start}: \"ts\" value is not a number"
+        )));
     }
     let mut ns = us * 1_000;
     if i < bytes.len() && bytes[i] == b'.' {
@@ -61,7 +63,9 @@ fn parse_ts(bytes: &[u8], mut i: usize) -> Result<(u64, usize), Defect> {
             }
         }
         if i == frac_start {
-            return Err(Defect(format!("byte {start}: \"ts\" has a bare decimal point")));
+            return Err(Defect(format!(
+                "byte {start}: \"ts\" has a bare decimal point"
+            )));
         }
     }
     Ok((ns, i))
@@ -102,13 +106,10 @@ fn check(doc: &str) -> Result<(usize, Vec<u64>), Defect> {
                                 }
                                 Some(b'u') => {
                                     let hex = bytes.get(i + 2..i + 6);
-                                    let ok = hex.is_some_and(|h| {
-                                        h.iter().all(u8::is_ascii_hexdigit)
-                                    });
+                                    let ok =
+                                        hex.is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit));
                                     if !ok {
-                                        return Err(Defect(format!(
-                                            "byte {i}: bad \\u escape"
-                                        )));
+                                        return Err(Defect(format!("byte {i}: bad \\u escape")));
                                     }
                                     i += 6;
                                 }
@@ -191,7 +192,10 @@ fn check(doc: &str) -> Result<(usize, Vec<u64>), Defect> {
         i += 1;
     }
     if !stack.is_empty() {
-        return Err(Defect(format!("{} unclosed bracket(s) at end of file", stack.len())));
+        return Err(Defect(format!(
+            "{} unclosed bracket(s) at end of file",
+            stack.len()
+        )));
     }
     if !seen_root {
         return Err(Defect("empty document".to_string()));
@@ -259,7 +263,8 @@ fn check_latency(doc: &str) -> Result<String, Defect> {
             } else if line.contains("\"record_path\": true") {
                 stage_means.push((wl.to_string(), stage.to_string(), mean));
             }
-        } else if let (Some(wl), Some(label)) = (json_str(line, "workload"), json_str(line, "label"))
+        } else if let (Some(wl), Some(label)) =
+            (json_str(line, "workload"), json_str(line, "label"))
         {
             heat_rows += 1;
             let (Some(rank), Some(count)) = (json_u64(line, "rank"), json_u64(line, "count"))
@@ -320,14 +325,14 @@ fn check_latency(doc: &str) -> Result<String, Defect> {
 }
 
 fn run_latency(path: &str) -> Result<String, Defect> {
-    let doc = std::fs::read_to_string(path)
-        .map_err(|e| Defect(format!("cannot read {path}: {e}")))?;
+    let doc =
+        std::fs::read_to_string(path).map_err(|e| Defect(format!("cannot read {path}: {e}")))?;
     check_latency(&doc).map(|msg| format!("slash-trace-check: {path}: {msg}"))
 }
 
 fn run(path: &str) -> Result<String, Defect> {
-    let doc = std::fs::read_to_string(path)
-        .map_err(|e| Defect(format!("cannot read {path}: {e}")))?;
+    let doc =
+        std::fs::read_to_string(path).map_err(|e| Defect(format!("cannot read {path}: {e}")))?;
     let (events, ts) = check(&doc)?;
     if events == 0 {
         return Err(Defect("traceEvents array is missing or empty".to_string()));
@@ -449,11 +454,23 @@ mod tests {
     #[test]
     fn latency_mode_accepts_a_consistent_report() {
         let mut doc = String::new();
-        doc.push_str(&lat_row("ysb", "end_to_end", true, 20, [10, 20, 30, 40, 50]));
+        doc.push_str(&lat_row(
+            "ysb",
+            "end_to_end",
+            true,
+            20,
+            [10, 20, 30, 40, 50],
+        ));
         doc.push_str(&lat_row("ysb", "source", true, 6, [6, 6, 6, 6, 6]));
         doc.push_str(&lat_row("ysb", "ssb_apply", true, 10, [8, 12, 14, 16, 16]));
         // Off-record-path stages are excluded from the sum check.
-        doc.push_str(&lat_row("ysb", "channel_transit", false, 9000, [1, 2, 3, 4, 5]));
+        doc.push_str(&lat_row(
+            "ysb",
+            "channel_transit",
+            false,
+            9000,
+            [1, 2, 3, 4, 5],
+        ));
         doc.push_str(&heat_row("ysb", "node0", 0, 100));
         doc.push_str(&heat_row("ysb", "node0", 1, 100));
         doc.push_str(&heat_row("ysb", "node0", 2, 40));
@@ -473,7 +490,13 @@ mod tests {
     #[test]
     fn latency_mode_rejects_stage_sum_exceeding_end_to_end() {
         let mut doc = String::new();
-        doc.push_str(&lat_row("nb7", "end_to_end", true, 20, [10, 20, 30, 40, 50]));
+        doc.push_str(&lat_row(
+            "nb7",
+            "end_to_end",
+            true,
+            20,
+            [10, 20, 30, 40, 50],
+        ));
         doc.push_str(&lat_row("nb7", "source", true, 15, [6, 6, 6, 6, 6]));
         doc.push_str(&lat_row("nb7", "ssb_apply", true, 15, [8, 12, 14, 16, 16]));
         let err = check_latency(&doc).unwrap_err();
@@ -488,13 +511,19 @@ mod tests {
             heat_row("ysb", "node0", 0, 10),
             heat_row("ysb", "node0", 1, 11)
         );
-        assert!(check_latency(&increasing).unwrap_err().0.contains("increases"));
+        assert!(check_latency(&increasing)
+            .unwrap_err()
+            .0
+            .contains("increases"));
         let gap = format!(
             "{base}{}{}",
             heat_row("ysb", "node0", 0, 10),
             heat_row("ysb", "node0", 2, 5)
         );
-        assert!(check_latency(&gap).unwrap_err().0.contains("rank 2 after 0"));
+        assert!(check_latency(&gap)
+            .unwrap_err()
+            .0
+            .contains("rank 2 after 0"));
         let bad_start = format!("{base}{}", heat_row("ysb", "node1", 3, 5));
         assert!(check_latency(&bad_start).unwrap_err().0.contains("not 0"));
     }

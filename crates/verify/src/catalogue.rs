@@ -201,7 +201,13 @@ const FULL: Case = Case {
 const SMALL: Case = Case {
     name: "recovery-small",
     nodes: 2,
-    size: Size { records: 400, epoch_bytes: 1024, batch_records: 32, cpu_slowdown: 64.0, ..FULL.size },
+    size: Size {
+        records: 400,
+        epoch_bytes: 1024,
+        batch_records: 32,
+        cpu_slowdown: 64.0,
+        ..FULL.size
+    },
     literal: true,
     ..FULL
 };
@@ -212,7 +218,10 @@ const ELASTIC: Case = Case {
     name: "planned-handoff",
     nodes: 4,
     hosts: Some(2),
-    migrate: Some(MigrationCmd { partition: 2, to_host: 2 }),
+    migrate: Some(MigrationCmd {
+        partition: 2,
+        to_host: 2,
+    }),
     swept: Swept::Migration,
     promotes: &[],
     ..FULL
@@ -227,16 +236,39 @@ const SEEDS: [(u64, &str, &str); 3] = [
 
 /// Every named case, defined here and nowhere else.
 pub fn catalogue() -> Vec<Case> {
-    let quiet = Case { promotes: &[], ..FULL };
+    let quiet = Case {
+        promotes: &[],
+        ..FULL
+    };
     let mut rows = vec![
         FULL,
-        Case { name: "link-flap", swept: Swept::Flap(1), ..quiet },
-        Case { name: "link-degrade", swept: Swept::Degrade(1), ..quiet },
-        Case { name: "delayed-completions", swept: Swept::Delay(1), ..quiet },
+        Case {
+            name: "link-flap",
+            swept: Swept::Flap(1),
+            ..quiet
+        },
+        Case {
+            name: "link-degrade",
+            swept: Swept::Degrade(1),
+            ..quiet
+        },
+        Case {
+            name: "delayed-completions",
+            swept: Swept::Delay(1),
+            ..quiet
+        },
     ];
     for (seed, plain, with_crash) in SEEDS {
-        rows.push(Case { name: plain, swept: Swept::Seeded(seed), ..quiet });
-        rows.push(Case { name: with_crash, fixed: Fixed::Seeded(seed), ..FULL });
+        rows.push(Case {
+            name: plain,
+            swept: Swept::Seeded(seed),
+            ..quiet
+        });
+        rows.push(Case {
+            name: with_crash,
+            fixed: Fixed::Seeded(seed),
+            ..FULL
+        });
     }
     rows.extend([
         // Two ports die on the same nanosecond; each promotion installs
@@ -266,7 +298,11 @@ pub fn catalogue() -> Vec<Case> {
             promotes: &[1, 2],
             ..FULL
         },
-        Case { name: "multi-worker-crash", workers_per_node: 2, ..FULL },
+        Case {
+            name: "multi-worker-crash",
+            workers_per_node: 2,
+            ..FULL
+        },
         // A rack loses power, then a third node follows.
         Case {
             name: "cascade-x3",
@@ -308,22 +344,44 @@ pub fn catalogue() -> Vec<Case> {
             promotes: &[1, 3],
             ..ELASTIC
         },
-        Case { name: "hot-split-recovery", workload: ysb_hot, pre_split: &[1, 3], ..FULL },
-        Case { name: "hot-split-handoff", workload: ysb_hot, pre_split: &[1, 3], ..ELASTIC },
+        Case {
+            name: "hot-split-recovery",
+            workload: ysb_hot,
+            pre_split: &[1, 3],
+            ..FULL
+        },
+        Case {
+            name: "hot-split-handoff",
+            workload: ysb_hot,
+            pre_split: &[1, 3],
+            ..ELASTIC
+        },
         // Holistic state through checkpoint, restore, rejoin and replay:
         // the restored primary's runs and the replayed helper runs must
         // leave every group's pair count whole.
-        Case { name: "join-crash", workload: nb11, ..FULL },
+        Case {
+            name: "join-crash",
+            workload: nb11,
+            ..FULL
+        },
         SMALL,
         Case {
             name: "rescale-small",
             hosts: Some(1),
-            migrate: Some(MigrationCmd { partition: 1, to_host: 1 }),
+            migrate: Some(MigrationCmd {
+                partition: 1,
+                to_host: 1,
+            }),
             swept: Swept::Migration,
             promotes: &[],
             ..SMALL
         },
-        Case { name: "hot-split-small", workload: ysb_hot, pre_split: &[1], ..SMALL },
+        Case {
+            name: "hot-split-small",
+            workload: ysb_hot,
+            pre_split: &[1],
+            ..SMALL
+        },
     ]);
     rows
 }
@@ -354,7 +412,10 @@ impl Case {
 
     /// Generate the case's input (one partition per worker).
     pub fn input(&self) -> Workload {
-        (self.workload)(&GenConfig::new(self.nodes * self.workers_per_node, self.size.records))
+        (self.workload)(&GenConfig::new(
+            self.nodes * self.workers_per_node,
+            self.size.records,
+        ))
     }
 
     /// The faults of a run whose fault-free completion time is `span`,
@@ -362,9 +423,9 @@ impl Case {
     pub fn faults(&self, span: SimTime, at: Option<SimTime>) -> Faults {
         let mut plan = match self.fixed {
             Fixed::None => FaultPlan::new(),
-            Fixed::Crashes(cs) => cs
-                .iter()
-                .fold(FaultPlan::new(), |p, &(pm, node)| p.crash(frac(span, pm), node)),
+            Fixed::Crashes(cs) => cs.iter().fold(FaultPlan::new(), |p, &(pm, node)| {
+                p.crash(frac(span, pm), node)
+            }),
             Fixed::Seeded(seed) => FaultPlan::seeded(seed, self.nodes, 3, span),
         };
         let mut migrate_at = (self.swept != Swept::Migration).then(|| frac(span, 250));
@@ -387,7 +448,10 @@ impl Case {
             };
         }
         let script = self.migrate.zip(migrate_at).map(|(cmd, t)| (t, cmd));
-        Faults { plan, script: script.into_iter().collect() }
+        Faults {
+            plan,
+            script: script.into_iter().collect(),
+        }
     }
 
     /// The row's run configuration, whichever engine runs it.
@@ -441,7 +505,10 @@ impl Case {
             },
         });
         let split = (knobs.split.is_some() || !self.pre_split.is_empty()).then(|| {
-            let pre_only = SplitRunConfig { auto: None, ..SplitRunConfig::default() };
+            let pre_only = SplitRunConfig {
+                auto: None,
+                ..SplitRunConfig::default()
+            };
             let mut split = knobs.split.clone().unwrap_or(pre_only);
             split.pre_split.extend_from_slice(self.pre_split);
             split
@@ -473,14 +540,32 @@ impl Case {
         let input = self.input();
         let expected = oracle::oracle(&input.plan, &input.partitions);
         // Fixed faults sit at fractions of the fault-free span.
-        let free = self.run(&input, &Faults::default(), None, Obs::disabled(), Sim::new()).0;
+        let free = self
+            .run(
+                &input,
+                &Faults::default(),
+                None,
+                Obs::disabled(),
+                Sim::new(),
+            )
+            .0;
         let span = free.run.completion_time;
         // The swept-free run is traced — its epoch installs and delta
         // writes classify every instant — and explored, for its instants.
         let obs = Obs::enabled(RING);
         let explored = Sim::with_schedule(&[]);
-        let (base, mut sim) = self.run(&input, &self.faults(span, None), None, obs.clone(), explored);
-        assert!(obs.event_count() <= RING as u64, "{}: probe trace overflowed", self.name);
+        let (base, mut sim) = self.run(
+            &input,
+            &self.faults(span, None),
+            None,
+            obs.clone(),
+            explored,
+        );
+        assert!(
+            obs.event_count() <= RING as u64,
+            "{}: probe trace overflowed",
+            self.name
+        );
         let mut unfinished_until = vec![SimTime::ZERO; self.nodes];
         let mut writes = Vec::new();
         let mut batches = Vec::new();
@@ -504,19 +589,33 @@ impl Case {
                 .events
                 .iter()
                 .find(|e| matches!(e.action, RecoveryAction::Promoted { .. }))
-                .map_or((None, SimTime::ZERO), |e| (Some(e.detected_at), e.recovered_at)),
+                .map_or((None, SimTime::ZERO), |e| {
+                    (Some(e.detected_at), e.recovered_at)
+                }),
             Window::Handoff => base
                 .rescale
                 .migrations
                 .first()
-                .map_or((None, SimTime::ZERO), |m| (Some(m.planned_at), m.committed_at)),
+                .map_or((None, SimTime::ZERO), |m| {
+                    (Some(m.planned_at), m.committed_at)
+                }),
         };
         let instants = sim
             .take_event_instants()
             .into_iter()
             .filter(|&t| lo.is_none_or(|lo| t > lo) && t <= hi && t < base.run.completion_time)
             .collect();
-        Probe { input, expected, span, unfinished_until, instants, writes, batches, closes, base }
+        Probe {
+            input,
+            expected,
+            span,
+            unfinished_until,
+            instants,
+            writes,
+            batches,
+            closes,
+            base,
+        }
     }
 
     /// Whether the swept event at `at` must produce its repair.
@@ -526,7 +625,10 @@ impl Case {
             // kill nothing that hosts a partition.
             Swept::Crash(_) => {
                 self.window == Window::Handoff
-                    || self.promotes.iter().all(|&p| at < probe.unfinished_until[p])
+                    || self
+                        .promotes
+                        .iter()
+                        .all(|&p| at < probe.unfinished_until[p])
             }
             // A delta write posted in the first half of the outage is
             // still on the wire when it would have been delivered.
@@ -571,7 +673,9 @@ impl Case {
         }
         let wanted: BTreeSet<usize> = self.promotes.iter().copied().collect();
         if !promoted.is_subset(&wanted) {
-            bad.push(format!("promoted {promoted:?}, only {wanted:?} may ever be"));
+            bad.push(format!(
+                "promoted {promoted:?}, only {wanted:?} may ever be"
+            ));
         }
         let migrations = &out.rescale.migrations;
         let Some(at) = repair_due else {
@@ -581,7 +685,9 @@ impl Case {
             (Swept::Crash(_), Window::Handoff) if !migrations.iter().any(|m| m.aborted) => {
                 Some("the in-flight handoff was not aborted")
             }
-            (Swept::Crash(_), _) if promoted != wanted => Some("a crashed partition was not promoted"),
+            (Swept::Crash(_), _) if promoted != wanted => {
+                Some("a crashed partition was not promoted")
+            }
             (Swept::Flap(_), _) if !reset => Some("no channel was reset"),
             (Swept::Migration, _) if !migrations.iter().any(|m| !m.aborted) => {
                 Some("the migration did not commit")
@@ -624,14 +730,32 @@ impl Case {
                 let bad = self.verdict(probe, required.then_some(at), &out);
                 (bad, sim.schedule_fingerprint(), sim)
             }
-            Err(_) => (vec!["the driver panicked (see stderr)".to_string()], 0, Sim::new()),
+            Err(_) => (
+                vec!["the driver panicked (see stderr)".to_string()],
+                0,
+                Sim::new(),
+            ),
         };
-        assert!(obs.event_count() <= RING as u64, "{}: run trace overflowed", self.name);
+        assert!(
+            obs.event_count() <= RING as u64,
+            "{}: run trace overflowed",
+            self.name
+        );
         let phases = obs
             .events()
             .iter()
-            .filter(|e| matches!(e.name, "promotion-restart" | "handoff-abort" | "handoff-fallback"))
-            .filter_map(|e| e.args().iter().find(|(k, _)| *k == "phase").map(|&(_, v)| v))
+            .filter(|e| {
+                matches!(
+                    e.name,
+                    "promotion-restart" | "handoff-abort" | "handoff-fallback"
+                )
+            })
+            .filter_map(|e| {
+                e.args()
+                    .iter()
+                    .find(|(k, _)| *k == "phase")
+                    .map(|&(_, v)| v)
+            })
             .fold(0u8, |seen, phase| seen | 1 << phase);
         let mut dumps = Vec::new();
         if !bad.is_empty() {
@@ -642,8 +766,16 @@ impl Case {
             }));
             for why in &bad {
                 obs.record_failure(
-                    &format!("[{}] {} at {} ns: {why}", Invariant::RecoveryConvergence.name(), self.name, at.as_nanos()),
-                    &format!("schedule fingerprint={fingerprint:#018x} plan={:?}", faults.plan.events()),
+                    &format!(
+                        "[{}] {} at {} ns: {why}",
+                        Invariant::RecoveryConvergence.name(),
+                        self.name,
+                        at.as_nanos()
+                    ),
+                    &format!(
+                        "schedule fingerprint={fingerprint:#018x} plan={:?}",
+                        faults.plan.events()
+                    ),
                 );
             }
             dumps = obs.take_failures().iter().map(|d| d.render()).collect();
@@ -652,11 +784,23 @@ impl Case {
             fingerprint,
             violations: bad
                 .into_iter()
-                .map(|why| (Invariant::RecoveryConvergence, format!("at {} ns: {why}", at.as_nanos())))
+                .map(|why| {
+                    (
+                        Invariant::RecoveryConvergence,
+                        format!("at {} ns: {why}", at.as_nanos()),
+                    )
+                })
                 .collect(),
             dumps,
         };
-        (Run { outcome, required, phases }, sim)
+        (
+            Run {
+                outcome,
+                required,
+                phases,
+            },
+            sim,
+        )
     }
 
     /// Violations of the swept-free run itself plus, once a sweep is over,
@@ -698,14 +842,25 @@ impl Case {
             let (run, _) = self.run_at(probe, at, plant, &|| Sim::with_tie_break(policy));
             tally.note(at, &run);
             pairs.insert((at, run.outcome.fingerprint));
-            violations.extend(run.outcome.violations.into_iter().map(|(invariant, detail)| {
-                Violation { invariant, policy, detail }
-            }));
+            violations.extend(
+                run.outcome
+                    .violations
+                    .into_iter()
+                    .map(|(invariant, detail)| Violation {
+                        invariant,
+                        policy,
+                        detail,
+                    }),
+            );
             dumps.extend(run.outcome.dumps);
         }
         for detail in self.sweep_verdict(probe, &tally, plant) {
             let (invariant, policy) = (Invariant::RecoveryConvergence, TieBreak::Fifo);
-            violations.push(Violation { invariant, policy, detail });
+            violations.push(Violation {
+                invariant,
+                policy,
+                detail,
+            });
         }
         let exploration = Exploration {
             scenario: self.name,
@@ -739,7 +894,10 @@ impl Case {
             let rep = explore_exhaustive(self.name, budget, minimize, |choices| {
                 let (run, mut sim) = self.run_at(probe, at, plant, &|| Sim::with_schedule(choices));
                 tally.note(at, &run);
-                ScheduleRun { outcome: run.outcome, trace: sim.take_choice_trace() }
+                ScheduleRun {
+                    outcome: run.outcome,
+                    trace: sim.take_choice_trace(),
+                }
             });
             coverage.absorb(&rep.coverage);
             counterexamples.extend(rep.counterexamples);
@@ -758,12 +916,27 @@ impl Case {
                 dumps: Vec::new(),
             });
         }
-        (ExhaustiveReport { scenario: self.name, coverage, counterexamples }, tally)
+        (
+            ExhaustiveReport {
+                scenario: self.name,
+                coverage,
+                counterexamples,
+            },
+            tally,
+        )
     }
 
     /// Replay one `(instant, choice schedule)` pair — a counterexample.
-    pub fn replay(&self, probe: &Probe, at: SimTime, choices: &[u32], plant: Option<Plant>) -> Outcome {
-        self.run_at(probe, at, plant, &|| Sim::with_schedule(choices)).0.outcome
+    pub fn replay(
+        &self,
+        probe: &Probe,
+        at: SimTime,
+        choices: &[u32],
+        plant: Option<Plant>,
+    ) -> Outcome {
+        self.run_at(probe, at, plant, &|| Sim::with_schedule(choices))
+            .0
+            .outcome
     }
 }
 
@@ -800,7 +973,11 @@ impl Probe {
     /// or more, and its write combiners hold partials folded in an earlier
     /// batch — state a crash at `at` takes down with the node.
     pub fn batches_in_open_epoch(&self, node: usize, at: SimTime) -> usize {
-        let closed = self.closes.iter().rev().find(|&&(t, n)| n == node && t <= at);
+        let closed = self
+            .closes
+            .iter()
+            .rev()
+            .find(|&&(t, n)| n == node && t <= at);
         let since = closed.map_or(SimTime::ZERO, |&(t, _)| t);
         let open = |&&(end, n): &&(SimTime, usize)| n == node && since < end && end <= at;
         self.batches.iter().filter(open).count()
@@ -832,8 +1009,12 @@ pub struct Tally {
 
 impl std::fmt::Display for Tally {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (instants, required, runs) = (self.instants.len(), self.required.len(), self.runs.len());
-        write!(f, "{instants} instants ({required} requiring a repair), {runs} distinct runs")
+        let (instants, required, runs) =
+            (self.instants.len(), self.required.len(), self.runs.len());
+        write!(
+            f,
+            "{instants} instants ({required} requiring a repair), {runs} distinct runs"
+        )
     }
 }
 
@@ -864,14 +1045,19 @@ mod tests {
     /// run, not pass it vacuously.
     #[test]
     fn a_required_repair_that_does_not_happen_is_a_violation() {
-        let unreached = Case { swept: Swept::Crash(&[7]), ..SMALL };
+        let unreached = Case {
+            swept: Swept::Crash(&[7]),
+            ..SMALL
+        };
         let probe = unreached.probe();
         let early = probe.instants[probe.instants.len() / 4];
         assert!(unreached.required(&probe, early));
         let out = unreached.replay(&probe, early, &[], None);
         assert!(
-            out.violations.iter().any(|(inv, d)| *inv == Invariant::RecoveryConvergence
-                && d.contains("required a repair and produced none")),
+            out.violations
+                .iter()
+                .any(|(inv, d)| *inv == Invariant::RecoveryConvergence
+                    && d.contains("required a repair and produced none")),
             "{:?}",
             out.violations
         );
@@ -885,9 +1071,19 @@ mod tests {
     fn instants_are_clipped_and_classified_from_the_swept_free_run() {
         let probe = SMALL.probe();
         assert!(probe.instants.windows(2).all(|w| w[0] < w[1]));
-        assert!(probe.instants.iter().all(|&t| t < probe.base.run.completion_time));
-        let required = probe.instants.iter().filter(|&&t| SMALL.required(&probe, t)).count();
-        assert!(required * 2 > probe.instants.len(), "most of the window needs the repair");
+        assert!(probe
+            .instants
+            .iter()
+            .all(|&t| t < probe.base.run.completion_time));
+        let required = probe
+            .instants
+            .iter()
+            .filter(|&&t| SMALL.required(&probe, t))
+            .count();
+        assert!(
+            required * 2 > probe.instants.len(),
+            "most of the window needs the repair"
+        );
         assert!(required < probe.instants.len(), "the drain tail does not");
     }
 }

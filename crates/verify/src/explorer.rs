@@ -184,7 +184,11 @@ impl ExhaustiveReport {
             } else {
                 " [complete]"
             },
-            if self.clean() { "all invariants hold" } else { "VIOLATIONS" }
+            if self.clean() {
+                "all invariants hold"
+            } else {
+                "VIOLATIONS"
+            }
         );
         for ce in self.counterexamples.iter().take(8) {
             out.push_str(&format!(
@@ -341,12 +345,12 @@ pub fn explore_exhaustive(
     // Process one completed leaf: count it, collect + minimize any new
     // violations. Returns the trace for frame construction.
     let process = |prefix: &[u32],
-                       sr: ScheduleRun,
-                       cov: &mut Coverage,
-                       fps: &mut HashSet<u64>,
-                       seen: &mut HashSet<(&'static str, String)>,
-                       ces: &mut Vec<CounterExample>,
-                       run: &mut dyn FnMut(&[u32]) -> ScheduleRun|
+                   sr: ScheduleRun,
+                   cov: &mut Coverage,
+                   fps: &mut HashSet<u64>,
+                   seen: &mut HashSet<(&'static str, String)>,
+                   ces: &mut Vec<CounterExample>,
+                   run: &mut dyn FnMut(&[u32]) -> ScheduleRun|
      -> Vec<ChoicePoint> {
         cov.schedules_enumerated += 1;
         fps.insert(sr.outcome.fingerprint);
@@ -529,8 +533,7 @@ pub fn explore_exhaustive(
             let done_events: Vec<(u64, EventLabel)> =
                 top.done.iter().map(|&d| top.enabled[d]).collect();
             let chosen_label = top.enabled[j].1;
-            let sleep =
-                child_sleep(&top.sleep, &done_events, chosen_label, top.at_ns, top.at_ns);
+            let sleep = child_sleep(&top.sleep, &done_events, chosen_label, top.at_ns, top.at_ns);
             (prefix, top.prefix.len(), sleep, top.at_ns)
         };
         let sr = run(&prefix);
@@ -618,7 +621,11 @@ mod tests {
     fn dependent_events_enumerate_all_permutations() {
         // Three node-labeled (mutually dependent) events: the full 3! = 6
         // interleavings, each a distinct fingerprint, nothing pruned.
-        let labels = [EventLabel::node(0), EventLabel::node(1), EventLabel::node(2)];
+        let labels = [
+            EventLabel::node(0),
+            EventLabel::node(1),
+            EventLabel::node(2),
+        ];
         let rep = explore_exhaustive("toy-dep", Budget::default(), false, |c| {
             toy(&labels, c, &|_| false)
         });
@@ -724,7 +731,10 @@ mod tests {
         let rep = explore_exhaustive("toy-dedup", Budget::default(), false, run);
         assert!(rep.coverage.complete());
         assert_eq!(rep.coverage.pruned_dedup, 1);
-        assert_eq!(rep.coverage.schedules_enumerated, 3, "4 leaves minus the deduped subtree");
+        assert_eq!(
+            rep.coverage.schedules_enumerated, 3,
+            "4 leaves minus the deduped subtree"
+        );
     }
 
     #[test]
@@ -756,4 +766,3 @@ mod tests {
         assert_eq!(minimize(&[1, 2], |_| false), vec![1, 2]);
     }
 }
-

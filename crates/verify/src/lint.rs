@@ -48,8 +48,7 @@ const METRICS_FACADE_CRATES: &[&str] = &["net", "state", "core", "baselines"];
 
 /// The facade implementations themselves: the only files allowed to touch
 /// counter fields directly.
-const METRICS_FACADE_EXEMPT: &[&str] =
-    &["crates/net/src/stats.rs", "crates/core/src/metrics.rs"];
+const METRICS_FACADE_EXEMPT: &[&str] = &["crates/net/src/stats.rs", "crates/core/src/metrics.rs"];
 
 /// Counter fields of `ChannelStats` / `EngineMetrics` that the
 /// `metrics-facade` rule protects from direct writes.
@@ -231,7 +230,9 @@ impl Report {
     /// Render the report as JSON (hand-rolled; no serde in the tree).
     pub fn render_json(&self) -> String {
         fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+            s.replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n")
         }
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"checked_files\": {},\n", self.checked_files));
@@ -245,7 +246,11 @@ impl Report {
                 v.line,
                 v.rule.name(),
                 esc(&v.message),
-                if i + 1 < self.new_violations.len() { "," } else { "" }
+                if i + 1 < self.new_violations.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         out.push_str("  ],\n");
@@ -254,7 +259,11 @@ impl Report {
             out.push_str(&format!(
                 "    \"{}\"{}\n",
                 esc(s),
-                if i + 1 < self.stale_allowlist.len() { "," } else { "" }
+                if i + 1 < self.stale_allowlist.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         out.push_str("  ],\n");
@@ -263,7 +272,11 @@ impl Report {
             out.push_str(&format!(
                 "    \"{}\"{}\n",
                 esc(s),
-                if i + 1 < self.stale_waivers.len() { "," } else { "" }
+                if i + 1 < self.stale_waivers.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         out.push_str("  ]\n}\n");
@@ -594,7 +607,11 @@ fn span_call_tokens(view: &str, method: &str) -> Vec<(String, usize)> {
 fn scan_span_pairs(rel: &str, view: &str, out: &mut Vec<Violation>) {
     let opens = span_call_tokens(view, "span_open");
     let closes = span_call_tokens(view, "span_close");
-    let mut tokens: Vec<&str> = opens.iter().chain(&closes).map(|(t, _)| t.as_str()).collect();
+    let mut tokens: Vec<&str> = opens
+        .iter()
+        .chain(&closes)
+        .map(|(t, _)| t.as_str())
+        .collect();
     tokens.sort_unstable();
     tokens.dedup();
     for tok in tokens {
@@ -636,7 +653,10 @@ fn metric_field_writes(line: &str) -> Vec<&'static str> {
             let i = from + rel;
             from = i + tok.len();
             let mut j = i + tok.len();
-            if bytes.get(j).is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_') {
+            if bytes
+                .get(j)
+                .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
+            {
                 continue;
             }
             // The receiver identifier must end with `stats` or `metrics`.
@@ -661,9 +681,7 @@ fn metric_field_writes(line: &str) -> Vec<&'static str> {
             let rest = &line[j.min(line.len())..];
             let is_write = rest.starts_with("+=")
                 || rest.starts_with("-=")
-                || (rest.starts_with('=')
-                    && !rest.starts_with("==")
-                    && !rest.starts_with("=>"));
+                || (rest.starts_with('=') && !rest.starts_with("==") && !rest.starts_with("=>"));
             if is_write {
                 hits.push(*field);
             }
@@ -718,7 +736,9 @@ fn scan_file(rel: &str, original: &str, checks: Checks, out: &mut Vec<Violation>
                         file: rel.to_owned(),
                         line: idx + 1,
                         rule: Rule::NoDebugPrint,
-                        message: format!("`{tok}` in library code — use a stats counter or return data"),
+                        message: format!(
+                            "`{tok}` in library code — use a stats counter or return data"
+                        ),
                     });
                 }
             }
@@ -845,7 +865,10 @@ fn parse_allowlist(text: &str) -> Result<BTreeMap<(String, Rule), usize>, String
         }
         let parts: Vec<&str> = line.split_whitespace().collect();
         if parts.len() != 3 {
-            return Err(format!("allowlist line {}: expected `<path> <rule> <count>`", i + 1));
+            return Err(format!(
+                "allowlist line {}: expected `<path> <rule> <count>`",
+                i + 1
+            ));
         }
         let rule = Rule::from_name(parts[1])
             .ok_or_else(|| format!("allowlist line {}: unknown rule `{}`", i + 1, parts[1]))?;
@@ -981,9 +1004,9 @@ pub fn run(root: &Path) -> Result<Report, String> {
             ));
         }
     }
-    report.new_violations.sort_by(|a, b| {
-        (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule))
-    });
+    report
+        .new_violations
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
 }
 
@@ -1035,7 +1058,11 @@ mod tests {
             .filter(|(_, l)| l.contains(".unwrap()"))
             .map(|(i, _)| i + 1)
             .collect();
-        assert_eq!(hits, vec![6], "only the unwrap outside #[cfg(test)] remains");
+        assert_eq!(
+            hits,
+            vec![6],
+            "only the unwrap outside #[cfg(test)] remains"
+        );
     }
 
     #[test]
@@ -1049,13 +1076,22 @@ mod tests {
     #[test]
     fn metric_writes_detected_and_reads_ignored() {
         // Direct writes through a stats/metrics-named receiver are flagged.
-        assert_eq!(metric_field_writes("sh.metrics.records += n;"), vec!["records"]);
+        assert_eq!(
+            metric_field_writes("sh.metrics.records += n;"),
+            vec!["records"]
+        );
         assert_eq!(
             metric_field_writes("sh.sender_metrics.mem_bytes += m;"),
             vec!["mem_bytes"]
         );
-        assert_eq!(metric_field_writes("rx.stats.buffers = 0;"), vec!["buffers"]);
-        assert_eq!(metric_field_writes("stats.l1_misses -= x;"), vec!["l1_misses"]);
+        assert_eq!(
+            metric_field_writes("rx.stats.buffers = 0;"),
+            vec!["buffers"]
+        );
+        assert_eq!(
+            metric_field_writes("stats.l1_misses -= x;"),
+            vec!["l1_misses"]
+        );
         // Reads, comparisons, and method calls are not writes.
         assert!(metric_field_writes("let n = sh.metrics.records;").is_empty());
         assert!(metric_field_writes("if sh.metrics.records == 0 {").is_empty());
@@ -1079,7 +1115,10 @@ mod tests {
                         \x20   );\n\
                         }\n";
         let mut out = Vec::new();
-        let checks = Checks { span_pairs: true, ..Checks::default() };
+        let checks = Checks {
+            span_pairs: true,
+            ..Checks::default()
+        };
         scan_file("crates/core/src/x.rs", balanced, checks, &mut out);
         assert!(out.is_empty(), "{out:?}");
 
@@ -1177,7 +1216,8 @@ mod tests {
 
     #[test]
     fn unordered_tokens_in_test_code_are_exempt() {
-        let src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
+        let src =
+            "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
         let mut out = Vec::new();
         let checks = Checks {
             unordered: true,

@@ -40,9 +40,17 @@ pub fn oracle(plan: &QueryPlan, partitions: &[Rc<Vec<u8>>]) -> Groups {
                     agg.update(&schema, rec, value);
                 });
             }
-            state.into_iter().map(|(g, v)| (g, agg.render(&v))).collect()
+            state
+                .into_iter()
+                .map(|(g, v)| (g, agg.render(&v)))
+                .collect()
         }
-        QueryPlan::Join { input, side_off, window, .. } => {
+        QueryPlan::Join {
+            input,
+            side_off,
+            window,
+            ..
+        } => {
             let schema = input.schema;
             // Per group, its (left, right) event counts: every assigner
             // pairs a bucket whole.
@@ -76,9 +84,17 @@ pub fn results_map(results: &[SinkResult]) -> Result<Groups, String> {
     let mut out = Groups::new();
     for r in results {
         let (group, value) = match *r {
-            SinkResult::Agg { window_id, key, value } => ((window_id, key), value),
+            SinkResult::Agg {
+                window_id,
+                key,
+                value,
+            } => ((window_id, key), value),
             SinkResult::Join { pairs: 0, .. } => continue,
-            SinkResult::Join { window_id, key, pairs } => ((window_id, key), pairs as f64),
+            SinkResult::Join {
+                window_id,
+                key,
+                pairs,
+            } => ((window_id, key), pairs as f64),
         };
         if out.insert(group, value).is_some() {
             return Err(format!("group {group:?} emitted twice"));
@@ -93,7 +109,11 @@ pub fn results_map(results: &[SinkResult]) -> Result<Groups, String> {
 pub fn check(expected: &Groups, results: &[SinkResult]) -> Result<(), String> {
     let got = results_map(results)?;
     if expected.len() != got.len() {
-        return Err(format!("{} groups expected, {} emitted", expected.len(), got.len()));
+        return Err(format!(
+            "{} groups expected, {} emitted",
+            expected.len(),
+            got.len()
+        ));
     }
     for (group, want) in expected {
         match got.get(group) {
@@ -113,7 +133,13 @@ mod tests {
 
     #[test]
     fn a_group_emitted_twice_is_an_error() {
-        let r = SinkResult::Agg { window_id: 1, key: 2, value: 3.0 };
-        assert!(results_map(&[r.clone(), r]).unwrap_err().contains("emitted twice"));
+        let r = SinkResult::Agg {
+            window_id: 1,
+            key: 2,
+            value: 3.0,
+        };
+        assert!(results_map(&[r.clone(), r])
+            .unwrap_err()
+            .contains("emitted twice"));
     }
 }

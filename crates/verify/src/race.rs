@@ -103,7 +103,11 @@ impl Exploration {
             self.scenario,
             self.schedules_run,
             self.distinct_schedules,
-            if self.clean() { "all invariants hold" } else { "VIOLATIONS" }
+            if self.clean() {
+                "all invariants hold"
+            } else {
+                "VIOLATIONS"
+            }
         );
         for v in self.violations.iter().take(16) {
             out.push_str(&format!(
@@ -200,7 +204,11 @@ mod tests {
             } else {
                 vec![]
             },
-            dumps: if p == TieBreak::Lifo { vec!["dump".into()] } else { vec![] },
+            dumps: if p == TieBreak::Lifo {
+                vec!["dump".into()]
+            } else {
+                vec![]
+            },
         });
         assert_eq!(e.schedules_run, 8);
         assert_eq!(e.distinct_schedules, 4);

@@ -34,11 +34,11 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use slash_core::Plant;
 use slash_desim::{ChoicePoint, DetRng, EventLabel, Sim, SimTime, TieBreak};
 use slash_net::{create_channel, ChannelConfig, ChannelReceiver, ChannelSender, MsgFlags};
 use slash_obs::Obs;
 use slash_rdma::{Fabric, FabricConfig, NicConfig};
-use slash_core::Plant;
 use slash_state::backend::{build_cluster_obs, SsbConfig, SsbNode};
 use slash_state::hash::{pack_key, partition_of};
 use slash_state::CounterCrdt;
@@ -210,7 +210,8 @@ impl ChanWorld {
                 &format!("[{}] channel {ch}: {detail}", inv.name()),
                 &format!("schedule fingerprint={:#018x}", self.cur_fp),
             );
-            self.violations.push((inv, format!("channel {ch}: {detail}")));
+            self.violations
+                .push((inv, format!("channel {ch}: {detail}")));
         }
     }
 
@@ -300,13 +301,21 @@ impl ChanWorld {
             self.eos_seen[ch] = true;
             if self.expected[ch] != self.msgs {
                 let (got, want) = (self.expected[ch], self.msgs);
-                self.flag(Invariant::Fifo, ch, format!("EOS after {got} of {want} messages"));
+                self.flag(
+                    Invariant::Fifo,
+                    ch,
+                    format!("EOS after {got} of {want} messages"),
+                );
             }
             return;
         }
         if payload.len() != PAYLOAD {
             let len = payload.len();
-            self.flag(Invariant::NoOverwrite, ch, format!("payload length {len} ≠ {PAYLOAD}"));
+            self.flag(
+                Invariant::NoOverwrite,
+                ch,
+                format!("payload length {len} ≠ {PAYLOAD}"),
+            );
             return;
         }
         let mut idb = [0u8; 8];
@@ -314,7 +323,11 @@ impl ChanWorld {
         let id = u64::from_le_bytes(idb);
         if id != self.expected[ch] {
             let want = self.expected[ch];
-            self.flag(Invariant::Fifo, ch, format!("received message {id}, expected {want}"));
+            self.flag(
+                Invariant::Fifo,
+                ch,
+                format!("received message {id}, expected {want}"),
+            );
         }
         let fb = fill_byte(ch, id);
         if payload[8..].iter().any(|&b| b != fb) {
@@ -616,9 +629,13 @@ impl SsbWorld {
             let vc = self.ssb[node].vclock().snapshot();
             self.obs.record_failure(
                 &format!("[{}] node {node}: {detail}", inv.name()),
-                &format!("schedule fingerprint={:#018x} vclock[{node}]={vc:?}", self.cur_fp),
+                &format!(
+                    "schedule fingerprint={:#018x} vclock[{node}]={vc:?}",
+                    self.cur_fp
+                ),
             );
-            self.violations.push((inv, format!("node {node}: {detail}")));
+            self.violations
+                .push((inv, format!("node {node}: {detail}")));
         }
     }
 
@@ -663,7 +680,11 @@ impl SsbWorld {
     fn close_epoch(&mut self, sim: &mut Sim, i: usize, watermark: u64) {
         self.ssb[i].note_progress(watermark);
         if let Err(e) = self.ssb[i].close_epoch(sim) {
-            self.flag(Invariant::EpochConvergence, i, format!("close_epoch failed: {e:?}"));
+            self.flag(
+                Invariant::EpochConvergence,
+                i,
+                format!("close_epoch failed: {e:?}"),
+            );
         }
     }
 
@@ -682,7 +703,11 @@ impl SsbWorld {
             self.ssb[0].fault_vclock_mut().fault_force_set(0, 1);
         }
         if let Err(e) = self.ssb[i].pump(sim) {
-            self.flag(Invariant::EpochConvergence, i, format!("pump failed: {e:?}"));
+            self.flag(
+                Invariant::EpochConvergence,
+                i,
+                format!("pump failed: {e:?}"),
+            );
         }
         self.check_vclock(i);
         tick >= OP_TICKS + SETTLE_TICKS
@@ -693,7 +718,9 @@ impl SsbWorld {
         let oracle: Vec<(u64, u64)> = self.oracle.iter().map(|(&k, &v)| (k, v)).collect();
         for (k, total) in oracle {
             let leader = partition_of(pack_key(1, k), n);
-            let got = self.ssb[leader].local_get(pack_key(1, k)).map(CounterCrdt::get);
+            let got = self.ssb[leader]
+                .local_get(pack_key(1, k))
+                .map(CounterCrdt::get);
             if got != Some(total) {
                 self.flag(
                     Invariant::EpochConvergence,
@@ -741,7 +768,13 @@ impl SsbWorld {
     }
 }
 
-fn schedule_ssb_actor(sim: &mut Sim, world: Rc<RefCell<SsbWorld>>, node: usize, at: SimTime, tick: u64) {
+fn schedule_ssb_actor(
+    sim: &mut Sim,
+    world: Rc<RefCell<SsbWorld>>,
+    node: usize,
+    at: SimTime,
+    tick: u64,
+) {
     sim.schedule_at_labeled(at, EventLabel::node(node as u32), move |sim| {
         let done = world.borrow_mut().node_tick(sim, node, tick);
         if !done {
@@ -774,7 +807,9 @@ impl Scenario for CoherenceScenario {
             oracle: HashMap::new(),
             // Fixed per-node op seeds: the workload is identical across
             // policies; only the interleaving varies.
-            rngs: (0..n).map(|i| DetRng::new(0xFA11 ^ (i as u64) << 8)).collect(),
+            rngs: (0..n)
+                .map(|i| DetRng::new(0xFA11 ^ (i as u64) << 8))
+                .collect(),
             prev_vc: vec![vec![0; n]; n],
             mutation: self.mutation,
             final_closed: vec![false; n],
@@ -829,10 +864,15 @@ mod tests {
     fn different_policies_yield_different_fingerprints() {
         let a = ChannelScenario::default().run(TieBreak::Fifo).fingerprint;
         let b = ChannelScenario::default().run(TieBreak::Lifo).fingerprint;
-        let c = ChannelScenario::default().run(TieBreak::Seeded(3)).fingerprint;
+        let c = ChannelScenario::default()
+            .run(TieBreak::Seeded(3))
+            .fingerprint;
         assert_ne!(a, b);
         assert_ne!(a, c);
         // And reruns are bit-identical.
-        assert_eq!(a, ChannelScenario::default().run(TieBreak::Fifo).fingerprint);
+        assert_eq!(
+            a,
+            ChannelScenario::default().run(TieBreak::Fifo).fingerprint
+        );
     }
 }

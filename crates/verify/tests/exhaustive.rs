@@ -27,7 +27,11 @@ fn small_channel_is_literally_fully_enumerated() {
     let rep = ChannelScenario::small().exhaustive("channel-small", budget, false);
     assert!(rep.clean(), "{}", rep.render_human());
     let c = &rep.coverage;
-    assert!(c.complete(), "must drain the frontier: {}", rep.render_human());
+    assert!(
+        c.complete(),
+        "must drain the frontier: {}",
+        rep.render_human()
+    );
     assert!(
         c.literal_full_enumeration(),
         "every distinct schedule must be run exactly once: {}",
@@ -92,7 +96,10 @@ fn exhaustive_catches_channel_mutants_and_minimizes() {
                 ce.minimized,
                 ce.invariant.name()
             );
-            assert!(!ce.dumps.is_empty(), "flight recorder must dump on the repro");
+            assert!(
+                !ce.dumps.is_empty(),
+                "flight recorder must dump on the repro"
+            );
         }
     }
 }
@@ -108,8 +115,11 @@ fn exhaustive_finds_everything_the_random_sweep_finds() {
         };
         let sweep = slash_verify::race::explore("sweep", 8, |p| s.run(p));
         let ex = s.exhaustive("exhaustive", Budget::default(), false);
-        let sweep_invs: std::collections::BTreeSet<&str> =
-            sweep.violations.iter().map(|v| v.invariant.name()).collect();
+        let sweep_invs: std::collections::BTreeSet<&str> = sweep
+            .violations
+            .iter()
+            .map(|v| v.invariant.name())
+            .collect();
         let ex_invs: std::collections::BTreeSet<&str> = ex
             .counterexamples
             .iter()
@@ -127,14 +137,21 @@ fn coherence_completes_via_state_dedup_and_truncates_honestly_without() {
     // Three actors tie on every one of 26 ticks: the literal space is far
     // past any budget, but the state-digest dedup recognizes that the tick
     // interleavings converge and the explorer drains the reduced frontier.
-    let s = CoherenceScenario { nodes: 2, mutation: None };
+    let s = CoherenceScenario {
+        nodes: 2,
+        mutation: None,
+    };
     let rep = s.exhaustive("coherence-small", Budget::default(), false);
     assert!(rep.clean(), "{}", rep.render_human());
     assert!(rep.coverage.complete(), "{}", rep.render_human());
     assert!(rep.coverage.pruned_dedup > 0);
     // Dedup off, tight budget: the truncated frontier must be reported
     // rather than completeness claimed.
-    let tight = Budget { max_states: 64, max_schedules: 64, ..LITERAL };
+    let tight = Budget {
+        max_states: 64,
+        max_schedules: 64,
+        ..LITERAL
+    };
     let rep = s.exhaustive("coherence-small-literal", tight, false);
     assert!(rep.clean(), "{}", rep.render_human());
     assert!(rep.coverage.frontier_truncated, "{}", rep.render_human());
@@ -147,12 +164,26 @@ fn a_small_crash_on_the_shipped_driver_is_literally_enumerated_at_every_instant(
     // in release): every tie schedule at every event instant of the
     // fault-free run is run — none pruned, none twice, frontier drained.
     let row = case("recovery-small").expect("catalogue row");
-    let c = Case { size: Size { records: 80, ..row.size }, ..row };
+    let c = Case {
+        size: Size {
+            records: 80,
+            ..row.size
+        },
+        ..row
+    };
     let probe = c.probe();
     let (rep, tally) = c.exhaustive(&probe, LITERAL, false, None);
     assert!(rep.clean(), "{}", rep.render_human());
-    assert!(rep.coverage.literal_full_enumeration(), "{}", rep.render_human());
-    assert_eq!(tally.instants.len(), probe.instants.len(), "every instant visited");
+    assert!(
+        rep.coverage.literal_full_enumeration(),
+        "{}",
+        rep.render_human()
+    );
+    assert_eq!(
+        tally.instants.len(),
+        probe.instants.len(),
+        "every instant visited"
+    );
     assert!(
         rep.coverage.schedules_enumerated >= 4 * tally.instants.len(),
         "the crash ties with the event it lands on, both orders run: {}",
@@ -178,7 +209,11 @@ fn bugs_planted_in_the_shipped_machines_fall_to_the_explorer_minimized() {
             .instants
             .iter()
             .find(|&&t| !c.replay(&probe, t, &[], m.plant()).violations.is_empty());
-        assert_eq!(Some(&at), first_bad, "{name}: not the earliest exposing instant");
+        assert_eq!(
+            Some(&at),
+            first_bad,
+            "{name}: not the earliest exposing instant"
+        );
         for ce in &rep.counterexamples {
             assert_eq!(ce.invariant, Invariant::RecoveryConvergence);
             assert!(
@@ -189,7 +224,11 @@ fn bugs_planted_in_the_shipped_machines_fall_to_the_explorer_minimized() {
             );
             let replay = c.replay(&probe, at, &ce.minimized, m.plant());
             assert!(replay.violations.iter().any(|(i, _)| *i == ce.invariant));
-            assert!(ce.dumps.iter().any(|d| d.contains("registry snapshot")), "{:?}", ce.dumps);
+            assert!(
+                ce.dumps.iter().any(|d| d.contains("registry snapshot")),
+                "{:?}",
+                ce.dumps
+            );
         }
     }
 }

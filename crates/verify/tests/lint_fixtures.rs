@@ -47,7 +47,10 @@ fn clean_fixture_passes() {
     );
     let report = lint::run(&root).unwrap();
     assert!(report.clean(), "{:?}", report.new_violations);
-    assert_eq!(report.checked_files, 3, "root lib counted twice (root + lib scan)");
+    assert_eq!(
+        report.checked_files, 3,
+        "root lib counted twice (root + lib scan)"
+    );
 }
 
 #[test]
@@ -119,7 +122,10 @@ fn truncating_casts_are_flagged_only_in_wire_files() {
     let report = lint::run(&root).unwrap();
     assert_eq!(
         rules_of(&report),
-        vec![("crates/net/src/layout.rs".to_owned(), Rule::NoTruncatingCast)]
+        vec![(
+            "crates/net/src/layout.rs".to_owned(),
+            Rule::NoTruncatingCast
+        )]
     );
 }
 
@@ -271,7 +277,9 @@ fn debug_prints_are_flagged_in_library_code_but_not_binaries() {
     let report = lint::run(&root).unwrap();
     let v = rules_of(&report);
     assert_eq!(v.len(), 2, "{v:?}");
-    assert!(v.iter().all(|(f, r)| f == "crates/desim/src/sim.rs" && *r == Rule::NoDebugPrint));
+    assert!(v
+        .iter()
+        .all(|(f, r)| f == "crates/desim/src/sim.rs" && *r == Rule::NoDebugPrint));
 }
 
 #[test]
@@ -291,7 +299,10 @@ fn metric_field_writes_are_flagged_outside_the_facades() {
     let report = lint::run(&root).unwrap();
     assert_eq!(
         rules_of(&report),
-        vec![("crates/baselines/src/partitioned.rs".to_owned(), Rule::MetricsFacade)]
+        vec![(
+            "crates/baselines/src/partitioned.rs".to_owned(),
+            Rule::MetricsFacade
+        )]
     );
 }
 
@@ -333,7 +344,12 @@ fn allowlist_budget_may_only_shrink() {
     );
     let report = lint::run(&root).unwrap();
     assert!(!report.clean());
-    assert_eq!(report.stale_allowlist.len(), 1, "{:?}", report.stale_allowlist);
+    assert_eq!(
+        report.stale_allowlist.len(),
+        1,
+        "{:?}",
+        report.stale_allowlist
+    );
 
     // Budget for a file with no violations at all → also stale.
     let root = fixture(
@@ -360,7 +376,11 @@ fn violations_over_budget_are_reported() {
     );
     let report = lint::run(&root).unwrap();
     assert!(!report.clean());
-    assert_eq!(report.new_violations.len(), 2, "over budget reports the whole group");
+    assert_eq!(
+        report.new_violations.len(),
+        2,
+        "over budget reports the whole group"
+    );
 }
 
 #[test]

@@ -28,10 +28,16 @@ fn each_protocol_mutation_breaks_its_invariant() {
     ] {
         let mutation = Some(m);
         let out = match m {
-            Mutation::RegressVclock | Mutation::DropUpdate => {
-                CoherenceScenario { mutation, ..CoherenceScenario::default() }.run(TieBreak::Fifo)
+            Mutation::RegressVclock | Mutation::DropUpdate => CoherenceScenario {
+                mutation,
+                ..CoherenceScenario::default()
             }
-            _ => ChannelScenario { mutation, ..ChannelScenario::default() }.run(TieBreak::Fifo),
+            .run(TieBreak::Fifo),
+            _ => ChannelScenario {
+                mutation,
+                ..ChannelScenario::default()
+            }
+            .run(TieBreak::Fifo),
         };
         assert!(
             out.violations.iter().any(|(i, _)| *i == expected),
@@ -55,12 +61,17 @@ fn bugs_planted_in_the_shipped_machines_break_recovery_convergence() {
     ] {
         let e = driver_sweep(name, m);
         assert!(
-            e.violations.iter().any(|v| v.invariant == Invariant::RecoveryConvergence
-                && v.detail.contains("differ from the sequential fold")),
+            e.violations
+                .iter()
+                .any(|v| v.invariant == Invariant::RecoveryConvergence
+                    && v.detail.contains("differ from the sequential fold")),
             "{m:?} on {name} not detected: {:?}",
             e.violations
         );
-        assert!(!e.dumps.is_empty(), "violation must dump the flight recorder");
+        assert!(
+            !e.dumps.is_empty(),
+            "violation must dump the flight recorder"
+        );
         assert!(e.dumps[0].contains("registry snapshot"), "{}", e.dumps[0]);
     }
     // The cutover plant is inert where nothing is handed off.
@@ -107,10 +118,17 @@ fn violations_come_with_flight_recorder_dumps() {
     }
     .run(TieBreak::Fifo);
     assert!(!out.violations.is_empty());
-    assert_eq!(out.dumps.len(), out.violations.len(), "one dump per violation");
+    assert_eq!(
+        out.dumps.len(),
+        out.violations.len(),
+        "one dump per violation"
+    );
     assert!(out.dumps[0].contains("flight-recorder dump"));
     assert!(out.dumps[0].contains("schedule fingerprint=0x"));
-    assert!(out.dumps[0].contains("verb/"), "dump should show channel verb events");
+    assert!(
+        out.dumps[0].contains("verb/"),
+        "dump should show channel verb events"
+    );
 
     let out = CoherenceScenario {
         mutation: Some(Mutation::RegressVclock),
@@ -119,7 +137,10 @@ fn violations_come_with_flight_recorder_dumps() {
     .run(TieBreak::Fifo);
     assert!(!out.violations.is_empty());
     assert!(!out.dumps.is_empty());
-    assert!(out.dumps[0].contains("vclock["), "dump should carry vector-clock context");
+    assert!(
+        out.dumps[0].contains("vclock["),
+        "dump should carry vector-clock context"
+    );
 
     // Clean runs dump nothing.
     let clean = ChannelScenario::default().run(TieBreak::Fifo);
@@ -136,7 +157,11 @@ fn clean_scenarios_have_no_violations_under_a_small_sweep() {
     for (name, s) in &scenarios {
         let e = explore(name, 8, |p| s.run(p));
         assert!(e.clean(), "{name} violations: {:?}", e.violations);
-        assert!(e.distinct_schedules >= 4, "{name}: only {} distinct", e.distinct_schedules);
+        assert!(
+            e.distinct_schedules >= 4,
+            "{name}: only {} distinct",
+            e.distinct_schedules
+        );
     }
 }
 

@@ -21,9 +21,7 @@
 //! ```
 
 use slash::core::chaos::{ChaosConfig, FaultPlan, FtConfig};
-use slash::core::{
-    RecoveryAction, RecoveryReport, RunConfig, RunReport, SlashCluster,
-};
+use slash::core::{RecoveryAction, RecoveryReport, RunConfig, RunReport, SlashCluster};
 use slash::desim::SimTime;
 use slash::obs::Obs;
 use slash::workloads::{ysb, GenConfig};

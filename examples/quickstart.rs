@@ -79,6 +79,9 @@ fn main() {
             total += value;
         }
     }
-    assert_eq!(total as u64, report.records, "every record lands in exactly one window");
+    assert_eq!(
+        total as u64, report.records,
+        "every record lands in exactly one window"
+    );
     println!("\ntotal counted: {total} (matches input — exactly-once triggers)");
 }

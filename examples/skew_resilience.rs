@@ -27,8 +27,8 @@ fn main() {
     for z in [0.2, 0.8, 1.4, 2.0] {
         // Slash: all workers ingest + process; shared state via SSB.
         let w = ysb_zipf(&GenConfig::new(nodes * workers, records), z);
-        let slash = SlashCluster::run(w.plan, w.partitions, RunConfig::new(nodes, workers))
-            .throughput();
+        let slash =
+            SlashCluster::run(w.plan, w.partitions, RunConfig::new(nodes, workers)).throughput();
 
         // UpPar: hash partition on the campaign key.
         let senders = workers / 2;

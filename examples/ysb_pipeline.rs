@@ -57,8 +57,12 @@ fn main() {
         w.records * 78 / 1_000_000
     );
     let obs = Obs::enabled(65_536);
-    let slash =
-        SlashCluster::run_with_obs(w.plan, w.partitions, RunConfig::new(nodes, workers), obs.clone());
+    let slash = SlashCluster::run_with_obs(
+        w.plan,
+        w.partitions,
+        RunConfig::new(nodes, workers),
+        obs.clone(),
+    );
     println!(
         "\nSlash      @{nodes} nodes: {:>8.1} M records/s   ({} windows emitted, {} KiB state traffic)",
         slash.throughput() / 1e6,
@@ -103,7 +107,10 @@ fn main() {
     // --- Observability artifacts from the traced Slash run. ---
     println!("\n{}", obs.summary());
     print_quantiles("record latency ", &merged_hist(&obs, "record_latency_ns"));
-    print_quantiles("epoch merge    ", &merged_hist(&obs, "epoch_merge_latency_ns"));
+    print_quantiles(
+        "epoch merge    ",
+        &merged_hist(&obs, "epoch_merge_latency_ns"),
+    );
 
     let out = std::env::var("SLASH_TRACE_OUT").unwrap_or_else(|_| "results/ysb_trace.json".into());
     let json = obs.chrome_trace_json();

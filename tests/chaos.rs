@@ -24,7 +24,11 @@ fn recovers_exactly(name: &str) {
     let probe = c.probe();
     let (sweep, tally) = c.sweep(&probe, 8, None);
     assert!(sweep.clean(), "{}", sweep.render_human());
-    assert!(tally.instants.len() >= 4, "{name}: only {:?} swept", tally.instants);
+    assert!(
+        tally.instants.len() >= 4,
+        "{name}: only {:?} swept",
+        tally.instants
+    );
 }
 
 macro_rules! fault_matrix {
@@ -85,12 +89,19 @@ fn a_crash_row_kills_a_node_whose_partials_span_batches() {
     let c = case("multi-worker-crash").expect("catalogue row");
     let probe = c.probe();
     let metrics = &probe.base.run.metrics;
-    assert_eq!(metrics.combiner_folds, metrics.state_updates, "the combiner stays on");
+    assert_eq!(
+        metrics.combiner_folds, metrics.state_updates,
+        "the combiner stays on"
+    );
     let (sweep, tally) = c.sweep(&probe, 8, None);
     assert!(sweep.clean(), "{}", sweep.render_human());
     let depth = |&at: &SimTime| probe.batches_in_open_epoch(1, at);
     let deepest = tally.required.iter().map(depth).max();
-    assert!(deepest >= Some(2), "no crash landed mid-epoch: {:?}", tally.required);
+    assert!(
+        deepest >= Some(2),
+        "no crash landed mid-epoch: {:?}",
+        tally.required
+    );
 }
 
 /// Two traced runs of `name` with its swept fault at 200 µs must agree on
@@ -102,8 +113,17 @@ fn same_plan_is_byte_identical(name: &str) -> String {
         let obs = Obs::enabled(1 << 17);
         let (out, _) = c.run(&c.input(), &faults, None, obs.clone(), Sim::new());
         let digests = (out.recovery.results_digest, out.recovery.state_digests);
-        let counts = (out.run.records, out.run.completion_time, out.recovery.events.len());
-        (obs.chrome_trace_json(), digests, counts, out.rescale.max_stall())
+        let counts = (
+            out.run.records,
+            out.run.completion_time,
+            out.recovery.events.len(),
+        );
+        (
+            obs.chrome_trace_json(),
+            digests,
+            counts,
+            out.rescale.max_stall(),
+        )
     };
     let (a, b) = (run(), run());
     assert_eq!(a.1, b.1, "{name}: digests");
@@ -119,7 +139,10 @@ fn same_seed_same_fault_plan_is_byte_identical() {
     // The outage window is visible in the trace: injected fault events and
     // the recovery span both ride the fault category.
     assert!(json.contains("\"cat\":\"fault\""), "fault events traced");
-    assert!(json.contains("\"name\":\"recovery\""), "recovery span traced");
+    assert!(
+        json.contains("\"name\":\"recovery\""),
+        "recovery span traced"
+    );
 }
 
 #[test]
@@ -130,5 +153,8 @@ fn compound_fault_plan_same_seed_is_byte_identical() {
 #[test]
 fn elastic_chaos_runs_are_deterministic() {
     let json = same_plan_is_byte_identical("handoff-vs-crash");
-    assert!(json.contains("\"name\":\"handoff-begin\""), "the migration is traced");
+    assert!(
+        json.contains("\"name\":\"handoff-begin\""),
+        "the migration is traced"
+    );
 }

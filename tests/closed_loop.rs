@@ -80,8 +80,7 @@ fn run_elastic(
 fn controller_scales_out_under_diurnal_load_exactly() {
     // Probe: unpaced packed run calibrates the per-host service rate.
     let (probe, _, _) = run_elastic(cfg(NODES), &mut StaticDirector);
-    let cluster_rps =
-        probe.records as f64 * 1.0e9 / probe.completion_time.as_nanos() as f64;
+    let cluster_rps = probe.records as f64 * 1.0e9 / probe.completion_time.as_nanos() as f64;
     let host_rps = cluster_rps / PACKED as f64;
 
     // Diurnal curve per source: calm at 30% of packed capacity, then a

@@ -2,7 +2,6 @@
 //! on identical workloads over the identical fabric, Slash outperforms
 //! RDMA UpPar, which outperforms Flink-sim (Fig. 6).
 
-
 use slash::baselines::partitioned::PartitionedConfig;
 use slash::baselines::{run_flink, run_uppar};
 use slash::core::{RunConfig, SlashCluster};
@@ -41,6 +40,12 @@ fn slash_beats_uppar_beats_flink_on_ysb() {
         slash_tp / uppar_tp,
         slash_tp / flink_tp
     );
-    assert!(slash_tp > uppar_tp, "slash {slash_tp:.3e} <= uppar {uppar_tp:.3e}");
-    assert!(uppar_tp > flink_tp, "uppar {uppar_tp:.3e} <= flink {flink_tp:.3e}");
+    assert!(
+        slash_tp > uppar_tp,
+        "slash {slash_tp:.3e} <= uppar {uppar_tp:.3e}"
+    );
+    assert!(
+        uppar_tp > flink_tp,
+        "uppar {uppar_tp:.3e} <= flink {flink_tp:.3e}"
+    );
 }

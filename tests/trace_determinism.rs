@@ -17,13 +17,22 @@ fn traced_run() -> (String, String, u64, Vec<u64>) {
     let workers = 2;
     let w = ysb(&GenConfig::new(nodes * workers, 4_000));
     let obs = Obs::enabled(16_384);
-    let report =
-        SlashCluster::run_with_obs(w.plan, w.partitions, RunConfig::new(nodes, workers), obs.clone());
+    let report = SlashCluster::run_with_obs(
+        w.plan,
+        w.partitions,
+        RunConfig::new(nodes, workers),
+        obs.clone(),
+    );
     let quantiles = [0.5, 0.9, 0.99, 0.999, 0.9999]
         .iter()
         .filter_map(|&q| obs.quantile("record_latency_ns", "node0", q))
         .collect();
-    (obs.chrome_trace_json(), obs.summary(), report.records, quantiles)
+    (
+        obs.chrome_trace_json(),
+        obs.summary(),
+        report.records,
+        quantiles,
+    )
 }
 
 #[test]
@@ -44,7 +53,10 @@ fn trace_json_has_events_and_monotone_timestamps() {
     assert!(json.contains("\"cat\":\"operator\""));
     assert!(json.contains("\"cat\":\"verb\""));
     assert!(json.contains("\"cat\":\"epoch\""));
-    assert!(json.contains("\"cat\":\"stage\""), "stage attribution spans present");
+    assert!(
+        json.contains("\"cat\":\"stage\""),
+        "stage attribution spans present"
+    );
     // `ts` values appear in non-decreasing file order (export sorts them).
     let mut last = 0f64;
     for chunk in json.split("\"ts\":").skip(1) {
@@ -59,7 +71,10 @@ fn trace_json_has_events_and_monotone_timestamps() {
     assert_eq!(quantiles.len(), 5, "record-latency quantiles all present");
     assert!(top.contains("record_latency_ns"));
     assert!(top.contains("epoch_merge_latency_ns"));
-    assert!(top.contains("stage_latency_ns"), "per-stage attribution in summary");
+    assert!(
+        top.contains("stage_latency_ns"),
+        "per-stage attribution in summary"
+    );
     assert!(top.contains("p99.99"));
 }
 
@@ -99,10 +114,18 @@ fn the_cold_stream_exit_is_a_counter_and_a_trace_instant() {
     };
     let (report, obs) = traced(ysb(&GenConfig::new(NODES * WORKERS, 5_000)));
     assert_eq!(report.metrics.combiner_off, (NODES * WORKERS) as u64);
-    let exits: Vec<_> = obs.events().into_iter().filter(|e| e.name == "combiner_off").collect();
+    let exits: Vec<_> = obs
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "combiner_off")
+        .collect();
     let mut lanes: Vec<(u32, u32)> = exits.iter().map(|e| (e.pid, e.tid)).collect();
     lanes.sort_unstable();
-    assert_eq!(lanes, [(0, 0), (0, 1), (1, 0), (1, 1)], "one instant per worker");
+    assert_eq!(
+        lanes,
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+        "one instant per worker"
+    );
     for e in &exits {
         assert_eq!(e.args[..2], [("survivors", 1024), ("distinct", 1024)]);
     }
