@@ -1,5 +1,4 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 //! # slash-baselines — the paper's comparison systems (§8.1.1)
 //!
 //! Three systems-under-test, built to be compared head-to-head with Slash

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! # slash-bench — the experiment harness
 //!
 //! One runner per table/figure of the paper's evaluation (§8). Each

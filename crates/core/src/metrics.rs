@@ -39,10 +39,10 @@ pub const CATEGORIES: [CostCategory; 5] = [
 
 /// Accumulated counters for one engine (node or thread group).
 ///
-/// Counter fields stay public for *reading* (figures and tables consume
-/// them directly), but all mutation goes through the facade methods below
-/// — `slash-lint`'s `metrics-facade` rule flags direct field writes, so
-/// every counter bump is also visible to the observability registry.
+/// Counter fields are public for *reading* (figures, tables and the
+/// benchmark consume them directly); the methods below are plain `+=`
+/// bumps. The observability registry sees these counters only when
+/// `publish_node_counters` or a run report reads them.
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
     /// Virtual nanoseconds per category.

@@ -1,5 +1,12 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::dbg_macro,
+        clippy::print_stdout,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+    )
+)]
 //! # slash-desim — deterministic discrete-event simulation kernel
 //!
 //! All of Slash's "hardware" substrates (the software RDMA fabric, NIC

@@ -1,5 +1,4 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 //! # slash-exec — scheduler backends for the Slash engine
 //!
 //! The engine's operator, channel, SSB, and hot-path code is written

@@ -15,6 +15,8 @@
 //! generation implies the payload is complete (paper §6.3, "message
 //! layout").
 
+#![deny(clippy::cast_possible_truncation)]
+
 /// Footer size in bytes.
 pub const FOOTER_SIZE: usize = 16;
 
@@ -105,7 +107,7 @@ fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
 #[inline]
 pub fn generation(seq: u64, credits: usize) -> u8 {
     // `% 255` bounds the value to 0..=254, so +1 fits u8 exactly.
-    ((seq / credits as u64) % 255) as u8 + 1 // lint:ok(no-truncating-cast)
+    ((seq / credits as u64) % 255) as u8 + 1
 }
 
 /// Byte offset of slot `k`'s start within the ring region.

@@ -1,12 +1,12 @@
 //! Per-channel transfer statistics, used by the drill-down experiments
 //! (paper §8.3) to report throughput, latency, and stall behaviour.
 //!
-//! All mutation goes through the facade methods below (`on_send`,
-//! `on_consume`, `record_latency_ns`, ...) — the `metrics-facade` lint
-//! rule rejects direct field assignments elsewhere — so every update site
-//! is also a hook point for the `slash-obs` registry. Buffer-residence
-//! latency is kept as a full log-bucketed [`Histogram`] rather than a
-//! lossy sum/count pair, so tail quantiles (p99, p99.9) survive.
+//! The endpoints bump plain fields (`on_send`, `on_consume`,
+//! `record_latency_ns`, ...); the `slash-obs` registry sees them only when
+//! [`ChannelStats::publish`] copies them in at the end of a run.
+//! Buffer-residence latency is kept as a full log-bucketed [`Histogram`]
+//! rather than a lossy sum/count pair, so tail quantiles (p99, p99.9)
+//! survive.
 
 use slash_desim::SimTime;
 use slash_obs::Histogram;

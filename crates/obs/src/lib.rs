@@ -28,8 +28,18 @@
 //! *disabled* (every call is a no-op and nothing allocates). Engine code
 //! takes an `Obs` unconditionally and never branches on configuration.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::dbg_macro,
+        clippy::print_stdout,
+        clippy::disallowed_methods,
+    )
+)]
 
 pub mod export;
 pub mod flight;
@@ -143,9 +153,11 @@ impl Obs {
 
     /// Open a [`Stage`] latency span on lane `(pid, tid)` at virtual time
     /// `at`. Must be matched by a [`span_close`](Self::span_close) with
-    /// the same stage and lane — the `latency-span-pairs` lint enforces
-    /// the pairing statically in instrumented crates. Re-opening an
-    /// already-open span moves its start (the earlier open is dropped).
+    /// the same stage and lane; a traced run ends with
+    /// [`open_span_count`](Self::open_span_count) zero and no
+    /// `span_mismatch` counts (`tests/trace_determinism.rs` checks both).
+    /// Re-opening an already-open span moves its start (the earlier open
+    /// is dropped).
     pub fn span_open(&self, stage: Stage, pid: u32, tid: u32, at: SimTime) {
         if let Some(inner) = &self.inner {
             inner.opens.borrow_mut().insert((stage as u8, pid, tid), at);

@@ -1,5 +1,15 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::dbg_macro,
+        clippy::print_stdout,
+        clippy::disallowed_methods,
+    )
+)]
 //! # slash-rdma — a software RDMA fabric with ibverbs-shaped semantics
 //!
 //! This crate is the substitute for the InfiniBand hardware the paper runs

@@ -22,6 +22,8 @@
 //! format as the channel footer) at which the helper closed the epoch; the
 //! leader uses it to measure epoch-merge latency end to end.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::entry::{le_bytes, EntryKind};
 use crate::hash::StateKey;
 
@@ -389,8 +391,8 @@ mod tests {
     fn large_deltas_split_into_chunks_with_single_fin() {
         let max = 256;
         let mut b = ChunkBuilder::new(0, 1, 10, 0, max);
-        for k in 0..100u128 {
-            b.push(k, EntryKind::Fixed, &(k as u64).to_le_bytes());
+        for k in 0..100u64 {
+            b.push(k.into(), EntryKind::Fixed, &k.to_le_bytes());
         }
         let chunks = b.finish();
         assert!(chunks.len() > 1);

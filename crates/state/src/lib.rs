@@ -1,5 +1,16 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::dbg_macro,
+        clippy::print_stdout,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+    )
+)]
 //! # slash-state — the Slash State Backend (SSB, paper §7)
 //!
 //! A distributed, concurrent key-value store for in-memory operator state.

@@ -1,5 +1,4 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 //! # slash-workloads — benchmark workload generators (paper §8.1.2)
 //!
 //! Deterministic, seedable generators for every workload the paper

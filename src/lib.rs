@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! # Slash — RDMA-native stateful stream processing
 //!
 //! Facade crate re-exporting the public API of the Slash reproduction.

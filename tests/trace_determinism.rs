@@ -4,10 +4,11 @@
 //! summaries — not merely equivalent ones. Any nondeterminism smuggled in
 //! (wall clock, hash-order iteration, address-keyed IDs) fails here. The
 //! telemetry itself must say what shaped a run: the write combiner turning
-//! itself off is a counter and a trace instant.
+//! itself off is a counter and a trace instant, and every stage span the
+//! engine opens is closed.
 
 use slash::core::{RunConfig, SlashCluster};
-use slash::obs::Obs;
+use slash::obs::{Obs, Stage};
 use slash::workloads::{ysb, ysb_hot, GenConfig, Workload};
 
 /// One traced YSB run on a small cluster; returns every observable
@@ -23,6 +24,13 @@ fn traced_run() -> (String, String, u64, Vec<u64>) {
         RunConfig::new(nodes, workers),
         obs.clone(),
     );
+    // Every stage span was closed on the lane that opened it: an open left
+    // behind or a close with no open drops that stage's latency samples.
+    assert_eq!(obs.open_span_count(), 0, "stage spans left open");
+    for stage in Stage::ALL {
+        let unmatched = obs.with_registry(|r| r.counter("span_mismatch", stage.name()));
+        assert_eq!(unmatched, Some(0), "unmatched span_close: {}", stage.name());
+    }
     let quantiles = [0.5, 0.9, 0.99, 0.999, 0.9999]
         .iter()
         .filter_map(|&q| obs.quantile("record_latency_ns", "node0", q))
