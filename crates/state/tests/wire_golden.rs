@@ -12,13 +12,16 @@
 //!
 //! The small case spells its bytes out; the large ones — index growth,
 //! overflow chains, several epochs, a window drain, both state kinds —
-//! compare [`chunks_digest`]s, which fold every byte and length.
+//! compare [`chunks_digest`]s, which fold every byte and length. Each
+//! checkpoint's snapshot is also pinned by an order-free content digest —
+//! its decoded `(key, kind, element)` rows, sorted — so a change that
+//! moves only the order keys are listed in shows as exactly that.
 
 use slash_desim::{DetRng, Sim};
 use slash_net::ChannelConfig;
 use slash_rdma::{Fabric, FabricConfig};
 use slash_state::backend::{build_cluster, SsbConfig, SsbNode};
-use slash_state::delta::ChunkBuilder;
+use slash_state::delta::{try_parse_chunk, ChunkBuilder};
 use slash_state::descriptor::appended_descriptor;
 use slash_state::hash::pack_key;
 use slash_state::{
@@ -146,19 +149,40 @@ fn summarize(ckpt: &SsbCheckpoint) -> (u64, u64, u64) {
     (ckpt.digest, chunks_digest(&retained), ckpt.payload_bytes())
 }
 
+/// What a checkpoint's snapshot holds, whatever order it lists it in: the
+/// digest of its `(key, kind, element)` rows, sorted.
+fn content(ckpt: &SsbCheckpoint) -> u64 {
+    let mut rows: Vec<(u128, u8, Vec<u8>)> = Vec::new();
+    for chunk in &ckpt.snapshot {
+        try_parse_chunk(chunk, |key, kind, elem| {
+            rows.push((key, kind as u8, elem.to_vec()))
+        })
+        .unwrap();
+    }
+    rows.sort();
+    let mut bytes = Vec::new();
+    for (key, kind, elem) in rows {
+        bytes.extend_from_slice(&key.to_le_bytes());
+        bytes.push(kind);
+        bytes.extend_from_slice(&(elem.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&elem);
+    }
+    chunks_digest(&[bytes])
+}
+
 /// Drive `steps` seeded operations through the cluster — `update(node,
 /// rng, key)` is the state kind's per-record and batched write mix —
 /// closing epochs, settling and draining window 1 along the way, and
 /// summarize every node's checkpoint midway (after the drain) and at the
-/// end.
+/// end: the wire summaries, and the snapshots' content digests.
 fn run(
     desc: StateDescriptor,
     steps: u64,
     mut update: impl FnMut(&mut SsbNode, &mut DetRng),
-) -> Vec<(u64, u64, u64)> {
+) -> (Vec<(u64, u64, u64)>, Vec<u64>) {
     let (mut sim, mut ssb) = cluster(desc);
     let mut rng = DetRng::new(0x51A5_0019);
-    let mut out = Vec::new();
+    let (mut out, mut contents) = (Vec::new(), Vec::new());
     for step in 1..=steps {
         let who = rng.next_below(3) as usize;
         match rng.next_below(40) {
@@ -180,10 +204,14 @@ fn run(
                     node.drain_triggered(|w| w == 1, |_| {});
                 }
             }
-            out.extend(ssb.iter_mut().map(|n| summarize(&n.checkpoint(300))));
+            for node in ssb.iter_mut() {
+                let ckpt = node.checkpoint(300);
+                out.push(summarize(&ckpt));
+                contents.push(content(&ckpt));
+            }
         }
     }
-    out
+    (out, contents)
 }
 
 fn draw_key(rng: &mut DetRng) -> u128 {
@@ -206,7 +234,8 @@ fn fixed_state_checkpoints_are_the_parents() {
             node.rmw(draw_key(rng), |v| CounterCrdt::add(v, n));
         }
     });
-    assert_eq!(got, FIXED_CHECKPOINTS);
+    assert_eq!(got.0, FIXED_CHECKPOINTS);
+    assert_eq!(got.1, FIXED_CONTENTS);
 }
 
 const FIXED_CHECKPOINTS: [(u64, u64, u64); 6] = [
@@ -239,7 +268,8 @@ fn appended_state_checkpoints_are_the_parents() {
             node.append(draw_key(rng), &elem[..len]);
         }
     });
-    assert_eq!(got, APPENDED_CHECKPOINTS);
+    assert_eq!(got.0, APPENDED_CHECKPOINTS);
+    assert_eq!(got.1, APPENDED_CONTENTS);
 }
 
 const APPENDED_CHECKPOINTS: [(u64, u64, u64); 6] = [
@@ -249,4 +279,22 @@ const APPENDED_CHECKPOINTS: [(u64, u64, u64); 6] = [
     (809089672672148936, 5835434113020636864, 75808),
     (7342646055466729301, 4417518846448206072, 75969),
     (5367323732332679580, 899356915308039350, 74065),
+];
+
+const FIXED_CONTENTS: [u64; 6] = [
+    9074065742186602450,
+    5087941096003274183,
+    8392988020200957433,
+    18346332944264977345,
+    8642901640296568804,
+    7278200777050156852,
+];
+
+const APPENDED_CONTENTS: [u64; 6] = [
+    5617848203136068476,
+    8616480776159414045,
+    10651606319379285232,
+    15154469597084947166,
+    8640900103023813560,
+    4674985263796106766,
 ];
