@@ -10,7 +10,7 @@ use slash_rdma::{Fabric, NodeId};
 use crate::coherence::{DeltaReceiver, DeltaSender, StateError};
 use crate::combiner::{WriteCombiner, VERDICT_FOLDS};
 use crate::descriptor::StateDescriptor;
-use crate::hash::{pack_key, partition_of, unpack_key, StateKey};
+use crate::hash::{partition_of, unpack_key, StateKey};
 use crate::partition::Partition;
 pub use crate::partition::{ElementList, TriggeredData, TriggeredValue};
 use crate::split::{SplitLedger, SUB_KEY_TAG};
@@ -465,12 +465,14 @@ impl SsbNode {
     /// entries are garbage collected. Returns how many live keys left the
     /// state.
     ///
-    /// The sweep goes through the primary's window directory
-    /// ([`Partition::drain_ready`]): `ready` is asked once per live window
-    /// id (it need not be monotone), and only the keys of the windows that
-    /// fire are touched — a call with nothing ready costs O(#windows), not
-    /// O(live keys). Results come window by window in ascending window
-    /// order, keys in first-insertion order.
+    /// Each window of the primary has its own index
+    /// ([`Partition::drain_ready`]): `ready` is asked once per open window
+    /// (it need not be monotone), and a window that fires is retired whole
+    /// — a call with nothing ready costs O(#windows), a firing O(that
+    /// window), never O(live keys). Results come window by window in
+    /// ascending window order; fixed state in log order, which is the
+    /// order keys first arrived, holistic keys by their newest run's
+    /// address.
     ///
     /// When a split ledger is active, the constituents of a split
     /// `(window, key)` — its per-replica sub-keys plus any canonical
@@ -491,14 +493,12 @@ impl SsbNode {
             Some(l) if !l.is_empty() && !primary.descriptor().is_appended() => l,
             _ => return primary.drain_ready(ready, emit),
         };
-        let desc = *primary.descriptor();
-        // The fold of one split group, reused from group to group.
-        let mut acc = vec![0u8; desc.fixed_size()];
+        let merge = primary.descriptor().merge;
+        // Canonical group key → the fold of its split's live constituents.
+        let mut groups: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let mut fired = 0;
-        for (window_id, keys) in primary.take_ready_windows(ready) {
-            // Canonical group key → the listed constituents of its split.
-            let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for gk in keys.into_iter().flatten() {
+        for window_id in primary.ready_windows(ready) {
+            fired += primary.retire(window_id, |gk, data| {
                 let canon = if gk & SUB_KEY_TAG != 0 {
                     // An orphan sub-key (ledger replaced mid-flight) still
                     // drains — as its own result, never lost.
@@ -506,41 +506,27 @@ impl SsbNode {
                 } else {
                     ledger.is_split(gk).then_some(gk)
                 };
-                if let Some(canon) = canon {
-                    groups.entry(canon).or_default().push(gk);
-                    continue;
-                }
-                let live = primary.take(pack_key(window_id, gk), |data| {
-                    emit(TriggeredValue {
+                match (canon, data) {
+                    // Merge into the zero value is the identity: the first
+                    // constituent seeds its group.
+                    (Some(canon), TriggeredData::Fixed(value)) => {
+                        let group = groups.entry(canon).and_modify(|acc| merge(acc, value));
+                        group.or_insert_with(|| value.to_vec());
+                    }
+                    _ => emit(TriggeredValue {
                         window_id,
                         key: gk,
                         data,
-                    })
+                    }),
+                }
+            });
+            for (canon, acc) in std::mem::take(&mut groups) {
+                emit(TriggeredValue {
+                    window_id,
+                    key: canon,
+                    data: TriggeredData::Fixed(&acc),
                 });
-                fired += usize::from(live);
             }
-            for (canon, members) in groups {
-                (desc.init)(&mut acc);
-                let mut live = 0;
-                for member in members {
-                    let merged = primary.take(pack_key(window_id, member), |data| {
-                        if let TriggeredData::Fixed(value) = data {
-                            (desc.merge)(&mut acc, value);
-                        }
-                    });
-                    live += usize::from(merged);
-                }
-                // A group whose listed members were all stale held no state.
-                if live > 0 {
-                    fired += live;
-                    emit(TriggeredValue {
-                        window_id,
-                        key: canon,
-                        data: TriggeredData::Fixed(&acc),
-                    });
-                }
-            }
-            primary.reclaim();
         }
         fired
     }
@@ -590,7 +576,7 @@ impl SsbNode {
         SsbNode {
             node,
             cfg,
-            fragments: fragments_for(node, cfg.nodes, desc),
+            fragments: (0..cfg.nodes).map(|p| Partition::new(p, desc)).collect(),
             senders,
             receivers,
             vclock: VectorClock::new(cfg.nodes),
@@ -807,20 +793,6 @@ impl SsbNode {
             }
         }
     }
-}
-
-/// A node's fragments: a drainable primary at its own index, directory-less
-/// helper fragments for every partition it does not lead.
-fn fragments_for(node: usize, nodes: usize, desc: StateDescriptor) -> Vec<Partition> {
-    (0..nodes)
-        .map(|p| {
-            if p == node {
-                Partition::new(p, desc)
-            } else {
-                Partition::helper(p, desc)
-            }
-        })
-        .collect()
 }
 
 /// A row of `n` unwired endpoint slots.
@@ -1139,7 +1111,7 @@ mod tests {
     /// Satellite: sliding windows read *unretired* sibling slices at
     /// trigger time (`SlashWorker::run_triggers` falls back to
     /// `local_get`). Draining an earlier slice must leave the later ones
-    /// readable — and still listed, so they fire in their own turn.
+    /// readable — and open, so they fire in their own turn.
     #[test]
     fn sibling_slices_stay_readable_after_an_earlier_slice_drains() {
         let mut node = SsbNode::detached(0, CounterCrdt::descriptor(), SsbConfig::new(1));
@@ -1169,11 +1141,11 @@ mod tests {
         assert_eq!(node.stats().drain_visited, 3);
     }
 
-    /// The full-index trigger sweep this crate used before the window
-    /// directory, kept only as the oracle of
-    /// `directory_drain_matches_full_index_sweep`: walk every live key of
-    /// the primary, keep those whose window is ready, then `get` + `remove`
-    /// each (folding split groups under their canonical key).
+    /// The full-index trigger sweep this crate once used, kept only as the
+    /// oracle of `window_retirement_matches_full_index_sweep`: walk every
+    /// live key of every window's index, keep those whose window is ready,
+    /// then `get` + `remove` each (folding split groups under their
+    /// canonical key).
     fn reference_sweep_drain(
         node: &mut SsbNode,
         ready: impl Fn(u64) -> bool,
@@ -1215,7 +1187,7 @@ mod tests {
             if appended {
                 primary.for_each_element(key, |e| elems.push(e.to_vec()));
             } else {
-                elems.push(primary.get(key).expect("listed key is live").to_vec());
+                elems.push(primary.get(key).expect("indexed key is live").to_vec());
             }
             primary.remove(key);
             emit((window_id, k, elems));
@@ -1226,7 +1198,7 @@ mod tests {
             let mut acc = vec![0u8; desc.fixed_size()];
             (desc.init)(&mut acc);
             for &member in members {
-                (desc.merge)(&mut acc, primary.get(member).expect("listed key is live"));
+                (desc.merge)(&mut acc, primary.get(member).expect("indexed key is live"));
                 primary.remove(member);
             }
             emit((window_id, canon_gk, vec![acc]));
@@ -1394,11 +1366,12 @@ mod tests {
     /// every operation that makes or unmakes a primary key — `rmw`,
     /// `merge_batch`, `merge_fixed`, `append`, `append_run`, `remove`,
     /// epoch close + leader merge, snapshot → restore, split activation —
-    /// the directory drain emits the same multiset, returns the same
-    /// count and leaves the same state as a full-index sweep, for
-    /// prefix, single-window, empty and total `ready` predicates.
+    /// retiring the ready windows whole emits the same multiset, returns
+    /// the same count and leaves the same state as a sweep over every
+    /// window's index, for prefix, single-window, empty and total `ready`
+    /// predicates.
     #[test]
-    fn directory_drain_matches_full_index_sweep() {
+    fn window_retirement_matches_full_index_sweep() {
         for seed in 0..12u64 {
             let fixed = seed % 2 == 0;
             let desc = if fixed {

@@ -17,7 +17,9 @@
 //! entry whose whole value is one element — an element no run can hold
 //! (empty, or wider than the `u8` stride field). Fixed entries carry zeros
 //! in `stride` and `count`, so their bytes are those of a header with 3 pad
-//! bytes. The layout is position-independent so a raw byte-range of
+//! bytes. The top bit of `kind` marks an entry the log has retired
+//! ([`DEAD`]); decoding strips it, so the header reads as it was written.
+//! The layout is position-independent so a raw byte-range of
 //! entries can be shipped to a leader and replayed there (the coherence
 //! protocol's delta transfer).
 
@@ -28,6 +30,9 @@ pub const HEADER_SIZE: usize = 32;
 
 /// Sentinel for "no previous entry in this key's chain".
 pub const NO_PREV: u64 = u64::MAX;
+
+/// The `kind` byte's flag for an entry marked dead ([`crate::log::Lss::note_dead`]).
+pub(crate) const DEAD: u8 = 0x80;
 
 /// Entry kind tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +116,7 @@ impl EntryHeader {
     pub fn decode(bytes: &[u8]) -> EntryHeader {
         // One copy of the whole header; the fields sit at fixed offsets.
         let h: [u8; HEADER_SIZE] = le_bytes(bytes, 0);
-        let kind_byte = h[28];
+        let kind_byte = h[28] & !DEAD;
         debug_assert!(
             EntryKind::try_from_u8(kind_byte).is_some(),
             "corrupt log: unknown entry kind {kind_byte}"

@@ -234,22 +234,6 @@ impl HashIndex {
         self.walk(tag_of(hash), self.root(hash), verify)
     }
 
-    /// Resolve a batch of pre-hashed probes in one pass, in batch order:
-    /// `out[i]` receives the [`Probe`] for `hashes[i]`. One slice-based
-    /// `verify(probe_index, addr)` closure serves the whole batch, instead
-    /// of one capture-by-clone closure per record.
-    pub fn probe_batch(
-        &self,
-        hashes: &[u64],
-        out: &mut Vec<Probe>,
-        mut verify: impl FnMut(usize, u64) -> bool,
-    ) {
-        out.clear();
-        out.extend(
-            (hashes.iter().enumerate()).map(|(i, &hash)| self.probe(hash, |a| verify(i, a))),
-        );
-    }
-
     /// Install `addr` for the key `probe` located: overwrite the key's slot
     /// if it was found, else take the first free slot of its chain (or
     /// chain a fresh overflow bucket).
@@ -350,6 +334,14 @@ impl HashIndex {
             let free = self.walk(tag, self.root(h), |_| false).pos;
             self.install(free, pack(tag, addr));
         }
+    }
+}
+
+#[cfg(test)]
+impl HashIndex {
+    /// Entries the table holds before it next doubles.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buckets.len() * BUCKET_SLOTS
     }
 }
 
@@ -528,11 +520,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_probes_match_single_probes_under_collisions() {
+    fn memoized_hashes_probe_like_fresh_ones_under_collisions() {
         // A deliberately tiny index: 2 root buckets for 96 keys forces
         // deep overflow chains and plenty of same-bucket (and occasional
-        // same-tag) collisions — exactly what the batched walk must
-        // disambiguate through the shared verify closure.
+        // same-tag) collisions — exactly what verification must
+        // disambiguate.
         let mut log = FakeLog::new();
         let mut idx = HashIndex::with_capacity(2);
         let present: Vec<u64> = (0..96).collect();
@@ -545,36 +537,18 @@ mod tests {
             "test must exercise overflow buckets"
         );
 
-        // Probe a mix of present and absent keys, unsorted.
-        let probe_keys: Vec<u64> = (0..128).rev().collect();
-        let hashes: Vec<u64> = probe_keys.iter().map(|&k| hash_u64(k)).collect();
-        let mut out = Vec::new();
-        let keys = log.keys.clone();
-        idx.probe_batch(&hashes, &mut out, |i, addr| keys[&addr] == probe_keys[i]);
-
-        assert_eq!(out.len(), probe_keys.len());
-        for (i, &k) in probe_keys.iter().enumerate() {
-            assert_eq!(
-                out[i],
-                idx.probe(hash_u64(k), log.verify(k)),
-                "batched probe for key {k} diverged from the single probe"
-            );
-            assert_eq!(out[i].addr().is_some(), k < 96);
+        // The memoized-hash contract: probing a mix of present and absent
+        // keys with the combiner's MSB-forced hash resolves identically
+        // (bucket uses low bits, the tag already forces the same top bit).
+        for k in (0..128).rev() {
+            let plain = idx.probe(hash_u64(k), log.verify(k));
+            assert_eq!(plain.addr().is_some(), k < 96);
+            let forced = idx.probe(hash_u64(k) | (1 << 63), log.verify(k));
+            assert_eq!(forced, plain, "key {k}");
         }
-
-        // The memoized-hash contract: probing with the combiner's
-        // MSB-forced hash resolves identically (bucket uses low bits, the
-        // tag already forces the same top bit).
-        let forced: Vec<u64> = hashes.iter().map(|h| h | (1 << 63)).collect();
-        let mut out_forced = Vec::new();
-        let keys = log.keys.clone();
-        idx.probe_batch(&forced, &mut out_forced, |i, addr| {
-            keys[&addr] == probe_keys[i]
-        });
-        assert_eq!(out, out_forced);
     }
 
-    /// Handles taken in one batch and installed one by one — past each
+    /// Handles taken for a whole batch and installed one by one — past each
     /// other's inserts, table growth and a removal — leave the table slot
     /// for slot where per-key probe + put leaves it: a stale handle is
     /// re-located, never trusted.
@@ -593,9 +567,9 @@ mod tests {
             // The batch: moves of resident keys interleaved with new keys.
             let batch: Vec<u64> = (20..120).collect();
             let hashes: Vec<u64> = batch.iter().map(|&k| hash_u64(k)).collect();
-            let mut probes = Vec::new();
-            let keys = log.keys.clone();
-            batched.probe_batch(&hashes, &mut probes, |i, addr| keys[&addr] == batch[i]);
+            let probes: Vec<Probe> = (batch.iter().zip(&hashes))
+                .map(|(&k, &h)| batched.probe(h, log.verify(k)))
+                .collect();
             if removal {
                 assert_eq!(batched.remove(hash_u64(3), log.verify(3)), Some(24));
                 assert_eq!(serial.remove(hash_u64(3), log.verify(3)), Some(24));
@@ -846,17 +820,7 @@ mod tests {
                             batch.push(key);
                         }
                     }
-                    let hashes: Vec<u64> = batch.iter().map(|&k| hash_u64(k)).collect();
-                    let mut handles = Vec::new();
-                    let log = &t.log;
-                    t.fast
-                        .probe_batch(&hashes, &mut handles, |i, a| log[a as usize] == batch[i]);
-                    let mut pairs = Vec::new();
-                    for (&key, &fast) in batch.iter().zip(&handles) {
-                        let (single, oracle) = t.probe(key);
-                        assert_eq!(fast, single, "batched probe of key {key}");
-                        pairs.push((key, (fast, oracle)));
-                    }
+                    let mut pairs: Vec<_> = batch.iter().map(|&key| (key, t.probe(key))).collect();
                     for i in (1..n).rev() {
                         pairs.swap(i, rng.next_below(i as u64 + 1) as usize);
                     }
@@ -882,8 +846,8 @@ mod tests {
         t
     }
 
-    /// The tag-first walk, the `fills` shortcut and batch-order probes
-    /// against the reference index, op for op: equal probe results and an
+    /// The tag-first walk, the `fills` shortcut and handles held across a
+    /// batch against the reference index, op for op: equal probe results and an
     /// equal table after every operation, over a 2-bucket table (growth,
     /// deep chains) and a 4,096-bucket one whose keys crowd eight root
     /// buckets (long overflow chains in a large table).

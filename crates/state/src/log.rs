@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 #[cfg(test)]
 use crate::entry::NO_PREV;
 use crate::entry::{
-    key_at, len_at, prev_at, shape_at, stored_size, used, EntryHeader, EntryKind, HEADER_SIZE,
+    key_at, len_at, prev_at, shape_at, stored_size, used, EntryHeader, EntryKind, DEAD, HEADER_SIZE,
 };
 use crate::hash::StateKey;
 
@@ -341,12 +341,41 @@ impl Lss {
         }
     }
 
-    /// Mark the entry at `addr` dead. A sealed segment releases its memory
-    /// as soon as every entry in it is dead.
+    /// Visit the live entries with address in `[from, to)` in log order as
+    /// `(key, value)`, and mark dead each one `claim` returns `true` for:
+    /// the retirement of a window of fixed state, one pass over its range.
+    pub fn retire_in(
+        &mut self,
+        from: u64,
+        to: u64,
+        mut claim: impl FnMut(StateKey, &[u8]) -> bool,
+    ) {
+        let mut addr = from.max(self.first_start);
+        while addr < to.min(self.tail) {
+            let (at, (si, off)) = (addr, self.seg_of(addr));
+            let seg = &self.segments[si];
+            if off >= seg.used {
+                // Padding, or a dead segment's released memory.
+                addr = self.first_start + ((si as u64 + 1) << self.seg_shift);
+                continue;
+            }
+            let (len, stride, count) = shape_at(&seg.data, off);
+            addr += stored_size(len) as u64;
+            let value = &seg.data[off + HEADER_SIZE..][..used(len, stride, count)];
+            if seg.data[off + 28] & DEAD == 0 && claim(key_at(&seg.data, off), value) {
+                self.note_dead(at);
+            }
+        }
+    }
+
+    /// Mark the entry at `addr` dead: flag its header, so a scan skips it,
+    /// and count it out of its segment. A sealed segment releases its
+    /// memory as soon as every entry in it is dead.
     pub fn note_dead(&mut self, addr: u64) {
-        let (si, _) = self.seg_of(addr);
+        let (si, off) = self.seg_of(addr);
         let seg = &mut self.segments[si];
         assert!(seg.live > 0, "double free at {addr}");
+        seg.data[off + 28] |= DEAD;
         seg.live -= 1;
         self.live_entries -= 1;
         if seg.live == 0 && seg.sealed {

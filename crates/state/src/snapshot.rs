@@ -35,7 +35,7 @@ pub fn snapshot_chunks(part: &Partition, watermark: u64, max_chunk: usize) -> Ve
             // `for_each_key` only lists live keys; absence would mean index
             // corruption. Skip rather than panic — the snapshot then simply
             // omits the unreadable key.
-            debug_assert!(false, "listed key has a value");
+            debug_assert!(false, "indexed key has a value");
         }
     });
     builder.finish()

@@ -8,7 +8,12 @@
 //! ones never moved. Snapshot chunks list
 //! keys in index-slot order and delta chunks list entries in log order, so
 //! these literals pin index slot placement (growth instants included) and
-//! log layout (padding, sealing, reclamation), not just content.
+//! log layout (padding, sealing, reclamation), not just content. When each
+//! window got an index of its own, snapshots began to list keys window by
+//! window: the two checkpoint cases' snapshot digests (and, as runs split
+//! at other chunk edges, the appended case's byte counts) were captured
+//! again, while their content digests, the delta chunks and the small and
+//! index-doubling cases stayed as they were.
 //!
 //! The small case spells its bytes out; the large ones — index growth,
 //! overflow chains, several epochs, a window drain, both state kinds —
@@ -234,17 +239,17 @@ fn fixed_state_checkpoints_are_the_parents() {
             node.rmw(draw_key(rng), |v| CounterCrdt::add(v, n));
         }
     });
-    assert_eq!(got.0, FIXED_CHECKPOINTS);
-    assert_eq!(got.1, FIXED_CONTENTS);
+    assert_eq!(got.1, FIXED_CONTENTS, "content");
+    assert_eq!(got.0, FIXED_CHECKPOINTS, "wire bytes");
 }
 
 const FIXED_CHECKPOINTS: [(u64, u64, u64); 6] = [
-    (1136547184197137575, 9643034942184249826, 69152),
-    (7730383600576318431, 2626562787738570133, 89440),
-    (5561333032959145651, 2204100121544397078, 70464),
-    (7538649277406197406, 6186199371100002456, 148896),
-    (6104296181740194365, 11559486317909822642, 162432),
-    (10795911069784281076, 2935186592635501214, 161920),
+    (14423633029876862040, 9643034942184249826, 69152),
+    (5537921523801394983, 2626562787738570133, 89440),
+    (2629482850997171398, 2204100121544397078, 70464),
+    (16841580057809708142, 6186199371100002456, 148896),
+    (10538543071627506330, 11559486317909822642, 162432),
+    (6212915880241139657, 2935186592635501214, 161920),
 ];
 
 #[test]
@@ -268,17 +273,17 @@ fn appended_state_checkpoints_are_the_parents() {
             node.append(draw_key(rng), &elem[..len]);
         }
     });
-    assert_eq!(got.0, APPENDED_CHECKPOINTS);
-    assert_eq!(got.1, APPENDED_CONTENTS);
+    assert_eq!(got.1, APPENDED_CONTENTS, "content");
+    assert_eq!(got.0, APPENDED_CHECKPOINTS, "wire bytes");
 }
 
 const APPENDED_CHECKPOINTS: [(u64, u64, u64); 6] = [
-    (5028245167044322115, 8479426337734428111, 32686),
-    (11919796890292858325, 5961632608088242642, 31098),
-    (9200449906799356549, 2929348128880416743, 32504),
-    (809089672672148936, 5835434113020636864, 75808),
-    (7342646055466729301, 4417518846448206072, 75969),
-    (5367323732332679580, 899356915308039350, 74065),
+    (7103568602088479836, 8479426337734428111, 32614),
+    (236172938498139, 5961632608088242642, 31122),
+    (4782653887606090529, 2929348128880416743, 32384),
+    (10465771022389527713, 5835434113020636864, 75640),
+    (13686719243129688462, 4417518846448206072, 76113),
+    (2168892778688515003, 899356915308039350, 73993),
 ];
 
 const FIXED_CONTENTS: [u64; 6] = [
