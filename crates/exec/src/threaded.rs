@@ -20,11 +20,12 @@
 //!
 //! ## Wall-clock usage
 //!
-//! This file is the one non-bench place allowed to read the host clock
-//! (see `WALLCLOCK_EXEMPT_FILES` in `slash-verify`): a node waiting on a
-//! peer *thread* cannot bound the wait in virtual time, so the hang
-//! watchdog must measure real elapsed time. Nothing else in the crate
-//! touches the wall clock.
+//! This file is the one non-bench place allowed to read the host clock:
+//! a node waiting on a peer *thread* cannot bound the wait in virtual
+//! time, so the hang watchdog must measure real elapsed time. The waiver
+//! is the `#[expect(clippy::disallowed_methods, …)]` on `drive_node`
+//! (DESIGN §8, the static-rules table). Nothing else in the crate touches
+//! the wall clock.
 
 use std::cell::RefCell;
 use std::rc::Rc;
