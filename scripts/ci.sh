@@ -20,6 +20,7 @@ echo "==> [3/11] clippy (all targets, warnings are errors) + rustfmt"
 # workspace lints, clippy.toml and each library root's cfg_attr line.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+cargo fmt --manifest-path crates/bench/src/bin/perf-ledger/Cargo.toml -- --check
 
 echo "==> [4/11] rustdoc (workspace docs, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --quiet
