@@ -176,7 +176,8 @@ impl Window {
         fill: impl FnOnce(&mut [u8]),
     ) {
         let addr = log.append_with(key, NO_PREV, EntryKind::Fixed, len, fill);
-        (self.index).put(hash, probe, addr, |a| hash_key(log.key_at(a)));
+        self.index
+            .put(hash, probe, addr, |a| hash_key(log.key_at(a)));
         self.first = self.first.min(addr);
         self.last = addr;
     }
@@ -473,7 +474,7 @@ impl Partition {
             }
         }
         let log = &self.log;
-        (w.index).put(hash, probe, head, |a| hash_key(log.key_at(a)));
+        w.index.put(hash, probe, head, |a| hash_key(log.key_at(a)));
     }
 
     /// Merge a batch of *distinct-key* partial values — the entries of a
