@@ -143,11 +143,7 @@ impl RxChan {
                 .try_recv(sim)
                 .expect("exchange channel failure")
                 .map(|(_flags, payload)| decode(&payload)),
-            RxChan::Socket(c) => match c.try_recv(sim) {
-                Some(Some(payload)) => Some(decode(&payload)),
-                // Socket EOS is unused: lanes signal LaneDone explicitly.
-                Some(None) | None => None,
-            },
+            RxChan::Socket(c) => c.try_recv().map(|payload| decode(&payload)),
         }
     }
 

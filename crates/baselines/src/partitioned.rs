@@ -297,10 +297,6 @@ impl Process for SenderProc {
         };
         Step::Yield(busy.max(SimTime::from_nanos(1)))
     }
-
-    fn name(&self) -> &str {
-        "partitioned-sender"
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -503,10 +499,6 @@ impl Process for ReceiverProc {
             return Step::Yield(idle);
         }
         Step::Yield(busy.max(SimTime::from_nanos(1)))
-    }
-
-    fn name(&self) -> &str {
-        "partitioned-receiver"
     }
 }
 

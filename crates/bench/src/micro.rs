@@ -268,10 +268,6 @@ impl Process for Producer {
         }
         Step::Yield(busy)
     }
-
-    fn name(&self) -> &str {
-        "micro-producer"
-    }
 }
 
 struct Consumer {
@@ -354,10 +350,6 @@ impl Process for Consumer {
         }
         let busy = CostModel::to_time(cpu).max(SimTime::from_nanos(200));
         Step::Yield(busy)
-    }
-
-    fn name(&self) -> &str {
-        "micro-consumer"
     }
 }
 

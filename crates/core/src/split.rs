@@ -442,10 +442,6 @@ impl Process for SplitDriver {
         }
         Step::Yield(self.sample_every)
     }
-
-    fn name(&self) -> &str {
-        "split-driver"
-    }
 }
 
 /// The hot-key-splitting director: at install it enables the ledger on

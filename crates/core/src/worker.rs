@@ -822,10 +822,6 @@ impl Process for SlashWorker {
         }
         Step::Yield(busy.max(SimTime::from_nanos(1)))
     }
-
-    fn name(&self) -> &str {
-        "slash-worker"
-    }
 }
 
 /// Records-processed accessor used by the cluster driver.

@@ -121,7 +121,7 @@ impl EventLabel {
 
 /// What happens when an event fires.
 pub(crate) enum EventKind {
-    /// Wake a parked or yielded process.
+    /// Step a process: its first step, or the next after a yield.
     Wake(ProcId),
     /// Run an arbitrary closure against the simulator. Used by the fabric to
     /// deliver messages, post completions, and so on.
@@ -215,11 +215,6 @@ impl EventQueue {
     /// Set the tie-break policy for events pushed from now on.
     pub fn set_policy(&mut self, policy: TieBreak) {
         self.policy = policy;
-    }
-
-    /// The active tie-break policy.
-    pub fn policy(&self) -> TieBreak {
-        self.policy
     }
 
     pub fn pop(&mut self) -> Option<Scheduled> {

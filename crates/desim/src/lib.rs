@@ -12,8 +12,8 @@
 //! All of Slash's "hardware" substrates (the software RDMA fabric, NIC
 //! bandwidth pacing, virtual CPU time) run on top of this kernel. It is a
 //! classic discrete-event simulator: a priority queue of timestamped events,
-//! a virtual clock in nanoseconds, and cooperative *processes* that are
-//! stepped whenever they are scheduled to wake.
+//! a virtual clock in nanoseconds, and cooperative *processes*, each stepped
+//! again after the virtual time its previous step charged.
 //!
 //! Design goals, in order:
 //!

@@ -14,10 +14,6 @@ use crate::clock::{transfer_time, SimTime};
 pub struct Link {
     bytes_per_sec: u64,
     busy_until: SimTime,
-    /// Total bytes serialized through this link.
-    bytes_total: u64,
-    /// Total time this link spent busy (for utilization reports).
-    busy_time: SimTime,
 }
 
 impl Link {
@@ -27,14 +23,7 @@ impl Link {
         Link {
             bytes_per_sec,
             busy_until: SimTime::ZERO,
-            bytes_total: 0,
-            busy_time: SimTime::ZERO,
         }
-    }
-
-    /// Bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> u64 {
-        self.bytes_per_sec
     }
 
     /// Reserve the link for a `bytes`-long transfer that may start no
@@ -45,32 +34,12 @@ impl Link {
         let dur = transfer_time(bytes, self.bytes_per_sec);
         let end = start + dur;
         self.busy_until = end;
-        self.bytes_total += bytes;
-        self.busy_time += dur;
         (start, end)
     }
 
     /// The time at which the link next becomes free.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Total bytes serialized so far.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total
-    }
-
-    /// Cumulative busy time (serialization only).
-    pub fn busy_time(&self) -> SimTime {
-        self.busy_time
-    }
-
-    /// Link utilization over `[0, now]`, in `0.0..=1.0`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_time.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
     }
 }
 
@@ -87,7 +56,6 @@ mod tests {
         // Second transfer requested at t=0 must queue behind the first.
         let (s2, e2) = l.reserve(SimTime::ZERO, 500);
         assert_eq!((s2.0, e2.0), (1000, 1500));
-        assert_eq!(l.bytes_total(), 1500);
     }
 
     #[test]
@@ -97,20 +65,15 @@ mod tests {
         // Next transfer arrives long after the link went idle.
         let (s, e) = l.reserve(SimTime::from_nanos(10_000), 100);
         assert_eq!((s.0, e.0), (10_000, 10_100));
-        assert_eq!(l.busy_time(), SimTime::from_nanos(200));
-        // Utilization accounts only for busy time.
-        let u = l.utilization(SimTime::from_nanos(10_100));
-        assert!((u - 200.0 / 10_100.0).abs() < 1e-12);
     }
 
     #[test]
-    fn saturated_link_reaches_full_utilization() {
+    fn saturated_link_stays_busy_end_to_end() {
         let mut l = Link::new(2_000_000_000);
         for _ in 0..100 {
             l.reserve(SimTime::ZERO, 4096);
         }
-        let end = l.busy_until();
-        assert!((l.utilization(end) - 1.0).abs() < 1e-9);
-        assert_eq!(l.bytes_total(), 409_600);
+        // 100 × 4096 B at 2 B/ns, with no gap between transfers.
+        assert_eq!(l.busy_until(), SimTime::from_nanos(204_800));
     }
 }

@@ -4,8 +4,8 @@
 //! a baseline's partitioning thread, a source. The kernel steps a process
 //! whenever it is scheduled to wake; the process performs a bounded amount of
 //! work against shared state, *charges* the virtual time that work costs by
-//! yielding for that duration, and either reschedules itself or parks until
-//! some other event wakes it.
+//! yielding for that duration, and either reschedules itself or finishes.
+//! A process that waits for input polls it on its next step.
 
 use std::fmt;
 
@@ -36,10 +36,8 @@ pub enum Step {
     /// Run again after the given virtual duration. Charging compute cost is
     /// expressed as `Yield(cost)`: the process is busy for that long.
     Yield(SimTime),
-    /// Do not reschedule; some other event must call [`Sim::wake`].
-    /// A parked process that is never woken simply never runs again.
-    Park,
-    /// The process has finished; it will never be stepped again.
+    /// The process has finished: the simulator drops it and never steps
+    /// it again.
     Done,
 }
 
@@ -50,23 +48,7 @@ pub enum Step {
 pub trait Process {
     /// Perform one bounded quantum of work. `sim` is available for
     /// scheduling follow-up events (e.g. posting RDMA work requests causes
-    /// the fabric to schedule delivery events); `me` is the process's own id
-    /// so it can register itself as a waiter on queues.
+    /// the fabric to schedule delivery events); `me` is the process's own
+    /// id.
     fn step(&mut self, sim: &mut Sim, me: ProcId) -> Step;
-
-    /// Diagnostic name used in traces and panics.
-    fn name(&self) -> &str {
-        "process"
-    }
-}
-
-/// Book-keeping state of a registered process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProcState {
-    /// A wake event is in the queue (or the process is currently stepping).
-    Scheduled,
-    /// Waiting for an external wake.
-    Parked,
-    /// Finished.
-    Done,
 }

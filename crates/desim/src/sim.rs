@@ -1,28 +1,8 @@
 //! The simulation driver.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crate::clock::SimTime;
 use crate::event::{EventKind, EventLabel, EventQueue, TieBreak};
-use crate::process::{ProcId, ProcState, Process, Step};
-
-struct ProcEntry {
-    proc_: Rc<RefCell<dyn Process>>,
-    state: ProcState,
-    name: String,
-}
-
-/// Aggregate kernel statistics (useful in tests and reports).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SimStats {
-    /// Total events fired.
-    pub events: u64,
-    /// Total process steps executed.
-    pub steps: u64,
-    /// Wake events dropped as stale.
-    pub stale_wakes: u64,
-}
+use crate::process::{ProcId, Process, Step};
 
 /// One same-instant event as seen at a branch point of an explored run.
 ///
@@ -74,10 +54,11 @@ struct ExploreState {
 pub struct Sim {
     now: SimTime,
     queue: EventQueue,
-    procs: Vec<ProcEntry>,
-    stepping: Option<ProcId>,
-    self_wake: bool,
-    stats: SimStats,
+    /// Registered processes, indexed by [`ProcId`]. A process has exactly
+    /// one wake event queued — the one its spawn or its last `Yield`
+    /// scheduled — until it returns [`Step::Done`]; then it is dropped and
+    /// its slot stays empty.
+    procs: Vec<Option<Box<dyn Process>>>,
     fingerprint: u64,
     explore: Option<ExploreState>,
 }
@@ -95,9 +76,6 @@ impl Sim {
             now: SimTime::ZERO,
             queue: EventQueue::default(),
             procs: Vec::new(),
-            stepping: None,
-            self_wake: false,
-            stats: SimStats::default(),
             fingerprint: 0,
             explore: None,
         }
@@ -177,27 +155,10 @@ impl Sim {
         sim
     }
 
-    /// Change the tie-break policy for events scheduled from now on.
-    /// Already-queued events keep the order they were given at scheduling
-    /// time, so this is safe to call mid-run.
-    pub fn set_tie_break(&mut self, policy: TieBreak) {
-        self.queue.set_policy(policy);
-    }
-
-    /// The active tie-break policy.
-    pub fn tie_break(&self) -> TieBreak {
-        self.queue.policy()
-    }
-
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Kernel statistics so far.
-    pub fn stats(&self) -> SimStats {
-        self.stats
     }
 
     /// A hash of the exact order in which events have fired so far.
@@ -212,69 +173,10 @@ impl Sim {
 
     /// Register a process and schedule its first step at the current time.
     pub fn spawn<P: Process + 'static>(&mut self, p: P) -> ProcId {
-        self.spawn_at(self.now, p)
-    }
-
-    /// Register a process and schedule its first step at `at`.
-    pub fn spawn_at<P: Process + 'static>(&mut self, at: SimTime, p: P) -> ProcId {
-        debug_assert!(at >= self.now, "cannot spawn in the past");
         let pid = ProcId(self.procs.len() as u32);
-        let name = p.name().to_owned();
-        self.procs.push(ProcEntry {
-            proc_: Rc::new(RefCell::new(p)),
-            state: ProcState::Scheduled,
-
-            name,
-        });
-        self.queue.push(at, EventKind::Wake(pid));
+        self.procs.push(Some(Box::new(p)));
+        self.queue.push(self.now, EventKind::Wake(pid));
         pid
-    }
-
-    /// Register a process in the parked state; it will only run once
-    /// something calls [`Sim::wake`] on it.
-    pub fn spawn_parked<P: Process + 'static>(&mut self, p: P) -> ProcId {
-        let pid = ProcId(self.procs.len() as u32);
-        let name = p.name().to_owned();
-        self.procs.push(ProcEntry {
-            proc_: Rc::new(RefCell::new(p)),
-            state: ProcState::Parked,
-
-            name,
-        });
-        pid
-    }
-
-    /// Wake a parked process at the current virtual time.
-    ///
-    /// Waking a process that is busy (yielded) or already has a pending wake
-    /// is a no-op: the process re-polls its inputs whenever it next steps.
-    /// Waking the process that is *currently stepping* defers the wake until
-    /// the step finishes, so a step that both parks and triggers its own
-    /// wake condition does not lose the wakeup.
-    pub fn wake(&mut self, pid: ProcId) {
-        if self.stepping == Some(pid) {
-            self.self_wake = true;
-            return;
-        }
-        let entry = &mut self.procs[pid.index()];
-        match entry.state {
-            ProcState::Parked => {
-                entry.state = ProcState::Scheduled;
-
-                self.queue.push(self.now, EventKind::Wake(pid));
-            }
-            ProcState::Scheduled | ProcState::Done => {}
-        }
-    }
-
-    /// Wake a parked process at a future virtual time (a timer).
-    pub fn wake_at(&mut self, at: SimTime, pid: ProcId) {
-        debug_assert!(at >= self.now);
-        let entry = &mut self.procs[pid.index()];
-        if entry.state == ProcState::Parked {
-            entry.state = ProcState::Scheduled;
-            self.queue.push(at, EventKind::Wake(pid));
-        }
     }
 
     /// Schedule a closure to run at virtual time `at`.
@@ -298,22 +200,7 @@ impl Sim {
             .push_labeled(at, label, EventKind::Closure(Box::new(f)));
     }
 
-    /// Schedule a closure to run after a virtual delay.
-    pub fn schedule_in<F: FnOnce(&mut Sim) + 'static>(&mut self, delay: SimTime, f: F) {
-        self.schedule_at(self.now + delay, f);
-    }
-
-    /// Whether the given process has finished.
-    pub fn is_done(&self, pid: ProcId) -> bool {
-        self.procs[pid.index()].state == ProcState::Done
-    }
-
-    /// Diagnostic name of a process.
-    pub fn proc_name(&self, pid: ProcId) -> &str {
-        &self.procs[pid.index()].name
-    }
-
-    /// Fire events until the queue is empty (all processes parked or done).
+    /// Fire events until the queue is empty (every process done).
     /// Returns the final virtual time.
     pub fn run(&mut self) -> SimTime {
         while self.fire_next() {}
@@ -336,17 +223,6 @@ impl Sim {
         self.now
     }
 
-    /// Fire events until `pred` returns true (checked after every event) or
-    /// the queue drains. Returns true if the predicate fired.
-    pub fn run_while<F: FnMut() -> bool>(&mut self, mut keep_going: F) -> bool {
-        while keep_going() {
-            if !self.fire_next() {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Number of pending events (diagnostics).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -366,7 +242,6 @@ impl Sim {
         };
         debug_assert!(ev.at >= self.now, "event queue went backwards");
         self.now = ev.at;
-        self.stats.events += 1;
         // Fold the pop order into the schedule fingerprint (SplitMix64 over
         // the running hash and the event identity).
         let mut z = self
@@ -429,38 +304,15 @@ impl Sim {
         Some(ev)
     }
 
+    /// Step `pid`. The process is taken out of its slot while it runs, so
+    /// the step can borrow the simulator, and goes back only if it yields.
     fn step_proc(&mut self, pid: ProcId) {
-        {
-            let entry = &self.procs[pid.index()];
-            if entry.state != ProcState::Scheduled {
-                self.stats.stale_wakes += 1;
-                return;
-            }
-        }
-        let proc_rc = Rc::clone(&self.procs[pid.index()].proc_);
-        self.stepping = Some(pid);
-        self.self_wake = false;
-        let step = proc_rc.borrow_mut().step(self, pid);
-        self.stepping = None;
-        self.stats.steps += 1;
-        let resched = self.self_wake;
-        self.self_wake = false;
-        let entry = &mut self.procs[pid.index()];
-        match step {
-            Step::Yield(d) => {
-                let at = self.now + d;
-                self.queue.push(at, EventKind::Wake(pid));
-            }
-            Step::Park => {
-                if resched {
-                    self.queue.push(self.now, EventKind::Wake(pid));
-                } else {
-                    entry.state = ProcState::Parked;
-                }
-            }
-            Step::Done => {
-                entry.state = ProcState::Done;
-            }
+        let mut p = self.procs[pid.index()]
+            .take()
+            .expect("a wake is queued only for a live process");
+        if let Step::Yield(d) = p.step(self, pid) {
+            self.procs[pid.index()] = Some(p);
+            self.queue.push(self.now + d, EventKind::Wake(pid));
         }
     }
 }
@@ -489,16 +341,13 @@ mod tests {
                 Step::Yield(self.interval)
             }
         }
-        fn name(&self) -> &str {
-            "ticker"
-        }
     }
 
     #[test]
     fn yield_advances_virtual_time() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Sim::new();
-        let pid = sim.spawn(Ticker {
+        sim.spawn(Ticker {
             log: Rc::clone(&log),
             interval: SimTime::from_nanos(50),
             remaining: 4,
@@ -506,7 +355,28 @@ mod tests {
         let end = sim.run();
         assert_eq!(&*log.borrow(), &[0, 50, 100, 150]);
         assert_eq!(end, SimTime::from_nanos(150));
-        assert!(sim.is_done(pid));
+    }
+
+    /// Counts its steps and finishes on the first one.
+    struct OneShot(Rc<RefCell<u32>>);
+
+    impl Process for OneShot {
+        fn step(&mut self, _sim: &mut Sim, _me: ProcId) -> Step {
+            *self.0.borrow_mut() += 1;
+            assert_eq!(*self.0.borrow(), 1, "stepped again after Step::Done");
+            Step::Done
+        }
+    }
+
+    #[test]
+    fn done_process_is_never_stepped_again() {
+        let steps = Rc::new(RefCell::new(0));
+        let mut sim = Sim::new();
+        sim.spawn(OneShot(Rc::clone(&steps)));
+        sim.schedule_at(SimTime::from_nanos(10), |_| {});
+        sim.run();
+        assert_eq!(*steps.borrow(), 1);
+        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
@@ -518,91 +388,16 @@ mod tests {
             interval: SimTime::from_nanos(30),
             remaining: 3,
         });
-        sim.spawn_at(
-            SimTime::from_nanos(10),
-            Ticker {
-                log: Rc::clone(&log),
-                interval: SimTime::from_nanos(30),
-                remaining: 3,
-            },
-        );
+        let late = Ticker {
+            log: Rc::clone(&log),
+            interval: SimTime::from_nanos(30),
+            remaining: 3,
+        };
+        sim.schedule_at(SimTime::from_nanos(10), move |s| {
+            s.spawn(late);
+        });
         sim.run();
         assert_eq!(&*log.borrow(), &[0, 10, 30, 40, 60, 70]);
-    }
-
-    /// A process that parks until woken, recording how many times it ran.
-    struct Sleeper {
-        runs: Rc<RefCell<u32>>,
-    }
-    impl Process for Sleeper {
-        fn step(&mut self, _sim: &mut Sim, _me: ProcId) -> Step {
-            *self.runs.borrow_mut() += 1;
-            Step::Park
-        }
-    }
-
-    #[test]
-    fn park_and_wake() {
-        let runs = Rc::new(RefCell::new(0));
-        let mut sim = Sim::new();
-        let pid = sim.spawn_parked(Sleeper {
-            runs: Rc::clone(&runs),
-        });
-        sim.run();
-        assert_eq!(*runs.borrow(), 0, "parked process must not run");
-        sim.schedule_in(SimTime::from_nanos(5), move |s| s.wake(pid));
-        sim.run();
-        assert_eq!(*runs.borrow(), 1);
-        assert_eq!(sim.now(), SimTime::from_nanos(5));
-    }
-
-    #[test]
-    fn wake_while_busy_is_coalesced() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::new();
-        let pid = sim.spawn(Ticker {
-            log: Rc::clone(&log),
-            interval: SimTime::from_nanos(100),
-            remaining: 2,
-        });
-        // Wake attempts while the ticker is "busy" must not double-step it.
-        sim.schedule_in(SimTime::from_nanos(10), move |s| s.wake(pid));
-        sim.schedule_in(SimTime::from_nanos(20), move |s| s.wake(pid));
-        sim.run();
-        assert_eq!(&*log.borrow(), &[0, 100]);
-        assert!(
-            sim.stats().stale_wakes == 0,
-            "busy wakes are dropped, not staled"
-        );
-    }
-
-    /// A process that wakes itself through a side effect during its own step,
-    /// then parks — the kernel must convert that into an immediate re-step.
-    struct SelfWaker {
-        runs: Rc<RefCell<u32>>,
-    }
-    impl Process for SelfWaker {
-        fn step(&mut self, sim: &mut Sim, me: ProcId) -> Step {
-            let mut runs = self.runs.borrow_mut();
-            *runs += 1;
-            if *runs == 1 {
-                sim.wake(me); // e.g. loopback delivery to our own queue
-                Step::Park
-            } else {
-                Step::Done
-            }
-        }
-    }
-
-    #[test]
-    fn self_wake_during_step_is_not_lost() {
-        let runs = Rc::new(RefCell::new(0));
-        let mut sim = Sim::new();
-        sim.spawn(SelfWaker {
-            runs: Rc::clone(&runs),
-        });
-        sim.run();
-        assert_eq!(*runs.borrow(), 2);
     }
 
     #[test]

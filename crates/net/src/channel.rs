@@ -1,6 +1,5 @@
 //! Channel setup (the protocol's *setup phase*, paper §6.2).
 
-use slash_desim::SimTime;
 use slash_rdma::{CqHandle, Fabric, NodeId};
 
 use crate::layout::FOOTER_SIZE;
@@ -90,11 +89,6 @@ pub fn create_channel(
         ChannelReceiver::new(qp_c, ring, sender.credit_remote_key(), credit_staging, cfg);
     (sender, receiver)
 }
-
-/// Suggested per-poll CPU cost when a poll comes up empty (the `pause`
-/// spin the paper's micro-architecture analysis attributes to core-bound
-/// stalls). Engines charge this to their virtual CPU.
-pub const EMPTY_POLL_COST: SimTime = SimTime::from_nanos(8);
 
 /// Control-plane messages exchanged to bring a *replacement* channel to
 /// ready-to-send during recovery: connect request, queue-pair attribute

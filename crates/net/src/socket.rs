@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use slash_desim::{ProcId, Sim, SimTime};
+use slash_desim::{Sim, SimTime};
 use slash_rdma::{Fabric, NodeId};
 
 /// Socket stack parameters.
@@ -47,20 +47,12 @@ impl Default for SocketConfig {
     }
 }
 
-enum SockMsg {
-    Data(Vec<u8>),
-    Eos,
-}
-
 struct SocketShared {
-    queue: VecDeque<SockMsg>,
+    queue: VecDeque<Vec<u8>>,
     capacity: usize,
     /// Messages in flight (sent, not yet delivered) — count toward the
     /// backpressure bound so an infinite pipe cannot form.
     in_flight: usize,
-    recv_waiter: Option<ProcId>,
-    send_waiter: Option<ProcId>,
-    eos: bool,
 }
 
 /// Sending half of a socket-style channel.
@@ -98,9 +90,6 @@ pub fn socket_pair(
         queue: VecDeque::new(),
         capacity: cfg.capacity,
         in_flight: 0,
-        recv_waiter: None,
-        send_waiter: None,
-        eos: false,
     }));
     (
         SocketSender {
@@ -147,35 +136,12 @@ impl SocketSender {
         let shared = Rc::clone(&self.shared);
         let payload = data.to_vec();
         let label = slash_desim::EventLabel::channel(self.local.0, self.peer.0);
-        sim.schedule_at_labeled(deliver_at, label, move |sim| {
+        sim.schedule_at_labeled(deliver_at, label, move |_| {
             let mut sh = shared.borrow_mut();
             sh.in_flight -= 1;
-            sh.queue.push_back(SockMsg::Data(payload));
-            if let Some(pid) = sh.recv_waiter.take() {
-                sim.wake(pid);
-            }
+            sh.queue.push_back(payload);
         });
         true
-    }
-
-    /// Send end-of-stream (always fits: EOS is not subject to capacity).
-    pub fn send_eos(&mut self, sim: &mut Sim) {
-        self.cpu_cost += self.cfg.syscall_overhead;
-        let deliver_at = self.fabric.plan(sim.now(), self.local, self.peer, 1);
-        let shared = Rc::clone(&self.shared);
-        let label = slash_desim::EventLabel::channel(self.local.0, self.peer.0);
-        sim.schedule_at_labeled(deliver_at, label, move |sim| {
-            let mut sh = shared.borrow_mut();
-            sh.queue.push_back(SockMsg::Eos);
-            if let Some(pid) = sh.recv_waiter.take() {
-                sim.wake(pid);
-            }
-        });
-    }
-
-    /// Park `pid` until buffer space frees up.
-    pub fn arm(&self, pid: ProcId) {
-        self.shared.borrow_mut().send_waiter = Some(pid);
     }
 
     /// Drain the CPU time this endpoint consumed since the last call.
@@ -185,40 +151,14 @@ impl SocketSender {
 }
 
 impl SocketReceiver {
-    /// Try to pop the next message. `None` means nothing available yet;
-    /// `Some(None)` means end-of-stream.
-    #[allow(clippy::option_option)]
-    pub fn try_recv(&mut self, sim: &mut Sim) -> Option<Option<Vec<u8>>> {
-        let mut sh = self.shared.borrow_mut();
-        let msg = sh.queue.pop_front()?;
-        if let Some(pid) = sh.send_waiter.take() {
-            sim.wake(pid);
-        }
-        drop(sh);
-        self.cpu_cost += self.cfg.syscall_overhead;
-        match msg {
-            SockMsg::Data(d) => {
-                // Kernel->user copy on the receiver.
-                self.cpu_cost +=
-                    slash_desim::clock::transfer_time(d.len() as u64, self.cfg.copy_bandwidth);
-                self.bytes_received += d.len() as u64;
-                Some(Some(d))
-            }
-            SockMsg::Eos => {
-                self.shared.borrow_mut().eos = true;
-                Some(None)
-            }
-        }
-    }
-
-    /// Whether end-of-stream has been observed.
-    pub fn eos(&self) -> bool {
-        self.shared.borrow().eos
-    }
-
-    /// Park `pid` until a message arrives.
-    pub fn arm(&self, pid: ProcId) {
-        self.shared.borrow_mut().recv_waiter = Some(pid);
+    /// Try to pop the next message; `None` means nothing available yet.
+    pub fn try_recv(&mut self) -> Option<Vec<u8>> {
+        let d = self.shared.borrow_mut().queue.pop_front()?;
+        // Syscall plus the kernel->user copy on the receiver.
+        self.cpu_cost += self.cfg.syscall_overhead
+            + slash_desim::clock::transfer_time(d.len() as u64, self.cfg.copy_bandwidth);
+        self.bytes_received += d.len() as u64;
+        Some(d)
     }
 
     /// Drain the CPU time this endpoint consumed since the last call.
@@ -242,15 +182,13 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_and_eos() {
+    fn roundtrip() {
         let (mut sim, mut tx, mut rx) = setup(SocketConfig::default());
         assert!(tx.try_send(&mut sim, b"flink record"));
-        tx.send_eos(&mut sim);
+        assert_eq!(rx.try_recv(), None, "not delivered yet");
         sim.run();
-        assert_eq!(rx.try_recv(&mut sim), Some(Some(b"flink record".to_vec())));
-        assert_eq!(rx.try_recv(&mut sim), Some(None));
-        assert!(rx.eos());
-        assert_eq!(rx.try_recv(&mut sim), None);
+        assert_eq!(rx.try_recv(), Some(b"flink record".to_vec()));
+        assert_eq!(rx.try_recv(), None);
     }
 
     #[test]
@@ -271,6 +209,24 @@ mod tests {
     }
 
     #[test]
+    fn a_pop_frees_a_slot_in_a_full_socket() {
+        let cfg = SocketConfig {
+            capacity: 2,
+            ..SocketConfig::default()
+        };
+        let (mut sim, mut tx, mut rx) = setup(cfg);
+        assert!(tx.try_send(&mut sim, b"a") && tx.try_send(&mut sim, b"b"));
+        sim.run();
+        assert!(
+            !tx.try_send(&mut sim, b"c"),
+            "delivered but unread still counts"
+        );
+        assert_eq!(rx.try_recv(), Some(b"a".to_vec()));
+        assert!(tx.try_send(&mut sim, b"c"), "the pop freed one slot");
+        assert!(!tx.try_send(&mut sim, b"d"), "and only one");
+    }
+
+    #[test]
     fn cpu_costs_accrue_and_drain() {
         let (mut sim, mut tx, mut rx) = setup(SocketConfig::default());
         assert!(tx.try_send(&mut sim, &vec![0u8; 8192]));
@@ -279,7 +235,7 @@ mod tests {
         assert!(cost.as_nanos() >= 3_000, "{cost}");
         assert_eq!(tx.take_cpu_cost(), SimTime::ZERO);
         sim.run();
-        rx.try_recv(&mut sim).unwrap();
+        rx.try_recv().unwrap();
         assert!(rx.take_cpu_cost().as_nanos() >= 3_000);
     }
 
@@ -312,7 +268,7 @@ mod tests {
             t_sock.as_nanos() > 2 * t_rdma.as_nanos(),
             "socket {t_sock} vs rdma {t_rdma}"
         );
-        assert!(rx.try_recv(&mut sim).is_some());
+        assert!(rx.try_recv().is_some());
         assert!(rrx.try_recv(&mut sim2).unwrap().is_some());
     }
 }

@@ -65,11 +65,6 @@ impl ChannelStats {
         self.latency.mean().map(SimTime::from_nanos)
     }
 
-    /// Latency quantile (`q` in `[0, 1]`), if any samples were taken.
-    pub fn latency_quantile(&self, q: f64) -> Option<SimTime> {
-        self.latency.quantile(q).map(SimTime::from_nanos)
-    }
-
     /// Publish these counters and the latency histogram into an obs
     /// registry under `label` (e.g. `chan=0->1`).
     pub fn publish(&self, obs: &slash_obs::Obs, label: &str) {
@@ -97,8 +92,6 @@ mod tests {
         s.record_latency_ns(100);
         assert_eq!(s.latency_samples(), 3);
         assert_eq!(s.mean_latency(), Some(SimTime::from_nanos(100)));
-        let p100 = s.latency_quantile(1.0).unwrap();
-        assert!(p100.as_nanos() >= 150);
     }
 
     #[test]

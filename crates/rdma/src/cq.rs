@@ -4,23 +4,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use slash_desim::{ProcId, Sim};
-
-/// What completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompletionKind {
-    /// A local WRITE/WRITE_WITH_IMM finished (remotely visible, acked).
-    Write,
-    /// A local SEND was delivered into a remote receive buffer.
-    Send,
-    /// A local READ finished; the data is in the local buffer.
-    Read,
-    /// An inbound SEND landed in one of our posted receive buffers.
-    Recv,
-    /// An inbound WRITE_WITH_IMM consumed one of our posted receives.
-    RecvImm,
-}
-
 /// Whether the work request succeeded or was flushed.
 ///
 /// A real reliable connection that loses its peer (or whose link goes down
@@ -38,17 +21,13 @@ pub enum CompletionStatus {
     FlushErr,
 }
 
-/// A work completion.
+/// A work completion of a signaled WRITE.
 #[derive(Debug, Clone, Copy)]
 pub struct Completion {
-    /// Cookie of the work request (send side) or receive request (recv side).
+    /// Cookie of the work request.
     pub wr_id: u64,
-    /// Which operation completed.
-    pub kind: CompletionKind,
     /// Payload bytes transferred.
     pub byte_len: usize,
-    /// Immediate data, for [`CompletionKind::RecvImm`].
-    pub imm: Option<u32>,
     /// Success or flush-error status.
     pub status: CompletionStatus,
 }
@@ -60,20 +39,10 @@ impl Completion {
     }
 }
 
-/// A completion queue.
-///
-/// Protocol processes poll this without blocking from inside their scheduler
-/// loop; optionally a process can park itself and register as the queue's
-/// waiter to be woken on the next completion (the "notify" mode of verbs).
-#[derive(Default)]
-pub struct Cq {
-    entries: VecDeque<Completion>,
-    waiter: Option<ProcId>,
-}
-
-/// Shared handle to a completion queue.
+/// Shared handle to a completion queue. Protocol processes poll it without
+/// blocking from inside their scheduler loop.
 #[derive(Clone, Default)]
-pub struct CqHandle(Rc<RefCell<Cq>>);
+pub struct CqHandle(Rc<RefCell<VecDeque<Completion>>>);
 
 impl CqHandle {
     /// Create an empty queue.
@@ -83,43 +52,22 @@ impl CqHandle {
 
     /// Non-blocking poll for the oldest completion.
     pub fn poll(&self) -> Option<Completion> {
-        self.0.borrow_mut().entries.pop_front()
-    }
-
-    /// Drain up to `max` completions into `out`; returns the count.
-    pub fn poll_batch(&self, max: usize, out: &mut Vec<Completion>) -> usize {
-        let mut q = self.0.borrow_mut();
-        let n = max.min(q.entries.len());
-        out.extend(q.entries.drain(..n));
-        n
+        self.0.borrow_mut().pop_front()
     }
 
     /// Number of queued completions.
     pub fn len(&self) -> usize {
-        self.0.borrow().entries.len()
+        self.0.borrow().len()
     }
 
     /// Whether no completions are queued.
     pub fn is_empty(&self) -> bool {
-        self.0.borrow().entries.is_empty()
+        self.0.borrow().is_empty()
     }
 
-    /// Register `pid` to be woken when the next completion arrives. The
-    /// registration is one-shot, like `ibv_req_notify_cq`.
-    pub fn arm(&self, pid: ProcId) {
-        self.0.borrow_mut().waiter = Some(pid);
-    }
-
-    /// Push a completion and wake the armed waiter, if any.
-    pub fn push(&self, sim: &mut Sim, c: Completion) {
-        let waiter = {
-            let mut q = self.0.borrow_mut();
-            q.entries.push_back(c);
-            q.waiter.take()
-        };
-        if let Some(pid) = waiter {
-            sim.wake(pid);
-        }
+    /// Append a completion.
+    pub(crate) fn push(&self, c: Completion) {
+        self.0.borrow_mut().push_back(c);
     }
 }
 
@@ -127,73 +75,19 @@ impl CqHandle {
 mod tests {
     use super::*;
 
-    fn c(wr_id: u64) -> Completion {
-        Completion {
-            wr_id,
-            kind: CompletionKind::Write,
-            byte_len: 0,
-            imm: None,
-            status: CompletionStatus::Success,
-        }
-    }
-
     #[test]
     fn fifo_order() {
-        let mut sim = Sim::new();
         let cq = CqHandle::new();
-        for i in 0..5 {
-            cq.push(&mut sim, c(i));
+        for wr_id in 0..5 {
+            cq.push(Completion {
+                wr_id,
+                byte_len: 0,
+                status: CompletionStatus::Success,
+            });
         }
         assert_eq!(cq.len(), 5);
         let ids: Vec<u64> = std::iter::from_fn(|| cq.poll().map(|x| x.wr_id)).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert!(cq.is_empty());
-    }
-
-    #[test]
-    fn batch_drain() {
-        let mut sim = Sim::new();
-        let cq = CqHandle::new();
-        for i in 0..10 {
-            cq.push(&mut sim, c(i));
-        }
-        let mut out = Vec::new();
-        assert_eq!(cq.poll_batch(4, &mut out), 4);
-        assert_eq!(cq.poll_batch(100, &mut out), 6);
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    fn arm_is_one_shot() {
-        use slash_desim::{Process, Step};
-        use std::rc::Rc;
-
-        struct Waiter {
-            cq: CqHandle,
-            wakeups: Rc<RefCell<u32>>,
-        }
-        impl Process for Waiter {
-            fn step(&mut self, _sim: &mut Sim, me: ProcId) -> Step {
-                if self.cq.poll().is_some() {
-                    *self.wakeups.borrow_mut() += 1;
-                }
-                self.cq.arm(me);
-                Step::Park
-            }
-        }
-
-        let mut sim = Sim::new();
-        let cq = CqHandle::new();
-        let wakeups = Rc::new(RefCell::new(0));
-        sim.spawn(Waiter {
-            cq: cq.clone(),
-            wakeups: Rc::clone(&wakeups),
-        });
-        let cq2 = cq.clone();
-        sim.schedule_in(slash_desim::SimTime::from_nanos(10), move |s| {
-            cq2.push(s, c(1));
-        });
-        sim.run();
-        assert_eq!(*wakeups.borrow(), 1);
     }
 }

@@ -26,21 +26,6 @@ pub enum RdmaError {
         /// Requested length.
         len: usize,
     },
-    /// The queue pair is not connected (or its peer was destroyed).
-    NotConnected,
-    /// A SEND arrived but the receiver had no posted receive buffer and the
-    /// receive backlog limit was reached (models RNR NAK exhaustion).
-    ReceiverNotReady,
-    /// A posted receive buffer is smaller than the inbound SEND payload.
-    RecvBufferTooSmall {
-        /// Payload size of the inbound SEND.
-        needed: usize,
-        /// Size of the posted buffer.
-        got: usize,
-    },
-    /// The send queue has more outstanding unsignaled work than the queue
-    /// depth allows.
-    SendQueueFull,
     /// The queue pair is in the error state (a prior work request was
     /// flushed after a link or peer failure). Posts are rejected until the
     /// QP is reset and the connection re-established.
@@ -62,12 +47,6 @@ impl fmt::Display for RdmaError {
                 "access [{offset}, {}) outside region of {region_len} bytes",
                 offset + len
             ),
-            RdmaError::NotConnected => write!(f, "queue pair not connected"),
-            RdmaError::ReceiverNotReady => write!(f, "receiver not ready (RNR)"),
-            RdmaError::RecvBufferTooSmall { needed, got } => {
-                write!(f, "receive buffer too small: need {needed}, got {got}")
-            }
-            RdmaError::SendQueueFull => write!(f, "send queue full"),
             RdmaError::QpError => write!(f, "queue pair in error state"),
         }
     }
@@ -93,8 +72,6 @@ mod tests {
             e.to_string(),
             "access [90, 110) outside region of 100 bytes"
         );
-        assert!(RdmaError::NotConnected
-            .to_string()
-            .contains("not connected"));
+        assert!(RdmaError::QpError.to_string().contains("error state"));
     }
 }

@@ -9,7 +9,7 @@ use slash_desim::SimTime;
 use crate::cq::CqHandle;
 use crate::error::{RdmaError, Result};
 use crate::memory::{Mr, RemoteKey};
-use crate::nic::{plan_transfer, Nic, NicConfig, NicStats};
+use crate::nic::{plan_transfer, Nic, NicConfig};
 use crate::qp::{Qp, QpShared};
 
 /// Identifier of a node (server) attached to the fabric.
@@ -105,11 +105,6 @@ impl Fabric {
         (0..n).map(|_| self.add_node()).collect()
     }
 
-    /// Number of attached nodes.
-    pub fn node_count(&self) -> usize {
-        self.inner.borrow().nodes.len()
-    }
-
     /// Register a memory region of `len` bytes on `node`.
     pub fn register(&self, node: NodeId, len: usize) -> Mr {
         let mut inner = self.inner.borrow_mut();
@@ -135,19 +130,22 @@ impl Fabric {
     }
 
     /// Establish a reliable connection between two nodes. Returns the two
-    /// queue-pair endpoints; each endpoint completes sends into its
-    /// `send_cq` and receives into its `recv_cq`.
+    /// queue-pair endpoints; each endpoint completes its signaled WRITEs
+    /// into its `send_cq`.
+    ///
+    /// The receive CQs are accepted and unused: a WRITE consumes no
+    /// receive on the peer, and the fabric carries no other verb.
     pub fn connect(
         &self,
         a: NodeId,
         a_send_cq: CqHandle,
-        a_recv_cq: CqHandle,
+        _a_recv_cq: CqHandle,
         b: NodeId,
         b_send_cq: CqHandle,
-        b_recv_cq: CqHandle,
+        _b_recv_cq: CqHandle,
     ) -> (Qp, Qp) {
-        let a_shared = Rc::new(RefCell::new(QpShared::new(a_send_cq, a_recv_cq)));
-        let b_shared = Rc::new(RefCell::new(QpShared::new(b_send_cq, b_recv_cq)));
+        let a_shared = Rc::new(RefCell::new(QpShared::new(a_send_cq)));
+        let b_shared = Rc::new(RefCell::new(QpShared::new(b_send_cq)));
         let qp_a = Qp::new(
             self.clone(),
             a,
@@ -172,11 +170,7 @@ impl Fabric {
             inner.nodes[src.index()].fault.extra_delay + inner.nodes[dst.index()].fault.extra_delay;
         if src == dst {
             let overhead = inner.cfg.nic.per_message_overhead;
-            let nic = &mut inner.nodes[src.index()].nic;
-            nic.stats.tx_bytes += bytes;
-            nic.stats.tx_msgs += 1;
-            nic.stats.rx_bytes += bytes;
-            nic.stats.rx_msgs += 1;
+            inner.nodes[src.index()].nic.tx_bytes += bytes;
             return now + overhead + extra;
         }
         let (lo, hi) = if src.index() < dst.index() {
@@ -245,32 +239,13 @@ impl Fabric {
         !fa.dead && !fa.link_down && !fb.dead && !fb.link_down
     }
 
-    /// NIC statistics of a node.
-    pub fn nic_stats(&self, node: NodeId) -> NicStats {
-        self.inner.borrow().nodes[node.index()].nic.stats
-    }
-
-    /// Mean TX utilization of a node's ports over `[0, now]`.
-    pub fn tx_utilization(&self, node: NodeId, now: SimTime) -> f64 {
-        self.inner.borrow().nodes[node.index()]
-            .nic
-            .tx_utilization(now)
-    }
-
-    /// Mean RX utilization of a node's ports over `[0, now]`.
-    pub fn rx_utilization(&self, node: NodeId, now: SimTime) -> f64 {
-        self.inner.borrow().nodes[node.index()]
-            .nic
-            .rx_utilization(now)
-    }
-
     /// Aggregate bytes moved across the fabric (TX side).
     pub fn total_tx_bytes(&self) -> u64 {
         self.inner
             .borrow()
             .nodes
             .iter()
-            .map(|n| n.nic.stats.tx_bytes)
+            .map(|n| n.nic.tx_bytes)
             .sum()
     }
 }

@@ -18,12 +18,13 @@
 //!
 //! * **Registered memory regions** ([`memory::Mr`]) addressed by rkey, the
 //!   only memory remote operations may touch.
-//! * **Reliable-connection queue pairs** ([`qp::Qp`]) supporting one-sided
-//!   `RDMA WRITE` (+`WITH_IMM`), one-sided `RDMA READ`, and two-sided
-//!   `SEND`/`RECV`, with in-order delivery per QP — the verbs Slash's RDMA
-//!   channel (§6 of the paper) is built from.
-//! * **Completion queues** ([`cq::Cq`]) with selective signaling: unsignaled
-//!   work requests consume no completion, exactly like `IBV_SEND_SIGNALED`.
+//! * **Reliable-connection queue pairs** ([`qp::Qp`]) carrying one-sided
+//!   `RDMA WRITE`s with in-order delivery per QP — the one verb Slash's
+//!   RDMA channel (§6 of the paper) is built from, for payload slots and
+//!   credit returns alike.
+//! * **Completion queues** ([`cq::CqHandle`]) with selective signaling:
+//!   unsignaled work requests consume no completion, exactly like
+//!   `IBV_SEND_SIGNALED`.
 //! * **NIC bandwidth pacing** ([`nic`]): each node has one full-duplex port;
 //!   transfers serialize on the sender's TX link and the receiver's RX link
 //!   (cut-through) plus a propagation latency and a fixed per-message
@@ -62,10 +63,10 @@ pub mod nic;
 pub mod qp;
 pub mod verbs;
 
-pub use cq::{Completion, CompletionKind, CompletionStatus, Cq, CqHandle};
+pub use cq::{Completion, CompletionStatus, CqHandle};
 pub use error::{RdmaError, Result};
 pub use fabric::{Fabric, FabricConfig, NodeId};
 pub use memory::{Mr, RemoteKey};
-pub use nic::{NicConfig, NicStats};
+pub use nic::NicConfig;
 pub use qp::Qp;
 pub use verbs::{LocalSlice, RemoteSlice, WorkRequest};

@@ -79,13 +79,6 @@ impl Mr {
         Ok(())
     }
 
-    /// Local read: copy `out.len()` bytes starting at `offset` into `out`.
-    pub fn read(&self, offset: usize, out: &mut [u8]) -> Result<()> {
-        self.check(offset, out.len())?;
-        out.copy_from_slice(&self.data.borrow()[offset..offset + out.len()]);
-        Ok(())
-    }
-
     /// Local write: copy `src` into the region at `offset`.
     pub fn write(&self, offset: usize, src: &[u8]) -> Result<()> {
         self.check(offset, src.len())?;
@@ -159,16 +152,14 @@ mod tests {
     fn read_write_roundtrip() {
         let m = mr(64);
         m.write(8, &[1, 2, 3, 4]).unwrap();
-        let mut out = [0u8; 4];
-        m.read(8, &mut out).unwrap();
-        assert_eq!(out, [1, 2, 3, 4]);
+        m.with(8, 4, |s| assert_eq!(s, [1, 2, 3, 4])).unwrap();
     }
 
     #[test]
     fn bounds_are_enforced() {
         let m = mr(16);
         assert!(m.write(14, &[0; 4]).is_err());
-        assert!(m.read(16, &mut [0; 1]).is_err());
+        assert!(m.with(16, 1, |_| ()).is_err());
         assert!(m.check(usize::MAX, 2).is_err(), "overflow must not wrap");
         assert!(m.check(16, 0).is_ok(), "empty access at end is legal");
     }

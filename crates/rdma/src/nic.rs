@@ -37,19 +37,6 @@ impl Default for NicConfig {
     }
 }
 
-/// Per-NIC transfer statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NicStats {
-    /// Bytes serialized out of this port.
-    pub tx_bytes: u64,
-    /// Bytes serialized into this port.
-    pub rx_bytes: u64,
-    /// Messages sent.
-    pub tx_msgs: u64,
-    /// Messages received.
-    pub rx_msgs: u64,
-}
-
 /// A node's network interface: one or more full-duplex ports. Messages
 /// are placed on the earliest-free port in each direction (multi-rail
 /// striping at message granularity, like RDMA bonding).
@@ -57,7 +44,8 @@ pub(crate) struct Nic {
     pub cfg: NicConfig,
     pub tx: Vec<Link>,
     pub rx: Vec<Link>,
-    pub stats: NicStats,
+    /// Bytes serialized out of this port.
+    pub tx_bytes: u64,
 }
 
 impl Nic {
@@ -67,7 +55,7 @@ impl Nic {
             cfg,
             tx: (0..cfg.ports).map(|_| Link::new(cfg.bandwidth)).collect(),
             rx: (0..cfg.ports).map(|_| Link::new(cfg.bandwidth)).collect(),
-            stats: NicStats::default(),
+            tx_bytes: 0,
         }
     }
 
@@ -80,16 +68,6 @@ impl Nic {
             }
         }
         best
-    }
-
-    /// Aggregate TX utilization across ports.
-    pub fn tx_utilization(&self, now: SimTime) -> f64 {
-        self.tx.iter().map(|l| l.utilization(now)).sum::<f64>() / self.tx.len() as f64
-    }
-
-    /// Aggregate RX utilization across ports.
-    pub fn rx_utilization(&self, now: SimTime) -> f64 {
-        self.rx.iter().map(|l| l.utilization(now)).sum::<f64>() / self.rx.len() as f64
     }
 }
 
@@ -107,10 +85,7 @@ pub(crate) fn plan_transfer(now: SimTime, src: &mut Nic, dst: &mut Nic, bytes: u
     let arrival_tail = tx_end + src.cfg.latency;
     let rx_port = Nic::freest(&dst.rx);
     let (_rx_start, rx_end) = dst.rx[rx_port].reserve(arrival_head, bytes);
-    src.stats.tx_bytes += bytes;
-    src.stats.tx_msgs += 1;
-    dst.stats.rx_bytes += bytes;
-    dst.stats.rx_msgs += 1;
+    src.tx_bytes += bytes;
     rx_end.max(arrival_tail)
 }
 
@@ -134,8 +109,7 @@ mod tests {
         // 1000 bytes at 1 B/ns: 10 (overhead) + 1000 (serialize) + 100 (lat).
         let t = plan_transfer(SimTime::ZERO, &mut a, &mut b, 1000);
         assert_eq!(t.as_nanos(), 1110);
-        assert_eq!(a.stats.tx_bytes, 1000);
-        assert_eq!(b.stats.rx_bytes, 1000);
+        assert_eq!(a.tx_bytes, 1000);
     }
 
     #[test]
@@ -169,7 +143,6 @@ mod tests {
                 "incast must serialize: {deliveries:?}"
             );
         }
-        assert_eq!(dst.stats.rx_msgs, 4);
     }
 
     #[test]

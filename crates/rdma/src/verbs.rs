@@ -50,10 +50,12 @@ pub struct RemoteSlice {
 
 /// A work request posted to a queue pair's send queue.
 ///
-/// `wr_id` is an opaque caller cookie returned in the matching completion;
-/// `signaled` implements selective signaling (unsignaled requests complete
-/// silently, saving completion-queue processing — §6 of the paper relies on
-/// this for data buffers and signals only credit-carrying writes).
+/// The one verb §6 of the paper builds its channel from: a one-sided
+/// WRITE. `wr_id` is an opaque caller cookie returned in the matching
+/// completion; `signaled` implements selective signaling (an unsignaled
+/// request completes silently, saving completion-queue processing). The
+/// channel posts both its payload writes and its credit returns
+/// unsignaled.
 #[derive(Debug, Clone)]
 pub enum WorkRequest {
     /// One-sided write of `local` into `remote` on the peer node.
@@ -67,125 +69,4 @@ pub enum WorkRequest {
         /// Whether to generate a send-side completion.
         signaled: bool,
     },
-    /// One-sided write that additionally consumes a posted receive on the
-    /// peer and delivers `imm` in its completion (used for control signals).
-    WriteImm {
-        /// Caller cookie echoed in the completion.
-        wr_id: u64,
-        /// Source bytes.
-        local: LocalSlice,
-        /// Destination on the peer.
-        remote: RemoteSlice,
-        /// Immediate data delivered to the peer's receive completion.
-        imm: u32,
-        /// Whether to generate a send-side completion.
-        signaled: bool,
-    },
-    /// Two-sided send into the peer's next posted receive buffer.
-    Send {
-        /// Caller cookie echoed in the completion.
-        wr_id: u64,
-        /// Source bytes.
-        local: LocalSlice,
-        /// Whether to generate a send-side completion.
-        signaled: bool,
-    },
-    /// One-sided read of `remote` into `local`. Always signaled: the caller
-    /// must learn when the data has landed.
-    Read {
-        /// Caller cookie echoed in the completion.
-        wr_id: u64,
-        /// Landing buffer.
-        local: LocalSlice,
-        /// Source on the peer.
-        remote: RemoteSlice,
-    },
-}
-
-impl WorkRequest {
-    /// Caller cookie.
-    pub fn wr_id(&self) -> u64 {
-        match self {
-            WorkRequest::Write { wr_id, .. }
-            | WorkRequest::WriteImm { wr_id, .. }
-            | WorkRequest::Send { wr_id, .. }
-            | WorkRequest::Read { wr_id, .. } => *wr_id,
-        }
-    }
-
-    /// Payload length in bytes.
-    pub fn byte_len(&self) -> usize {
-        match self {
-            WorkRequest::Write { local, .. }
-            | WorkRequest::WriteImm { local, .. }
-            | WorkRequest::Send { local, .. }
-            | WorkRequest::Read { local, .. } => local.len,
-        }
-    }
-
-    /// Whether a completion must be generated on the requester side.
-    pub fn signaled(&self) -> bool {
-        match self {
-            WorkRequest::Write { signaled, .. }
-            | WorkRequest::WriteImm { signaled, .. }
-            | WorkRequest::Send { signaled, .. } => *signaled,
-            WorkRequest::Read { .. } => true,
-        }
-    }
-}
-
-/// A receive work request: a buffer waiting for an inbound SEND (or the
-/// notification slot for a WRITE_WITH_IMM).
-#[derive(Clone)]
-pub struct RecvWr {
-    /// Caller cookie echoed in the completion.
-    pub wr_id: u64,
-    /// Landing buffer.
-    pub local: LocalSlice,
-}
-
-impl std::fmt::Debug for RecvWr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RecvWr(wr_id={}, {:?})", self.wr_id, self.local)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fabric::NodeId;
-
-    #[test]
-    fn accessors() {
-        let mr = Mr::new(NodeId(0), 7, 128);
-        let wr = WorkRequest::Write {
-            wr_id: 42,
-            local: LocalSlice::range(&mr, 0, 64),
-            remote: RemoteSlice {
-                key: RemoteKey {
-                    node: NodeId(1),
-                    rkey: 9,
-                },
-                offset: 0,
-            },
-            signaled: false,
-        };
-        assert_eq!(wr.wr_id(), 42);
-        assert_eq!(wr.byte_len(), 64);
-        assert!(!wr.signaled());
-
-        let rd = WorkRequest::Read {
-            wr_id: 1,
-            local: LocalSlice::whole(&mr),
-            remote: RemoteSlice {
-                key: RemoteKey {
-                    node: NodeId(1),
-                    rkey: 9,
-                },
-                offset: 8,
-            },
-        };
-        assert!(rd.signaled(), "READs are always signaled");
-        assert_eq!(rd.byte_len(), 128);
-    }
 }

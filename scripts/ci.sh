@@ -4,6 +4,18 @@
 # so failures surface fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+trace_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir"' EXIT
+
+# A golden trace: run example $1 twice under its fixed seed, require the
+# two Chrome trace JSONs to be byte-identical, then validate one.
+golden_trace() {
+    SLASH_TRACE_OUT="$trace_dir/$1_a.json" cargo run --release --example "$1" >/dev/null
+    SLASH_TRACE_OUT="$trace_dir/$1_b.json" cargo run --release --example "$1" >/dev/null
+    cmp "$trace_dir/$1_a.json" "$trace_dir/$1_b.json"
+    echo "$1 trace: two same-seed runs byte-identical"
+    cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/$1_a.json"
+}
 
 echo "==> [1/11] build (release, all targets)"
 cargo build --release --workspace
@@ -61,20 +73,10 @@ done
 echo "planted bugs: all caught, dumped with registry snapshots, minimized"
 
 echo "==> [6/11] traced example (deterministic trace, validated JSON)"
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
-SLASH_TRACE_OUT="$trace_dir/a.json" cargo run --release --example ysb_pipeline >/dev/null
-SLASH_TRACE_OUT="$trace_dir/b.json" cargo run --release --example ysb_pipeline >/dev/null
-cmp "$trace_dir/a.json" "$trace_dir/b.json"
-echo "trace: two same-seed runs byte-identical"
-cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/a.json"
+golden_trace ysb_pipeline
 
 echo "==> [7/11] recovery golden trace (failover example, byte-identical + validated)"
-SLASH_TRACE_OUT="$trace_dir/f_a.json" cargo run --release --example failover >/dev/null
-SLASH_TRACE_OUT="$trace_dir/f_b.json" cargo run --release --example failover >/dev/null
-cmp "$trace_dir/f_a.json" "$trace_dir/f_b.json"
-echo "recovery trace: two same-seed chaos runs byte-identical"
-cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/f_a.json"
+golden_trace failover
 
 echo "==> [8/11] hot-path smoke (combiner gate on counts + zipf split sweep)"
 # The combiner gate reads counts, which repeat exactly: ysb_hot and nb7
@@ -117,12 +119,8 @@ echo "==> [10/11] elastic rescale gate (diurnal bench, golden trace)"
 # BENCH_rescale.json + results/rescale.csv.
 cargo run --release -p slash-bench --bin repro -- rescale
 # The rescale example is a golden trace: same seed, same curve, same
-# migration timeline, byte-identical Chrome trace JSON.
-SLASH_TRACE_OUT="$trace_dir/r_a.json" cargo run --release --example rescale >/dev/null
-SLASH_TRACE_OUT="$trace_dir/r_b.json" cargo run --release --example rescale >/dev/null
-cmp "$trace_dir/r_a.json" "$trace_dir/r_b.json"
-echo "rescale trace: two same-seed elastic runs byte-identical"
-cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/r_a.json"
+# migration timeline.
+golden_trace rescale
 
 echo "==> [11/11] optimized build: the state tests and the exactness matrix"
 # In the build the ledger times: the state layer's oracles and wire
