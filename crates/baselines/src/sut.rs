@@ -35,13 +35,6 @@ impl CommonReport {
         }
         self.records as f64 / self.processing_time.as_secs_f64()
     }
-
-    /// Combined counters of both roles.
-    pub fn total_metrics(&self) -> EngineMetrics {
-        let mut m = self.sender_metrics.clone();
-        m.absorb(&self.receiver_metrics);
-        m
-    }
 }
 
 #[cfg(test)]

@@ -392,9 +392,9 @@ impl<'a> ClusterBuilder<'a> {
     }
 
     /// [`Self::run`] on the caller's simulator, handed back afterwards:
-    /// a tie-break policy or an explicit choice schedule
-    /// ([`Sim::with_schedule`]) then decides every same-instant order of
-    /// the run, and its fingerprint and choice trace stay readable.
+    /// a choice schedule ([`Sim::with_schedule`]) then decides every
+    /// same-instant order of the run, and its fingerprint and choice trace
+    /// stay readable.
     pub fn run_on(self, sim: Sim) -> (Outcome, Sim) {
         let default_chaos = ChaosConfig::default();
         let chaos = self

@@ -18,7 +18,7 @@
 //!   index when the table is full and when the epoch closes: N index
 //!   probes collapse into one per *distinct* key per epoch. Enabled only
 //!   for states whose CRDT merge is exactly associative
-//!   ([`slash_state::StateDescriptor::combinable`]); float-summing
+//!   ([`slash_state::StateDescriptor::regroupable`]); float-summing
 //!   aggregations keep the per-record RMW loop so results stay
 //!   bit-identical. Joins append per record ([`SsbNode::append`]): each
 //!   element lands in its key's newest run in place, which measured faster
@@ -130,10 +130,7 @@ impl HotPath {
     /// associative under regrouping.
     pub fn new(plan: Rc<QueryPlan>, combine: bool, combiner_slots: usize) -> Self {
         let combinable = match &*plan {
-            QueryPlan::Aggregate { agg, .. } if combine => {
-                let desc = agg.descriptor();
-                desc.combinable && !desc.is_appended()
-            }
+            QueryPlan::Aggregate { agg, .. } if combine => agg.descriptor().regroupable(),
             _ => false,
         };
         let memo = WindowMemo::new(plan.window());

@@ -59,8 +59,6 @@ pub struct EngineMetrics {
     pub llc_misses: f64,
     /// Bytes of memory-bandwidth consumed.
     pub mem_bytes: u64,
-    /// Bytes sent over the network by this engine.
-    pub net_bytes: u64,
     /// Updates folded into per-worker write combiners (batch-local
     /// pre-aggregation hits that never reached the SSB index).
     pub combiner_folds: u64,
@@ -86,7 +84,6 @@ impl Default for EngineMetrics {
             l2_misses: 0.0,
             llc_misses: 0.0,
             mem_bytes: 0,
-            net_bytes: 0,
             combiner_folds: 0,
             combiner_flushes: 0,
             combiner_off: 0,
@@ -149,12 +146,6 @@ impl EngineMetrics {
         self.mem_bytes += bytes;
     }
 
-    /// Charge bytes sent over the network.
-    #[inline]
-    pub fn add_net_bytes(&mut self, bytes: u64) {
-        self.net_bytes += bytes;
-    }
-
     /// Charge expected cache misses (fractional, from the cache model).
     #[inline]
     pub fn add_cache_misses(&mut self, l1: f64, l2: f64, llc: f64) {
@@ -181,11 +172,6 @@ impl EngineMetrics {
     #[inline]
     pub fn add_state_updates(&mut self, n: u64) {
         self.state_updates += n;
-    }
-
-    /// Nanoseconds charged to a category.
-    pub fn ns_of(&self, cat: CostCategory) -> f64 {
-        self.ns[idx(cat)]
     }
 
     /// Total charged nanoseconds.
@@ -249,7 +235,6 @@ impl EngineMetrics {
         self.l2_misses += other.l2_misses;
         self.llc_misses += other.llc_misses;
         self.mem_bytes += other.mem_bytes;
-        self.net_bytes += other.net_bytes;
         self.combiner_folds += other.combiner_folds;
         self.combiner_flushes += other.combiner_flushes;
         self.combiner_off += other.combiner_off;
@@ -302,13 +287,11 @@ mod tests {
         m.add_records(3);
         m.add_records(4);
         m.add_mem_bytes(100);
-        m.add_net_bytes(50);
         m.add_cache_misses(1.0, 0.5, 0.25);
         assert_eq!(m.records, 7);
         m.set_records(9);
         assert_eq!(m.records, 9);
         assert_eq!(m.mem_bytes, 100);
-        assert_eq!(m.net_bytes, 50);
         assert!((m.l1_misses - 1.0).abs() < 1e-12);
         assert!((m.llc_misses - 0.25).abs() < 1e-12);
     }
@@ -323,7 +306,7 @@ mod tests {
         b.records = 7;
         b.mem_bytes = 100;
         a.absorb(&b);
-        assert_eq!(a.ns_of(CostCategory::FrontEnd), 25.0);
+        assert_eq!(a.total_ns(), 25.0);
         assert_eq!(a.records, 12);
         assert_eq!(a.mem_bytes, 100);
     }

@@ -173,11 +173,6 @@ impl MemorySource {
         self.data.len() / self.schema.size
     }
 
-    /// Records not yet handed out.
-    pub fn remaining_records(&self) -> usize {
-        (self.data.len() - self.pos) / self.schema.size
-    }
-
     /// Whether the stream is exhausted.
     pub fn exhausted(&self) -> bool {
         self.pos >= self.data.len()
@@ -271,7 +266,6 @@ mod tests {
         assert_eq!(seen, 10);
         assert!(s.exhausted());
         assert_eq!(s.next_range(), None);
-        assert_eq!(s.remaining_records(), 0);
     }
 
     #[test]

@@ -824,11 +824,6 @@ impl Process for SlashWorker {
     }
 }
 
-/// Records-processed accessor used by the cluster driver.
-pub fn node_records(shared: &Rc<RefCell<NodeShared>>) -> u64 {
-    shared.borrow().records
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

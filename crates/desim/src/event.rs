@@ -1,6 +1,7 @@
 //! The event queue: a binary heap of timestamped, sequence-ordered entries.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::clock::SimTime;
@@ -11,52 +12,6 @@ use crate::sim::Sim;
 /// the same virtual time. First scheduled fires first (FIFO among equals),
 /// which is what makes the simulation deterministic.
 pub(crate) type EventSeq = u64;
-
-/// Policy for ordering events that share a virtual timestamp.
-///
-/// Real hardware gives no ordering guarantee between *independent* events
-/// that happen "at the same time" (deliveries on different links, polls on
-/// different endpoints). The kernel's default FIFO tie-break silently picks
-/// one legal order and hides bugs that only surface under another. The race
-/// checker in `slash-verify` replays protocol scenarios under many seeded
-/// permutations of exactly these ties — a bounded, deterministic
-/// exploration of the schedule space (DPOR-lite).
-///
-/// Every policy is fully deterministic: two runs with the same policy and
-/// inputs produce byte-identical schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TieBreak {
-    /// First-scheduled fires first (the default; matches historic behavior).
-    #[default]
-    Fifo,
-    /// Last-scheduled fires first (an adversarial stack order).
-    Lifo,
-    /// Deterministic pseudo-random permutation keyed by the seed: each
-    /// distinct seed yields a distinct (but reproducible) interleaving of
-    /// same-timestamp events.
-    Seeded(u64),
-}
-
-impl TieBreak {
-    /// Priority key for an event with schedule sequence `seq`; among events
-    /// at the same virtual time, the smallest key fires first.
-    fn key(self, seq: EventSeq) -> u64 {
-        match self {
-            TieBreak::Fifo => seq,
-            TieBreak::Lifo => !seq,
-            TieBreak::Seeded(s) => {
-                // SplitMix64 over (seed, seq): a high-quality deterministic
-                // permutation of the tie order.
-                let mut z = seq
-                    .wrapping_add(s.wrapping_mul(0x9E3779B97F4A7C15))
-                    .wrapping_add(0x9E3779B97F4A7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                z ^ (z >> 31)
-            }
-        }
-    }
-}
 
 /// Structural label describing which part of the modelled system an event
 /// touches. Labels carry no semantics inside the kernel; they exist so the
@@ -131,10 +86,6 @@ pub(crate) enum EventKind {
 pub(crate) struct Scheduled {
     pub at: SimTime,
     pub seq: EventSeq,
-    /// Tie-break priority among same-time events (smallest fires first).
-    /// Computed once at push from the queue's [`TieBreak`] policy so that
-    /// changing the policy mid-run never reorders already-queued events.
-    pub key: u64,
     /// Structural label for the explorer's independence relation.
     pub label: EventLabel,
     pub kind: EventKind,
@@ -155,20 +106,18 @@ impl PartialOrd for Scheduled {
 
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, key, seq)
-        // pops first. `seq` remains the final tie so the order stays total
-        // and deterministic even when keys collide.
-        (other.at, other.key, other.seq).cmp(&(self.at, self.key, self.seq))
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
+        // first: same-time events fire in schedule order.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// A deterministic min-queue of scheduled events with a pluggable policy
-/// for ordering same-timestamp entries.
+/// A deterministic min-queue of scheduled events, FIFO among equal
+/// timestamps.
 #[derive(Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     next_seq: EventSeq,
-    policy: TieBreak,
 }
 
 impl EventQueue {
@@ -179,42 +128,28 @@ impl EventQueue {
     pub fn push_labeled(&mut self, at: SimTime, label: EventLabel, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = self.policy.key(seq);
         self.heap.push(Scheduled {
             at,
             seq,
-            key,
             label,
             kind,
         });
     }
 
-    /// Re-insert an entry previously popped by [`EventQueue::pop_ties`],
-    /// keeping its original sequence number and priority key so the queue
-    /// order stays exactly what it was before the tie set was drained.
+    /// Re-insert an entry previously popped, keeping its original sequence
+    /// number so the queue order stays exactly what it was before.
     pub fn push_back(&mut self, s: Scheduled) {
         self.heap.push(s);
     }
 
-    /// Pop *every* event tied at the earliest virtual time, returned in
-    /// schedule (seq) order. This is the enabled-event-set enumeration hook
-    /// the exhaustive explorer branches on: among these, any could fire
-    /// first on real hardware.
-    pub fn pop_ties(&mut self) -> Vec<Scheduled> {
-        let Some(t) = self.peek_time() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        while self.heap.peek().map(|s| s.at) == Some(t) {
-            out.push(self.heap.pop().expect("peeked entry must pop"));
-        }
-        out.sort_by_key(|s| s.seq);
-        out
-    }
-
-    /// Set the tie-break policy for events pushed from now on.
-    pub fn set_policy(&mut self, policy: TieBreak) {
-        self.policy = policy;
+    /// Pop the next event if it fires at exactly `at`. Ties pop in schedule
+    /// (seq) order, so draining a tie set yields the enabled events the
+    /// exhaustive explorer branches on, in the order it indexes them.
+    pub fn pop_at(&mut self, at: SimTime) -> Option<Scheduled> {
+        self.heap
+            .peek_mut()
+            .filter(|s| s.at == at)
+            .map(PeekMut::pop)
     }
 
     pub fn pop(&mut self) -> Option<Scheduled> {
@@ -254,6 +189,13 @@ mod tests {
     }
 
     #[test]
+    fn heap_entry_is_time_seq_label_and_kind() {
+        // 8 (at) + 8 (seq) + 8 (label) + 16 (a boxed closure, or a wake in
+        // its niche).
+        assert_eq!(std::mem::size_of::<Scheduled>(), 40);
+    }
+
+    #[test]
     fn ties_break_fifo() {
         let mut q = EventQueue::default();
         for i in 0..16u64 {
@@ -266,50 +208,6 @@ mod tests {
             s
         };
         assert_eq!(seqs, sorted, "same-time events must fire in schedule order");
-    }
-
-    #[test]
-    fn lifo_reverses_same_time_order() {
-        let mut q = EventQueue::default();
-        q.set_policy(TieBreak::Lifo);
-        for i in 0..8u64 {
-            q.push(SimTime(42), EventKind::Wake(ProcId(i as u32)));
-        }
-        let seqs: Vec<EventSeq> = std::iter::from_fn(|| q.pop().map(|s| s.seq)).collect();
-        assert_eq!(seqs, (0..8u64).rev().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn seeded_policy_permutes_ties_deterministically() {
-        let order_for = |tb: TieBreak| -> Vec<EventSeq> {
-            let mut q = EventQueue::default();
-            q.set_policy(tb);
-            for _ in 0..32u64 {
-                q.push(SimTime(7), EventKind::Wake(ProcId(0)));
-            }
-            std::iter::from_fn(|| q.pop().map(|s| s.seq)).collect()
-        };
-        let fifo = order_for(TieBreak::Fifo);
-        let a1 = order_for(TieBreak::Seeded(1));
-        let a2 = order_for(TieBreak::Seeded(1));
-        let b = order_for(TieBreak::Seeded(2));
-        assert_eq!(a1, a2, "same seed must reproduce the same schedule");
-        assert_ne!(a1, fifo, "seeded order should differ from FIFO");
-        assert_ne!(a1, b, "different seeds should explore different orders");
-        let mut sorted = a1.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, fifo, "a permutation: no event lost or duplicated");
-    }
-
-    #[test]
-    fn time_order_beats_tie_break_key() {
-        let mut q = EventQueue::default();
-        q.set_policy(TieBreak::Lifo);
-        wake(30, &mut q);
-        wake(10, &mut q);
-        wake(20, &mut q);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|s| s.at.0)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
@@ -329,17 +227,17 @@ mod tests {
     }
 
     #[test]
-    fn pop_ties_returns_full_tie_set_in_seq_order() {
+    fn pop_at_drains_one_tie_set_in_seq_order() {
         let mut q = EventQueue::default();
-        q.set_policy(TieBreak::Lifo); // adversarial heap order
-        wake(10, &mut q);
-        wake(10, &mut q);
-        wake(10, &mut q);
         wake(20, &mut q);
-        let ties = q.pop_ties();
+        wake(10, &mut q);
+        wake(10, &mut q);
+        wake(10, &mut q);
+        let at = SimTime(10);
+        let ties: Vec<Scheduled> = std::iter::from_fn(|| q.pop_at(at)).collect();
         assert_eq!(
             ties.iter().map(|s| s.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2]
+            vec![1, 2, 3]
         );
         assert_eq!(q.len(), 1);
         // Push two back; they must still pop before the later event.
@@ -348,10 +246,13 @@ mod tests {
         for s in it {
             q.push_back(s);
         }
-        let again = q.pop_ties();
-        assert_eq!(again.iter().map(|s| s.seq).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(q.pop_ties().len(), 1);
-        assert!(q.pop_ties().is_empty());
+        let again: Vec<EventSeq> = std::iter::from_fn(|| q.pop_at(at).map(|s| s.seq)).collect();
+        assert_eq!(again, vec![2, 3]);
+        assert!(
+            q.pop_at(at).is_none(),
+            "the event at 20 is not in the tie set"
+        );
+        assert_eq!(q.pop().map(|s| s.at), Some(SimTime(20)));
     }
 
     #[test]

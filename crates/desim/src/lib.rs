@@ -19,11 +19,12 @@
 //!
 //! 1. **Determinism.** Two runs with the same inputs produce byte-identical
 //!    results. Ties between events at the same virtual time are broken by a
-//!    monotone sequence number, and the kernel is strictly single-threaded.
-//!    The tie-break order among same-timestamp events is *pluggable* (see
-//!    [`TieBreak`]): the default is FIFO, and the `slash-verify` race
-//!    checker replays protocol scenarios under seeded permutations of
-//!    exactly those ties to explore alternative legal schedules.
+//!    monotone sequence number (FIFO), and the kernel is strictly
+//!    single-threaded. [`Sim::with_schedule`] replaces FIFO with a choice
+//!    vector — one index per same-instant tie — and records every decision,
+//!    so a run is named and replayed by its vector: the `slash-verify` race
+//!    checker's random sweep draws seeded vectors, its exhaustive explorer
+//!    enumerates them.
 //! 2. **Ergonomics for protocol code.** The RDMA channel and the epoch
 //!    coherence protocol are written as ordinary Rust state machines that
 //!    implement [`Process`]; shared structures (memory regions, completion
@@ -43,7 +44,7 @@ pub mod rng;
 pub mod sim;
 
 pub use clock::SimTime;
-pub use event::{EventLabel, TieBreak};
+pub use event::EventLabel;
 pub use link::Link;
 pub use process::{ProcId, Process, Step};
 pub use rng::DetRng;

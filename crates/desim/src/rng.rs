@@ -6,6 +6,16 @@
 //! the generator below is ~40 lines. (Workload generators in
 //! `slash-workloads` still use `rand` where distribution quality matters.)
 
+/// The SplitMix64 output finalizer: a bijective avalanche of `z`. It
+/// expands [`DetRng`] seeds, folds the simulator's schedule fingerprint
+/// and the race checker's state digests.
+#[inline]
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// xoshiro256** — fast, high-quality, seedable PRNG.
 #[derive(Debug, Clone)]
 pub struct DetRng {
@@ -19,10 +29,7 @@ impl DetRng {
         let mut sm = seed;
         let mut next_sm = || {
             sm = sm.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
+            mix64(sm)
         };
         DetRng {
             s: [next_sm(), next_sm(), next_sm(), next_sm()],
@@ -73,6 +80,12 @@ impl DetRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        // SplitMix64's reference first output from state 0.
+        assert_eq!(mix64(0x9E3779B97F4A7C15), 0xE220A8397B1DCDAF);
+    }
 
     #[test]
     fn deterministic_across_instances() {

@@ -1,8 +1,9 @@
 //! The simulation driver.
 
 use crate::clock::SimTime;
-use crate::event::{EventKind, EventLabel, EventQueue, TieBreak};
+use crate::event::{EventKind, EventLabel, EventQueue, Scheduled};
 use crate::process::{ProcId, Process, Step};
+use crate::rng::mix64;
 
 /// One same-instant event as seen at a branch point of an explored run.
 ///
@@ -85,14 +86,15 @@ impl Sim {
     /// schedule.
     ///
     /// Whenever two or more events tie at the earliest virtual time, the
-    /// next entry of `choices` picks which of them fires (an index into the
-    /// enabled set in schedule order, clamped to the set size); once the
-    /// schedule is exhausted every remaining tie falls back to FIFO
-    /// (index 0). Every decision — enabled set, choice, optional state
-    /// digest — is recorded and retrievable via [`Sim::take_choice_trace`],
-    /// so a run is fully replayable from its own trace. An empty `choices`
-    /// reproduces exactly the [`TieBreak::Fifo`] schedule (and its
-    /// fingerprint).
+    /// next entry of `choices` picks which of them fires: entry `c` picks
+    /// index `c % n` of the `n` enabled events in schedule order, so any
+    /// `u32` vector is valid and uniform entries make an unbiased random
+    /// schedule. Once the schedule is exhausted every remaining tie falls
+    /// back to FIFO (index 0). Every decision — enabled set, choice,
+    /// optional state digest — is recorded and retrievable via
+    /// [`Sim::take_choice_trace`], so a run is fully replayable from its
+    /// own trace. An empty `choices` reproduces exactly the FIFO schedule
+    /// of [`Sim::new`] (and its fingerprint).
     pub fn with_schedule(choices: &[u32]) -> Self {
         let mut sim = Sim::new();
         sim.explore = Some(ExploreState {
@@ -143,18 +145,6 @@ impl Sim {
             .unwrap_or_default()
     }
 
-    /// Create a simulation whose same-timestamp events fire in the order
-    /// chosen by `policy` (the default is [`TieBreak::Fifo`]).
-    ///
-    /// Used by the race checker to explore many legal interleavings of the
-    /// same scenario: the physics (event timestamps) are unchanged, only the
-    /// order among genuinely concurrent events varies.
-    pub fn with_tie_break(policy: TieBreak) -> Self {
-        let mut sim = Sim::new();
-        sim.queue.set_policy(policy);
-        sim
-    }
-
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -166,7 +156,7 @@ impl Sim {
     /// Two runs have the same fingerprint iff they popped the same
     /// `(time, schedule-seq)` stream — i.e. executed the same schedule. The
     /// race checker uses this to count how many *distinct* interleavings a
-    /// sweep of tie-break seeds actually explored.
+    /// sweep of seeded choice vectors actually explored.
     pub fn schedule_fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -229,29 +219,23 @@ impl Sim {
     }
 
     fn fire_next(&mut self) -> bool {
-        let ev = if self.explore.is_some() {
-            let Some(ev) = self.next_explored() else {
-                return false;
-            };
-            ev
-        } else {
-            let Some(ev) = self.queue.pop() else {
-                return false;
-            };
-            ev
+        let next = match self.explore {
+            Some(_) => self.next_explored(),
+            None => self.queue.pop(),
+        };
+        let Some(ev) = next else {
+            return false;
         };
         debug_assert!(ev.at >= self.now, "event queue went backwards");
         self.now = ev.at;
         // Fold the pop order into the schedule fingerprint (SplitMix64 over
         // the running hash and the event identity).
-        let mut z = self
-            .fingerprint
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(ev.at.0)
-            .wrapping_add(ev.seq.rotate_left(32));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        self.fingerprint = z ^ (z >> 31);
+        self.fingerprint = mix64(
+            self.fingerprint
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add(ev.at.0)
+                .wrapping_add(ev.seq.rotate_left(32)),
+        );
         match ev.kind {
             EventKind::Closure(f) => f(self),
             EventKind::Wake(pid) => self.step_proc(pid),
@@ -259,34 +243,30 @@ impl Sim {
         true
     }
 
-    /// Explore-mode event selection: pop the full same-instant tie set; if
-    /// it is a genuine branch point (two or more enabled events), consult
-    /// the replay schedule (FIFO once exhausted), record the decision, and
-    /// push the unchosen events back with their original order intact.
-    fn next_explored(&mut self) -> Option<crate::event::Scheduled> {
-        let mut ties = self.queue.pop_ties();
-        if ties.is_empty() {
-            return None;
-        }
+    /// Explore-mode event selection: pop the next event; if others share
+    /// its instant it is a branch point, so drain the tie set, consult the
+    /// replay schedule (FIFO once exhausted), record the decision, and push
+    /// the unchosen events back with their original order intact.
+    fn next_explored(&mut self) -> Option<Scheduled> {
+        let first = self.queue.pop()?;
+        let at = first.at;
         let ex = self.explore.as_mut().expect("explore mode");
-        if ex.instants.last() != Some(&ties[0].at) {
-            ex.instants.push(ties[0].at);
+        if ex.instants.last() != Some(&at) {
+            ex.instants.push(at);
         }
-        if ties.len() == 1 {
-            return ties.pop();
+        if self.queue.peek_time() != Some(at) {
+            return Some(first);
         }
-        let idx = if ex.cursor < ex.schedule.len() {
-            (ex.schedule[ex.cursor] as usize).min(ties.len() - 1)
-        } else {
-            0
-        };
-        ex.cursor += 1;
-        let digest = match &ex.digest {
-            Some(f) => f(),
+        let mut ties = vec![first];
+        ties.extend(std::iter::from_fn(|| self.queue.pop_at(at)));
+        let idx = match ex.schedule.get(ex.cursor) {
+            Some(&c) => c as usize % ties.len(),
             None => 0,
         };
+        ex.cursor += 1;
+        let digest = ex.digest.as_ref().map_or(0, |f| f());
         ex.trace.push(ChoicePoint {
-            at: ties[0].at,
+            at,
             enabled: ties
                 .iter()
                 .map(|s| EnabledEvent {
@@ -428,9 +408,10 @@ mod tests {
         assert_eq!(&*log.borrow(), &[0, 1, 2, 3]);
     }
 
-    fn same_time_order(policy: TieBreak) -> (Vec<u64>, u64) {
+    /// Run eight same-instant closures on `sim` and return (observed
+    /// order, fingerprint).
+    fn same_time_order(mut sim: Sim) -> (Vec<u64>, u64) {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::with_tie_break(policy);
         for i in 0..8u64 {
             let log = Rc::clone(&log);
             sim.schedule_at(SimTime::from_nanos(10), move |_s| log.borrow_mut().push(i));
@@ -440,24 +421,32 @@ mod tests {
         (order, sim.schedule_fingerprint())
     }
 
+    /// Eight uniform choices drawn from `DetRng::new(seed)`.
+    fn seeded(seed: u64) -> Vec<u32> {
+        let mut rng = crate::DetRng::new(seed);
+        (0..8).map(|_| rng.next_u64() as u32).collect()
+    }
+
     #[test]
-    fn tie_break_policies_permute_same_time_events() {
-        let (fifo, fp_fifo) = same_time_order(TieBreak::Fifo);
-        let (lifo, fp_lifo) = same_time_order(TieBreak::Lifo);
-        let (s1, fp_s1) = same_time_order(TieBreak::Seeded(1));
-        let (s1_again, fp_s1_again) = same_time_order(TieBreak::Seeded(1));
+    fn seeded_vectors_permute_same_time_events() {
+        let (fifo, fp_fifo) = same_time_order(Sim::new());
+        let (s1, fp_s1) = same_time_order(Sim::with_schedule(&seeded(1)));
+        let (s1_again, fp_s1_again) = same_time_order(Sim::with_schedule(&seeded(1)));
+        let (s2, _) = same_time_order(Sim::with_schedule(&seeded(2)));
         assert_eq!(fifo, (0..8u64).collect::<Vec<_>>());
-        assert_eq!(lifo, (0..8u64).rev().collect::<Vec<_>>());
         assert_eq!(s1, s1_again, "seeded schedules are reproducible");
         assert_eq!(fp_s1, fp_s1_again);
+        assert_ne!(s1, fifo, "a seeded vector leaves the FIFO order");
         assert_ne!(
-            fp_fifo, fp_lifo,
+            fp_fifo, fp_s1,
             "different schedules → different fingerprints"
         );
-        assert_ne!(fp_fifo, fp_s1);
-        let mut sorted = s1.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, fifo, "every event still fires exactly once");
+        assert_ne!(s1, s2, "different seeds explore different orders");
+        for order in [s1, s2] {
+            let mut sorted = order;
+            sorted.sort_unstable();
+            assert_eq!(sorted, fifo, "every event still fires exactly once");
+        }
     }
 
     /// Run four same-instant closures under an explicit schedule and return
@@ -477,16 +466,10 @@ mod tests {
 
     #[test]
     fn empty_schedule_reproduces_fifo_run_and_fingerprint() {
-        let (fifo_order, fp_fifo) = same_time_order(TieBreak::Fifo);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::with_schedule(&[]);
-        for i in 0..8u64 {
-            let log = Rc::clone(&log);
-            sim.schedule_at(SimTime::from_nanos(10), move |_s| log.borrow_mut().push(i));
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), fifo_order);
-        assert_eq!(sim.schedule_fingerprint(), fp_fifo);
+        assert_eq!(
+            same_time_order(Sim::with_schedule(&[])),
+            same_time_order(Sim::new())
+        );
     }
 
     #[test]
@@ -512,9 +495,19 @@ mod tests {
         let (order2, fp2, _) = explored_order(&chosen);
         assert_eq!(order2, order);
         assert_eq!(fp2, fp);
-        // Out-of-range choices clamp instead of panicking.
-        let (order3, _, _) = explored_order(&[99]);
-        assert_eq!(order3, vec![3, 0, 1, 2]);
+    }
+
+    #[test]
+    fn out_of_range_choice_picks_choice_mod_tie_set_size() {
+        // 5 % 4 = 1 picks event 1 of {0, 1, 2, 3}; 7 % 3 = 1 picks event 2
+        // of {0, 2, 3}; the rest is FIFO.
+        let (order, _, trace) = explored_order(&[5, 7]);
+        assert_eq!(order, vec![1, 2, 0, 3]);
+        assert_eq!(
+            trace.iter().map(|c| c.chosen).collect::<Vec<_>>(),
+            vec![1, 1, 0],
+            "the trace records the in-range index that fired"
+        );
     }
 
     #[test]

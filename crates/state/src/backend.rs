@@ -413,8 +413,7 @@ impl SsbNode {
     /// non-combinable state (regrouping must be exact — the combiner's
     /// gate), and for keys the ledger itself refuses.
     pub fn split_activate(&mut self, gk: u64) -> bool {
-        let desc = self.fragments[self.node].descriptor();
-        if desc.is_appended() || !desc.combinable {
+        if !self.fragments[self.node].descriptor().regroupable() {
             return false;
         }
         // Partials buffered under the canonical key leave before the salt

@@ -51,6 +51,14 @@ impl StateDescriptor {
     pub fn is_appended(&self) -> bool {
         matches!(self.kind, ValueKind::Appended)
     }
+
+    /// Whether updates may be regrouped — folded by the write combiner,
+    /// or split into salted sub-keys — without moving a bit of the result:
+    /// fixed-size state with an exactly associative merge. The engine's
+    /// one gate for both.
+    pub fn regroupable(&self) -> bool {
+        self.combinable && !self.is_appended()
+    }
 }
 
 impl std::fmt::Debug for StateDescriptor {
@@ -90,6 +98,19 @@ mod tests {
         assert_eq!(d.fixed_size(), 8);
         assert!(!d.is_appended());
         assert!(appended_descriptor().is_appended());
+    }
+
+    #[test]
+    fn regroupable_needs_combinable_fixed_state() {
+        let fixed = |combinable| StateDescriptor {
+            kind: ValueKind::Fixed { size: 8 },
+            init: noop_init,
+            merge: noop_merge,
+            combinable,
+        };
+        assert!(fixed(true).regroupable());
+        assert!(!fixed(false).regroupable(), "float sums stay per-record");
+        assert!(!appended_descriptor().regroupable());
     }
 
     #[test]

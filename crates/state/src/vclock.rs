@@ -71,13 +71,6 @@ impl VectorClock {
     pub fn snapshot(&self) -> Vec<u64> {
         self.entries.clone()
     }
-
-    /// Whether an event-time window ending at `end` (exclusive) may
-    /// trigger: no executor can still contribute records or state updates
-    /// with timestamps below `end`.
-    pub fn window_ready(&self, end: u64) -> bool {
-        self.min() >= end
-    }
 }
 
 #[cfg(test)]
@@ -102,17 +95,5 @@ mod tests {
         vc.update(0, 10);
         vc.update(0, 5);
         assert_eq!(vc.get(0), 10);
-    }
-
-    #[test]
-    fn window_ready_semantics() {
-        let mut vc = VectorClock::new(2);
-        vc.update(0, 1000);
-        assert!(!vc.window_ready(1000));
-        vc.update(1, 999);
-        assert!(!vc.window_ready(1000), "999 < end");
-        vc.update(1, 1000);
-        assert!(vc.window_ready(1000));
-        assert!(vc.window_ready(500));
     }
 }

@@ -1,5 +1,5 @@
 //! `slash-race` — sweep the protocol scenarios and the fault matrix across
-//! tie-break schedules and fault instants.
+//! same-instant schedules and fault instants.
 //!
 //! ```text
 //! slash-race [--seeds N] [--mutation NAME] [--exhaustive]
@@ -7,14 +7,16 @@
 //! ```
 //!
 //! **Random sweep (default):** runs the three protocol scenarios (channel,
-//! multi-port fabric, epoch coherence) under `N` tie-break policies (FIFO,
-//! LIFO, seeded permutations; default 128), and every case of the fault
+//! multi-port fabric, epoch coherence) under `N` choice vectors (FIFO, then
+//! seeded uniform vectors; default 128), and every case of the fault
 //! matrix ([`slash_verify::catalogue`]) on the shipped cluster driver for
 //! `N` runs — run *i* at the *i*-th of `N` strided fault instants under
-//! the *i*-th policy. A protocol family must yield ≥ 100 distinct
+//! the *i*-th vector. A protocol family must yield ≥ 100 distinct
 //! schedules; a driver case ≥ 100 distinct (instant, schedule) pairs, every
 //! run exact against the sequential oracle, every required repair seen.
-//! On a violation the flight recorder's dump is printed alongside.
+//! A violation prints the choices its run made (`replay schedule: […]`,
+//! for a driver case beside its fault instant) and the flight recorder's
+//! dump.
 //!
 //! **Exhaustive mode (`--exhaustive`):** the bounded DFS model checker
 //! ([`slash_verify::explorer`]). The 2-node FIFO/credit scenario is
@@ -121,7 +123,7 @@ fn planted_case(m: Mutation, small: bool) -> Case {
 /// and a flight-recorder dump.
 fn run_mutation(m: Mutation, seeds: u64) -> ExitCode {
     let e = match mutated(m, false) {
-        Some((name, s)) => explore(name, seeds, |p| s.run(p)),
+        Some((name, s)) => explore(name, seeds, |_, c| s.run_schedule(c)),
         None => {
             let c = planted_case(m, false);
             c.sweep(&c.probe(), seeds, m.plant()).0
@@ -283,7 +285,7 @@ fn run_exhaustive(budget: Budget, minimize: bool, seeds: u64, out: Option<&str>)
         };
         let fallback = c.frontier_truncated.then(|| {
             println!("slash-race: {name} truncated at budget — falling back to the random sweep");
-            let fb = explore(name, seeds, |p| chan.run(p));
+            let fb = explore(name, seeds, |_, c| chan.run_schedule(c));
             print!("{}", fb.render_human());
             fb
         });
@@ -355,8 +357,8 @@ fn run_exhaustive(budget: Budget, minimize: bool, seeds: u64, out: Option<&str>)
     }
 }
 
-/// The random sweep: the protocol families under `seeds` tie-break
-/// policies, then every catalogue case on the shipped driver.
+/// The random sweep: the protocol families under `seeds` choice vectors,
+/// then every catalogue case on the shipped driver.
 fn run_sweep(seeds: u64) -> ExitCode {
     let families: [(&str, Box<dyn Scenario>); 3] = [
         ("channel-protocol", Box::new(ChannelScenario::default())),
@@ -365,7 +367,7 @@ fn run_sweep(seeds: u64) -> ExitCode {
     ];
     let mut ok = true;
     for (name, s) in &families {
-        let e = explore(name, seeds, |p| s.run(p));
+        let e = explore(name, seeds, |_, c| s.run_schedule(c));
         print!("{}", e.render_human());
         ok &= e.clean() && e.distinct_schedules >= needed(seeds);
     }

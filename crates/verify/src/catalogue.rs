@@ -26,9 +26,9 @@
 //! ([`Sim::take_event_instants`]): a fault scheduled between two events
 //! behaves like one scheduled at the later event, so those instants, each
 //! under both orders of the resulting tie, are all there is. The second
-//! dimension is the same-instant **tie schedule** ([`Sim::with_schedule`] /
-//! [`TieBreak`]). The 2-node `*-small` cases enumerate every tie schedule at
-//! every instant, literally; full-size cases stride both.
+//! dimension is the same-instant **tie schedule** ([`Sim::with_schedule`]'s
+//! choice vector). The 2-node `*-small` cases enumerate every tie schedule
+//! at every instant, literally; full-size cases stride both.
 //!
 //! **Honest accounting.** The instant window is clipped to the swept-free
 //! run's completion, and every instant is classified from that run's
@@ -49,13 +49,13 @@ use slash_core::{
     ElasticConfig, MigrationCmd, Outcome as RunOutcome, Plant, RecoveryAction, RunConfig,
     ScriptedDirector, SlashCluster, SplitRunConfig,
 };
-use slash_desim::{Sim, SimTime, TieBreak};
+use slash_desim::{Sim, SimTime};
 use slash_obs::Obs;
 use slash_workloads::{nb11, ysb, ysb_hot, GenConfig, Workload};
 
 use crate::explorer::{explore_exhaustive, Budget, Coverage, ExhaustiveReport, ScheduleRun};
 use crate::oracle::{self, Groups};
-use crate::race::{policies, Exploration, Invariant, Outcome, Violation};
+use crate::race::{explore, Exploration, Invariant, Outcome, Violation};
 
 /// Faults placed at a fixed fraction of the fault-free completion time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -828,47 +828,32 @@ impl Case {
     }
 
     /// Random sweep: `n` runs, run *i* at the *i*-th of `n` evenly strided
-    /// instants under the *i*-th tie-break policy of [`policies`].
+    /// instants under the *i*-th choice vector of [`crate::race::schedules`].
+    /// A window with no instant runs nothing; the verdict says so.
     pub fn sweep(&self, probe: &Probe, n: u64, plant: Option<Plant>) -> (Exploration, Tally) {
         let mut tally = Tally::default();
         let mut pairs = HashSet::new();
-        let mut violations = Vec::new();
-        let mut dumps = Vec::new();
-        let ps = policies(n);
-        for (i, &policy) in ps.iter().enumerate() {
-            let Some(&at) = probe.instants.get(i * probe.instants.len() / ps.len()) else {
-                break;
-            };
-            let (run, _) = self.run_at(probe, at, plant, &|| Sim::with_tie_break(policy));
+        let len = probe.instants.len();
+        let runs = if len == 0 { 0 } else { n };
+        let mut exploration = explore(self.name, runs, |i, choices| {
+            let at = probe.instants[i * len / n as usize];
+            let (run, mut sim) = self.run_at(probe, at, plant, &|| Sim::with_schedule(choices));
             tally.note(at, &run);
             pairs.insert((at, run.outcome.fingerprint));
-            violations.extend(
-                run.outcome
-                    .violations
-                    .into_iter()
-                    .map(|(invariant, detail)| Violation {
-                        invariant,
-                        policy,
-                        detail,
-                    }),
-            );
-            dumps.extend(run.outcome.dumps);
-        }
+            ScheduleRun {
+                outcome: run.outcome,
+                trace: sim.take_choice_trace(),
+            }
+        });
+        exploration.distinct_schedules = pairs.len();
+        // Sweep-level findings have no schedule to replay.
         for detail in self.sweep_verdict(probe, &tally, plant) {
-            let (invariant, policy) = (Invariant::RecoveryConvergence, TieBreak::Fifo);
-            violations.push(Violation {
-                invariant,
-                policy,
+            exploration.violations.push(Violation {
+                invariant: Invariant::RecoveryConvergence,
+                schedule: Vec::new(),
                 detail,
             });
         }
-        let exploration = Exploration {
-            scenario: self.name,
-            schedules_run: ps.len(),
-            distinct_schedules: pairs.len(),
-            violations,
-            dumps,
-        };
         (exploration, tally)
     }
 

@@ -1,8 +1,8 @@
 //! Bounded exhaustive schedule exploration: a DFS model checker over the
 //! simulator's same-instant choice points.
 //!
-//! Where [`crate::race`] *samples* the schedule space (FIFO, LIFO, seeded
-//! permutations), this module *enumerates* it. `slash-desim`'s explore mode
+//! Where [`crate::race`] *samples* the schedule space (FIFO, then seeded
+//! choice vectors), this module *enumerates* it. `slash-desim`'s explore mode
 //! ([`slash_desim::Sim::with_schedule`]) turns a run into a replayable
 //! sequence of branch decisions — at every virtual instant where two or
 //! more events tie, the next entry of the choice vector picks which fires.

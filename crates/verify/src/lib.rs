@@ -12,22 +12,22 @@
 //!    `slash-race` and the recovery bench alike.
 //!
 //! 2. **The race checker** ([`race`] + [`scenarios`] + [`explorer`]): a
-//!    bounded schedule explorer layered on `slash-desim`'s pluggable
-//!    [`slash_desim::TieBreak`] policy. The simulation's default FIFO
+//!    bounded schedule explorer layered on `slash-desim`'s choice vectors
+//!    ([`slash_desim::Sim::with_schedule`]). The simulation's default FIFO
 //!    tie-break picks *one* legal order among same-timestamp events; the
 //!    checker replays the channel, multi-port fabric and epoch-coherence
-//!    protocol scenarios under many seeded permutations of exactly those
-//!    ties, and the fault matrix under many fault instants × tie
+//!    protocol scenarios under many seeded choice vectors over exactly
+//!    those ties, and the fault matrix under many fault instants × tie
 //!    schedules, asserting the invariants under every one: FIFO delivery,
 //!    credit conservation, no slot overwritten before consumption,
 //!    vector-clock monotonicity, epoch convergence, and recovery
 //!    convergence (a faulted run equals the sequential fold and every
-//!    fault got its repair). On top of the random sweep sits the bounded
-//!    **exhaustive model checker**: a DFS over the explicit
-//!    per-branch-point choice vectors of `slash-desim`'s explore mode,
-//!    with sleep-set reduction, state-digest deduplication, budget
-//!    accounting, and greedy counterexample minimization
-//!    (`slash-race --exhaustive`).
+//!    fault got its repair). A violation names the choice vector that
+//!    reproduces it. On top of the random sweep sits the bounded
+//!    **exhaustive model checker**: a DFS over the same per-branch-point
+//!    choice vectors, with sleep-set reduction, state-digest
+//!    deduplication, budget accounting, and greedy counterexample
+//!    minimization (`slash-race --exhaustive`).
 //!
 //! All of it runs in CI via `scripts/ci.sh` (`slash-race`). The
 //! repository's static rules (no unsafe code, no panics in protocol

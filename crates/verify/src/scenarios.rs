@@ -1,13 +1,12 @@
 //! Replayable protocol scenarios for the race checker.
 //!
-//! Each scenario builds a fresh simulation under a given
-//! [`TieBreak`] policy, drives the protocol with *actors* — closures
+//! Each scenario builds a fresh simulation under a given choice vector
+//! ([`Sim::with_schedule`]), drives the protocol with *actors* — closures
 //! rescheduled at a fixed tick period, so every tick all actors land on
-//! the same virtual nanosecond and the tie-break policy decides their
-//! order — and checks the protocol invariants both during the run and at
-//! quiescence. The op sequence itself is drawn from fixed-seed
-//! [`DetRng`]s, so across policies only the *interleaving* varies, never
-//! the workload.
+//! the same virtual nanosecond and the vector decides their order — and
+//! checks the protocol invariants both during the run and at quiescence.
+//! The op sequence itself is drawn from fixed-seed [`DetRng`]s, so across
+//! schedules only the *interleaving* varies, never the workload.
 //!
 //! Most scenarios use the default single-port NIC configuration on
 //! purpose: with one port per direction, two WRITEs on the same queue
@@ -16,7 +15,7 @@
 //! ordering — every explored schedule is one real hardware could produce.
 //! The **multi-port family** ([`ChannelScenario::multi_port`]) flips that
 //! deliberately: with two rails per node, messages striped across ports
-//! genuinely tie at the receiver, and the tie-break policy decides which
+//! genuinely tie at the receiver, and the schedule decides which
 //! delivery lands first — the multi-rail races a bonded NIC would expose.
 //!
 //! The **coherence scenario** ([`CoherenceScenario`]) is the fault-free SSB
@@ -35,7 +34,8 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use slash_core::Plant;
-use slash_desim::{ChoicePoint, DetRng, EventLabel, Sim, SimTime, TieBreak};
+use slash_desim::rng::mix64;
+use slash_desim::{DetRng, EventLabel, Sim, SimTime};
 use slash_net::{create_channel, ChannelConfig, ChannelReceiver, ChannelSender, MsgFlags};
 use slash_obs::Obs;
 use slash_rdma::{Fabric, FabricConfig, NicConfig};
@@ -43,6 +43,7 @@ use slash_state::backend::{build_cluster_obs, SsbConfig, SsbNode};
 use slash_state::hash::{pack_key, partition_of};
 use slash_state::CounterCrdt;
 
+use crate::explorer::ScheduleRun;
 use crate::race::{Invariant, Outcome};
 
 /// An injected protocol bug for mutation testing.
@@ -108,13 +109,11 @@ const MAX_TICKS: u64 = 600;
 /// Fold one value into a running SplitMix64 digest. Used by the scenario
 /// state-digest hooks the exhaustive explorer deduplicates prefixes with.
 pub(crate) fn fold_digest(h: u64, v: u64) -> u64 {
-    let mut z = h
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(v)
-        .wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    mix64(
+        h.wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add(v)
+            .wrapping_add(0x9E3779B97F4A7C15),
+    )
 }
 
 /// Configuration of the channel scenario: one producer node fanning out to
@@ -151,8 +150,8 @@ impl ChannelScenario {
     /// The multi-port fabric family: two full-duplex ports per node, so
     /// the producer's channels stripe across rails and deliveries to the
     /// two consumers can land on the same nanosecond — ties the
-    /// single-port configuration can never produce. The tie-break policy
-    /// then decides which delivery is processed first; FIFO-per-channel,
+    /// single-port configuration can never produce. The schedule then
+    /// decides which delivery is processed first; FIFO-per-channel,
     /// credit conservation and no-overwrite must hold under every
     /// resolution.
     pub fn multi_port() -> Self {
@@ -438,24 +437,19 @@ fn schedule_chan_actor(
 
 /// A replayable protocol scenario. The one required method builds the
 /// world on a given simulator, runs it to quiescence and checks the
-/// invariants; sweeping tie-break policies, replaying an explicit choice
-/// schedule and exhaustive enumeration all follow from it.
+/// invariants; the random sweep, replaying a choice schedule and
+/// exhaustive enumeration all follow from it.
 pub trait Scenario {
     /// Build the world on `sim`, run it to quiescence, check invariants.
     fn run_sim(&self, sim: Sim) -> (Outcome, Sim);
 
-    /// Run the scenario under one tie-break policy.
-    fn run(&self, policy: TieBreak) -> Outcome {
-        self.run_sim(Sim::with_tie_break(policy)).0
-    }
-
-    /// Run the scenario in explore mode under an explicit same-instant
-    /// choice schedule (see [`Sim::with_schedule`]), returning the outcome
-    /// plus the recorded branch-point trace the explorer branches on.
-    fn run_schedule(&self, choices: &[u32]) -> (Outcome, Vec<ChoicePoint>) {
-        let (out, mut sim) = self.run_sim(Sim::with_schedule(choices));
+    /// Run the scenario under a same-instant choice schedule (see
+    /// [`Sim::with_schedule`]; the empty one is FIFO), returning the
+    /// outcome plus the recorded branch-point trace.
+    fn run_schedule(&self, choices: &[u32]) -> ScheduleRun {
+        let (outcome, mut sim) = self.run_sim(Sim::with_schedule(choices));
         let trace = sim.take_choice_trace();
-        (out, trace)
+        ScheduleRun { outcome, trace }
     }
 
     /// Exhaustively enumerate this scenario's same-instant schedules (see
@@ -466,10 +460,7 @@ pub trait Scenario {
         budget: crate::explorer::Budget,
         minimize: bool,
     ) -> crate::explorer::ExhaustiveReport {
-        crate::explorer::explore_exhaustive(name, budget, minimize, |c| {
-            let (outcome, trace) = self.run_schedule(c);
-            crate::explorer::ScheduleRun { outcome, trace }
-        })
+        crate::explorer::explore_exhaustive(name, budget, minimize, |c| self.run_schedule(c))
     }
 }
 
@@ -529,8 +520,8 @@ impl Scenario for ChannelScenario {
         // borrow of the world can be live.
         let digest_world = Rc::clone(&world);
         sim.set_state_digest(move || digest_world.borrow().digest());
-        // All actors land on the same nanosecond every tick; the tie-break
-        // policy (or the explored schedule) decides who runs first.
+        // All actors land on the same nanosecond every tick; the schedule
+        // decides who runs first.
         let t0 = SimTime::from_nanos(TICK_NS);
         schedule_chan_actor(&mut sim, Rc::clone(&world), ChanActor::Producer, t0, 0);
         for ch in 0..nchan {
@@ -806,7 +797,7 @@ impl Scenario for CoherenceScenario {
             ssb,
             oracle: HashMap::new(),
             // Fixed per-node op seeds: the workload is identical across
-            // policies; only the interleaving varies.
+            // schedules; only the interleaving varies.
             rngs: (0..n)
                 .map(|i| DetRng::new(0xFA11 ^ (i as u64) << 8))
                 .collect(),
@@ -861,18 +852,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn different_policies_yield_different_fingerprints() {
-        let a = ChannelScenario::default().run(TieBreak::Fifo).fingerprint;
-        let b = ChannelScenario::default().run(TieBreak::Lifo).fingerprint;
-        let c = ChannelScenario::default()
-            .run(TieBreak::Seeded(3))
-            .fingerprint;
+    fn different_schedules_yield_different_fingerprints() {
+        let fp = |c: &[u32]| {
+            ChannelScenario::default()
+                .run_schedule(c)
+                .outcome
+                .fingerprint
+        };
+        let seeded: Vec<Vec<u32>> = crate::race::schedules(3).collect();
+        let (fifo, a, b) = (fp(&seeded[0]), fp(&seeded[1]), fp(&seeded[2]));
+        assert_ne!(fifo, a);
         assert_ne!(a, b);
-        assert_ne!(a, c);
         // And reruns are bit-identical.
-        assert_eq!(
-            a,
-            ChannelScenario::default().run(TieBreak::Fifo).fingerprint
-        );
+        assert_eq!(a, fp(&seeded[1]));
     }
 }

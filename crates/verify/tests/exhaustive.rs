@@ -89,7 +89,7 @@ fn exhaustive_catches_channel_mutants_and_minimizes() {
                 ce.first_schedule.len()
             );
             // The minimized schedule must actually reproduce the violation.
-            let (out, _) = s.run_schedule(&ce.minimized);
+            let out = s.run_schedule(&ce.minimized).outcome;
             assert!(
                 out.violations.iter().any(|(i, _)| *i == ce.invariant),
                 "{m:?}: minimized schedule {:?} does not reproduce {}",
@@ -106,14 +106,14 @@ fn exhaustive_catches_channel_mutants_and_minimizes() {
 
 #[test]
 fn exhaustive_finds_everything_the_random_sweep_finds() {
-    // Every mutant the random 8-policy sweep exposes on the small config
+    // Every mutant the random 8-schedule sweep exposes on the small config
     // must also fall to the exhaustive explorer.
     for m in [Mutation::SkipCreditReturn, Mutation::ReorderDelivered] {
         let s = ChannelScenario {
             mutation: Some(m),
             ..ChannelScenario::small()
         };
-        let sweep = slash_verify::race::explore("sweep", 8, |p| s.run(p));
+        let sweep = slash_verify::race::explore("sweep", 8, |_, c| s.run_schedule(c));
         let ex = s.exhaustive("exhaustive", Budget::default(), false);
         let sweep_invs: std::collections::BTreeSet<&str> = sweep
             .violations

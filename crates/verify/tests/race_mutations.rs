@@ -3,9 +3,9 @@
 //! passes clean runs but cannot see planted bugs proves nothing — these
 //! tests are the checker's own test suite.
 
-use slash_desim::TieBreak;
+use slash_desim::SimTime;
 use slash_verify::catalogue::case;
-use slash_verify::race::{explore, Exploration, Invariant};
+use slash_verify::race::{explore, schedules, Exploration, Invariant};
 use slash_verify::scenarios::{ChannelScenario, CoherenceScenario, Mutation, Scenario};
 
 /// A small sweep of catalogue row `name` on the shipped driver with `m`
@@ -16,7 +16,7 @@ fn driver_sweep(name: &str, m: Mutation) -> Exploration {
 }
 
 /// Each protocol mutation trips exactly the invariant that guards against
-/// it, under the plain FIFO schedule.
+/// it, under the plain FIFO (empty) schedule.
 #[test]
 fn each_protocol_mutation_breaks_its_invariant() {
     for (m, expected) in [
@@ -28,16 +28,22 @@ fn each_protocol_mutation_breaks_its_invariant() {
     ] {
         let mutation = Some(m);
         let out = match m {
-            Mutation::RegressVclock | Mutation::DropUpdate => CoherenceScenario {
-                mutation,
-                ..CoherenceScenario::default()
+            Mutation::RegressVclock | Mutation::DropUpdate => {
+                CoherenceScenario {
+                    mutation,
+                    ..CoherenceScenario::default()
+                }
+                .run_schedule(&[])
+                .outcome
             }
-            .run(TieBreak::Fifo),
-            _ => ChannelScenario {
-                mutation,
-                ..ChannelScenario::default()
+            _ => {
+                ChannelScenario {
+                    mutation,
+                    ..ChannelScenario::default()
+                }
+                .run_schedule(&[])
+                .outcome
             }
-            .run(TieBreak::Fifo),
         };
         assert!(
             out.violations.iter().any(|(i, _)| *i == expected),
@@ -94,15 +100,16 @@ fn mutations_are_caught_under_every_explored_schedule() {
             Mutation::IgnoreCreditWindow,
         ),
     ] {
-        for policy in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(3)] {
+        for (i, choices) in schedules(3).enumerate() {
             let out = ChannelScenario {
                 mutation: Some(run),
                 ..ChannelScenario::default()
             }
-            .run(policy);
+            .run_schedule(&choices)
+            .outcome;
             assert!(
                 out.violations.iter().any(|(i, _)| *i == expected),
-                "{name} not caught under {policy:?}"
+                "{name} not caught under sweep schedule {i}"
             );
         }
     }
@@ -116,7 +123,8 @@ fn violations_come_with_flight_recorder_dumps() {
         mutation: Some(Mutation::IgnoreCreditWindow),
         ..ChannelScenario::default()
     }
-    .run(TieBreak::Fifo);
+    .run_schedule(&[])
+    .outcome;
     assert!(!out.violations.is_empty());
     assert_eq!(
         out.dumps.len(),
@@ -134,7 +142,8 @@ fn violations_come_with_flight_recorder_dumps() {
         mutation: Some(Mutation::RegressVclock),
         ..CoherenceScenario::default()
     }
-    .run(TieBreak::Fifo);
+    .run_schedule(&[])
+    .outcome;
     assert!(!out.violations.is_empty());
     assert!(!out.dumps.is_empty());
     assert!(
@@ -143,7 +152,7 @@ fn violations_come_with_flight_recorder_dumps() {
     );
 
     // Clean runs dump nothing.
-    let clean = ChannelScenario::default().run(TieBreak::Fifo);
+    let clean = ChannelScenario::default().run_schedule(&[]).outcome;
     assert!(clean.violations.is_empty() && clean.dumps.is_empty());
 }
 
@@ -155,7 +164,7 @@ fn clean_scenarios_have_no_violations_under_a_small_sweep() {
         ("coherence", Box::new(CoherenceScenario::default())),
     ];
     for (name, s) in &scenarios {
-        let e = explore(name, 8, |p| s.run(p));
+        let e = explore(name, 8, |_, c| s.run_schedule(c));
         assert!(e.clean(), "{name} violations: {:?}", e.violations);
         assert!(
             e.distinct_schedules >= 4,
@@ -167,12 +176,16 @@ fn clean_scenarios_have_no_violations_under_a_small_sweep() {
 
 #[test]
 fn acceptance_sweep_explores_at_least_100_distinct_schedules() {
-    // The acceptance gate, run in-tree: 128 policies must yield at least
+    // The acceptance gate, run in-tree: 128 schedules must yield at least
     // 100 distinct schedules per protocol scenario, and 128 runs of a
     // driver case at least 100 distinct (instant, schedule) pairs, with
     // all invariants green.
-    let chan = explore("channel", 128, |p| ChannelScenario::default().run(p));
-    let coh = explore("coherence", 128, |p| CoherenceScenario::default().run(p));
+    let chan = explore("channel", 128, |_, c| {
+        ChannelScenario::default().run_schedule(c)
+    });
+    let coh = explore("coherence", 128, |_, c| {
+        CoherenceScenario::default().run_schedule(c)
+    });
     let crash = case("recovery-small").expect("catalogue row");
     let crash = crash.sweep(&crash.probe(), 128, None).0;
     for e in [chan, coh, crash] {
@@ -182,6 +195,56 @@ fn acceptance_sweep_explores_at_least_100_distinct_schedules() {
             "{}: only {} distinct",
             e.scenario,
             e.distinct_schedules
+        );
+    }
+}
+
+/// A sweep violation names the choices its run made; replaying them
+/// reproduces the same invariant — for a protocol plant through
+/// `run_schedule`, for a driver plant through `Case::replay` at the fault
+/// instant the violation reports.
+#[test]
+fn sweep_violations_replay_from_their_recorded_schedule() {
+    let chan = ChannelScenario {
+        mutation: Some(Mutation::IgnoreCreditWindow),
+        ..ChannelScenario::default()
+    };
+    let e = explore("ignore-credit-window", 8, |_, c| chan.run_schedule(c));
+    assert!(e.violations.iter().any(|v| v.schedule.contains(&1)));
+    for v in &e.violations {
+        let replay = chan.run_schedule(&v.schedule);
+        assert!(
+            replay
+                .outcome
+                .violations
+                .iter()
+                .any(|(i, _)| *i == v.invariant),
+            "schedule {:?} does not reproduce {}",
+            v.schedule,
+            v.invariant.name()
+        );
+        let chosen: Vec<u32> = replay.trace.iter().map(|c| c.chosen).collect();
+        assert_eq!(chosen, v.schedule, "the replay makes the same choices");
+    }
+
+    let c = case("node-crash").expect("catalogue row");
+    let probe = c.probe();
+    let m = Mutation::SkipReplay;
+    let e = c.sweep(&probe, 8, m.plant()).0;
+    assert!(!e.violations.is_empty(), "skip-replay must be caught");
+    for v in &e.violations {
+        let ns = v
+            .detail
+            .strip_prefix("at ")
+            .and_then(|d| d.split_once(" ns"))
+            .and_then(|(ns, _)| ns.parse().ok())
+            .expect("a driver violation names its fault instant");
+        let replay = c.replay(&probe, SimTime::from_nanos(ns), &v.schedule, m.plant());
+        assert!(
+            replay.violations.iter().any(|(i, _)| *i == v.invariant),
+            "{} at {ns} ns under {:?} does not reproduce",
+            v.invariant.name(),
+            v.schedule
         );
     }
 }

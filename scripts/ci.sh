@@ -39,10 +39,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 
 echo "==> [5/11] slash-race (protocol families + the fault matrix on the shipped driver)"
 # One stage, one binary. (a) Random sweep: the channel, multi-port and
-# epoch-coherence families under 128 tie-break policies, and every row of
+# epoch-coherence families under 128 seeded choice vectors, and every row of
 # the fault matrix (slash_verify::catalogue: crashes, flaps, handoffs, hot
 # splits, a join, compound faults) for 128 runs each — instant strided over
-# the case's own fault-free event instants, one policy per run; >= 100
+# the case's own fault-free event instants, one vector per run; >= 100
 # distinct schedules / (instant, schedule) pairs per row, every run exact
 # against the sequential oracle, every required repair seen.
 cargo run --release -p slash-verify --bin slash-race -- --seeds 128
@@ -55,13 +55,13 @@ cargo run --release -p slash-verify --bin slash-race -- --seeds 128
 cargo run --release -p slash-verify --bin slash-race -- \
     --exhaustive --minimize --out results/race_coverage.json
 echo "race coverage report: results/race_coverage.json"
-# (c) Planted bugs. Under the random sweep each must be caught and
-# flight-recorded, registry snapshot (counters, gauges, histograms at
-# failure time) included; under the explorer each must fall with a
-# minimized reproducing schedule — the two planted inside the shipped
-# recovery and handoff machines at their earliest exposing instant.
+# (c) Planted bugs: under the random sweep each is caught with the choice
+# vector that replays it and a flight dump with a registry snapshot; under
+# the explorer each falls with a minimized reproducing schedule, the two in
+# the shipped recovery and handoff machines at their earliest instant.
 for m in ignore-credit-window regress-vclock skip-replay skip-cutover-close; do
     flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation "$m")"
+    grep -q "replay schedule: \[" <<<"$flight_out"
     grep -q "registry snapshot" <<<"$flight_out"
 done
 for m in skip-credit-return reorder-delivered skip-replay skip-cutover-close; do

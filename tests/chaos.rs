@@ -6,7 +6,7 @@
 //!
 //! Each test probes its case's swept-free run, then runs the swept fault at
 //! eight instants strided over that run's own event instants, each under a
-//! different tie-break policy. Every run must equal the sequential fold of
+//! different seeded choice vector. Every run must equal the sequential fold of
 //! its input and produce every required repair; the phase-window rows must
 //! additionally see a restart (or abort) in every phase of the machine
 //! they interrupt.

@@ -28,8 +28,7 @@ use slash::baselines::partitioned::run_partitioned;
 use slash::baselines::uppar::uppar_config;
 use slash::core::source::RateCurve;
 use slash::core::{
-    HeatPolicy, MigrationCmd, Outcome, QueryPlan, RecoveryAction, RunReport, SinkResult,
-    SplitRunConfig,
+    HeatPolicy, MigrationCmd, Outcome, RecoveryAction, RunReport, SinkResult, SplitRunConfig,
 };
 use slash::desim::{Sim, SimTime};
 use slash::obs::Obs;
@@ -132,13 +131,6 @@ impl Cell {
     }
 }
 
-/// Whether `plan`'s state may be regrouped — folded by the write
-/// combiner, or split into sub-keys — the engine's one gate for both.
-fn regroupable(plan: &QueryPlan) -> bool {
-    let desc = plan.descriptor();
-    desc.combinable && !desc.is_appended()
-}
-
 /// Every excluded combination and why — the one place they are listed.
 pub fn supported(c: &Cell) -> Result<(), &'static str> {
     let plan = (c.row.workload)(&GenConfig::new(1, 1)).plan;
@@ -148,7 +140,7 @@ pub fn supported(c: &Cell) -> Result<(), &'static str> {
     } else if baseline && (c.combine || c.paced) {
         Err("the baselines have no write combiner and no paced source")
     } else if c.split != Split::None
-        && !(regroupable(&plan) && plan.window().slices_per_window() == 1)
+        && !(plan.descriptor().regroupable() && plan.window().slices_per_window() == 1)
     {
         Err("split needs a combinable tumbling aggregation")
     } else if c.split == Split::Forward && (c.row.workers_per_node != 1 || c.crash || c.migrate) {
@@ -416,7 +408,7 @@ fn judge(
         run.state_digests == state,
         "final state differs from the reference cell's".into(),
     );
-    if !cell.combine || !regroupable(&input.plan) {
+    if !cell.combine || !input.plan.descriptor().regroupable() {
         expect(
             m.combiner_folds == 0,
             format!("{} combiner folds", m.combiner_folds),
