@@ -77,10 +77,10 @@ fn describe(rec: &RecoveryReport) -> String {
     let mut restarts = 0u32;
     let mut channels = 0usize;
     for e in &rec.events {
-        match e.action {
-            RecoveryAction::Promoted { restarts: r, .. } => {
+        match &e.action {
+            RecoveryAction::Promoted(t) => {
                 promoted += 1;
-                restarts += r;
+                restarts += t.restarts;
             }
             RecoveryAction::ChannelsReset { channels: c } => channels += c,
         }

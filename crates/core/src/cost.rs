@@ -147,7 +147,8 @@ pub struct CostModel {
     /// Reconciled against its probe: `state.combiner_fold_ns` reads
     /// 4–6 ns (1.0–1.5x). The probe folds `i % 100`, an order the branch
     /// predictor learns; in a workload's own key order a fold measures
-    /// 9–10 ns, so the model is the cheap side here (ROADMAP item 4a).
+    /// 9–10 ns, so the model is the cheap side here (ROADMAP: "Make the
+    /// reconciliation table a ledger check").
     pub combine_hit_ns: f64,
     /// Merging one delta entry on a leader. Testbed (anchored, like the
     /// RMW, to Table 1's 53 cycles/record): `state.epoch_merge_entry_ns`

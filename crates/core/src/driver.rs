@@ -22,6 +22,7 @@
 //!   ports that die by any other route.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use slash_desim::{Link, Sim, SimTime};
@@ -37,6 +38,7 @@ use crate::elastic::{ElasticConfig, RescaleDirector, RescaleReport, ScaleDirecto
 use crate::query::QueryPlan;
 use crate::recovery::{FtDirector, RecoveryReport};
 use crate::split::{HotSplitDirector, SplitReport, SplitRunConfig};
+use crate::transfer::Transfer;
 use crate::worker::NodeShared;
 
 /// The live placement. Behind one shared cell because fault closures
@@ -84,10 +86,10 @@ pub(crate) struct Cluster {
     pub(crate) partitions: Vec<Rc<Vec<u8>>>,
     pub(crate) cfg: RunConfig,
     pub(crate) obs: Obs,
-    /// Repair exclusivity: partition `p` is owned by an in-flight
-    /// promotion or handoff machine (at most one at a time); the stall
-    /// detector and the migration planner leave owned partitions alone.
-    pub(crate) owned: Vec<bool>,
+    /// Ownership transfers in flight, by partition (at most one each):
+    /// the stall detector and the migration planner leave a partition
+    /// with one alone.
+    pub(crate) transfers: BTreeMap<usize, Transfer>,
     /// When partition `p` last showed progress or was (re)installed — the
     /// stall detector's timer base.
     pub(crate) progress_at: Vec<SimTime>,
@@ -98,18 +100,18 @@ pub(crate) struct Cluster {
     pub(crate) plant: Option<Plant>,
 }
 
-/// A protocol bug the verifier can plant inside the shipped recovery and
-/// handoff machines, to prove its checks fire on them.
+/// A protocol bug the verifier can plant inside the shipped transfer
+/// machine, to prove its checks fire on it.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plant {
-    /// `commit_promotion` rejoins from a checkpoint that claims to hold
+    /// The transfer commit rejoins from a checkpoint that claims to hold
     /// one more epoch of each survivor than it does, so every replay
-    /// starts one retained epoch late (`core/recovery.rs`).
+    /// starts one retained epoch late (`core/transfer.rs`).
     SkipReplay,
     /// The handoff cutover captures its checkpoint without closing the
     /// cutover epoch, so the "boundary" lies mid-epoch and the open
-    /// fragment is lost (`core/elastic.rs`).
+    /// fragment is lost (`core/transfer.rs`).
     SkipCutoverClose,
 }
 
@@ -161,7 +163,7 @@ impl Cluster {
             partitions,
             cfg,
             obs,
-            owned: vec![false; n],
+            transfers: BTreeMap::new(),
             progress_at: vec![SimTime::ZERO; n],
             host_mem: None,
             plant: None,
@@ -242,12 +244,14 @@ impl Cluster {
                 "query did not complete within the virtual-time budget \
                  (possible protocol livelock)"
             );
-            // An empty event queue is not a deadlock while a director has
-            // work outstanding driver-side: `run_until` still advances
-            // virtual time, which is all an in-flight promotion or handoff
-            // (or a dead partition awaiting detection) needs.
+            // An empty event queue is not a deadlock while work is
+            // outstanding driver-side: `run_until` still advances virtual
+            // time, which is all a transfer in flight (or a dead partition
+            // awaiting detection) needs.
             assert!(
-                self.sim.pending_events() > 0 || directors.iter().any(|d| d.outstanding(self)),
+                self.sim.pending_events() > 0
+                    || !self.transfers.is_empty()
+                    || directors.iter().any(|d| d.outstanding(self)),
                 "simulation quiesced before the query completed (deadlock)"
             );
             let horizon = self.sim.now() + slice;
@@ -377,7 +381,7 @@ impl<'a> ClusterBuilder<'a> {
         self
     }
 
-    /// Plant a protocol bug in the recovery or handoff machine (mutation
+    /// Plant a protocol bug in the transfer machine (mutation
     /// testing of the verifier; never set outside it).
     #[doc(hidden)]
     pub fn fault_plant(mut self, plant: Plant) -> Self {

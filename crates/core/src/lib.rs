@@ -45,6 +45,7 @@ pub mod source;
 pub mod split;
 #[cfg(test)]
 mod testutil;
+pub mod transfer;
 pub mod window;
 pub mod worker;
 
@@ -57,8 +58,8 @@ pub use cost::{CacheModel, CostModel, TESTBED_CLOCK_GHZ};
 pub use driver::Plant;
 pub use driver::{ClusterBuilder, Outcome};
 pub use elastic::{
-    ClusterTelemetry, ControllerConfig, Decision, ElasticConfig, MigrationCmd, MigrationEvent,
-    RescaleReport, ScaleController, ScaleDirector, ScriptedDirector, StaticDirector,
+    ClusterTelemetry, ControllerConfig, Decision, ElasticConfig, MigrationCmd, RescaleReport,
+    ScaleController, ScaleDirector, ScriptedDirector, StaticDirector,
 };
 pub use hotpath::{BatchOutcome, HotPath};
 pub use metrics::{CostCategory, EngineMetrics};
@@ -71,5 +72,6 @@ pub use split::{
     ForwardFabric, HeatPolicy, HeatSplitDirector, SplitDirector, SplitReport, SplitRunConfig,
     SplitTelemetry, StaticSplitDirector,
 };
+pub use transfer::TransferRow;
 pub use window::{WindowAssigner, WindowMemo};
 pub use worker::{NodeShared, SlashWorker};

@@ -35,22 +35,11 @@
 //!   re-shipping; losing *every* real copy falls back to the epoch-0 seed
 //!   copy (reprocess from scratch), which is durable by fiat.
 //! * **Promotion.** A crashed node's partition is resurrected on a buddy
-//!   host from the newest valid durable copy. Promotion is a *re-entrant
-//!   state machine*, not an instantaneous act: a `Restore` phase (copy
-//!   chunks stream to the host, integrity-checked against the checkpoint
-//!   digest) and a `Reconnect` phase (replacement channels handshake to
-//!   ready) run over virtual time and mutate nothing but the promotion
-//!   record, so a further fault killing the chosen host or the copy holder
-//!   mid-flight simply restarts the machine against re-selected ones. All
-//!   cluster-visible effects — snapshot restore, vector-clock restore,
-//!   fragment fast-forward, channel replacement with commit-horizon
-//!   handshakes, retained-epoch replay, respawn of *every* worker at its
-//!   checkpointed source position — commit atomically at one virtual
-//!   instant. A fault after commit is a fresh failure handled by a new
-//!   detect → promote cycle. Concurrent promotions (distinct victims) run
-//!   independently; a committing node installs retaining endpoints even
-//!   toward still-dead peers so their own later promotions find a complete
-//!   replay history.
+//!   host from the newest valid durable copy by the one ownership-transfer
+//!   machine ([`crate::transfer`]), entered at `Restore`: re-entrant, and
+//!   committed atomically at one virtual instant. A fault after commit is
+//!   a fresh failure handled by a new detect → promote cycle; concurrent
+//!   promotions (distinct victims) run independently.
 //!
 //! Exactness is validated against the sequential fold of the input on
 //! one fault matrix (`slash-verify`'s catalogue: `tests/chaos.rs`,
@@ -63,16 +52,14 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use slash_desim::SimTime;
-use slash_net::RECONNECT_HANDSHAKE_MSGS;
 use slash_obs::{Cat, Obs};
 use slash_rdma::{Fabric, NodeId};
-use slash_state::backend::SsbNode;
-use slash_state::{chunks_digest, rejoin, relink, Rejoin, SsbCheckpoint};
+use slash_state::{relink, SsbCheckpoint};
 
 use crate::chaos::{ChaosConfig, FaultKind, Injector};
-use crate::cluster::{boot_node, spawn_node_workers};
-use crate::driver::{Cluster, Director, Outcome, Plant};
+use crate::driver::{Cluster, Director, Outcome};
 use crate::sink::{results_digest, Sink, SinkResult};
+use crate::transfer::{self, TransferRow};
 use crate::worker::NodeShared;
 
 /// Everything a node needs to be resurrected at an epoch boundary.
@@ -80,15 +67,15 @@ use crate::worker::NodeShared;
 pub(crate) struct Checkpoint {
     /// The state backend's half: snapshot, vector clock, commit horizons
     /// and retained epochs, all from the same boundary.
-    ssb: SsbCheckpoint,
+    pub(crate) ssb: SsbCheckpoint,
     /// Per-worker source byte positions at the boundary.
-    worker_pos: Vec<usize>,
+    pub(crate) worker_pos: Vec<usize>,
     /// Per-worker watermarks.
-    worker_wm: Vec<u64>,
+    pub(crate) worker_wm: Vec<u64>,
     /// Source records processed so far.
-    records: u64,
+    pub(crate) records: u64,
     /// Sink contents (already-emitted results survive the crash).
-    sink: Sink,
+    pub(crate) sink: Sink,
 }
 
 impl Checkpoint {
@@ -109,8 +96,8 @@ impl Checkpoint {
 /// becomes invalid.
 #[derive(Clone)]
 pub(crate) struct DurableCopy {
-    holder_port: Option<NodeId>,
-    ckpt: Rc<Checkpoint>,
+    pub(crate) holder_port: Option<NodeId>,
+    pub(crate) ckpt: Rc<Checkpoint>,
 }
 
 impl DurableCopy {
@@ -148,16 +135,26 @@ impl CkptSlot {
         self.copies.retain(|c| c.valid(fabric));
     }
 
-    /// Newest usable copy — the restore candidate (call [`Self::gc`]
-    /// first).
-    fn newest_copy(&self) -> Option<&DurableCopy> {
-        self.copies.first()
+    /// The newest copy whose holder still answers: what a crash
+    /// promotion restores.
+    pub(crate) fn restore_candidate(&mut self, fabric: &Fabric) -> Option<DurableCopy> {
+        self.gc(fabric);
+        self.copies.first().cloned()
+    }
+
+    /// A transfer committed `ckpt`: whatever was newer died with the old
+    /// leader, so it becomes the newest boundary, a transfer in flight
+    /// from the old leader is void and copies whose holders died go.
+    pub(crate) fn restart_from(&mut self, ckpt: Rc<Checkpoint>, fabric: &Fabric) {
+        self.gc(fabric);
+        self.latest = Some(ckpt);
+        self.in_flight = None;
     }
 
     /// Epoch horizon peers may treat as durable: the newest copy's
     /// boundary.
-    fn durable_horizon(&self) -> u64 {
-        self.newest_copy().map_or(0, |c| c.ckpt.epochs_closed())
+    pub(crate) fn durable_horizon(&self) -> u64 {
+        self.copies.first().map_or(0, |c| c.ckpt.epochs_closed())
     }
 
     /// Highest epoch helper `l` may prune its retained deltas below: the
@@ -236,19 +233,6 @@ impl CkptSlot {
 
 pub(crate) type CkptStore = Vec<CkptSlot>;
 
-/// Pick the host that resurrects dead logical node `d`: the first peer in
-/// ring order whose port is alive. `d` itself is never a candidate (a
-/// node cannot host its own recovery), and `None` means every peer is
-/// dead — the unrecoverable all-buddies-dead error path, surfaced to the
-/// driver rather than panicking.
-pub(crate) fn select_promotion_host(
-    d: usize,
-    n: usize,
-    alive: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    (1..n).map(|k| (d + k) % n).find(|&j| alive(j))
-}
-
 /// Pick the buddy to ship node `i`'s next checkpoint copy to: the first
 /// alive ring peer *not* already holding a current copy (placement
 /// diversity), falling back to any alive peer when all of them hold one.
@@ -262,34 +246,6 @@ pub(crate) fn select_ship_buddy(
     ring()
         .find(|&j| alive(j) && !holds_copy(j))
         .or_else(|| ring().find(|&j| alive(j)))
-}
-
-/// Pre-commit phases of an in-flight promotion. Both phases mutate
-/// nothing but the [`Promotion`] record, so a fault arriving mid-phase
-/// restarts the machine against a re-selected host and copy; cluster
-/// state changes only at the atomic commit that follows `Reconnect`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PromoPhase {
-    /// Checkpoint chunks stream from the copy holder to the new host.
-    /// (Discriminants are the `phase` argument of `promotion-restart`
-    /// trace events.)
-    Restore,
-    /// Replacement channels to every survivor handshake to ready-to-send.
-    Reconnect,
-}
-
-/// A promotion in flight: dead logical node `node` is being resurrected
-/// on `host`'s port from the durable copy on `copy_port`.
-pub(crate) struct Promotion {
-    pub(crate) node: usize,
-    pub(crate) detected_at: SimTime,
-    pub(crate) phase: PromoPhase,
-    pub(crate) phase_done_at: SimTime,
-    pub(crate) host: usize,
-    pub(crate) host_port: NodeId,
-    pub(crate) copy_port: Option<NodeId>,
-    pub(crate) ckpt: Rc<Checkpoint>,
-    pub(crate) restarts: u32,
 }
 
 /// Fault-tolerance hook handed to each node's shared state by the
@@ -325,15 +281,10 @@ pub(crate) fn on_epoch_closed(sh: &mut NodeShared) {
 /// What the driver did to bring a stalled node back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// The node was dead; its partition was promoted onto `host` from a
-    /// durable checkpoint copy.
-    Promoted {
-        /// Logical node now hosting the resurrected partition.
-        host: usize,
-        /// Times the promotion was interrupted by a further fault and
-        /// restarted against a re-selected host/copy before committing.
-        restarts: u32,
-    },
+    /// The node was dead; its partition was promoted onto a live host
+    /// from a durable checkpoint copy. The row names the host and the
+    /// times a further fault restarted the promotion.
+    Promoted(TransferRow),
     /// The node survived a link outage; `channels` errored channel
     /// endpoints were reset and their uncommitted epochs replayed.
     ChannelsReset {
@@ -401,7 +352,6 @@ pub(crate) struct FtDirector<'a> {
     store: Rc<RefCell<CkptStore>>,
     /// Per node, the progress token last seen by the stall detector.
     last_token: Vec<u64>,
-    promos: BTreeMap<usize, Promotion>,
     rec: RecoveryReport,
 }
 
@@ -411,7 +361,6 @@ impl<'a> FtDirector<'a> {
             chaos,
             store: Rc::new(RefCell::new((0..n).map(|_| CkptSlot::default()).collect())),
             last_token: vec![0; n],
-            promos: BTreeMap::new(),
             rec: RecoveryReport::default(),
         }
     }
@@ -467,7 +416,7 @@ impl Director for FtDirector<'_> {
     }
 
     fn outstanding(&self, c: &Cluster) -> bool {
-        !self.promos.is_empty() || (0..c.cfg.nodes).any(|l| !c.port_alive(l))
+        (0..c.cfg.nodes).any(|l| !c.port_alive(l))
     }
 
     fn tick(&mut self, c: &mut Cluster, now: SimTime) {
@@ -492,7 +441,12 @@ impl Director for FtDirector<'_> {
             }
         }
         self.ckpt_tick(c, now);
-        self.promo_tick(c, now);
+        // Crash promotions advance before the stall detector runs.
+        transfer::advance(c, now, false, |c, row| {
+            let (d, detected_at) = (row.partition, row.began_at);
+            let action = RecoveryAction::Promoted(row);
+            self.push_event(&c.obs, d, detected_at, c.sim.now(), action);
+        });
         if c.cfg.nodes >= 2 {
             self.detect(c, now);
         }
@@ -657,86 +611,15 @@ impl FtDirector<'_> {
         }
     }
 
-    /// Advance every in-flight promotion one driver tick: restart machines
-    /// whose chosen host (or, during `Restore`, copy holder) died —
-    /// recovery re-entrancy — move `Restore` to `Reconnect` when the copy
-    /// has fully streamed, and atomically commit machines whose handshakes
-    /// completed.
-    fn promo_tick(&mut self, c: &mut Cluster, now: SimTime) {
-        let nodes: Vec<usize> = self.promos.keys().copied().collect();
-        for d in nodes {
-            let Some(p) = self.promos.get_mut(&d) else {
-                continue;
-            };
-            // Interruption check: the chosen host died, or the copy being
-            // streamed lost its holder mid-restore. Pre-commit phases
-            // touched nothing but this record, so restart it against a
-            // re-selected host and copy. (Once Restore completes the
-            // chunks live on the host; only the host's death matters
-            // during Reconnect.)
-            let host_dead = !c.fabric.node_alive(p.host_port);
-            let copy_dead = p.phase == PromoPhase::Restore
-                && p.copy_port.is_some_and(|port| !c.fabric.node_alive(port));
-            if host_dead || copy_dead {
-                let restarts = p.restarts + 1;
-                let phase = p.phase as u64;
-                if let Some(fresh) = promo_begin(c, &self.store, d, now, p.detected_at, restarts) {
-                    c.fault_event(
-                        RECOVERY_TID,
-                        "promotion-restart",
-                        d,
-                        &[
-                            ("restarts", restarts as u64),
-                            ("host", fresh.host as u64),
-                            ("phase", phase),
-                        ],
-                    );
-                    *p = fresh;
-                }
-                // No candidate right now: leave the stale record in place;
-                // its dead host keeps this arm retrying every tick.
-                continue;
-            }
-            if now < p.phase_done_at {
-                continue;
-            }
-            match p.phase {
-                PromoPhase::Restore => {
-                    // Integrity gate: the streamed copy must match the
-                    // digest recorded at capture before it may become
-                    // primary state.
-                    debug_assert_eq!(
-                        chunks_digest(&p.ckpt.ssb.snapshot),
-                        p.ckpt.ssb.digest,
-                        "durable copy failed its checksum"
-                    );
-                    p.phase = PromoPhase::Reconnect;
-                    p.phase_done_at = now + reconnect_time(&c.fabric);
-                }
-                PromoPhase::Reconnect => {
-                    let Some(p) = self.promos.remove(&d) else {
-                        continue;
-                    };
-                    commit_promotion(c, &p);
-                    let action = RecoveryAction::Promoted {
-                        host: p.host,
-                        restarts: p.restarts,
-                    };
-                    self.push_event(&c.obs, d, p.detected_at, c.sim.now(), action);
-                }
-            }
-        }
-    }
-
     /// Stall detection: per node, the most advanced view any peer holds
     /// of its progress. Crashes and outages freeze it; a token frozen
-    /// past `detect_timeout` is diagnosed. Partitions owned by a
-    /// promotion or handoff machine are that machine's responsibility.
+    /// past `detect_timeout` is diagnosed. A partition with a transfer in
+    /// flight is that transfer's responsibility.
     fn detect(&mut self, c: &mut Cluster, now: SimTime) {
         let n = c.cfg.nodes;
         for i in 0..n {
-            if c.owned[i] {
-                continue; // the owning machine answers for this partition
+            if c.transfers.contains_key(&i) {
+                continue; // the transfer answers for this partition
             }
             let token = {
                 let live = c.live.borrow();
@@ -757,21 +640,8 @@ impl FtDirector<'_> {
             c.progress_at[i] = now; // re-arm the timer either way
             let fab_i = c.ports[c.host(i)];
             if !c.fabric.node_alive(fab_i) {
-                // Dead port: start the promotion state machine. It
-                // advances (and may restart) on subsequent ticks and
-                // commits atomically once Reconnect completes. `None`
-                // means every peer is dead — retry after another timeout;
-                // the livelock guard bounds a hopeless wait.
-                if let Some(p) = promo_begin(c, &self.store, i, now, now, 0) {
-                    c.fault_event(
-                        RECOVERY_TID,
-                        "promotion-begin",
-                        i,
-                        &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed())],
-                    );
-                    c.owned[i] = true;
-                    self.promos.insert(i, p);
-                }
+                // Dead port: promote the partition from its newest copy.
+                transfer::begin_restore(c, i, now);
             } else if c.fabric.link_up(fab_i) {
                 // Alive with a live link: if the outage errored any
                 // channel endpoints, re-establish and replay; if the node
@@ -786,11 +656,6 @@ impl FtDirector<'_> {
             // else: link still down — wait for it to come back.
         }
     }
-}
-
-/// Handshake time for replacement channels to reach ready-to-send.
-pub(crate) fn reconnect_time(fabric: &Fabric) -> SimTime {
-    SimTime::from_nanos(RECONNECT_HANDSHAKE_MSGS * 2 * fabric.ack_latency().as_nanos())
 }
 
 /// Re-establish every errored channel touching node `i` (both
@@ -810,169 +675,6 @@ fn reset_errored_channels(c: &Cluster, i: usize) -> usize {
     fixed
 }
 
-/// Start (or restart) the promotion machine for dead logical node `d`:
-/// select the host port and the newest valid durable copy, then enter
-/// `Restore`. Returns `None` when every peer is dead (unrecoverable; the
-/// caller retries until the livelock guard bounds the wait). The seed
-/// copy guarantees a copy always exists, so only host selection can fail.
-fn promo_begin(
-    c: &Cluster,
-    store: &RefCell<CkptStore>,
-    d: usize,
-    now: SimTime,
-    detected_at: SimTime,
-    restarts: u32,
-) -> Option<Promotion> {
-    // Candidates are judged by their *own* port: committing sets
-    // `host[d] = h`, so partition `d` will live on `ports[h]` — a logical
-    // node whose port died (and was itself re-homed elsewhere) must never
-    // be picked, even though its partition is healthy.
-    let h = select_promotion_host(d, c.cfg.nodes, |j| c.fabric.node_alive(c.ports[j]))?;
-    let mut st = store.borrow_mut();
-    st[d].gc(&c.fabric);
-    let copy = st[d].newest_copy()?.clone();
-    let restore_time = match copy.holder_port {
-        // Stream the copy's chunks from its holder to the host.
-        Some(_) => c.transfer_time(copy.ckpt.payload_bytes()),
-        // Seed copy: the source is re-read locally, control latency only.
-        None => c.cfg.fabric.nic.latency,
-    };
-    Some(Promotion {
-        node: d,
-        detected_at,
-        phase: PromoPhase::Restore,
-        phase_done_at: now + restore_time,
-        host: h,
-        host_port: c.ports[h],
-        copy_port: copy.holder_port,
-        ckpt: copy.ckpt,
-        restarts,
-    })
-}
-
-/// Atomically commit a completed promotion (crash repair or planned
-/// handoff): install the restored SSB of logical node `d` on the new host
-/// port, re-establish every channel with commit-horizon handshakes, and
-/// respawn *all* of the node's workers at their checkpointed source
-/// positions. Everything before this point ran against the promotion
-/// record only; from the cluster's view the replacement node appears at
-/// one virtual instant.
-pub(crate) fn commit_promotion(c: &mut Cluster, p: &Promotion) {
-    let n = c.cfg.nodes;
-    let d = p.node;
-    let ckpt = &p.ckpt;
-    // The replacement inherits its predecessor's checkpoint hook.
-    let Some(ft) = c.node(d).borrow().ft.clone() else {
-        c.obs
-            .record_failure("promotion commit", "node has no checkpoint hook");
-        return;
-    };
-    {
-        let mut st = ft.store.borrow_mut();
-        // Whatever was newer than the restored boundary died with the
-        // node; in-flight transfers from it are void and stale copies
-        // whose holders died are gone.
-        st[d].gc(&c.fabric);
-        st[d].latest = Some(Rc::clone(ckpt));
-        st[d].in_flight = None;
-    }
-    let mut live = c.live.borrow_mut();
-    live.host[d] = p.host;
-
-    // The split ledger is deterministic replicated control state: every
-    // node holds an identical copy, so the replacement adopts any
-    // survivor's. (Exactness never depends on the copy — the leader-side
-    // fold merges whatever sub-key entries exist — but the replacement
-    // must keep *diverting* hot-key updates like its predecessor did.)
-    let ledger = live
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|&(s, _)| s != d)
-        .find_map(|(_, sh)| sh.borrow().ssb.split_ledger().cloned());
-    let mut ssb = SsbNode::restored(
-        d,
-        c.plan.descriptor(),
-        c.cfg.ssb_config(),
-        &ckpt.ssb,
-        ledger,
-    );
-
-    // Re-establish channels with every peer, handshaking commit horizons
-    // so replay is exact and nothing is merged twice. A peer whose port is
-    // dead (a concurrent crash, its own promotion pending) is rejoined
-    // one-sidedly; its commit replaces both directions with live channels.
-    {
-        let st = ft.store.borrow();
-        let mut tampered = (c.plant == Some(Plant::SkipReplay)).then(|| ckpt.ssb.clone());
-        for s in (0..n).filter(|&s| s != d) {
-            let peer_port = c.ports[live.host[s]];
-            let mut survivor = c
-                .fabric
-                .node_alive(peer_port)
-                .then(|| live.nodes[s].borrow_mut());
-            if let (Some(t), Some(sv)) = (tampered.as_mut(), survivor.as_ref()) {
-                t.receiver_next[s] = (t.receiver_next[s] + 1).min(sv.ssb.epochs_closed());
-            }
-            let at = Rejoin {
-                fabric: &c.fabric,
-                port: p.host_port,
-                peer: s,
-                peer_port,
-                durable: ckpt.epochs_closed(),
-                peer_durable: st[s].durable_horizon(),
-                obs: &c.obs,
-            };
-            let from = tampered.as_ref().unwrap_or(&ckpt.ssb);
-            rejoin(&mut ssb, survivor.as_mut().map(|sv| &mut sv.ssb), from, &at);
-        }
-    }
-
-    // Fresh shared state seeded from the checkpoint; the crashed slot's
-    // workers are already dead (crashed flag), replace it.
-    let mut shared = boot_node(ssb, d, &c.cfg, &c.obs);
-    shared.sink = ckpt.sink.clone();
-    shared.records = ckpt.records;
-    shared.worker_wm = ckpt.worker_wm.clone();
-    shared.worker_pos = ckpt.worker_pos.clone();
-    shared.ft = Some(ft);
-    let shared = Rc::new(RefCell::new(shared));
-    live.nodes[d] = Rc::clone(&shared);
-    drop(live);
-    c.rehome(d);
-    c.owned[d] = false;
-    // Fresh off a commit the restored node's token is still stale; re-arm
-    // its stall timer so it gets a full timeout to publish progress
-    // before being re-diagnosed.
-    c.progress_at[d] = c.sim.now();
-
-    // Respawn every worker of the node at its checkpointed source
-    // position: everything past it was lost with the open fragments and
-    // is reprocessed; everything before it is in the snapshot or in
-    // replayable epochs.
-    let w = c.cfg.workers_per_node;
-    let parts = &c.partitions[d * w..(d + 1) * w];
-    spawn_node_workers(
-        &mut c.sim,
-        d,
-        &shared,
-        parts,
-        &c.plan,
-        &c.cfg,
-        Some(&ckpt.worker_pos),
-    );
-    c.fault_event(
-        RECOVERY_TID,
-        "promoted",
-        d,
-        &[
-            ("host", p.host as u64),
-            ("epochs", ckpt.epochs_closed()),
-            ("restarts", p.restarts as u64),
-        ],
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,23 +688,6 @@ mod tests {
             .chaos(&chaos(faults))
             .run();
         (out.run, out.recovery)
-    }
-
-    #[test]
-    fn promotion_host_skips_dead_nodes_and_self() {
-        // Ring order from d+1; the crashed node is never its own host.
-        assert_eq!(select_promotion_host(1, 4, |j| j != 1), Some(2));
-        // The designated ring buddy is itself dead: re-select the next.
-        assert_eq!(select_promotion_host(1, 4, |j| j != 1 && j != 2), Some(3));
-        // Selection wraps around the ring.
-        assert_eq!(select_promotion_host(3, 4, |j| j == 0), Some(0));
-    }
-
-    #[test]
-    fn promotion_with_all_buddies_dead_is_unrecoverable() {
-        assert_eq!(select_promotion_host(1, 4, |_| false), None);
-        // A single-node cluster has no peer to promote onto.
-        assert_eq!(select_promotion_host(0, 1, |_| true), None);
     }
 
     #[test]
@@ -1031,7 +716,7 @@ mod tests {
         assert!(
             !rec.events
                 .iter()
-                .any(|e| matches!(e.action, RecoveryAction::Promoted { .. })),
+                .any(|e| matches!(e.action, RecoveryAction::Promoted(_))),
             "{:?}",
             rec.events
         );

@@ -588,7 +588,7 @@ impl Case {
                 .recovery
                 .events
                 .iter()
-                .find(|e| matches!(e.action, RecoveryAction::Promoted { .. }))
+                .find(|e| matches!(e.action, RecoveryAction::Promoted(_)))
                 .map_or((None, SimTime::ZERO), |e| {
                     (Some(e.detected_at), e.recovered_at)
                 }),
@@ -597,7 +597,7 @@ impl Case {
                 .migrations
                 .first()
                 .map_or((None, SimTime::ZERO), |m| {
-                    (Some(m.planned_at), m.committed_at)
+                    (Some(m.began_at), m.committed_at)
                 }),
         };
         let instants = sim
@@ -667,7 +667,7 @@ impl Case {
         let mut reset = false;
         for e in &out.recovery.events {
             match e.action {
-                RecoveryAction::Promoted { .. } => drop(promoted.insert(e.node)),
+                RecoveryAction::Promoted(_) => drop(promoted.insert(e.node)),
                 RecoveryAction::ChannelsReset { .. } => reset = true,
             }
         }

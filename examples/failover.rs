@@ -81,10 +81,10 @@ fn main() {
     let promotion = rec
         .events
         .iter()
-        .find(|e| matches!(e.action, RecoveryAction::Promoted { .. }))
+        .find(|e| matches!(e.action, RecoveryAction::Promoted(_)))
         .expect("the crash must be detected and repaired by promotion");
-    let host = match promotion.action {
-        RecoveryAction::Promoted { host, .. } => host,
+    let host = match &promotion.action {
+        RecoveryAction::Promoted(t) => t.to_host,
         RecoveryAction::ChannelsReset { .. } => unreachable!(),
     };
     println!(

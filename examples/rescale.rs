@@ -113,8 +113,8 @@ fn main() {
             m.partition,
             m.from_host,
             m.to_host,
-            m.planned_at.as_nanos() as f64 / 1e3,
-            m.halted_at.as_nanos() as f64 / 1e3,
+            m.began_at.as_nanos() as f64 / 1e3,
+            m.halted_at.unwrap_or(m.committed_at).as_nanos() as f64 / 1e3,
             m.committed_at.as_nanos() as f64 / 1e3,
             m.stall().as_nanos() as f64 / 1e3,
             if m.aborted { " ABORTED" } else { "" }

@@ -111,13 +111,13 @@ grep -q "flight-recorder dump" <<<"$plant_out"
 grep -q "registry snapshot" <<<"$plant_out"
 echo "latency: planted 10x ssb_apply regression caught with flight dump"
 
-echo "==> [10/11] elastic rescale gate (diurnal bench, golden trace)"
-# The diurnal 4->8->4 scale-out-and-back bench: zero lost records, results
-# and state digests bit-exact vs a static run of the same curve, zero
-# aborted migrations, full spread at peak, full pack-in at the end, and
-# worst cutover stall within the SLO.toml [rescale] budget. Writes
-# BENCH_rescale.json + results/rescale.csv.
-cargo run --release -p slash-bench --bin repro -- rescale
+echo "==> [10/11] recovery figure + elastic rescale gate (diurnal bench, golden trace)"
+# The catalogue's repair latencies (results/recovery_latency.csv), then the
+# diurnal 4->8->4 bench: zero lost records, results and state digests exact
+# vs a static run, zero aborts, full spread at peak and pack-in at the end,
+# worst cutover stall within SLO.toml [rescale] (BENCH_rescale.json +
+# results/rescale.csv). Stage 11's git diff covers all three files.
+for fig in recovery rescale; do cargo run --release -p slash-bench --bin repro -- "$fig"; done
 # The rescale example is a golden trace: same seed, same curve, same
 # migration timeline.
 golden_trace rescale

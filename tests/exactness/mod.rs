@@ -148,12 +148,14 @@ pub fn supported(c: &Cell) -> Result<(), &'static str> {
     } else if c.crash && c.paced {
         Err(
             "pacing x crash: a paced batch holds whatever the curve released, so epochs \
-             re-created from an older checkpoint copy differ (DESIGN §15.3, ROADMAP item 1)",
+             re-created from an older checkpoint copy differ (DESIGN §15.3; ROADMAP: \
+             Position-determined epochs)",
         )
     } else if c.crash && c.migrate && c.row.workers_per_node > 1 {
         Err(
             "crash of a packed multi-worker host: its copies die with it, and the epochs \
-             its workers re-create from the seed copy differ (DESIGN §15.3, ROADMAP item 1)",
+             its workers re-create from the seed copy differ (DESIGN §15.3; ROADMAP: \
+             Position-determined epochs)",
         )
     } else {
         Ok(())
@@ -457,7 +459,7 @@ fn judge(
     let promoted: BTreeSet<usize> = rec
         .events
         .iter()
-        .filter(|e| e.fault == "node-crash" && matches!(e.action, RecoveryAction::Promoted { .. }))
+        .filter(|e| e.fault == "node-crash" && matches!(e.action, RecoveryAction::Promoted(_)))
         .map(|e| e.node)
         .collect();
     if cell.crash {
@@ -494,7 +496,7 @@ fn judge(
             format!("final hosts {}", rescale.final_hosts),
         );
         for m in &rescale.migrations {
-            let stalled = m.stall() > SimTime::ZERO && m.halted_at >= m.planned_at;
+            let stalled = m.stall() > SimTime::ZERO && m.halted_at.is_some_and(|h| h >= m.began_at);
             expect(stalled, format!("a cutover without a stall: {m:?}"));
         }
     }
