@@ -7,6 +7,7 @@
 //! repro fig8a | fig8b | fig8c | fig8d
 //! repro fig9 | fig10 | table1
 //! repro recovery             # fault-injection recovery latency + exactness
+//! repro split                # hot-key split sweep gate (>= 1.5x at theta 1.1)
 //! ```
 //!
 //! Scale knobs: `SLASH_WORKERS` (threads/node, default 4) and
@@ -15,7 +16,7 @@
 use std::path::PathBuf;
 
 use slash_bench::report::{format_table, write_csv, Table};
-use slash_bench::{ablation, fig6, fig7, fig8, fig9, recovery, rescale, Scale};
+use slash_bench::{ablation, fig6, fig7, fig8, fig9, recovery, rescale, split, Scale};
 
 fn out_dir() -> PathBuf {
     std::env::var("SLASH_RESULTS")
@@ -119,6 +120,21 @@ fn run_rescale(scale: Scale) -> bool {
     }
 }
 
+fn run_split() -> bool {
+    let points = split::run();
+    emit(&split::table(&points), "split_sweep.csv");
+    match split::gate(&points) {
+        None => {
+            println!("split gate: PASS");
+            true
+        }
+        Some(v) => {
+            eprintln!("split gate: FAIL ({v})");
+            false
+        }
+    }
+}
+
 fn run_ablation(scale: Scale) {
     for (i, t) in ablation::run_all(scale).into_iter().enumerate() {
         emit(&t, &format!("ablation_{i}.csv"));
@@ -148,7 +164,8 @@ fn main() {
             run_table1(scale);
             run_ablation(scale);
             run_recovery(scale);
-            if !run_rescale(scale) {
+            // Both gates run before either fails the command.
+            if !(run_rescale(scale) & run_split()) {
                 std::process::exit(1);
             }
         }
@@ -175,9 +192,14 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        "split" => {
+            if !run_split() {
+                std::process::exit(1);
+            }
+        }
         _ => {
             eprintln!(
-                "usage: repro <all|fig6 [--query ysb|cm|nb7|nb8|nb11]|fig7|fig8a|fig8b|fig8c|fig8d|fig9|fig10|table1|ablation|recovery|rescale>"
+                "usage: repro <all|fig6 [--query ysb|cm|nb7|nb8|nb11]|fig7|fig8a|fig8b|fig8c|fig8d|fig9|fig10|table1|ablation|recovery|rescale|split>"
             );
             std::process::exit(2);
         }

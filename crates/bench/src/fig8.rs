@@ -3,7 +3,7 @@
 
 use crate::report::Table;
 use slash_desim::SimTime;
-use slash_workloads::{ro_zipf, ysb_zipf, GenConfig, Workload};
+use slash_workloads::{ysb_zipf, GenConfig, Workload};
 
 use crate::micro::{run_micro, KeyDist, MicroConfig, RouteMode};
 use crate::scale::Scale;
@@ -232,13 +232,6 @@ pub fn human_bytes(b: usize) -> String {
     } else {
         format!("{}KiB", b / 1024)
     }
-}
-
-// `ro_zipf` is exercised by the engine-level skew tests in /tests; keep
-// the import alive for the RO-on-engine variant used there.
-#[doc(hidden)]
-pub fn ro_zipf_gen(z: f64) -> impl Fn(&GenConfig) -> Workload {
-    move |cfg| ro_zipf(cfg, z)
 }
 
 #[cfg(test)]

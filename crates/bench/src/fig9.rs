@@ -7,10 +7,10 @@
 //! [`crate::uarch`]); the paper's *relative* claims are what the
 //! integration tests assert.
 
-use slash_workloads::{ro, ysb};
+use slash_workloads::ysb;
 
 use crate::micro::{run_micro, MicroConfig, RouteMode};
-use crate::report::{format_table, Table};
+use crate::report::Table;
 use crate::scale::Scale;
 use crate::suts;
 use crate::uarch::{breakdown_row, table1_row, BreakdownRow, Table1Row};
@@ -64,21 +64,6 @@ pub fn run_table1(scale: Scale) -> Vec<Table1Row> {
         table1_row("uppar sender", &u.sender_metrics, u.processing_time),
         table1_row("uppar receiver", &u.receiver_metrics, u.processing_time),
         table1_row("slash", &s.receiver_metrics, s.processing_time),
-    ]
-}
-
-/// Also exercised with RO to match the paper's §8.3.3 setup.
-pub fn run_table1_ro(scale: Scale) -> Vec<Table1Row> {
-    let u = suts::uppar(ro, 2, scale);
-    let s = suts::slash(ro, 2, scale);
-    vec![
-        table1_row("uppar sender (ro)", &u.sender_metrics, u.processing_time),
-        table1_row(
-            "uppar receiver (ro)",
-            &u.receiver_metrics,
-            u.processing_time,
-        ),
-        table1_row("slash (ro)", &s.receiver_metrics, s.processing_time),
     ]
 }
 
@@ -138,23 +123,6 @@ pub fn table1_table(rows: &[Table1Row]) -> Table {
         ]);
     }
     t
-}
-
-/// Convenience: print Fig. 9 + Fig. 10 + Table 1 at once.
-pub fn render_all(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str(&format_table(&breakdown_table(
-        "Fig. 9: execution breakdown, RO",
-        &run_fig9(scale),
-    )));
-    out.push('\n');
-    out.push_str(&format_table(&breakdown_table(
-        "Fig. 10: execution breakdown, YSB",
-        &run_fig10(scale),
-    )));
-    out.push('\n');
-    out.push_str(&format_table(&table1_table(&run_table1(scale))));
-    out
 }
 
 #[cfg(test)]

@@ -17,12 +17,12 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod harness;
 pub mod micro;
 pub mod recovery;
 pub mod report;
 pub mod rescale;
 pub mod scale;
+pub mod split;
 pub mod suts;
 pub mod uarch;
 

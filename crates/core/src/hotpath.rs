@@ -2,8 +2,8 @@
 //!
 //! Splits record processing out of [`crate::worker::SlashWorker`] so the
 //! same loop the simulator charges virtual costs for can also be driven
-//! raw by the wall-clock harness (`hotpath-bench`). A batch goes through
-//! two fused stages:
+//! raw: perf-ledger times it, and a root test pins the combiner's on/off
+//! verdicts on counts. A batch goes through two fused stages:
 //!
 //! * **Filter into a selection vector.** A plan's
 //!   [`Predicate`](crate::query::Predicate) is evaluated over the whole

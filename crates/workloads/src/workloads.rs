@@ -116,7 +116,7 @@ pub const YSB_ZIPF_KEYS: u64 = 10_000;
 /// `partition_of(key)` — the deployment shape where upstream sharding is
 /// key-hashed, so a hot key concentrates both pipeline *and* state work
 /// on one node. θ = 0 degenerates to uniform. This is the workload the
-/// hot-key splitting sweep (`hotpath-bench --zipf`) runs on; the plain
+/// hot-key splitting sweep (`repro split`) runs on; the plain
 /// [`ysb_zipf`] keeps the paper's balanced-ingress shape.
 ///
 /// `cfg.partitions` must equal the node count (keyed ingress has one
@@ -169,8 +169,8 @@ pub const YSB_HOT_KEYS: u64 = 100;
 /// YSB with the benchmark's classic ~100-campaign domain (`ysb` above
 /// follows the paper's 10 M-wide uniform range). Each batch's updates
 /// collapse onto a handful of distinct `(window, campaign)` keys, making
-/// this the write combiner's best case — `hotpath-bench`'s headline row
-/// and the CI perf gate's subject.
+/// this the write combiner's best case — perf-ledger's `hot_thr2` and the
+/// combiner verdict test's subject.
 pub fn ysb_hot(cfg: &GenConfig) -> Workload {
     let mut w = ysb_with(cfg, || KeyDist::Uniform(Uniform::new(YSB_HOT_KEYS)));
     w.name = "ysb_hot";
