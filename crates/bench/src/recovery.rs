@@ -115,7 +115,7 @@ fn point(case: &Case, faults: &Faults) -> (RecoveryPoint, Outcome) {
         checkpoints: rec.checkpoints_durable,
         records: out.run.records,
         records_lost: input.records as i64 - out.run.records as i64,
-        exact: oracle::check(&expected, &out.run.results).is_ok(),
+        exact: oracle::check(&expected, &out.run).is_ok(),
         completion: out.run.completion_time,
     };
     (point, out)

@@ -151,8 +151,7 @@ pub fn run(scale: Scale) -> RescaleOutcome {
         cluster_rps,
         records: run.records,
         records_lost: base.records as i64 - run.records as i64,
-        exact: run.records == w.records
-            && check(&oracle(&w.plan, &w.partitions), &run.results).is_ok(),
+        exact: run.records == w.records && check(&oracle(&w.plan, &w.partitions), &run).is_ok(),
         migrations: rescale.migrations.iter().filter(|m| !m.aborted).count(),
         aborted: rescale.aborted(),
         decisions_out: controller

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use slash_desim::{Sim, SimTime};
-use slash_net::ChannelConfig;
+use slash_net::{ChannelConfig, Violations};
 use slash_obs::Obs;
 use slash_rdma::{Fabric, FabricConfig};
 use slash_state::backend::{SsbConfig, SsbNode};
@@ -109,6 +109,9 @@ pub struct RunReport {
     pub state_digests: Vec<u64>,
     /// Bytes the fabric moved (all nodes, TX side).
     pub net_tx_bytes: u64,
+    /// Protocol violations the shipped checks counted, by kind (zero in a
+    /// correct run; `slash_verify::oracle::check` requires it).
+    pub protocol_violations: Violations,
 }
 
 impl RunReport {
@@ -130,6 +133,7 @@ impl RunReport {
         self.metrics.absorb(&sh.metrics);
         self.per_node.push(sh.metrics.clone());
         self.state_digests.push(sh.ssb.state_digest());
+        self.protocol_violations.absorb(&sh.ssb.violations());
         self.metrics.set_records(self.records);
     }
 
@@ -146,6 +150,7 @@ impl RunReport {
         self.per_node.extend(other.per_node);
         self.state_digests.extend(other.state_digests);
         self.net_tx_bytes += other.net_tx_bytes;
+        self.protocol_violations.absorb(&other.protocol_violations);
         self.metrics.set_records(self.records);
     }
 }

@@ -58,10 +58,12 @@ use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use slash_desim::{ProcId, Process, Sim, SimTime, Step};
+use slash_net::Violation;
 use slash_obs::{HeatEntry, HeatSketch, HEAT_CAPACITY};
 use slash_state::SUB_KEY_TAG;
 
 use crate::driver::{Cluster, Director, Live, Outcome};
+use crate::worker::NodeShared;
 
 /// What the split director sees each tick: the cluster-merged heat
 /// sketch, cumulative over the run so far.
@@ -425,23 +427,34 @@ impl Process for SplitDriver {
             total: merged.total(),
         };
         for gk in self.director.tick(&telemetry) {
-            // Ledger copies are deterministic: activation either succeeds
-            // on every node or (gate/salt rejection) on none. Probe the
-            // first copy so a rejected key leaves all copies untouched.
-            let Some(first) = shareds.first() else {
-                break;
-            };
-            if !first.borrow_mut().ssb.split_activate(gk) {
-                continue;
+            if activate_everywhere(shareds, gk) {
+                self.report.borrow_mut().splits.push((gk, sim.now()));
             }
-            for s in shareds.iter().skip(1) {
-                let ok = s.borrow_mut().ssb.split_activate(gk);
-                debug_assert!(ok, "ledger copies must agree on activation");
-            }
-            self.report.borrow_mut().splits.push((gk, sim.now()));
         }
         Step::Yield(self.sample_every)
     }
+}
+
+/// Activate split key `gk` on every node's ledger copy, the first alone
+/// first: copies are deterministic, so a key it rejects is left alone,
+/// and a later copy that refuses what it took is a [`Violation`].
+fn activate_everywhere(shareds: &[Rc<RefCell<NodeShared>>], gk: u64) -> bool {
+    let Some((first, rest)) = shareds.split_first() else {
+        return false;
+    };
+    if !first.borrow_mut().ssb.split_activate(gk) {
+        return false;
+    }
+    for s in rest {
+        let ssb = &mut s.borrow_mut().ssb;
+        if !ssb.split_activate(gk) {
+            let node = ssb.node();
+            ssb.note_violation(Violation::SplitLedger, || {
+                format!("key {gk:#x} activated on the first copy, refused on node {node}")
+            });
+        }
+    }
+    true
 }
 
 /// The hot-key-splitting director: at install it enables the ledger on
@@ -529,6 +542,32 @@ impl Director for HotSplitDirector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{boot_node, RunConfig};
+    use slash_obs::Obs;
+    use slash_state::backend::SsbNode;
+    use slash_state::CounterCrdt;
+
+    /// The ledger-agreement check runs in every build, `--release`
+    /// included: a copy that refuses a key the first copy took is counted.
+    #[test]
+    fn a_ledger_copy_that_disagrees_is_counted_in_every_build() {
+        let cfg = RunConfig::new(2, 1);
+        let shareds: Vec<_> = (0..2)
+            .map(|n| {
+                let ssb = SsbNode::detached(n, CounterCrdt::descriptor(), cfg.ssb_config());
+                Rc::new(RefCell::new(boot_node(ssb, n, &cfg, &Obs::disabled())))
+            })
+            .collect();
+        assert!(!activate_everywhere(&shareds, 3), "no ledger anywhere yet");
+        shareds[0].borrow_mut().ssb.split_enable();
+        assert!(activate_everywhere(&shareds, 3), "node 1 has no ledger");
+        let counted = |n: usize| shareds[n].borrow().ssb.violations();
+        assert_eq!(counted(0).total(), 0);
+        assert_eq!(counted(1).get(Violation::SplitLedger), 1);
+        shareds[1].borrow_mut().ssb.split_enable();
+        assert!(activate_everywhere(&shareds, 5));
+        assert_eq!(counted(1).total(), 1, "copies that agree count nothing");
+    }
 
     #[test]
     fn fabric_floor_follows_the_custody_chain() {

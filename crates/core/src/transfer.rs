@@ -527,7 +527,9 @@ fn commit(c: &mut Cluster, d: usize, t: &Transfer) {
     }
 
     // Fresh shared state seeded from the checkpoint; the old slot's
-    // workers are already dead (crashed or halted), replace it.
+    // workers are already dead (crashed or halted), replace it, keeping
+    // its protocol-violation counts.
+    ssb.inherit_violations(&live.nodes[d].borrow().ssb);
     let mut shared = boot_node(ssb, d, &c.cfg, &c.obs);
     shared.sink = ckpt.sink.clone();
     shared.records = ckpt.records;

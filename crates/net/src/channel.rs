@@ -104,6 +104,7 @@ pub const RECONNECT_HANDSHAKE_MSGS: u64 = 3;
 mod tests {
     use super::*;
     use crate::layout::MsgFlags;
+    use crate::stats::Violation;
     use slash_desim::Sim;
     use slash_rdma::FabricConfig;
 
@@ -159,6 +160,50 @@ mod tests {
         }
         let expect: Vec<u64> = (0..total).collect();
         assert_eq!(got, expect, "FIFO delivery across wrap-arounds");
+        let counted = tx.stats.violations.total() + rx.stats.violations.total();
+        assert_eq!(counted, 0, "a correct stream counts no violation");
+    }
+
+    /// The receiver's FIFO check runs in every build, `--release`
+    /// included: two buffers consumed in swapped order are both counted.
+    #[test]
+    fn a_reordered_slot_is_counted_in_every_build() {
+        let (mut sim, mut tx, mut rx) = setup(ChannelConfig::default());
+        rx.fault_reorder_once();
+        for m in [b"k0", b"k1", b"k2"] {
+            assert!(tx.try_send(&mut sim, MsgFlags::DATA, m).unwrap());
+        }
+        sim.run();
+        let mut got = Vec::new();
+        while let Some((_, data)) = rx.try_recv(&mut sim).unwrap() {
+            got.push(data);
+        }
+        assert_eq!(got, [b"k1", b"k0", b"k2"]);
+        assert_eq!(rx.stats.violations.get(Violation::Fifo), 2);
+        assert_eq!(rx.stats.violations.total(), 2);
+    }
+
+    /// The sender's credit-window check runs in every build: the post that
+    /// overruns the window is counted.
+    #[test]
+    fn a_post_past_the_credit_window_is_counted_in_every_build() {
+        let cfg = ChannelConfig {
+            credits: 2,
+            buffer_size: 64,
+            credit_batch: 1,
+        };
+        let (mut sim, mut tx, _rx) = setup(cfg);
+        tx.fault_ignore_credit_window();
+        for m in [b"a", b"b"] {
+            assert!(tx.try_send(&mut sim, MsgFlags::DATA, m).unwrap());
+        }
+        assert_eq!(
+            tx.stats.violations.total(),
+            0,
+            "the window is full, not overrun"
+        );
+        assert!(tx.try_send(&mut sim, MsgFlags::DATA, b"c").unwrap());
+        assert_eq!(tx.stats.violations.get(Violation::CreditWindow), 1);
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //!   final byte of the expected slot, ② processes the payload in place,
 //!   ③ returns a credit by writing its cumulative consumed count back.
 //!
-//! Invariants (tested, including property-based): FIFO delivery; a producer
-//! never overwrites an unread buffer; credits are conserved
-//! (`available + in_flight + unconsumed == c`); a producer with zero
-//! credits cannot post.
+//! Invariants: FIFO delivery and no unread buffer overwritten — the
+//! receiver checks each consumed footer's sequence number; the credit
+//! window `acked ≤ next_seq ≤ acked + c` — the sender checks it after
+//! every post. Both checks run in every build and count a failure in
+//! [`Violations`] rather than assert; credits converging at quiescence is
+//! the race checker's (`slash-verify`).
 //!
 //! ## Message layout
 //!
@@ -62,4 +64,4 @@ pub use receiver::ChannelReceiver;
 pub use sender::ChannelSender;
 pub use socket::{socket_pair, SocketConfig, SocketReceiver, SocketSender};
 pub use spsc::{spsc_channel, SpscReceiver, SpscSender};
-pub use stats::ChannelStats;
+pub use stats::{ChannelStats, Violation, Violations};

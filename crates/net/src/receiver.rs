@@ -6,7 +6,7 @@ use slash_rdma::{LocalSlice, Mr, Qp, RdmaError, RemoteKey, RemoteSlice, WorkRequ
 
 use crate::channel::ChannelConfig;
 use crate::layout::{footer_offset, generation, Footer, MsgFlags, FOOTER_SIZE};
-use crate::stats::ChannelStats;
+use crate::stats::{ChannelStats, Violation};
 
 /// Consumer endpoint.
 ///
@@ -30,6 +30,9 @@ pub struct ChannelReceiver {
     eos_seen: bool,
     /// Fault injection (verification only): consume without returning credit.
     fault_drop_credits: bool,
+    /// Fault injection (verification only): 1 while armed to consume slot
+    /// k+1 before slot k, 2 once slot k+1 went first and slot k is next.
+    fault_swap: u8,
     /// Statistics (throughput/latency drill-down).
     pub stats: ChannelStats,
     /// Trace handle (disabled by default); `(pid, tid)` lanes for events.
@@ -56,16 +59,12 @@ impl ChannelReceiver {
             unreturned: 0,
             eos_seen: false,
             fault_drop_credits: false,
+            fault_swap: 0,
             stats: ChannelStats::default(),
             obs: Obs::disabled(),
             obs_pid: 0,
             obs_tid: 0,
         }
-    }
-
-    /// The channel configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.cfg
     }
 
     /// Attach a trace handle. `pid`/`tid` are the Perfetto lanes the verb
@@ -104,6 +103,15 @@ impl ChannelReceiver {
         self.fault_drop_credits = true;
     }
 
+    /// Fault injection (verification only): the first time two
+    /// consecutive buffers are ready, consume slot k+1 before slot k, so
+    /// `slash-verify` mutation tests see the FIFO check fire. Never call
+    /// this from protocol code.
+    #[doc(hidden)]
+    pub fn fault_reorder_once(&mut self) {
+        self.fault_swap = 1;
+    }
+
     /// Whether the underlying QP is in the error state (a work request was
     /// flushed by a fault). Credit writes are rejected until
     /// [`ChannelReceiver::reset`].
@@ -133,10 +141,14 @@ impl ChannelReceiver {
 
     /// Whether a buffer is ready without consuming it.
     pub fn ready(&self) -> bool {
-        let slot = (self.next_seq % self.cfg.credits as u64) as usize;
+        self.slot_ready(self.next_seq)
+    }
+
+    /// Whether the buffer with sequence number `seq` has landed.
+    fn slot_ready(&self, seq: u64) -> bool {
+        let slot = (seq % self.cfg.credits as u64) as usize;
         let foot_off = footer_offset(slot, self.cfg.buffer_size);
-        self.ring.poll_byte(foot_off + FOOTER_SIZE - 1)
-            == generation(self.next_seq, self.cfg.credits)
+        self.ring.poll_byte(foot_off + FOOTER_SIZE - 1) == generation(seq, self.cfg.credits)
     }
 
     /// Poll for the next buffer; if one is ready, run `f` over
@@ -151,7 +163,14 @@ impl ChannelReceiver {
             self.stats.on_empty_poll();
             return Ok(None);
         }
-        let slot = (self.next_seq % self.cfg.credits as u64) as usize;
+        let mut seq = self.next_seq;
+        // Fault injection: the reorder plant takes slot k+1, then slot k.
+        match self.fault_swap {
+            1 if self.slot_ready(seq + 1) => (seq, self.fault_swap) = (seq + 1, 2),
+            2 => (seq, self.fault_swap) = (seq - 1, 0),
+            _ => {}
+        }
+        let slot = (seq % self.cfg.credits as u64) as usize;
         let m = self.cfg.buffer_size;
         let foot_off = footer_offset(slot, m);
         let footer_read = self.ring.with(foot_off, FOOTER_SIZE, |b| {
@@ -172,7 +191,13 @@ impl ChannelReceiver {
                 return Err(e);
             }
         };
-        debug_assert_eq!(footer.seq32, self.next_seq as u32, "FIFO violated");
+        // §6 FIFO, in every build: the footer carries the sequence number
+        // so that one compare catches a reordered or overwritten slot.
+        if footer.seq32 != self.next_seq as u32 {
+            let (obs, want, got) = (&self.obs, self.next_seq, footer.seq32);
+            let context = || format!("footer seq32={got} in slot {slot}, expected seq {want}");
+            self.stats.violations.note(Violation::Fifo, obs, context);
+        }
         let len = footer.len as usize;
         let payload_off = foot_off - len;
         let out = match self

@@ -6,7 +6,7 @@ use slash_rdma::{LocalSlice, Mr, Qp, RdmaError, RemoteKey, RemoteSlice, WorkRequ
 
 use crate::channel::ChannelConfig;
 use crate::layout::{footer_offset, generation, payload_capacity, Footer, MsgFlags, FOOTER_SIZE};
-use crate::stats::ChannelStats;
+use crate::stats::{ChannelStats, Violation};
 
 /// Producer endpoint.
 ///
@@ -60,11 +60,6 @@ impl ChannelSender {
         }
     }
 
-    /// The channel configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.cfg
-    }
-
     /// Attach a trace handle. `pid`/`tid` are the Perfetto lanes the verb
     /// events of this endpoint render under (node id / peer id by
     /// convention).
@@ -90,23 +85,15 @@ impl ChannelSender {
         self.credit_mr.read_u64(0)
     }
 
-    /// Credits currently available (polls the local credit counter — this
-    /// is the `pause`-loop polling the paper charges to core-bound time).
-    pub fn credits(&mut self) -> usize {
-        let in_flight = self.next_seq - self.consumed();
-        self.cfg.credits - in_flight as usize
-    }
-
     /// Sequence number of the next buffer to be sent.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Cumulative count of buffers the consumer has acknowledged via credit
-    /// writes, as currently visible on this side. Exposed so external
-    /// checkers (the `slash-verify` race checker) can assert the credit
-    /// window invariant `acked ≤ consumer.next_seq ≤ producer.next_seq ≤
-    /// acked + credits` without reaching into the credit region.
+    /// writes, as currently visible on this side. Exposed so the
+    /// `slash-verify` race checker can require credits to converge at
+    /// quiescence without reaching into the credit region.
     pub fn acked(&self) -> u64 {
         self.consumed()
     }
@@ -114,8 +101,8 @@ impl ChannelSender {
     /// Fault injection (verification only): make every subsequent send
     /// ignore the credit window, so the sender overwrites ring slots the
     /// consumer has not yet drained. Used by `slash-verify` mutation tests
-    /// to prove the no-overwrite invariant check actually fires. Never call
-    /// this from protocol code.
+    /// to prove the credit-window check in [`ChannelSender::try_send_with`]
+    /// fires. Never call this from protocol code.
     #[doc(hidden)]
     pub fn fault_ignore_credit_window(&mut self) {
         self.fault_ignore_credits = true;
@@ -167,9 +154,9 @@ impl ChannelSender {
             "payload {len} exceeds buffer capacity {}",
             self.payload_capacity()
         );
-        // Computed from the raw counters (not via `credits()`) so the
-        // fault-injected overrun path cannot underflow the subtraction.
-        let in_flight = self.next_seq - self.consumed();
+        // Saturating: a broken window is counted below, not an underflow.
+        let acked = self.consumed();
+        let in_flight = self.next_seq.saturating_sub(acked);
         if in_flight >= self.cfg.credits as u64 && !self.fault_ignore_credits {
             self.stats.on_credit_stall();
             self.obs.instant(
@@ -215,6 +202,13 @@ impl ChannelSender {
             },
         )?;
         self.next_seq += 1;
+        // §6 credit window, in every build: acked ≤ next_seq ≤ acked + c.
+        if acked > self.next_seq || self.next_seq - acked > self.cfg.credits as u64 {
+            let (next, c) = (self.next_seq, self.cfg.credits);
+            let context = || format!("acked={acked} next_seq={next} credits={c}");
+            let (v, obs) = (&mut self.stats.violations, &self.obs);
+            v.note(Violation::CreditWindow, obs, context);
+        }
         self.stats.on_buffer(len);
         self.obs.instant(
             Cat::Verb,

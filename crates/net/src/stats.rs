@@ -7,9 +7,87 @@
 //! Buffer-residence latency is kept as a full log-bucketed [`Histogram`]
 //! rather than a lossy sum/count pair, so tail quantiles (p99, p99.9)
 //! survive.
+//!
+//! [`Violations`] counts, by kind, failures of the protocol checks the
+//! shipped code runs on every event in every build (DESIGN §8).
 
 use slash_desim::SimTime;
-use slash_obs::Histogram;
+use slash_obs::{Histogram, Obs};
+
+/// A protocol invariant checked in the code that ships.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Violation {
+    /// A consumed buffer's footer `seq32` is not the next expected one
+    /// (§6: FIFO delivery; a slot overwritten before it was read).
+    Fifo,
+    /// After a post, `acked ≤ next_seq ≤ acked + credits` does not hold
+    /// at the sender (§6 credit window).
+    CreditWindow,
+    /// A delta chunk arrived out of epoch order on its FIFO channel (§7).
+    EpochOrder,
+    /// A delta chunk names another partition than its leader's.
+    Partition,
+    /// A vector-clock update carried a watermark below its slot's (§5.1).
+    StaleWatermark,
+    /// The nodes' split-ledger copies disagreed on activating a key.
+    SplitLedger,
+}
+
+/// Each [`Violation`]'s label, in declaration order.
+const KINDS: [&str; 6] = [
+    "fifo",
+    "credit-window",
+    "epoch-order",
+    "partition",
+    "stale-watermark",
+    "split-ledger",
+];
+
+/// Protocol violations counted by kind. Each endpoint and node keeps its
+/// own; a run's report adds them up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Violations([u32; 6]);
+
+impl Violations {
+    /// Count one violation of `kind`. The first one this holder counts
+    /// also takes a flight-recorder dump on `obs`, with `context`.
+    #[cold]
+    pub fn note(&mut self, kind: Violation, obs: &Obs, context: impl FnOnce() -> String) {
+        if self.total() == 0 {
+            let reason = format!("protocol violation: {}", KINDS[kind as usize]);
+            obs.record_failure(&reason, &context());
+        }
+        self.0[kind as usize] = self.0[kind as usize].saturating_add(1);
+    }
+
+    /// Violations of `kind` counted.
+    pub fn get(&self, kind: Violation) -> u64 {
+        self.0[kind as usize].into()
+    }
+
+    /// Violations of every kind counted.
+    pub fn total(&self) -> u64 {
+        self.0.iter().map(|&n| u64::from(n)).sum()
+    }
+
+    /// Add `other`'s counts to these.
+    pub fn absorb(&mut self, other: &Violations) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a = a.saturating_add(b);
+        }
+    }
+}
+
+impl std::fmt::Display for Violations {
+    /// The non-zero counts as `kind=n`, space-separated.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let counted = KINDS.into_iter().zip(self.0).filter(|&(_, n)| n > 0);
+        for (i, (kind, n)) in counted.enumerate() {
+            write!(f, "{}{kind}={n}", if i > 0 { " " } else { "" })?;
+        }
+        Ok(())
+    }
+}
 
 /// Counters kept by both endpoints of a channel.
 #[derive(Debug, Clone, Default)]
@@ -26,6 +104,8 @@ pub struct ChannelStats {
     pub credit_msgs: u64,
     /// Per-buffer residence latency (send → consume), nanoseconds.
     pub latency: Histogram,
+    /// Protocol violations this endpoint's checks counted.
+    pub violations: Violations,
 }
 
 impl ChannelStats {

@@ -70,11 +70,9 @@ fn fifo_and_credit_conservation() {
                     if sent {
                         next_to_send += 1;
                     }
-                    // Credit conservation: `credits() = c - in_flight` must
-                    // stay within [0, c]. (`credits()` computes it with
-                    // unsigned arithmetic, so an in_flight > c protocol bug
-                    // would panic right here.)
-                    assert!(tx.credits() <= credits, "seed {seed}");
+                    // The credit window: the sender checks it after every
+                    // post and counts a breach.
+                    assert_eq!(tx.stats.violations.total(), 0, "seed {seed}");
                 }
                 Op::Recv => {
                     if let Some((flags, data)) = rx.try_recv(&mut sim).unwrap() {

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use slash_desim::{Sim, SimTime};
-use slash_net::{create_channel, ChannelConfig};
+use slash_net::{create_channel, ChannelConfig, Violation, Violations};
 use slash_obs::{HeatSketch, Obs, Stage, HEAT_CAPACITY};
 use slash_rdma::{Fabric, NodeId};
 
@@ -85,6 +85,12 @@ pub struct SsbNode {
     /// drains them when the epoch closes or anything else reads open-epoch
     /// local state.
     combiners: Vec<WriteCombiner>,
+    /// Protocol violations counted by this node's own checks, plus the
+    /// counts of every endpoint or node it replaced.
+    violations: Violations,
+    /// Fault injection (verification only): ship the next closed epoch
+    /// with a stale watermark.
+    fault_stale_watermark: bool,
 }
 
 impl SsbNode {
@@ -98,14 +104,45 @@ impl SsbNode {
         &self.vclock
     }
 
-    /// Mutable access to the vector clock, bypassing the protocol.
-    ///
-    /// Fault-injection hook for the `slash-verify` race checker's mutation
-    /// tests (regressing a slot must be detectable). Never call this from
-    /// protocol code.
+    /// Fault injection (verification only): the next epoch this node
+    /// closes ships a stale watermark, 0, so `slash-verify` mutation tests
+    /// see the leaders' check fire. Never call this from protocol code.
     #[doc(hidden)]
-    pub fn fault_vclock_mut(&mut self) -> &mut VectorClock {
-        &mut self.vclock
+    pub fn fault_stale_watermark(&mut self) {
+        self.fault_stale_watermark = true;
+    }
+
+    /// Protocol violations counted on this node: its own checks and every
+    /// delta endpoint's (DESIGN §8).
+    pub fn violations(&self) -> Violations {
+        let mut v = self.violations;
+        for s in self.senders.iter().flatten() {
+            v.absorb(&s.channel_stats().violations);
+        }
+        for r in self.receivers.iter().flatten() {
+            v.absorb(&r.violations());
+        }
+        v
+    }
+
+    /// Count a violation found outside this node (split-ledger agreement).
+    pub fn note_violation(&mut self, kind: Violation, context: impl FnOnce() -> String) {
+        self.violations.note(kind, &self.obs, context);
+    }
+
+    /// Carry the counts of the node this one replaces.
+    pub fn inherit_violations(&mut self, from: &SsbNode) {
+        self.violations.absorb(&from.violations());
+    }
+
+    /// Advance vector-clock slot `slot` to `wm`, counting a stale one.
+    fn advance_clock(&mut self, slot: usize, wm: u64) {
+        if !self.vclock.update(slot, wm) {
+            let (node, vc) = (self.node, self.vclock.snapshot());
+            let context = || format!("node {node}: watermark {wm} after vclock={vc:?}");
+            let (v, obs) = (&mut self.violations, &self.obs);
+            v.note(Violation::StaleWatermark, obs, context);
+        }
     }
 
     /// Which partition a key routes to.
@@ -315,6 +352,10 @@ impl SsbNode {
     pub fn close_epoch(&mut self, sim: &mut Sim) -> Result<u64, StateError> {
         self.flush_combiners();
         let wm = self.local_watermark;
+        let shipped = match std::mem::take(&mut self.fault_stale_watermark) {
+            true => 0,
+            false => wm,
+        };
         let now = sim.now();
         let mut delta_bytes = 0;
         for p in 0..self.cfg.nodes {
@@ -328,7 +369,7 @@ impl SsbNode {
                 debug_assert!(false, "sender exists for every remote partition");
                 continue;
             };
-            sender.enqueue_epoch(&mut self.fragments[p], wm, now);
+            sender.enqueue_epoch(&mut self.fragments[p], shipped, now);
             // A faulted channel (QP in error state) is not a protocol
             // error: the epoch stays queued (and retained, in
             // fault-tolerant runs) until recovery re-establishes the
@@ -338,7 +379,7 @@ impl SsbNode {
                 Err(e) => return Err(e.into()),
             }
         }
-        self.vclock.update(self.node, wm);
+        self.advance_clock(self.node, wm);
         self.bytes_since_epoch = 0;
         if self.heat.is_some() {
             self.obs.gauge_set(
@@ -547,7 +588,7 @@ impl SsbNode {
         let (part, wm) = crate::snapshot::restore(self.node, desc, chunks);
         self.fragments[self.node] = part;
         self.note_progress(wm);
-        self.vclock.update(self.node, wm);
+        self.advance_clock(self.node, wm);
     }
 
     // ------------------------------------------------------------------
@@ -588,6 +629,8 @@ impl SsbNode {
             split: None,
             routed: vec![Vec::new(); cfg.nodes],
             combiners: Vec::new(),
+            violations: Violations::default(),
+            fault_stale_watermark: false,
         }
     }
 

@@ -29,6 +29,7 @@ use crate::coherence::{DeltaReceiver, DeltaSender, RetainedEpoch};
 use crate::descriptor::StateDescriptor;
 use crate::snapshot::chunks_digest;
 use crate::split::SplitLedger;
+use crate::vclock::VectorClock;
 
 /// The SSB half of a node checkpoint: all of it from one epoch boundary.
 #[derive(Debug, Clone)]
@@ -107,9 +108,7 @@ impl SsbNode {
     ) -> SsbNode {
         let mut ssb = SsbNode::detached(node, desc, cfg);
         ssb.restore_primary(&ckpt.snapshot);
-        for (slot, &wm) in ckpt.vclock.iter().enumerate() {
-            ssb.vclock.fault_force_set(slot, wm);
-        }
+        ssb.vclock = VectorClock::from_slots(ckpt.vclock.clone());
         for (p, fragment) in ssb.fragments.iter_mut().enumerate() {
             if p != node {
                 fragment.resume_at_epoch(ckpt.epochs_closed);
@@ -186,13 +185,17 @@ pub fn rejoin(
         receiver.seed_next_epoch(resume);
         receiver.set_durable_epochs(at.durable);
         receiver.instrument(at.obs.clone(), s as u32);
-        sv.receivers[d] = Some(receiver);
+        if let Some(old) = sv.receivers[d].replace(receiver) {
+            sv.violations.absorb(&old.violations());
+        }
 
         let mut back = DeltaSender::new(tx_back);
         back.restore_retained(sv.retained_toward(d));
         back.requeue_from(ckpt.receiver_next[s]);
         back.instrument(at.obs.clone(), s as u32, d as u32);
-        sv.senders[d] = Some(back);
+        if let Some(old) = sv.senders[d].replace(back) {
+            sv.violations.absorb(&old.channel_stats().violations);
+        }
     }
     sender.instrument(at.obs.clone(), d as u32, s as u32);
     repl.senders[s] = Some(sender);

@@ -9,7 +9,9 @@
 //! when an epoch's final chunk lands.
 
 use slash_desim::{Sim, SimTime};
-use slash_net::{ChannelReceiver, ChannelSender, MsgFlags, SpscReceiver, SpscSender};
+use slash_net::{
+    ChannelReceiver, ChannelSender, MsgFlags, SpscReceiver, SpscSender, Violation, Violations,
+};
 use slash_obs::{Cat, Obs};
 use slash_rdma::RdmaError;
 
@@ -369,6 +371,11 @@ pub struct DeltaReceiver {
     /// Commit gate: only epochs `< durable_epochs` may merge. `u64::MAX`
     /// (the default) disables gating for non-fault-tolerant runs.
     durable_epochs: u64,
+    /// Epoch and `fin` flag of the last chunk since this endpoint was
+    /// built or reset (the epoch-order check).
+    last_chunk: Option<(u64, bool)>,
+    /// Epoch-order, partition and stale-watermark violations counted.
+    violations: Violations,
     /// Entries merged (stats).
     pub entries_merged: u64,
     obs: Obs,
@@ -397,6 +404,8 @@ impl DeltaReceiver {
             pending: std::collections::VecDeque::new(),
             next_epoch: 0,
             durable_epochs: u64::MAX,
+            last_chunk: None,
+            violations: Violations::default(),
             entries_merged: 0,
             obs: Obs::disabled(),
             obs_pid: 0,
@@ -426,6 +435,13 @@ impl DeltaReceiver {
             ReceiverPort::Rdma(c) => &c.stats,
             ReceiverPort::Spsc(c) => c.stats(),
         }
+    }
+
+    /// Protocol violations counted by this endpoint and its channel.
+    pub fn violations(&self) -> Violations {
+        let mut v = self.violations;
+        v.absorb(&self.channel_stats().violations);
+        v
     }
 
     /// Registry label used by this receiver's instrumentation.
@@ -468,6 +484,7 @@ impl DeltaReceiver {
     pub(crate) fn abort_uncommitted(&mut self) {
         self.staged.truncate((0, 0));
         self.pending.clear();
+        self.last_chunk = None;
     }
 
     /// Whether the underlying channel's QP is in the error state. SPSC
@@ -539,7 +556,19 @@ impl DeltaReceiver {
                     return Err(e.into());
                 }
             };
-            debug_assert_eq!(header.partition as usize, primary.id);
+            // §7, in every build: one FIFO channel carries a helper's
+            // fragment of this partition epoch by epoch, each epoch's
+            // chunks contiguous and ending in `fin`.
+            let (last, helper, part) = (self.last_chunk, self.helper, primary.id);
+            let context = || format!("helper {helper}: {header:?} after {last:?}");
+            let (v, obs) = (&mut self.violations, &self.obs);
+            if !last.is_none_or(|(e, fin)| header.epoch > e || (!fin && header.epoch == e)) {
+                v.note(Violation::EpochOrder, obs, context);
+            }
+            if header.partition as usize != part {
+                v.note(Violation::Partition, obs, context);
+            }
+            self.last_chunk = Some((header.epoch, header.fin));
             if header.fin {
                 if header.epoch < self.next_epoch {
                     // Replay of an epoch already merged into the primary:
@@ -554,10 +583,6 @@ impl DeltaReceiver {
                         &[("epoch", header.epoch), ("committed", self.next_epoch)],
                     );
                 } else {
-                    debug_assert!(
-                        self.pending.back().is_none_or(|p| header.epoch > p.epoch),
-                        "epochs arrive in order on a FIFO channel"
-                    );
                     self.pending.push_back(PendingEpoch {
                         epoch: header.epoch,
                         watermark: header.watermark,
@@ -623,7 +648,12 @@ impl DeltaReceiver {
                 self.obs
                     .hist_record("epoch_merge_latency_ns", &self.obs_label, lat);
             }
-            vclock.update(self.helper, ep.watermark);
+            if !vclock.update(self.helper, ep.watermark) {
+                let (helper, wm, vc) = (self.helper, ep.watermark, vclock.snapshot());
+                let context = || format!("helper {helper}: watermark {wm} after vclock={vc:?}");
+                let (v, obs) = (&mut self.violations, &self.obs);
+                v.note(Violation::StaleWatermark, obs, context);
+            }
             self.next_epoch = ep.epoch + 1;
             self.obs.instant(
                 Cat::Epoch,
@@ -1008,5 +1038,67 @@ mod tests {
             Some(1 + 2 + 3 + 4 + 5)
         );
         assert_eq!(vclock.get(1), 50);
+        assert_eq!(rx.violations().total(), 0);
+    }
+
+    /// Epoch `epoch` of partition `partition`'s fragment, one count per
+    /// key below `keys`, cut into 128-byte chunks.
+    fn epoch_chunks(partition: u32, epoch: u64, watermark: u64, keys: u128) -> Vec<Vec<u8>> {
+        let mut b = ChunkBuilder::new(partition, epoch, watermark, 0, 128);
+        for k in 0..keys {
+            b.push(k, EntryKind::Fixed, &1u64.to_le_bytes());
+        }
+        b.finish()
+    }
+
+    /// Deliver `chunks` in the order given, over an SPSC link, to partition
+    /// 0's leader from helper 1; returns the receiver and its clock.
+    fn deliver(chunks: &[&Vec<u8>]) -> (DeltaReceiver, VectorClock) {
+        let (mut link, lrx) = slash_net::spsc_channel(ChannelConfig::default());
+        for c in chunks {
+            assert!(link.try_send(MsgFlags::STATE_DELTA, c));
+        }
+        let mut rx = DeltaReceiver::over_spsc(lrx, 1);
+        let mut primary = Partition::new(0, CounterCrdt::descriptor());
+        let mut vclock = VectorClock::new(2);
+        rx.pump(&mut Sim::new(), &mut primary, &mut vclock).unwrap();
+        (rx, vclock)
+    }
+
+    /// The epoch-order check runs in every build, `--release` included:
+    /// two chunks swapped across an epoch boundary are counted, whether
+    /// the epochs are one chunk long or several.
+    #[test]
+    fn chunks_out_of_epoch_order_are_counted_in_every_build() {
+        let (a, b) = (epoch_chunks(0, 0, 10, 1), epoch_chunks(0, 1, 20, 1));
+        assert_eq!(deliver(&[&a[0], &b[0]]).0.violations().total(), 0);
+        let (rx, _) = deliver(&[&b[0], &a[0]]);
+        assert_eq!(rx.violations().get(Violation::EpochOrder), 1);
+
+        let (a, b) = (epoch_chunks(0, 0, 10, 8), epoch_chunks(0, 1, 20, 8));
+        assert!(a.len() > 1 && b.len() > 1);
+        let mut order: Vec<&Vec<u8>> = a.iter().chain(&b).collect();
+        assert_eq!(deliver(&order).0.violations().total(), 0);
+        order.swap(a.len() - 1, a.len());
+        let (rx, _) = deliver(&order);
+        assert!(rx.violations().get(Violation::EpochOrder) > 0);
+    }
+
+    /// The partition check runs in every build: a chunk of another
+    /// partition's fragment is counted.
+    #[test]
+    fn a_chunk_for_another_partition_is_counted_in_every_build() {
+        let (rx, _) = deliver(&[&epoch_chunks(1, 0, 10, 1)[0]]);
+        assert_eq!(rx.violations().get(Violation::Partition), 1);
+    }
+
+    /// The watermark check runs in every build: an epoch that ships a
+    /// watermark below the helper's slot is counted and leaves the slot.
+    #[test]
+    fn a_stale_watermark_is_counted_in_every_build() {
+        let (a, b) = (epoch_chunks(0, 0, 20, 1), epoch_chunks(0, 1, 10, 1));
+        let (rx, vclock) = deliver(&[&a[0], &b[0]]);
+        assert_eq!(rx.violations().get(Violation::StaleWatermark), 1);
+        assert_eq!(vclock.get(1), 20);
     }
 }

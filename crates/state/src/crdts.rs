@@ -62,50 +62,6 @@ impl CounterCrdt {
     }
 }
 
-/// `f64` sum: update = add, merge = add, zero = 0.0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SumF64Crdt;
-
-impl SumF64Crdt {
-    /// Encoded size.
-    pub const SIZE: usize = 8;
-
-    /// Add `x` to the encoded sum. Short buffers are left as-is.
-    #[inline]
-    pub fn add(value: &mut [u8], x: f64) {
-        let Some(chunk) = value.first_chunk_mut::<8>() else {
-            return;
-        };
-        *chunk = (f64::from_le_bytes(*chunk) + x).to_le_bytes();
-    }
-
-    /// Read the sum (the identity, 0.0, on a short buffer).
-    #[inline]
-    pub fn get(value: &[u8]) -> f64 {
-        value
-            .first_chunk::<8>()
-            .map_or(0.0, |c| f64::from_le_bytes(*c))
-    }
-
-    fn init(value: &mut [u8]) {
-        value[..8].copy_from_slice(&0f64.to_le_bytes());
-    }
-
-    fn merge(dst: &mut [u8], src: &[u8]) {
-        Self::add(dst, Self::get(src));
-    }
-
-    /// Backend descriptor.
-    pub fn descriptor() -> StateDescriptor {
-        StateDescriptor {
-            kind: ValueKind::Fixed { size: Self::SIZE },
-            init: Self::init,
-            merge: Self::merge,
-            combinable: false,
-        }
-    }
-}
-
 /// `u64` maximum: update = max, merge = max, zero = 0 (prices and counts
 /// in NEXMark are non-negative; use [`MinCrdt`]'s convention for the dual).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -284,15 +240,6 @@ mod tests {
         CounterCrdt::add(&mut b, 7);
         (d.merge)(&mut a, &b);
         assert_eq!(CounterCrdt::get(&a), 12);
-    }
-
-    #[test]
-    fn sum_f64() {
-        let d = SumF64Crdt::descriptor();
-        let mut a = zeroed(&d);
-        SumF64Crdt::add(&mut a, 1.5);
-        SumF64Crdt::add(&mut a, 2.25);
-        assert_eq!(SumF64Crdt::get(&a), 3.75);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use backend::recovery::{rejoin, relink, Rejoin, SsbCheckpoint};
 pub use backend::{SsbConfig, SsbNode, TriggeredValue};
 pub use coherence::{DeltaReceiver, DeltaSender, RetainedEpoch, StateError};
 pub use combiner::WriteCombiner;
-pub use crdts::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt, SumF64Crdt};
+pub use crdts::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt};
 pub use crdts_hll::HllCrdt;
 pub use delta::DeltaDecodeError;
 pub use descriptor::{StateDescriptor, ValueKind};

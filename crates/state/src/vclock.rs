@@ -21,6 +21,13 @@ impl VectorClock {
         }
     }
 
+    /// A clock holding `slots`, one watermark per executor (a
+    /// checkpoint's [`VectorClock::snapshot`]).
+    pub(crate) fn from_slots(slots: Vec<u64>) -> Self {
+        assert!(!slots.is_empty());
+        VectorClock { entries: slots }
+    }
+
     /// Number of executors tracked.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -33,30 +40,23 @@ impl VectorClock {
         self.entries.is_empty()
     }
 
-    /// Forcibly set executor `node`'s watermark, bypassing the monotonicity
-    /// guard of [`VectorClock::update`].
-    ///
-    /// Fault-injection hook for the `slash-verify` race checker's mutation
-    /// tests (it must be able to *cause* a monotonicity violation to prove
-    /// the checker detects one). Never call this from protocol code.
-    #[doc(hidden)]
-    pub fn fault_force_set(&mut self, node: usize, watermark: u64) {
-        self.entries[node] = watermark;
-    }
-
     /// The watermark of executor `node`.
     pub fn get(&self, node: usize) -> u64 {
         self.entries[node]
     }
 
-    /// Advance executor `node` to `watermark`. Watermarks are monotone;
-    /// stale updates (reordered epochs cannot happen on a FIFO channel,
-    /// but defensive) are ignored.
-    pub fn update(&mut self, node: usize, watermark: u64) {
+    /// Advance executor `node` to `watermark`. Watermarks are monotone: a
+    /// stale one (below the slot) leaves the slot as it is and returns
+    /// `false`, for the caller to count as a
+    /// [`slash_net::Violation::StaleWatermark`].
+    #[must_use]
+    pub fn update(&mut self, node: usize, watermark: u64) -> bool {
         let e = &mut self.entries[node];
-        if watermark > *e {
+        let fresh = watermark >= *e;
+        if fresh {
             *e = watermark;
         }
+        fresh
     }
 
     /// The global low watermark: every executor has progressed at least
@@ -81,10 +81,9 @@ mod tests {
     fn min_over_entries() {
         let mut vc = VectorClock::new(3);
         assert_eq!(vc.min(), 0);
-        vc.update(0, 100);
-        vc.update(1, 50);
+        assert!(vc.update(0, 100) && vc.update(1, 50));
         assert_eq!(vc.min(), 0, "node 2 still at 0");
-        vc.update(2, 70);
+        assert!(vc.update(2, 70));
         assert_eq!(vc.min(), 50);
         assert_eq!(vc.get(0), 100);
     }
@@ -92,8 +91,9 @@ mod tests {
     #[test]
     fn updates_are_monotone() {
         let mut vc = VectorClock::new(1);
-        vc.update(0, 10);
-        vc.update(0, 5);
+        assert!(vc.update(0, 10));
+        assert!(!vc.update(0, 5), "a stale watermark is reported");
         assert_eq!(vc.get(0), 10);
+        assert!(vc.update(0, 10), "an equal one is not stale");
     }
 }

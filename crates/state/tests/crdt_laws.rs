@@ -8,7 +8,7 @@
 
 use slash_desim::DetRng;
 use slash_state::descriptor::StateDescriptor;
-use slash_state::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt, SumF64Crdt};
+use slash_state::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt};
 
 fn zeroed(d: &StateDescriptor) -> Vec<u8> {
     let mut v = vec![0u8; d.fixed_size()];
@@ -71,21 +71,6 @@ fn counter_laws() {
         };
         let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
         check_laws(&d, &a, &b, &c, false);
-    }
-}
-
-#[test]
-fn sum_f64_laws() {
-    let d = SumF64Crdt::descriptor();
-    for seed in 0..CASES {
-        let mut rng = DetRng::new(0x22 ^ seed.wrapping_mul(0x9E3779B9));
-        let mk = |rng: &mut DetRng| {
-            let mut v = zeroed(&d);
-            SumF64Crdt::add(&mut v, f64_in(rng, -1e12, 1e12));
-            v
-        };
-        let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
-        check_laws(&d, &a, &b, &c, true);
     }
 }
 

@@ -34,7 +34,10 @@
 //! `ignore-credit-window`, `reorder-delivered`, `regress-vclock`,
 //! `drop-update` in the protocol scenarios; `skip-replay` in
 //! `core/recovery.rs` and `skip-cutover-close` in `core/elastic.rs`, run
-//! on the driver) and *expects* the checks to fire: under the random sweep
+//! on the driver) and *expects* the checks to fire — for
+//! `ignore-credit-window`, `reorder-delivered` and `regress-vclock` the
+//! shipped code's own checks, through their protocol-violation count:
+//! under the random sweep
 //! a violation plus a flight-recorder dump; under `--exhaustive` (with
 //! `--minimize`) additionally a minimized reproducing choice schedule
 //! strictly shorter than the first exposing one — for the driver plants at

@@ -657,7 +657,7 @@ impl Case {
             let (got, want) = (out.run.records, probe.input.records);
             bad.push(format!("{got} records processed, input has {want}"));
         }
-        if let Err(e) = oracle::check(&probe.expected, &out.run.results) {
+        if let Err(e) = oracle::check(&probe.expected, &out.run) {
             bad.push(format!("results differ from the sequential fold: {e}"));
         }
         if out.run.state_digests != probe.base.run.state_digests {

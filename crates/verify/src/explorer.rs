@@ -603,7 +603,7 @@ mod tests {
         sim.run();
         let fired = order.borrow().clone();
         let violations = if violates(&fired) {
-            vec![(Invariant::Fifo, "planted".to_string())]
+            vec![(Invariant::StreamComplete, "planted".to_string())]
         } else {
             Vec::new()
         };
@@ -674,7 +674,7 @@ mod tests {
         });
         assert_eq!(rep.counterexamples.len(), 1);
         let ce = &rep.counterexamples[0];
-        assert_eq!(ce.invariant, Invariant::Fifo);
+        assert_eq!(ce.invariant, Invariant::StreamComplete);
         // Replaying the minimized schedule must still reproduce.
         let replay = toy(&labels, &ce.minimized, &|order| order.first() == Some(&1));
         assert!(!replay.outcome.violations.is_empty());

@@ -18,16 +18,16 @@
 //!    checker replays the channel, multi-port fabric and epoch-coherence
 //!    protocol scenarios under many seeded choice vectors over exactly
 //!    those ties, and the fault matrix under many fault instants × tie
-//!    schedules, asserting the invariants under every one: FIFO delivery,
-//!    credit conservation, no slot overwritten before consumption,
-//!    vector-clock monotonicity, epoch convergence, and recovery
-//!    convergence (a faulted run equals the sequential fold and every
-//!    fault got its repair). A violation names the choice vector that
-//!    reproduces it. On top of the random sweep sits the bounded
-//!    **exhaustive model checker**: a DFS over the same per-branch-point
-//!    choice vectors, with sleep-set reduction, state-digest
-//!    deduplication, budget accounting, and greedy counterexample
-//!    minimization (`slash-race --exhaustive`).
+//!    schedules, judging every one: no protocol violation counted by the
+//!    shipped code's own checks (FIFO, credit window, epoch order,
+//!    watermarks), streams complete and credits converged at quiescence,
+//!    epoch convergence, and recovery convergence (a faulted run equals
+//!    the sequential fold and every fault got its repair). A violation
+//!    names the choice vector that reproduces it. On top of the random
+//!    sweep sits the bounded **exhaustive model checker**: a DFS over the
+//!    same per-branch-point choice vectors, with sleep-set reduction,
+//!    state-digest deduplication, budget accounting, and greedy
+//!    counterexample minimization (`slash-race --exhaustive`).
 //!
 //! All of it runs in CI via `scripts/ci.sh` (`slash-race`). The
 //! repository's static rules (no unsafe code, no panics in protocol

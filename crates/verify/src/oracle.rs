@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use slash_core::{QueryPlan, SinkResult};
+use slash_core::{QueryPlan, RunReport, SinkResult};
 
 /// What a query emits: per `(window, key)`, the rendered aggregate or the
 /// join's pair count.
@@ -103,11 +103,15 @@ pub fn results_map(results: &[SinkResult]) -> Result<Groups, String> {
     Ok(out)
 }
 
-/// Compare emitted `results` against `expected`: the same groups, each
-/// exactly once, each with the oracle's value. `Err` describes the first
+/// Judge a run against `expected`: no protocol violation counted (the
+/// shipped checks, DESIGN §8), and the same groups emitted, each exactly
+/// once, each with the oracle's value. `Err` describes the first
 /// difference found.
-pub fn check(expected: &Groups, results: &[SinkResult]) -> Result<(), String> {
-    let got = results_map(results)?;
+pub fn check(expected: &Groups, run: &RunReport) -> Result<(), String> {
+    if run.protocol_violations.total() > 0 {
+        return Err(format!("protocol violations: {}", run.protocol_violations));
+    }
+    let got = results_map(&run.results)?;
     if expected.len() != got.len() {
         return Err(format!(
             "{} groups expected, {} emitted",

@@ -16,21 +16,21 @@ use slash_desim::DetRng;
 
 use crate::explorer::ScheduleRun;
 
-/// The protocol invariants the race checker asserts under every schedule.
+/// What the race checker judges under every schedule. The per-event
+/// protocol invariants are not among them: the shipped code checks those
+/// itself and counts a failure ([`slash_net::Violations`]); the checker
+/// requires the count to be zero and judges outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
-    /// Messages on a channel arrive in send order, exactly once, and the
-    /// stream completes (all payloads then EOS).
-    Fifo,
-    /// Credit accounting: `acked ≤ consumer.next_seq ≤ producer.next_seq`
-    /// at every step, and all three converge at quiescence.
+    /// Every message of a channel arrived by quiescence, then EOS.
+    StreamComplete,
+    /// Credits converged at quiescence: `acked == consumer.next_seq ==
+    /// producer.next_seq`, none held unreturned.
     CreditConservation,
-    /// The producer never reuses a ring slot before its previous occupant
-    /// was consumed and acknowledged (`producer.next_seq - acked ≤ c`),
-    /// and no payload is ever observed corrupted.
-    NoOverwrite,
-    /// Every node's vector clock only ever advances.
-    VclockMonotonic,
+    /// A check in the shipped code counted a protocol violation: FIFO by
+    /// footer sequence, the credit window, epoch order and partition id,
+    /// monotone watermarks, split-ledger agreement.
+    Protocol,
     /// At quiescence, every leader's merged state equals the sequential
     /// oracle and all vector clocks agree on the final watermark.
     EpochConvergence,
@@ -44,10 +44,9 @@ impl Invariant {
     /// Stable kebab-case name for reports.
     pub fn name(self) -> &'static str {
         match self {
-            Invariant::Fifo => "fifo-delivery",
+            Invariant::StreamComplete => "stream-complete",
             Invariant::CreditConservation => "credit-conservation",
-            Invariant::NoOverwrite => "no-slot-overwrite",
-            Invariant::VclockMonotonic => "vclock-monotonic",
+            Invariant::Protocol => "protocol-violation",
             Invariant::EpochConvergence => "epoch-convergence",
             Invariant::RecoveryConvergence => "recovery-convergence",
         }
@@ -218,7 +217,7 @@ mod tests {
             outcome: Outcome {
                 fingerprint,
                 violations: match violated {
-                    true => vec![(Invariant::Fifo, "x".into())],
+                    true => vec![(Invariant::StreamComplete, "x".into())],
                     false => vec![],
                 },
                 dumps: match violated {

@@ -4,7 +4,10 @@
 //! ([`Sim::with_schedule`]), drives the protocol with *actors* — closures
 //! rescheduled at a fixed tick period, so every tick all actors land on
 //! the same virtual nanosecond and the vector decides their order — and
-//! checks the protocol invariants both during the run and at quiescence.
+//! judges the run at quiescence: the protocol-violation counts of the
+//! shipped checks (FIFO, credit window, epoch order, watermarks; DESIGN
+//! §8) must be zero, and the outcome must be whole — streams complete,
+//! credits converged, state equal to a sequential oracle.
 //! The op sequence itself is drawn from fixed-seed [`DetRng`]s, so across
 //! schedules only the *interleaving* varies, never the workload.
 //!
@@ -26,7 +29,7 @@
 //!
 //! [`Mutation`]s inject protocol bugs (via `#[doc(hidden)]` fault hooks in
 //! `slash-net`/`slash-state`/`slash-core`, or scenario-level tampering) so
-//! tests can prove each invariant check actually fires instead of passing
+//! tests can prove each check actually fires instead of passing
 //! vacuously.
 
 use std::cell::RefCell;
@@ -36,7 +39,9 @@ use std::rc::Rc;
 use slash_core::Plant;
 use slash_desim::rng::mix64;
 use slash_desim::{DetRng, EventLabel, Sim, SimTime};
-use slash_net::{create_channel, ChannelConfig, ChannelReceiver, ChannelSender, MsgFlags};
+use slash_net::{
+    create_channel, ChannelConfig, ChannelReceiver, ChannelSender, MsgFlags, Violations,
+};
 use slash_obs::Obs;
 use slash_rdma::{Fabric, FabricConfig, NicConfig};
 use slash_state::backend::{build_cluster_obs, SsbConfig, SsbNode};
@@ -53,13 +58,14 @@ pub enum Mutation {
     /// credit (net fault hook) → credit conservation must fire.
     SkipCreditReturn,
     /// The sender of channel 0 ignores the credit window and overwrites
-    /// unconsumed slots (net fault hook) → no-overwrite must fire.
+    /// unconsumed slots (net fault hook) → the sender's credit-window
+    /// check counts it.
     IgnoreCreditWindow,
-    /// The consumer of channel 0 processes one polled batch out of order
-    /// (detector-level tamper) → FIFO must fire.
+    /// The receiver of channel 0 consumes slot k+1 before slot k once
+    /// (net fault hook) → the receiver's FIFO check counts it.
     ReorderDelivered,
-    /// Node 0's vector clock is forced backwards mid-run (state fault
-    /// hook) → vclock monotonicity must fire.
+    /// Node 0 ships one epoch with a stale watermark (state fault hook) →
+    /// the leaders' stale-watermark check counts it.
     RegressVclock,
     /// One update is counted in the sequential oracle but never applied
     /// to the backend → epoch convergence must fire.
@@ -177,22 +183,16 @@ impl ChannelScenario {
     }
 }
 
-fn fill_byte(ch: usize, id: u64) -> u8 {
-    (id as u8) ^ ((ch as u8) << 4) ^ 0x5A
-}
-
 struct ChanWorld {
     txs: Vec<ChannelSender>,
     rxs: Vec<ChannelReceiver>,
     nchan: usize,
     msgs: u64,
     credits: usize,
-    mutation: Option<Mutation>,
     sent: Vec<u64>,
     eos_sent: Vec<bool>,
-    expected: Vec<u64>,
+    received: Vec<u64>,
     eos_seen: Vec<bool>,
-    reordered: bool,
     violations: Vec<(Invariant, String)>,
     flagged: HashSet<(&'static str, usize)>,
     obs: Obs,
@@ -214,34 +214,17 @@ impl ChanWorld {
         }
     }
 
-    fn check_credits(&mut self, ch: usize) {
-        let acked = self.txs[ch].acked();
-        let txn = self.txs[ch].next_seq();
-        let rxn = self.rxs[ch].next_seq();
-        if !(acked <= rxn && rxn <= txn) {
-            self.flag(
-                Invariant::CreditConservation,
-                ch,
-                format!("counter order broken: acked={acked} rx={rxn} tx={txn}"),
-            );
-        }
-        if txn.saturating_sub(acked) > self.credits as u64 {
-            self.flag(
-                Invariant::NoOverwrite,
-                ch,
-                format!(
-                    "window overrun: {} buffers in flight > {} credits (slot reused before ack)",
-                    txn - acked,
-                    self.credits
-                ),
-            );
-        }
+    /// Protocol violations channel `ch`'s two endpoints counted.
+    fn counted(&self, ch: usize) -> Violations {
+        let mut v = self.txs[ch].stats.violations;
+        v.absorb(&self.rxs[ch].stats.violations);
+        v
     }
 
     /// Order-insensitive digest of every protocol-visible counter: sender
-    /// and receiver sequence numbers, acked credit, per-channel detector
-    /// progress, and the violation count. Two explored prefixes with equal
-    /// digests have converged to the same channel state.
+    /// and receiver sequence numbers, acked credit, per-channel progress,
+    /// and the violation counts. Two explored prefixes with equal digests
+    /// have converged to the same channel state.
     fn digest(&self) -> u64 {
         let mut h = 0xC4A2_17E5_D00D_F00Du64;
         for ch in 0..self.nchan {
@@ -250,7 +233,8 @@ impl ChanWorld {
             h = fold_digest(h, self.rxs[ch].next_seq());
             h = fold_digest(h, self.rxs[ch].unreturned() as u64);
             h = fold_digest(h, self.sent[ch]);
-            h = fold_digest(h, self.expected[ch]);
+            h = fold_digest(h, self.received[ch]);
+            h = fold_digest(h, self.counted(ch).total());
             let bits = (self.eos_sent[ch] as u64) | ((self.eos_seen[ch] as u64) << 1);
             h = fold_digest(h, bits);
         }
@@ -269,15 +253,13 @@ impl ChanWorld {
                     let id = self.sent[ch];
                     let res = self.txs[ch].try_send_with(sim, MsgFlags::DATA, PAYLOAD, |buf| {
                         buf[..8].copy_from_slice(&id.to_le_bytes());
-                        for b in &mut buf[8..] {
-                            *b = fill_byte(ch, id);
-                        }
                     });
                     match res {
                         Ok(true) => self.sent[ch] += 1,
                         Ok(false) => break,
                         Err(e) => {
-                            self.flag(Invariant::Fifo, ch, format!("transport error: {e:?}"));
+                            let why = format!("transport error: {e:?}");
+                            self.flag(Invariant::StreamComplete, ch, why);
                             break;
                         }
                     }
@@ -290,98 +272,38 @@ impl ChanWorld {
                     break;
                 }
             }
-            self.check_credits(ch);
         }
         self.eos_sent.iter().all(|&e| e)
     }
 
-    fn observe(&mut self, ch: usize, flags: MsgFlags, payload: &[u8]) {
-        if flags.contains(MsgFlags::EOS) {
-            self.eos_seen[ch] = true;
-            if self.expected[ch] != self.msgs {
-                let (got, want) = (self.expected[ch], self.msgs);
-                self.flag(
-                    Invariant::Fifo,
-                    ch,
-                    format!("EOS after {got} of {want} messages"),
-                );
-            }
-            return;
-        }
-        if payload.len() != PAYLOAD {
-            let len = payload.len();
-            self.flag(
-                Invariant::NoOverwrite,
-                ch,
-                format!("payload length {len} ≠ {PAYLOAD}"),
-            );
-            return;
-        }
-        let mut idb = [0u8; 8];
-        idb.copy_from_slice(&payload[..8]);
-        let id = u64::from_le_bytes(idb);
-        if id != self.expected[ch] {
-            let want = self.expected[ch];
-            self.flag(
-                Invariant::Fifo,
-                ch,
-                format!("received message {id}, expected {want}"),
-            );
-        }
-        let fb = fill_byte(ch, id);
-        if payload[8..].iter().any(|&b| b != fb) {
-            self.flag(
-                Invariant::NoOverwrite,
-                ch,
-                format!("message {id} payload corrupted (expected fill {fb:#04x})"),
-            );
-        }
-        self.expected[ch] = id + 1;
-    }
-
     fn consumer_tick(&mut self, sim: &mut Sim, ch: usize) -> bool {
         self.cur_fp = sim.schedule_fingerprint();
-        let mut batch: Vec<(MsgFlags, Vec<u8>)> = Vec::new();
-        loop {
-            match self.rxs[ch].try_recv(sim) {
-                Ok(Some(m)) => {
-                    let eos = m.0.contains(MsgFlags::EOS);
-                    batch.push(m);
-                    if eos {
-                        break;
-                    }
-                }
+        while !self.eos_seen[ch] {
+            let eos = |flags: MsgFlags, _: &[u8]| flags.contains(MsgFlags::EOS);
+            match self.rxs[ch].poll_with(sim, eos) {
+                Ok(Some(true)) => self.eos_seen[ch] = true,
+                Ok(Some(false)) => self.received[ch] += 1,
                 Ok(None) => break,
                 Err(e) => {
-                    self.flag(Invariant::Fifo, ch, format!("transport error: {e:?}"));
+                    let why = format!("transport error: {e:?}");
+                    self.flag(Invariant::StreamComplete, ch, why);
                     break;
                 }
             }
         }
-        if self.mutation == Some(Mutation::ReorderDelivered)
-            && ch == 0
-            && !self.reordered
-            && batch.len() >= 2
-        {
-            batch.swap(0, 1);
-            self.reordered = true;
-        }
-        for (flags, payload) in batch {
-            self.observe(ch, flags, &payload);
-        }
-        self.check_credits(ch);
         self.eos_seen[ch]
     }
 
     fn quiescence(&mut self) {
         for ch in 0..self.nchan {
-            if !self.eos_seen[ch] {
-                let (got, want) = (self.expected[ch], self.msgs);
-                self.flag(
-                    Invariant::Fifo,
-                    ch,
-                    format!("stream incomplete at quiescence: {got} of {want}, no EOS"),
-                );
+            let (got, want, eos) = (self.received[ch], self.msgs, self.eos_seen[ch]);
+            if !eos || got != want {
+                let why = format!("stream incomplete at quiescence: {got} of {want}, eos={eos}");
+                self.flag(Invariant::StreamComplete, ch, why);
+            }
+            let counted = self.counted(ch);
+            if counted.total() > 0 {
+                self.flag(Invariant::Protocol, ch, format!("counted {counted}"));
             }
             let acked = self.txs[ch].acked();
             let txn = self.txs[ch].next_seq();
@@ -496,6 +418,7 @@ impl Scenario for ChannelScenario {
         match self.mutation {
             Some(Mutation::SkipCreditReturn) => rxs[0].fault_skip_credit_return(),
             Some(Mutation::IgnoreCreditWindow) => txs[0].fault_ignore_credit_window(),
+            Some(Mutation::ReorderDelivered) => rxs[0].fault_reorder_once(),
             _ => {}
         }
         let world = Rc::new(RefCell::new(ChanWorld {
@@ -504,12 +427,10 @@ impl Scenario for ChannelScenario {
             nchan,
             msgs: self.messages,
             credits: self.credits,
-            mutation: self.mutation,
             sent: vec![0; nchan],
             eos_sent: vec![false; nchan],
-            expected: vec![0; nchan],
+            received: vec![0; nchan],
             eos_seen: vec![false; nchan],
-            reordered: false,
             violations: Vec::new(),
             flagged: HashSet::new(),
             obs: obs.clone(),
@@ -572,8 +493,8 @@ const FINAL_WM: u64 = 10_000;
 /// every node updates random keys, periodically closes epochs and pumps
 /// delta shipping — all per-node actors tying on every tick. At quiescence
 /// [`Invariant::EpochConvergence`] requires the merged state to equal the
-/// sequential oracle and every vector clock to sit at the final watermark;
-/// [`Invariant::VclockMonotonic`] is checked at every tick.
+/// sequential oracle and every vector clock to sit at the final watermark,
+/// and [`Invariant::Protocol`] every node's violation count to be zero.
 ///
 /// This is a *protocol* scenario like [`ChannelScenario`]: its lock-step
 /// ticks manufacture a tie on every tick, which the shipped driver — where
@@ -601,7 +522,6 @@ struct SsbWorld {
     ssb: Vec<SsbNode>,
     oracle: HashMap<u64, u64>,
     rngs: Vec<DetRng>,
-    prev_vc: Vec<Vec<u64>>,
     /// The injected bug, taken when it fires (each fires once).
     mutation: Option<Mutation>,
     final_closed: Vec<bool>,
@@ -627,22 +547,6 @@ impl SsbWorld {
             );
             self.violations
                 .push((inv, format!("node {node}: {detail}")));
-        }
-    }
-
-    fn check_vclock(&mut self, i: usize) {
-        let n = self.ssb.len();
-        for j in 0..n {
-            let cur = self.ssb[i].vclock().get(j);
-            let prev = self.prev_vc[i][j];
-            if cur < prev {
-                self.flag(
-                    Invariant::VclockMonotonic,
-                    i,
-                    format!("vclock slot {j} regressed from {prev} to {cur}"),
-                );
-            }
-            self.prev_vc[i][j] = cur;
         }
     }
 
@@ -691,7 +595,7 @@ impl SsbWorld {
             self.final_closed[i] = true;
         }
         if i == 0 && tick == 6 && self.fire(Mutation::RegressVclock) {
-            self.ssb[0].fault_vclock_mut().fault_force_set(0, 1);
+            self.ssb[0].fault_stale_watermark();
         }
         if let Err(e) = self.ssb[i].pump(sim) {
             self.flag(
@@ -700,7 +604,6 @@ impl SsbWorld {
                 format!("pump failed: {e:?}"),
             );
         }
-        self.check_vclock(i);
         tick >= OP_TICKS + SETTLE_TICKS
     }
 
@@ -724,6 +627,10 @@ impl SsbWorld {
             }
         }
         for i in 0..n {
+            let counted = self.ssb[i].violations();
+            if counted.total() > 0 {
+                self.flag(Invariant::Protocol, i, format!("counted {counted}"));
+            }
             for j in 0..n {
                 let got = self.ssb[i].vclock().get(j);
                 if got != FINAL_WM {
@@ -745,6 +652,7 @@ impl SsbWorld {
         let mut h = 0xFA11_BACC_D16E_5721u64;
         for (i, node) in self.ssb.iter().enumerate() {
             h = fold_digest(h, node.state_digest());
+            h = fold_digest(h, node.violations().total());
             for v in node.vclock().snapshot() {
                 h = fold_digest(h, v);
             }
@@ -801,7 +709,6 @@ impl Scenario for CoherenceScenario {
             rngs: (0..n)
                 .map(|i| DetRng::new(0xFA11 ^ (i as u64) << 8))
                 .collect(),
-            prev_vc: vec![vec![0; n]; n],
             mutation: self.mutation,
             final_closed: vec![false; n],
             violations: Vec::new(),

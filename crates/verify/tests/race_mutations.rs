@@ -1,7 +1,9 @@
 //! Mutation tests for the race checker: each injected protocol bug must be
-//! caught by exactly the invariant that guards against it. A detector that
-//! passes clean runs but cannot see planted bugs proves nothing — these
-//! tests are the checker's own test suite.
+//! caught by exactly the check that guards against it — the three that
+//! break a per-event protocol invariant by the shipped code's own checks
+//! (`protocol_violations`), the rest by the checker's outcome judges. A
+//! check that passes clean runs but cannot see planted bugs proves
+//! nothing — these tests are the checker's own test suite.
 
 use slash_desim::SimTime;
 use slash_verify::catalogue::case;
@@ -16,15 +18,28 @@ fn driver_sweep(name: &str, m: Mutation) -> Exploration {
 }
 
 /// Each protocol mutation trips exactly the invariant that guards against
-/// it, under the plain FIFO (empty) schedule.
+/// it, under the plain FIFO (empty) schedule: the three per-event ones
+/// through the count of the kind the shipped check names.
 #[test]
 fn each_protocol_mutation_breaks_its_invariant() {
-    for (m, expected) in [
-        (Mutation::SkipCreditReturn, Invariant::CreditConservation),
-        (Mutation::IgnoreCreditWindow, Invariant::NoOverwrite),
-        (Mutation::ReorderDelivered, Invariant::Fifo),
-        (Mutation::RegressVclock, Invariant::VclockMonotonic),
-        (Mutation::DropUpdate, Invariant::EpochConvergence),
+    for (m, expected, kind) in [
+        (
+            Mutation::SkipCreditReturn,
+            Invariant::CreditConservation,
+            "",
+        ),
+        (
+            Mutation::IgnoreCreditWindow,
+            Invariant::Protocol,
+            "credit-window=",
+        ),
+        (Mutation::ReorderDelivered, Invariant::Protocol, "fifo="),
+        (
+            Mutation::RegressVclock,
+            Invariant::Protocol,
+            "stale-watermark=",
+        ),
+        (Mutation::DropUpdate, Invariant::EpochConvergence, ""),
     ] {
         let mutation = Some(m);
         let out = match m {
@@ -46,11 +61,18 @@ fn each_protocol_mutation_breaks_its_invariant() {
             }
         };
         assert!(
-            out.violations.iter().any(|(i, _)| *i == expected),
-            "{m:?}: expected {} violation, got {:?}",
+            out.violations
+                .iter()
+                .any(|(i, d)| *i == expected && d.contains(kind)),
+            "{m:?}: expected {} {kind} violation, got {:?}",
             expected.name(),
             out.violations
         );
+        let protocol = out
+            .violations
+            .iter()
+            .any(|(i, _)| *i == Invariant::Protocol);
+        assert_eq!(protocol, !kind.is_empty(), "{m:?}: {:?}", out.violations);
     }
 }
 
@@ -96,8 +118,13 @@ fn mutations_are_caught_under_every_explored_schedule() {
         ),
         (
             "ignore-credit-window",
-            Invariant::NoOverwrite,
+            Invariant::Protocol,
             Mutation::IgnoreCreditWindow,
+        ),
+        (
+            "reorder-delivered",
+            Invariant::Protocol,
+            Mutation::ReorderDelivered,
         ),
     ] {
         for (i, choices) in schedules(3).enumerate() {
@@ -117,8 +144,9 @@ fn mutations_are_caught_under_every_explored_schedule() {
 
 #[test]
 fn violations_come_with_flight_recorder_dumps() {
-    // Every flagged invariant captures a dump: the reason, the schedule
-    // fingerprint, and the trailing verb/epoch trace events.
+    // The shipped check dumps at its first count, with the trailing
+    // verb/epoch trace events; every flagged invariant adds a dump with
+    // the schedule fingerprint.
     let out = ChannelScenario {
         mutation: Some(Mutation::IgnoreCreditWindow),
         ..ChannelScenario::default()
@@ -128,15 +156,16 @@ fn violations_come_with_flight_recorder_dumps() {
     assert!(!out.violations.is_empty());
     assert_eq!(
         out.dumps.len(),
-        out.violations.len(),
-        "one dump per violation"
+        out.violations.len() + 1,
+        "the check's dump, then one per violation"
     );
     assert!(out.dumps[0].contains("flight-recorder dump"));
-    assert!(out.dumps[0].contains("schedule fingerprint=0x"));
+    assert!(out.dumps[0].contains("protocol violation: credit-window"));
     assert!(
         out.dumps[0].contains("verb/"),
         "dump should show channel verb events"
     );
+    assert!(out.dumps[1].contains("schedule fingerprint=0x"));
 
     let out = CoherenceScenario {
         mutation: Some(Mutation::RegressVclock),
@@ -147,8 +176,10 @@ fn violations_come_with_flight_recorder_dumps() {
     assert!(!out.violations.is_empty());
     assert!(!out.dumps.is_empty());
     assert!(
-        out.dumps[0].contains("vclock["),
-        "dump should carry vector-clock context"
+        out.dumps[0].contains("protocol violation: stale-watermark")
+            && out.dumps[0].contains("vclock=["),
+        "dump should carry vector-clock context: {}",
+        out.dumps[0]
     );
 
     // Clean runs dump nothing.

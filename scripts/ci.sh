@@ -58,10 +58,10 @@ cargo run --release -p slash-verify --bin slash-race -- --seeds 128
 cargo run --release -p slash-verify --bin slash-race -- \
     --exhaustive --minimize --out results/race_coverage.json
 echo "race coverage report: results/race_coverage.json"
-# (c) Planted bugs: under the random sweep each is caught with the choice
-# vector that replays it and a flight dump with a registry snapshot; under
-# the explorer each falls with a minimized reproducing schedule, the two in
-# the shipped recovery and handoff machines at their earliest instant.
+# (c) Planted bugs (three caught by the shipped checks' count): under the
+# random sweep each is caught with the choice vector that replays it and a
+# flight dump with a registry snapshot; under the explorer each falls with a
+# minimized repro, the driver's two at their earliest instant.
 for m in ignore-credit-window regress-vclock skip-replay skip-cutover-close; do
     flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation "$m")"
     grep -q "replay schedule: \[" <<<"$flight_out"
@@ -119,11 +119,11 @@ for fig in recovery rescale split; do cargo run --release -p slash-bench --bin r
 golden_trace rescale
 
 echo "==> [10/10] optimized build: the state tests and the exactness matrix"
-# In the build the ledger times: the state layer's oracles and wire
-# goldens, the threaded backend's concurrent-obs merge stress, and the
-# exactness matrix — every supported cell of engine x combiner x split x
-# rescale x fault x pacing against the sequential oracle.
-cargo test --release -p slash-exec -p slash-state -q
+# In the build the ledger times: the protocol checks, the state oracles and
+# wire goldens, the threaded backend's obs merge stress, and the exactness
+# matrix — every supported cell of engine x combiner x split x rescale x
+# fault x pacing against the sequential oracle, protocol violations zero.
+cargo test --release -p slash-exec -p slash-state -p slash-net -p slash-core -q
 cargo test --release -q --test matrix --test equivalence --test combiner_equivalence
 
 # Every artifact the gate rewrites in place is deterministic: a green run

@@ -48,7 +48,7 @@ fn assert_exact(window: u64, parts: Vec<Rc<Vec<u8>>>, nodes: usize, epoch_bytes:
     cfg.epoch_bytes = epoch_bytes;
     let expected = oracle::oracle(&plan, &parts);
     let report = SlashCluster::run(plan, parts, cfg);
-    let verdict = oracle::check(&expected, &report.results);
+    let verdict = oracle::check(&expected, &report);
     assert!(verdict.is_ok(), "seed {seed}: {verdict:?}");
 }
 

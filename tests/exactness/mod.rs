@@ -375,7 +375,7 @@ fn judge(
         run.records == input.records,
         format!("{} records, input has {}", run.records, input.records),
     );
-    let verdict = oracle::check(expected, &run.results);
+    let verdict = oracle::check(expected, run);
     expect(
         verdict.is_ok(),
         format!("the sequential fold disagrees: {verdict:?}"),

@@ -2,7 +2,9 @@
 //! (`slash_bench::analytic`) against the discrete-event simulation.
 //! Agreement within a tolerance means the simulator's emergent throughput
 //! really is produced by the structural bottlenecks the model names —
-//! there is no hidden fudge factor.
+//! there is no hidden fudge factor. The bounds — 15 % on throughput, 0.05
+//! on the memory-stall share — sit just above the measured gaps (4–12 %
+//! and 0.025), so a simulator cost the model does not name fails here.
 
 use slash::core::{CostModel, RunConfig, SlashCluster};
 use slash::workloads::{ro, GenConfig};
@@ -36,7 +38,7 @@ fn slash_node_throughput_matches_the_closed_form() {
     let predicted = predict_slash_agg(&CostModel::default(), &shape).throughput();
     let err = relative_error(predicted, measured);
     assert!(
-        err < 0.35,
+        err < 0.15,
         "closed form {predicted:.3e} vs simulated {measured:.3e} ({:.0}% off)",
         err * 100.0
     );
@@ -51,7 +53,7 @@ fn micro_direct_goodput_matches_the_closed_form() {
         let predicted = predict_micro_direct(&CostModel::default(), threads, 11.8);
         let err = relative_error(predicted, measured);
         assert!(
-            err < 0.35,
+            err < 0.15,
             "{threads} threads: closed form {predicted:.2} vs simulated {measured:.2} GB/s"
         );
     }
@@ -75,7 +77,7 @@ fn memory_stall_fraction_predicts_the_breakdown() {
     let breakdown = report.metrics.breakdown(); // [ret, fe, mem, core, bad]
     let simulated_mem_share = breakdown[2];
     assert!(
-        (prediction.memory_stall_fraction - simulated_mem_share).abs() < 0.25,
+        (prediction.memory_stall_fraction - simulated_mem_share).abs() < 0.05,
         "model {:.2} vs simulated {simulated_mem_share:.2}",
         prediction.memory_stall_fraction
     );

@@ -39,7 +39,7 @@ fn run_exact(
     cfg.collect_results = true;
     let expected = oracle::oracle(&plan, &parts);
     let report = SlashCluster::run(plan, parts, cfg);
-    let verdict = oracle::check(&expected, &report.results);
+    let verdict = oracle::check(&expected, &report);
     assert!(verdict.is_ok(), "{what}: {verdict:?}");
     report
 }
