@@ -5,10 +5,12 @@
 //! cases those bottlenecks compose analytically, which gives an
 //! independent prediction to validate the simulator against (see
 //! `tests/model_validation.rs`): if simulation and closed form diverge,
-//! one of them mis-models the structure. Only predictions that test
-//! holds the simulator to live here.
+//! one of them mis-models the structure.
 
-use slash_core::CostModel;
+use slash_core::{CostCategory, CostModel};
+
+// Re-exported so callers can build breakdown expectations too.
+pub use slash_core::metrics::CATEGORIES;
 
 /// Inputs describing a steady-state aggregation workload on one node.
 #[derive(Debug, Clone, Copy)]
@@ -41,6 +43,17 @@ impl NodePrediction {
     pub fn throughput(&self) -> f64 {
         self.cpu_bound.min(self.mem_bound)
     }
+
+    /// Top-down classification of the binding resource: memory-bound when
+    /// either bandwidth saturates or memory latency dominates the
+    /// per-record time (Slash's case in Table 1); retiring otherwise.
+    pub fn bottleneck(&self) -> CostCategory {
+        if self.mem_bound < self.cpu_bound || self.memory_stall_fraction > 0.5 {
+            CostCategory::MemoryBound
+        } else {
+            CostCategory::Retiring
+        }
+    }
 }
 
 /// Predict a Slash node's aggregation throughput: every worker runs
@@ -62,6 +75,66 @@ pub fn predict_slash_agg(cost: &CostModel, shape: &AggWorkloadShape) -> NodePred
         memory_stall_fraction: shape.selectivity * (cost.rmw_base_ns + access.penalty_ns)
             / per_rec_cpu_ns,
     }
+}
+
+/// Predict a Slash node's aggregation throughput with the write-combining
+/// hot path: every survivor folds into the L1-resident combiner at
+/// `combine_hit_ns`, and only `flush_fraction` of them (distinct keys per
+/// batch ÷ survivors per batch) pay the full SSB probe with its cache
+/// penalty. `flush_fraction = 1` degenerates to the per-record path plus
+/// the (small) combiner overhead; hot key domains drive it toward
+/// `distinct_keys / batch_records`.
+pub fn predict_slash_agg_combined(
+    cost: &CostModel,
+    shape: &AggWorkloadShape,
+    flush_fraction: f64,
+) -> NodePrediction {
+    let f = flush_fraction.clamp(0.0, 1.0);
+    let access = cost.cache.random_access(shape.working_set);
+    let ssb_ns = f * (cost.rmw_base_ns + access.penalty_ns);
+    let per_rec_cpu_ns =
+        cost.record_pipeline_ns + shape.selectivity * (cost.combine_hit_ns + ssb_ns);
+    let cpu_bound = shape.workers as f64 / (per_rec_cpu_ns * 1e-9);
+    // Only flushed probes walk the index, so state cache misses scale by
+    // the flush fraction too; the stream itself still streams.
+    let per_rec_mem_bytes = shape.record_size as f64 + shape.selectivity * f * access.mem_bytes();
+    let mem_bound = cost.mem_bandwidth as f64 / per_rec_mem_bytes;
+    NodePrediction {
+        cpu_bound,
+        mem_bound,
+        memory_stall_fraction: shape.selectivity * ssb_ns / per_rec_cpu_ns,
+    }
+}
+
+/// Predict the partitioned engine's sender-side per-node throughput:
+/// `senders` threads each paying pipeline + selectivity × (partition +
+/// queue + copy) per record.
+pub fn predict_partitioned_sender(
+    cost: &CostModel,
+    shape: &AggWorkloadShape,
+    senders: usize,
+    runtime_factor: f64,
+) -> f64 {
+    let per_rec_ns = runtime_factor
+        * (cost.record_pipeline_ns
+            + shape.selectivity
+                * (cost.partition_ns
+                    + cost.queue_op_ns
+                    + shape.record_size as f64 * cost.copy_per_byte_ns));
+    senders as f64 / (per_rec_ns * 1e-9)
+}
+
+/// Predict the partitioned engine's receiver-side per-node throughput
+/// (in records *arriving at receivers*, i.e. post-filter).
+pub fn predict_partitioned_receiver(
+    cost: &CostModel,
+    shape: &AggWorkloadShape,
+    receivers: usize,
+    runtime_factor: f64,
+) -> f64 {
+    let access = cost.cache.random_access(shape.working_set);
+    let per_rec_ns = runtime_factor * (cost.queue_op_ns + cost.rmw_base_ns) + access.penalty_ns;
+    receivers as f64 / (per_rec_ns * 1e-9)
 }
 
 /// Predict the direct (Slash-style) channel goodput of the drill-down
@@ -93,7 +166,38 @@ mod tests {
         let small = predict_slash_agg(&cost, &shape(16 * 1024));
         let huge = predict_slash_agg(&cost, &shape(8 << 30));
         assert!(small.throughput() > huge.throughput());
-        assert!(huge.memory_stall_fraction > 0.5, "memory latency dominates");
+        assert_eq!(huge.bottleneck(), CostCategory::MemoryBound);
+    }
+
+    #[test]
+    fn combining_helps_most_when_flushes_are_rare() {
+        let cost = CostModel::default();
+        let s = shape(1 << 30);
+        let plain = predict_slash_agg(&cost, &s).throughput();
+        let hot = predict_slash_agg_combined(&cost, &s, 0.05).throughput();
+        let cold = predict_slash_agg_combined(&cost, &s, 1.0).throughput();
+        assert!(hot > 2.0 * plain, "hot keys {hot:.3e} vs plain {plain:.3e}");
+        // With every survivor flushing, combining only adds its fold cost.
+        assert!(cold < plain);
+        assert!(cold > 0.8 * plain, "cold {cold:.3e} vs plain {plain:.3e}");
+    }
+
+    #[test]
+    fn slash_prediction_beats_partitioned_prediction() {
+        let cost = CostModel::default();
+        let s = shape(1 << 30);
+        let slash = predict_slash_agg(&cost, &s).throughput();
+        let sender = predict_partitioned_sender(&cost, &s, 2, 1.0);
+        let receiver = predict_partitioned_receiver(&cost, &s, 2, 1.0);
+        let partitioned = sender.min(receiver);
+        assert!(
+            slash > 2.0 * partitioned,
+            "slash {slash:.3e} vs partitioned {partitioned:.3e}"
+        );
+        // And the managed runtime makes it worse still.
+        let flink = predict_partitioned_sender(&cost, &s, 2, 3.5)
+            .min(predict_partitioned_receiver(&cost, &s, 2, 3.5));
+        assert!(partitioned > 2.0 * flink);
     }
 
     #[test]

@@ -282,5 +282,10 @@ pub(crate) fn assemble_report(
     if obs.is_enabled() {
         obs.counter_add("net_tx_bytes", "fabric", report.net_tx_bytes);
     }
+    // No cluster-level plant counts a violation, so a debug-build run of
+    // any test, example or bench fails here even when it never reads the
+    // count; release builds leave the verdict to `oracle::check`.
+    let counted = &report.protocol_violations;
+    debug_assert_eq!(counted.total(), 0, "protocol violations: {counted}");
     report
 }

@@ -151,6 +151,19 @@ impl ChannelReceiver {
         self.ring.poll_byte(foot_off + FOOTER_SIZE - 1) == generation(seq, self.cfg.credits)
     }
 
+    /// Fault injection: the sequence number the reorder plant consumes
+    /// next — slot k+1 while armed and it has landed, then slot k.
+    #[cold]
+    fn fault_swapped_seq(&mut self) -> u64 {
+        let (seq, next) = match self.fault_swap {
+            1 if self.slot_ready(self.next_seq + 1) => (self.next_seq + 1, 2),
+            2 => (self.next_seq - 1, 0),
+            armed => (self.next_seq, armed),
+        };
+        self.fault_swap = next;
+        seq
+    }
+
     /// Poll for the next buffer; if one is ready, run `f` over
     /// `(flags, payload)` in place and return its result. Consuming the
     /// buffer returns credit to the producer (possibly batched).
@@ -163,13 +176,10 @@ impl ChannelReceiver {
             self.stats.on_empty_poll();
             return Ok(None);
         }
-        let mut seq = self.next_seq;
-        // Fault injection: the reorder plant takes slot k+1, then slot k.
-        match self.fault_swap {
-            1 if self.slot_ready(seq + 1) => (seq, self.fault_swap) = (seq + 1, 2),
-            2 => (seq, self.fault_swap) = (seq - 1, 0),
-            _ => {}
-        }
+        let seq = match self.fault_swap {
+            0 => self.next_seq,
+            _ => self.fault_swapped_seq(),
+        };
         let slot = (seq % self.cfg.credits as u64) as usize;
         let m = self.cfg.buffer_size;
         let foot_off = footer_offset(slot, m);

@@ -203,7 +203,8 @@ impl ChannelSender {
         )?;
         self.next_seq += 1;
         // §6 credit window, in every build: acked ≤ next_seq ≤ acked + c.
-        if acked > self.next_seq || self.next_seq - acked > self.cfg.credits as u64 {
+        // (Wrapping: `acked > next_seq` reads as a huge distance.)
+        if self.next_seq.wrapping_sub(acked) > self.cfg.credits as u64 {
             let (next, c) = (self.next_seq, self.cfg.credits);
             let context = || format!("acked={acked} next_seq={next} credits={c}");
             let (v, obs) = (&mut self.stats.violations, &self.obs);

@@ -33,20 +33,34 @@ pub enum Violation {
     SplitLedger,
 }
 
-/// Each [`Violation`]'s label, in declaration order.
-const KINDS: [&str; 6] = [
-    "fifo",
-    "credit-window",
-    "epoch-order",
-    "partition",
-    "stale-watermark",
-    "split-ledger",
-];
+impl Violation {
+    /// Every kind, in declaration order.
+    pub const ALL: [Violation; 6] = [
+        Violation::Fifo,
+        Violation::CreditWindow,
+        Violation::EpochOrder,
+        Violation::Partition,
+        Violation::StaleWatermark,
+        Violation::SplitLedger,
+    ];
+
+    /// The kind's label in reports and flight dumps.
+    pub fn label(self) -> &'static str {
+        match self {
+            Violation::Fifo => "fifo",
+            Violation::CreditWindow => "credit-window",
+            Violation::EpochOrder => "epoch-order",
+            Violation::Partition => "partition",
+            Violation::StaleWatermark => "stale-watermark",
+            Violation::SplitLedger => "split-ledger",
+        }
+    }
+}
 
 /// Protocol violations counted by kind. Each endpoint and node keeps its
 /// own; a run's report adds them up.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Violations([u32; 6]);
+pub struct Violations([u32; Violation::ALL.len()]);
 
 impl Violations {
     /// Count one violation of `kind`. The first one this holder counts
@@ -54,7 +68,7 @@ impl Violations {
     #[cold]
     pub fn note(&mut self, kind: Violation, obs: &Obs, context: impl FnOnce() -> String) {
         if self.total() == 0 {
-            let reason = format!("protocol violation: {}", KINDS[kind as usize]);
+            let reason = format!("protocol violation: {}", kind.label());
             obs.record_failure(&reason, &context());
         }
         self.0[kind as usize] = self.0[kind as usize].saturating_add(1);
@@ -81,9 +95,10 @@ impl Violations {
 impl std::fmt::Display for Violations {
     /// The non-zero counts as `kind=n`, space-separated.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let counted = KINDS.into_iter().zip(self.0).filter(|&(_, n)| n > 0);
-        for (i, (kind, n)) in counted.enumerate() {
-            write!(f, "{}{kind}={n}", if i > 0 { " " } else { "" })?;
+        let counted = Violation::ALL.into_iter().filter(|&k| self.get(k) > 0);
+        for (i, kind) in counted.enumerate() {
+            let sep = if i > 0 { " " } else { "" };
+            write!(f, "{sep}{}={}", kind.label(), self.get(kind))?;
         }
         Ok(())
     }
