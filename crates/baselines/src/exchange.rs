@@ -20,7 +20,7 @@ use slash_net::{ChannelReceiver, ChannelSender, MsgFlags, SocketReceiver, Socket
 
 /// A parsed exchange message.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExchangeMsg {
+pub(crate) enum ExchangeMsg {
     /// Records from one lane.
     Data {
         /// Sender lane (global sender-thread id).
@@ -79,13 +79,13 @@ fn decode(payload: &[u8]) -> ExchangeMsg {
 }
 
 /// Per-message wire overhead of the exchange framing.
-pub const EXCHANGE_HEADER: usize = 5;
+pub(crate) const EXCHANGE_HEADER: usize = 5;
 
 /// Sending half of an exchange edge. RDMA senders are shared by all
 /// sender threads of a node (one channel per `(node, consumer)`), hence
 /// the `Rc<RefCell<…>>`.
 #[derive(Clone)]
-pub enum TxChan {
+pub(crate) enum TxChan {
     /// Credit-based one-sided RDMA channel.
     Rdma(Rc<RefCell<ChannelSender>>),
     /// Socket-style channel.
@@ -94,7 +94,7 @@ pub enum TxChan {
 
 impl TxChan {
     /// Maximum record bytes per data message.
-    pub fn data_capacity(&self) -> usize {
+    pub(crate) fn data_capacity(&self) -> usize {
         match self {
             TxChan::Rdma(c) => c.borrow().payload_capacity() - EXCHANGE_HEADER,
             // Sockets have no slot bound; use the paper's default buffer.
@@ -104,7 +104,7 @@ impl TxChan {
 
     /// Try to send a message. Returns false on backpressure (no credit /
     /// full socket buffer).
-    pub fn try_send(&self, sim: &mut Sim, msg: &ExchangeMsg, scratch: &mut Vec<u8>) -> bool {
+    pub(crate) fn try_send(&self, sim: &mut Sim, msg: &ExchangeMsg, scratch: &mut Vec<u8>) -> bool {
         encode(msg, scratch);
         match self {
             TxChan::Rdma(c) => c
@@ -118,7 +118,7 @@ impl TxChan {
     /// CPU time the transport consumed since the last call (socket
     /// syscalls and copies; zero for RDMA, whose costs the engine charges
     /// explicitly as work-request posts).
-    pub fn take_cpu_cost(&self) -> SimTime {
+    pub(crate) fn take_cpu_cost(&self) -> SimTime {
         match self {
             TxChan::Rdma(_) => SimTime::ZERO,
             TxChan::Socket(c) => c.borrow_mut().take_cpu_cost(),
@@ -128,7 +128,7 @@ impl TxChan {
 
 /// Receiving half of an exchange edge; owned by exactly one receiver
 /// thread.
-pub enum RxChan {
+pub(crate) enum RxChan {
     /// Credit-based one-sided RDMA channel.
     Rdma(ChannelReceiver),
     /// Socket-style channel.
@@ -137,7 +137,7 @@ pub enum RxChan {
 
 impl RxChan {
     /// Try to receive one message.
-    pub fn try_recv(&mut self, sim: &mut Sim) -> Option<ExchangeMsg> {
+    pub(crate) fn try_recv(&mut self, sim: &mut Sim) -> Option<ExchangeMsg> {
         match self {
             RxChan::Rdma(c) => c
                 .try_recv(sim)
@@ -148,7 +148,7 @@ impl RxChan {
     }
 
     /// CPU time the transport consumed since the last call.
-    pub fn take_cpu_cost(&mut self) -> SimTime {
+    pub(crate) fn take_cpu_cost(&mut self) -> SimTime {
         match self {
             RxChan::Rdma(_) => SimTime::ZERO,
             RxChan::Socket(c) => c.take_cpu_cost(),

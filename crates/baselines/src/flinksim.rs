@@ -8,10 +8,9 @@
 
 use std::rc::Rc;
 
-use slash_core::QueryPlan;
+use slash_core::{QueryPlan, RunReport};
 
 use crate::partitioned::{run_partitioned, PartitionedConfig, Transport};
-use crate::sut::CommonReport;
 
 /// Flink-sim's configuration: socket transport + managed-runtime factor.
 pub fn flink_config(nodes: usize, workers_per_node: usize) -> PartitionedConfig {
@@ -25,7 +24,7 @@ pub fn run_flink(
     plan: QueryPlan,
     partitions: Vec<Rc<Vec<u8>>>,
     cfg: PartitionedConfig,
-) -> CommonReport {
+) -> RunReport {
     assert_eq!(
         cfg.transport,
         Transport::Socket,

@@ -21,15 +21,17 @@
 //! UpPar and Flink share one engine ([`partitioned`]) parameterized by
 //! transport and runtime factor, which keeps the comparison structural:
 //! the *only* differences between them are the ones the paper names.
+//! Every system under test returns Slash's [`slash_core::RunReport`]
+//! (the partitioning role's counters in its `partitioner` field), and
+//! the partitioned engine advances its simulator through Slash's one
+//! drive loop ([`slash_core::drive`]).
 
-pub mod exchange;
+mod exchange;
 pub mod flinksim;
 pub mod lightsaber;
 pub mod partitioned;
-pub mod sut;
 pub mod uppar;
 
 pub use flinksim::run_flink;
 pub use lightsaber::run_lightsaber;
-pub use sut::CommonReport;
 pub use uppar::run_uppar;

@@ -14,9 +14,7 @@
 
 use std::rc::Rc;
 
-use slash_core::{QueryPlan, RunConfig, SlashCluster};
-
-use crate::sut::CommonReport;
+use slash_core::{QueryPlan, RunConfig, RunReport, SlashCluster};
 
 /// Per-batch shared-task-queue cost. Scales with contending threads
 /// (cache-line ping-pong on the queue head).
@@ -33,28 +31,13 @@ pub fn lightsaber_config(threads: usize) -> RunConfig {
 
 /// Run an aggregation query on LightSaber-sim (one node, `cfg.workers_per_node`
 /// threads, one partition per thread).
-pub fn run_lightsaber(
-    plan: QueryPlan,
-    partitions: Vec<Rc<Vec<u8>>>,
-    cfg: RunConfig,
-) -> CommonReport {
+pub fn run_lightsaber(plan: QueryPlan, partitions: Vec<Rc<Vec<u8>>>, cfg: RunConfig) -> RunReport {
     assert_eq!(cfg.nodes, 1, "LightSaber is a single-node engine");
     assert!(
         matches!(plan, QueryPlan::Aggregate { .. }),
         "LightSaber does not support joins (paper §8.2.4)"
     );
-    let report = SlashCluster::run(plan, partitions, cfg);
-    CommonReport {
-        records: report.records,
-        processing_time: report.processing_time,
-        completion_time: report.completion_time,
-        emitted: report.emitted,
-        total_pairs: report.total_pairs,
-        results: report.results,
-        sender_metrics: Default::default(),
-        receiver_metrics: report.metrics,
-        net_tx_bytes: report.net_tx_bytes,
-    }
+    SlashCluster::run(plan, partitions, cfg)
 }
 
 #[cfg(test)]

@@ -14,23 +14,27 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use slash_core::worker::instr;
-use slash_core::{CostCategory, CostModel, EngineMetrics, QueryPlan, Sink, SinkResult};
+use slash_core::{
+    drive, CostCategory, CostModel, Driven, EngineMetrics, QueryPlan, RunReport, Sink, SinkResult,
+    SLICE,
+};
 use slash_desim::{Link, ProcId, Process, Sim, SimTime, Step};
-use slash_net::{create_channel, socket_pair, ChannelConfig, SocketConfig};
+use slash_net::{create_channel, socket_pair, ChannelConfig, SocketConfig, Violations};
 use slash_rdma::{Fabric, FabricConfig, NodeId};
 use slash_state::backend::TriggeredData;
 use slash_state::hash::hash_u64;
 use slash_state::{pack_key, Partition};
 
 use crate::exchange::{ExchangeMsg, RxChan, TxChan};
-use crate::sut::CommonReport;
 
 /// Which transport the exchange runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
+pub(crate) enum Transport {
     /// One-sided RDMA channels — the lightweight integration (UpPar).
+    /// Both ends of every link run the §6 channel's protocol checks.
     Rdma,
     /// Socket/IPoIB channels — the plug-and-play integration (Flink).
+    /// Sockets run no protocol checks.
     Socket,
 }
 
@@ -38,34 +42,34 @@ pub enum Transport {
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionedConfig {
     /// Executor nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Threads per node; split evenly into senders and receivers (the
     /// paper: "they use half the threads to execute the filter and
     /// projection and the second half for the window operator").
-    pub workers_per_node: usize,
+    pub(crate) workers_per_node: usize,
     /// Cost model (shared with Slash for apples-to-apples comparison).
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// Fabric configuration.
-    pub fabric: FabricConfig,
+    pub(crate) fabric: FabricConfig,
     /// RDMA exchange channel configuration.
-    pub channel: ChannelConfig,
+    pub(crate) channel: ChannelConfig,
     /// Socket configuration.
-    pub socket: SocketConfig,
+    pub(crate) socket: SocketConfig,
     /// Transport selection.
-    pub transport: Transport,
+    pub(crate) transport: Transport,
     /// Multiplier on every CPU cost (1.0 native; >1 managed runtime).
-    pub runtime_factor: f64,
+    pub(crate) runtime_factor: f64,
     /// Records per scheduling batch on the senders.
-    pub batch_records: usize,
+    pub(crate) batch_records: usize,
     /// Retain full results.
     pub collect_results: bool,
     /// Virtual-time safety valve.
-    pub max_virtual_time: SimTime,
+    pub(crate) max_virtual_time: SimTime,
 }
 
 impl PartitionedConfig {
     /// Defaults for `nodes × workers`.
-    pub fn new(nodes: usize, workers_per_node: usize, transport: Transport) -> Self {
+    pub(crate) fn new(nodes: usize, workers_per_node: usize, transport: Transport) -> Self {
         assert!(workers_per_node >= 2, "need at least 1 sender + 1 receiver");
         PartitionedConfig {
             nodes,
@@ -101,6 +105,9 @@ struct NodeShared {
     last_ingest: SimTime,
     receivers_done: usize,
     receivers_total: usize,
+    /// Protocol violations the node's finished receivers counted on their
+    /// inbound links.
+    violations: Violations,
 }
 
 impl NodeShared {
@@ -199,11 +206,9 @@ impl Process for SenderProc {
             let rf = self.rf;
             let mut n = 0u64;
             let mut staged_bytes = 0u64;
-            let mut last_ts = 0;
             for rec in batch.chunks_exact(schema.size) {
                 n += 1;
                 let ts = schema.ts(rec);
-                last_ts = ts;
                 cpu += self.cost.record_pipeline_ns * rf;
                 sh.sender_metrics.instr(instr::PIPELINE);
                 // Watermark cadence: flush + broadcast on bucket crossing.
@@ -240,7 +245,6 @@ impl Process for SenderProc {
                     self.flush_staging(consumer);
                 }
             }
-            let _ = last_ts;
             sh.records += n;
             mem_bytes += (b - a) as u64 + 2 * staged_bytes; // read + copy
 
@@ -260,8 +264,7 @@ impl Process for SenderProc {
                 (self.cost.copy_per_byte_ns * rf) * staged_bytes as f64,
             );
             sh.sender_metrics.add_records(n);
-            let (c2, _) = self.drain_pending(sim);
-            cpu += c2;
+            cpu += self.drain_pending(sim).0;
         } else {
             // End of stream: flush everything, announce lane completion.
             self.flush_all();
@@ -478,6 +481,11 @@ impl Process for ReceiverProc {
         if self.done_lanes == self.total_lanes && self.state.key_count() == 0 {
             self.done = true;
             sh.receivers_done += 1;
+            for ch in &self.rx {
+                if let RxChan::Rdma(c) = ch {
+                    sh.violations.absorb(&c.stats.violations);
+                }
+            }
             return Step::Done;
         }
 
@@ -508,11 +516,46 @@ impl Process for ReceiverProc {
 
 /// Run a query on the partitioned engine. Partitions are node-major per
 /// *sender* thread: `partitions[node * senders_per_node + s]`.
+///
+/// The report's `metrics` are the receivers' (processing) counters and
+/// `partitioner` the senders'; `protocol_violations` sums both ends of
+/// every RDMA link and is zero in a correct run (debug builds assert it).
 pub fn run_partitioned(
     plan: QueryPlan,
     partitions: Vec<Rc<Vec<u8>>>,
     cfg: PartitionedConfig,
-) -> CommonReport {
+) -> RunReport {
+    let report = run(plan, partitions, cfg, None);
+    let counted = &report.protocol_violations;
+    debug_assert_eq!(counted.total(), 0, "protocol violations: {counted}");
+    report
+}
+
+/// The partitioned engine's nodes, as the drive loop sees them.
+struct Exchange {
+    sim: Sim,
+    nodes: Vec<Rc<RefCell<NodeShared>>>,
+}
+
+impl Driven for Exchange {
+    fn sim(&mut self) -> &mut Sim {
+        &mut self.sim
+    }
+
+    fn finished(&self) -> bool {
+        self.nodes.iter().all(|s| s.borrow().finished())
+    }
+}
+
+/// [`run_partitioned`] without its debug assert. `reorder` plants
+/// [`slash_net::ChannelReceiver::fault_reorder_once`] on the first inbound
+/// RDMA link of that consumer (a protocol bug, for tests of the count).
+fn run(
+    plan: QueryPlan,
+    partitions: Vec<Rc<Vec<u8>>>,
+    cfg: PartitionedConfig,
+    reorder: Option<usize>,
+) -> RunReport {
     let senders = cfg.senders_per_node();
     let receivers = cfg.receivers_per_node();
     assert_eq!(
@@ -537,8 +580,11 @@ pub fn run_partitioned(
             let dst = consumer / receivers;
             match cfg.transport {
                 Transport::Rdma => {
-                    let (tx, rx) =
+                    let (tx, mut rx) =
                         create_channel(&fabric, node_ids[src], node_ids[dst], cfg.channel);
+                    if src == 0 && reorder == Some(consumer) {
+                        rx.fault_reorder_once();
+                    }
                     tx_chans[src].push(TxChan::Rdma(Rc::new(RefCell::new(tx))));
                     rx_lanes.push(RxChan::Rdma(rx));
                 }
@@ -566,12 +612,14 @@ pub fn run_partitioned(
                 last_ingest: SimTime::ZERO,
                 receivers_done: 0,
                 receivers_total: receivers,
+                violations: Violations::default(),
             }))
         })
         .collect();
 
-    for (node, txs) in tx_chans.into_iter().enumerate() {
-        let txs = Rc::new(txs);
+    // The senders' ends, read for their violation counts after the run.
+    let tx_chans: Vec<Rc<Vec<TxChan>>> = tx_chans.into_iter().map(Rc::new).collect();
+    for (node, txs) in tx_chans.iter().enumerate() {
         for s in 0..senders {
             let lane = (node * senders + s) as u32;
             let part = Rc::clone(&partitions[node * senders + s]);
@@ -582,7 +630,7 @@ pub fn run_partitioned(
             sim.spawn(SenderProc {
                 lane,
                 shared: Rc::clone(&shareds[node]),
-                tx: Rc::clone(&txs),
+                tx: Rc::clone(txs),
                 source,
                 plan: Rc::clone(&plan),
                 cost: cfg.cost,
@@ -613,36 +661,32 @@ pub fn run_partitioned(
         });
     }
 
-    loop {
-        if shareds.iter().all(|s| s.borrow().finished()) {
-            break;
-        }
-        assert!(
-            sim.now() <= cfg.max_virtual_time,
-            "partitioned run exceeded the virtual-time budget"
-        );
-        assert!(
-            sim.pending_events() > 0,
-            "partitioned engine deadlocked (likely exchange backpressure cycle)"
-        );
-        let horizon = sim.now() + SimTime::from_millis(10);
-        sim.run_until(horizon);
-    }
-
-    let mut report = CommonReport {
-        completion_time: sim.now(),
-        net_tx_bytes: fabric.total_tx_bytes(),
-        ..Default::default()
+    let mut exchange = Exchange {
+        sim,
+        nodes: shareds,
     };
-    for sh in &shareds {
+    let mut report = RunReport {
+        completion_time: drive(&mut exchange, SLICE, cfg.max_virtual_time),
+        net_tx_bytes: fabric.total_tx_bytes(),
+        ..RunReport::default()
+    };
+    for sh in &exchange.nodes {
         let sh = sh.borrow();
         report.records += sh.records;
         report.processing_time = report.processing_time.max(sh.last_ingest);
         report.emitted += sh.sink.emitted;
         report.total_pairs += sh.sink.total_pairs;
         report.results.extend(sh.sink.results.iter().cloned());
-        report.sender_metrics.absorb(&sh.sender_metrics);
-        report.receiver_metrics.absorb(&sh.receiver_metrics);
+        report.metrics.absorb(&sh.receiver_metrics);
+        report.partitioner.absorb(&sh.sender_metrics);
+        report.protocol_violations.absorb(&sh.violations);
+    }
+    for tx in tx_chans.iter().flat_map(|txs| txs.iter()) {
+        if let TxChan::Rdma(c) = tx {
+            report
+                .protocol_violations
+                .absorb(&c.borrow().stats.violations);
+        }
     }
     report
 }
@@ -651,6 +695,7 @@ pub fn run_partitioned(
 mod tests {
     use super::*;
     use slash_core::{AggSpec, RecordSchema, StreamDef, WindowAssigner};
+    use slash_net::Violation;
 
     fn gen(n: u64, dt: u64, keys: u64) -> Rc<Vec<u8>> {
         let mut buf = Vec::with_capacity((n * 16) as usize);
@@ -669,7 +714,7 @@ mod tests {
         }
     }
 
-    fn check_counts(report: &CommonReport, expected_total: u64) {
+    fn check_counts(report: &RunReport, expected_total: u64) {
         let total: f64 = report
             .results
             .iter()
@@ -698,6 +743,21 @@ mod tests {
             report.net_tx_bytes > 2000 * 16,
             "records must cross the wire"
         );
+    }
+
+    /// UpPar's links run the §6 channel's checks in every build, and their
+    /// counts reach the report: one reordered slot on one link is counted
+    /// as `fifo`, and the same run without the plant counts nothing.
+    #[test]
+    fn a_reordered_uppar_link_is_counted_in_every_build() {
+        let counted = |reorder| {
+            let cfg = PartitionedConfig::new(2, 2, Transport::Rdma);
+            let parts = vec![gen(1000, 1, 8), gen(1000, 1, 8)];
+            run(count_plan(100), parts, cfg, reorder).protocol_violations
+        };
+        assert_eq!(counted(None).total(), 0);
+        let planted = counted(Some(1));
+        assert!(planted.get(Violation::Fifo) >= 1, "counted: {planted}");
     }
 
     #[test]

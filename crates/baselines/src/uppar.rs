@@ -7,10 +7,9 @@
 
 use std::rc::Rc;
 
-use slash_core::QueryPlan;
+use slash_core::{QueryPlan, RunReport};
 
 use crate::partitioned::{run_partitioned, PartitionedConfig, Transport};
-use crate::sut::CommonReport;
 
 /// UpPar's configuration is the partitioned engine pinned to RDMA.
 pub fn uppar_config(nodes: usize, workers_per_node: usize) -> PartitionedConfig {
@@ -23,7 +22,7 @@ pub fn run_uppar(
     plan: QueryPlan,
     partitions: Vec<Rc<Vec<u8>>>,
     cfg: PartitionedConfig,
-) -> CommonReport {
+) -> RunReport {
     assert_eq!(cfg.transport, Transport::Rdma, "UpPar runs over RDMA");
     assert_eq!(cfg.runtime_factor, 1.0, "UpPar is native C++-grade code");
     run_partitioned(plan, partitions, cfg)
@@ -53,7 +52,7 @@ mod tests {
         let report = run_uppar(plan, vec![gen(2000), gen(2000)], cfg);
         assert_eq!(report.records, 4000);
         assert!(report.throughput() > 0.0);
-        assert!(report.sender_metrics.instructions > 0);
-        assert!(report.receiver_metrics.instructions > 0);
+        assert!(report.partitioner.instructions > 0);
+        assert!(report.metrics.instructions > 0);
     }
 }

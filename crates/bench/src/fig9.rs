@@ -50,9 +50,9 @@ pub fn run_fig10(scale: Scale) -> Vec<BreakdownRow> {
     let u = suts::uppar(ysb, 2, scale);
     let s = suts::slash(ysb, 2, scale);
     vec![
-        breakdown_row("uppar sender", &u.sender_metrics),
-        breakdown_row("uppar receiver", &u.receiver_metrics),
-        breakdown_row("slash", &s.receiver_metrics),
+        breakdown_row("uppar sender", &u.partitioner),
+        breakdown_row("uppar receiver", &u.metrics),
+        breakdown_row("slash", &s.metrics),
     ]
 }
 
@@ -61,9 +61,9 @@ pub fn run_table1(scale: Scale) -> Vec<Table1Row> {
     let u = suts::uppar(ysb, 2, scale);
     let s = suts::slash(ysb, 2, scale);
     vec![
-        table1_row("uppar sender", &u.sender_metrics, u.processing_time),
-        table1_row("uppar receiver", &u.receiver_metrics, u.processing_time),
-        table1_row("slash", &s.receiver_metrics, s.processing_time),
+        table1_row("uppar sender", &u.partitioner, u.processing_time),
+        table1_row("uppar receiver", &u.metrics, u.processing_time),
+        table1_row("slash", &s.metrics, s.processing_time),
     ]
 }
 

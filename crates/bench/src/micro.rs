@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use slash_core::{CostCategory, CostModel, EngineMetrics};
+use slash_core::{drive, CostCategory, CostModel, Driven, EngineMetrics, SLICE};
 use slash_desim::{DetRng, ProcId, Process, Sim, SimTime, Step};
 use slash_net::{create_channel, ChannelConfig, ChannelReceiver, ChannelSender, MsgFlags};
 use slash_obs::Histogram;
@@ -353,6 +353,23 @@ impl Process for Consumer {
     }
 }
 
+/// The harness as the drive loop sees it: finished once every consumer is.
+struct Harness {
+    sim: Sim,
+    stats: Rc<RefCell<SharedStats>>,
+    consumers: usize,
+}
+
+impl Driven for Harness {
+    fn sim(&mut self) -> &mut Sim {
+        &mut self.sim
+    }
+
+    fn finished(&self) -> bool {
+        self.stats.borrow().finished_consumers == self.consumers
+    }
+}
+
 /// Run the micro-benchmark.
 pub fn run_micro(cfg: MicroConfig) -> MicroReport {
     let mut sim = Sim::new();
@@ -429,20 +446,14 @@ pub fn run_micro(cfg: MicroConfig) -> MicroReport {
         });
     }
 
-    loop {
-        {
-            let st = stats.borrow();
-            if st.finished_consumers == n_consumers {
-                break;
-            }
-        }
-        assert!(
-            sim.pending_events() > 0,
-            "micro-benchmark deadlocked (credit protocol bug)"
-        );
-        let horizon = sim.now() + SimTime::from_millis(5);
-        sim.run_until(horizon);
-    }
+    // No virtual-time budget: the report's `elapsed` is the last
+    // consumer's finish, not the loop's exit time.
+    let mut harness = Harness {
+        sim,
+        stats: Rc::clone(&stats),
+        consumers: n_consumers,
+    };
+    drive(&mut harness, SLICE, SimTime::MAX);
 
     let st = stats.borrow();
     let mut sender = st.sender.clone();

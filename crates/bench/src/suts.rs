@@ -2,9 +2,9 @@
 
 use slash_baselines::flinksim::flink_config;
 use slash_baselines::partitioned::run_partitioned;
+use slash_baselines::run_lightsaber;
 use slash_baselines::uppar::uppar_config;
-use slash_baselines::{run_lightsaber, CommonReport};
-use slash_core::{RunConfig, SlashCluster};
+use slash_core::{RunConfig, RunReport, SlashCluster};
 use slash_workloads::{GenConfig, Workload};
 
 use crate::scale::Scale;
@@ -14,26 +14,15 @@ pub type WorkloadGen = fn(&GenConfig) -> Workload;
 
 /// Run Slash: every thread both ingests and processes (paper §8.2.2:
 /// "Slash runs filter, projection, and windowing on all threads").
-pub fn slash(gen: WorkloadGen, nodes: usize, scale: Scale) -> CommonReport {
+pub fn slash(gen: WorkloadGen, nodes: usize, scale: Scale) -> RunReport {
     let w = gen(&GenConfig::new(nodes * scale.workers, scale.records));
     let cfg = RunConfig::new(nodes, scale.workers);
-    let r = SlashCluster::run(w.plan, w.partitions, cfg);
-    CommonReport {
-        records: r.records,
-        processing_time: r.processing_time,
-        completion_time: r.completion_time,
-        emitted: r.emitted,
-        total_pairs: r.total_pairs,
-        results: r.results,
-        sender_metrics: Default::default(),
-        receiver_metrics: r.metrics,
-        net_tx_bytes: r.net_tx_bytes,
-    }
+    SlashCluster::run(w.plan, w.partitions, cfg)
 }
 
 /// Run RDMA UpPar: half the threads partition, half process; the same
 /// total input volume is spread over the sender threads.
-pub fn uppar(gen: WorkloadGen, nodes: usize, scale: Scale) -> CommonReport {
+pub fn uppar(gen: WorkloadGen, nodes: usize, scale: Scale) -> RunReport {
     let senders = (scale.workers / 2).max(1);
     let per_sender = scale.records * scale.workers as u64 / senders as u64;
     let w = gen(&GenConfig::new(nodes * senders, per_sender));
@@ -41,7 +30,7 @@ pub fn uppar(gen: WorkloadGen, nodes: usize, scale: Scale) -> CommonReport {
 }
 
 /// Run Flink-sim with the same thread split as UpPar.
-pub fn flink(gen: WorkloadGen, nodes: usize, scale: Scale) -> CommonReport {
+pub fn flink(gen: WorkloadGen, nodes: usize, scale: Scale) -> RunReport {
     let senders = (scale.workers / 2).max(1);
     let per_sender = scale.records * scale.workers as u64 / senders as u64;
     let w = gen(&GenConfig::new(nodes * senders, per_sender));
@@ -49,7 +38,7 @@ pub fn flink(gen: WorkloadGen, nodes: usize, scale: Scale) -> CommonReport {
 }
 
 /// Run LightSaber-sim on one node.
-pub fn lightsaber(gen: WorkloadGen, scale: Scale) -> CommonReport {
+pub fn lightsaber(gen: WorkloadGen, scale: Scale) -> RunReport {
     let w = gen(&GenConfig::new(scale.workers, scale.records));
     let cfg = slash_baselines::lightsaber::lightsaber_config(scale.workers);
     run_lightsaber(w.plan, w.partitions, cfg)

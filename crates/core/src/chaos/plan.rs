@@ -145,21 +145,6 @@ impl FaultPlan {
     /// building block for "a rack lost power". Simultaneous crashes mean a
     /// victim's designated checkpoint buddy may itself be dead, forcing
     /// buddy re-selection and recovery from an older (or the seed) copy.
-    ///
-    /// # Examples
-    ///
-    /// Nodes 1 and 2 die together at t = 400 µs, so node 1's ring buddy
-    /// (node 2) is gone and promotion must fall back to another copy
-    /// holder:
-    ///
-    /// ```
-    /// use slash_core::chaos::FaultPlan;
-    /// use slash_desim::SimTime;
-    ///
-    /// let plan = FaultPlan::new().concurrent(SimTime::from_micros(400), &[1, 2]);
-    /// assert_eq!(plan.crashed_nodes(), vec![1, 2]);
-    /// assert_eq!(plan.events().len(), 2);
-    /// ```
     pub fn concurrent(mut self, at: SimTime, nodes: &[usize]) -> Self {
         for &node in nodes {
             self.events.push(FaultEvent {
@@ -176,25 +161,6 @@ impl FaultPlan {
     /// and pick `lag` to land mid-promotion; the promotion state machine
     /// must then restart from the durable checkpoint (recovery
     /// re-entrancy).
-    ///
-    /// # Examples
-    ///
-    /// Node 2 dies 150 µs into node 1's recovery:
-    ///
-    /// ```
-    /// use slash_core::chaos::FaultPlan;
-    /// use slash_desim::SimTime;
-    ///
-    /// let plan = FaultPlan::new().during_recovery(
-    ///     SimTime::from_micros(200),
-    ///     1,
-    ///     SimTime::from_micros(150),
-    ///     2,
-    /// );
-    /// assert_eq!(plan.crashed_nodes(), vec![1, 2]);
-    /// let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_nanos()).collect();
-    /// assert_eq!(times, vec![200_000, 350_000]);
-    /// ```
     pub fn during_recovery(
         self,
         first_at: SimTime,
@@ -244,7 +210,8 @@ impl FaultPlan {
     }
 
     /// Fabric nodes that crash under this plan, in injection order.
-    pub fn crashed_nodes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn crashed_nodes(&self) -> Vec<usize> {
         self.events
             .iter()
             .filter_map(|e| match e.kind {
@@ -315,6 +282,30 @@ mod tests {
         let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_nanos()).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(plan.crashed_nodes(), vec![0]);
+    }
+
+    /// Nodes 1 and 2 die together at t = 400 µs, so node 1's ring buddy
+    /// (node 2) is gone and promotion must fall back to another copy
+    /// holder.
+    #[test]
+    fn concurrent_crashes_share_one_instant() {
+        let plan = FaultPlan::new().concurrent(SimTime::from_micros(400), &[1, 2]);
+        assert_eq!(plan.crashed_nodes(), vec![1, 2]);
+        assert_eq!(plan.events().len(), 2);
+    }
+
+    /// Node 2 dies 150 µs into node 1's recovery.
+    #[test]
+    fn the_second_crash_lands_a_lag_after_the_first() {
+        let plan = FaultPlan::new().during_recovery(
+            SimTime::from_micros(200),
+            1,
+            SimTime::from_micros(150),
+            2,
+        );
+        assert_eq!(plan.crashed_nodes(), vec![1, 2]);
+        let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_nanos()).collect();
+        assert_eq!(times, vec![200_000, 350_000]);
     }
 
     #[test]

@@ -99,8 +99,13 @@ pub struct RunReport {
     pub total_pairs: u64,
     /// Collected results (when configured).
     pub results: Vec<SinkResult>,
-    /// Aggregated engine counters.
+    /// Aggregated engine counters (the processing role's, on engines that
+    /// split partitioning from processing).
     pub metrics: EngineMetrics,
+    /// Counters of the partitioning role: the sender threads of the
+    /// partitioned baselines (UpPar, Flink). Empty for Slash and
+    /// LightSaber, which do not re-partition.
+    pub partitioner: EngineMetrics,
     /// Per-node engine counters.
     pub per_node: Vec<EngineMetrics>,
     /// Per-node primary-partition state digests (order-independent fold

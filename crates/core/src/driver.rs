@@ -5,16 +5,18 @@
 //!
 //! The paper has one executor shape per node (§5); everything else is a
 //! service riding on it. A run is therefore always the same three steps —
-//! `Cluster::boot`, install the directors, `Cluster::drive` — and the
-//! fault-free run is simply the one with no directors.
+//! `Cluster::boot`, install the directors, [`drive`] — and the fault-free
+//! run is simply the one with no directors. The loop is public: the
+//! partitioned baselines and the Fig. 8–10 harness drive their own
+//! simulators through it ([`Driven`]).
 //!
 //! Two rules are stated here once for every feature:
 //!
 //! * **Slice.** The loop advances virtual time in slices and ticks the
-//!   directors after each: 10 ms with no director asking for less, else
-//!   the smallest period a director requests (fault tolerance asks for a
-//!   quarter of its detection timeout). `completion_time` is quantized to
-//!   the slice.
+//!   directors after each: [`SLICE`] with no director asking for less,
+//!   else the smallest period a director requests (fault tolerance asks
+//!   for a quarter of its detection timeout). `completion_time` is
+//!   quantized to the slice.
 //! * **Crash victims.** A `NodeCrash` kills every partition the dying
 //!   port hosts *at the fault instant*, resolved from the live host map —
 //!   including partitions an earlier promotion or handoff re-homed onto
@@ -226,42 +228,86 @@ impl Cluster {
         self.obs
             .instant(Cat::Fault, name, p as u32, tid, self.sim.now(), args);
     }
+}
 
-    /// The one drive loop: run until every node declares completion,
-    /// ticking `directors` after each slice. Returns the completion time.
-    fn drive(&mut self, directors: &mut [Box<dyn Director + '_>]) -> SimTime {
-        let slice = directors
-            .iter()
-            .filter_map(|d| d.slice())
-            .min()
-            .unwrap_or(SimTime::from_millis(10));
-        loop {
-            if self.live.borrow().nodes.iter().all(|s| s.borrow().finished) {
-                break;
-            }
-            assert!(
-                self.sim.now() <= self.cfg.max_virtual_time,
-                "query did not complete within the virtual-time budget \
-                 (possible protocol livelock)"
-            );
-            // An empty event queue is not a deadlock while work is
-            // outstanding driver-side: `run_until` still advances virtual
-            // time, which is all a transfer in flight (or a dead partition
-            // awaiting detection) needs.
-            assert!(
-                self.sim.pending_events() > 0
-                    || !self.transfers.is_empty()
-                    || directors.iter().any(|d| d.outstanding(self)),
-                "simulation quiesced before the query completed (deadlock)"
-            );
-            let horizon = self.sim.now() + slice;
-            self.sim.run_until(horizon);
-            let now = self.sim.now();
-            for d in directors.iter_mut() {
-                d.tick(self, now);
-            }
+/// The slice the drive loop advances virtual time by when nothing asks
+/// for less.
+pub const SLICE: SimTime = SimTime::from_millis(10);
+
+/// A simulated run the drive loop can advance: Slash's cluster with its
+/// directors, the partitioned baselines (`slash-baselines`) and the
+/// Fig. 8–10 channel harness (`slash-bench`).
+pub trait Driven {
+    /// The run's simulator.
+    fn sim(&mut self) -> &mut Sim;
+
+    /// Whether the run has completed; checked before every slice.
+    fn finished(&self) -> bool;
+
+    /// Whether work is pending outside the event queue that needs only
+    /// virtual time to pass (suppresses the empty-queue deadlock guard).
+    fn outstanding(&self) -> bool {
+        false
+    }
+
+    /// Called after every slice.
+    fn tick(&mut self) {}
+}
+
+/// The one drive loop: until `run` has finished, advance its simulator
+/// by `slice` and tick it. Panics once virtual time passes `budget`
+/// (livelock) or when the event queue empties with nothing outstanding
+/// (deadlock). Returns the exit time, quantized to the slice.
+pub fn drive(run: &mut impl Driven, slice: SimTime, budget: SimTime) -> SimTime {
+    loop {
+        if run.finished() {
+            break;
         }
-        self.sim.now()
+        let now = run.sim().now();
+        assert!(
+            now <= budget,
+            "query did not complete within the virtual-time budget \
+             (possible protocol livelock)"
+        );
+        assert!(
+            run.sim().pending_events() > 0 || run.outstanding(),
+            "simulation quiesced before the query completed (deadlock)"
+        );
+        run.sim().run_until(now + slice);
+        run.tick();
+    }
+    run.sim().now()
+}
+
+/// A cluster and its directors, as the drive loop sees them.
+struct Directed<'a, 'd> {
+    c: &'a mut Cluster,
+    directors: &'a mut [Box<dyn Director + 'd>],
+}
+
+impl Driven for Directed<'_, '_> {
+    fn sim(&mut self) -> &mut Sim {
+        &mut self.c.sim
+    }
+
+    fn finished(&self) -> bool {
+        let live = self.c.live.borrow();
+        live.nodes.iter().all(|s| s.borrow().finished)
+    }
+
+    /// A transfer in flight (or a dead partition awaiting detection)
+    /// needs only virtual time, which `run_until` advances even on an
+    /// empty event queue.
+    fn outstanding(&self) -> bool {
+        !self.c.transfers.is_empty() || self.directors.iter().any(|d| d.outstanding(self.c))
+    }
+
+    /// Directors tick in registration order.
+    fn tick(&mut self) {
+        let now = self.c.sim.now();
+        for d in self.directors.iter_mut() {
+            d.tick(self.c, now);
+        }
     }
 }
 
@@ -428,7 +474,13 @@ impl<'a> ClusterBuilder<'a> {
         for d in &mut directors {
             d.install(&mut c);
         }
-        let completion_time = c.drive(&mut directors);
+        let slice = directors.iter().filter_map(|d| d.slice()).min();
+        let budget = c.cfg.max_virtual_time;
+        let mut run = Directed {
+            c: &mut c,
+            directors: &mut directors,
+        };
+        let completion_time = drive(&mut run, slice.unwrap_or(SLICE), budget);
 
         let mut out = Outcome {
             run: assemble_report(&c.live.borrow().nodes, &c.fabric, &c.obs, completion_time),

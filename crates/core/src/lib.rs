@@ -56,7 +56,7 @@ pub use cluster::{
 pub use cost::{CacheModel, CostModel, TESTBED_CLOCK_GHZ};
 #[doc(hidden)]
 pub use driver::Plant;
-pub use driver::{ClusterBuilder, Outcome};
+pub use driver::{drive, ClusterBuilder, Driven, Outcome, SLICE};
 pub use elastic::{
     ClusterTelemetry, ControllerConfig, Decision, ElasticConfig, MigrationCmd, RescaleReport,
     ScaleController, ScaleDirector, ScriptedDirector, StaticDirector,

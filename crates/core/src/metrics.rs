@@ -122,11 +122,6 @@ impl EngineMetrics {
         self.clock_ghz = ghz;
     }
 
-    /// Clock used for cycle accounting, GHz.
-    pub fn clock_ghz(&self) -> f64 {
-        self.clock_ghz
-    }
-
     /// Overwrite the processed-record count (the cluster driver sets the
     /// aggregate after absorbing per-node counters).
     #[inline]
@@ -275,7 +270,6 @@ mod tests {
         let mut m = EngineMetrics::default();
         m.charge(CostCategory::Retiring, 100.0);
         // Default is the testbed constant, not a local hardcode.
-        assert!((m.clock_ghz() - TESTBED_CLOCK_GHZ).abs() < 1e-12);
         assert!((m.cycles() - 100.0 * TESTBED_CLOCK_GHZ).abs() < 1e-9);
         m.set_clock_ghz(3.0);
         assert!((m.cycles() - 300.0).abs() < 1e-9);

@@ -14,6 +14,9 @@
 //! CPU costs accrue on the endpoint and must be drained with
 //! [`SocketSender::take_cpu_cost`] / [`SocketReceiver::take_cpu_cost`] by
 //! the engine that owns the thread, which charges them to its virtual CPU.
+//!
+//! The transport runs none of the RDMA channel's protocol checks (footer
+//! sequence, credit window; DESIGN §8), so it counts no violations.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

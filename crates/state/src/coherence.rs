@@ -473,7 +473,8 @@ impl DeltaReceiver {
     }
 
     /// Fully received epochs currently blocked on the durability gate.
-    pub fn pending_epochs(&self) -> usize {
+    #[cfg(test)]
+    fn pending_epochs(&self) -> usize {
         self.pending.len()
     }
 

@@ -69,10 +69,6 @@ pub struct Lss {
     first_start: u64,
     /// Logical tail: where the next entry will be written.
     tail: u64,
-    /// Total live entries (diagnostics).
-    live_entries: u64,
-    /// Cumulative appended bytes (stats).
-    appended_bytes: u64,
 }
 
 impl Lss {
@@ -96,8 +92,6 @@ impl Lss {
             seg_shift: seg_size.trailing_zeros(),
             first_start: 0,
             tail: 0,
-            live_entries: 0,
-            appended_bytes: 0,
         }
     }
 
@@ -112,8 +106,9 @@ impl Lss {
     }
 
     /// Number of live (not-yet-dead) entries.
-    pub fn live_entries(&self) -> u64 {
-        self.live_entries
+    #[cfg(test)]
+    pub(crate) fn live_entries(&self) -> u64 {
+        self.segments.iter().map(|s| s.live as u64).sum()
     }
 
     /// Bytes of address space the log spans, head to tail — the working-set
@@ -122,11 +117,6 @@ impl Lss {
     /// already released theirs (see [`Self::note_dead`]).
     pub fn resident_bytes(&self) -> usize {
         self.segments.len() * self.seg_size
-    }
-
-    /// Cumulative bytes appended over the log's lifetime.
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended_bytes
     }
 
     #[inline]
@@ -228,8 +218,6 @@ impl Lss {
         fill(&mut value[..header.used()]);
         seg.used = off + need;
         seg.live += 1;
-        self.live_entries += 1;
-        self.appended_bytes += need as u64;
         self.tail += need as u64;
         addr
     }
@@ -377,7 +365,6 @@ impl Lss {
         assert!(seg.live > 0, "double free at {addr}");
         seg.data[off + 28] |= DEAD;
         seg.live -= 1;
-        self.live_entries -= 1;
         if seg.live == 0 && seg.sealed {
             // Nothing reads a fully dead sealed segment again: hand its
             // memory back now, wherever it sits. The slot (and its share
@@ -392,7 +379,6 @@ impl Lss {
     /// a full delta ship).
     pub fn kill_all(&mut self) {
         for seg in &mut self.segments {
-            self.live_entries -= seg.live as u64;
             seg.live = 0;
         }
     }
@@ -564,14 +550,6 @@ mod tests {
         // Appends continue seamlessly.
         let a = l.append(99, NO_PREV, EntryKind::Fixed, &[0u8; 8]);
         assert_eq!(l.key_at(a), 99);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut l = Lss::new();
-        l.append(1, NO_PREV, EntryKind::Fixed, &[0u8; 8]);
-        l.append(2, NO_PREV, EntryKind::Fixed, &[0u8; 16]);
-        assert_eq!(l.appended_bytes(), 40 + 48);
     }
 
     #[test]

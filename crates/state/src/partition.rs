@@ -571,7 +571,8 @@ impl Partition {
     }
 
     /// Number of elements in a holistic key's chain.
-    pub fn element_count(&self, key: StateKey) -> usize {
+    #[cfg(test)]
+    pub(crate) fn element_count(&self, key: StateKey) -> usize {
         let mut n = 0;
         self.for_each_element(key, |_| n += 1);
         n

@@ -119,11 +119,11 @@ for fig in recovery rescale split; do cargo run --release -p slash-bench --bin r
 golden_trace rescale
 
 echo "==> [10/10] optimized build: the state tests and the exactness matrix"
-# In the build the ledger times: the protocol checks, the state oracles and
-# wire goldens, the threaded backend's obs merge stress, and the exactness
-# matrix — every supported cell of engine x combiner x split x rescale x
-# fault x pacing against the sequential oracle, protocol violations zero.
-cargo test --release -p slash-exec -p slash-state -p slash-net -p slash-core -q
+# In the build the ledger times: the protocol checks (UpPar's too), the
+# state oracles and wire goldens, the threaded backend's obs merge stress,
+# and the exactness matrix — every supported cell of engine x combiner x
+# split x rescale x fault x pacing against the oracle, violations zero.
+cargo test --release -p slash-exec -p slash-state -p slash-net -p slash-core -p slash-baselines -q
 cargo test --release -q --test matrix --test equivalence --test combiner_equivalence
 
 # Every artifact the gate rewrites in place is deterministic: a green run

@@ -27,9 +27,7 @@ use slash::baselines::flinksim::flink_config;
 use slash::baselines::partitioned::run_partitioned;
 use slash::baselines::uppar::uppar_config;
 use slash::core::source::RateCurve;
-use slash::core::{
-    HeatPolicy, MigrationCmd, Outcome, RecoveryAction, RunReport, SinkResult, SplitRunConfig,
-};
+use slash::core::{HeatPolicy, MigrationCmd, Outcome, RecoveryAction, SinkResult, SplitRunConfig};
 use slash::desim::{Sim, SimTime};
 use slash::obs::Obs;
 use slash::state::SUB_KEY_TAG;
@@ -332,16 +330,8 @@ fn run(cell: &Cell, input: &Workload, span: SimTime) -> Outcome {
                 _ => flink_config(nodes, threads),
             };
             cfg.collect_results = true;
-            let r = run_partitioned(input.plan.clone(), input.partitions.clone(), cfg);
-            let run = RunReport {
-                records: r.records,
-                emitted: r.emitted,
-                total_pairs: r.total_pairs,
-                results: r.results,
-                ..RunReport::default()
-            };
             Outcome {
-                run,
+                run: run_partitioned(input.plan.clone(), input.partitions.clone(), cfg),
                 ..Outcome::default()
             }
         }
