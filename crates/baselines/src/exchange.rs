@@ -130,7 +130,7 @@ impl TxChan {
 /// thread.
 pub(crate) enum RxChan {
     /// Credit-based one-sided RDMA channel.
-    Rdma(ChannelReceiver),
+    Rdma(Box<ChannelReceiver>),
     /// Socket-style channel.
     Socket(SocketReceiver),
 }
@@ -187,7 +187,7 @@ mod tests {
         let b = fabric.add_node();
         let (tx, rx) = create_channel(&fabric, a, b, ChannelConfig::default());
         let tx = TxChan::Rdma(Rc::new(RefCell::new(tx)));
-        let mut rx = RxChan::Rdma(rx);
+        let mut rx = RxChan::Rdma(Box::new(rx));
 
         let mut scratch = Vec::new();
         assert!(tx.try_send(

@@ -586,7 +586,7 @@ fn run(
                         rx.fault_reorder_once();
                     }
                     tx_chans[src].push(TxChan::Rdma(Rc::new(RefCell::new(tx))));
-                    rx_lanes.push(RxChan::Rdma(rx));
+                    rx_lanes.push(RxChan::Rdma(Box::new(rx)));
                 }
                 Transport::Socket => {
                     let (tx, rx) = socket_pair(&fabric, node_ids[src], node_ids[dst], cfg.socket);

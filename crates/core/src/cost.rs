@@ -167,9 +167,14 @@ pub struct CostModel {
     /// Testbed. No probe.
     pub copy_per_byte_ns: f64,
     /// Queue handover between threads (scale-out SPE exchange step).
-    /// Reconciled: `net.spsc_msg_ns` reads 55–62 ns (1.2–1.4x) on one
-    /// thread; across threads (`net.spsc_xthread_msg_ns`, ~300 ns) the
-    /// host pays a wake-up the testbed's spinning consumers do not.
+    /// Reconciled: `net.spsc_msg_ns` times a 1 KiB message through the §6
+    /// channel on a thread-shared ring, send and copy-out on one thread.
+    /// It reads 106–122 ns (2.4–2.7x; median 111 ns on a 2-core host):
+    /// the ring moves a message as word stores and loads through a
+    /// slot-sized buffer at each end, where the `mpsc` link it replaced
+    /// (55–62 ns) moved one `Vec`. Across threads
+    /// (`net.spsc_xthread_msg_ns`, ~285 ns) the host pays a wake-up the
+    /// testbed's spinning consumers do not.
     pub queue_op_ns: f64,
     /// One empty poll (the `pause` spin of §8.3.3). Testbed; the model is
     /// the dearer side — `net.rdma_chan_empty_poll_ns` reads 4.5–5.5 ns

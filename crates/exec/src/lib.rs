@@ -14,10 +14,10 @@
 //! * [`ThreadBackend`] — a shared-nothing thread-per-core runtime: each
 //!   node's worker loop, SSB instance, delta channels, and observability
 //!   handle live on one OS thread with a *private* simulator for that
-//!   node's virtual-time bookkeeping. Cross-node delta traffic rides
-//!   bounded SPSC queues ([`slash_net::spsc`]) that keep the per-channel
-//!   FIFO order the RC fence in `rdma/qp.rs` guarantees on the simulated
-//!   wire.
+//!   node's virtual-time bookkeeping. Cross-node delta traffic rides the
+//!   same §6 channel as on the simulator — one ring protocol, its FIFO
+//!   and credit-window checks included — over rings of atomic words the
+//!   threads share ([`slash_net::spsc_channel`]).
 //!
 //! ## What the threaded backend does and does not promise
 //!

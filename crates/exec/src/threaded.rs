@@ -4,8 +4,8 @@
 //! worker loop, SSB instance, delta endpoints, observability handle, and
 //! a *private* [`Sim`] that provides the node's virtual-time bookkeeping
 //! (cost charging, pacing, epoch instants). Nothing is shared between
-//! threads except the bounded SPSC queues carrying epoch deltas, so the
-//! record path takes no locks and no atomics.
+//! threads except the §6 channels' rings of atomic words carrying epoch
+//! deltas, so the record path takes no locks and no atomics.
 //!
 //! ## Why the result still matches the simulator
 //!
@@ -31,9 +31,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use slash_core::{boot_node, publish_node_counters, spawn_node_workers, RunReport};
+use slash_core::RunReport;
+use slash_core::{boot_node, drive, publish_node_counters, spawn_node_workers, Driven, NodeShared};
 use slash_desim::{Sim, SimTime};
-use slash_net::spsc::{spsc_channel, SpscReceiver, SpscSender};
+use slash_net::{spsc_channel, ChannelReceiver, ChannelSender, SharedRx, SharedTx};
 use slash_obs::{MetricsRegistry, Obs};
 use slash_state::backend::{full_mesh, SsbNode};
 use slash_state::{DeltaReceiver, DeltaSender};
@@ -104,7 +105,7 @@ impl Scheduler for ThreadBackend {
         let n = cfg.nodes;
         let obs_on = obs.is_enabled();
 
-        // Wire the full mesh of directed SPSC links up front; each node
+        // Wire the full mesh of directed channels up front; each node
         // thread takes its own ends (outbound by leader, inbound by helper).
         let mesh = full_mesh(n, |_, _| spsc_channel(cfg.channel));
 
@@ -135,8 +136,8 @@ impl Scheduler for ThreadBackend {
 
         // Fold per-node reports, in node order, into the same `RunReport`
         // shape the simulator produces. Virtual times are per-node maxima
-        // (each node has its own clock); byte counts come from the SPSC
-        // links instead of the fabric.
+        // (each node has its own clock); byte counts come from the shared
+        // rings instead of the fabric.
         let mut report = RunReport::default();
         for (node, h) in handles.into_iter().enumerate() {
             let r = h
@@ -166,16 +167,53 @@ fn drive_node(
     cfg: slash_core::RunConfig,
     factory: crate::PlanFactory,
     own_parts: Vec<Vec<u8>>,
-    tx_row: Vec<Option<SpscSender>>,
-    rx_row: Vec<Option<SpscReceiver>>,
+    tx_row: Vec<Option<ChannelSender<SharedTx>>>,
+    rx_row: Vec<Option<ChannelReceiver<SharedRx>>>,
     obs_on: bool,
 ) -> NodeReport {
+    /// The node's simulator as the drive loop sees it: finished when the
+    /// trigger worker observes cluster-wide completion.
+    struct NodeLoop<'a> {
+        sim: Sim,
+        shared: &'a RefCell<NodeShared>,
+        last_records: u64,
+        last_progress: Instant,
+    }
+
+    impl Driven for NodeLoop<'_> {
+        fn sim(&mut self) -> &mut Sim {
+            &mut self.sim
+        }
+
+        fn finished(&self) -> bool {
+            self.shared.borrow().finished
+        }
+
+        /// Progress resets the hang watchdog. Then the thread cedes its
+        /// core: one runnable thread per core is the design point, but on
+        /// smaller hosts (and while draining at end-of-stream) ceding lets
+        /// peers flush the epochs this node is waiting for.
+        fn tick(&mut self) {
+            let records = self.shared.borrow().records;
+            if records != self.last_records {
+                self.last_records = records;
+                self.last_progress = Instant::now();
+            }
+            assert!(
+                self.last_progress.elapsed() < WATCHDOG,
+                "no progress for {WATCHDOG:?} — completion protocol deadlock \
+                 or a stuck peer thread"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     let plan = Rc::new((factory)());
-    let senders = tx_row.into_iter().map(|tx| tx.map(DeltaSender::over_spsc));
+    let senders = tx_row.into_iter().map(|tx| tx.map(DeltaSender::new));
     let receivers = rx_row
         .into_iter()
         .enumerate()
-        .map(|(helper, rx)| rx.map(|rx| DeltaReceiver::over_spsc(rx, helper)));
+        .map(|(helper, rx)| rx.map(|rx| DeltaReceiver::new(rx, helper)));
     let ssb = SsbNode::with_endpoints(
         node,
         plan.descriptor(),
@@ -194,43 +232,20 @@ fn drive_node(
     let mut sim = Sim::new();
     spawn_node_workers(&mut sim, node, &shared, &own_parts, &plan, &cfg, None);
 
-    // Drive until the trigger worker observes cluster-wide completion.
-    // No virtual-time budget here: a node waiting on a peer *thread*
-    // races through virtual time at poll speed, so only the wall clock
-    // bounds a genuine hang. Progress resets the watchdog.
-    let mut last_progress = Instant::now();
-    let mut last_records = 0u64;
-    loop {
-        {
-            let sh = shared.borrow();
-            if sh.finished {
-                break;
-            }
-            if sh.records != last_records {
-                last_records = sh.records;
-                last_progress = Instant::now();
-            }
-        }
-        assert!(
-            sim.pending_events() > 0,
-            "node {node} quiesced before completing (worker wiring bug)"
-        );
-        assert!(
-            last_progress.elapsed() < WATCHDOG,
-            "node {node} made no progress for {WATCHDOG:?} — \
-             completion protocol deadlock or a stuck peer thread"
-        );
-        let horizon = sim.now() + HORIZON;
-        sim.run_until(horizon);
-        // One runnable thread per core is the design point, but on
-        // smaller hosts (and while draining at end-of-stream) ceding the
-        // core lets peers flush the epochs this node is waiting for.
-        std::thread::yield_now();
-    }
+    // No virtual-time budget: a node waiting on a peer *thread* races
+    // through virtual time at poll speed, so only the wall clock bounds a
+    // genuine hang. Progress resets the watchdog.
+    let mut run = NodeLoop {
+        sim,
+        shared: &shared,
+        last_records: 0,
+        last_progress: Instant::now(),
+    };
+    let completion_time = drive(&mut run, HORIZON, SimTime::MAX);
     let sh = shared.borrow();
     publish_node_counters(&obs, node, &sh);
     let mut report = RunReport {
-        completion_time: sim.now(),
+        completion_time,
         net_tx_bytes: sh.ssb.tx_payload_bytes(),
         ..RunReport::default()
     };

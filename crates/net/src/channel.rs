@@ -1,10 +1,14 @@
-//! Channel setup (the protocol's *setup phase*, paper §6.2).
+//! Channel setup (the protocol's *setup phase*, paper §6.2) and the
+//! simulated memory the ring protocol runs over: the fabric's registered
+//! regions, written with one-sided WRITEs over a reliable QP.
 
-use slash_rdma::{CqHandle, Fabric, NodeId};
+use slash_desim::{Sim, SimTime};
+use slash_rdma::{CqHandle, Fabric, LocalSlice, Mr, NodeId, Qp, RdmaError, RemoteKey};
+use slash_rdma::{RemoteSlice, WorkRequest};
 
-use crate::layout::FOOTER_SIZE;
-use crate::receiver::ChannelReceiver;
-use crate::sender::ChannelSender;
+use crate::layout::{footer_offset, FOOTER_SIZE};
+use crate::receiver::{ChannelReceiver, RxMemory};
+use crate::sender::{ChannelSender, Trace, TxMemory};
 
 /// Channel parameters fixed for the lifetime of a query (the paper keeps
 /// `c` constant during execution because its choice is hardware-sensitive
@@ -36,7 +40,7 @@ impl Default for ChannelConfig {
 impl ChannelConfig {
     /// Validate invariants; panics on nonsense configurations (these are
     /// build-time decisions, not runtime data).
-    pub fn validated(self) -> Self {
+    pub(crate) fn validated(self) -> Self {
         assert!(self.credits >= 1, "need at least one credit");
         assert!(
             self.buffer_size > FOOTER_SIZE,
@@ -53,6 +57,139 @@ impl ChannelConfig {
     /// Payload capacity per buffer.
     pub fn payload_capacity(&self) -> usize {
         self.buffer_size - FOOTER_SIZE
+    }
+}
+
+/// An unsignaled one-sided WRITE of `local` to `offset` in region `key`.
+fn write(wr_id: u64, local: LocalSlice, key: RemoteKey, offset: usize) -> WorkRequest {
+    let remote = RemoteSlice { key, offset };
+    WorkRequest::Write {
+        wr_id,
+        local,
+        remote,
+        signaled: false,
+    }
+}
+
+/// The simulated memory under a producer: a local *staging ring* that
+/// mirrors the consumer's, shipped slot by slot with a single one-sided
+/// WRITE of payload and footer, and the 8-byte region the consumer writes
+/// its cumulative consumed count into.
+pub struct FabricTx {
+    qp: Qp,
+    staging: Mr,
+    remote_ring: RemoteKey,
+    credit: Mr,
+    buffer_size: usize,
+    trace: Trace,
+}
+
+impl TxMemory<Sim> for FabricTx {
+    fn acked(&self) -> u64 {
+        self.credit.read_u64(0)
+    }
+
+    fn post(
+        &mut self,
+        sim: &mut Sim,
+        seq: u64,
+        slot: usize,
+        len: usize,
+        [lo, hi]: [u64; 2],
+        fill: &mut dyn FnMut(&mut [u8]),
+    ) -> Result<(), RdmaError> {
+        // `[padding | payload | footer]`: the payload is right-aligned
+        // against the footer, so one contiguous WRITE carries both.
+        let foot_off = footer_offset(slot, self.buffer_size);
+        let payload_off = foot_off - len;
+        self.staging.with_mut(payload_off, len, fill)?;
+        self.staging.write_u64(foot_off, lo);
+        self.staging.write_u64(foot_off + 8, hi);
+        let local = LocalSlice::range(&self.staging, payload_off, len + FOOTER_SIZE);
+        let write = write(seq, local, self.remote_ring, payload_off);
+        self.qp.post_send(sim, write)
+    }
+
+    fn is_error(&self) -> bool {
+        self.qp.is_error()
+    }
+
+    /// Reset the QP, bumping the connection incarnation so stale
+    /// in-flight writes are fenced, and zero the credit counter.
+    fn reset(&mut self) {
+        self.qp.reset();
+        self.credit.write_u64(0, 0);
+    }
+
+    fn lane(&self, sim: &Sim) -> Option<(&Trace, SimTime)> {
+        Some((&self.trace, sim.now()))
+    }
+
+    fn instrument(&mut self, trace: Trace) {
+        self.trace = trace;
+    }
+}
+
+/// The simulated memory under a consumer: the ring the producer writes
+/// into, and an 8-byte staging region for the credit WRITE.
+pub struct FabricRx {
+    qp: Qp,
+    ring: Mr,
+    remote_credit: RemoteKey,
+    credit_staging: Mr,
+    buffer_size: usize,
+    trace: Trace,
+}
+
+impl RxMemory<Sim> for FabricRx {
+    fn generation(&self, slot: usize) -> u8 {
+        let foot_off = footer_offset(slot, self.buffer_size);
+        self.ring.poll_byte(foot_off + FOOTER_SIZE - 1)
+    }
+
+    fn footer(&self, slot: usize) -> [u64; 2] {
+        let at = footer_offset(slot, self.buffer_size);
+        [self.ring.read_u64(at), self.ring.read_u64(at + 8)]
+    }
+
+    fn payload(
+        &mut self,
+        slot: usize,
+        len: usize,
+        f: &mut dyn FnMut(&[u8]),
+    ) -> Result<(), RdmaError> {
+        let foot_off = footer_offset(slot, self.buffer_size);
+        self.ring.with(foot_off - len, len, f)
+    }
+
+    /// An 8-byte one-sided WRITE — the "credit transfer" of §6.2.
+    fn return_credit(&mut self, sim: &mut Sim, acked: u64) -> Result<(), RdmaError> {
+        self.credit_staging.write_u64(0, acked);
+        let local = LocalSlice::range(&self.credit_staging, 0, 8);
+        // A control message; its id is never inspected.
+        self.qp
+            .post_send(sim, write(u64::MAX, local, self.remote_credit, 0))
+    }
+
+    fn is_error(&self) -> bool {
+        self.qp.is_error()
+    }
+
+    fn reset(&mut self) {
+        self.qp.reset();
+        for slot in 0..self.ring.len() / self.buffer_size {
+            // In bounds by construction; reset stays infallible.
+            let gen_off = footer_offset(slot, self.buffer_size) + FOOTER_SIZE - 1;
+            let _ = self.ring.write(gen_off, &[0]);
+        }
+    }
+
+    fn lane(&self, sim: &Sim) -> Option<(&Trace, SimTime)> {
+        Some((&self.trace, sim.now()))
+    }
+
+    fn instrument(&mut self, trace: Trace) {
+        self.trace = trace;
     }
 }
 
@@ -84,10 +221,24 @@ pub fn create_channel(
         CqHandle::new(),
     );
 
-    let sender = ChannelSender::new(qp_p, staging, ring.remote_key(), credit, cfg);
-    let receiver =
-        ChannelReceiver::new(qp_c, ring, sender.credit_remote_key(), credit_staging, cfg);
-    (sender, receiver)
+    let (ring_key, credit_key) = (ring.remote_key(), credit.remote_key());
+    let tx = FabricTx {
+        qp: qp_p,
+        staging,
+        remote_ring: ring_key,
+        credit,
+        buffer_size: cfg.buffer_size,
+        trace: Trace::default(),
+    };
+    let rx = FabricRx {
+        qp: qp_c,
+        ring,
+        remote_credit: credit_key,
+        credit_staging,
+        buffer_size: cfg.buffer_size,
+        trace: Trace::default(),
+    };
+    (ChannelSender::new(tx, cfg), ChannelReceiver::new(rx, cfg))
 }
 
 /// Control-plane messages exchanged to bring a *replacement* channel to
@@ -296,7 +447,7 @@ mod tests {
             .unwrap();
         sim.run();
         rx.try_recv(&mut sim).unwrap().unwrap();
-        assert_eq!(rx.stats.latency_samples(), 1);
+        assert_eq!(rx.stats.latency.count(), 1);
         // 4 KiB at ~11.8 GB/s + 600ns latency: about 1µs.
         let lat = rx.stats.mean_latency().unwrap();
         assert!(lat.as_nanos() >= 1_000, "{lat}");

@@ -5,7 +5,7 @@
 //! +--------------------------+-----------------+----------------+
 //! | padding (m-16-len bytes) | payload (len B) | footer (16 B)  |
 //! +--------------------------+-----------------+----------------+
-//!                                               ^ len | seq | flags | gen
+//!                                   ^ len | seq | flags | sent µs | gen
 //! ```
 //!
 //! The footer sits at the *end* of the slot and the payload is
@@ -18,7 +18,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 /// Footer size in bytes.
-pub const FOOTER_SIZE: usize = 16;
+pub(crate) const FOOTER_SIZE: usize = 16;
 
 /// Message kind / control flags carried in the footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,11 +29,6 @@ impl MsgFlags {
     pub const DATA: MsgFlags = MsgFlags(1);
     /// End of stream: the producer will send nothing further.
     pub const EOS: MsgFlags = MsgFlags(1 << 1);
-    /// Epoch synchronization token (paper §7.2.2). The payload carries the
-    /// epoch number and the sender's low watermark.
-    pub const EPOCH: MsgFlags = MsgFlags(1 << 2);
-    /// Watermark-only progress message.
-    pub const WATERMARK: MsgFlags = MsgFlags(1 << 3);
     /// State-delta chunk (SSB coherence traffic).
     pub const STATE_DELTA: MsgFlags = MsgFlags(1 << 4);
 
@@ -42,62 +37,45 @@ impl MsgFlags {
     pub fn contains(self, other: MsgFlags) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// Union of two flag sets.
-    #[inline]
-    pub fn union(self, other: MsgFlags) -> MsgFlags {
-        MsgFlags(self.0 | other.0)
-    }
 }
 
 /// Decoded footer of a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Footer {
+pub(crate) struct Footer {
     /// Payload length in bytes.
     pub len: u32,
-    /// Low 32 bits of the message sequence number (debugging/assertions).
+    /// Low 32 bits of the message sequence number (the FIFO check).
     pub seq32: u32,
     /// Message flags.
     pub flags: MsgFlags,
+    /// Send time in µs, 40 bits, for the buffer residence latency; 0 where
+    /// the endpoints share no clock.
+    pub sent_us: u64,
     /// Wrap generation; the poll byte.
     pub gen: u8,
 }
 
 impl Footer {
-    /// Encode into a 16-byte array.
-    pub fn encode(&self) -> [u8; FOOTER_SIZE] {
-        let mut f = [0u8; FOOTER_SIZE];
-        f[0..4].copy_from_slice(&self.len.to_le_bytes());
-        f[4..8].copy_from_slice(&self.seq32.to_le_bytes());
-        f[8..10].copy_from_slice(&self.flags.0.to_le_bytes());
-        // f[10..15] reserved.
-        f[15] = self.gen;
-        f
+    /// Encode as the slot's last two little-endian words; the poll byte
+    /// is the second word's top byte.
+    pub(crate) fn encode(&self) -> [u64; 2] {
+        let lo = u64::from(self.len) | u64::from(self.seq32) << 32;
+        let sent = (self.sent_us & 0xFF_FFFF_FFFF) << 16;
+        let hi = u64::from(self.flags.0) | sent | u64::from(self.gen) << 56;
+        [lo, hi]
     }
 
-    /// Decode from a 16-byte slice.
-    pub fn decode(bytes: &[u8]) -> Footer {
-        debug_assert_eq!(bytes.len(), FOOTER_SIZE);
+    /// Decode from the slot's last two words.
+    pub(crate) fn decode([lo, hi]: [u64; 2]) -> Footer {
+        let (lo, hi) = (lo.to_le_bytes(), hi.to_le_bytes());
         Footer {
-            len: u32::from_le_bytes(le_bytes(bytes, 0)),
-            seq32: u32::from_le_bytes(le_bytes(bytes, 4)),
-            flags: MsgFlags(u16::from_le_bytes(le_bytes(bytes, 8))),
-            gen: bytes.get(15).copied().unwrap_or(0),
+            len: u32::from_le_bytes([lo[0], lo[1], lo[2], lo[3]]),
+            seq32: u32::from_le_bytes([lo[4], lo[5], lo[6], lo[7]]),
+            flags: MsgFlags(u16::from_le_bytes([hi[0], hi[1]])),
+            sent_us: u64::from_le_bytes([hi[2], hi[3], hi[4], hi[5], hi[6], 0, 0, 0]),
+            gen: hi[7],
         }
     }
-}
-
-/// Copy `N` little-endian bytes starting at `at`, zero-filling past the end
-/// of `bytes` so footer decoding is total (the slot layout guarantees 16
-/// bytes; short reads only happen on corrupt input).
-fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
-    let mut out = [0u8; N];
-    for (i, dst) in out.iter_mut().enumerate() {
-        if let Some(b) = bytes.get(at + i) {
-            *dst = *b;
-        }
-    }
-    out
 }
 
 /// The generation (poll byte) for sequence number `seq` on a queue of `c`
@@ -105,27 +83,15 @@ fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
 /// with period 255 so a slot's previous content can never alias the next
 /// expected generation.
 #[inline]
-pub fn generation(seq: u64, credits: usize) -> u8 {
+pub(crate) fn generation(seq: u64, credits: usize) -> u8 {
     // `% 255` bounds the value to 0..=254, so +1 fits u8 exactly.
     ((seq / credits as u64) % 255) as u8 + 1
 }
 
-/// Byte offset of slot `k`'s start within the ring region.
-#[inline]
-pub fn slot_offset(slot: usize, buf_size: usize) -> usize {
-    slot * buf_size
-}
-
 /// Byte offset of slot `k`'s footer within the ring region.
 #[inline]
-pub fn footer_offset(slot: usize, buf_size: usize) -> usize {
-    slot_offset(slot, buf_size) + buf_size - FOOTER_SIZE
-}
-
-/// Maximum payload a slot of `buf_size` bytes can carry.
-#[inline]
-pub fn payload_capacity(buf_size: usize) -> usize {
-    buf_size - FOOTER_SIZE
+pub(crate) fn footer_offset(slot: usize, buf_size: usize) -> usize {
+    (slot + 1) * buf_size - FOOTER_SIZE
 }
 
 #[cfg(test)]
@@ -137,20 +103,25 @@ mod tests {
         let f = Footer {
             len: 4096,
             seq32: 0xDEAD_BEEF,
-            flags: MsgFlags::DATA.union(MsgFlags::EPOCH),
+            flags: MsgFlags(MsgFlags::DATA.0 | MsgFlags::EOS.0),
+            sent_us: (1 << 40) - 1,
             gen: 7,
         };
         let enc = f.encode();
-        assert_eq!(Footer::decode(&enc), f);
-        assert_eq!(enc[15], 7, "poll byte must be the final byte");
+        assert_eq!(Footer::decode(enc), f);
+        assert_eq!(
+            enc[1].to_le_bytes()[7],
+            7,
+            "poll byte must be the final byte"
+        );
     }
 
     #[test]
     fn flags_ops() {
-        let f = MsgFlags::DATA.union(MsgFlags::EOS);
+        let f = MsgFlags(MsgFlags::DATA.0 | MsgFlags::EOS.0);
         assert!(f.contains(MsgFlags::DATA));
         assert!(f.contains(MsgFlags::EOS));
-        assert!(!f.contains(MsgFlags::EPOCH));
+        assert!(!f.contains(MsgFlags::STATE_DELTA));
     }
 
     #[test]
@@ -179,9 +150,7 @@ mod tests {
     #[test]
     fn offsets() {
         let m = 1024;
-        assert_eq!(slot_offset(0, m), 0);
-        assert_eq!(slot_offset(3, m), 3072);
+        assert_eq!(footer_offset(3, m), 4080);
         assert_eq!(footer_offset(0, m), 1008);
-        assert_eq!(payload_capacity(m), 1008);
     }
 }

@@ -38,6 +38,13 @@
 //! [`Violations`] rather than assert; credits converging at quiescence is
 //! the race checker's (`slash-verify`).
 //!
+//! ## Two memories, one protocol
+//!
+//! [`ChannelSender`] and [`ChannelReceiver`] hold the protocol once, over a
+//! [`TxMemory`] / [`RxMemory`]: the simulated fabric's registered regions
+//! ([`create_channel`]), or a ring of atomic words two threads share
+//! ([`spsc_channel`], the threaded backend).
+//!
 //! ## Message layout
 //!
 //! Each slot is `[padding | payload | footer]` with the 16-byte footer at
@@ -47,21 +54,22 @@
 //! preceding it has fully landed (WRITEs land low-to-high). The poll byte
 //! is a per-wrap *generation* so slot reuse needs no cleanup writes.
 //!
-//! The crate also provides [`socket::SocketSender`]/[`socket::SocketReceiver`],
-//! a socket-style (IPoIB) channel with kernel-copy and syscall costs, used by the Flink baseline.
+//! The crate also provides [`SocketSender`]/[`SocketReceiver`], a
+//! socket-style (IPoIB) channel with kernel-copy and syscall costs, used by
+//! the Flink baseline.
 
-pub mod channel;
-pub mod layout;
-pub mod receiver;
-pub mod sender;
-pub mod socket;
-pub mod spsc;
-pub mod stats;
+mod channel;
+mod layout;
+mod receiver;
+mod sender;
+mod shared;
+mod socket;
+mod stats;
 
-pub use channel::{create_channel, ChannelConfig, RECONNECT_HANDSHAKE_MSGS};
-pub use layout::{Footer, MsgFlags, FOOTER_SIZE};
-pub use receiver::ChannelReceiver;
-pub use sender::ChannelSender;
+pub use channel::{create_channel, ChannelConfig, FabricRx, FabricTx, RECONNECT_HANDSHAKE_MSGS};
+pub use layout::MsgFlags;
+pub use receiver::{ChannelReceiver, RxMemory};
+pub use sender::{ChannelSender, Trace, TxMemory};
+pub use shared::{spsc_channel, SharedRx, SharedTx};
 pub use socket::{socket_pair, SocketConfig, SocketReceiver, SocketSender};
-pub use spsc::{spsc_channel, SpscReceiver, SpscSender};
 pub use stats::{ChannelStats, Violation, Violations};

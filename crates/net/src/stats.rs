@@ -35,7 +35,7 @@ pub enum Violation {
 
 impl Violation {
     /// Every kind, in declaration order.
-    pub const ALL: [Violation; 6] = [
+    pub(crate) const ALL: [Violation; 6] = [
         Violation::Fifo,
         Violation::CreditWindow,
         Violation::EpochOrder,
@@ -45,7 +45,7 @@ impl Violation {
     ];
 
     /// The kind's label in reports and flight dumps.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Violation::Fifo => "fifo",
             Violation::CreditWindow => "credit-window",
@@ -125,34 +125,9 @@ pub struct ChannelStats {
 
 impl ChannelStats {
     /// Account one buffer sent (or consumed) carrying `payload` bytes.
-    pub fn on_buffer(&mut self, payload: usize) {
+    pub(crate) fn on_buffer(&mut self, payload: usize) {
         self.buffers += 1;
         self.payload_bytes += payload as u64;
-    }
-
-    /// Account a send attempt rejected for lack of credit.
-    pub fn on_credit_stall(&mut self) {
-        self.credit_stalls += 1;
-    }
-
-    /// Account a poll that found no buffer ready.
-    pub fn on_empty_poll(&mut self) {
-        self.empty_polls += 1;
-    }
-
-    /// Account one credit-return message.
-    pub fn on_credit_msg(&mut self) {
-        self.credit_msgs += 1;
-    }
-
-    /// Record one buffer-residence latency sample in nanoseconds.
-    pub fn record_latency_ns(&mut self, ns: u64) {
-        self.latency.record(ns);
-    }
-
-    /// Number of latency samples taken.
-    pub fn latency_samples(&self) -> u64 {
-        self.latency.count()
     }
 
     /// Mean buffer latency, if any samples were taken.
@@ -182,10 +157,10 @@ mod tests {
     fn mean_latency() {
         let mut s = ChannelStats::default();
         assert_eq!(s.mean_latency(), None);
-        s.record_latency_ns(50);
-        s.record_latency_ns(150);
-        s.record_latency_ns(100);
-        assert_eq!(s.latency_samples(), 3);
+        s.latency.record(50);
+        s.latency.record(150);
+        s.latency.record(100);
+        assert_eq!(s.latency.count(), 3);
         assert_eq!(s.mean_latency(), Some(SimTime::from_nanos(100)));
     }
 
@@ -193,8 +168,8 @@ mod tests {
     fn publish_lands_in_registry() {
         let mut s = ChannelStats::default();
         s.on_buffer(512);
-        s.on_credit_stall();
-        s.record_latency_ns(2_000);
+        s.credit_stalls += 1;
+        s.latency.record(2_000);
         let obs = slash_obs::Obs::enabled(16);
         s.publish(&obs, "chan=0->1");
         obs.with_registry(|r| {

@@ -47,7 +47,7 @@ impl SsbConfig {
 /// partition, the delta channels, and the vector clock. Not `Send` (its
 /// trace handles are `Rc`-based): a node is built and driven on one
 /// thread — the simulator's, or its own node thread under the threaded
-/// backend, which moves only the raw SPSC link ends across threads.
+/// backend, which moves only the raw channel ends across threads.
 pub struct SsbNode {
     node: usize,
     cfg: SsbConfig,
@@ -600,8 +600,8 @@ impl SsbNode {
     /// Build a node around its delta endpoints: `senders[l]` ships this
     /// node's fragment of partition `l` to its leader, `receivers[h]`
     /// merges helper `h`'s deltas into the primary; both rows are indexed
-    /// by peer and `None` at `node`. The transport behind an endpoint (the
-    /// simulated RDMA channel or an in-process SPSC link) is the
+    /// by peer and `None` at `node`. The memory behind an endpoint's
+    /// channel (the simulated fabric or a thread-shared ring) is the
     /// endpoint's business. The one constructor: [`build_cluster`], the
     /// threaded executor and [`SsbNode::restored`] all build nodes here.
     pub fn with_endpoints(
@@ -797,8 +797,8 @@ impl SsbNode {
 
     /// Total payload bytes this node's delta senders pushed onto their
     /// links. The threaded executor sums this across nodes as its
-    /// substitute for `Fabric::total_tx_bytes` (SPSC links bypass the
-    /// simulated fabric entirely).
+    /// substitute for `Fabric::total_tx_bytes` (thread-shared rings bypass
+    /// the simulated fabric entirely).
     pub fn tx_payload_bytes(&self) -> u64 {
         self.senders
             .iter()

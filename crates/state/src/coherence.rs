@@ -9,9 +9,8 @@
 //! when an epoch's final chunk lands.
 
 use slash_desim::{Sim, SimTime};
-use slash_net::{
-    ChannelReceiver, ChannelSender, MsgFlags, SpscReceiver, SpscSender, Violation, Violations,
-};
+use slash_net::Violations;
+use slash_net::{ChannelReceiver, ChannelSender, MsgFlags, RxMemory, TxMemory, Violation};
 use slash_obs::{Cat, Obs};
 use slash_rdma::RdmaError;
 
@@ -69,47 +68,9 @@ pub struct RetainedEpoch {
     pub chunks: Vec<Vec<u8>>,
 }
 
-/// The transport a delta endpoint ships over. The deterministic
-/// simulator uses the modeled RDMA channel (costs, faults, credit
-/// messages on the virtual wire); the threaded executor uses an
-/// in-process SPSC link with the same FIFO + credit-bound semantics.
-/// The coherence protocol above this enum is byte-identical either way —
-/// that is what makes sim and threaded runs converge to the same state.
-enum SenderPort {
-    /// Simulated RDMA channel (deterministic backend).
-    Rdma(ChannelSender),
-    /// In-process SPSC link (threaded backend).
-    Spsc(SpscSender),
-}
-
-impl SenderPort {
-    fn payload_capacity(&self) -> usize {
-        match self {
-            SenderPort::Rdma(c) => c.payload_capacity(),
-            SenderPort::Spsc(c) => c.payload_capacity(),
-        }
-    }
-
-    /// Try to push one chunk; `Ok(false)` means "no credit, retry later".
-    fn try_send(&mut self, sim: &mut Sim, chunk: &[u8]) -> Result<bool, RdmaError> {
-        match self {
-            SenderPort::Rdma(c) => c.try_send(sim, MsgFlags::STATE_DELTA, chunk),
-            SenderPort::Spsc(c) => {
-                if c.try_send(MsgFlags::STATE_DELTA, chunk) {
-                    Ok(true)
-                } else if c.is_error() {
-                    Err(RdmaError::QpError)
-                } else {
-                    Ok(false)
-                }
-            }
-        }
-    }
-}
-
 /// Helper-side shipping endpoint for one (helper, leader) pair.
 pub struct DeltaSender {
-    port: SenderPort,
+    chan: Box<ChannelSender<dyn TxMemory<Sim>>>,
     outbox: std::collections::VecDeque<Vec<u8>>,
     /// Retain closed epochs for replay (fault-tolerant runs only).
     retain: bool,
@@ -124,19 +85,11 @@ pub struct DeltaSender {
 }
 
 impl DeltaSender {
-    /// Wrap a channel whose consumer is the partition's leader.
-    pub fn new(chan: ChannelSender) -> Self {
-        DeltaSender::with_port(SenderPort::Rdma(chan))
-    }
-
-    /// Wrap an in-process SPSC link (threaded executor).
-    pub fn over_spsc(link: SpscSender) -> Self {
-        DeltaSender::with_port(SenderPort::Spsc(link))
-    }
-
-    fn with_port(port: SenderPort) -> Self {
+    /// Wrap a channel whose consumer is the partition's leader, over the
+    /// simulated fabric or a thread-shared ring.
+    pub fn new(chan: ChannelSender<impl TxMemory<Sim> + 'static>) -> Self {
         DeltaSender {
-            port,
+            chan: Box::new(chan),
             outbox: std::collections::VecDeque::new(),
             retain: false,
             retained: Vec::new(),
@@ -151,9 +104,7 @@ impl DeltaSender {
     /// Attach a trace handle; `pid` is the helper node, `tid` the leader.
     /// Also instruments the underlying channel's verb events.
     pub fn instrument(&mut self, obs: Obs, pid: u32, tid: u32) {
-        if let SenderPort::Rdma(chan) = &mut self.port {
-            chan.instrument(obs.clone(), pid, tid);
-        }
+        self.chan.instrument(obs.clone(), pid, tid);
         self.obs = obs;
         self.obs_pid = pid;
         self.obs_tid = tid;
@@ -170,7 +121,7 @@ impl DeltaSender {
             epoch,
             watermark,
             now.as_nanos() / 1_000,
-            self.port.payload_capacity(),
+            self.chan.payload_capacity(),
         );
         fragment.close_epoch(|h, v| builder.push_run(h.key, h.kind, h.stride, v));
         let chunks = builder.finish();
@@ -241,23 +192,17 @@ impl DeltaSender {
         n
     }
 
-    /// Whether the underlying channel's QP (or SPSC peer) is in the
-    /// error state.
+    /// Whether the underlying channel is down (a flushed QP, or a
+    /// consumer thread gone).
     pub fn is_error(&self) -> bool {
-        match &self.port {
-            SenderPort::Rdma(c) => c.is_error(),
-            SenderPort::Spsc(c) => c.is_error(),
-        }
+        self.chan.is_error()
     }
 
     /// Reset the underlying channel endpoint after a fault (the peer
     /// receiver must reset too). The outbox is kept: pumping resumes once
-    /// both ends are re-established. SPSC links have no reset protocol —
-    /// fault injection belongs to the simulated backend.
+    /// both ends are re-established.
     pub(crate) fn reset_channel(&mut self) {
-        if let SenderPort::Rdma(chan) = &mut self.port {
-            chan.reset();
-        }
+        self.chan.reset();
     }
 
     /// Push queued chunks while channel credits allow. Returns the number
@@ -265,7 +210,9 @@ impl DeltaSender {
     pub fn pump(&mut self, sim: &mut Sim) -> Result<usize, RdmaError> {
         let mut sent = 0;
         while let Some(chunk) = self.outbox.front() {
-            if !self.port.try_send(sim, chunk)? {
+            let (len, flags) = (chunk.len(), MsgFlags::STATE_DELTA);
+            let fill = |slot: &mut [u8]| slot.copy_from_slice(chunk);
+            if !self.chan.try_send_with(sim, flags, len, fill)? {
                 break;
             }
             self.outbox.pop_front();
@@ -287,10 +234,7 @@ impl DeltaSender {
 
     /// Channel statistics.
     pub fn channel_stats(&self) -> &slash_net::ChannelStats {
-        match &self.port {
-            SenderPort::Rdma(c) => &c.stats,
-            SenderPort::Spsc(c) => c.stats(),
-        }
+        &self.chan.stats
     }
 }
 
@@ -321,30 +265,6 @@ struct PendingEpoch {
     entries: Staged,
 }
 
-/// Receiver-side transport, mirroring [`SenderPort`].
-enum ReceiverPort {
-    /// Simulated RDMA channel (deterministic backend).
-    Rdma(ChannelReceiver),
-    /// In-process SPSC link (threaded backend).
-    Spsc(SpscReceiver),
-}
-
-impl ReceiverPort {
-    /// Poll one delivered chunk's payload, if any.
-    fn poll_payload(&mut self, sim: &mut Sim) -> Result<Option<Vec<u8>>, RdmaError> {
-        match self {
-            ReceiverPort::Rdma(c) => c.poll_with(sim, |flags, payload| {
-                debug_assert!(flags.contains(MsgFlags::STATE_DELTA));
-                payload.to_vec()
-            }),
-            ReceiverPort::Spsc(c) => Ok(c.try_recv().map(|(flags, payload)| {
-                debug_assert!(flags.contains(MsgFlags::STATE_DELTA));
-                payload
-            })),
-        }
-    }
-}
-
 /// Leader-side merge endpoint for one inbound helper.
 ///
 /// Merging is *epoch-atomic*: chunks are staged until the epoch's final
@@ -355,7 +275,7 @@ impl ReceiverPort {
 /// is what makes non-idempotent CRDT merges (counters *add*) safe to
 /// replay at epoch granularity.
 pub struct DeltaReceiver {
-    port: ReceiverPort,
+    chan: Box<ChannelReceiver<dyn RxMemory<Sim>>>,
     /// Which executor the deltas come from (vector-clock slot).
     helper: usize,
     /// Entries of the in-progress (not yet `fin`) epoch.
@@ -386,18 +306,9 @@ pub struct DeltaReceiver {
 
 impl DeltaReceiver {
     /// Wrap a channel whose producer is helper executor `helper`.
-    pub fn new(chan: ChannelReceiver, helper: usize) -> Self {
-        DeltaReceiver::with_port(ReceiverPort::Rdma(chan), helper)
-    }
-
-    /// Wrap an in-process SPSC link (threaded executor).
-    pub fn over_spsc(link: SpscReceiver, helper: usize) -> Self {
-        DeltaReceiver::with_port(ReceiverPort::Spsc(link), helper)
-    }
-
-    fn with_port(port: ReceiverPort, helper: usize) -> Self {
+    pub fn new(chan: ChannelReceiver<impl RxMemory<Sim> + 'static>, helper: usize) -> Self {
         DeltaReceiver {
-            port,
+            chan: Box::new(chan),
             helper,
             staged: Staged::default(),
             rejected: None,
@@ -416,9 +327,8 @@ impl DeltaReceiver {
     /// Attach a trace handle; `leader` is the node this receiver merges
     /// into. Also instruments the underlying channel's verb events.
     pub fn instrument(&mut self, obs: Obs, leader: u32) {
-        if let ReceiverPort::Rdma(chan) = &mut self.port {
-            chan.instrument(obs.clone(), leader, self.helper as u32);
-        }
+        self.chan
+            .instrument(obs.clone(), leader, self.helper as u32);
         self.obs = obs;
         self.obs_pid = leader;
         self.obs_label = format!("chan={}->{}", self.helper, leader);
@@ -431,10 +341,7 @@ impl DeltaReceiver {
 
     /// Channel statistics.
     pub fn channel_stats(&self) -> &slash_net::ChannelStats {
-        match &self.port {
-            ReceiverPort::Rdma(c) => &c.stats,
-            ReceiverPort::Spsc(c) => c.stats(),
-        }
+        &self.chan.stats
     }
 
     /// Protocol violations counted by this endpoint and its channel.
@@ -488,22 +395,17 @@ impl DeltaReceiver {
         self.last_chunk = None;
     }
 
-    /// Whether the underlying channel's QP is in the error state. SPSC
-    /// links never error on the receive side (a vanished producer just
-    /// stops producing).
+    /// Whether the underlying channel's QP is in the error state. A
+    /// thread-shared ring never errors on the receive side (a vanished
+    /// producer just stops producing).
     pub fn is_error(&self) -> bool {
-        match &self.port {
-            ReceiverPort::Rdma(c) => c.is_error(),
-            ReceiverPort::Spsc(_) => false,
-        }
+        self.chan.is_error()
     }
 
     /// Reset the underlying channel endpoint after a fault and discard
     /// uncommitted epochs (the peer sender must reset and requeue).
     pub(crate) fn reset_channel(&mut self) {
-        if let ReceiverPort::Rdma(chan) = &mut self.port {
-            chan.reset();
-        }
+        self.chan.reset();
         self.abort_uncommitted();
     }
 
@@ -531,15 +433,21 @@ impl DeltaReceiver {
             return Err(e.clone().into());
         }
         loop {
-            let polled = self.port.poll_payload(sim)?;
-            let Some(payload) = polled else { break };
+            // Parse the chunk in place, inside the slot (§6.2).
             let staged = &mut self.staged;
-            let before = (staged.rows.len(), staged.bytes.len());
-            let parsed = try_parse_runs(&payload, |key, kind, stride, value| {
-                // A value fits one channel buffer, far below 4 GiB.
-                staged.rows.push((key, kind, stride, value.len() as u32));
-                staged.bytes.extend_from_slice(value);
-            });
+            let polled = self.chan.poll_with(sim, |flags, payload| {
+                debug_assert!(flags.contains(MsgFlags::STATE_DELTA));
+                let before = (staged.rows.len(), staged.bytes.len());
+                let parsed = try_parse_runs(payload, |key, kind, stride, value| {
+                    // A value fits one channel buffer, far below 4 GiB.
+                    staged.rows.push((key, kind, stride, value.len() as u32));
+                    staged.bytes.extend_from_slice(value);
+                });
+                (before, parsed)
+            })?;
+            let Some((before, parsed)) = polled else {
+                break;
+            };
             let header = match parsed {
                 Ok(h) => h,
                 Err(e) => {
@@ -947,14 +855,14 @@ mod tests {
     }
 
     #[test]
-    fn spsc_port_ships_and_merges_like_the_rdma_channel() {
+    fn shared_ring_ships_and_merges_like_the_fabric() {
         // Same protocol exercise as `ship_and_merge_counters`, but over
-        // the threaded executor's in-process link. The sim here only
-        // provides timestamps — no events are scheduled.
+        // the threaded executor's thread-shared ring. The sim schedules no
+        // events here.
         let mut sim = Sim::new();
         let (ltx, lrx) = slash_net::spsc_channel(ChannelConfig::default());
-        let mut tx = DeltaSender::over_spsc(ltx);
-        let mut rx = DeltaReceiver::over_spsc(lrx, 1);
+        let mut tx = DeltaSender::new(ltx);
+        let mut rx = DeltaReceiver::new(lrx, 1);
         let desc = CounterCrdt::descriptor();
         let mut fragment = Partition::new(0, desc);
         let mut primary = Partition::new(0, desc);
@@ -975,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn spsc_port_backpressures_and_drains() {
+    fn shared_ring_backpressures_and_drains() {
         // A 2-credit link with tiny buffers forces multi-chunk epochs to
         // stall mid-flight; repeated pumps must drain everything in FIFO
         // order, exactly like `backlog_drains_across_credit_stalls`.
@@ -986,8 +894,8 @@ mod tests {
         };
         let mut sim = Sim::new();
         let (ltx, lrx) = slash_net::spsc_channel(cfg);
-        let mut tx = DeltaSender::over_spsc(ltx);
-        let mut rx = DeltaReceiver::over_spsc(lrx, 1);
+        let mut tx = DeltaSender::new(ltx);
+        let mut rx = DeltaReceiver::new(lrx, 1);
         let desc = CounterCrdt::descriptor();
         let mut fragment = Partition::new(0, desc);
         let mut primary = Partition::new(0, desc);
@@ -1052,14 +960,14 @@ mod tests {
         b.finish()
     }
 
-    /// Deliver `chunks` in the order given, over an SPSC link, to partition
+    /// Deliver `chunks` in the order given, over a thread-shared ring, to partition
     /// 0's leader from helper 1; returns the receiver and its clock.
     fn deliver(chunks: &[&Vec<u8>]) -> (DeltaReceiver, VectorClock) {
         let (mut link, lrx) = slash_net::spsc_channel(ChannelConfig::default());
         for c in chunks {
             assert!(link.try_send(MsgFlags::STATE_DELTA, c));
         }
-        let mut rx = DeltaReceiver::over_spsc(lrx, 1);
+        let mut rx = DeltaReceiver::new(lrx, 1);
         let mut primary = Partition::new(0, CounterCrdt::descriptor());
         let mut vclock = VectorClock::new(2);
         rx.pump(&mut Sim::new(), &mut primary, &mut vclock).unwrap();
