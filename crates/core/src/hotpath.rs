@@ -12,12 +12,13 @@
 //!   over those survivors only, so the state loops carry no filter branch
 //!   — YSB's 1/3-selective one is unpredictable per record. A plan without
 //!   a predicate skips the pass and walks the batch itself.
-//! * **State update.** Aggregations fold every survivor into the worker's
-//!   L1-resident write-combining table in the node's SSB
-//!   ([`SsbNode::fold`]), which merges the per-key partials into the
-//!   index when the table is full and when the epoch closes: N index
-//!   probes collapse into one per *distinct* key per epoch. Enabled only
-//!   for states whose CRDT merge is exactly associative
+//! * **State update.** Aggregations fold the batch's survivors into the
+//!   worker's L1-resident write-combining table in the node's SSB in one
+//!   loop ([`SsbNode::fold_batch`], the batch kernel), with the update of
+//!   the aggregation chosen once per batch; the SSB merges the per-key
+//!   partials into the index when the table is full and when the epoch
+//!   closes: N index probes collapse into one per *distinct* key per
+//!   epoch. Enabled only for states whose CRDT merge is exactly associative
 //!   ([`slash_state::StateDescriptor::regroupable`]); float-summing
 //!   aggregations keep the per-record RMW loop so results stay
 //!   bit-identical. Joins append per record ([`SsbNode::append`]): each
@@ -39,9 +40,11 @@
 use std::rc::Rc;
 
 use slash_state::backend::SsbNode;
-use slash_state::pack_key;
+use slash_state::{pack_key, CounterCrdt, HllCrdt, MaxCrdt, MinCrdt};
 
+use crate::agg::AggSpec;
 use crate::query::QueryPlan;
+use crate::record::RecordSchema;
 use crate::window::WindowMemo;
 
 /// What one batch did, for vectorized cost accounting.
@@ -118,6 +121,13 @@ fn salt(map: &[(u64, u64)], gk: u64) -> u64 {
     if map.is_empty() {
         return gk;
     }
+    salt_split(map, gk)
+}
+
+/// [`salt`] on a split run: the binary search, out of line so that unsplit
+/// runs inline only the emptiness test into the fold loop.
+#[inline(never)]
+fn salt_split(map: &[(u64, u64)], gk: u64) -> u64 {
     match map.binary_search_by_key(&gk, |p| p.0) {
         Ok(i) => map[i].1,
         Err(_) => gk,
@@ -206,6 +216,51 @@ impl HotPath {
         out
     }
 
+    /// Fold survivors into worker table `id` with the batch kernel until
+    /// `recs` runs out or a reuse verdict turns the table off; then the
+    /// caller's per-record loop takes the next survivor on (and the rest of
+    /// the run). State stays bit-identical. The aggregation is chosen here,
+    /// once per batch, so the kernel's loop gets a monomorphic update. Out
+    /// of line, so that `apply`'s per-record loop compiles as it would
+    /// without the kernel beside it.
+    #[inline(never)]
+    fn fold<'a>(
+        &mut self,
+        ssb: &mut SsbNode,
+        id: usize,
+        agg: &AggSpec,
+        schema: RecordSchema,
+        recs: &mut impl Iterator<Item = &'a [u8]>,
+    ) {
+        let (memo, split_map) = (&mut self.memo, &self.split_map);
+        let key_of = |rec: &&[u8]| {
+            pack_key(
+                memo.assign(schema.ts(rec)),
+                salt(split_map, schema.key(rec)),
+            )
+        };
+        let field = |rec: &[u8], off| schema.field_u64(rec, off);
+        match *agg {
+            AggSpec::Count => ssb.fold_batch(id, recs, key_of, |_, v| CounterCrdt::add(v, 1)),
+            AggSpec::SumU64 { off } => ssb.fold_batch(id, recs, key_of, |rec, v| {
+                CounterCrdt::add(v, field(rec, off))
+            }),
+            AggSpec::MaxU64 { off } => ssb.fold_batch(id, recs, key_of, |rec, v| {
+                MaxCrdt::update(v, field(rec, off))
+            }),
+            AggSpec::MinU64 { off } => ssb.fold_batch(id, recs, key_of, |rec, v| {
+                MinCrdt::update(v, field(rec, off))
+            }),
+            AggSpec::ApproxDistinct { off } => ssb.fold_batch(id, recs, key_of, |rec, v| {
+                HllCrdt::observe(v, field(rec, off))
+            }),
+            // Not regroupable: never combined.
+            AggSpec::MeanF64 { .. } => {
+                ssb.fold_batch(id, recs, key_of, |rec, v| agg.update(&schema, rec, v))
+            }
+        };
+    }
+
     /// Apply a batch's surviving records, in order, to the plan's state.
     fn apply<'a>(
         &mut self,
@@ -230,19 +285,7 @@ impl HotPath {
                 }
                 if let Some(id) = self.table(ssb) {
                     let entered = ssb.combiner(id).inserts();
-                    for rec in recs.by_ref() {
-                        let key = pack_key(
-                            self.memo.assign(schema.ts(rec)),
-                            salt(&self.split_map, schema.key(rec)),
-                        );
-                        if !ssb.fold(id, key, |v| agg.update(&schema, rec, v)) {
-                            // Reuse-free stream: the SSB drained the table;
-                            // the loop below takes the batch from the next
-                            // survivor on (and the rest of the run) per
-                            // record. State stays bit-identical.
-                            break;
-                        }
-                    }
+                    self.fold(ssb, id, agg, schema, &mut recs);
                     out.flushed = ssb.combiner(id).inserts() - entered;
                     // Take note of a verdict reached in this batch, so
                     // `combined()` is already false for the worker's charges.
@@ -508,12 +551,12 @@ mod tests {
                 let key = pack_key(window.assign(schema.ts(rec)), schema.key(rec));
                 match &*plan {
                     QueryPlan::Aggregate { agg, .. } => {
-                        let update = |v: &mut [u8]| agg.update(&schema, rec, v);
+                        let update = |rec: &&[u8], v: &mut [u8]| agg.update(&schema, rec, v);
                         match table {
                             Some(id) if !ssb.combiner(id).is_cold() => {
-                                ssb.fold(id, key, update);
+                                ssb.fold_batch(id, &mut std::iter::once(rec), |_| key, update);
                             }
-                            _ => ssb.rmw(key, update),
+                            _ => ssb.rmw(key, |v| update(&rec, v)),
                         }
                     }
                     QueryPlan::Join {

@@ -118,6 +118,14 @@ impl WindowMemo {
         if ts >= self.lo && ts < self.hi {
             return self.id;
         }
+        self.reassign(ts)
+    }
+
+    /// A range miss: divide, and cache `ts`'s bucket. Out of line, so the
+    /// two-compare hit inlines into the hot path's loops.
+    #[cold]
+    #[inline(never)]
+    fn reassign(&mut self, ts: u64) -> u64 {
         let id = ts / self.granule;
         self.lo = id * self.granule;
         // Saturation only matters for buckets ending past u64::MAX

@@ -55,6 +55,9 @@ pub enum Stage {
     /// Source ingest + per-record pipeline work (parse/filter/project).
     Source,
     /// Buffer residence between a channel's sender stamp and its consume.
+    /// Recorded on the simulated fabric only: it needs one clock for the
+    /// sender's stamp and the consume, and node threads share none, so a
+    /// threaded run reads 0 here.
     ChannelTransit,
     /// State updates against the SSB (combiner folds, RMW/append, memory stall).
     SsbApply,

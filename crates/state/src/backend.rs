@@ -8,7 +8,7 @@ use slash_obs::{HeatSketch, Obs, Stage, HEAT_CAPACITY};
 use slash_rdma::{Fabric, NodeId};
 
 use crate::coherence::{DeltaReceiver, DeltaSender, StateError};
-use crate::combiner::{WriteCombiner, VERDICT_FOLDS};
+use crate::combiner::{RunEnd, WriteCombiner, VERDICT_FOLDS};
 use crate::descriptor::StateDescriptor;
 use crate::hash::{partition_of, unpack_key, StateKey};
 use crate::partition::Partition;
@@ -81,7 +81,7 @@ pub struct SsbNode {
     routed: Vec<Vec<u32>>,
     /// The workers' write combiners, in registration order (worker order
     /// under every shipped driver). They live as long as the epoch:
-    /// [`Self::fold`] fills them across batches, [`Self::flush_combiners`]
+    /// [`Self::fold_batch`] fills them across batches, [`Self::flush_combiners`]
     /// drains them when the epoch closes or anything else reads open-epoch
     /// local state.
     combiners: Vec<WriteCombiner>,
@@ -199,7 +199,7 @@ impl SsbNode {
     }
 
     /// Register one worker's write combiner — `slots` wide, for this
-    /// node's fixed-size state — and return its id for [`Self::fold`].
+    /// node's fixed-size state — and return its id for [`Self::fold_batch`].
     /// The node owns the table from here on.
     pub fn attach_combiner(&mut self, slots: usize) -> usize {
         let desc = *self.fragments[self.node].descriptor();
@@ -216,38 +216,60 @@ impl SsbNode {
         &self.combiners[id]
     }
 
-    /// The combined counterpart of per-record [`Self::rmw`]: fold one
-    /// update into worker table `id`, where it waits — across batches —
-    /// for the flush that closes the epoch. Epoch volume advances when a
-    /// key *enters* the table, not per folded record and not at the flush:
-    /// the open delta really is one entry per key, and
+    /// The combined counterpart of per-record [`Self::rmw`], for a batch:
+    /// fold the items of `recs`, in order, into worker table `id` — each
+    /// into the partial of the key `key_of` gives it, with `update` — where
+    /// they wait, across batches, for the flush that closes the epoch. The
+    /// loop is the table's batch kernel (`WriteCombiner::fold_run`);
+    /// this routine only handles where a run stops. Epoch volume advances
+    /// when a key *enters* the table, not per folded record and not at the
+    /// flush: the open delta really is one entry per key, and
     /// [`Self::maybe_close_epoch`] has to see it on time.
     ///
     /// Returns whether the table is still on. `false` — the cold-stream
     /// probe at [`VERDICT_FOLDS`] folds, or the verdict of the flush a
     /// full table forced — means the table was drained and the caller goes
-    /// on per record; this update is applied either way.
+    /// on per record from the next item of `recs`; every item taken from
+    /// `recs` is applied either way.
     #[inline]
-    pub fn fold(&mut self, id: usize, key: StateKey, update: impl Fn(&mut [u8])) -> bool {
-        let entered = self.combiners[id].inserts();
-        if !self.combiners[id].fold(key, &update) {
-            // At its fill limit: drain the table and retry — the retry
-            // always lands (table now empty).
-            if self.flush_combiner(id) {
-                self.rmw(key, update);
+    pub fn fold_batch<R>(
+        &mut self,
+        id: usize,
+        recs: &mut impl Iterator<Item = R>,
+        mut key_of: impl FnMut(&R) -> StateKey,
+        update: impl Fn(&R, &mut [u8]),
+    ) -> bool {
+        let entry_bytes = self.entry_bytes();
+        loop {
+            let table = &mut self.combiners[id];
+            let (folds, entered) = (table.folds(), table.inserts());
+            // Up to the probe's fold, then unbounded: the probe fires once,
+            // at exactly the fold a per-record loop would fire it at.
+            let budget = match folds < VERDICT_FOLDS {
+                true => VERDICT_FOLDS - folds,
+                false => u64::MAX,
+            };
+            let end = table.fold_run(recs, budget, &mut key_of, &update);
+            self.bytes_since_epoch += entry_bytes * (table.inserts() - entered);
+            match end {
+                RunEnd::Exhausted => return true,
+                RunEnd::Budget => {}
+                RunEnd::Full(rec, key) => {
+                    // At its fill limit: drain the table and retry — the
+                    // retry always lands (table now empty).
+                    if self.flush_combiner(id) {
+                        self.rmw(key, |v| update(&rec, v));
+                        return false;
+                    }
+                    self.combiners[id].fold(key, |v| update(&rec, v));
+                    self.bytes_since_epoch += entry_bytes;
+                }
+            }
+            if self.combiners[id].folds() == VERDICT_FOLDS && self.combiners[id].probe_reuse() {
+                self.flush_combiner(id);
                 return false;
             }
-            self.combiners[id].fold(key, &update);
         }
-        let table = &self.combiners[id];
-        if table.inserts() != entered {
-            self.bytes_since_epoch += self.entry_bytes();
-        }
-        if table.folds() == VERDICT_FOLDS && self.combiners[id].probe_reuse() {
-            self.flush_combiner(id);
-            return false;
-        }
-        true
     }
 
     /// Drain worker table `id` into the fragments and judge its reuse;
@@ -1765,8 +1787,9 @@ mod tests {
             for g in 0..100u64 {
                 if combined {
                     // A second fold of a key the table holds adds nothing.
-                    assert!(ssb[0].fold(table, pack_key(1, g), |v| CounterCrdt::add(v, 1)));
-                    assert!(ssb[0].fold(table, pack_key(1, g), |v| CounterCrdt::add(v, 1)));
+                    let twice = &mut [pack_key(1, g); 2].into_iter();
+                    let add = |_: &StateKey, v: &mut [u8]| CounterCrdt::add(v, 1);
+                    assert!(ssb[0].fold_batch(table, twice, |&k| k, add));
                 } else {
                     ssb[0].rmw(pack_key(1, g), |v| CounterCrdt::add(v, 2));
                 }
@@ -1809,7 +1832,9 @@ mod tests {
         for i in 0..60u64 {
             let key = pack_key(1, i % 12);
             per_record[0].rmw(key, |v| CounterCrdt::add(v, i));
-            assert!(combined[0].fold(tables[(i % 2) as usize], key, |v| CounterCrdt::add(v, i)));
+            let add = |_: &StateKey, v: &mut [u8]| CounterCrdt::add(v, i);
+            let table = tables[(i % 2) as usize];
+            assert!(combined[0].fold_batch(table, &mut std::iter::once(key), |&k| k, add));
         }
         let held: Vec<usize> = combined[0]
             .combiners
@@ -1859,8 +1884,151 @@ mod tests {
                     "key {g}"
                 );
                 per_record[0].rmw(key, |v| CounterCrdt::add(v, g));
-                assert!(combined[0].fold(tables[0], key, |v| CounterCrdt::add(v, g)));
+                let add = |_: &StateKey, v: &mut [u8]| CounterCrdt::add(v, g);
+                let one = &mut std::iter::once(key);
+                assert!(combined[0].fold_batch(tables[0], one, |&k| k, add));
             }
         }
+    }
+
+    /// The per-record rules the batch kernel replaced, kept as its
+    /// reference: one [`WriteCombiner::fold`] per update; a full table
+    /// drained, judged and the fold retried; epoch volume per key entered;
+    /// the cold-stream probe when the table reaches [`VERDICT_FOLDS`].
+    fn fold_per_record(
+        node: &mut SsbNode,
+        id: usize,
+        key: StateKey,
+        update: impl Fn(&mut [u8]),
+    ) -> bool {
+        let entered = node.combiners[id].inserts();
+        if !node.combiners[id].fold(key, &update) {
+            if node.flush_combiner(id) {
+                node.rmw(key, update);
+                return false;
+            }
+            node.combiners[id].fold(key, &update);
+        }
+        if node.combiners[id].inserts() != entered {
+            node.bytes_since_epoch += node.entry_bytes();
+        }
+        if node.combiners[id].folds() == VERDICT_FOLDS && node.combiners[id].probe_reuse() {
+            node.flush_combiner(id);
+            return false;
+        }
+        true
+    }
+
+    /// Satellite (the batch kernel under a model): over the update of every
+    /// combinable aggregation, reuse-free and skewed streams, tables that
+    /// bounce (8 and 64 slots) and ones that do not, and random batch cuts
+    /// around the probe's 1,024th fold, [`SsbNode::fold_batch`] leaves the
+    /// table, the epoch volume and the state exactly where the per-record
+    /// rules do, after every batch.
+    #[test]
+    fn batch_kernel_matches_per_record_folds() {
+        use crate::crdts::{MaxCrdt, MinCrdt};
+        use crate::crdts_hll::HllCrdt;
+        use slash_desim::DetRng;
+
+        type Update = fn(u64, &mut [u8]);
+        let aggs: [(&str, StateDescriptor, Update); 5] = [
+            ("count", CounterCrdt::descriptor(), |_, v| {
+                CounterCrdt::add(v, 1)
+            }),
+            ("sum", CounterCrdt::descriptor(), |x, v| {
+                CounterCrdt::add(v, x)
+            }),
+            ("max", MaxCrdt::descriptor(), |x, v| MaxCrdt::update(v, x)),
+            ("min", MinCrdt::descriptor(), |x, v| MinCrdt::update(v, x)),
+            ("distinct", HllCrdt::descriptor(), |x, v| {
+                HllCrdt::observe(v, x)
+            }),
+        ];
+        // (what, table slots, key domain; 0 = every key new)
+        let streams = [
+            ("reuse-free", 4096, 0),
+            ("reuse-free, bouncing", 64, 0),
+            ("skewed, bouncing", 8, 40),
+            ("skewed, bouncing", 64, 300),
+            ("skewed", 1024, 100),
+        ];
+        let mut rng = DetRng::new(0xB47C_4E41);
+        // Runs that ended with the table on, and off.
+        let mut verdicts = [0; 2];
+        for (agg, desc, update) in aggs {
+            for (what, slots, domain) in streams {
+                for seed in 0..4 {
+                    let at = format!("{agg}, {what} over {slots} slots, seed {seed}");
+                    let mut a = SsbNode::detached(0, desc, SsbConfig::new(1));
+                    let mut b = SsbNode::detached(0, desc, SsbConfig::new(1));
+                    let (ta, tb) = (a.attach_combiner(slots), b.attach_combiner(slots));
+                    let mut i = 0u64;
+                    for batch in 0..24 {
+                        let len = rng.next_below(300);
+                        let recs: Vec<(StateKey, u64)> = (i..i + len)
+                            .map(|i| {
+                                let gk = match domain {
+                                    0 => i,
+                                    d => {
+                                        let head = rng.next_below(d) + 1;
+                                        rng.next_below(head)
+                                    }
+                                };
+                                (pack_key(i / 2000, gk), rng.next_below(1000))
+                            })
+                            .collect();
+                        i += len;
+                        let mut it = recs.iter();
+                        if !a.combiner(ta).is_cold() {
+                            a.fold_batch(ta, &mut it, |r| r.0, |r, v| update(r.1, v));
+                        }
+                        for &(key, x) in it {
+                            a.rmw(key, |v| update(x, v));
+                        }
+                        let mut on = !b.combiner(tb).is_cold();
+                        for &(key, x) in &recs {
+                            match on {
+                                true => on = fold_per_record(&mut b, tb, key, |v| update(x, v)),
+                                false => b.rmw(key, |v| update(x, v)),
+                            }
+                        }
+                        let (ca, cb) = (a.combiner(ta), b.combiner(tb));
+                        let entries = |c: &WriteCombiner| -> Vec<(StateKey, u64, Vec<u8>, u64)> {
+                            (0..c.len())
+                                .map(|i| {
+                                    let (key, hash, value) = c.entry(i);
+                                    (key, hash, value.to_vec(), c.entry_folds(i))
+                                })
+                                .collect()
+                        };
+                        assert_eq!(
+                            entries(ca),
+                            entries(cb),
+                            "{at}: entries after batch {batch}"
+                        );
+                        let verdict = |c: &WriteCombiner| (c.folds(), c.inserts(), c.is_cold());
+                        assert_eq!(verdict(ca), verdict(cb), "{at}: batch {batch}");
+                        assert_eq!(
+                            a.bytes_since_epoch, b.bytes_since_epoch,
+                            "{at}: batch {batch}"
+                        );
+                        assert_eq!(a.state_digest(), b.state_digest(), "{at}: batch {batch}");
+                        // Now and then an epoch close drains and judges both.
+                        if rng.next_below(8) == 0 {
+                            a.flush_combiners();
+                            b.flush_combiners();
+                            assert_eq!(a.combiner(ta).is_cold(), b.combiner(tb).is_cold(), "{at}");
+                        }
+                    }
+                    let off = a.combiner(ta).is_cold();
+                    assert!(off || domain > 0, "{at}: a reuse-free stream stays on");
+                    verdicts[usize::from(off)] += 1;
+                }
+            }
+        }
+        // Reuse-free streams turn off at the probe, tables that bounce on
+        // skewed keys at a judged flush; the roomy table mostly stays on.
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! A [`WriteCombiner`] is a small open-addressing hash table, sized to
 //! stay L1-resident, keyed on the packed `(window, key)` state key. A
-//! worker folds every surviving record into its table with the operator's
-//! update function ([`crate::backend::SsbNode::fold`]); the node owns the
-//! tables and flushes the *distinct* partials through
+//! worker folds a batch's surviving records into its table with the
+//! operator's update function in one loop, the batch kernel
+//! (`WriteCombiner::fold_run`, driven by
+//! [`crate::backend::SsbNode::fold_batch`]); the node owns the tables and
+//! flushes the *distinct* partials through
 //! [`crate::backend::SsbNode::rmw_batch`]'s merge when a table is full and
 //! when the epoch closes — never per batch. N per-record index probes
 //! collapse into one probe per distinct key per epoch.
@@ -47,11 +49,12 @@ const PROBE_NUM: u64 = 3;
 const PROBE_DEN: u64 = 4;
 /// A judged flush turns the table off when flushed keys reach 1/4 of the
 /// folds that fed them — the break-even of the costs measured in situ, in
-/// the workloads' own key order: a fold is 9–10 ns per survivor, a flushed
+/// the workloads' own key order: a fold in the batch kernel is about 7 ns
+/// per survivor (9–10 ns when each record took its own call), a flushed
 /// key 50–70 ns, the per-record hot RMW it replaces ~25 ns, so the table
-/// pays while `10 + 60·keys/folds < 25`. (The ledger's `state.*` probes
-/// read about half of each: they cycle `i % KEYS`, which the branch
-/// predictor learns.)
+/// pays while `7 + 60·keys/folds < 25`, below 0.3 keys per fold; 1/4
+/// keeps a margin. (The ledger's `state.*` probes read about half of
+/// each: they cycle `i % KEYS`, which the branch predictor learns.)
 const BREAK_EVEN_NUM: u64 = 1;
 const BREAK_EVEN_DEN: u64 = 4;
 
@@ -153,32 +156,66 @@ impl WriteCombiner {
     /// limit and `key` is absent: the caller must flush and retry.
     #[inline]
     pub fn fold(&mut self, key: StateKey, update: impl FnOnce(&mut [u8])) -> bool {
-        let hash = hash_key(key) | OCCUPIED;
-        let mut slot = (hash as usize) & self.mask;
-        loop {
-            let stored = self.hashes[slot];
-            if stored == 0 {
-                if self.order.len() * MAX_FILL_DEN >= (self.mask + 1) * MAX_FILL_NUM {
-                    return false;
-                }
-                self.hashes[slot] = hash;
-                self.keys[slot] = key;
-                let value = &mut self.values[slot * self.size..(slot + 1) * self.size];
-                (self.desc.init)(value);
-                update(value);
-                self.order.push(slot as u32);
-                self.counts[slot] = 1;
-                self.folds += 1;
-                self.inserts += 1;
-                return true;
+        let mut run = self.run();
+        let folded = run.fold(key, update);
+        let (folds, inserts) = (run.folds, run.inserts);
+        self.folds += folds;
+        self.inserts += inserts;
+        folded
+    }
+
+    /// The batch kernel: fold items of `recs`, in order, each into the
+    /// partial of the key `key_of` gives it, with `update`. Stops when
+    /// `recs` runs out, when `budget` folds are done, or when a new key
+    /// meets the fill limit — that item comes back unfolded, with its key,
+    /// for the caller to flush and retry. The table's arrays stay in locals
+    /// for the whole run, and [`Self::folds`] / [`Self::inserts`] advance
+    /// once per run.
+    #[inline]
+    pub(crate) fn fold_run<R>(
+        &mut self,
+        recs: &mut impl Iterator<Item = R>,
+        budget: u64,
+        mut key_of: impl FnMut(&R) -> StateKey,
+        update: impl Fn(&R, &mut [u8]),
+    ) -> RunEnd<R> {
+        let mut run = self.run();
+        let end = loop {
+            if run.folds == budget {
+                break RunEnd::Budget;
             }
-            if stored == hash && self.keys[slot] == key {
-                update(&mut self.values[slot * self.size..(slot + 1) * self.size]);
-                self.counts[slot] = self.counts[slot].saturating_add(1);
-                self.folds += 1;
-                return true;
+            let Some(rec) = recs.next() else {
+                break RunEnd::Exhausted;
+            };
+            let key = key_of(&rec);
+            if !run.fold(key, |v| update(&rec, v)) {
+                break RunEnd::Full(rec, key);
             }
-            slot = (slot + 1) & self.mask;
+        };
+        let (folds, inserts) = (run.folds, run.inserts);
+        self.folds += folds;
+        self.inserts += inserts;
+        end
+    }
+
+    /// The table's arrays and constants, borrowed for one run of folds.
+    #[inline]
+    fn run(&mut self) -> Run<'_> {
+        let (mask, cap) = (self.mask, self.mask + 1);
+        // Sliced to exactly `mask + 1`, so indexing them with `slot & mask`
+        // needs no bounds check.
+        Run {
+            hashes: &mut self.hashes[..=mask],
+            keys: &mut self.keys[..=mask],
+            values: &mut self.values,
+            order: &mut self.order,
+            counts: &mut self.counts[..=mask],
+            mask,
+            size: self.size,
+            init: self.desc.init,
+            limit: (cap * MAX_FILL_NUM).div_ceil(MAX_FILL_DEN),
+            folds: 0,
+            inserts: 0,
         }
     }
 
@@ -212,6 +249,73 @@ impl WriteCombiner {
             self.hashes[slot as usize] = 0;
         }
         self.order.clear();
+    }
+}
+
+/// Why a [`WriteCombiner::fold_run`] stopped.
+#[derive(Debug)]
+pub(crate) enum RunEnd<R> {
+    /// The input ran out; every item was folded.
+    Exhausted,
+    /// The fold budget was reached; the input may hold more.
+    Budget,
+    /// This item's key is new and the table is at its fill limit: it was
+    /// not folded. Its key comes along, so the retry need not recompute it.
+    Full(R, StateKey),
+}
+
+/// One run of folds over a table's borrowed arrays: what
+/// [`WriteCombiner::fold`] and [`WriteCombiner::fold_run`] share, the
+/// slot-probe body included. Counts its own folds and inserts; the table
+/// adds them up when the run ends.
+struct Run<'a> {
+    hashes: &'a mut [u64],
+    keys: &'a mut [StateKey],
+    values: &'a mut [u8],
+    order: &'a mut Vec<u32>,
+    counts: &'a mut [u32],
+    mask: usize,
+    size: usize,
+    init: fn(&mut [u8]),
+    /// Keys the table holds at its fill limit.
+    limit: usize,
+    folds: u64,
+    inserts: u64,
+}
+
+impl Run<'_> {
+    /// The slot-probe body: fold one update into `key`'s partial, entering
+    /// the key first if it is absent. `false`, with nothing touched, when
+    /// `key` is absent and the table is at its fill limit.
+    #[inline(always)]
+    fn fold(&mut self, key: StateKey, update: impl FnOnce(&mut [u8])) -> bool {
+        let hash = hash_key(key) | OCCUPIED;
+        let mut slot = (hash as usize) & self.mask;
+        loop {
+            let stored = self.hashes[slot];
+            if stored == 0 {
+                if self.order.len() >= self.limit {
+                    return false;
+                }
+                self.hashes[slot] = hash;
+                self.keys[slot] = key;
+                let value = &mut self.values[slot * self.size..][..self.size];
+                (self.init)(value);
+                update(value);
+                self.order.push(slot as u32);
+                self.counts[slot] = 1;
+                self.folds += 1;
+                self.inserts += 1;
+                return true;
+            }
+            if stored == hash && self.keys[slot] == key {
+                update(&mut self.values[slot * self.size..][..self.size]);
+                self.counts[slot] = self.counts[slot].saturating_add(1);
+                self.folds += 1;
+                return true;
+            }
+            slot = (slot + 1) & self.mask;
+        }
     }
 }
 

@@ -17,8 +17,8 @@
 //! entry whose whole value is one element — an element no run can hold
 //! (empty, or wider than the `u8` stride field). Fixed entries carry zeros
 //! in `stride` and `count`, so their bytes are those of a header with 3 pad
-//! bytes. The top bit of `kind` marks an entry the log has retired
-//! ([`DEAD`]); decoding strips it, so the header reads as it was written.
+//! bytes. The top bit of `kind` (`0x80`) marks an entry the log has
+//! retired; decoding strips it, so the header reads as it was written.
 //! The layout is position-independent so a raw byte-range of
 //! entries can be shipped to a leader and replayed there (the coherence
 //! protocol's delta transfer).

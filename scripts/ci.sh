@@ -37,8 +37,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 cargo fmt --manifest-path crates/bench/src/bin/perf-ledger/Cargo.toml -- --check
 
-echo "==> [4/10] rustdoc (workspace docs, broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --quiet
+echo "==> [4/10] rustdoc (workspace docs, every rustdoc warning is an error)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> [5/10] slash-race (protocol families + the fault matrix on the shipped driver)"
 # One stage, one binary. (a) Random sweep: the channel, multi-port and
