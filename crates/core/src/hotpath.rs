@@ -254,11 +254,8 @@ impl HotPath {
             AggSpec::ApproxDistinct { off } => ssb.fold_batch(id, recs, key_of, |rec, v| {
                 HllCrdt::observe(v, field(rec, off))
             }),
-            // Not regroupable: never combined.
-            AggSpec::MeanF64 { .. } => {
-                ssb.fold_batch(id, recs, key_of, |rec, v| agg.update(&schema, rec, v))
-            }
-        };
+            AggSpec::MeanF64 { .. } => unreachable!("not regroupable: never combined"),
+        }
     }
 
     /// Apply a batch's surviving records, in order, to the plan's state.

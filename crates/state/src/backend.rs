@@ -226,11 +226,12 @@ impl SsbNode {
     /// flush: the open delta really is one entry per key, and
     /// [`Self::maybe_close_epoch`] has to see it on time.
     ///
-    /// Returns whether the table is still on. `false` — the cold-stream
-    /// probe at [`VERDICT_FOLDS`] folds, or the verdict of the flush a
-    /// full table forced — means the table was drained and the caller goes
-    /// on per record from the next item of `recs`; every item taken from
-    /// `recs` is applied either way.
+    /// Returns when `recs` runs out or when a verdict turns the table off
+    /// ([`WriteCombiner::is_cold`]) — the cold-stream probe at
+    /// [`VERDICT_FOLDS`] folds, or the verdict of the flush a full table
+    /// forced. The table was then drained, and the caller goes on per
+    /// record from the next item of `recs`; every item taken from `recs`
+    /// is applied either way.
     #[inline]
     pub fn fold_batch<R>(
         &mut self,
@@ -238,7 +239,7 @@ impl SsbNode {
         recs: &mut impl Iterator<Item = R>,
         mut key_of: impl FnMut(&R) -> StateKey,
         update: impl Fn(&R, &mut [u8]),
-    ) -> bool {
+    ) {
         let entry_bytes = self.entry_bytes();
         loop {
             let table = &mut self.combiners[id];
@@ -252,14 +253,14 @@ impl SsbNode {
             let end = table.fold_run(recs, budget, &mut key_of, &update);
             self.bytes_since_epoch += entry_bytes * (table.inserts() - entered);
             match end {
-                RunEnd::Exhausted => return true,
+                RunEnd::Exhausted => return,
                 RunEnd::Budget => {}
                 RunEnd::Full(rec, key) => {
                     // At its fill limit: drain the table and retry — the
                     // retry always lands (table now empty).
                     if self.flush_combiner(id) {
                         self.rmw(key, |v| update(&rec, v));
-                        return false;
+                        return;
                     }
                     self.combiners[id].fold(key, |v| update(&rec, v));
                     self.bytes_since_epoch += entry_bytes;
@@ -267,7 +268,7 @@ impl SsbNode {
             }
             if self.combiners[id].folds() == VERDICT_FOLDS && self.combiners[id].probe_reuse() {
                 self.flush_combiner(id);
-                return false;
+                return;
             }
         }
     }
@@ -1789,7 +1790,8 @@ mod tests {
                     // A second fold of a key the table holds adds nothing.
                     let twice = &mut [pack_key(1, g); 2].into_iter();
                     let add = |_: &StateKey, v: &mut [u8]| CounterCrdt::add(v, 1);
-                    assert!(ssb[0].fold_batch(table, twice, |&k| k, add));
+                    ssb[0].fold_batch(table, twice, |&k| k, add);
+                    assert!(!ssb[0].combiner(table).is_cold());
                 } else {
                     ssb[0].rmw(pack_key(1, g), |v| CounterCrdt::add(v, 2));
                 }
@@ -1834,7 +1836,8 @@ mod tests {
             per_record[0].rmw(key, |v| CounterCrdt::add(v, i));
             let add = |_: &StateKey, v: &mut [u8]| CounterCrdt::add(v, i);
             let table = tables[(i % 2) as usize];
-            assert!(combined[0].fold_batch(table, &mut std::iter::once(key), |&k| k, add));
+            combined[0].fold_batch(table, &mut std::iter::once(key), |&k| k, add);
+            assert!(!combined[0].combiner(table).is_cold());
         }
         let held: Vec<usize> = combined[0]
             .combiners
@@ -1886,7 +1889,8 @@ mod tests {
                 per_record[0].rmw(key, |v| CounterCrdt::add(v, g));
                 let add = |_: &StateKey, v: &mut [u8]| CounterCrdt::add(v, g);
                 let one = &mut std::iter::once(key);
-                assert!(combined[0].fold_batch(tables[0], one, |&k| k, add));
+                combined[0].fold_batch(tables[0], one, |&k| k, add);
+                assert!(!combined[0].combiner(tables[0]).is_cold());
             }
         }
     }

@@ -3,9 +3,10 @@
 # same time, on one workload, and print each rep's wall-rate ratio
 # (change / parent) and the median ratio.
 #
-#   scripts/ab-same-cpu.sh PARENT_BIN CHANGE_BIN WORKLOAD [REPS] [SEED] [SECONDS]
+#   scripts/ab-same-cpu.sh PARENT_BIN CHANGE_BIN WORKLOAD [REPS] [SEED]
 #
-# REPS defaults to 4, SEED to 1, SECONDS to 20 (the benchmark's run length).
+# REPS defaults to 4, SEED to 1. Each run lasts 20 s, the benchmark's run
+# length.
 # Build each ledger first (`cargo build --release --offline --manifest-path
 # crates/bench/src/bin/perf-ledger/Cargo.toml`) and copy the binary aside.
 #
@@ -16,11 +17,11 @@
 # and not part of scripts/ci.sh.
 set -euo pipefail
 
-if [[ $# -lt 3 || $# -gt 6 ]]; then
-    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD [REPS] [SEED] [SECONDS]" >&2
+if [[ $# -lt 3 || $# -gt 5 ]]; then
+    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD [REPS] [SEED]" >&2
     exit 2
 fi
-parent=$1 change=$2 workload=$3 reps=${4:-4} seed=${5:-1} seconds=${6:-20}
+parent=$1 change=$2 workload=$3 reps=${4:-4} seed=${5:-1}
 for bin in "$parent" "$change"; do
     [[ -x $bin ]] || { echo "$0: $bin is not an executable" >&2; exit 2; }
 done
@@ -34,7 +35,7 @@ wall_rate() {
 
 ratios=()
 for rep in $(seq 1 "$reps"); do
-    args=(--workload "$workload" --seed "$seed" --seconds "$seconds")
+    args=(--workload "$workload" --seed "$seed" --seconds 20)
     "$parent" "${args[@]}" >"$out/parent" 2>&1 &
     parent_pid=$!
     "$change" "${args[@]}" >"$out/change" 2>&1 &
