@@ -1,4 +1,11 @@
 //! The per-node SSB facade: routing, epochs, triggering (§7).
+//!
+//! A node routes every state write to its partition fragment: per record
+//! ([`SsbNode::rmw`], [`SsbNode::append`]) or, for combinable aggregations,
+//! through the workers' write combiners, which the node owns and flushes in
+//! one pass over each table — every partial merged into its fragment by
+//! the write `rmw` uses — when a table is full and whenever open-epoch
+//! local state is read.
 
 use std::collections::BTreeMap;
 
@@ -75,10 +82,6 @@ pub struct SsbNode {
     /// Every node carries an identical copy, kept in sync by the split
     /// driver activating keys on all nodes in one simulation step.
     split: Option<SplitLedger>,
-    /// Combiner-flush routing scratch, one per partition: entry indices in
-    /// insertion order, kept from flush to flush so routing allocates
-    /// nothing in steady state.
-    routed: Vec<Vec<u32>>,
     /// The workers' write combiners, in registration order (worker order
     /// under every shipped driver). They live as long as the epoch:
     /// [`Self::fold_batch`] fills them across batches, [`Self::flush_combiners`]
@@ -228,7 +231,7 @@ impl SsbNode {
     ///
     /// Returns when `recs` runs out or when a verdict turns the table off
     /// ([`WriteCombiner::is_cold`]) — the cold-stream probe at
-    /// [`VERDICT_FOLDS`] folds, or the verdict of the flush a full table
+    /// `VERDICT_FOLDS` folds, or the verdict of the flush a full table
     /// forced. The table was then drained, and the caller goes on per
     /// record from the next item of `recs`; every item taken from `recs`
     /// is applied either way.
@@ -296,9 +299,7 @@ impl SsbNode {
 
     /// Flush a caller-held [`WriteCombiner`] — the batched counterpart of
     /// per-record [`Self::rmw`], and the merge the node's own tables go
-    /// through: every distinct `(window, key)` partial is routed to its
-    /// partition fragment and merged in one batched index-probe pass per
-    /// fragment ([`Partition::merge_batch`]). Clears the combiner and
+    /// through (`merge_partials`). Clears the combiner and
     /// returns how many distinct entries flushed. Epoch byte-accounting
     /// advances per flushed entry, not per folded record: the open delta
     /// really is that much smaller — write combining is also coalescing
@@ -309,36 +310,19 @@ impl SsbNode {
         n
     }
 
-    /// The one flush routine: merge `comb`'s partials into the fragments
-    /// and clear it. Volume accounting is the caller's.
+    /// The one flush routine: one pass over `comb`'s partials in insertion
+    /// order, each routed to its partition fragment and merged there by the
+    /// write [`Self::rmw`] uses ([`Partition::merge_partial`]), its fold
+    /// count — the true per-key update weight the table absorbed on the
+    /// worker's behalf — going to the heat telemetry. Clears `comb`; volume
+    /// accounting is the caller's.
     fn merge_partials(&mut self, comb: &mut WriteCombiner) -> u64 {
+        for (key, hash, partial, folds) in comb.entries() {
+            let p = self.partition_of(key);
+            self.fragments[p].merge_partial(key, hash, partial);
+            self.note_update(key, p, folds);
+        }
         let n = comb.len();
-        if n == 0 {
-            return 0;
-        }
-        // Group combiner entries by destination partition in one pass,
-        // insertion order kept within each group.
-        for i in 0..n {
-            let p = self.partition_of(comb.entry(i).0);
-            self.routed[p].push(i as u32);
-        }
-        for (fragment, sel) in self.fragments.iter_mut().zip(&mut self.routed) {
-            if !sel.is_empty() {
-                fragment.merge_batch(comb, sel);
-                sel.clear();
-            }
-        }
-        if self.heat.is_some() {
-            // Telemetry pass before the combiner clears: the fold count of
-            // each entry is the true per-key update weight the combiner
-            // absorbed on the worker's behalf.
-            for i in 0..n {
-                let key = comb.entry(i).0;
-                let w = comb.entry_folds(i);
-                let p = self.partition_of(key);
-                self.note_update(key, p, w);
-            }
-        }
         comb.clear();
         n as u64
     }
@@ -650,7 +634,6 @@ impl SsbNode {
             part_updates: vec![0; cfg.nodes],
             epoch_updates: 0,
             split: None,
-            routed: vec![Vec::new(); cfg.nodes],
             combiners: Vec::new(),
             violations: Violations::default(),
             fault_stale_watermark: false,
@@ -710,7 +693,7 @@ impl SsbNode {
         let desc = primary.descriptor();
         let mut buffered: BTreeMap<StateKey, Vec<u8>> = BTreeMap::new();
         for table in &self.combiners {
-            for (key, _, partial) in (0..table.len()).map(|i| table.entry(i)) {
+            for (key, _, partial, _) in table.entries() {
                 if self.partition_of(key) == self.node {
                     let value = buffered.entry(key).or_insert_with(|| {
                         let mut zero = vec![0u8; desc.fixed_size()];
@@ -868,7 +851,7 @@ fn none_row<T>(n: usize) -> Vec<Option<T>> {
 /// One node's ends of a mesh: outbound ends indexed by leader, inbound
 /// ends indexed by helper, `None` on the diagonal — the rows
 /// [`SsbNode::with_endpoints`] takes.
-pub type MeshRow<S, R> = (Vec<Option<S>>, Vec<Option<R>>);
+pub(crate) type MeshRow<S, R> = (Vec<Option<S>>, Vec<Option<R>>);
 
 /// Wire a full directed mesh over `n` nodes: `link(helper, leader)` makes
 /// the two ends of one link, helper-major. Returns each node's row.
@@ -1014,13 +997,17 @@ mod tests {
             let (mut sim, mut ssb) = cluster(3);
             for node in ssb.iter_mut() {
                 if combined {
+                    // Two flushes in one epoch: the second merges into
+                    // entries the first inserted.
                     let mut comb = WriteCombiner::new(CounterCrdt::descriptor(), 64);
-                    for rec in 0..200u64 {
-                        let key = pack_key(1, rec % 20);
-                        assert!(comb.fold(key, |v| CounterCrdt::add(v, 1)));
+                    for half in [0..100u64, 100..200] {
+                        for rec in half {
+                            let key = pack_key(1, rec % 20);
+                            assert!(comb.fold(key, |v| CounterCrdt::add(v, 1)));
+                        }
+                        assert_eq!(node.rmw_batch(&mut comb), 20);
+                        assert!(comb.is_empty());
                     }
-                    assert_eq!(node.rmw_batch(&mut comb), 20);
-                    assert!(comb.is_empty());
                 } else {
                     for rec in 0..200u64 {
                         node.rmw(pack_key(1, rec % 20), |v| CounterCrdt::add(v, 1));
@@ -1364,7 +1351,7 @@ mod tests {
                     ssb[i].append(pack_key(wid, gk), &rng.next_u64().to_le_bytes()[..5]);
                 }
                 (7..=9, true) => {
-                    // `rmw_batch` → `Partition::merge_batch` per fragment.
+                    // `rmw_batch` → `Partition::merge_partial` per entry.
                     let mut comb = WriteCombiner::new(CounterCrdt::descriptor(), 64);
                     for _ in 0..1 + rng.next_below(8) {
                         let (wid, gk) = any_key(rng);
@@ -1429,7 +1416,7 @@ mod tests {
 
     /// Satellite (equivalence against the old sweep): over seeded mixes of
     /// every operation that makes or unmakes a primary key — `rmw`,
-    /// `merge_batch`, `merge_fixed`, `append`, `append_run`, `remove`,
+    /// `rmw_batch`, `merge_fixed`, `append`, `append_run`, `remove`,
     /// epoch close + leader merge, snapshot → restore, split activation —
     /// retiring the ready windows whole emits the same multiset, returns
     /// the same count and leaves the same state as a sweep over every
@@ -1999,11 +1986,8 @@ mod tests {
                         }
                         let (ca, cb) = (a.combiner(ta), b.combiner(tb));
                         let entries = |c: &WriteCombiner| -> Vec<(StateKey, u64, Vec<u8>, u64)> {
-                            (0..c.len())
-                                .map(|i| {
-                                    let (key, hash, value) = c.entry(i);
-                                    (key, hash, value.to_vec(), c.entry_folds(i))
-                                })
+                            (c.entries())
+                                .map(|(key, hash, value, folds)| (key, hash, value.to_vec(), folds))
                                 .collect()
                         };
                         assert_eq!(

@@ -56,7 +56,7 @@ impl std::fmt::Display for StateError {
 /// Recovery resends the *original* encoded chunks rather than regenerating
 /// them: the fragment's log was invalidated at epoch close, and replaying
 /// verbatim is what makes a recovered run bit-identical to the no-fault
-/// run. Retention is opt-in (see [`DeltaSender::set_retention`]) and
+/// run. Retention is opt-in (see `DeltaSender::set_retention`) and
 /// pruned once the epoch is covered by the leader's durable checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetainedEpoch {
@@ -103,7 +103,7 @@ impl DeltaSender {
 
     /// Attach a trace handle; `pid` is the helper node, `tid` the leader.
     /// Also instruments the underlying channel's verb events.
-    pub fn instrument(&mut self, obs: Obs, pid: u32, tid: u32) {
+    pub(crate) fn instrument(&mut self, obs: Obs, pid: u32, tid: u32) {
         self.chan.instrument(obs.clone(), pid, tid);
         self.obs = obs;
         self.obs_pid = pid;
@@ -114,7 +114,7 @@ impl DeltaSender {
     /// `watermark` is this helper's low watermark at the token; `now` is
     /// stamped into the chunk headers so the leader can measure merge
     /// latency (epoch-coherence "propose" phase).
-    pub fn enqueue_epoch(&mut self, fragment: &mut Partition, watermark: u64, now: SimTime) {
+    pub(crate) fn enqueue_epoch(&mut self, fragment: &mut Partition, watermark: u64, now: SimTime) {
         let epoch = fragment.epoch();
         let mut builder = ChunkBuilder::new(
             fragment.id as u32,
@@ -151,12 +151,12 @@ impl DeltaSender {
     /// Enable (or disable) epoch retention for replay-based recovery.
     /// Fault-tolerant runs enable this before any epoch closes; the
     /// default path keeps the zero-copy, zero-retention behavior.
-    pub fn set_retention(&mut self, retain: bool) {
+    pub(crate) fn set_retention(&mut self, retain: bool) {
         self.retain = retain;
     }
 
     /// Epochs retained for replay, oldest first.
-    pub fn retained(&self) -> &[RetainedEpoch] {
+    pub(crate) fn retained(&self) -> &[RetainedEpoch] {
         &self.retained
     }
 
@@ -171,7 +171,7 @@ impl DeltaSender {
     /// Drop retained epochs with id below `epoch` — they are covered by
     /// the leader's durable checkpoint and can never be asked for again.
     /// This is what bounds retention memory.
-    pub fn prune_retained_below(&mut self, epoch: u64) {
+    pub(crate) fn prune_retained_below(&mut self, epoch: u64) {
         self.retained.retain(|r| r.epoch >= epoch);
     }
 
@@ -194,7 +194,7 @@ impl DeltaSender {
 
     /// Whether the underlying channel is down (a flushed QP, or a
     /// consumer thread gone).
-    pub fn is_error(&self) -> bool {
+    pub(crate) fn is_error(&self) -> bool {
         self.chan.is_error()
     }
 
@@ -207,7 +207,7 @@ impl DeltaSender {
 
     /// Push queued chunks while channel credits allow. Returns the number
     /// of chunks sent this call.
-    pub fn pump(&mut self, sim: &mut Sim) -> Result<usize, RdmaError> {
+    pub(crate) fn pump(&mut self, sim: &mut Sim) -> Result<usize, RdmaError> {
         let mut sent = 0;
         while let Some(chunk) = self.outbox.front() {
             let (len, flags) = (chunk.len(), MsgFlags::STATE_DELTA);
@@ -223,17 +223,17 @@ impl DeltaSender {
     }
 
     /// Chunks still waiting for credit.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.outbox.len()
     }
 
     /// Deepest the outbox has ever been (queue-depth telemetry).
-    pub fn peak_backlog(&self) -> usize {
+    pub(crate) fn peak_backlog(&self) -> usize {
         self.peak_backlog
     }
 
     /// Channel statistics.
-    pub fn channel_stats(&self) -> &slash_net::ChannelStats {
+    pub(crate) fn channel_stats(&self) -> &slash_net::ChannelStats {
         &self.chan.stats
     }
 }
@@ -326,7 +326,7 @@ impl DeltaReceiver {
 
     /// Attach a trace handle; `leader` is the node this receiver merges
     /// into. Also instruments the underlying channel's verb events.
-    pub fn instrument(&mut self, obs: Obs, leader: u32) {
+    pub(crate) fn instrument(&mut self, obs: Obs, leader: u32) {
         self.chan
             .instrument(obs.clone(), leader, self.helper as u32);
         self.obs = obs;
@@ -335,30 +335,31 @@ impl DeltaReceiver {
     }
 
     /// The helper executor this receiver listens to.
-    pub fn helper(&self) -> usize {
+    pub(crate) fn helper(&self) -> usize {
         self.helper
     }
 
     /// Channel statistics.
-    pub fn channel_stats(&self) -> &slash_net::ChannelStats {
+    pub(crate) fn channel_stats(&self) -> &slash_net::ChannelStats {
         &self.chan.stats
     }
 
     /// Protocol violations counted by this endpoint and its channel.
-    pub fn violations(&self) -> Violations {
+    pub(crate) fn violations(&self) -> Violations {
         let mut v = self.violations;
         v.absorb(&self.channel_stats().violations);
         v
     }
 
     /// Registry label used by this receiver's instrumentation.
-    pub fn obs_label(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn obs_label(&self) -> &str {
         &self.obs_label
     }
 
     /// Next epoch id this receiver expects to commit (== number of epochs
     /// from its helper already merged into the primary, counting from 0).
-    pub fn next_epoch(&self) -> u64 {
+    pub(crate) fn next_epoch(&self) -> u64 {
         self.next_epoch
     }
 
@@ -375,7 +376,7 @@ impl DeltaReceiver {
     /// durable, guaranteeing that every committed epoch is replayable from
     /// a checkpoint if *this* node later crashes. `u64::MAX` disables the
     /// gate.
-    pub fn set_durable_epochs(&mut self, durable_epochs: u64) {
+    pub(crate) fn set_durable_epochs(&mut self, durable_epochs: u64) {
         self.durable_epochs = durable_epochs;
     }
 
@@ -398,7 +399,7 @@ impl DeltaReceiver {
     /// Whether the underlying channel's QP is in the error state. A
     /// thread-shared ring never errors on the receive side (a vanished
     /// producer just stops producing).
-    pub fn is_error(&self) -> bool {
+    pub(crate) fn is_error(&self) -> bool {
         self.chan.is_error()
     }
 
@@ -423,7 +424,7 @@ impl DeltaReceiver {
     /// from torn, so neither it nor its successors merge and the helper's
     /// vector-clock slot stays where it was. An error, never a partial
     /// epoch in the primary.
-    pub fn pump(
+    pub(crate) fn pump(
         &mut self,
         sim: &mut Sim,
         primary: &mut Partition,

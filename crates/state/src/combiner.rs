@@ -18,7 +18,7 @@
 //! [`crate::descriptor::StateDescriptor::combinable`]; float-summing
 //! CRDTs opt out to keep combiner-on/off runs bit-identical).
 //!
-//! The table memoizes each key's [`crate::hash::hash_key`] with the MSB
+//! The table memoizes each key's `hash_key` with the MSB
 //! forced on as the occupancy marker (a stored hash of 0 means "empty
 //! slot"). The forced bit is harmless downstream: the index derives the
 //! bucket from the *low* bits and its tag already ORs in the same top
@@ -40,7 +40,7 @@ const MAX_FILL_DEN: usize = 4;
 /// the first this many, a flush is judged once this many accumulated
 /// since the last verdict. Caps what a reuse-free stream pays the table
 /// for the whole run.
-pub const VERDICT_FOLDS: u64 = 1024;
+pub(crate) const VERDICT_FOLDS: u64 = 1024;
 /// The probe calls a stream reuse-free when distinct keys so far reach 3/4
 /// of folds. Lenient on purpose: it reads a prefix of an epoch-long scope,
 /// where even `ysb_hot`'s 100 keys and nb7's Pareto head still look wide,
@@ -106,13 +106,13 @@ impl WriteCombiner {
 
     /// Number of distinct keys currently held.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
     }
 
     /// True when no partials are buffered.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
 
@@ -134,7 +134,7 @@ impl WriteCombiner {
 
     /// The one-shot cold-stream probe, run when [`Self::folds`] reaches
     /// [`VERDICT_FOLDS`]: is (almost) every fold so far a new key?
-    pub fn probe_reuse(&mut self) -> bool {
+    pub(crate) fn probe_reuse(&mut self) -> bool {
         self.cold |= self.inserts * PROBE_DEN >= self.folds * PROBE_NUM;
         self.cold
     }
@@ -142,7 +142,7 @@ impl WriteCombiner {
     /// Reuse verdict at a flush, over everything folded since the last
     /// verdict: did the keys flushed cost more than the folds saved? A
     /// sample under [`VERDICT_FOLDS`] is left to accumulate.
-    pub fn judge_flush(&mut self) -> bool {
+    pub(crate) fn judge_flush(&mut self) -> bool {
         let (folds, keys) = (self.folds - self.judged.0, self.inserts - self.judged.1);
         if folds >= VERDICT_FOLDS {
             self.judged = (self.folds, self.inserts);
@@ -219,27 +219,22 @@ impl WriteCombiner {
         }
     }
 
-    /// The `i`-th buffered partial in insertion order: `(key, memoized
-    /// hash, value)`. `i` must be below [`Self::len`]; out-of-range reads
-    /// return the last slot's view of an empty table guard — callers
-    /// iterate `0..len()`.
+    /// The buffered partials in insertion order, each as `(key, memoized
+    /// hash, value, folds)` — `folds` being the updates folded into it since
+    /// the key entered the table (at least 1): that key's weight since the
+    /// last flush.
     #[inline]
-    pub fn entry(&self, i: usize) -> (StateKey, u64, &[u8]) {
-        let slot = self.order.get(i).copied().unwrap_or_default() as usize;
-        (
-            self.keys[slot],
-            self.hashes[slot],
-            &self.values[slot * self.size..(slot + 1) * self.size],
-        )
-    }
-
-    /// Folds absorbed into the `i`-th buffered partial since it was
-    /// inserted (at least 1 for a live entry): the weight of that key
-    /// since the table was last flushed.
-    #[inline]
-    pub fn entry_folds(&self, i: usize) -> u64 {
-        let slot = self.order.get(i).copied().unwrap_or_default() as usize;
-        self.counts[slot] as u64
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (StateKey, u64, &[u8], u64)> {
+        self.order.iter().map(|&slot| {
+            let slot = slot as usize;
+            let value = &self.values[slot * self.size..(slot + 1) * self.size];
+            (
+                self.keys[slot],
+                self.hashes[slot],
+                value,
+                u64::from(self.counts[slot]),
+            )
+        })
     }
 
     /// Drop all buffered partials (after a flush). Only occupied slots are
@@ -345,30 +340,29 @@ mod tests {
         assert_eq!(c.len(), 10);
         assert_eq!(c.folds(), 100);
         assert_eq!(c.inserts(), 10);
-        for i in 0..c.len() {
-            let (_, h, v) = c.entry(i);
+        for (_, h, v, _) in c.entries() {
             assert_ne!(h, 0);
             assert_eq!(CounterCrdt::get(v), 10);
         }
     }
 
     #[test]
-    fn entry_folds_count_per_key_weights() {
+    fn entries_count_per_key_weights() {
         let mut c = WriteCombiner::new(CounterCrdt::descriptor(), 64);
         // Key i % 3 receives 1 + the number of later multiples: key 0
         // folds 4 times (0,3,6,9), keys 1 and 2 fold 3 times each.
         for i in 0..10u64 {
             assert!(c.fold(pack_key(1, i % 3), |v| CounterCrdt::add(v, 1)));
         }
-        let mut folds: Vec<(u64, u64)> = (0..c.len())
-            .map(|i| (crate::hash::unpack_key(c.entry(i).0).1, c.entry_folds(i)))
+        let mut folds: Vec<(u64, u64)> = (c.entries())
+            .map(|(key, _, _, folds)| (crate::hash::unpack_key(key).1, folds))
             .collect();
         folds.sort_unstable();
         assert_eq!(folds, vec![(0, 4), (1, 3), (2, 3)]);
         // Clearing resets the weights: re-inserted keys start at one.
         c.clear();
         assert!(c.fold(pack_key(1, 0), |v| CounterCrdt::add(v, 1)));
-        assert_eq!(c.entry_folds(0), 1);
+        assert_eq!(c.entries().map(|e| e.3).collect::<Vec<_>>(), [1]);
     }
 
     #[test]
@@ -377,7 +371,7 @@ mod tests {
         for k in [7u64, 3, 7, 9, 3, 1] {
             assert!(c.fold(pack_key(0, k), |v| CounterCrdt::add(v, 1)));
         }
-        let keys: Vec<StateKey> = (0..c.len()).map(|i| c.entry(i).0).collect();
+        let keys: Vec<StateKey> = c.entries().map(|e| e.0).collect();
         assert_eq!(
             keys,
             vec![
@@ -416,7 +410,7 @@ mod tests {
         let mut c = WriteCombiner::new(CounterCrdt::descriptor(), 8);
         let key = pack_key(4, 2);
         assert!(c.fold(key, |v| CounterCrdt::add(v, 1)));
-        let (k, h, _) = c.entry(0);
+        let (k, h, _, _) = c.entries().next().unwrap();
         assert_eq!(k, key);
         assert_eq!(h, hash_key(key) | OCCUPIED);
     }

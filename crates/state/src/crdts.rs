@@ -23,7 +23,7 @@ pub struct CounterCrdt;
 
 impl CounterCrdt {
     /// Encoded size.
-    pub const SIZE: usize = 8;
+    pub(crate) const SIZE: usize = 8;
 
     /// Add `n` to the encoded counter. Short buffers (never produced by
     /// the backend, which sizes values from the descriptor) are left as-is.
@@ -69,7 +69,7 @@ pub struct MaxCrdt;
 
 impl MaxCrdt {
     /// Encoded size.
-    pub const SIZE: usize = 8;
+    pub(crate) const SIZE: usize = 8;
 
     /// Fold `x` into the encoded maximum. Short buffers are left as-is.
     #[inline]
@@ -115,7 +115,7 @@ pub struct MinCrdt;
 
 impl MinCrdt {
     /// Encoded size.
-    pub const SIZE: usize = 8;
+    pub(crate) const SIZE: usize = 8;
 
     /// Fold `x` into the encoded minimum. Short buffers are left as-is.
     #[inline]
@@ -164,7 +164,7 @@ pub struct MeanCrdt;
 
 impl MeanCrdt {
     /// Encoded size: sum (8) + count (8).
-    pub const SIZE: usize = 16;
+    pub(crate) const SIZE: usize = 16;
 
     /// Fold one observation into the pair. Short buffers are left as-is.
     #[inline]
@@ -181,7 +181,7 @@ impl MeanCrdt {
 
     /// Read `(sum, count)` (the identity, `(0.0, 0)`, on a short buffer).
     #[inline]
-    pub fn get(value: &[u8]) -> (f64, u64) {
+    pub(crate) fn get(value: &[u8]) -> (f64, u64) {
         let Some((sum, rest)) = value.split_first_chunk::<8>() else {
             return (0.0, 0);
         };

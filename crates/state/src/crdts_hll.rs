@@ -34,7 +34,7 @@ pub struct HllCrdt;
 
 impl HllCrdt {
     /// Encoded size: one byte per register.
-    pub const SIZE: usize = M;
+    pub(crate) const SIZE: usize = M;
 
     /// Fold one item into the sketch.
     #[inline]

@@ -28,9 +28,9 @@ use crate::entry::{le_bytes, EntryKind};
 use crate::hash::StateKey;
 
 /// Chunk header size.
-pub const DELTA_HEADER_SIZE: usize = 32;
+pub(crate) const DELTA_HEADER_SIZE: usize = 32;
 /// Per-entry wire overhead.
-pub const ENTRY_OVERHEAD: usize = 24;
+pub(crate) const ENTRY_OVERHEAD: usize = 24;
 
 /// Decoded chunk header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +52,7 @@ pub struct DeltaHeader {
 
 impl DeltaHeader {
     /// Append the encoded header to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.partition.to_le_bytes());
         out.extend_from_slice(&self.n_entries.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
@@ -63,7 +63,7 @@ impl DeltaHeader {
     }
 
     /// Decode from the first [`DELTA_HEADER_SIZE`] bytes.
-    pub fn decode(bytes: &[u8]) -> DeltaHeader {
+    pub(crate) fn decode(bytes: &[u8]) -> DeltaHeader {
         let mut us = [0u8; 8];
         us[..5].copy_from_slice(&le_bytes::<5>(bytes, 25));
         DeltaHeader {
@@ -78,7 +78,7 @@ impl DeltaHeader {
 
     /// Patch the `n_entries` and `fin` fields of a header already written
     /// at `offset` in `buf` (chunks are built incrementally).
-    pub fn patch(buf: &mut [u8], offset: usize, n_entries: u32, fin: bool) {
+    pub(crate) fn patch(buf: &mut [u8], offset: usize, n_entries: u32, fin: bool) {
         buf[offset + 4..offset + 8].copy_from_slice(&n_entries.to_le_bytes());
         buf[offset + 24] = u8::from(fin);
     }
@@ -102,7 +102,7 @@ fn push_entry(out: &mut Vec<u8>, key: StateKey, kind: EntryKind, stride: u8, val
 
 /// Wire size of an entry with a `len`-byte value.
 #[inline]
-pub fn entry_wire_size(len: usize) -> usize {
+pub(crate) fn entry_wire_size(len: usize) -> usize {
     ENTRY_OVERHEAD + len
 }
 
@@ -159,7 +159,7 @@ impl std::fmt::Display for DeltaDecodeError {
 /// returning the header and calling `f(key, kind, stride, value)` per
 /// entry — per run, for appended state. Entries decoded before an error is
 /// detected will already have been passed to `f`.
-pub fn try_parse_runs(
+pub(crate) fn try_parse_runs(
     payload: &[u8],
     mut f: impl FnMut(StateKey, EntryKind, u8, &[u8]),
 ) -> Result<DeltaHeader, DeltaDecodeError> {
@@ -211,7 +211,7 @@ fn check_run(kind: EntryKind, len: usize, stride: u8) -> Result<(), DeltaDecodeE
     }
 }
 
-/// [`try_parse_runs`] with runs taken apart: `f(key, kind, value)` sees
+/// `try_parse_runs` with runs taken apart: `f(key, kind, value)` sees
 /// every fixed value and every appended element on its own.
 pub fn try_parse_chunk(
     payload: &[u8],
@@ -231,7 +231,10 @@ pub fn try_parse_chunk(
 /// Total variant for inputs already known to be well-formed (e.g.
 /// snapshot chunks produced locally): a corrupt chunk trips a debug
 /// assertion and yields the header with whatever entries decoded cleanly.
-pub fn parse_runs(payload: &[u8], f: impl FnMut(StateKey, EntryKind, u8, &[u8])) -> DeltaHeader {
+pub(crate) fn parse_runs(
+    payload: &[u8],
+    f: impl FnMut(StateKey, EntryKind, u8, &[u8]),
+) -> DeltaHeader {
     match try_parse_runs(payload, f) {
         Ok(header) => header,
         Err(e) => {
@@ -298,7 +301,7 @@ impl ChunkBuilder {
     /// current chunk first if it would overflow; otherwise a run of
     /// `stride`-wide elements, which fills the current chunk's room with
     /// as many whole elements as fit and goes on in the next chunk.
-    pub fn push_run(&mut self, key: StateKey, kind: EntryKind, stride: u8, value: &[u8]) {
+    pub(crate) fn push_run(&mut self, key: StateKey, kind: EntryKind, stride: u8, value: &[u8]) {
         // The widest piece that must go whole: the value, or one element.
         let unit = match stride {
             0 => value.len(),

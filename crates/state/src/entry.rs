@@ -10,7 +10,7 @@
 //!
 //! `prev` chains the appended entries of one key (holistic state); fixed
 //! entries set it to [`NO_PREV`]. `len` is the value's space, so every
-//! entry spans [`stored_size`]`(len)` and a log scan steps from entry to
+//! entry spans `stored_size(len)` and a log scan steps from entry to
 //! entry as it always did. An appended entry is a **run**: `len` bytes
 //! reserved for elements `stride` bytes wide, the first `count` of them in
 //! use, so later elements of the key fill it in place. `stride` 0 marks an
@@ -26,7 +26,7 @@
 use crate::hash::StateKey;
 
 /// Header size in bytes.
-pub const HEADER_SIZE: usize = 32;
+pub(crate) const HEADER_SIZE: usize = 32;
 
 /// Sentinel for "no previous entry in this key's chain".
 pub const NO_PREV: u64 = u64::MAX;
@@ -52,7 +52,7 @@ impl EntryKind {
     }
 
     /// Decode a kind byte; `None` for anything but the two valid tags.
-    pub fn try_from_u8(v: u8) -> Option<EntryKind> {
+    pub(crate) fn try_from_u8(v: u8) -> Option<EntryKind> {
         match v {
             0 => Some(EntryKind::Fixed),
             1 => Some(EntryKind::Appended),
@@ -100,7 +100,7 @@ pub struct EntryHeader {
 impl EntryHeader {
     /// Encode into the first [`HEADER_SIZE`] bytes of `out`.
     #[inline]
-    pub fn encode(&self, out: &mut [u8]) {
+    pub(crate) fn encode(&self, out: &mut [u8]) {
         out[0..16].copy_from_slice(&self.key.to_le_bytes());
         out[16..24].copy_from_slice(&self.prev.to_le_bytes());
         out[24..28].copy_from_slice(&self.len.to_le_bytes());
@@ -113,7 +113,7 @@ impl EntryHeader {
     /// corrupt kind byte trips a debug assertion and decodes as `Fixed`
     /// (the conservative choice — fixed entries never chain).
     #[inline]
-    pub fn decode(bytes: &[u8]) -> EntryHeader {
+    pub(crate) fn decode(bytes: &[u8]) -> EntryHeader {
         // One copy of the whole header; the fields sit at fixed offsets.
         let h: [u8; HEADER_SIZE] = le_bytes(bytes, 0);
         let kind_byte = h[28] & !DEAD;
@@ -133,7 +133,7 @@ impl EntryHeader {
 
     /// Bytes of the value in use: all of it, or a run's `count` elements.
     #[inline]
-    pub fn used(&self) -> usize {
+    pub(crate) fn used(&self) -> usize {
         used(self.len as usize, self.stride.into(), self.count.into())
     }
 }
@@ -180,14 +180,14 @@ pub(crate) fn used(len: usize, stride: usize, count: usize) -> usize {
 
 /// Total stored size (header + value padded to 8 bytes).
 #[inline]
-pub fn stored_size(value_len: usize) -> usize {
+pub(crate) fn stored_size(value_len: usize) -> usize {
     HEADER_SIZE + value_len.div_ceil(8) * 8
 }
 
 /// Call `f` on each element of an entry's value: the whole value for
 /// stride 0, else its `stride`-wide elements in order.
 #[inline]
-pub fn for_each_elem(stride: usize, value: &[u8], mut f: impl FnMut(&[u8])) {
+pub(crate) fn for_each_elem(stride: usize, value: &[u8], mut f: impl FnMut(&[u8])) {
     if stride == 0 {
         f(value);
     } else {

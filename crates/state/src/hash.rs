@@ -17,7 +17,7 @@ pub fn pack_key(window_id: u64, group_key: u64) -> StateKey {
 
 /// Unpack a [`StateKey`] into `(window_id, group_key)`.
 #[inline]
-pub fn unpack_key(key: StateKey) -> (u64, u64) {
+pub(crate) fn unpack_key(key: StateKey) -> (u64, u64) {
     ((key >> 64) as u64, key as u64)
 }
 
@@ -25,7 +25,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// FxHash-style mix of one 64-bit word.
 #[inline]
-pub fn mix_u64(h: u64, v: u64) -> u64 {
+pub(crate) fn mix_u64(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(SEED)
 }
 
@@ -40,7 +40,7 @@ pub fn hash_u64(v: u64) -> u64 {
 
 /// Hash a full state key.
 #[inline]
-pub fn hash_key(key: StateKey) -> u64 {
+pub(crate) fn hash_key(key: StateKey) -> u64 {
     let h = mix_u64(mix_u64(0, key as u64), (key >> 64) as u64);
     h ^ (h >> 32)
 }

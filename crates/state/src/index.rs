@@ -12,20 +12,22 @@
 //! keys back from the log through a caller-provided closure, exactly like
 //! FASTER's index growth.
 //!
-//! Every operation walks a key's bucket chain **once**. The walk returns a
-//! [`Probe`] — the slot holding the key, or the first free slot it passed —
-//! and [`HashIndex::put`] installs an address through that handle, so a
-//! caller that just proved a key absent (or present) never pays a second
-//! walk to insert (or move) it. The walk scans a bucket for the tag alone
-//! (an empty slot's tag is 0, never a key's) and looks for a free slot only
-//! in buckets without a match, until it has one.
+//! Every operation walks a key's bucket chain **once**. A read
+//! ([`HashIndex::find`]) gets the key's address. A write
+//! ([`HashIndex::entry`]) gets an [`Entry`] — the slot holding the key, or
+//! the first free slot the walk passed — that borrows the index mutably
+//! until [`Entry::put`] installs an address through it, so no other write
+//! can move a slot while the handle is outstanding. The one re-walk left is
+//! growth inside the install. The walk scans a bucket for the tag alone (an
+//! empty slot's tag is 0, never a key's) and looks for a free slot only in
+//! buckets without a match, until it has one.
 
 /// Slots per bucket (cache-line sized: 7 entries + overflow link).
 const BUCKET_SLOTS: usize = 7;
 /// Sentinel for "no overflow bucket".
 const NO_OVERFLOW: u32 = u32::MAX;
 /// Maximum addressable log offset (48-bit packed addresses).
-pub const MAX_ADDR: u64 = (1 << 48) - 1;
+const MAX_ADDR: u64 = (1 << 48) - 1;
 
 #[derive(Clone)]
 struct Bucket {
@@ -75,69 +77,85 @@ struct Pos {
 
 /// What one walk of a key's bucket chain found: the key's slot and the
 /// address in it, or — the key being absent — the first free slot the walk
-/// passed. Hand it to [`HashIndex::put`] to install an address without
-/// walking again.
+/// passed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Probe {
+struct Found {
     addr: Option<u64>,
     pos: Pos,
-    /// [`HashIndex::moves`] at walk time; a mismatch means slots moved or
-    /// freed since and `pos` must be found again.
-    moves: u32,
-    /// [`HashIndex::fills`] at walk time; a mismatch means another key may
-    /// have taken the free slot at `pos` since.
-    fills: u32,
 }
 
-impl Probe {
+/// A write handle: one walk's result for `hash`, holding the index until
+/// [`Entry::put`] installs an address in the slot the walk found (or the
+/// handle is dropped, installing nothing).
+pub(crate) struct Entry<'a> {
+    index: &'a mut HashIndex,
+    hash: u64,
+    found: Found,
+}
+
+impl Entry<'_> {
     /// The address the index holds for the key, `None` if it is absent.
     #[inline]
-    pub fn addr(&self) -> Option<u64> {
-        self.addr
+    pub(crate) fn addr(&self) -> Option<u64> {
+        self.found.addr
+    }
+
+    /// Install `addr` for the key: overwrite its slot if it was found, else
+    /// take the free slot the walk found (or chain a fresh overflow
+    /// bucket). An install into a full table doubles it first, hit or miss,
+    /// with `rehash(addr) -> hash` reading each key back; the doubled table
+    /// is walked once more — a hit re-found by its old address, a miss
+    /// taking the first free slot.
+    #[inline]
+    pub(crate) fn put(self, addr: u64, rehash: impl Fn(u64) -> u64) {
+        debug_assert!(addr <= MAX_ADDR, "log address exceeds 48 bits");
+        let Entry { index, hash, found } = self;
+        let tag = tag_of(hash);
+        let mut pos = found.pos;
+        if index.count + 1 > index.buckets.len() * BUCKET_SLOTS {
+            index.grow(&rehash);
+            pos = (index.walk(tag, index.root(hash), |a| Some(a) == found.addr)).pos;
+        }
+        index.install(pos, pack(tag, addr));
+        if found.addr.is_none() {
+            index.count += 1;
+        }
     }
 }
 
 /// Hash index from key hashes to log addresses.
-pub struct HashIndex {
+pub(crate) struct HashIndex {
     buckets: Vec<Bucket>,
     overflow: Vec<Bucket>,
     mask: u64,
     count: usize,
-    /// Bumped whenever a slot is freed or the table is rebuilt — the events
-    /// that invalidate an outstanding [`Probe`]'s position.
-    moves: u32,
-    /// Bumped by every insert of a new key — the event that may take the
-    /// free slot an outstanding absent-key [`Probe`] holds.
-    fills: u32,
 }
 
 impl HashIndex {
     /// Create an index with capacity for roughly `capacity` keys before the
     /// first resize.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let buckets = (capacity / BUCKET_SLOTS + 1).next_power_of_two().max(2);
         HashIndex {
             buckets: vec![Bucket::empty(); buckets],
             overflow: Vec::new(),
             mask: buckets as u64 - 1,
             count: 0,
-            moves: 0,
-            fills: 0,
         }
     }
 
     /// Create a small index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(64)
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count
     }
 
     /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -179,21 +197,19 @@ impl HashIndex {
     /// any free slot was found, is looked at again for one: a branch-free
     /// mask of its empty slots, whose lowest set bit names the slot.
     #[inline]
-    fn walk(&self, tag: u16, from: Pos, mut is_key: impl FnMut(u64) -> bool) -> Probe {
+    fn walk(&self, tag: u16, from: Pos, mut is_key: impl FnMut(u64) -> bool) -> Found {
         let mut at = from;
         let mut free: Option<Pos> = None;
         loop {
             let bucket = self.bucket(at);
             for (si, &slot) in bucket.slots.iter().enumerate() {
                 if slot_tag(slot) == tag && is_key(slot_addr(slot)) {
-                    return Probe {
+                    return Found {
                         addr: Some(slot_addr(slot)),
                         pos: Pos {
                             slot: si as u8,
                             ..at
                         },
-                        moves: self.moves,
-                        fills: self.fills,
                     };
                 }
             }
@@ -212,11 +228,9 @@ impl HashIndex {
                     slot: BUCKET_SLOTS as u8,
                     ..at
                 };
-                return Probe {
+                return Found {
                     addr: None,
                     pos: free.unwrap_or(end),
-                    moves: self.moves,
-                    fills: self.fills,
                 };
             }
             at = Pos {
@@ -227,45 +241,21 @@ impl HashIndex {
         }
     }
 
-    /// Walk `hash`'s chain once: where the key verified by `verify` sits,
-    /// or where it would go.
+    /// The address of the key `verify` confirms in `hash`'s chain.
     #[inline]
-    pub fn probe(&self, hash: u64, verify: impl FnMut(u64) -> bool) -> Probe {
-        self.walk(tag_of(hash), self.root(hash), verify)
+    pub(crate) fn find(&self, hash: u64, verify: impl FnMut(u64) -> bool) -> Option<u64> {
+        self.walk(tag_of(hash), self.root(hash), verify).addr
     }
 
-    /// Install `addr` for the key `probe` located: overwrite the key's slot
-    /// if it was found, else take the first free slot of its chain (or
-    /// chain a fresh overflow bucket).
-    ///
-    /// `probe` must come from a walk of `hash`'s chain for a key no `put`
-    /// has inserted since. Its slot is trusted while its stamps hold: a
-    /// present key's until any slot moves (removal, growth, `clear`), an
-    /// absent key's free slot until any other key is inserted as well. A
-    /// handle older than other keys' inserts resumes the scan at its bucket
-    /// — the chain up to the free slot was full then and still is; once a
-    /// slot has moved the handle is re-located — a present key by its old
-    /// address, an absent one by the first free slot — without going back
-    /// to the log. An install into a full table doubles it first, hit or
-    /// miss; `rehash(addr) -> hash` serves that growth.
-    pub fn put(&mut self, hash: u64, probe: Probe, addr: u64, rehash: impl Fn(u64) -> u64) {
-        debug_assert!(addr <= MAX_ADDR, "log address exceeds 48 bits");
-        if self.count + 1 > self.buckets.len() * BUCKET_SLOTS {
-            self.grow(&rehash);
-        }
-        let tag = tag_of(hash);
-        let pos = if probe.moves != self.moves {
-            self.walk(tag, self.root(hash), |a| Some(a) == probe.addr)
-                .pos
-        } else if probe.addr.is_some() || probe.fills == self.fills {
-            probe.pos
-        } else {
-            self.walk(tag, probe.pos, |_| false).pos
-        };
-        self.install(pos, pack(tag, addr));
-        if probe.addr.is_none() {
-            self.count += 1;
-            self.fills = self.fills.wrapping_add(1);
+    /// Walk `hash`'s chain once for a write: where the key verified by
+    /// `verify` sits, or where it would go.
+    #[inline]
+    pub(crate) fn entry(&mut self, hash: u64, verify: impl FnMut(u64) -> bool) -> Entry<'_> {
+        let found = self.walk(tag_of(hash), self.root(hash), verify);
+        Entry {
+            index: self,
+            hash,
+            found,
         }
     }
 
@@ -284,18 +274,17 @@ impl HashIndex {
 
     /// Remove the entry for `hash` where `verify` confirms the key; returns
     /// its address.
-    pub fn remove(&mut self, hash: u64, verify: impl FnMut(u64) -> bool) -> Option<u64> {
-        let found = self.probe(hash, verify);
+    pub(crate) fn remove(&mut self, hash: u64, verify: impl FnMut(u64) -> bool) -> Option<u64> {
+        let found = self.walk(tag_of(hash), self.root(hash), verify);
         if found.addr.is_some() {
             self.bucket_mut(found.pos).slots[found.pos.slot as usize] = 0;
             self.count -= 1;
-            self.moves = self.moves.wrapping_add(1);
         }
         found.addr
     }
 
     /// Visit the address of every entry.
-    pub fn for_each(&self, mut f: impl FnMut(u64)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(u64)) {
         for bucket in self.buckets.iter().chain(self.overflow.iter()) {
             for &slot in &bucket.slots {
                 if slot != 0 {
@@ -306,13 +295,12 @@ impl HashIndex {
     }
 
     /// Remove every entry.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for b in &mut self.buckets {
             *b = Bucket::empty();
         }
         self.overflow.clear();
         self.count = 0;
-        self.moves = self.moves.wrapping_add(1);
     }
 
     fn grow(&mut self, rehash: &dyn Fn(u64) -> u64) {
@@ -326,7 +314,6 @@ impl HashIndex {
         self.buckets = vec![Bucket::empty(); new_buckets];
         self.overflow.clear();
         self.mask = new_buckets as u64 - 1;
-        self.moves = self.moves.wrapping_add(1);
         for (addr, h) in addrs.into_iter().zip(hashes) {
             // During rebuild every live entry has a distinct key, so
             // verification can reject everything: nothing is an update.
@@ -391,8 +378,8 @@ mod tests {
         }
     }
 
-    /// Probe, then install through the handle — the composition every
-    /// partition path uses.
+    /// Walk, then install through the handle — the composition every
+    /// partition write uses.
     fn upsert(
         idx: &mut HashIndex,
         hash: u64,
@@ -400,15 +387,10 @@ mod tests {
         verify: impl FnMut(u64) -> bool,
         rehash: impl Fn(u64) -> u64,
     ) -> Option<u64> {
-        let probe = idx.probe(hash, verify);
-        idx.put(hash, probe, addr, rehash);
-        probe.addr()
-    }
-
-    /// Every slot of the table, in `for_each` order, holes included.
-    fn layout(idx: &HashIndex) -> Vec<u64> {
-        let all = idx.buckets.iter().chain(idx.overflow.iter());
-        all.flat_map(|b| b.slots).collect()
+        let entry = idx.entry(hash, verify);
+        let old = entry.addr();
+        entry.put(addr, rehash);
+        old
     }
 
     #[test]
@@ -439,12 +421,12 @@ mod tests {
             None
         );
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.probe(hash_u64(101), log.verify(101)).addr(), Some(a1));
-        assert_eq!(idx.probe(hash_u64(202), log.verify(202)).addr(), Some(a2));
-        assert_eq!(idx.probe(hash_u64(303), log.verify(303)).addr(), None);
+        assert_eq!(idx.find(hash_u64(101), log.verify(101)), Some(a1));
+        assert_eq!(idx.find(hash_u64(202), log.verify(202)), Some(a2));
+        assert_eq!(idx.find(hash_u64(303), log.verify(303)), None);
 
         assert_eq!(idx.remove(hash_u64(101), log.verify(101)), Some(a1));
-        assert_eq!(idx.probe(hash_u64(101), log.verify(101)).addr(), None);
+        assert_eq!(idx.find(hash_u64(101), log.verify(101)), None);
         assert_eq!(idx.len(), 1);
     }
 
@@ -463,7 +445,7 @@ mod tests {
             Some(a1)
         );
         assert_eq!(idx.len(), 1, "update must not duplicate");
-        assert_eq!(idx.probe(hash_u64(7), log.verify(7)).addr(), Some(a2));
+        assert_eq!(idx.find(hash_u64(7), log.verify(7)), Some(a2));
     }
 
     #[test]
@@ -480,7 +462,7 @@ mod tests {
         assert_eq!(idx.len(), n as usize);
         for k in 0..n {
             assert_eq!(
-                idx.probe(hash_u64(k), log.verify(k)).addr(),
+                idx.find(hash_u64(k), log.verify(k)),
                 Some(addr_of[&k]),
                 "key {k} lost"
             );
@@ -497,7 +479,7 @@ mod tests {
         }
         idx.clear();
         assert!(idx.is_empty());
-        assert_eq!(idx.probe(hash_u64(3), log.verify(3)).addr(), None);
+        assert_eq!(idx.find(hash_u64(3), log.verify(3)), None);
     }
 
     #[test]
@@ -514,7 +496,7 @@ mod tests {
         }
         // Every key resolves to an address holding exactly that key.
         for &k in &keys {
-            let addr = idx.probe(hash_u64(k), log.verify(k)).addr().unwrap();
+            let addr = idx.find(hash_u64(k), log.verify(k)).unwrap();
             assert_eq!(log.keys[&addr], k);
         }
     }
@@ -537,93 +519,27 @@ mod tests {
             "test must exercise overflow buckets"
         );
 
-        // The memoized-hash contract: probing a mix of present and absent
-        // keys with the combiner's MSB-forced hash resolves identically
-        // (bucket uses low bits, the tag already forces the same top bit).
+        // The memoized-hash contract: walking for a mix of present and
+        // absent keys with the combiner's MSB-forced hash finds the same
+        // slot (bucket uses low bits, the tag already forces the same top
+        // bit).
+        let walk = |h: u64, k: u64| idx.walk(tag_of(h), idx.root(h), log.verify(k));
         for k in (0..128).rev() {
-            let plain = idx.probe(hash_u64(k), log.verify(k));
-            assert_eq!(plain.addr().is_some(), k < 96);
-            let forced = idx.probe(hash_u64(k) | (1 << 63), log.verify(k));
-            assert_eq!(forced, plain, "key {k}");
+            let plain = walk(hash_u64(k), k);
+            assert_eq!(plain.addr.is_some(), k < 96);
+            assert_eq!(walk(hash_u64(k) | (1 << 63), k), plain, "key {k}");
         }
     }
 
-    /// Handles taken for a whole batch and installed one by one — past each
-    /// other's inserts, table growth and a removal — leave the table slot
-    /// for slot where per-key probe + put leaves it: a stale handle is
-    /// re-located, never trusted.
-    #[test]
-    fn stale_handles_install_where_a_fresh_walk_would() {
-        for (capacity, removal) in [(2usize, false), (2, true), (4096, false)] {
-            let mut log = FakeLog::new();
-            let mut batched = HashIndex::with_capacity(capacity);
-            let mut serial = HashIndex::with_capacity(capacity);
-            // A resident population; key 3 may leave again below.
-            for k in 0..40u64 {
-                let a = log.put(k);
-                upsert(&mut batched, hash_u64(k), a, log.verify(k), log.rehash());
-                upsert(&mut serial, hash_u64(k), a, log.verify(k), log.rehash());
-            }
-            // The batch: moves of resident keys interleaved with new keys.
-            let batch: Vec<u64> = (20..120).collect();
-            let hashes: Vec<u64> = batch.iter().map(|&k| hash_u64(k)).collect();
-            let probes: Vec<Probe> = (batch.iter().zip(&hashes))
-                .map(|(&k, &h)| batched.probe(h, log.verify(k)))
-                .collect();
-            if removal {
-                assert_eq!(batched.remove(hash_u64(3), log.verify(3)), Some(24));
-                assert_eq!(serial.remove(hash_u64(3), log.verify(3)), Some(24));
-            }
-            let buckets_before = batched.buckets.len();
-            for (i, &k) in batch.iter().enumerate() {
-                let a = log.put(k);
-                batched.put(hashes[i], probes[i], a, log.rehash());
-                let old = upsert(&mut serial, hashes[i], a, log.verify(k), log.rehash());
-                assert_eq!(probes[i].addr(), old, "key {k}");
-            }
-            assert_eq!(batched.buckets.len() > buckets_before, capacity == 2);
-            assert_eq!(batched.len(), 120 - usize::from(removal));
-            assert_eq!(layout(&batched), layout(&serial));
-        }
-    }
-
-    /// The case `fills` exists for: two absent keys whose probes found the
-    /// same last free slot of a chain, installed in turn. The first takes
-    /// the slot; the second must chain an overflow bucket, not overwrite.
-    #[test]
-    fn two_absent_keys_probed_to_one_last_free_slot_both_land() {
-        let mut log = FakeLog::new();
-        let mut idx = HashIndex::with_capacity(2);
-        let mask = idx.mask;
-        let mut root0 = (0..).filter(|&k| hash_u64(k) & mask == 0);
-        for k in root0.by_ref().take(BUCKET_SLOTS - 1) {
-            let a = log.put(k);
-            upsert(&mut idx, hash_u64(k), a, log.verify(k), |_| unreachable!());
-        }
-        let (ka, kb) = (root0.next().unwrap(), root0.next().unwrap());
-        let pa = idx.probe(hash_u64(ka), log.verify(ka));
-        let pb = idx.probe(hash_u64(kb), log.verify(kb));
-        assert_eq!((pa.addr(), pb.addr()), (None, None));
-        assert_eq!(pa.pos, pb.pos);
-        assert_eq!(pa.pos.slot as usize, BUCKET_SLOTS - 1, "the last free slot");
-
-        let (aa, ab) = (log.put(ka), log.put(kb));
-        idx.put(hash_u64(ka), pa, aa, |_| unreachable!());
-        idx.put(hash_u64(kb), pb, ab, |_| unreachable!());
-        assert_eq!(idx.len(), BUCKET_SLOTS + 1);
-        assert_eq!(idx.overflow.len(), 1, "the second key chains");
-        assert_eq!(idx.probe(hash_u64(ka), log.verify(ka)).addr(), Some(aa));
-        assert_eq!(idx.probe(hash_u64(kb), log.verify(kb)).addr(), Some(ab));
-    }
-
-    /// The walk and `put` this index had before the tag-first scan, kept as
-    /// the oracle: the walk notes the first free slot slot by slot, and
-    /// `put` re-walks an absent key's chain from its handle's bucket every
-    /// time. It drives a `HashIndex`'s own table, so layouts compare as is.
+    /// The walk and install this index had before the tag-first scan, kept
+    /// as the oracle: the walk notes the first free slot slot by slot, and
+    /// an install re-walks an absent key's chain from its handle's bucket
+    /// every time. It drives a `HashIndex`'s own table, so layouts compare
+    /// as is.
     struct Reference(HashIndex);
 
     impl Reference {
-        fn walk(&self, tag: u16, from: Pos, mut is_key: impl FnMut(u64) -> bool) -> Probe {
+        fn walk(&self, tag: u16, from: Pos, mut is_key: impl FnMut(u64) -> bool) -> Found {
             let mut at = from;
             let mut free: Option<Pos> = None;
             loop {
@@ -636,11 +552,9 @@ mod tests {
                     if slot == 0 {
                         free = free.or(Some(here));
                     } else if slot_tag(slot) == tag && is_key(slot_addr(slot)) {
-                        return Probe {
+                        return Found {
                             addr: Some(slot_addr(slot)),
                             pos: here,
-                            moves: self.0.moves,
-                            fills: 0,
                         };
                     }
                 }
@@ -649,11 +563,9 @@ mod tests {
                         slot: BUCKET_SLOTS as u8,
                         ..at
                     };
-                    return Probe {
+                    return Found {
                         addr: None,
                         pos: free.unwrap_or(end),
-                        moves: self.0.moves,
-                        fills: 0,
                     };
                 }
                 at = Pos {
@@ -664,24 +576,24 @@ mod tests {
             }
         }
 
-        fn probe(&self, hash: u64, verify: impl FnMut(u64) -> bool) -> Probe {
+        fn probe(&self, hash: u64, verify: impl FnMut(u64) -> bool) -> Found {
             self.walk(tag_of(hash), self.0.root(hash), verify)
         }
 
-        fn put(&mut self, hash: u64, probe: Probe, addr: u64, rehash: impl Fn(u64) -> u64) {
-            if self.0.count + 1 > self.0.buckets.len() * BUCKET_SLOTS {
+        fn put(&mut self, hash: u64, found: Found, addr: u64, rehash: impl Fn(u64) -> u64) {
+            let grew = self.0.count + 1 > self.0.buckets.len() * BUCKET_SLOTS;
+            if grew {
                 self.grow(&rehash);
             }
             let tag = tag_of(hash);
-            let fresh = probe.moves == self.0.moves;
-            let from = if fresh { probe.pos } else { self.0.root(hash) };
-            let pos = match probe.addr {
-                Some(_) if fresh => from,
+            let from = if grew { self.0.root(hash) } else { found.pos };
+            let pos = match found.addr {
+                Some(_) if !grew => from,
                 Some(old) => self.walk(tag, from, |a| a == old).pos,
                 None => self.walk(tag, from, |_| false).pos,
             };
             self.0.install(pos, pack(tag, addr));
-            if probe.addr.is_none() {
+            if found.addr.is_none() {
                 self.0.count += 1;
             }
         }
@@ -693,7 +605,6 @@ mod tests {
             self.0.buckets = vec![Bucket::empty(); new_buckets];
             self.0.overflow.clear();
             self.0.mask = new_buckets as u64 - 1;
-            self.0.moves = self.0.moves.wrapping_add(1);
             for (addr, h) in entries {
                 let free = self.walk(tag_of(h), self.0.root(h), |_| false).pos;
                 self.0.install(free, pack(tag_of(h), addr));
@@ -705,7 +616,6 @@ mod tests {
             if found.addr.is_some() {
                 self.0.bucket_mut(found.pos).slots[found.pos.slot as usize] = 0;
                 self.0.count -= 1;
-                self.0.moves = self.0.moves.wrapping_add(1);
             }
             found.addr
         }
@@ -742,28 +652,28 @@ mod tests {
             twins
         }
 
-        /// Both probes of `key`, checked equal.
-        fn probe(&self, key: u64) -> (Probe, Probe) {
+        /// Both lookups of `key`, checked equal.
+        fn find(&mut self, key: u64) {
             let (h, log) = (hash_u64(key), &self.log);
-            let fast = self.fast.probe(h, |a| log[a as usize] == key);
+            let fast = self.fast.find(h, |a| log[a as usize] == key);
             let oracle = self.oracle.probe(h, |a| log[a as usize] == key);
-            assert_eq!(fast.addr(), oracle.addr(), "probe of key {key}");
-            (fast, oracle)
-        }
-
-        /// Append a fresh entry of `key` and install it through both handles.
-        fn install(&mut self, key: u64, (fast, oracle): (Probe, Probe)) {
-            self.log.push(key);
-            let (addr, log) = (self.log.len() as u64 - 1, &self.log);
-            let rehash = |a: u64| hash_u64(log[a as usize]);
-            self.fast.put(hash_u64(key), fast, addr, rehash);
-            self.oracle.put(hash_u64(key), oracle, addr, rehash);
+            assert_eq!(fast, oracle.addr, "lookup of key {key}");
             self.check();
         }
 
+        /// Append a fresh entry of `key` and install it through both
+        /// indexes' handles, checked to agree on the old address.
         fn upsert(&mut self, key: u64) {
-            let probes = self.probe(key);
-            self.install(key, probes);
+            let h = hash_u64(key);
+            let oracle = self.oracle.probe(h, |a| self.log[a as usize] == key);
+            self.log.push(key);
+            let (addr, log) = (self.log.len() as u64 - 1, &self.log);
+            let rehash = |a: u64| hash_u64(log[a as usize]);
+            let fast = self.fast.entry(h, |a| log[a as usize] == key);
+            assert_eq!(fast.addr(), oracle.addr, "probe of key {key}");
+            fast.put(addr, rehash);
+            self.oracle.put(h, oracle, addr, rehash);
+            self.check();
         }
 
         fn remove(&mut self, key: u64) {
@@ -781,8 +691,7 @@ mod tests {
         }
 
         /// One operation done: both tables hold the same slot layout, bucket
-        /// for bucket, overflow links included. (`layout` equality, without
-        /// building two vectors of the whole table per operation.)
+        /// for bucket, overflow links included.
         fn check(&mut self) {
             let (a, b) = (&self.fast, &self.oracle.0);
             let same = |x: &[Bucket], y: &[Bucket]| {
@@ -808,49 +717,19 @@ mod tests {
         while t.ops < ops {
             match rng.next_below(1000) {
                 0 => t.clear(),
-                1..=549 => t.upsert(pick(&mut rng)),
-                550..=599 => {
-                    // A batch of distinct keys, probed at once and installed
-                    // in shuffled order past other keys' inserts and removals.
-                    let mut batch: Vec<u64> = Vec::new();
-                    let n = 1 + rng.next_below(32) as usize;
-                    while batch.len() < n {
-                        let key = pick(&mut rng);
-                        if !batch.contains(&key) {
-                            batch.push(key);
-                        }
-                    }
-                    let mut pairs: Vec<_> = batch.iter().map(|&key| (key, t.probe(key))).collect();
-                    for i in (1..n).rev() {
-                        pairs.swap(i, rng.next_below(i as u64 + 1) as usize);
-                    }
-                    for (key, probes) in pairs {
-                        let other = pick(&mut rng);
-                        if rng.next_below(3) == 0 && !batch.contains(&other) {
-                            if rng.next_below(4) == 0 {
-                                t.remove(other);
-                            } else {
-                                t.upsert(other);
-                            }
-                        }
-                        t.install(key, probes);
-                    }
-                }
+                1..=599 => t.upsert(pick(&mut rng)),
                 600..=849 => t.remove(pick(&mut rng)),
-                _ => {
-                    t.probe(pick(&mut rng));
-                    t.check();
-                }
+                _ => t.find(pick(&mut rng)),
             }
         }
         t
     }
 
-    /// The tag-first walk, the `fills` shortcut and handles held across a
-    /// batch against the reference index, op for op: equal probe results and an
-    /// equal table after every operation, over a 2-bucket table (growth,
-    /// deep chains) and a 4,096-bucket one whose keys crowd eight root
-    /// buckets (long overflow chains in a large table).
+    /// The tag-first walk and the handle's install against the reference
+    /// index, op for op: equal lookups and an equal table after every
+    /// operation, over a 2-bucket table (growth, deep chains) and a
+    /// 4,096-bucket one whose keys crowd eight root buckets (long overflow
+    /// chains in a large table).
     #[test]
     fn walk_and_put_match_the_reference_index() {
         let uniform: Vec<u64> = (0..3000).collect();

@@ -29,30 +29,30 @@
 //! their primary partition with the state's CRDT merge function, so any
 //! interleaving of concurrent updates converges to the sequential result.
 //!
-//! Storage follows FASTER's split of **hash index** ([`index`]) from
+//! Storage follows FASTER's split of **hash index** (`index`) from
 //! **log-structured storage** ([`log`]): the index maps key hashes to log
 //! addresses and stores no keys; the log stores key-value entries densely,
 //! giving the temporal locality that makes delta extraction a contiguous
 //! byte-range scan instead of pointer chasing (§7.2.1).
 //!
-//! Watermarks ride along with state deltas ([`vclock`]), which is how
+//! Watermarks ride along with state deltas ([`VectorClock`]), which is how
 //! leaders learn that a window can be triggered consistently (property P1).
 
 pub mod backend;
-pub mod coherence;
-pub mod combiner;
-pub mod crdts;
-pub mod crdts_hll;
+mod coherence;
+mod combiner;
+mod crdts;
+mod crdts_hll;
 pub mod delta;
 pub mod descriptor;
 pub mod entry;
 pub mod hash;
-pub mod index;
+mod index;
 pub mod log;
-pub mod partition;
-pub mod snapshot;
-pub mod split;
-pub mod vclock;
+mod partition;
+mod snapshot;
+mod split;
+mod vclock;
 
 pub use backend::recovery::{rejoin, relink, Rejoin, SsbCheckpoint};
 pub use backend::{SsbConfig, SsbNode, TriggeredValue};
@@ -62,7 +62,7 @@ pub use crdts::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt};
 pub use crdts_hll::HllCrdt;
 pub use delta::DeltaDecodeError;
 pub use descriptor::{StateDescriptor, ValueKind};
-pub use hash::{pack_key, unpack_key, StateKey};
+pub use hash::{pack_key, StateKey};
 pub use partition::{ElementList, Partition};
 pub use snapshot::{chunks_digest, restore, snapshot_chunks};
 pub use split::{SplitLedger, SUB_KEY_TAG};

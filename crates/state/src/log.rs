@@ -16,7 +16,7 @@
 //! A sealed segment's *memory* goes the moment its last entry dies, even
 //! behind a live segment — windows retire in window order, not log order,
 //! so a leader's log has dead stretches in its middle; its *slot* in the
-//! address space goes when it reaches the head ([`Lss::reclaim`]).
+//! address space goes when it reaches the head (`Lss::reclaim`).
 
 use std::collections::VecDeque;
 
@@ -29,7 +29,7 @@ use crate::hash::StateKey;
 
 /// Default segment size: 256 KiB — large enough that NEXMark's ~300-byte
 /// records never straddle, small enough to reclaim promptly.
-pub const DEFAULT_SEGMENT_SIZE: usize = 256 * 1024;
+pub(crate) const DEFAULT_SEGMENT_SIZE: usize = 256 * 1024;
 
 struct Segment {
     data: Box<[u8]>,
@@ -80,7 +80,7 @@ impl Lss {
     /// Create an empty log with a custom segment size (tests use small
     /// segments to exercise sealing and reclamation). The size must be a
     /// power of two: addresses resolve by shift and mask.
-    pub fn with_segment_size(seg_size: usize) -> Self {
+    pub(crate) fn with_segment_size(seg_size: usize) -> Self {
         assert!(seg_size >= HEADER_SIZE + 8, "segment too small");
         assert!(
             seg_size.is_power_of_two(),
@@ -96,12 +96,13 @@ impl Lss {
     }
 
     /// Logical tail address (== address of the next append).
-    pub fn tail(&self) -> u64 {
+    pub(crate) fn tail(&self) -> u64 {
         self.tail
     }
 
     /// Logical address below which no entries exist anymore.
-    pub fn head(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn head(&self) -> u64 {
         self.first_start
     }
 
@@ -115,7 +116,7 @@ impl Lss {
     /// figure the cost model's cache model reads. Segment memory actually
     /// held can be lower: fully dead sealed segments behind the head have
     /// already released theirs (see [`Self::note_dead`]).
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.segments.len() * self.seg_size
     }
 
@@ -144,7 +145,7 @@ impl Lss {
     /// sees the zeroed bytes of a never-used stretch of segment — and
     /// return the entry's logical address: a fresh key's first RMW
     /// initialises and updates its value through it.
-    pub fn append_with(
+    pub(crate) fn append_with(
         &mut self,
         key: StateKey,
         prev: u64,
@@ -166,7 +167,7 @@ impl Lss {
     /// Append a run with room for `cap` elements `stride` bytes wide,
     /// holding `elems`; later elements of the key fill the rest in place
     /// ([`Self::fill_run`]). Returns its logical address.
-    pub fn append_run(
+    pub(crate) fn append_run(
         &mut self,
         key: StateKey,
         prev: u64,
@@ -228,7 +229,7 @@ impl Lss {
     /// runs inside the mutable region — the partition reaches them through
     /// its index, which holds nothing below the epoch boundary.
     #[inline]
-    pub fn fill_run(&mut self, slot: Slot, stride: usize, elems: &[u8]) -> usize {
+    pub(crate) fn fill_run(&mut self, slot: Slot, stride: usize, elems: &[u8]) -> usize {
         let data = &mut self.segments[slot.seg].data;
         let (len, run_stride, count) = shape_at(data, slot.off);
         if stride == 0 || run_stride != stride {
@@ -249,7 +250,7 @@ impl Lss {
     /// The element capacity of the run at `slot` (0 for an entry that is
     /// not a run).
     #[inline]
-    pub fn run_capacity(&self, slot: Slot) -> usize {
+    pub(crate) fn run_capacity(&self, slot: Slot) -> usize {
         let (len, stride, _) = shape_at(&self.segments[slot.seg].data, slot.off);
         len.checked_div(stride).unwrap_or(0)
     }
@@ -258,7 +259,7 @@ impl Lss {
     /// writes the value of the same entry ([`Self::key_in`],
     /// [`Self::value_mut_in`]).
     #[inline]
-    pub fn slot(&self, addr: u64) -> Slot {
+    pub(crate) fn slot(&self, addr: u64) -> Slot {
         let (seg, off) = self.seg_of(addr);
         Slot { seg, off }
     }
@@ -266,26 +267,26 @@ impl Lss {
     /// The key stored at `addr` (index verification path): one 16-byte
     /// load, not a header decode.
     #[inline]
-    pub fn key_at(&self, addr: u64) -> StateKey {
+    pub(crate) fn key_at(&self, addr: u64) -> StateKey {
         self.key_in(self.slot(addr))
     }
 
     /// [`Self::key_at`] of a resolved address.
     #[inline]
-    pub fn key_in(&self, slot: Slot) -> StateKey {
+    pub(crate) fn key_in(&self, slot: Slot) -> StateKey {
         key_at(&self.segments[slot.seg].data, slot.off)
     }
 
     /// Immutable view of the value at `addr`.
     #[inline]
-    pub fn value(&self, addr: u64) -> &[u8] {
+    pub(crate) fn value(&self, addr: u64) -> &[u8] {
         self.link(addr).2
     }
 
     /// The entry at `addr` as a chain link: its `prev` address, stride and
     /// the value bytes in use — one run of a holistic key's chain.
     #[inline]
-    pub fn link(&self, addr: u64) -> (u64, usize, &[u8]) {
+    pub(crate) fn link(&self, addr: u64) -> (u64, usize, &[u8]) {
         let (data, off) = self.locate(addr);
         let (len, stride, count) = shape_at(data, off);
         let value = off + HEADER_SIZE;
@@ -293,17 +294,11 @@ impl Lss {
         (prev_at(data, off), stride, elems)
     }
 
-    /// Mutable view of the value at `addr` (in-place RMW; callers must only
-    /// do this inside the mutable region — the partition enforces it).
+    /// Mutable view of the whole value of the fixed entry at a resolved
+    /// address (in-place RMW; callers must only do this inside the mutable
+    /// region — the partition enforces it).
     #[inline]
-    pub fn value_mut(&mut self, addr: u64) -> &mut [u8] {
-        self.value_mut_in(self.slot(addr))
-    }
-
-    /// [`Self::value_mut`] of a resolved address: the whole value of a
-    /// fixed entry.
-    #[inline]
-    pub fn value_mut_in(&mut self, slot: Slot) -> &mut [u8] {
+    pub(crate) fn value_mut_in(&mut self, slot: Slot) -> &mut [u8] {
         let data = &mut self.segments[slot.seg].data;
         let value = slot.off + HEADER_SIZE;
         let len = len_at(data, slot.off);
@@ -311,7 +306,12 @@ impl Lss {
     }
 
     /// Visit every entry with address in `[from, to)` in log order.
-    pub fn for_each_in(&self, from: u64, to: u64, mut f: impl FnMut(u64, &EntryHeader, &[u8])) {
+    pub(crate) fn for_each_in(
+        &self,
+        from: u64,
+        to: u64,
+        mut f: impl FnMut(u64, &EntryHeader, &[u8]),
+    ) {
         let mut addr = from.max(self.first_start);
         let to = to.min(self.tail);
         while addr < to {
@@ -332,7 +332,7 @@ impl Lss {
     /// Visit the live entries with address in `[from, to)` in log order as
     /// `(key, value)`, and mark dead each one `claim` returns `true` for:
     /// the retirement of a window of fixed state, one pass over its range.
-    pub fn retire_in(
+    pub(crate) fn retire_in(
         &mut self,
         from: u64,
         to: u64,
@@ -359,7 +359,7 @@ impl Lss {
     /// Mark the entry at `addr` dead: flag its header, so a scan skips it,
     /// and count it out of its segment. A sealed segment releases its
     /// memory as soon as every entry in it is dead.
-    pub fn note_dead(&mut self, addr: u64) {
+    pub(crate) fn note_dead(&mut self, addr: u64) {
         let (si, off) = self.seg_of(addr);
         let seg = &mut self.segments[si];
         assert!(seg.live > 0, "double free at {addr}");
@@ -377,7 +377,7 @@ impl Lss {
 
     /// Mark *all* entries currently in the log dead (helper fragments after
     /// a full delta ship).
-    pub fn kill_all(&mut self) {
+    pub(crate) fn kill_all(&mut self) {
         for seg in &mut self.segments {
             seg.live = 0;
         }
@@ -385,7 +385,7 @@ impl Lss {
 
     /// Free fully-dead sealed segments from the head; returns how many
     /// segments were reclaimed.
-    pub fn reclaim(&mut self) -> usize {
+    pub(crate) fn reclaim(&mut self) -> usize {
         let mut n = 0;
         while let Some(front) = self.segments.front() {
             if front.live == 0 && front.sealed {
@@ -435,7 +435,8 @@ mod tests {
     fn in_place_update() {
         let mut l = Lss::new();
         let a = l.append(1, NO_PREV, EntryKind::Fixed, &0u64.to_le_bytes());
-        l.value_mut(a).copy_from_slice(&42u64.to_le_bytes());
+        l.value_mut_in(l.slot(a))
+            .copy_from_slice(&42u64.to_le_bytes());
         assert_eq!(l.value(a), &42u64.to_le_bytes());
     }
 

@@ -5,8 +5,16 @@
 //! windows trigger) and a *fragment* of every remote partition (where its
 //! own eager updates accumulate between epochs).
 //!
+//! Every write walks its key's window index once (`probe`), keeping the
+//! log slot the matching verify resolved. Fixed state has one write body
+//! behind per-record [`Partition::rmw`], the leader's
+//! [`Partition::merge_fixed`] and the combiner flush, which merges one
+//! partial at a time: a hit is updated in place, a miss appended with its
+//! value filled where it will live. Holistic state's one append body is
+//! [`Partition::append_run`].
+//!
 //! The index is **window-scoped**: every open window — the id in a state
-//! key's high half — has a [`HashIndex`] of its own. The window trigger
+//! key's high half — has a `HashIndex` of its own. The window trigger
 //! ([`Partition::drain_ready`]) asks `ready` once per open window and
 //! retires a window that fires whole: it reads the window's entries —
 //! fixed state by one log scan between the window's first and last
@@ -24,11 +32,10 @@
 //! fills the newest run's room with one copy and spills the rest into new
 //! runs; a trigger walks runs, not elements.
 
-use crate::combiner::WriteCombiner;
 use crate::descriptor::{StateDescriptor, ValueKind};
 use crate::entry::{for_each_elem, EntryHeader, EntryKind, HEADER_SIZE, NO_PREV};
 use crate::hash::{hash_key, unpack_key, StateKey};
-use crate::index::{HashIndex, Probe};
+use crate::index::{Entry, HashIndex};
 use crate::log::{Lss, Slot};
 
 /// A `(window, key)` state value surfaced by a window trigger. It borrows
@@ -94,7 +101,7 @@ impl ElementList {
     }
 
     /// Drop every element, keeping the allocations.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bytes.clear();
         self.runs.clear();
         self.len = 0;
@@ -137,13 +144,6 @@ const FIRST_RUN_ELEMS: usize = 8;
 /// under a page.
 const MAX_RUN_BYTES: usize = 4096;
 
-/// Buffers [`Partition::merge_batch`] reuses from call to call, so a
-/// steady-state batch allocates nothing.
-#[derive(Default)]
-struct BatchScratch {
-    probes: Vec<Probe>,
-}
-
 /// One open window: the index of its live keys, and the log addresses of
 /// the first and last fixed entries inserted into it — the range its
 /// retirement scans.
@@ -163,24 +163,6 @@ impl Window {
             last: 0,
         }
     }
-
-    /// Make fixed-state `key` live — `probe` just proved it absent: append
-    /// its entry with the value written in place by `fill`, install it in
-    /// the slot the probe found, and widen the window's range.
-    #[inline]
-    fn insert_fixed(
-        &mut self,
-        log: &mut Lss,
-        (key, hash, probe): (StateKey, u64, Probe),
-        len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) {
-        let addr = log.append_with(key, NO_PREV, EntryKind::Fixed, len, fill);
-        self.index
-            .put(hash, probe, addr, |a| hash_key(log.key_at(a)));
-        self.first = self.first.min(addr);
-        self.last = addr;
-    }
 }
 
 /// Keep a retired window's index for the next new window — at most one.
@@ -189,6 +171,23 @@ fn keep_spare(spare: &mut Option<HashIndex>, mut index: HashIndex) {
         index.clear();
         *spare = Some(index);
     }
+}
+
+/// The write walk every entry path shares: `key`'s chain in `index`, once.
+/// The verify that matches resolves the entry's [`Slot`], so a hit is read
+/// or written through it instead of resolving its address a second time.
+#[inline]
+fn probe<'a>(index: &'a mut HashIndex, log: &Lss, key: StateKey, hash: u64) -> (Entry<'a>, Slot) {
+    let mut hit = Slot::default();
+    let entry = index.entry(hash, |addr| {
+        let slot = log.slot(addr);
+        let found = log.key_in(slot) == key;
+        if found {
+            hit = slot;
+        }
+        found
+    });
+    (entry, hit)
 }
 
 /// A partition's open windows: the one last routed to inline — most
@@ -305,7 +304,6 @@ pub struct Partition {
     /// The most value space one run takes, in bytes (a multiple of 8):
     /// `MAX_RUN_BYTES`, or what a small test segment holds.
     run_limit: usize,
-    scratch: BatchScratch,
     /// The element list of the holistic key being triggered.
     elems: ElementList,
     /// Operation counters.
@@ -329,14 +327,13 @@ impl Partition {
             epoch: 0,
             desc,
             run_limit: MAX_RUN_BYTES.min((seg - HEADER_SIZE) & !7),
-            scratch: BatchScratch::default(),
             elems: ElementList::default(),
             stats: PartitionStats::default(),
         }
     }
 
     /// The state descriptor.
-    pub fn descriptor(&self) -> &StateDescriptor {
+    pub(crate) fn descriptor(&self) -> &StateDescriptor {
         &self.desc
     }
 
@@ -360,9 +357,42 @@ impl Partition {
     fn find(&self, key: StateKey) -> Option<u64> {
         let w = self.windows.get(unpack_key(key).0)?;
         let log = &self.log;
-        w.index
-            .probe(hash_key(key), |addr| log.key_at(addr) == key)
-            .addr()
+        w.index.find(hash_key(key), |addr| log.key_at(addr) == key)
+    }
+
+    /// The one fixed-state write, behind per-record [`Self::rmw`], the
+    /// leader's [`Self::merge_fixed`] and the combiner flush
+    /// ([`Self::merge_partial`]): one walk of `key`'s window index. A hit's
+    /// value goes to `write` in place, through the slot the verify resolved;
+    /// a miss appends an entry whose value `write` fills where it will live,
+    /// told it is fresh.
+    #[inline]
+    fn write_fixed(&mut self, key: StateKey, hash: u64, write: impl FnOnce(&mut [u8], bool)) {
+        debug_assert!(
+            matches!(self.desc.kind, ValueKind::Fixed { .. }),
+            "fixed-state write on appended state"
+        );
+        let w = self.windows.route(unpack_key(key).0);
+        let (entry, hit) = probe(&mut w.index, &self.log, key, hash);
+        if let Some(addr) = entry.addr() {
+            debug_assert!(
+                addr >= self.epoch_begin,
+                "index points into the invalidated region"
+            );
+            write(self.log.value_mut_in(hit), false);
+            self.stats.rmw_hits += 1;
+        } else {
+            let size = self.desc.fixed_size();
+            let fill = |value: &mut [u8]| write(value, true);
+            let addr = self
+                .log
+                .append_with(key, NO_PREV, EntryKind::Fixed, size, fill);
+            let log = &self.log;
+            entry.put(addr, |a| hash_key(log.key_at(a)));
+            w.first = w.first.min(addr);
+            w.last = addr;
+            self.stats.rmw_inserts += 1;
+        }
     }
 
     /// Read-modify-write of fixed-size state: the hot path of every
@@ -371,38 +401,29 @@ impl Partition {
     /// either way: a fresh key's value is initialised and updated where it
     /// will live, not in a buffer copied there.
     pub fn rmw(&mut self, key: StateKey, update: impl FnOnce(&mut [u8])) {
-        debug_assert!(
-            matches!(self.desc.kind, ValueKind::Fixed { .. }),
-            "rmw on appended state"
-        );
-        let hash = hash_key(key);
-        let w = self.windows.route(unpack_key(key).0);
-        // The verify that matches has resolved the entry's address; the
-        // update reuses it instead of resolving `addr` a second time.
-        let (log, mut hit) = (&self.log, Slot::default());
-        let probe = w.index.probe(hash, |addr| {
-            let slot = log.slot(addr);
-            let found = log.key_in(slot) == key;
-            if found {
-                hit = slot;
-            }
-            found
-        });
-        if let Some(addr) = probe.addr() {
-            debug_assert!(
-                addr >= self.epoch_begin,
-                "index points into the invalidated region"
-            );
-            update(self.log.value_mut_in(hit));
-            self.stats.rmw_hits += 1;
-        } else {
-            let (size, init) = (self.desc.fixed_size(), self.desc.init);
-            w.insert_fixed(&mut self.log, (key, hash, probe), size, |value| {
+        let init = self.desc.init;
+        self.write_fixed(key, hash_key(key), |value, fresh| {
+            if fresh {
                 init(value);
-                update(value);
-            });
-            self.stats.rmw_inserts += 1;
-        }
+            }
+            update(value);
+        });
+    }
+
+    /// Merge one write-combiner partial — `key`, its memoized `hash` and the
+    /// folded value — into fixed-size state: the combiner flush, entry by
+    /// entry. A hit merges with the descriptor's CRDT merge; a miss takes a
+    /// copy of the partial, since merging into the zero value is the
+    /// identity.
+    pub(crate) fn merge_partial(&mut self, key: StateKey, hash: u64, partial: &[u8]) {
+        let merge = self.desc.merge;
+        self.write_fixed(key, hash, |value, fresh| {
+            if fresh {
+                value.copy_from_slice(partial);
+            } else {
+                merge(value, partial);
+            }
+        });
     }
 
     /// Append one element to holistic state (hash-join build, §5.2): into
@@ -418,7 +439,7 @@ impl Partition {
     /// go into the key's newest run with one copy, the rest spill into new
     /// runs. The one append body: per-record [`Self::append`], the leader's
     /// merge of a helper's run and snapshot restore all come here.
-    pub fn append_run(&mut self, key: StateKey, stride: u8, elems: &[u8]) {
+    pub(crate) fn append_run(&mut self, key: StateKey, stride: u8, elems: &[u8]) {
         debug_assert!(self.desc.is_appended(), "append on fixed state");
         let stride = usize::from(stride);
         assert!(
@@ -429,21 +450,10 @@ impl Partition {
             return;
         }
         self.stats.appends += elems.len().checked_div(stride).unwrap_or(1) as u64;
-        let hash = hash_key(key);
         let w = self.windows.route(unpack_key(key).0);
-        // The verify that matches has resolved the head run's address; the
-        // in-place fill reuses it.
-        let (log, mut hit) = (&self.log, Slot::default());
-        let probe = w.index.probe(hash, |addr| {
-            let slot = log.slot(addr);
-            let found = log.key_in(slot) == key;
-            if found {
-                hit = slot;
-            }
-            found
-        });
+        let (entry, hit) = probe(&mut w.index, &self.log, key, hash_key(key));
         let mut rest = elems;
-        let (mut head, mut grown) = match probe.addr() {
+        let (mut head, mut grown) = match entry.addr() {
             Some(addr) => {
                 debug_assert!(
                     addr >= self.epoch_begin,
@@ -474,53 +484,7 @@ impl Partition {
             }
         }
         let log = &self.log;
-        w.index.put(hash, probe, head, |a| hash_key(log.key_at(a)));
-    }
-
-    /// Merge a batch of *distinct-key* partial values — the entries of a
-    /// [`WriteCombiner`] selected by `sel` — into fixed-size state in one
-    /// pass: every key is probed in its window's index first, then hits
-    /// merge in place with the descriptor's CRDT merge, and misses insert
-    /// the partial directly (merge with the zero value is the identity) in
-    /// the slot their probe found. The combiner's memoized hashes are
-    /// reused for both probe and insert, so `hash_key` runs once per
-    /// distinct key per batch, not once per record.
-    pub fn merge_batch(&mut self, comb: &WriteCombiner, sel: &[u32]) {
-        debug_assert!(
-            matches!(self.desc.kind, ValueKind::Fixed { .. }),
-            "merge_batch on appended state"
-        );
-        let mut s = std::mem::take(&mut self.scratch);
-        s.probes.clear();
-        for &i in sel {
-            let (key, hash, _) = comb.entry(i as usize);
-            let w = self.windows.route(unpack_key(key).0);
-            let log = &self.log;
-            s.probes.push(w.index.probe(hash, |a| log.key_at(a) == key));
-        }
-        let merge = self.desc.merge;
-        for (&i, &probe) in sel.iter().zip(&s.probes) {
-            let (key, hash, partial) = comb.entry(i as usize);
-            // Routing moves windows, never their indexes: a handle taken
-            // above still names its slot.
-            let w = self.windows.route(unpack_key(key).0);
-            match probe.addr() {
-                Some(addr) => {
-                    debug_assert!(
-                        addr >= self.epoch_begin,
-                        "index points into the invalidated region"
-                    );
-                    merge(self.log.value_mut(addr), partial);
-                    self.stats.rmw_hits += 1;
-                }
-                None => {
-                    let fill = |value: &mut [u8]| value.copy_from_slice(partial);
-                    w.insert_fixed(&mut self.log, (key, hash, probe), partial.len(), fill);
-                    self.stats.rmw_inserts += 1;
-                }
-            }
-        }
-        self.scratch = s;
+        entry.put(head, |a| hash_key(log.key_at(a)));
     }
 
     /// Append a batch of holistic elements in record order: `keys[i]`'s
@@ -549,7 +513,7 @@ impl Partition {
 
     /// Visit every run of a holistic key's chain, newest first, as
     /// `(stride, elements)` — stride 0 for an entry that is one element.
-    pub fn for_each_run(&self, key: StateKey, mut f: impl FnMut(usize, &[u8])) {
+    pub(crate) fn for_each_run(&self, key: StateKey, mut f: impl FnMut(usize, &[u8])) {
         let Some(mut addr) = self.find(key) else {
             return;
         };
@@ -566,7 +530,7 @@ impl Partition {
     /// Visit every element of a holistic key's chain. The order is the
     /// layout's — runs newest first, each run's elements oldest first —
     /// and not promised: callers treat the elements as a multiset.
-    pub fn for_each_element(&self, key: StateKey, mut f: impl FnMut(&[u8])) {
+    pub(crate) fn for_each_element(&self, key: StateKey, mut f: impl FnMut(&[u8])) {
         self.for_each_run(key, |stride, run| for_each_elem(stride, run, &mut f));
     }
 
@@ -580,7 +544,7 @@ impl Partition {
 
     /// Visit every live key with the address of its newest entry: window
     /// by window, each in its index's slot order.
-    pub fn for_each_key(&self, mut f: impl FnMut(StateKey, u64)) {
+    pub(crate) fn for_each_key(&self, mut f: impl FnMut(StateKey, u64)) {
         let log = &self.log;
         for w in self.windows.iter() {
             w.index.for_each(|addr| f(log.key_at(addr), addr));
@@ -616,14 +580,14 @@ impl Partition {
     /// not reuse epoch ids its predecessor already shipped: receivers
     /// deduplicate replayed epochs by id, so a reused id would be silently
     /// discarded. Called once after restore, before any new epoch closes.
-    pub fn resume_at_epoch(&mut self, epoch: u64) {
+    pub(crate) fn resume_at_epoch(&mut self, epoch: u64) {
         if epoch > self.epoch {
             self.epoch = epoch;
         }
     }
 
     /// Whether this fragment has accumulated updates in the open epoch.
-    pub fn is_dirty(&self) -> bool {
+    pub(crate) fn is_dirty(&self) -> bool {
         self.log.tail() > self.epoch_begin
     }
 
@@ -767,6 +731,7 @@ impl std::fmt::Debug for Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combiner::WriteCombiner;
     use crate::crdts::CounterCrdt;
     use crate::descriptor::appended_descriptor;
     use crate::hash::pack_key;
@@ -992,9 +957,19 @@ mod tests {
         assert_eq!(p.key_count(), 1);
     }
 
+    /// The combiner flush of one fragment: every buffered partial through
+    /// [`Partition::merge_partial`], in insertion order, then the table
+    /// cleared.
+    fn flush(p: &mut Partition, comb: &mut WriteCombiner) {
+        for (key, hash, partial, _) in comb.entries() {
+            p.merge_partial(key, hash, partial);
+        }
+        comb.clear();
+    }
+
     #[test]
-    fn merge_batch_is_bit_identical_to_per_record_rmw() {
-        let mut batched = counter_part();
+    fn merge_partial_is_bit_identical_to_per_record_rmw() {
+        let mut combined = counter_part();
         let mut serial = counter_part();
         let records: Vec<u128> = (0..400u128).map(|i| i * i % 37).collect();
 
@@ -1007,26 +982,32 @@ mod tests {
         for &k in &records {
             assert!(comb.fold(k, |v| CounterCrdt::add(v, 2)));
         }
-        let sel: Vec<u32> = (0..comb.len() as u32).collect();
-        batched.merge_batch(&comb, &sel);
+        flush(&mut combined, &mut comb);
 
-        assert_eq!(batched.key_count(), serial.key_count());
+        assert_eq!(combined.key_count(), serial.key_count());
         for &k in &records {
-            assert_eq!(batched.get(k), serial.get(k), "key {k}");
+            assert_eq!(combined.get(k), serial.get(k), "key {k}");
         }
         // A second flush must hit (in-place merge), not duplicate.
-        let mut comb2 = WriteCombiner::new(CounterCrdt::descriptor(), 64);
         for &k in &records {
-            assert!(comb2.fold(k, |v| CounterCrdt::add(v, 1)));
+            assert!(comb.fold(k, |v| CounterCrdt::add(v, 1)));
         }
-        batched.merge_batch(&comb2, &sel);
+        flush(&mut combined, &mut comb);
         for &k in &records {
             serial.rmw(k, |v| CounterCrdt::add(v, 1));
         }
         for &k in &records {
-            assert_eq!(batched.get(k), serial.get(k));
+            assert_eq!(combined.get(k), serial.get(k));
         }
-        assert_eq!(batched.stats.rmw_inserts, serial.stats.rmw_inserts);
+        assert_eq!(combined.stats.rmw_inserts, serial.stats.rmw_inserts);
+        // First touches insert in the same order: the logs are byte for
+        // byte the same.
+        let entries = |p: &mut Partition| {
+            let mut out = Vec::new();
+            p.close_epoch(|h, v| out.push((h.key, v.to_vec())));
+            out
+        };
+        assert_eq!(entries(&mut combined), entries(&mut serial));
     }
 
     /// Drain everything `ready` accepts into a sorted `(window, key,
@@ -1413,9 +1394,7 @@ mod tests {
                             assert!(comb.fold(key, |v| CounterCrdt::add(v, n)));
                             oracle.add(key, n);
                         }
-                        let sel: Vec<u32> = (0..comb.len() as u32).collect();
-                        p.merge_batch(&comb, &sel);
-                        comb.clear();
+                        flush(&mut p, &mut comb);
                     }
                     (0..=44, true) => {
                         // 1..=24 bytes: stored sizes 40, 48 and 56.

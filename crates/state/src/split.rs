@@ -77,27 +77,27 @@ impl SplitLedger {
     /// Monotone change counter: bumps on every activation, so per-batch
     /// caches (the hot path's salt map) can refresh with one compare.
     /// `0` means "never had a split" — the hot path's fast path.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
     /// Whether no key is split.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.canon.is_empty()
     }
 
     /// Whether `gk` is an active split canonical key.
-    pub fn is_split(&self, gk: u64) -> bool {
+    pub(crate) fn is_split(&self, gk: u64) -> bool {
         self.canon.contains_key(&gk)
     }
 
     /// The active split canonical keys, ascending.
-    pub fn split_keys(&self) -> Vec<u64> {
+    pub(crate) fn split_keys(&self) -> Vec<u64> {
         self.canon.keys().copied().collect()
     }
 
     /// Resolve a sub-key to `(canonical key, replica)`.
-    pub fn canonical_of(&self, sub: u64) -> Option<(u64, usize)> {
+    pub(crate) fn canonical_of(&self, sub: u64) -> Option<(u64, usize)> {
         self.subs.get(&sub).copied()
     }
 
@@ -110,7 +110,7 @@ impl SplitLedger {
 
     /// `(canonical, sub)` pairs for one replica, ascending by canonical —
     /// the flat map the hot path binary-searches per record.
-    pub fn pairs_for(&self, replica: usize) -> Vec<(u64, u64)> {
+    pub(crate) fn pairs_for(&self, replica: usize) -> Vec<(u64, u64)> {
         self.canon
             .iter()
             .filter_map(|(&gk, subs)| subs.get(replica).map(|&s| (gk, s)))

@@ -14,7 +14,7 @@ pub struct VectorClock {
 
 impl VectorClock {
     /// A clock over `n` executors, all at watermark 0.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0);
         VectorClock {
             entries: vec![0; n],
@@ -34,7 +34,7 @@ impl VectorClock {
     }
 
     /// Whether the clock tracks no executors. Always false in practice —
-    /// [`VectorClock::new`] rejects `n == 0` — but derived from `len()`
+    /// `VectorClock::new` rejects `n == 0` — but derived from `len()`
     /// rather than hardcoded so the pair can never fall out of sync.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -50,7 +50,7 @@ impl VectorClock {
     /// `false`, for the caller to count as a
     /// [`slash_net::Violation::StaleWatermark`].
     #[must_use]
-    pub fn update(&mut self, node: usize, watermark: u64) -> bool {
+    pub(crate) fn update(&mut self, node: usize, watermark: u64) -> bool {
         let e = &mut self.entries[node];
         let fresh = watermark >= *e;
         if fresh {
@@ -61,7 +61,7 @@ impl VectorClock {
 
     /// The global low watermark: every executor has progressed at least
     /// this far, and all state updates below it are merged. An empty clock
-    /// (unreachable: [`VectorClock::new`] rejects `n == 0`) reports 0, the
+    /// (unreachable: `VectorClock::new` rejects `n == 0`) reports 0, the
     /// conservative "no progress" answer.
     pub fn min(&self) -> u64 {
         self.entries.iter().min().copied().unwrap_or(0)
