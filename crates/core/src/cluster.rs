@@ -35,7 +35,7 @@ pub struct RunConfig {
     pub epoch_bytes: u64,
     /// Records per scheduling batch.
     pub batch_records: usize,
-    /// Write-combining pre-aggregation for combinable CRDTs. Results are
+    /// Write-combining pre-aggregation for exact CRDTs. Results are
     /// identical either way (the combiner only activates for
     /// exactly-associative states; the exactness matrix runs both); off
     /// reproduces the per-record path.
@@ -241,9 +241,7 @@ pub fn spawn_node_workers(
             Rc::clone(shared),
             source,
             Rc::clone(plan),
-            cfg.cost,
-            cfg.combine,
-            cfg.combiner_slots,
+            cfg,
         ));
     }
 }

@@ -18,9 +18,10 @@
 //!   the aggregation chosen once per batch; the SSB merges the per-key
 //!   partials into the index when the table is full and when the epoch
 //!   closes: N index probes collapse into one per *distinct* key per
-//!   epoch. Enabled only for states whose CRDT merge is exactly associative
+//!   epoch. Enabled only for [`Exact`](slash_state::ValueKind::Exact)
+//!   state, whose CRDT merge is exactly associative
 //!   ([`slash_state::StateDescriptor::regroupable`]); float-summing
-//!   aggregations keep the per-record RMW loop so results stay
+//!   (`Inexact`) aggregations keep the per-record RMW loop so results stay
 //!   bit-identical. Joins append per record ([`SsbNode::append`]): each
 //!   element lands in its key's newest run in place, which measured faster
 //!   than gathering a batch by key (EXPERIMENTS.md).
@@ -82,9 +83,9 @@ impl BatchOutcome {
 /// Where this worker's write combiner stands.
 #[derive(Debug, Clone, Copy)]
 enum Combine {
-    /// Not a combinable aggregation, or combining disabled.
+    /// Not a regroupable aggregation, or combining disabled.
     Never,
-    /// Combinable; the table (this many slots) is attached to the node's
+    /// Regroupable; the table (this many slots) is attached to the node's
     /// SSB on the first batch — the SSB owns it, and `new` has no SSB.
     Pending(usize),
     /// Folding into this table of the node's SSB.
@@ -139,17 +140,16 @@ impl HotPath {
     /// which additionally requires the aggregation's CRDT to be exactly
     /// associative under regrouping.
     pub fn new(plan: Rc<QueryPlan>, combine: bool, combiner_slots: usize) -> Self {
-        let combinable = match &*plan {
-            QueryPlan::Aggregate { agg, .. } if combine => agg.descriptor().regroupable(),
-            _ => false,
+        let combine = match &*plan {
+            QueryPlan::Aggregate { agg, .. } if combine && agg.descriptor().regroupable() => {
+                Combine::Pending(combiner_slots)
+            }
+            _ => Combine::Never,
         };
         let memo = WindowMemo::new(plan.window());
         HotPath {
             plan,
-            combine: match combinable {
-                true => Combine::Pending(combiner_slots),
-                false => Combine::Never,
-            },
+            combine,
             sel: Vec::new(),
             join_elem: Vec::new(),
             memo,
@@ -358,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn combiner_activates_only_for_combinable_aggregations() {
+    fn combiner_activates_only_for_exact_aggregations() {
         assert!(HotPath::new(agg_plan(AggSpec::Count), true, 64).combined());
         assert!(!HotPath::new(agg_plan(AggSpec::Count), false, 64).combined());
         // Float mean is not exactly associative under regrouping.

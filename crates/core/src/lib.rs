@@ -68,10 +68,7 @@ pub use record::RecordSchema;
 pub use recovery::{RecoveryAction, RecoveryEvent, RecoveryReport};
 pub use sink::{results_digest, Sink, SinkResult};
 pub use source::MemorySource;
-pub use split::{
-    ForwardFabric, HeatPolicy, HeatSplitDirector, SplitDirector, SplitReport, SplitRunConfig,
-    SplitTelemetry, StaticSplitDirector,
-};
+pub use split::{ForwardFabric, HeatPolicy, HeatSplitDirector, SplitReport, SplitRunConfig};
 pub use transfer::TransferRow;
 pub use window::{WindowAssigner, WindowMemo};
 pub use worker::{NodeShared, SlashWorker};

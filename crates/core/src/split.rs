@@ -9,8 +9,8 @@
 //! divert to per-replica sub-keys that the leader folds back at window
 //! close. This module adds the control and data planes:
 //!
-//! * [`SplitDirector`] / [`HeatSplitDirector`] — decide *which* keys to
-//!   split, from the merged per-node [`HeatSketch`] telemetry (the same
+//! * [`HeatSplitDirector`] — decides *which* keys to split, from the
+//!   merged per-node [`HeatSketch`] telemetry (the same
 //!   SpaceSaving sketch the obs registry publishes as `key_heat`),
 //!   mirroring how [`ScaleDirector`](crate::elastic::ScaleDirector)
 //!   decides migrations from cluster telemetry.
@@ -65,37 +65,6 @@ use slash_state::SUB_KEY_TAG;
 use crate::driver::{Cluster, Director, Live, Outcome};
 use crate::worker::NodeShared;
 
-/// What the split director sees each tick: the cluster-merged heat
-/// sketch, cumulative over the run so far.
-#[derive(Debug, Clone)]
-pub struct SplitTelemetry {
-    /// Hottest canonical keys, `(count desc, key asc)`; sub-keys (whose
-    /// updates re-enter the sketch after a split) are filtered out.
-    pub top: Vec<HeatEntry>,
-    /// Total observed update weight across the cluster.
-    pub total: u64,
-}
-
-/// Policy hook deciding which keys to split, given heat telemetry.
-/// Mirrors [`ScaleDirector`](crate::elastic::ScaleDirector): the driver
-/// ticks it periodically and applies whatever it returns to every node's
-/// ledger copy in the same simulation step.
-pub trait SplitDirector {
-    /// Keys to activate splitting for at this tick (may be empty).
-    fn tick(&mut self, t: &SplitTelemetry) -> Vec<u64>;
-}
-
-/// A director that never splits (used for split-off baselines and for
-/// runs driven purely by [`SplitRunConfig::pre_split`]).
-#[derive(Debug, Default)]
-pub struct StaticSplitDirector;
-
-impl SplitDirector for StaticSplitDirector {
-    fn tick(&mut self, _t: &SplitTelemetry) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
 /// Threshold policy for [`HeatSplitDirector`].
 #[derive(Debug, Clone, Copy)]
 pub struct HeatPolicy {
@@ -124,7 +93,9 @@ impl Default for HeatPolicy {
 }
 
 /// Online detection: splits every key whose SpaceSaving lower bound
-/// crosses [`HeatPolicy::hot_ppm`] of the total observed weight.
+/// crosses [`HeatPolicy::hot_ppm`] of the total observed weight. The
+/// driver ticks it periodically and applies whatever it returns to every
+/// node's ledger copy in the same simulation step.
 #[derive(Debug)]
 pub struct HeatSplitDirector {
     policy: HeatPolicy,
@@ -139,15 +110,18 @@ impl HeatSplitDirector {
             requested: BTreeSet::new(),
         }
     }
-}
 
-impl SplitDirector for HeatSplitDirector {
-    fn tick(&mut self, t: &SplitTelemetry) -> Vec<u64> {
-        if t.total < self.policy.min_total {
+    /// Keys to activate splitting for at this tick (may be empty), from
+    /// the cluster-merged heat sketch, cumulative over the run so far: its
+    /// hottest canonical keys `top`, `(count desc, key asc)` — sub-keys,
+    /// whose updates re-enter the sketch after a split, filtered out —
+    /// and the `total` observed update weight across the cluster.
+    pub fn tick(&mut self, top: &[HeatEntry], total: u64) -> Vec<u64> {
+        if total < self.policy.min_total {
             return Vec::new();
         }
         let mut out = Vec::new();
-        for e in &t.top {
+        for e in top {
             if self.requested.len() >= self.policy.max_splits {
                 break;
             }
@@ -155,7 +129,7 @@ impl SplitDirector for HeatSplitDirector {
             // splits when it is *provably* hot, so the decision is
             // deterministic and immune to sketch overestimation.
             let floor = e.count.saturating_sub(e.err);
-            if floor.saturating_mul(1_000_000) >= t.total.saturating_mul(self.policy.hot_ppm)
+            if floor.saturating_mul(1_000_000) >= total.saturating_mul(self.policy.hot_ppm)
                 && !self.requested.contains(&e.key)
             {
                 self.requested.insert(e.key);
@@ -375,7 +349,9 @@ struct SplitDriver {
     /// handoff replaces a node's cell mid-run.
     live: Rc<RefCell<Live>>,
     fwd: Option<Rc<ForwardFabric>>,
-    director: Box<dyn SplitDirector>,
+    /// The online policy; `None` when the driver only confirms forwarded
+    /// epochs.
+    director: Option<HeatSplitDirector>,
     sample_every: SimTime,
     report: Rc<RefCell<SplitReport>>,
     /// False until the first full sampling interval has elapsed — the
@@ -418,15 +394,13 @@ impl Process for SplitDriver {
                 merged.merge(h);
             }
         }
-        let telemetry = SplitTelemetry {
-            top: merged
-                .top(HEAT_CAPACITY)
-                .into_iter()
-                .filter(|e| e.key & SUB_KEY_TAG == 0)
-                .collect(),
-            total: merged.total(),
-        };
-        for gk in self.director.tick(&telemetry) {
+        let mut top = merged.top(HEAT_CAPACITY);
+        top.retain(|e| e.key & SUB_KEY_TAG == 0);
+        let splits = self
+            .director
+            .as_mut()
+            .map_or_else(Vec::new, |d| d.tick(&top, merged.total()));
+        for gk in splits {
             if activate_everywhere(shareds, gk) {
                 self.report.borrow_mut().splits.push((gk, sim.now()));
             }
@@ -516,14 +490,10 @@ impl Director for HotSplitDirector {
         if self.scfg.auto.is_none() && self.fwd.is_none() {
             return; // pre-splits only: nothing to sample or confirm
         }
-        let director: Box<dyn SplitDirector> = match self.scfg.auto {
-            Some(policy) => Box::new(HeatSplitDirector::new(policy)),
-            None => Box::new(StaticSplitDirector),
-        };
         c.sim.spawn(SplitDriver {
             live: Rc::clone(&c.live),
             fwd: self.fwd.clone(),
-            director,
+            director: self.scfg.auto.map(HeatSplitDirector::new),
             sample_every: self.scfg.sample_every.max(SimTime::from_nanos(1)),
             report: Rc::clone(&self.report),
             primed: false,
@@ -623,48 +593,18 @@ mod tests {
             min_total: 1_000,
             max_splits: 2,
         });
+        let heat = |key, count, err| HeatEntry { key, count, err };
         // Below min_total: no action even for a dominating key.
-        let quiet = SplitTelemetry {
-            top: vec![HeatEntry {
-                key: 7,
-                count: 500,
-                err: 0,
-            }],
-            total: 500,
-        };
-        assert!(d.tick(&quiet).is_empty());
+        assert!(d.tick(&[heat(7, 500, 0)], 500).is_empty());
         // Overestimated key: count clears the bar, count-err does not.
-        let noisy = SplitTelemetry {
-            top: vec![HeatEntry {
-                key: 9,
-                count: 2_000,
-                err: 1_950,
-            }],
-            total: 10_000,
-        };
-        assert!(d.tick(&noisy).is_empty(), "must not split on sketch noise");
+        let noisy = [heat(9, 2_000, 1_950)];
+        assert!(
+            d.tick(&noisy, 10_000).is_empty(),
+            "must not split on sketch noise"
+        );
         // Provably hot: splits once, never re-requested, cap honoured.
-        let hot = SplitTelemetry {
-            top: vec![
-                HeatEntry {
-                    key: 1,
-                    count: 4_000,
-                    err: 0,
-                },
-                HeatEntry {
-                    key: 2,
-                    count: 3_000,
-                    err: 0,
-                },
-                HeatEntry {
-                    key: 3,
-                    count: 2_000,
-                    err: 0,
-                },
-            ],
-            total: 10_000,
-        };
-        assert_eq!(d.tick(&hot), vec![1, 2], "cap at max_splits");
-        assert!(d.tick(&hot).is_empty(), "no re-requests");
+        let hot = [heat(1, 4_000, 0), heat(2, 3_000, 0), heat(3, 2_000, 0)];
+        assert_eq!(d.tick(&hot, 10_000), vec![1, 2], "cap at max_splits");
+        assert!(d.tick(&hot, 10_000).is_empty(), "no re-requests");
     }
 }

@@ -23,6 +23,7 @@ use slash_obs::{Cat, Obs, Stage};
 use slash_state::backend::{SsbNode, TriggeredData, TriggeredValue};
 use slash_state::pack_key;
 
+use crate::cluster::RunConfig;
 use crate::cost::CostModel;
 use crate::hotpath::HotPath;
 use crate::metrics::{CostCategory, EngineMetrics};
@@ -179,26 +180,24 @@ impl SlashWorker {
         self.node
     }
 
-    /// Create a worker. Worker 0 of each node doubles as the trigger task.
-    #[allow(clippy::too_many_arguments)]
+    /// Create a worker with `cfg`'s cost model and write combiner. Worker 0
+    /// of each node doubles as the trigger task.
     pub fn new(
         node: usize,
         widx: usize,
         shared: Rc<RefCell<NodeShared>>,
         source: MemorySource,
         plan: Rc<QueryPlan>,
-        cost: CostModel,
-        combine: bool,
-        combiner_slots: usize,
+        cfg: &RunConfig,
     ) -> Self {
-        let hotpath = HotPath::new(Rc::clone(&plan), combine, combiner_slots);
+        let hotpath = HotPath::new(Rc::clone(&plan), cfg.combine, cfg.combiner_slots);
         SlashWorker {
             node,
             widx,
             shared,
             source,
             plan,
-            cost,
+            cost: cfg.cost,
             hotpath,
             source_done: false,
             is_trigger: widx == 0,

@@ -131,7 +131,10 @@ impl Obs {
     }
 
     /// Record a complete span from `start` to `end` (clamped non-negative).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per Chrome-trace event field, as `instant` takes them"
+    )]
     pub fn span(
         &self,
         cat: Cat,

@@ -155,7 +155,10 @@ impl TraceRing {
     }
 
     /// Record one event; O(1), overwriting the oldest once full.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per Chrome-trace event field, packed straight into the ring"
+    )]
     pub fn record(
         &mut self,
         cat: Cat,

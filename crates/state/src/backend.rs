@@ -1,7 +1,7 @@
 //! The per-node SSB facade: routing, epochs, triggering (§7).
 //!
 //! A node routes every state write to its partition fragment: per record
-//! ([`SsbNode::rmw`], [`SsbNode::append`]) or, for combinable aggregations,
+//! ([`SsbNode::rmw`], [`SsbNode::append`]) or, for exact aggregations,
 //! through the workers' write combiners, which the node owns and flushes in
 //! one pass over each table — every partial merged into its fragment by
 //! the write `rmw` uses — when a table is full and whenever open-epoch
@@ -457,9 +457,9 @@ impl SsbNode {
     }
 
     /// Activate splitting for group key `gk` on this node's ledger copy.
-    /// Rejected (returning `false`) without a ledger, for holistic or
-    /// non-combinable state (regrouping must be exact — the combiner's
-    /// gate), and for keys the ledger itself refuses.
+    /// Rejected (returning `false`) without a ledger, for state that is
+    /// not [`StateDescriptor::regroupable`] (the combiner's gate), and for
+    /// keys the ledger itself refuses.
     pub fn split_activate(&mut self, gk: u64) -> bool {
         if !self.fragments[self.node].descriptor().regroupable() {
             return false;
@@ -695,12 +695,13 @@ impl SsbNode {
         for table in &self.combiners {
             for (key, _, partial, _) in table.entries() {
                 if self.partition_of(key) == self.node {
+                    let mut fresh = false;
                     let value = buffered.entry(key).or_insert_with(|| {
-                        let mut zero = vec![0u8; desc.fixed_size()];
-                        (desc.init)(&mut zero);
-                        primary.get(key).map_or(zero, <[u8]>::to_vec)
+                        let held = primary.get(key);
+                        fresh = held.is_none();
+                        held.map_or_else(|| vec![0; partial.len()], <[u8]>::to_vec)
                     });
-                    (desc.merge)(value, partial);
+                    desc.merge_partial(value, fresh, partial);
                 }
             }
         }
@@ -753,7 +754,6 @@ impl SsbNode {
             total.rmw_hits += f.stats.rmw_hits;
             total.rmw_inserts += f.stats.rmw_inserts;
             total.appends += f.stats.appends;
-            total.merged_entries += f.stats.merged_entries;
             total.epochs += f.stats.epochs;
             total.drain_visited += f.stats.drain_visited;
         }
@@ -1911,7 +1911,7 @@ mod tests {
     }
 
     /// Satellite (the batch kernel under a model): over the update of every
-    /// combinable aggregation, reuse-free and skewed streams, tables that
+    /// exact aggregation, reuse-free and skewed streams, tables that
     /// bounce (8 and 64 slots) and ones that do not, and random batch cuts
     /// around the probe's 1,024th fold, [`SsbNode::fold_batch`] leaves the
     /// table, the epoch volume and the state exactly where the per-record

@@ -14,9 +14,10 @@
 //!
 //! This regroups updates as `merge(state, fold(records of the epoch))`
 //! instead of `fold(state, records)` — semantics-preserving exactly when
-//! the CRDT's update/merge pair is associative over the regrouping (see
-//! [`crate::descriptor::StateDescriptor::combinable`]; float-summing
-//! CRDTs opt out to keep combiner-on/off runs bit-identical).
+//! the CRDT's update/merge pair is associative over the regrouping: the
+//! [`Exact`](crate::descriptor::ValueKind::Exact) class. Float-summing
+//! CRDTs are `Inexact` and stay out, to keep combiner-on/off runs
+//! bit-identical.
 //!
 //! The table memoizes each key's `hash_key` with the MSB
 //! forced on as the occupancy marker (a stored hash of 0 means "empty

@@ -54,10 +54,9 @@ impl CounterCrdt {
     /// Backend descriptor.
     pub fn descriptor() -> StateDescriptor {
         StateDescriptor {
-            kind: ValueKind::Fixed { size: Self::SIZE },
+            kind: ValueKind::Exact { size: Self::SIZE },
             init: Self::init,
             merge: Self::merge,
-            combinable: true,
         }
     }
 }
@@ -101,10 +100,9 @@ impl MaxCrdt {
     /// Backend descriptor.
     pub fn descriptor() -> StateDescriptor {
         StateDescriptor {
-            kind: ValueKind::Fixed { size: Self::SIZE },
+            kind: ValueKind::Exact { size: Self::SIZE },
             init: Self::init,
             merge: Self::merge,
-            combinable: true,
         }
     }
 }
@@ -147,10 +145,9 @@ impl MinCrdt {
     /// Backend descriptor.
     pub fn descriptor() -> StateDescriptor {
         StateDescriptor {
-            kind: ValueKind::Fixed { size: Self::SIZE },
+            kind: ValueKind::Exact { size: Self::SIZE },
             init: Self::init,
             merge: Self::merge,
-            combinable: true,
         }
     }
 }
@@ -213,10 +210,9 @@ impl MeanCrdt {
     /// Backend descriptor.
     pub fn descriptor() -> StateDescriptor {
         StateDescriptor {
-            kind: ValueKind::Fixed { size: Self::SIZE },
+            kind: ValueKind::Inexact { size: Self::SIZE },
             init: Self::init,
             merge: Self::merge,
-            combinable: false,
         }
     }
 }

@@ -88,10 +88,9 @@ impl HllCrdt {
     /// Backend descriptor.
     pub fn descriptor() -> StateDescriptor {
         StateDescriptor {
-            kind: ValueKind::Fixed { size: Self::SIZE },
+            kind: ValueKind::Exact { size: Self::SIZE },
             init: Self::init,
             merge: Self::merge,
-            combinable: true,
         }
     }
 }

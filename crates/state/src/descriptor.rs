@@ -1,12 +1,23 @@
 //! State descriptors: how a piece of operator state behaves as a CRDT.
 
-/// Whether values are fixed-size (in-place read-modify-write, non-holistic
-/// aggregations) or appended element lists (holistic operators like joins).
+/// A state's value layout and CRDT class. The class says how far updates
+/// may be regrouped ("stream programs are monoid homomorphisms with
+/// state", PAPERS.md): an exact commutative monoid in any grouping, a
+/// mergeable but inexact one only in the order the engine fixes, and the
+/// free monoid of appended elements by concatenation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueKind {
-    /// Fixed-size value updated in place. Merging uses the descriptor's
-    /// CRDT merge function.
-    Fixed {
+    /// Fixed-size value updated in place whose merge is exactly
+    /// associative — integer and lattice CRDTs (Counter, Max, Min, HLL).
+    /// Regrouping updates through the merge moves no bit of the result.
+    Exact {
+        /// Encoded value size in bytes.
+        size: usize,
+    },
+    /// Fixed-size value updated in place whose merge is commutative but
+    /// only approximately associative — float sums (Mean): IEEE 754
+    /// addition rounds, so its updates stay per-record.
+    Inexact {
         /// Encoded value size in bytes.
         size: usize,
     },
@@ -21,28 +32,24 @@ pub enum ValueKind {
 /// are consulted once per record on the hot path.
 #[derive(Clone, Copy)]
 pub struct StateDescriptor {
-    /// Value layout.
+    /// Value layout and CRDT class.
     pub kind: ValueKind,
-    /// Write the CRDT zero value (only meaningful for `Fixed`).
+    /// Write the CRDT zero value (only meaningful for fixed-size state).
     pub init: fn(&mut [u8]),
     /// CRDT merge: fold `src` into `dst`. Must be commutative and
-    /// associative with `init` as identity (property-tested per CRDT).
+    /// associative with `init` as identity, and `merge(init, x)` must be
+    /// `x` bit for bit for every `x` folded from `init` (property-tested
+    /// per CRDT).
     pub merge: fn(dst: &mut [u8], src: &[u8]),
-    /// Whether batch-local pre-aggregation (write combining) preserves
-    /// bit-exact results. True only when regrouping updates through `merge`
-    /// is *exactly* associative — integer and lattice CRDTs. Float-summing
-    /// CRDTs stay per-record: IEEE 754 addition is not associative, and the
-    /// engine promises combiner-on/off runs are bit-identical.
-    pub combinable: bool,
 }
 
 impl StateDescriptor {
-    /// Encoded value size for fixed-kind state. Appended state has no
+    /// Encoded value size for fixed-size state. Appended state has no
     /// fixed size (entries carry their own lengths) and reports 0, so
     /// byte-accounting callers charge only per-entry overhead for it.
     pub fn fixed_size(&self) -> usize {
         match self.kind {
-            ValueKind::Fixed { size } => size,
+            ValueKind::Exact { size } | ValueKind::Inexact { size } => size,
             ValueKind::Appended => 0,
         }
     }
@@ -54,10 +61,21 @@ impl StateDescriptor {
 
     /// Whether updates may be regrouped — folded by the write combiner,
     /// or split into salted sub-keys — without moving a bit of the result:
-    /// fixed-size state with an exactly associative merge. The engine's
-    /// one gate for both.
+    /// exact state. The engine's one gate for both.
     pub fn regroupable(&self) -> bool {
-        self.combinable && !self.is_appended()
+        matches!(self.kind, ValueKind::Exact { .. })
+    }
+
+    /// The one body by which a partial enters fixed state: copied into a
+    /// `fresh` (absent until now) `value`, since a merge into the zero
+    /// value is the identity; CRDT-merged into a present one.
+    #[inline]
+    pub(crate) fn merge_partial(&self, value: &mut [u8], fresh: bool, partial: &[u8]) {
+        if fresh {
+            value.copy_from_slice(partial);
+        } else {
+            (self.merge)(value, partial);
+        }
     }
 }
 
@@ -79,7 +97,6 @@ pub fn appended_descriptor() -> StateDescriptor {
         kind: ValueKind::Appended,
         init: noop_init,
         merge: noop_merge,
-        combinable: false,
     }
 }
 
@@ -87,29 +104,27 @@ pub fn appended_descriptor() -> StateDescriptor {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fixed_size_accessor() {
-        let d = StateDescriptor {
-            kind: ValueKind::Fixed { size: 8 },
+    fn fixed(kind: ValueKind) -> StateDescriptor {
+        StateDescriptor {
+            kind,
             init: noop_init,
             merge: noop_merge,
-            combinable: true,
-        };
-        assert_eq!(d.fixed_size(), 8);
-        assert!(!d.is_appended());
+        }
+    }
+
+    #[test]
+    fn fixed_size_accessor() {
+        assert_eq!(fixed(ValueKind::Exact { size: 8 }).fixed_size(), 8);
+        assert_eq!(fixed(ValueKind::Inexact { size: 16 }).fixed_size(), 16);
+        assert!(!fixed(ValueKind::Exact { size: 8 }).is_appended());
         assert!(appended_descriptor().is_appended());
     }
 
     #[test]
-    fn regroupable_needs_combinable_fixed_state() {
-        let fixed = |combinable| StateDescriptor {
-            kind: ValueKind::Fixed { size: 8 },
-            init: noop_init,
-            merge: noop_merge,
-            combinable,
-        };
-        assert!(fixed(true).regroupable());
-        assert!(!fixed(false).regroupable(), "float sums stay per-record");
+    fn only_exact_state_is_regroupable() {
+        assert!(fixed(ValueKind::Exact { size: 8 }).regroupable());
+        let inexact = fixed(ValueKind::Inexact { size: 16 });
+        assert!(!inexact.regroupable(), "float sums stay per-record");
         assert!(!appended_descriptor().regroupable());
     }
 

@@ -32,7 +32,7 @@
 //! fills the newest run's room with one copy and spills the rest into new
 //! runs; a trigger walks runs, not elements.
 
-use crate::descriptor::{StateDescriptor, ValueKind};
+use crate::descriptor::StateDescriptor;
 use crate::entry::{for_each_elem, EntryHeader, EntryKind, HEADER_SIZE, NO_PREV};
 use crate::hash::{hash_key, unpack_key, StateKey};
 use crate::index::{Entry, HashIndex};
@@ -280,8 +280,6 @@ pub struct PartitionStats {
     pub rmw_inserts: u64,
     /// Elements appended to holistic state, merged runs' included.
     pub appends: u64,
-    /// Entries merged in from helper deltas.
-    pub merged_entries: u64,
     /// Epochs closed on this fragment.
     pub epochs: u64,
     /// Keys examined by window drains: the key counts of the windows that
@@ -369,7 +367,7 @@ impl Partition {
     #[inline]
     fn write_fixed(&mut self, key: StateKey, hash: u64, write: impl FnOnce(&mut [u8], bool)) {
         debug_assert!(
-            matches!(self.desc.kind, ValueKind::Fixed { .. }),
+            !self.desc.is_appended(),
             "fixed-state write on appended state"
         );
         let w = self.windows.route(unpack_key(key).0);
@@ -410,19 +408,14 @@ impl Partition {
         });
     }
 
-    /// Merge one write-combiner partial — `key`, its memoized `hash` and the
-    /// folded value — into fixed-size state: the combiner flush, entry by
-    /// entry. A hit merges with the descriptor's CRDT merge; a miss takes a
-    /// copy of the partial, since merging into the zero value is the
-    /// identity.
+    /// Merge one write-combiner partial — `key`, its memoized `hash` and
+    /// the folded value — into fixed-size state through
+    /// [`StateDescriptor::merge_partial`]: the combiner flush, entry by
+    /// entry.
     pub(crate) fn merge_partial(&mut self, key: StateKey, hash: u64, partial: &[u8]) {
-        let merge = self.desc.merge;
+        let desc = self.desc;
         self.write_fixed(key, hash, |value, fresh| {
-            if fresh {
-                value.copy_from_slice(partial);
-            } else {
-                merge(value, partial);
-            }
+            desc.merge_partial(value, fresh, partial)
         });
     }
 
@@ -498,12 +491,16 @@ impl Partition {
         }
     }
 
-    /// Merge a value into fixed-size state with the descriptor's CRDT
-    /// merge (leader-side delta replay).
+    /// Merge a value into fixed-size state by the combiner flush's rule,
+    /// with one hash of `key` (leader-side delta replay, snapshot restore).
     pub fn merge_fixed(&mut self, key: StateKey, src: &[u8]) {
-        let merge = self.desc.merge;
-        self.rmw(key, |dst| merge(dst, src));
-        self.stats.merged_entries += 1;
+        // A closure of its own: sharing the flush's takes the flush's write
+        // out of line (measured: `skew_sim4x2` at 0.976x the wall rate on
+        // a 2-vCPU VM).
+        let desc = self.desc;
+        self.write_fixed(key, hash_key(key), |v, fresh| {
+            desc.merge_partial(v, fresh, src)
+        });
     }
 
     /// Read fixed-size state.

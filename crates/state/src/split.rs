@@ -6,7 +6,7 @@
 //! single node. Splitting breaks the key into `n` **sub-keys**, one per
 //! replica (logical node), so each node accumulates its share of the
 //! updates under its own salted key. Because the states are exact CRDTs
-//! (the same [`StateDescriptor::combinable`] gate the write combiner
+//! (the same [`StateDescriptor::regroupable`] gate the write combiner
 //! uses), regrouping updates across sub-keys is lossless: at window close
 //! the leader folds every sub-key of a `(window, key)` back into the
 //! canonical key with the descriptor's `merge` and emits one result, so
@@ -28,7 +28,7 @@
 //! whatever canonical and sub-key entries exist — only result *labeling*
 //! does, and only on the leader that triggers the window.
 //!
-//! [`StateDescriptor::combinable`]: crate::descriptor::StateDescriptor::combinable
+//! [`StateDescriptor::regroupable`]: crate::descriptor::StateDescriptor::regroupable
 //! [`partition_of`]: crate::hash::partition_of
 
 use std::collections::BTreeMap;

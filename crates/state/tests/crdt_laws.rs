@@ -5,10 +5,11 @@
 //! identity. These tests check the laws for every shipped CRDT over
 //! arbitrary update sequences, driven by seeded `DetRng` loops so the
 //! suite runs fully offline and every failure reproduces from its seed.
+//! How two states compare follows from the descriptor's class.
 
 use slash_desim::DetRng;
 use slash_state::descriptor::StateDescriptor;
-use slash_state::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt};
+use slash_state::{CounterCrdt, HllCrdt, MaxCrdt, MeanCrdt, MinCrdt, ValueKind};
 
 fn zeroed(d: &StateDescriptor) -> Vec<u8> {
     let mut v = vec![0u8; d.fixed_size()];
@@ -16,26 +17,27 @@ fn zeroed(d: &StateDescriptor) -> Vec<u8> {
     v
 }
 
-/// Check merge laws for a descriptor given three arbitrary states.
-fn check_laws(d: &StateDescriptor, a: &[u8], b: &[u8], c: &[u8], approx: bool) {
-    let eq = |x: &[u8], y: &[u8]| {
-        if approx {
-            // f64 payloads: compare numerically to tolerate association
-            // rounding.
+/// Equality as `d`'s class promises it: bit for bit, except an `Inexact`
+/// state's leading f64 sum, which association may round.
+fn eq(d: &StateDescriptor, x: &[u8], y: &[u8]) -> bool {
+    match d.kind {
+        ValueKind::Inexact { .. } => {
             let fx = f64::from_le_bytes(x[..8].try_into().unwrap());
             let fy = f64::from_le_bytes(y[..8].try_into().unwrap());
             (fx - fy).abs() <= 1e-9 * fx.abs().max(fy.abs()).max(1.0) && x[8..] == y[8..]
-        } else {
-            x == y
         }
-    };
+        ValueKind::Exact { .. } | ValueKind::Appended => x == y,
+    }
+}
 
+/// Check merge laws for a descriptor given three states folded from init.
+fn check_laws(d: &StateDescriptor, a: &[u8], b: &[u8], c: &[u8]) {
     // Commutativity: a ⊔ b == b ⊔ a.
     let mut ab = a.to_vec();
     (d.merge)(&mut ab, b);
     let mut ba = b.to_vec();
     (d.merge)(&mut ba, a);
-    assert!(eq(&ab, &ba), "merge not commutative: {ab:?} vs {ba:?}");
+    assert!(eq(d, &ab, &ba), "merge not commutative: {ab:?} vs {ba:?}");
 
     // Associativity: (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c).
     let mut ab_c = ab.clone();
@@ -44,12 +46,19 @@ fn check_laws(d: &StateDescriptor, a: &[u8], b: &[u8], c: &[u8], approx: bool) {
     (d.merge)(&mut bc, c);
     let mut a_bc = a.to_vec();
     (d.merge)(&mut a_bc, &bc);
-    assert!(eq(&ab_c, &a_bc), "merge not associative");
+    assert!(eq(d, &ab_c, &a_bc), "merge not associative");
 
-    // Identity: a ⊔ 0 == a.
+    // Right identity: a ⊔ 0 == a.
     let mut a0 = a.to_vec();
     (d.merge)(&mut a0, &zeroed(d));
-    assert!(eq(&a0, a), "init is not the merge identity");
+    assert!(eq(d, &a0, a), "init is not the merge identity");
+
+    // Left identity, bit for bit in every class: 0 ⊔ a == a. A partial
+    // that meets absent state is copied in instead of merged into init
+    // (`StateDescriptor::merge_partial`); the two must not differ.
+    let mut zero_a = zeroed(d);
+    (d.merge)(&mut zero_a, a);
+    assert_eq!(zero_a, a, "merging into init is not a copy");
 }
 
 /// Uniform f64 in `[lo, hi)`.
@@ -59,67 +68,67 @@ fn f64_in(rng: &mut DetRng, lo: f64, hi: f64) -> f64 {
 
 const CASES: u64 = 256;
 
-#[test]
-fn counter_laws() {
-    let d = CounterCrdt::descriptor();
+/// The laws over `CASES` seeded triples of states, each folded from init
+/// by up to seven `update`s (none: init itself).
+fn laws(d: StateDescriptor, salt: u64, update: impl Fn(&mut DetRng, &mut [u8])) {
     for seed in 0..CASES {
-        let mut rng = DetRng::new(0x11 ^ seed.wrapping_mul(0x9E3779B9));
-        let mk = |rng: &mut DetRng| {
+        let mut rng = DetRng::new(salt ^ seed.wrapping_mul(0x9E3779B9));
+        let mut mk = || {
             let mut v = zeroed(&d);
-            CounterCrdt::add(&mut v, rng.next_below(1 << 40));
+            for _ in 0..rng.next_below(8) {
+                update(&mut rng, &mut v);
+            }
             v
         };
-        let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
-        check_laws(&d, &a, &b, &c, false);
+        let (a, b, c) = (mk(), mk(), mk());
+        check_laws(&d, &a, &b, &c);
     }
+}
+
+#[test]
+fn counter_laws() {
+    laws(CounterCrdt::descriptor(), 0x11, |rng, v| {
+        CounterCrdt::add(v, rng.next_below(1 << 40))
+    });
 }
 
 #[test]
 fn max_laws() {
-    let d = MaxCrdt::descriptor();
-    for seed in 0..CASES {
-        let mut rng = DetRng::new(0x33 ^ seed.wrapping_mul(0x9E3779B9));
-        let mk = |rng: &mut DetRng| {
-            let mut v = zeroed(&d);
-            MaxCrdt::update(&mut v, rng.next_u64());
-            v
-        };
-        let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
-        check_laws(&d, &a, &b, &c, false);
-    }
+    laws(MaxCrdt::descriptor(), 0x33, |rng, v| {
+        MaxCrdt::update(v, rng.next_u64())
+    });
 }
 
 #[test]
 fn min_laws() {
-    let d = MinCrdt::descriptor();
-    for seed in 0..CASES {
-        let mut rng = DetRng::new(0x44 ^ seed.wrapping_mul(0x9E3779B9));
-        let mk = |rng: &mut DetRng| {
-            let mut v = zeroed(&d);
-            MinCrdt::update(&mut v, rng.next_u64());
-            v
-        };
-        let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
-        check_laws(&d, &a, &b, &c, false);
-    }
+    laws(MinCrdt::descriptor(), 0x44, |rng, v| {
+        MinCrdt::update(v, rng.next_u64())
+    });
 }
 
 #[test]
+fn hll_laws() {
+    laws(HllCrdt::descriptor(), 0x77, |rng, v| {
+        HllCrdt::observe(v, rng.next_u64())
+    });
+}
+
+/// Observations include `-0.0` and values cancelled to zero: a sum folded
+/// from `+0.0` stays off `-0.0` under IEEE 754 round-to-nearest, which is
+/// what makes the left identity bitwise for the float class too.
+#[test]
 fn mean_laws() {
-    let d = MeanCrdt::descriptor();
-    for seed in 0..CASES {
-        let mut rng = DetRng::new(0x55 ^ seed.wrapping_mul(0x9E3779B9));
-        let mk = |rng: &mut DetRng| {
-            let mut v = zeroed(&d);
-            let n_obs = rng.next_below(8);
-            for _ in 0..n_obs {
-                MeanCrdt::observe(&mut v, f64_in(rng, -1e6, 1e6));
+    laws(MeanCrdt::descriptor(), 0x55, |rng, v| {
+        match rng.next_below(4) {
+            0 => MeanCrdt::observe(v, -0.0),
+            1 => {
+                let x = f64_in(rng, -1e6, 1e6);
+                MeanCrdt::observe(v, x);
+                MeanCrdt::observe(v, -x);
             }
-            v
-        };
-        let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
-        check_laws(&d, &a, &b, &c, true);
-    }
+            _ => MeanCrdt::observe(v, f64_in(rng, -1e6, 1e6)),
+        }
+    });
 }
 
 /// Merging k partial counters in any grouping equals a sequential fold —

@@ -54,7 +54,7 @@ use slash_obs::Obs;
 use slash_workloads::{nb11, ysb, ysb_hot, GenConfig, Workload};
 
 use crate::explorer::{explore_exhaustive, Budget, Coverage, ExhaustiveReport, ScheduleRun};
-use crate::oracle::{self, Groups};
+use crate::oracle::{self, Expected};
 use crate::race::{explore, Exploration, Invariant, Outcome, Violation};
 
 /// Faults placed at a fixed fraction of the fault-free completion time.
@@ -935,7 +935,7 @@ pub const STRIDED_INSTANTS: usize = 48;
 /// What a case's swept-free run tells the sweep.
 pub struct Probe {
     input: Workload,
-    expected: Groups,
+    expected: Expected,
     /// Fault-free completion time (fixed faults sit at fractions of it).
     pub span: SimTime,
     /// Per partition, the instant it finished in the swept-free run (its

@@ -396,7 +396,10 @@ pub fn explore_exhaustive(
 
     // Create DFS frames for every branch point of a fresh run at depths
     // > from_depth, threading the sleep set down the path.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a helper of the DFS loop taking that loop's locals, which share no struct"
+    )]
     fn push_frames(
         stack: &mut Vec<Frame>,
         trace: &[ChoicePoint],

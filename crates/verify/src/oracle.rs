@@ -14,14 +14,25 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use slash_core::{QueryPlan, RunReport, SinkResult};
+use slash_state::ValueKind;
 
 /// What a query emits: per `(window, key)`, the rendered aggregate or the
 /// join's pair count.
 pub type Groups = HashMap<(u64, u64), f64>;
 
+/// What a run must emit: the oracle's groups, and how their values compare.
+pub struct Expected {
+    /// The sequential fold's groups.
+    pub groups: Groups,
+    /// Values match bit for bit: every class but [`ValueKind::Inexact`],
+    /// whose float sums match within a relative 1e-9.
+    pub exact: bool,
+}
+
 /// Sequential oracle: fold every record of every partition.
-pub fn oracle(plan: &QueryPlan, partitions: &[Rc<Vec<u8>>]) -> Groups {
-    match plan {
+pub fn oracle(plan: &QueryPlan, partitions: &[Rc<Vec<u8>>]) -> Expected {
+    let exact = !matches!(plan.descriptor().kind, ValueKind::Inexact { .. });
+    let groups = match plan {
         QueryPlan::Aggregate { input, window, agg } => {
             let schema = input.schema;
             let desc = agg.descriptor();
@@ -74,7 +85,8 @@ pub fn oracle(plan: &QueryPlan, partitions: &[Rc<Vec<u8>>]) -> Groups {
                 .filter(|&(_, p)| p > 0.0)
                 .collect()
         }
-    }
+    };
+    Expected { groups, exact }
 }
 
 /// Index emitted results by `(window, key)`; joins contribute their pair
@@ -107,7 +119,8 @@ pub fn results_map(results: &[SinkResult]) -> Result<Groups, String> {
 /// shipped checks, DESIGN §8), and the same groups emitted, each exactly
 /// once, each with the oracle's value. `Err` describes the first
 /// difference found.
-pub fn check(expected: &Groups, run: &RunReport) -> Result<(), String> {
+pub fn check(expected: &Expected, run: &RunReport) -> Result<(), String> {
+    let (expected, exact) = (&expected.groups, expected.exact);
     if run.protocol_violations.total() > 0 {
         return Err(format!("protocol violations: {}", run.protocol_violations));
     }
@@ -122,7 +135,10 @@ pub fn check(expected: &Groups, run: &RunReport) -> Result<(), String> {
     for (group, want) in expected {
         match got.get(group) {
             None => return Err(format!("group {group:?} missing")),
-            Some(have) if (want - have).abs() >= 1e-9 * want.abs().max(1.0) => {
+            Some(have)
+                if want.to_bits() != have.to_bits()
+                    && (exact || (want - have).abs() >= 1e-9 * want.abs().max(1.0)) =>
+            {
                 return Err(format!("group {group:?}: expected {want}, got {have}"));
             }
             Some(_) => {}
@@ -145,5 +161,28 @@ mod tests {
         assert!(results_map(&[r.clone(), r])
             .unwrap_err()
             .contains("emitted twice"));
+    }
+
+    /// An exact count is compared bit for bit: off by one at 2^31, inside
+    /// a relative 1e-9, it fails; the same gap on an inexact mean passes.
+    #[test]
+    fn only_inexact_values_have_a_tolerance() {
+        let want = f64::from(1u32 << 31);
+        let run = RunReport {
+            results: vec![SinkResult::Agg {
+                window_id: 1,
+                key: 2,
+                value: want + 1.0,
+            }],
+            ..RunReport::default()
+        };
+        let expected = |exact| Expected {
+            groups: Groups::from([((1, 2), want)]),
+            exact,
+        };
+        assert!(check(&expected(true), &run)
+            .unwrap_err()
+            .contains("expected 2147483648, got 2147483649"));
+        assert!(check(&expected(false), &run).is_ok());
     }
 }

@@ -34,7 +34,7 @@ use slash::state::SUB_KEY_TAG;
 use slash::workloads::{self as w, GenConfig, Workload};
 use slash_exec::{JobSpec, Scheduler, ThreadBackend};
 use slash_verify::catalogue::{Case, Fixed, Knobs, Size, Swept, Window};
-use slash_verify::oracle::{self, Groups};
+use slash_verify::oracle::{self, Expected};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
@@ -140,7 +140,7 @@ pub fn supported(c: &Cell) -> Result<(), &'static str> {
     } else if c.split != Split::None
         && !(plan.descriptor().regroupable() && plan.window().slices_per_window() == 1)
     {
-        Err("split needs a combinable tumbling aggregation")
+        Err("split needs an exact tumbling aggregation")
     } else if c.split == Split::Forward && (c.row.workers_per_node != 1 || c.crash || c.migrate) {
         Err("forwarding needs one worker per node and no fault tolerance")
     } else if c.crash && c.paced {
@@ -351,7 +351,7 @@ fn judge(
     cell: &Cell,
     out: &Outcome,
     input: &Workload,
-    expected: &Groups,
+    expected: &Expected,
     state: &[u64],
 ) -> Vec<String> {
     let mut bad = Vec::new();
@@ -520,7 +520,7 @@ pub fn matrix(name: &str, slices: &[Slice]) {
         let input = (row.workload)(&gen);
         let expected = oracle::oracle(&input.plan, &input.partitions);
         assert!(
-            !expected.is_empty(),
+            !expected.groups.is_empty(),
             "{}: the input must produce results",
             row.name
         );
