@@ -7,16 +7,21 @@
 //! repro fig8a | fig8b | fig8c | fig8d
 //! repro fig9 | fig10 | table1
 //! repro recovery             # fault-injection recovery latency + exactness
+//! repro rescale              # diurnal 4 -> 8 -> 4 rescale gate (BENCH_rescale.json)
 //! repro split                # hot-key split sweep gate (>= 1.5x at theta 1.1)
+//! repro latency              # per-stage tail latency vs SLO.toml (BENCH_latency.json)
 //! ```
 //!
 //! Scale knobs: `SLASH_WORKERS` (threads/node, default 4) and
-//! `SLASH_RECORDS` (records/worker, default 20000).
+//! `SLASH_RECORDS` (records/worker, default 20000); `latency` runs at its
+//! own fixed scale. Exit codes: 0 pass, 1 a gate failed or an artifact
+//! could not be written, 2 usage or a broken `SLO.toml`.
 
 use std::path::PathBuf;
 
 use slash_bench::report::{format_table, write_csv, Table};
-use slash_bench::{ablation, fig6, fig7, fig8, fig9, recovery, rescale, split, Scale};
+use slash_bench::slo::{self, Slo};
+use slash_bench::{ablation, fig6, fig7, fig8, fig9, latency, recovery, rescale, split, Scale};
 
 fn out_dir() -> PathBuf {
     std::env::var("SLASH_RESULTS")
@@ -24,16 +29,32 @@ fn out_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
+/// Report an artifact written, or fail the command: a stale file left in
+/// place would pass CI's `git diff` check on the checked-in copy.
+fn written(path: &str, res: std::io::Result<()>) {
+    if let Err(e) = res {
+        eprintln!("error: could not write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("  -> {path}");
+}
+
 fn emit(t: &Table, csv_name: &str) {
     print!("{}", format_table(t));
     println!();
     let dir = out_dir();
-    if let Err(e) = write_csv(t, &dir, csv_name) {
-        eprintln!("warning: could not write {csv_name}: {e}");
-    } else {
-        println!("  -> {}/{csv_name}", dir.display());
-    }
+    written(
+        &format!("{}/{csv_name}", dir.display()),
+        write_csv(t, &dir, csv_name),
+    );
     println!();
+}
+
+fn read_slo() -> Slo {
+    slo::read("SLO.toml").unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn run_fig6(query: &str, scale: Scale) {
@@ -96,17 +117,13 @@ fn run_recovery(scale: Scale) {
 }
 
 fn run_rescale(scale: Scale) -> bool {
+    let budget = read_slo().migration_stall;
     let outcome = rescale::run(scale);
     emit(&rescale::table(&outcome), "rescale.csv");
-    let budget = rescale::stall_budget("SLO.toml");
-    if budget.is_none() {
-        eprintln!("warning: SLO.toml has no [rescale] migration_stall_ns budget; stall not gated");
-    }
-    if let Err(e) = rescale::write_json(&outcome, "BENCH_rescale.json") {
-        eprintln!("warning: could not write BENCH_rescale.json: {e}");
-    } else {
-        println!("  -> BENCH_rescale.json");
-    }
+    written(
+        "BENCH_rescale.json",
+        rescale::write_json(&outcome, "BENCH_rescale.json"),
+    );
     let violations = rescale::gate(&outcome, budget);
     if violations.is_empty() {
         println!("rescale gate: PASS");
@@ -118,6 +135,36 @@ fn run_rescale(scale: Scale) -> bool {
         }
         false
     }
+}
+
+fn run_latency() -> bool {
+    let budgets = read_slo().stage_budgets;
+    let runs = latency::run();
+    print!("{}", format_table(&latency::table(&runs)));
+    if let Err(e) = latency::check(&runs) {
+        eprintln!("latency report: FAIL ({e})");
+        return false;
+    }
+    written(
+        "BENCH_latency.json",
+        latency::write_json(&runs, "BENCH_latency.json"),
+    );
+    let breaches = latency::gate(&runs, &budgets).unwrap_or_else(|e| {
+        eprintln!("error: SLO.toml: {e}");
+        std::process::exit(2);
+    });
+    if breaches.is_empty() {
+        println!("SLO gate: PASS ({} budgets from SLO.toml)", budgets.len());
+        return true;
+    }
+    eprintln!("SLO gate: FAIL ({} breaches)", breaches.len());
+    for dump in latency::dumps(&runs, &breaches) {
+        eprintln!("{dump}");
+    }
+    for (_, msg) in &breaches {
+        eprintln!("BREACH: {msg}");
+    }
+    false
 }
 
 fn run_split() -> bool {
@@ -164,8 +211,8 @@ fn main() {
             run_table1(scale);
             run_ablation(scale);
             run_recovery(scale);
-            // Both gates run before either fails the command.
-            if !(run_rescale(scale) & run_split()) {
+            // Every gate runs before any fails the command.
+            if !(run_rescale(scale) & run_split() & run_latency()) {
                 std::process::exit(1);
             }
         }
@@ -197,9 +244,14 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        "latency" => {
+            if !run_latency() {
+                std::process::exit(1);
+            }
+        }
         _ => {
             eprintln!(
-                "usage: repro <all|fig6 [--query ysb|cm|nb7|nb8|nb11]|fig7|fig8a|fig8b|fig8c|fig8d|fig9|fig10|table1|ablation|recovery|rescale|split>"
+                "usage: repro <all|fig6 [--query ysb|cm|nb7|nb8|nb11]|fig7|fig8a|fig8b|fig8c|fig8d|fig9|fig10|table1|ablation|recovery|rescale|split|latency>"
             );
             std::process::exit(2);
         }

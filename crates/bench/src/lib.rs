@@ -17,11 +17,13 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod latency;
 pub mod micro;
 pub mod recovery;
 pub mod report;
 pub mod rescale;
 pub mod scale;
+pub mod slo;
 pub mod split;
 pub mod suts;
 pub mod uarch;

@@ -172,33 +172,9 @@ pub fn run(scale: Scale) -> RescaleOutcome {
     }
 }
 
-/// Parse the `[rescale] migration_stall_ns` budget out of `SLO.toml`
-/// (same hand-rolled subset as the latency gate). Returns `None` when the
-/// file or the key is absent.
-pub fn stall_budget(path: &str) -> Option<SimTime> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut in_section = false;
-    for raw in text.lines() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            in_section = name.trim() == "rescale";
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        if let Some((key, value)) = line.split_once('=') {
-            if key.trim() == "migration_stall_ns" {
-                return value.trim().parse().ok().map(SimTime::from_nanos);
-            }
-        }
-    }
-    None
-}
-
-/// Gate violations for `repro rescale` (empty = pass). The stall budget
-/// is only enforced when `SLO.toml` provides one.
-pub fn gate(o: &RescaleOutcome, budget: Option<SimTime>) -> Vec<String> {
+/// Gate violations for `repro rescale` (empty = pass); `budget` is
+/// `SLO.toml`'s `[rescale] migration_stall_ns`.
+pub fn gate(o: &RescaleOutcome, budget: SimTime) -> Vec<String> {
     let mut v = Vec::new();
     if o.records_lost != 0 {
         v.push(format!("lost {} records vs the static run", o.records_lost));
@@ -224,7 +200,7 @@ pub fn gate(o: &RescaleOutcome, budget: Option<SimTime>) -> Vec<String> {
             o.final_hosts
         ));
     }
-    if let (Some(stall), Some(budget)) = (o.max_stall, budget) {
+    if let Some(stall) = o.max_stall {
         if stall > budget {
             v.push(format!(
                 "max cutover stall {}ns exceeds budget {}ns",
@@ -315,26 +291,7 @@ mod tests {
     #[test]
     fn diurnal_rescale_passes_its_own_gate() {
         let o = run(Scale::tiny());
-        let budget = Some(SimTime::from_millis(1));
-        let violations = gate(&o, budget);
+        let violations = gate(&o, SimTime::from_millis(1));
         assert!(violations.is_empty(), "{violations:?}\n{o:?}");
-    }
-
-    #[test]
-    fn stall_budget_parses_the_rescale_section() {
-        let dir = std::env::temp_dir().join("slash_rescale_slo_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("SLO.toml");
-        std::fs::write(
-            &path,
-            "regression_factor = 1.5\n[ysb]\nend_to_end_p99_99 = 2400\n\
-             [rescale]\n# worst halt -> commit span\nmigration_stall_ns = 750000\n",
-        )
-        .unwrap();
-        assert_eq!(
-            stall_budget(path.to_str().unwrap()),
-            Some(SimTime::from_micros(750))
-        );
-        assert_eq!(stall_budget("/nonexistent/SLO.toml"), None);
     }
 }

@@ -1,13 +1,11 @@
-//! `slash-trace-check` — validate a Chrome trace-event JSON file, or a
-//! `latency-bench` report.
+//! `slash-trace-check` — validate Chrome trace-event JSON files.
 //!
 //! ```text
-//! slash-trace-check FILE            # Chrome trace-event document
-//! slash-trace-check --latency FILE  # BENCH_latency.json schema
+//! slash-trace-check FILE...
 //! ```
 //!
-//! Trace mode checks, without any JSON library, that the trace an example
-//! or harness emitted is actually loadable and well-behaved:
+//! Checks, without any JSON library, that the trace an example or harness
+//! emitted is actually loadable and well-behaved:
 //!
 //! 1. the document is structurally well-formed JSON — balanced brackets
 //!    of matching kinds, valid string escapes, no stray bytes after the
@@ -16,16 +14,6 @@
 //! 3. the `"ts"` values appear in monotone non-decreasing file order,
 //!    which `slash_obs::export::chrome_trace_json` guarantees by sorting
 //!    on `(virtual time, sequence)`.
-//!
-//! Latency mode validates the report `latency-bench` writes:
-//!
-//! 1. every row's quantiles are monotone (p50 ≤ p99 ≤ p99.9 ≤ p99.99 ≤ max);
-//! 2. per workload, the record-path stage means sum to at most the
-//!    end-to-end mean — the stage segments partition the worker's busy
-//!    window, so attribution can never exceed what it attributes (means
-//!    compose linearly; quantiles would not);
-//! 3. heat top-k entries per `(workload, label)` have contiguous ranks
-//!    and non-increasing counts.
 //!
 //! Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
 
@@ -203,137 +191,8 @@ fn check(doc: &str) -> Result<(usize, Vec<u64>), Defect> {
     Ok((events, ts_values))
 }
 
-// ---------------------------------------------------------------------
-// Latency-report mode.
-// ---------------------------------------------------------------------
-
-/// Extract a string field from a single-line JSON row.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-/// Extract an unsigned integer field from a single-line JSON row.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Validate a `latency-bench` report (see module doc, latency mode).
-fn check_latency(doc: &str) -> Result<String, Defect> {
-    let mut rows = 0usize;
-    let mut heat_rows = 0usize;
-    // (workload, record_path, stage, mean) of stage rows; end_to_end mean
-    // kept separately per workload.
-    let mut stage_means: Vec<(String, String, u64)> = Vec::new();
-    let mut e2e_means: Vec<(String, u64)> = Vec::new();
-    // (workload, label) -> (last rank, last count) for heat ordering.
-    let mut heat_last: Vec<(String, String, u64, u64)> = Vec::new();
-    for (ln, line) in doc.lines().enumerate() {
-        let n = ln + 1;
-        if let (Some(wl), Some(stage)) = (json_str(line, "workload"), json_str(line, "stage")) {
-            rows += 1;
-            let mut vals = Vec::new();
-            for key in ["p50", "p99", "p99.9", "p99.99", "max"] {
-                let Some(v) = json_u64(line, key) else {
-                    return Err(Defect(format!("line {n}: row missing \"{key}\"")));
-                };
-                vals.push((key, v));
-            }
-            for w in vals.windows(2) {
-                if w[1].1 < w[0].1 {
-                    return Err(Defect(format!(
-                        "line {n}: {wl}.{stage} quantiles not monotone: {}={} < {}={}",
-                        w[1].0, w[1].1, w[0].0, w[0].1
-                    )));
-                }
-            }
-            let Some(mean) = json_u64(line, "mean") else {
-                return Err(Defect(format!("line {n}: row missing \"mean\"")));
-            };
-            if stage == "end_to_end" {
-                e2e_means.push((wl.to_string(), mean));
-            } else if line.contains("\"record_path\": true") {
-                stage_means.push((wl.to_string(), stage.to_string(), mean));
-            }
-        } else if let (Some(wl), Some(label)) =
-            (json_str(line, "workload"), json_str(line, "label"))
-        {
-            heat_rows += 1;
-            let (Some(rank), Some(count)) = (json_u64(line, "rank"), json_u64(line, "count"))
-            else {
-                return Err(Defect(format!("line {n}: heat row missing rank/count")));
-            };
-            match heat_last
-                .iter_mut()
-                .find(|(w, l, _, _)| w == wl && l == label)
-            {
-                None => {
-                    if rank != 0 {
-                        return Err(Defect(format!(
-                            "line {n}: heat {wl}/{label} starts at rank {rank}, not 0"
-                        )));
-                    }
-                    heat_last.push((wl.to_string(), label.to_string(), rank, count));
-                }
-                Some((_, _, last_rank, last_count)) => {
-                    if rank != *last_rank + 1 {
-                        return Err(Defect(format!(
-                            "line {n}: heat {wl}/{label} rank {rank} after {last_rank}"
-                        )));
-                    }
-                    if count > *last_count {
-                        return Err(Defect(format!(
-                            "line {n}: heat {wl}/{label} count {count} increases past {last_count}"
-                        )));
-                    }
-                    *last_rank = rank;
-                    *last_count = count;
-                }
-            }
-        }
-    }
-    if rows == 0 {
-        return Err(Defect("no latency rows found".to_string()));
-    }
-    for (wl, e2e) in &e2e_means {
-        let sum: u64 = stage_means
-            .iter()
-            .filter(|(w, _, _)| w == wl)
-            .map(|(_, _, m)| m)
-            .sum();
-        // The stage segments partition the busy window exactly and each
-        // per-record value floors, so the sum can never exceed the
-        // end-to-end mean; +1 absorbs the e2e mean's own final floor.
-        if sum > e2e + 1 {
-            return Err(Defect(format!(
-                "{wl}: record-path stage means sum to {sum}ns > end-to-end mean {e2e}ns"
-            )));
-        }
-    }
-    Ok(format!(
-        "{rows} latency row(s) monotone, {} workload(s) stage-sum-consistent, {heat_rows} heat row(s) ordered — PASS",
-        e2e_means.len()
-    ))
-}
-
-fn run_latency(path: &str) -> Result<String, Defect> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| Defect(format!("cannot read {path}: {e}")))?;
-    check_latency(&doc).map(|msg| format!("slash-trace-check: {path}: {msg}"))
-}
-
-fn run(path: &str) -> Result<String, Defect> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| Defect(format!("cannot read {path}: {e}")))?;
-    let (events, ts) = check(&doc)?;
+fn run(path: &str, doc: &str) -> Result<String, Defect> {
+    let (events, ts) = check(doc)?;
     if events == 0 {
         return Err(Defect("traceEvents array is missing or empty".to_string()));
     }
@@ -352,29 +211,24 @@ fn run(path: &str) -> Result<String, Defect> {
 }
 
 fn main() -> ExitCode {
-    // (path, latency mode) pairs, in argument order.
-    let mut jobs: Vec<(String, bool)> = Vec::new();
-    let mut latency_next = false;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("usage: slash-trace-check [--latency] FILE...");
-                return ExitCode::SUCCESS;
-            }
-            "--latency" => latency_next = true,
-            _ => {
-                jobs.push((a, latency_next));
-                latency_next = false;
-            }
-        }
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths.iter().any(|a| a == "--help" || a == "-h") {
+        println!("usage: slash-trace-check FILE...");
+        return ExitCode::SUCCESS;
     }
-    if jobs.is_empty() || latency_next {
-        eprintln!("slash-trace-check: expected at least one trace file");
+    if paths.is_empty() || paths.iter().any(|a| a.starts_with('-')) {
+        eprintln!("usage: slash-trace-check FILE...");
         return ExitCode::from(2);
     }
-    for (p, latency) in &jobs {
-        let res = if *latency { run_latency(p) } else { run(p) };
-        match res {
+    for p in &paths {
+        let doc = match std::fs::read_to_string(p) {
+            Ok(doc) => doc,
+            Err(e) => {
+                eprintln!("slash-trace-check: cannot read {p}: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        match run(p, &doc) {
             Ok(msg) => println!("{msg}"),
             Err(Defect(d)) => {
                 eprintln!("slash-trace-check: {p}: FAIL — {d}");
@@ -433,103 +287,5 @@ mod tests {
         let doc = "{\"traceEvents\":[{\"ts\":5.000},{\"ts\":4.999}]}";
         let (_, ts) = check(doc).expect("well-formed");
         assert!(ts.windows(2).any(|w| w[1] < w[0]));
-    }
-
-    fn lat_row(wl: &str, stage: &str, rp: bool, mean: u64, q: [u64; 5]) -> String {
-        format!(
-            "{{\"workload\": \"{wl}\", \"stage\": \"{stage}\", \"record_path\": {rp}, \
-             \"count\": 10, \"mean\": {mean}, \"p50\": {}, \"p99\": {}, \"p99.9\": {}, \
-             \"p99.99\": {}, \"max\": {}}}\n",
-            q[0], q[1], q[2], q[3], q[4]
-        )
-    }
-
-    fn heat_row(wl: &str, label: &str, rank: u64, count: u64) -> String {
-        format!(
-            "{{\"workload\": \"{wl}\", \"label\": \"{label}\", \"rank\": {rank}, \
-             \"key\": 7, \"count\": {count}, \"err\": 0}}\n"
-        )
-    }
-
-    #[test]
-    fn latency_mode_accepts_a_consistent_report() {
-        let mut doc = String::new();
-        doc.push_str(&lat_row(
-            "ysb",
-            "end_to_end",
-            true,
-            20,
-            [10, 20, 30, 40, 50],
-        ));
-        doc.push_str(&lat_row("ysb", "source", true, 6, [6, 6, 6, 6, 6]));
-        doc.push_str(&lat_row("ysb", "ssb_apply", true, 10, [8, 12, 14, 16, 16]));
-        // Off-record-path stages are excluded from the sum check.
-        doc.push_str(&lat_row(
-            "ysb",
-            "channel_transit",
-            false,
-            9000,
-            [1, 2, 3, 4, 5],
-        ));
-        doc.push_str(&heat_row("ysb", "node0", 0, 100));
-        doc.push_str(&heat_row("ysb", "node0", 1, 100));
-        doc.push_str(&heat_row("ysb", "node0", 2, 40));
-        doc.push_str(&heat_row("ysb", "node1", 0, 7));
-        let msg = check_latency(&doc).expect("valid report");
-        assert!(msg.contains("4 latency row(s)"));
-        assert!(msg.contains("4 heat row(s)"));
-    }
-
-    #[test]
-    fn latency_mode_rejects_non_monotone_quantiles() {
-        let doc = lat_row("ysb", "end_to_end", true, 20, [10, 9, 30, 40, 50]);
-        let err = check_latency(&doc).unwrap_err();
-        assert!(err.0.contains("not monotone"), "{}", err.0);
-    }
-
-    #[test]
-    fn latency_mode_rejects_stage_sum_exceeding_end_to_end() {
-        let mut doc = String::new();
-        doc.push_str(&lat_row(
-            "nb7",
-            "end_to_end",
-            true,
-            20,
-            [10, 20, 30, 40, 50],
-        ));
-        doc.push_str(&lat_row("nb7", "source", true, 15, [6, 6, 6, 6, 6]));
-        doc.push_str(&lat_row("nb7", "ssb_apply", true, 15, [8, 12, 14, 16, 16]));
-        let err = check_latency(&doc).unwrap_err();
-        assert!(err.0.contains("sum to 30ns"), "{}", err.0);
-    }
-
-    #[test]
-    fn latency_mode_rejects_heat_disorder() {
-        let base = lat_row("ysb", "end_to_end", true, 20, [10, 20, 30, 40, 50]);
-        let increasing = format!(
-            "{base}{}{}",
-            heat_row("ysb", "node0", 0, 10),
-            heat_row("ysb", "node0", 1, 11)
-        );
-        assert!(check_latency(&increasing)
-            .unwrap_err()
-            .0
-            .contains("increases"));
-        let gap = format!(
-            "{base}{}{}",
-            heat_row("ysb", "node0", 0, 10),
-            heat_row("ysb", "node0", 2, 5)
-        );
-        assert!(check_latency(&gap)
-            .unwrap_err()
-            .0
-            .contains("rank 2 after 0"));
-        let bad_start = format!("{base}{}", heat_row("ysb", "node1", 3, 5));
-        assert!(check_latency(&bad_start).unwrap_err().0.contains("not 0"));
-    }
-
-    #[test]
-    fn latency_mode_rejects_empty_reports() {
-        assert!(check_latency("{}\n").is_err());
     }
 }
